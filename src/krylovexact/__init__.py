@@ -73,4 +73,4 @@ from .harness import (
 )
 from .rational import rational_cg, rational_lanczos_directions, rational_lstsq
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

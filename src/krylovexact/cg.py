@@ -14,7 +14,6 @@ import numpy as np
 
 from .fp import ShapeError, matvec, norm2, require_finite, seq_dot
 from .problems import JacobiMatrix
-from .rational import RationalCGTrace, rational_cg
 
 
 @dataclass(frozen=True)
@@ -251,8 +250,3 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     tr.lanczos_alpha = np.array(alphas, dtype=A.dtype)
     tr.lanczos_beta = np.array(betas, dtype=A.dtype)
     return tr
-
-
-def rational_cg_oracle(A, b, kmax: int | None = None) -> RationalCGTrace:
-    """Exact-arithmetic CG reference (dyadic inputs, rational iterates)."""
-    return rational_cg(A, b, kmax)

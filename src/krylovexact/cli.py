@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = success and all requested checks passed, 1 = a correctness
-check failed (first mismatch is printed), 2 = usage or I/O error.
+check failed (first mismatch is printed), 2 = usage, input or I/O error,
+including a serious breakdown of nonsymmetric Lanczos.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import fileio
-from .cg import cg_hs, cglanczos
-from .fp import NonFiniteError, RangeError, ShapeError, precision_named
+from .fp import precision_named
 from .harness import (
-    SWEEP_ALGORITHMS,
+    ALGORITHMS,
+    RunInputs,
     compare_structured,
     exactness_sweep,
     experiment_fig2,
@@ -25,8 +26,7 @@ from .harness import (
     sqrt_square_violations,
     sweep_failures,
 )
-from .krylov_general import arnoldi, block_lanczos, gmres_structured, golub_kahan, nonsym_lanczos
-from .lanczos import lanczos
+from .krylov_general import SeriousBreakdownError
 from .problems import (
     assemble,
     detect_structure,
@@ -42,6 +42,10 @@ from .problems import (
     strakos_spectrum,
 )
 from .rational import float_of, rational_cg
+
+# the algorithms `run` accepts, and the structured ones the exactness sweeps run
+_RUN_CHOICES = [name for name, a in ALGORITHMS.items() if a.columns]
+_STRUCTURED = [name for name, a in ALGORITHMS.items() if a.kind]
 
 
 def _add_precision(p):
@@ -66,7 +70,7 @@ def _build_parser():
     gen.add_argument("--out", required=True)
 
     run = sub.add_parser("run", help="run an algorithm on a matrix or problem file")
-    run.add_argument("algorithm", choices=["lanczos", "arnoldi", "bilanczos", "gk", "blocklanczos", "cg-hs", "cglanczos", "gmres"])
+    run.add_argument("algorithm", choices=_RUN_CHOICES)
     run.add_argument("--problem", required=True, help="matrix or problem file")
     start = run.add_mutually_exclusive_group()
     start.add_argument("--e1", action="store_true", help="start from beta1 * e1")
@@ -82,7 +86,7 @@ def _build_parser():
 
     chk = sub.add_parser("check", help="run a correctness check")
     chk.add_argument("what", choices=["exactness", "lemma31", "bound52", "structure"])
-    chk.add_argument("--algorithm", choices=list(SWEEP_ALGORITHMS), default="lanczos")
+    chk.add_argument("--algorithm", choices=_STRUCTURED, default="lanczos")
     chk.add_argument("--sizes", default="2,10,50", help="comma-separated instance sizes")
     chk.add_argument("--seeds", type=int, default=10, help="number of seeds per size")
     chk.add_argument("--p", type=int, default=1)
@@ -121,17 +125,20 @@ def _load_input(path):
     return A, None, None, T
 
 
+def _read_vector(path, dtype, flag):
+    with open(path) as f:
+        v = fileio.read_matrix(f)
+    if not isinstance(v, np.ndarray) or v.ndim != 1:
+        raise fileio.FormatError(f"{flag} must contain a vector record")
+    return v.astype(dtype)
+
+
 def _starting_vector(args, A):
-    n = A.shape[0]
     if args.v_file:
-        with open(args.v_file) as f:
-            v = fileio.read_matrix(f)
-        if not isinstance(v, np.ndarray) or v.ndim != 1:
-            raise fileio.FormatError("--v-file must contain a vector record")
-        return v.astype(A.dtype)
+        return _read_vector(args.v_file, A.dtype, "--v-file")
     if args.beta1 <= 0:
         raise ValueError("--beta1 must be positive")
-    v = np.zeros(n, dtype=A.dtype)
+    v = np.zeros(A.shape[0], dtype=A.dtype)
     v[0] = A.dtype.type(args.beta1)
     return v
 
@@ -178,75 +185,35 @@ def _cmd_gen(args) -> int:
                 f.write(f"{r} {s}\n")
         return 0
     with open(args.out, "w") as f:
-        fileio.write_matrix(f, T, precision)
+        fileio.write_matrix(f, T)
     return 0
 
 
 def _cmd_run(args) -> int:
-    A, v, prob, T = _load_input(args.problem)
-    n = A.shape[0]
-    k = args.k or n
+    """Run the algorithm once; --check-exact compares that run, the one --out writes."""
+    A, v, prob, _ = _load_input(args.problem)
     if v is None:
         v = _starting_vector(args, A)
-    out_pairs = []
-    check_ok = None
-
-    alg = args.algorithm
-    if args.check_exact and alg in ("cg-hs", "cglanczos", "gmres"):
+    if args.k < 0:
+        raise ValueError("--k must be nonnegative")
+    entry = ALGORITHMS[args.algorithm]
+    if args.check_exact and entry.kind is None:
         raise ValueError("--check-exact applies to basis algorithms only")
-    if alg == "lanczos":
-        res = lanczos(A, v, k, variant=args.variant, reorth=args.reorth)
-        out_pairs = [("alpha", res.alpha), ("beta", res.beta)]
-        if args.check_exact:
-            check_ok = _check_against_structure(A, v, prob, "lanczos", args)
-    elif alg == "arnoldi":
-        res = arnoldi(A, v, k)
-        out_pairs = [("H", res.H)]
-        if args.check_exact:
-            check_ok = _check_against_structure(A, v, prob, "arnoldi", args)
-    elif alg == "bilanczos":
-        if prob is not None and prob.w is not None:
-            w = prob.w
-        elif args.w_file:
-            with open(args.w_file) as f:
-                w = fileio.read_matrix(f).astype(A.dtype)
-        else:
-            w = v.copy()
-        res = nonsym_lanczos(A, v, w, k)
-        out_pairs = [("alpha", res.alpha), ("beta", res.beta), ("gamma", res.gamma)]
-        if args.check_exact:
-            check_ok = _check_against_structure(A, v, prob, "bilanczos", args)
-    elif alg == "gk":
-        res = golub_kahan(A, v, k)
-        out_pairs = [("gamma", res.gamma), ("delta", res.delta)]
-        if args.check_exact:
-            check_ok = _check_against_structure(A, v, prob, "gk", args)
-    elif alg == "blocklanczos":
-        if prob is None or prob.U1 is None:
-            raise ValueError("blocklanczos needs a structured block problem file")
-        res = block_lanczos(A, prob.U1, k if args.k else prob.d, qr_variant=args.qr_variant)
-        out_pairs = [(f"M{i + 1}", M) for i, M in enumerate(res.M)]
-        out_pairs += [(f"B{i + 2}", B) for i, B in enumerate(res.B)]
-        if args.check_exact:
-            check_ok = _check_against_structure(A, v, prob, "blocklanczos", args)
-    elif alg == "cg-hs":
-        tr = cg_hs(A, v, kmax=k)
-        out_pairs = [("residual_norm", np.array(tr.residual_norms)), ("x", tr.x[-1])]
-    elif alg == "cglanczos":
-        tr = cglanczos(A, v, kmax=k)
-        out_pairs = [("residual_norm", np.array(tr.residual_norms)), ("x", tr.x[-1])]
-    elif alg == "gmres":
-        res = gmres_structured(A, v, k)
-        out_pairs = [("x", res.x), ("y", res.y), ("x_error_norm", np.array([res.x_error_norm])), ("y_error_norm", np.array([res.y_error_norm]))]
-
+    w = prob.w if prob is not None else None  # bilanczos's left vector: the problem's, --w-file, or v
+    if w is None:
+        w = _read_vector(args.w_file, A.dtype, "--w-file") if args.w_file else v.copy()
+    x = RunInputs(A, v, w, prob.U1 if prob is not None else None, args.variant, args.reorth, args.qr_variant)
+    full = entry.steps(x)
+    if args.check_exact and 0 < args.k < full:
+        raise ValueError(f"--check-exact compares the full run of {full} steps; --k {args.k} stops it early")
+    res = entry.run(x, args.k or full)
+    ok = _check_against_structure(A, v, prob, args.algorithm, res) if args.check_exact else True
     if args.out:
-        _write_series_csv(args.out, out_pairs)
-    if check_ok is False:
-        return 1
-    return 0
+        _write_series_csv(args.out, entry.columns(res))
+    return 0 if ok else 1
 
 
-def _check_against_structure(A, v, prob, algorithm, args) -> bool:
+def _check_against_structure(A, v, prob, algorithm, result) -> bool:
     if prob is None:
         found = detect_structure(A, v)
         if found is None:
@@ -255,7 +222,7 @@ def _check_against_structure(A, v, prob, algorithm, args) -> bool:
             raise ValueError("structure detection supports symmetric tridiagonal inputs only")
         P, T, beta1 = found
         prob = assemble(T, P, beta1)
-    report = compare_structured(prob, algorithm, variant=args.variant, qr_variant=args.qr_variant)
+    report = compare_structured(prob, algorithm, result)
     if not report.ok:
         print(f"exactness check FAILED: first mismatch at {report.mismatch}", file=sys.stderr)
         return False
@@ -324,11 +291,8 @@ def _cmd_experiment(args) -> int:
         return 0 if ok else 1
     if args.what == "exactness-sweep":
         reports = []
-        for alg in SWEEP_ALGORITHMS:
-            kw = {}
-            if alg == "blocklanczos":
-                kw["p"] = 2
-            reports += exactness_sweep(alg, (4, 12), range(args.seeds), **kw)
+        for alg in _STRUCTURED:  # p is the block size of blocklanczos; the others ignore it
+            reports += exactness_sweep(alg, (4, 12), range(args.seeds), p=2)
         with open(args.out, "w", newline="") as f:
             fileio.write_reports_csv(f, reports)
         bad = sweep_failures(reports)
@@ -338,12 +302,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    with open(args.infile) as f:
-        text = f.read()
-    if "signedperm" in text or "signedblockperm" in text:
-        T = fileio.read_problem(io.StringIO(text)).T
-    else:
-        T = fileio.read_matrix(io.StringIO(text))
+    T = _load_input(args.infile)[3]
     with open(args.out, "w", newline="") as f:
         fileio.write_matrix_summary_csv(f, T)
     return 0
@@ -363,7 +322,7 @@ def main(argv=None) -> int:
             return _cmd_experiment(args)
         if args.command == "convert":
             return _cmd_convert(args)
-    except (ValueError, TypeError, OSError, ShapeError, RangeError, NonFiniteError, fileio.FormatError) as e:
+    except (ValueError, TypeError, OSError, SeriousBreakdownError) as e:  # ValueError covers the fp and fileio errors
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 2

@@ -48,63 +48,44 @@ def _hex(x) -> str:
     return float(x).hex()
 
 
-def _fromhex(tok: str, dt):
+def _fromhex(tok: str) -> float:
     try:
-        return dt(float.fromhex(tok))
+        return float.fromhex(tok)
     except ValueError as e:
         raise FormatError(f"bad float literal {tok!r}") from e
 
 
-def _matrix_payload(T) -> tuple[str, list]:
+def _matrix_payload(T) -> tuple[str, np.ndarray]:
+    """Header and stored entries, in file order and in T's own dtype."""
     if isinstance(T, JacobiMatrix):
-        return f"jacobi {T.n}", list(T.alpha) + list(T.beta)
+        return f"jacobi {T.n}", np.concatenate([T.alpha, T.beta])
     if isinstance(T, HessenbergMatrix):
         H = T.entries
-        n = T.n
-        vals = [H[i, i] for i in range(n)]
-        vals += [H[i + 1, i] for i in range(n - 1)]
-        for i in range(n):
-            vals += [H[i, j] for j in range(i + 1, n)]
-        return f"hessenberg {n}", vals
+        return f"hessenberg {T.n}", np.concatenate([np.diagonal(H), np.diagonal(H, -1), H[np.triu_indices(T.n, 1)]])
     if isinstance(T, NonsymTridiagonal):
-        return f"nonsymtridiag {T.n}", list(T.alpha) + list(T.beta) + list(T.gamma)
+        return f"nonsymtridiag {T.n}", np.concatenate([T.alpha, T.beta, T.gamma])
     if isinstance(T, LowerBidiagonal):
-        return f"lowerbidiag {T.n}", list(T.gamma) + list(T.delta)
+        return f"lowerbidiag {T.n}", np.concatenate([T.gamma, T.delta])
     if isinstance(T, BlockTridiagonal):
-        vals = []
-        for M in T.M:
-            vals += list(M.ravel())
-        for B in T.B:
-            vals += list(B.ravel())
-        return f"blocktridiag {T.m} {T.p}", vals
+        return f"blocktridiag {T.m} {T.p}", np.concatenate([M.ravel() for M in T.M] + [B.ravel() for B in T.B])
     if isinstance(T, np.ndarray):
         if T.ndim == 1:
-            return f"vector {len(T)}", list(T)
+            return f"vector {len(T)}", T
         if T.ndim == 2:
-            return f"dense {T.shape[0]} {T.shape[1]}", list(T.ravel())
+            return f"dense {T.shape[0]} {T.shape[1]}", T.ravel()
     raise TypeError(f"cannot serialize {type(T).__name__}")
 
 
-def _emit(out, header: str, vals):
-    out.write(header + "\n")
-    for start in range(0, len(vals), 6):
-        out.write(" ".join(_hex(v) for v in vals[start : start + 6]) + "\n")
-
-
-def write_matrix(out, T, precision: Precision | None = None):
-    if precision is None:
-        arr = T if isinstance(T, np.ndarray) else getattr(T, "alpha", None)
-        if arr is None:
-            arr = T.entries if isinstance(T, HessenbergMatrix) else None
-        if arr is None and isinstance(T, LowerBidiagonal):
-            arr = T.gamma
-        if arr is None and isinstance(T, BlockTridiagonal):
-            arr = T.M[0]
-        precision = precision_of(arr) if arr is not None else BINARY64
+def write_matrix(out, T):
+    """Write T's record, after a `precision` record unless T is binary64."""
+    header, vals = _matrix_payload(T)
+    precision = precision_of(vals)
     if precision.name != "binary64":
         out.write(f"precision {precision.name}\n")
-    header, vals = _matrix_payload(T)
-    _emit(out, header, vals)
+    out.write(header + "\n")
+    vals = vals.tolist()
+    for start in range(0, len(vals), 6):
+        out.write(" ".join(_hex(v) for v in vals[start : start + 6]) + "\n")
 
 
 class _Tokens:
@@ -121,6 +102,11 @@ class _Tokens:
             return next(self._it)
         except StopIteration:
             raise FormatError("unexpected end of file") from None
+
+    def end(self):
+        tok = self.peek()
+        if tok is not None:
+            raise FormatError(f"unexpected token {tok!r} after the record")
 
     def peek(self) -> str | None:
         if not self._push:
@@ -141,7 +127,13 @@ class _Tokens:
         return out
 
     def floats(self, k: int, dt) -> np.ndarray:
-        return np.array([_fromhex(self.next(), dt) for _ in range(k)], dtype=dt)
+        toks = [self.next() for _ in range(k)]
+        with np.errstate(over="ignore"):  # a binary32 overflow is reported below
+            a = np.array([_fromhex(tok) for tok in toks], dtype=dt)
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            raise FormatError(f"non-finite literal {toks[bad[0]]!r}")
+        return a
 
 
 def _read_structure(tk: _Tokens, precision: Precision):
@@ -153,15 +145,9 @@ def _read_structure(tk: _Tokens, precision: Precision):
     if kind == "hessenberg":
         (n,) = tk.ints(1)
         H = np.zeros((n, n), dtype=dt)
-        diag = tk.floats(n, dt)
-        sub = tk.floats(n - 1, dt)
-        for i in range(n):
-            H[i, i] = diag[i]
-        for i in range(n - 1):
-            H[i + 1, i] = sub[i]
-        for i in range(n):
-            for j in range(i + 1, n):
-                H[i, j] = _fromhex(tk.next(), dt)
+        H[np.diag_indices(n)] = tk.floats(n, dt)
+        H[np.arange(1, n), np.arange(n - 1)] = tk.floats(n - 1, dt)
+        H[np.triu_indices(n, 1)] = tk.floats(n * (n - 1) // 2, dt)
         return HessenbergMatrix(H)
     if kind == "nonsymtridiag":
         (n,) = tk.ints(1)
@@ -183,13 +169,19 @@ def _read_structure(tk: _Tokens, precision: Precision):
     raise FormatError(f"unknown structure kind {kind!r}")
 
 
+def _read_precision(tk: _Tokens) -> Precision:
+    """The optional leading `precision` record; binary64 without one."""
+    if tk.peek() != "precision":
+        return BINARY64
+    tk.next()
+    return precision_named(tk.next())
+
+
 def read_matrix(f):
     tk = _Tokens(f)
-    precision = BINARY64
-    if tk.peek() == "precision":
-        tk.next()
-        precision = precision_named(tk.next())
-    return _read_structure(tk, precision)
+    T = _read_structure(tk, _read_precision(tk))
+    tk.end()
+    return T
 
 
 def _read_signedperm(tk: _Tokens):
@@ -210,11 +202,7 @@ def _read_signedperm(tk: _Tokens):
 
 
 def write_problem(out, prob: StructuredProblem):
-    precision = precision_of(prob.A)
-    if precision.name != "binary64":
-        out.write(f"precision {precision.name}\n")
-    header, vals = _matrix_payload(prob.T)
-    _emit(out, header, vals)
+    write_matrix(out, prob.T)
     P = prob.P
     if isinstance(P, SignedBlockPermutation):
         out.write(f"signedblockperm {P.m} {P.p}\n")
@@ -232,19 +220,17 @@ def write_problem(out, prob: StructuredProblem):
 
 def read_problem(f) -> StructuredProblem:
     tk = _Tokens(f)
-    precision = BINARY64
-    if tk.peek() == "precision":
-        tk.next()
-        precision = precision_named(tk.next())
+    precision = _read_precision(tk)
     T = _read_structure(tk, precision)
     P = _read_signedperm(tk)
     if tk.next() != "beta1":
         raise FormatError("expected a beta1 record")
-    beta1 = _fromhex(tk.next(), precision.dtype)
+    (beta1,) = tk.floats(1, precision.dtype)
     gamma1 = None
     if tk.peek() == "gamma1":
         tk.next()
-        gamma1 = _fromhex(tk.next(), precision.dtype)
+        (gamma1,) = tk.floats(1, precision.dtype)
+    tk.end()
     return assemble(T, P, beta1, gamma1=gamma1)
 
 

@@ -4,11 +4,12 @@ on the Strakos spectrum."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from .cg import cg_hs, cglanczos, rational_cg_oracle
+from .cg import cg_hs, cglanczos
 from .fp import (
     BINARY64,
     Precision,
@@ -21,7 +22,7 @@ from .fp import (
     require_finite,
     seq_dot,
 )
-from .krylov_general import arnoldi, block_lanczos, golub_kahan, nonsym_lanczos
+from .krylov_general import arnoldi, block_lanczos, gmres_structured, golub_kahan, nonsym_lanczos
 from .lanczos import lanczos
 from .problems import (
     extend_deficient,
@@ -31,7 +32,7 @@ from .problems import (
     random_structured_problem,
     strakos_spectrum,
 )
-from .rational import float_of, rat_norm2_sq, to_rational_vector
+from .rational import float_of, rat_norm2_sq, rational_cg, to_rational_vector
 
 
 @dataclass
@@ -146,104 +147,175 @@ def sqrt_square_violations(samples: int, precision: Precision = BINARY64, seed: 
 
 
 # ---------------------------------------------------------------------------
-# exactness sweeps
+# the algorithm table
 
-SWEEP_ALGORITHMS = ("lanczos", "arnoldi", "bilanczos", "gk", "blocklanczos", "deficient")
+
+@dataclass(frozen=True)
+class RunInputs:
+    """Operands and settings of one algorithm run: the matrix A, the starting
+    vector v, the left starting vector w (bilanczos), the starting block U1
+    (blocklanczos), and the Lanczos and QR Gram-Schmidt choices."""
+
+    A: np.ndarray
+    v: np.ndarray
+    w: np.ndarray | None = None
+    U1: np.ndarray | None = None
+    variant: str = "mgs"
+    reorth: str = "none"
+    qr_variant: str = "mgs"
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One entry of ALGORITHMS.
+
+    run(inputs, k) looks the algorithm up by name in this module at call time,
+    so patching ``harness.lanczos`` reaches every caller.  steps(inputs) is the
+    length of a full run; columns(result) gives the (name, array) pairs that
+    `run --out` writes (None: sweep only).  Structured entries name the problem
+    kind they run on, compare the projected matrix and the basis as (label,
+    of_result, of_problem) triples, and test breakdown(result, problem).
+    """
+
+    run: Callable
+    columns: Callable | None
+    steps: Callable = lambda x: len(x.v)
+    kind: str | None = None
+    projected: tuple = ()
+    basis: tuple = ()
+    breakdown: Callable = lambda r, prob: r.breakdown == prob.d
+
+
+def _dense_P(prob):
+    return prob.P.to_dense(prob.A.dtype)
+
+
+def _embedded_P(prob):
+    """P in the leading rows of an n x d basis; d < n on deficient instances."""
+    Pd, n, d = _dense_P(prob), len(prob.v), prob.d
+    return Pd if n == d else np.vstack([Pd, np.zeros((n - d, d), dtype=Pd.dtype)])
+
+
+def _block_entries(T):
+    return np.concatenate([M.ravel() for M in T.M] + [B.ravel() for B in T.B])
+
+
+def _lanczos_breakdown(res, prob) -> bool:
+    """Breakdown at the grade d with a +0 terminal coefficient beta_{d+1}."""
+    d = prob.d
+    return res.breakdown == d and res.k == d and res.beta[d - 1] == 0 and not np.signbit(res.beta[d - 1])
+
+
+def _block_steps(x) -> int:
+    if x.U1 is None:
+        raise ValueError("blocklanczos needs a structured block problem file")
+    return len(x.v) // x.U1.shape[1]
+
+
+def _cg_columns(tr):
+    return [("residual_norm", np.array(tr.residual_norms)), ("x", tr.x[-1])]
+
+
+_LANCZOS = Algorithm(
+    run=lambda x, k: lanczos(x.A, x.v, k, variant=x.variant, reorth=x.reorth),
+    columns=lambda r: [("alpha", r.alpha), ("beta", r.beta)],
+    kind="jacobi",
+    projected=("T", lambda r: np.concatenate([r.alpha, r.beta[: r.k - 1]]), lambda prob: np.concatenate([prob.T.alpha, prob.T.beta])),
+    basis=("V", lambda r: r.V, _embedded_P),
+    breakdown=_lanczos_breakdown,
+)
+
+# CLI name -> Algorithm.  Structured entries (kind set) are the exactness
+# sweep algorithms; "deficient" runs Lanczos on a grade-deficient instance.
+ALGORITHMS = {
+    "lanczos": _LANCZOS,
+    "arnoldi": Algorithm(
+        run=lambda x, k: arnoldi(x.A, x.v, k),
+        columns=lambda r: [("H", r.H)],
+        kind="hessenberg",
+        projected=("H", lambda r: r.square(), lambda prob: prob.T.entries),
+        basis=("V", lambda r: r.V, _dense_P),
+    ),
+    "bilanczos": Algorithm(
+        run=lambda x, k: nonsym_lanczos(x.A, x.v, x.w, k),
+        columns=lambda r: [("alpha", r.alpha), ("beta", r.beta), ("gamma", r.gamma)],
+        kind="nonsymtridiag",
+        projected=(
+            "T",
+            lambda r: np.concatenate([r.alpha, r.beta, r.gamma, [r.gamma1, r.beta1]]),
+            lambda prob: np.concatenate([prob.T.alpha, prob.T.beta, prob.T.gamma, [prob.gamma1, prob.beta1]]),
+        ),
+        basis=("VW", lambda r: np.concatenate([r.V, r.W], axis=1), lambda prob: np.concatenate([_dense_P(prob)] * 2, axis=1)),
+    ),
+    "gk": Algorithm(
+        run=lambda x, k: golub_kahan(x.A, x.v, k),
+        columns=lambda r: [("gamma", r.gamma), ("delta", r.delta)],
+        kind="lowerbidiag",
+        projected=(
+            "L",
+            lambda r: np.concatenate([r.gamma, r.delta, [r.delta1]]),
+            lambda prob: np.concatenate([prob.T.gamma, prob.T.delta, [prob.beta1]]),
+        ),
+        basis=("SW", lambda r: np.concatenate([r.S, r.W], axis=1), lambda prob: np.concatenate([_dense_P(prob)] * 2, axis=1)),
+        breakdown=lambda r, prob: r.breakdown == ("delta", prob.d + 1),
+    ),
+    "blocklanczos": Algorithm(
+        run=lambda x, k: block_lanczos(x.A, x.U1, k, qr_variant=x.qr_variant),
+        columns=lambda r: [(f"M{i + 1}", M) for i, M in enumerate(r.M)] + [(f"B{i + 2}", B) for i, B in enumerate(r.B)],
+        steps=_block_steps,
+        kind="blocktridiag",
+        projected=("T", _block_entries, lambda prob: _block_entries(prob.T)),
+        basis=("U", lambda r: np.concatenate(r.U, axis=1), _dense_P),
+    ),
+    "cg-hs": Algorithm(run=lambda x, k: cg_hs(x.A, x.v, kmax=k), columns=_cg_columns),
+    "cglanczos": Algorithm(run=lambda x, k: cglanczos(x.A, x.v, kmax=k), columns=_cg_columns),
+    "gmres": Algorithm(
+        run=lambda x, k: gmres_structured(x.A, x.v, k),
+        columns=lambda r: [("x", r.x), ("y", r.y), ("x_error_norm", np.array([r.x_error_norm])), ("y_error_norm", np.array([r.y_error_norm]))],
+    ),
+    "deficient": replace(_LANCZOS, columns=None),
+}
+
+
+def _structured(algorithm: str) -> Algorithm:
+    entry = ALGORITHMS.get(algorithm)
+    if entry is None or entry.kind is None:
+        raise ValueError(f"unknown sweep algorithm {algorithm!r}")
+    return entry
+
+
+# ---------------------------------------------------------------------------
+# exactness sweeps
 
 
 def _pair(a, b, what):
     idx = first_bit_difference(a, b)
-    return (f"{what}" if idx is None else f"{what}[{idx}]", idx is None)
+    return (what if idx is None else f"{what}[{','.join(str(int(i)) for i in idx)}]", idx is None)
 
 
 def exactness_check(algorithm: str, n: int, seed: int, precision: Precision = BINARY64, p: int = 1, variant: str = "mgs", qr_variant: str = "mgs") -> ExactnessReport:
-    """Build one structured instance, run the algorithm, compare bitwise."""
+    """Build one structured instance, run the algorithm once, compare bitwise."""
+    entry = _structured(algorithm)
     if algorithm == "deficient":
         prob = _deficient_instance(n, seed, precision)
-    elif algorithm == "lanczos":
-        prob = random_structured_problem("jacobi", n, seed, precision)
     else:
-        kinds = {"arnoldi": "hessenberg", "bilanczos": "nonsymtridiag", "gk": "lowerbidiag", "blocklanczos": "blocktridiag"}
-        if algorithm not in kinds:
-            raise ValueError(f"unknown sweep algorithm {algorithm!r}")
-        prob = random_structured_problem(kinds[algorithm], n, seed, precision, p=p)
-    return compare_structured(prob, algorithm, seed=seed, variant=variant, qr_variant=qr_variant)
+        prob = random_structured_problem(entry.kind, n, seed, precision, p=p)
+    x = RunInputs(prob.A, prob.v, prob.w, prob.U1, variant=variant, qr_variant=qr_variant)
+    return compare_structured(prob, algorithm, entry.run(x, entry.steps(x)), seed=seed)
 
 
-def compare_structured(prob, algorithm: str, seed: int = -1, variant: str = "mgs", qr_variant: str = "mgs") -> ExactnessReport:
-    """Run an algorithm on a structured instance and compare bitwise against
-    the generating (P, T, grade)."""
+def compare_structured(prob, algorithm: str, result, seed: int = -1) -> ExactnessReport:
+    """Compare an algorithm's result bitwise against the generating
+    (P, T, grade) of the structured instance it ran on."""
+    entry = _structured(algorithm)
+    if prob.kind != entry.kind:
+        raise ValueError(f"{algorithm} compares against a {entry.kind} problem, not {prob.kind}")
     precision = precision_of(prob.A)
     n = len(prob.v)
-    if algorithm == "lanczos":
-        res = lanczos(prob.A, prob.v, n, variant=variant, reorth="none")
-        Pd = prob.P.to_dense(precision.dtype)
-        proj = _pair(
-            np.concatenate([res.alpha, res.beta[: n - 1]]),
-            np.concatenate([prob.T.alpha, prob.T.beta]),
-            "T",
-        )
-        basis = _pair(res.V[:, :n], Pd, "V")
-        checks = [proj, basis, ("breakdown", res.breakdown == prob.d)]
-    elif algorithm == "deficient":
-        d = prob.d
-        res = lanczos(prob.A, prob.v, len(prob.v), variant=variant, reorth="none")
-        Vexp = np.zeros((len(prob.v), d), dtype=precision.dtype)
-        Vexp[:d, :] = prob.P.to_dense(precision.dtype)
-        proj = _pair(
-            np.concatenate([res.alpha, res.beta[: d - 1]]),
-            np.concatenate([prob.T.alpha, prob.T.beta]),
-            "T",
-        )
-        basis = _pair(res.V, Vexp, "V")
-        last_beta_pos_zero = res.k == d and res.beta[d - 1] == 0 and not np.signbit(res.beta[d - 1])
-        checks = [proj, basis, ("breakdown", res.breakdown == d and last_beta_pos_zero)]
-    elif algorithm == "arnoldi":
-        res = arnoldi(prob.A, prob.v, n)
-        proj = _pair(res.square(), prob.T.entries, "H")
-        basis = _pair(res.V, prob.P.to_dense(precision.dtype), "V")
-        checks = [proj, basis, ("breakdown", res.breakdown == prob.d)]
-    elif algorithm == "bilanczos":
-        res = nonsym_lanczos(prob.A, prob.v, prob.w, n)
-        Pd = prob.P.to_dense(precision.dtype)
-        proj = _pair(
-            np.concatenate([res.alpha, res.beta, res.gamma, [res.gamma1, res.beta1]]),
-            np.concatenate([prob.T.alpha, prob.T.beta, prob.T.gamma, [prob.gamma1, prob.beta1]]),
-            "T",
-        )
-        basis = _pair(np.concatenate([res.V, res.W], axis=1), np.concatenate([Pd, Pd], axis=1), "VW")
-        checks = [proj, basis, ("breakdown", res.breakdown == prob.d)]
-    elif algorithm == "gk":
-        res = golub_kahan(prob.A, prob.v, n)
-        Pd = prob.P.to_dense(precision.dtype)
-        proj = _pair(
-            np.concatenate([res.gamma, res.delta, [res.delta1]]),
-            np.concatenate([prob.T.gamma, prob.T.delta, [prob.beta1]]),
-            "L",
-        )
-        basis = _pair(np.concatenate([res.S, res.W], axis=1), np.concatenate([Pd, Pd], axis=1), "SW")
-        checks = [proj, basis, ("breakdown", res.breakdown == ("delta", prob.d + 1))]
-    elif algorithm == "blocklanczos":
-        m = prob.d
-        res = block_lanczos(prob.A, prob.U1, m, qr_variant=qr_variant)
-        proj = _pair(
-            np.concatenate([M.ravel() for M in res.M] + [B.ravel() for B in res.B]),
-            np.concatenate([M.ravel() for M in prob.T.M] + [B.ravel() for B in prob.T.B]),
-            "T",
-        )
-        basis = _pair(np.concatenate(res.U, axis=1), prob.P.to_dense(precision.dtype), "U")
-        checks = [proj, basis, ("breakdown", res.breakdown == m)]
-    else:
-        raise ValueError(f"unknown sweep algorithm {algorithm!r}")
-    proj_ok = checks[0][1]
-    basis_ok = checks[1][1]
-    bd_ok = checks[2][1]
-    mismatch = None
-    for idx, (label, ok) in enumerate(checks):
-        if not ok:
-            mismatch = label if idx < 2 else f"breakdown index (seed={seed}, n={n}, {precision.name})"
-            break
-    return ExactnessReport(algorithm, n, seed, precision.name, proj_ok, basis_ok, bd_ok, mismatch)
+    checks = [_pair(of_result(result), of_problem(prob), label) for label, of_result, of_problem in (entry.projected, entry.basis)]
+    checks.append((f"breakdown index (seed={seed}, n={n}, {precision.name})", entry.breakdown(result, prob)))
+    mismatch = next((label for label, ok in checks if not ok), None)
+    return ExactnessReport(algorithm, n, seed, precision.name, *(ok for _, ok in checks), mismatch)
 
 
 def _deficient_instance(n: int, seed: int, precision: Precision = BINARY64):
@@ -325,7 +397,7 @@ def experiment_fig3() -> MetricSeries:
     b = np.zeros(n, dtype=np.float64)
     b[0] = 1.0
     tr = cglanczos(A, b)
-    oracle = rational_cg_oracle(A, b)
+    oracle = rational_cg(A, b)
     series = MetricSeries("fig3")
     kmax = len(tr.x) - 1
     for k in range(1, kmax + 1):

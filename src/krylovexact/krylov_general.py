@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import ShapeError, matvec, norm2, require_finite, seq_dot
+from .fp import ShapeError, matmat, matvec, norm2, require_finite, seq_dot
 from .problems import LowerBidiagonal, NonsymTridiagonal
 from .rational import rat_norm2_sq, rational_lstsq, to_rational_matrix, to_rational_vector
 
@@ -273,13 +273,6 @@ class BlockLanczosResult:
         return len(self.M)
 
 
-def _block_gemm(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    out = np.empty((A.shape[0], X.shape[1]), dtype=A.dtype)
-    for j in range(X.shape[1]):
-        out[:, j] = matvec(A, X[:, j])
-    return out
-
-
 def _block_inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     out = np.empty((X.shape[1], Y.shape[1]), dtype=X.dtype)
     for i in range(X.shape[1]):
@@ -301,15 +294,15 @@ def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs"
     if k > n // p:
         raise ValueError("k exceeds the block count")
     Us = [U1.copy()]
-    Ms = [_block_inner(U1, _block_gemm(A, U1))]
+    Ms = [_block_inner(U1, matmat(A, U1))]
     Bs = []
     Uprev = U1.copy()
     Bprev = np.zeros((p, p), dtype=A.dtype)  # B_1 = 0, U_0 = U_1 per the recurrence
     breakdown = None
     for i in range(1, k + 1):
         Ui = Us[-1]
-        R = _block_gemm(A, Ui) - _block_gemm(Ui, Ms[-1])
-        R = R - _block_gemm(Uprev, np.ascontiguousarray(Bprev.T))
+        R = matmat(A, Ui) - matmat(Ui, Ms[-1])
+        R = R - matmat(Uprev, np.ascontiguousarray(Bprev.T))
         Q, Bi, zero_col = gram_schmidt_qr(R, qr_variant)
         if zero_col is not None:
             breakdown = i  # an invariant block subspace of dimension i*p
@@ -318,7 +311,7 @@ def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs"
             break
         Us.append(Q)
         Bs.append(Bi)
-        Ms.append(_block_inner(Q, _block_gemm(A, Q)))
+        Ms.append(_block_inner(Q, matmat(A, Q)))
         Uprev = Ui
         Bprev = Bi
     return BlockLanczosResult(tuple(Us), tuple(Ms), tuple(Bs), breakdown)

@@ -45,6 +45,24 @@ def _fisher_yates(g: np.random.Generator, n: int) -> np.ndarray:
 # structured matrix types
 
 
+def _check_entries(finite, positive=(), positive_msg="", guarded=(), range_msg=""):
+    """Entry checks shared by the structure types, after their shape checks:
+    the (name, array) pairs of finite hold no NaN or infinity, the arrays of
+    positive are > 0, and the entries of guarded (which get squared) lie in
+    the exponent-range guard of the first array's precision.  Then every
+    array of finite is frozen."""
+    for name, a in finite:
+        require_finite(a, name)
+    if any(np.any(a <= 0) for a in positive):
+        raise ValueError(positive_msg)
+    if guarded:
+        p = precision_of(finite[0][1])
+        if not all(p.in_guard(x) for a in guarded for x in a.tolist()):
+            raise RangeError(range_msg)
+    for _, a in finite:
+        freeze(a)
+
+
 @dataclass(frozen=True)
 class JacobiMatrix:
     """Symmetric tridiagonal with strictly positive off-diagonals."""
@@ -53,19 +71,15 @@ class JacobiMatrix:
     beta: np.ndarray  # off-diagonal, length n-1
 
     def __post_init__(self):
-        require_finite(self.alpha, "diagonal")
-        require_finite(self.beta, "off-diagonal")
         if self.alpha.ndim != 1 or self.beta.ndim != 1 or len(self.beta) != len(self.alpha) - 1:
             raise ShapeError("Jacobi matrix needs n diagonal and n-1 off-diagonal entries")
         if self.alpha.dtype != self.beta.dtype:
             raise ShapeError("mixed dtypes in Jacobi matrix")
-        if np.any(self.beta <= 0):
-            raise ValueError("Jacobi off-diagonals must be positive")
-        p = precision_of(self.alpha)
-        if len(self.beta) and not all(p.in_guard(b) for b in self.beta.tolist()):
-            raise RangeError("off-diagonal outside the exponent-range guard")
-        freeze(self.alpha)
-        freeze(self.beta)
+        _check_entries(
+            (("diagonal", self.alpha), ("off-diagonal", self.beta)),
+            (self.beta,), "Jacobi off-diagonals must be positive",
+            (self.beta,), "off-diagonal outside the exponent-range guard",
+        )
 
     @property
     def n(self) -> int:
@@ -84,9 +98,6 @@ class JacobiMatrix:
         A[i + 1, i] = self.beta
         return A
 
-    def leading(self, k: int) -> "JacobiMatrix":
-        return JacobiMatrix(self.alpha[:k].copy(), self.beta[: max(k - 1, 0)].copy())
-
 
 @dataclass(frozen=True)
 class HessenbergMatrix:
@@ -96,7 +107,6 @@ class HessenbergMatrix:
 
     def __post_init__(self):
         H = self.entries
-        require_finite(H, "Hessenberg entries")
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ShapeError("Hessenberg matrix must be square")
         n = H.shape[0]
@@ -105,12 +115,11 @@ class HessenbergMatrix:
                 if H[i, j] != 0:
                     raise ValueError(f"nonzero below the subdiagonal at ({i},{j})")
         sub = np.diagonal(H, -1)
-        if np.any(sub <= 0):
-            raise ValueError("subdiagonal entries must be positive")
-        p = precision_of(H)
-        if len(sub) and not all(p.in_guard(s) for s in sub.tolist()):
-            raise RangeError("subdiagonal outside the exponent-range guard")
-        freeze(self.entries)
+        _check_entries(
+            (("Hessenberg entries", H),),
+            (sub,), "subdiagonal entries must be positive",
+            (sub,), "subdiagonal outside the exponent-range guard",
+        )
 
     @property
     def n(self) -> int:
@@ -129,22 +138,16 @@ class NonsymTridiagonal:
     gamma: np.ndarray  # subdiagonal (row i+1, col i)
 
     def __post_init__(self):
-        require_finite(self.alpha, "diagonal")
-        require_finite(self.beta, "superdiagonal")
-        require_finite(self.gamma, "subdiagonal")
         n = len(self.alpha)
         if len(self.beta) != n - 1 or len(self.gamma) != n - 1:
             raise ShapeError("off-diagonal lengths must be n-1")
         if np.any(self.beta == 0):
             raise ValueError("superdiagonal entries must be nonzero")
-        if np.any(self.gamma <= 0):
-            raise ValueError("subdiagonal entries must be positive")
-        p = precision_of(self.alpha)
-        if len(self.gamma) and not all(p.in_guard(gv) for gv in self.gamma.tolist()):
-            raise RangeError("subdiagonal outside the exponent-range guard")
-        freeze(self.alpha)
-        freeze(self.beta)
-        freeze(self.gamma)
+        _check_entries(
+            (("diagonal", self.alpha), ("superdiagonal", self.beta), ("subdiagonal", self.gamma)),
+            (self.gamma,), "subdiagonal entries must be positive",
+            (self.gamma,), "subdiagonal outside the exponent-range guard",
+        )
 
     @property
     def n(self) -> int:
@@ -168,19 +171,13 @@ class LowerBidiagonal:
     delta: np.ndarray  # subdiagonal
 
     def __post_init__(self):
-        require_finite(self.gamma, "diagonal")
-        require_finite(self.delta, "subdiagonal")
         if len(self.delta) != len(self.gamma) - 1:
             raise ShapeError("subdiagonal length must be n-1")
-        if np.any(self.gamma <= 0) or np.any(self.delta <= 0):
-            raise ValueError("bidiagonal entries must be positive")
-        p = precision_of(self.gamma)
-        ok = all(p.in_guard(v) for v in self.gamma.tolist())
-        ok = ok and all(p.in_guard(v) for v in self.delta.tolist())
-        if not ok:
-            raise RangeError("bidiagonal entry outside the exponent-range guard")
-        freeze(self.gamma)
-        freeze(self.delta)
+        _check_entries(
+            (("diagonal", self.gamma), ("subdiagonal", self.delta)),
+            (self.gamma, self.delta), "bidiagonal entries must be positive",
+            (self.gamma, self.delta), "bidiagonal entry outside the exponent-range guard",
+        )
 
     @property
     def n(self) -> int:
@@ -208,19 +205,17 @@ class BlockTridiagonal:
             raise ShapeError("need m diagonal blocks and m-1 subdiagonal blocks")
         p = self.M[0].shape[0]
         for Mi in self.M:
-            require_finite(Mi, "diagonal block")
             if Mi.shape != (p, p) or not bitwise_equal(Mi, np.ascontiguousarray(Mi.T)):
                 raise ValueError("diagonal blocks must be bitwise symmetric p x p")
         for Bi in self.B:
-            require_finite(Bi, "subdiagonal block")
             if Bi.shape != (p, p):
                 raise ShapeError("subdiagonal blocks must be p x p")
             if np.any(np.tril(Bi, -1) != 0):
                 raise ValueError("subdiagonal blocks must be upper triangular")
-            if np.any(np.diagonal(Bi) <= 0):
-                raise ValueError("subdiagonal block diagonals must be positive")
-        for blk in (*self.M, *self.B):
-            freeze(blk)
+        _check_entries(
+            [("diagonal block", Mi) for Mi in self.M] + [("subdiagonal block", Bi) for Bi in self.B],
+            [np.diagonal(Bi) for Bi in self.B], "subdiagonal block diagonals must be positive",
+        )
 
     @property
     def p(self) -> int:
@@ -344,12 +339,9 @@ class StructuredProblem:
     U1: np.ndarray | None = None
 
     def __post_init__(self):
-        freeze(self.A)
-        freeze(self.v)
-        if self.w is not None:
-            freeze(self.w)
-        if self.U1 is not None:
-            freeze(self.U1)
+        for a in (self.A, self.v, self.w, self.U1):
+            if a is not None:
+                freeze(a)
 
 
 def _signed_conjugate(P: SignedPermutation, T: np.ndarray) -> np.ndarray:

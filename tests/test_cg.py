@@ -9,12 +9,11 @@ from krylovexact.cg import (
     coeffs_cg_to_lanczos,
     ldl,
     ldl_solve,
-    rational_cg_oracle,
 )
 from krylovexact.fp import bitwise_equal
 from krylovexact.lanczos import lanczos
 from krylovexact.problems import JacobiMatrix, random_jacobi, random_structured_problem
-from krylovexact.rational import float_of
+from krylovexact.rational import float_of, rational_cg
 
 
 def _spd(n, seed):
@@ -48,7 +47,7 @@ def test_cg_hs_coefficients_match_rational_oracle():
     A = _spd(8, 3)
     b = np.ones(8)
     tr = cg_hs(A, b)
-    oracle = rational_cg_oracle(A, b)
+    oracle = rational_cg(A, b)
     m = min(len(tr.gammas), len(oracle.gammas))
     assert m >= 6
     for j in range(m):
@@ -139,6 +138,6 @@ def test_cglanczos_rejects_indefinite():
 
 def test_energy_error_decreases_in_oracle():
     A = _spd(6, 9)
-    oracle = rational_cg_oracle(A, np.ones(6))
+    oracle = rational_cg(A, np.ones(6))
     for a, b in zip(oracle.energy2, oracle.energy2[1:]):
         assert b < a

@@ -1,7 +1,10 @@
 import csv
+import sys
 
 import numpy as np
+import pytest
 
+from krylovexact import harness
 from krylovexact.cli import main
 from krylovexact.fileio import write_matrix
 
@@ -96,3 +99,79 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad.write_text("not a header\n")
     code, _ = run_cli(capsys, "run", "lanczos", "--problem", str(bad), "--e1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "algorithm, function, kind",
+    [
+        ("lanczos", "lanczos", "jacobi"),
+        ("arnoldi", "arnoldi", "hessenberg"),
+        ("bilanczos", "nonsym_lanczos", "nonsymtridiag"),
+        ("gk", "golub_kahan", "lowerbidiag"),
+        ("blocklanczos", "block_lanczos", "blocktridiag"),
+    ],
+)
+def test_run_check_exact_runs_the_algorithm_once(tmp_path, capsys, monkeypatch, algorithm, function, kind):
+    prob = tmp_path / "prob.txt"
+    code, _ = run_cli(capsys, "gen", "structured", "--kind", kind, "--n", "6", "--p", "2", "--seed", "1", "--out", str(prob))
+    assert code == 0
+    original = getattr(harness, function)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(function)
+        return original(*args, **kwargs)
+
+    # every module that binds the function, so no call can bypass the count
+    for module in [m for name, m in sys.modules.items() if name.startswith("krylovexact")]:
+        if getattr(module, function, None) is original:
+            monkeypatch.setattr(module, function, counting)
+    code, out = run_cli(capsys, "run", algorithm, "--problem", str(prob), "--check-exact", "--out", str(tmp_path / "run.csv"))
+    assert code == 0, out.err
+    assert "exactness check passed" in out.out
+    assert calls == [function]
+
+
+def _error_exit(capsys, *argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    return out.err
+
+
+def test_serious_breakdown_exits_2(tmp_path, capsys):
+    mat, w = tmp_path / "A.txt", tmp_path / "w.txt"
+    with mat.open("w") as f:
+        write_matrix(f, np.array([[0.0, -1.0, 1.0], [-1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]]))
+    with w.open("w") as f:
+        write_matrix(f, np.array([1.0, 1.0, -1.0]))
+    err = _error_exit(capsys, "run", "bilanczos", "--problem", str(mat), "--e1", "--w-file", str(w))
+    assert "serious breakdown" in err
+
+
+def test_negative_k_exits_2(tmp_path, capsys):
+    prob = tmp_path / "prob.txt"
+    run_cli(capsys, "gen", "structured", "--kind", "jacobi", "--n", "5", "--out", str(prob))
+    assert "--k" in _error_exit(capsys, "run", "lanczos", "--problem", str(prob), "--k", "-1")
+
+
+@pytest.mark.parametrize("algorithm, kind, full", [("lanczos", "jacobi", 8), ("blocklanczos", "blocktridiag", 4)])
+def test_check_exact_rejects_a_shortened_k(tmp_path, capsys, algorithm, kind, full):
+    prob = tmp_path / "prob.txt"
+    run_cli(capsys, "gen", "structured", "--kind", kind, "--n", "8", "--p", "2", "--out", str(prob))
+    err = _error_exit(capsys, "run", algorithm, "--problem", str(prob), "--check-exact", "--k", str(full - 1))
+    assert f"full run of {full} steps" in err
+    code, _ = run_cli(capsys, "run", algorithm, "--problem", str(prob), "--check-exact", "--k", str(full))
+    assert code == 0
+
+
+def test_check_exact_on_another_kind_exits_2(tmp_path, capsys):
+    prob = tmp_path / "prob.txt"
+    run_cli(capsys, "gen", "structured", "--kind", "jacobi", "--n", "5", "--out", str(prob))
+    assert "hessenberg problem" in _error_exit(capsys, "run", "arnoldi", "--problem", str(prob), "--check-exact")
+
+
+def test_convert_rejects_a_nan_literal(tmp_path, capsys):
+    bad = tmp_path / "nan.txt"
+    bad.write_text("dense 1 2\nnan 0x1p0\n")
+    assert "non-finite" in _error_exit(capsys, "convert", "--in", str(bad), "--out", str(tmp_path / "out.csv"))

@@ -134,3 +134,22 @@ def test_csv_writers_smoke():
     write_vector_csv(out, "v", np.array([1.5, -0.0]))
     body = out.getvalue()
     assert "-0.0,-0x0.0p+0" in body
+
+
+@pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "0x1p200"])
+def test_non_finite_literals_are_rejected(literal):
+    header = "precision binary32\n" if literal == "0x1p200" else ""  # 2^200 overflows binary32
+    with pytest.raises(FormatError, match="non-finite"):
+        read_matrix(io.StringIO(f"{header}dense 1 2\n{literal} 0x1p0\n"))
+
+
+def test_tokens_after_the_record_are_rejected():
+    with pytest.raises(FormatError, match="after the record"):
+        read_matrix(io.StringIO("vector 2\n0x1p0 0x1p0 0x1p0 0x1p0\n"))
+    prob = random_structured_problem("nonsymtridiag", 4, 0)
+    buf = io.StringIO()
+    write_problem(buf, prob)
+    buf.write("0x1p0\n")
+    buf.seek(0)
+    with pytest.raises(FormatError, match="after the record"):
+        read_problem(buf)

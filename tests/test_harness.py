@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from krylovexact.fp import BINARY32, BINARY64
 from krylovexact.harness import (
     MetricSeries,
     a_orthogonality_loss,
+    compare_structured,
     exactness_check,
     exactness_sweep,
     loss_of_orthogonality,
@@ -12,7 +15,7 @@ from krylovexact.harness import (
     sweep_failures,
 )
 from krylovexact.lanczos import lanczos
-from krylovexact.problems import random_structured_problem
+from krylovexact.problems import JacobiMatrix, random_structured_problem
 
 
 def test_metric_series_enforces_increasing_k():
@@ -79,3 +82,18 @@ def test_exactness_sweep_and_failures():
     reports += exactness_sweep("arnoldi", sizes=[4, 6], seeds=[0, 1])
     assert len(reports) == 8
     assert sweep_failures(reports) == []
+
+
+def test_mismatch_label_names_plain_indices():
+    prob = random_structured_problem("jacobi", 6, 3)
+    res = lanczos(prob.A, prob.v, 6)
+    assert compare_structured(prob, "lanczos", res).ok
+    alpha = prob.T.alpha.copy()
+    alpha[2] = np.nextafter(alpha[2], np.inf)
+    off_by_one_ulp = replace(prob, T=JacobiMatrix(alpha, prob.T.beta))
+    rep = compare_structured(off_by_one_ulp, "lanczos", res, seed=3)
+    assert not rep.projected_match and rep.basis_match and rep.breakdown_match
+    assert rep.mismatch == "T[2]"
+    V = res.V.copy()
+    V[3, 5] = np.nextafter(V[3, 5], np.inf)
+    assert compare_structured(prob, "lanczos", replace(res, V=V)).mismatch == "V[3,5]"
