@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fp import ShapeError, matvec, norm2, require_finite, seq_dot
+from .fp import ShapeError, _matvec, norm2, seq_dot, validate_operands
 from .problems import JacobiMatrix
 
 
@@ -50,17 +50,11 @@ class CGTrace:
 
 def cg_hs(A: np.ndarray, b: np.ndarray, x0: np.ndarray | None = None, kmax: int | None = None) -> CGTrace:
     """Hestenes-Stiefel CG, recording all iterates; stops on ||r_k|| = 0 exactly."""
-    require_finite(A, "matrix")
-    require_finite(b, "right-hand side")
-    n = len(b)
-    if A.shape != (n, n):
-        raise ShapeError("matrix/vector dimensions do not agree")
-    if kmax is None:
-        kmax = n
-    if kmax > n:
-        raise ValueError("kmax exceeds the dimension")
-    x = np.zeros(n, dtype=A.dtype) if x0 is None else x0.astype(A.dtype)
-    r = b - matvec(A, x)
+    n = len(A)
+    kmax = n if kmax is None else kmax
+    validate_operands(A, b, x0, k=kmax, limit=n)
+    x = np.zeros(n, dtype=A.dtype) if x0 is None else x0.copy()
+    r = b - _matvec(A, x)
     p = r.copy()
     tr = CGTrace()
     tr.x.append(x.copy())
@@ -72,7 +66,7 @@ def cg_hs(A: np.ndarray, b: np.ndarray, x0: np.ndarray | None = None, kmax: int 
         if rr == 0:
             tr.exact_termination = True
             break
-        Ap = matvec(A, p)
+        Ap = _matvec(A, p)
         pAp = seq_dot(p, Ap)
         if pAp <= 0:
             raise ValueError("p^T A p <= 0: matrix is not numerically positive definite")
@@ -162,7 +156,7 @@ def cg_from_lanczos_solve(A: np.ndarray, b: np.ndarray, k: int):
     rhs = np.zeros(keff, dtype=A.dtype)
     rhs[0] = res.beta1
     y = ldl_solve(ldl(T), rhs)
-    x = matvec(res.V[:, :keff], y)
+    x = _matvec(res.V[:, :keff], y)
     return x, y, res.breakdown is not None and res.breakdown < k
 
 
@@ -174,15 +168,9 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     block (rho_k = ell_k rho_{k-1}, x_k = x_{k-1} + p_{k-1}/d_k,
     r_k = (-1)^k rho_k v_{k+1}, p_k = r_k + ell_k^2 p_{k-1}).
     """
-    require_finite(A, "matrix")
-    require_finite(b, "right-hand side")
-    n = len(b)
-    if A.shape != (n, n):
-        raise ShapeError("matrix/vector dimensions do not agree")
-    if kmax is None:
-        kmax = n
-    if kmax > n:
-        raise ValueError("kmax exceeds the dimension")
+    n = len(A)
+    kmax = n if kmax is None else kmax
+    validate_operands(A, b, k=kmax, limit=n)
     dt = A.dtype.type
 
     tr = CGTrace()
@@ -208,7 +196,7 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     cols = 1
     for k in range(1, kmax + 1):
         vk = V[:, k - 1]
-        w = matvec(A, vk) - beta_k * vprev
+        w = _matvec(A, vk) - beta_k * vprev
         alpha_k = seq_dot(w, vk)
         w = w - alpha_k * vk
         beta_next = norm2(w)

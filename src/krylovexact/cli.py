@@ -125,17 +125,17 @@ def _load_input(path):
     return A, None, None, T
 
 
-def _read_vector(path, dtype, flag):
+def _read_vector(path, flag):
     with open(path) as f:
         v = fileio.read_matrix(f)
     if not isinstance(v, np.ndarray) or v.ndim != 1:
         raise fileio.FormatError(f"{flag} must contain a vector record")
-    return v.astype(dtype)
+    return v
 
 
 def _starting_vector(args, A):
     if args.v_file:
-        return _read_vector(args.v_file, A.dtype, "--v-file")
+        return _read_vector(args.v_file, "--v-file")
     if args.beta1 <= 0:
         raise ValueError("--beta1 must be positive")
     v = np.zeros(A.shape[0], dtype=A.dtype)
@@ -201,7 +201,7 @@ def _cmd_run(args) -> int:
         raise ValueError("--check-exact applies to basis algorithms only")
     w = prob.w if prob is not None else None  # bilanczos's left vector: the problem's, --w-file, or v
     if w is None:
-        w = _read_vector(args.w_file, A.dtype, "--w-file") if args.w_file else v.copy()
+        w = _read_vector(args.w_file, "--w-file") if args.w_file else v.copy()
     x = RunInputs(A, v, w, prob.U1 if prob is not None else None, args.variant, args.reorth, args.qr_variant)
     full = entry.steps(x)
     if args.check_exact and 0 < args.k < full:

@@ -10,7 +10,16 @@ Fast paths below skip terms that are exactly zero.  This is bit-identical
 to the naive sequential loop: the accumulator starts at +0, adding a signed
 zero to +0 yields +0, and adding a signed zero to a nonzero value leaves it
 unchanged.  IEEE addition cannot round a nonzero exact sum to zero, so the
-accumulator never becomes -0.
+accumulator never becomes -0.  A NaN or infinite term is never zero, so it
+is never skipped.
+
+Operand contract: each algorithm calls validate_operands once, before its
+first step, on its matrix and operands (one format, one row count, all
+finite, step count in range).  The kernels then check only their outputs:
+seq_dot, norm2 and the unchecked _matvec/_matmat raise NonFiniteError on a
+non-finite result, which covers overflow and non-finite inputs alike.  The
+public matvec and matmat also scan the matrix once per call, because a NaN
+in a column that x skips would otherwise go unseen.
 """
 
 from __future__ import annotations
@@ -75,11 +84,31 @@ def precision_of(a) -> Precision:
         raise TypeError(f"unsupported dtype {dt}; use float64 or float32") from None
 
 
-def require_finite(a, what: str = "input"):
-    arr = np.asarray(a)
-    if not np.all(np.isfinite(arr)):
+def require_finite(a, what: str = "input") -> None:
+    if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{what} contains a NaN or infinity")
-    return arr
+
+
+def validate_operands(A, *operands, k: int = 0, limit: int = 0) -> None:
+    """Entry check of an algorithm on the matrix A and its operands.
+
+    A must be a binary32 or binary64 matrix (TypeError otherwise); every
+    operand that is not None must have A's dtype and A's row count
+    (ShapeError); A and the operands must be finite (NonFiniteError); and
+    the step count must satisfy 0 <= k <= limit (ValueError).
+    """
+    precision_of(A)
+    if A.ndim != 2:
+        raise ShapeError(f"matrix must be 2-D, got shape {A.shape}")
+    given = [x for x in operands if x is not None]
+    for x in given:
+        if x.dtype != A.dtype or x.shape[:1] != A.shape[:1]:
+            raise ShapeError(f"operand {x.dtype} {x.shape} does not match the {A.dtype} {A.shape} matrix")
+    require_finite(A, "matrix")
+    for x in given:
+        require_finite(x, "operand")
+    if not 0 <= k <= limit:
+        raise ValueError(f"k = {k} is outside [0, {limit}]")
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -128,25 +157,28 @@ def bitwise_equal(a, b) -> bool:
 def seq_dot(x: np.ndarray, y: np.ndarray):
     """fl(x^T y) with strictly sequential left-to-right summation.
 
-    Terms with an exactly-zero factor are skipped; see module docstring for
-    why this is bit-identical to the naive loop.
+    Terms whose rounded product is exactly zero are skipped; see module
+    docstring for why this is bit-identical to the naive loop.
     """
     if x.shape != y.shape or x.ndim != 1:
         raise ShapeError(f"dot operands must be equal-length vectors, got {x.shape} and {y.shape}")
+    if x.dtype != y.dtype:
+        raise ShapeError(f"dtype mismatch: {x.dtype} vs {y.dtype}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product raises below
+        prod = x * y
+    terms = prod[prod != 0]
     if x.dtype == np.float64:
         acc = 0.0
-        for a, b in zip(x.tolist(), y.tolist()):
-            if a != 0.0 and b != 0.0:
-                acc = acc + a * b
+        for p in terms.tolist():
+            acc = acc + p
         out = np.float64(acc)
     else:
         acc = np.float32(0.0)
-        idx = np.nonzero((x != 0) & (y != 0))[0]
-        for i in idx:
-            acc = acc + x[i] * y[i]
+        for p in terms:
+            acc = acc + p
         out = acc
     if not np.isfinite(out):
-        raise NonFiniteError("overflow in dot product")
+        raise NonFiniteError("non-finite dot product")
     return out
 
 
@@ -161,36 +193,34 @@ def seq_dot_reference(x: np.ndarray, y: np.ndarray):
 
 def norm2(x: np.ndarray):
     """fl(sqrt(fl(sum fl(x_i^2)))) with sequential summation."""
-    require_finite(x, "norm2 input")
     if x.dtype == np.float64:
         acc = 0.0
         for a in x.tolist():
             if a != 0.0:
                 acc = acc + a * a
-        if math.isinf(acc):
-            raise NonFiniteError("overflow in sum of squares")
+        if not math.isfinite(acc):
+            raise NonFiniteError("non-finite sum of squares")
         return np.float64(math.sqrt(acc))
     acc = np.float32(0.0)
     for i in np.nonzero(x)[0]:
         acc = acc + x[i] * x[i]
     if not np.isfinite(acc):
-        raise NonFiniteError("overflow in sum of squares")
+        raise NonFiniteError("non-finite sum of squares")
     return np.sqrt(acc)
 
 
-def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y_r = fl(sum_c A[r,c] * x[c]), sequential left-to-right per row.
 
     Columns are accumulated in index order with one elementwise multiply and
     one elementwise add per column, which realizes exactly the per-row
     sequential sum.  A single-nonzero x takes an O(n) shortcut that is
     bit-identical (the trailing `+ 0.0` renormalizes -0 products to +0, as
-    accumulation onto the +0 accumulator would).
+    accumulation onto the +0 accumulator would).  A is not scanned: the
+    columns that x skips are never read.
     """
     if A.ndim != 2 or x.ndim != 1 or A.shape[1] != x.shape[0]:
         raise ShapeError(f"matvec shapes {A.shape} x {x.shape} do not agree")
-    require_finite(A, "matrix")
-    require_finite(x, "vector")
     dt = A.dtype
     if dt != x.dtype:
         raise ShapeError(f"dtype mismatch: {A.dtype} vs {x.dtype}")
@@ -205,18 +235,31 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
         for c in nz:
             y = y + A[:, c] * x[c]
     if not np.all(np.isfinite(y)):
-        raise NonFiniteError("overflow in matvec")
+        raise NonFiniteError("non-finite result in matvec")
     return y
 
 
-def matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Column-by-column matvec product; same sequential-sum semantics."""
+def _matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Column-by-column _matvec product; same sequential-sum semantics."""
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ShapeError(f"matmat shapes {A.shape} x {B.shape} do not agree")
     out = np.empty((A.shape[0], B.shape[1]), dtype=A.dtype)
     for j in range(B.shape[1]):
-        out[:, j] = matvec(A, B[:, j])
+        out[:, j] = _matvec(A, B[:, j])
     return out
+
+
+def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y = fl(A x) as _matvec computes it, after one finiteness scan of A, so
+    a NaN in a column that x skips still raises NonFiniteError."""
+    require_finite(A, "matrix")
+    return _matvec(A, x)
+
+
+def matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """fl(A B) as _matmat computes it, after one finiteness scan of A."""
+    require_finite(A, "matrix")
+    return _matmat(A, B)
 
 
 def frobenius_norm(A: np.ndarray):

@@ -14,13 +14,13 @@ from .fp import (
     BINARY64,
     Precision,
     ShapeError,
+    _matvec,
     first_bit_difference,
     frobenius_norm,
-    matvec,
     norm2,
     precision_of,
-    require_finite,
     seq_dot,
+    validate_operands,
 )
 from .krylov_general import arnoldi, block_lanczos, gmres_structured, golub_kahan, nonsym_lanczos
 from .lanczos import lanczos
@@ -91,9 +91,7 @@ def loss_of_orthogonality(V: np.ndarray):
     columns are exactly signed identity columns every dot product below is
     exact and the result is +0 bitwise.
     """
-    require_finite(V, "basis")
-    if V.ndim != 2:
-        raise ShapeError("basis must be a matrix")
+    validate_operands(V)
     n, k = V.shape
     tol = 4 * n * (np.finfo(V.dtype).eps / 2)
     for j in range(k):
@@ -110,14 +108,13 @@ def loss_of_orthogonality(V: np.ndarray):
 
 def a_orthogonality_loss(Pdirs: np.ndarray, A: np.ndarray):
     """||Ptilde^T A Ptilde - I||_F with columns A-normalized internally."""
-    require_finite(Pdirs, "directions")
-    require_finite(A, "matrix")
-    if Pdirs.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] != Pdirs.shape[0]:
-        raise ShapeError("matrix/direction dimensions do not agree")
+    validate_operands(A, Pdirs)
+    if Pdirs.ndim != 2:
+        raise ShapeError("directions must be a matrix")
     n, k = Pdirs.shape
     Pt = np.empty_like(Pdirs)
     for j in range(k):
-        pap = seq_dot(Pdirs[:, j], matvec(A, Pdirs[:, j]))
+        pap = seq_dot(Pdirs[:, j], _matvec(A, Pdirs[:, j]))
         if pap <= 0:
             raise ValueError(f"p^T A p <= 0 for column {j + 1}: matrix is not numerically positive definite")
         Pt[:, j] = Pdirs[:, j] / np.sqrt(pap)
@@ -125,7 +122,7 @@ def a_orthogonality_loss(Pdirs: np.ndarray, A: np.ndarray):
     E = np.empty((k, k), dtype=A.dtype)
     for i in range(k):
         for j in range(k):
-            g = seq_dot(Pt[:, i], matvec(A, Pt[:, j]))
+            g = seq_dot(Pt[:, i], _matvec(A, Pt[:, j]))
             E[i, j] = g - one if i == j else g
     return frobenius_norm(E)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import ShapeError, matmat, matvec, norm2, require_finite, seq_dot
+from .fp import _matmat, _matvec, norm2, seq_dot, validate_operands
 from .problems import LowerBidiagonal, NonsymTridiagonal
 from .rational import rat_norm2_sq, rational_lstsq, to_rational_matrix, to_rational_vector
 
@@ -33,13 +33,8 @@ class ArnoldiResult:
 def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
     """Algorithm: w = A v_j; for i = 1..j: h_{i,j} = v_i^T w, w = w - h_{i,j} v_i;
     h_{j+1,j} = ||w||; stop on exact zero."""
-    require_finite(A, "matrix")
-    require_finite(v, "starting vector")
-    n = A.shape[0]
-    if A.shape != (n, n) or len(v) != n:
-        raise ShapeError("matrix/vector dimensions do not agree")
-    if k > n:
-        raise ValueError("k exceeds the dimension")
+    n = len(A)
+    validate_operands(A, v, k=k, limit=n)
     nrm = norm2(v)
     if nrm == 0:
         raise ValueError("starting vector is zero")
@@ -49,7 +44,7 @@ def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
     breakdown = None
     cols = 1
     for j in range(k):
-        w = matvec(A, V[:, j])
+        w = _matvec(A, V[:, j])
         for i in range(j + 1):
             h = seq_dot(V[:, i], w)
             H[i, j] = h
@@ -88,14 +83,8 @@ class SeriousBreakdownError(RuntimeError):
 
 
 def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> NonsymLanczosResult:
-    require_finite(A, "matrix")
-    require_finite(v, "right starting vector")
-    require_finite(w, "left starting vector")
-    n = A.shape[0]
-    if A.shape != (n, n) or len(v) != n or len(w) != n:
-        raise ShapeError("matrix/vector dimensions do not agree")
-    if k > n:
-        raise ValueError("k exceeds the dimension")
+    n = len(A)
+    validate_operands(A, v, w, k=k, limit=n)
     At = np.ascontiguousarray(A.T)
     gamma1 = norm2(v)
     if gamma1 == 0:
@@ -117,7 +106,7 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
     for i in range(k):
         vi = V[:, i]
         wi = W[:, i]
-        Av = matvec(A, vi)
+        Av = _matvec(A, vi)
         alpha_i = seq_dot(wi, Av)
         alphas.append(alpha_i)
         vnew = Av - alpha_i * vi
@@ -127,7 +116,7 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
             breakdown = i + 1
             break
         vnext = vnew / gamma_next
-        wnew = matvec(At, wi) - alpha_i * wi
+        wnew = _matvec(At, wi) - alpha_i * wi
         wnew = wnew - gamma_i * wprev
         beta_next = seq_dot(vnext, wnew)
         if beta_next == 0:
@@ -172,13 +161,8 @@ class GolubKahanResult:
 def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
     """Alternating recurrence gamma_i w_i = A^T s_i - delta_i w_{i-1},
     delta_{i+1} s_{i+1} = A w_i - gamma_i s_i, coefficients by normalization."""
-    require_finite(A, "matrix")
-    require_finite(v, "starting vector")
+    validate_operands(A, v, k=k, limit=min(A.shape))
     n, m = A.shape
-    if len(v) != n:
-        raise ShapeError("matrix/vector dimensions do not agree")
-    if k > min(n, m):
-        raise ValueError("k exceeds the dimension")
     At = np.ascontiguousarray(A.T)
     delta1 = norm2(v)
     if delta1 == 0:
@@ -192,7 +176,7 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
     scols = 1
     wcols = 0
     for i in range(k):
-        t = matvec(At, S[:, i])
+        t = _matvec(At, S[:, i])
         if i > 0:
             t = t - delta_i * W[:, i - 1]
         else:
@@ -204,7 +188,7 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
         W[:, i] = t / gamma_i
         wcols = i + 1
         gammas.append(gamma_i)
-        u = matvec(A, W[:, i]) - gamma_i * S[:, i]
+        u = _matvec(A, W[:, i]) - gamma_i * S[:, i]
         delta_next = norm2(u)
         if delta_next == 0:
             breakdown = ("delta", i + 2)
@@ -284,25 +268,20 @@ def _block_inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs") -> BlockLanczosResult:
     """Block three-term recurrence R_{i+1} = A U_i - U_i M_i - U_{i-1} B_i^T with
     Gram-Schmidt QR of R_{i+1} and M_{i+1} = U_{i+1}^T A U_{i+1}."""
-    require_finite(A, "matrix")
-    require_finite(U1, "starting block")
-    n, p = U1.shape
-    if A.shape != (n, n):
-        raise ShapeError("matrix/block dimensions do not agree")
+    n, p = len(A), U1.shape[1]
+    validate_operands(A, U1, k=k, limit=n // p)
     if n % p:
         raise ValueError("n must be a multiple of the block size")
-    if k > n // p:
-        raise ValueError("k exceeds the block count")
     Us = [U1.copy()]
-    Ms = [_block_inner(U1, matmat(A, U1))]
+    Ms = [_block_inner(U1, _matmat(A, U1))]
     Bs = []
     Uprev = U1.copy()
     Bprev = np.zeros((p, p), dtype=A.dtype)  # B_1 = 0, U_0 = U_1 per the recurrence
     breakdown = None
     for i in range(1, k + 1):
         Ui = Us[-1]
-        R = matmat(A, Ui) - matmat(Ui, Ms[-1])
-        R = R - matmat(Uprev, np.ascontiguousarray(Bprev.T))
+        R = _matmat(A, Ui) - _matmat(Ui, Ms[-1])
+        R = R - _matmat(Uprev, np.ascontiguousarray(Bprev.T))
         Q, Bi, zero_col = gram_schmidt_qr(R, qr_variant)
         if zero_col is not None:
             breakdown = i  # an invariant block subspace of dimension i*p
@@ -311,7 +290,7 @@ def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs"
             break
         Us.append(Q)
         Bs.append(Bi)
-        Ms.append(_block_inner(Q, matmat(A, Q)))
+        Ms.append(_block_inner(Q, _matmat(A, Q)))
         Uprev = Ui
         Bprev = Bi
     return BlockLanczosResult(tuple(Us), tuple(Ms), tuple(Bs), breakdown)
@@ -364,6 +343,7 @@ def gmres_structured(A: np.ndarray, v: np.ndarray, k: int) -> GmresResult:
     ||v|| = 1).  Returns the witness pair (||x_k - xbar_k||, ||y_k - ybar_k||)
     with the exact coordinates computed by a rational least-squares oracle.
     """
+    validate_operands(A, v, k=k, limit=len(A))
     p0 = norm2(v)
     pr = 4 * len(v) * np.finfo(A.dtype).eps / 2
     if abs(float(p0) - 1.0) > pr:
@@ -375,7 +355,7 @@ def gmres_structured(A: np.ndarray, v: np.ndarray, k: int) -> GmresResult:
     rhs[0] = A.dtype.type(1.0)
     ybar = hessenberg_lstsq(H, rhs)
     V = res.V[:, :keff]
-    xbar = matvec(V, ybar)
+    xbar = _matvec(V, ybar)
 
     yexact = rational_lstsq(H, rhs)
     dy = [ye - yb for ye, yb in zip(yexact, to_rational_vector(ybar))]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import ShapeError, bitwise_equal, frobenius_norm, matvec, norm2, require_finite, seq_dot
+from .fp import _matvec, bitwise_equal, frobenius_norm, norm2, seq_dot, validate_operands
 from .problems import JacobiMatrix
 
 VARIANTS = ("mgs", "cgs")
@@ -60,19 +60,14 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
     against all previous basis vectors, 'double' twice; the reorthogonalization
     coefficients are discarded.
     """
-    require_finite(A, "matrix")
-    require_finite(v, "starting vector")
+    n = len(A)
+    validate_operands(A, v, k=k, limit=n)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if reorth not in REORTH:
         raise ValueError(f"reorth must be one of {REORTH}")
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ShapeError("matrix must be square")
     if not bitwise_equal(A, np.ascontiguousarray(A.T)):
         raise ValueError("matrix is not bitwise symmetric")
-    if k > n:
-        raise ValueError(f"k = {k} exceeds the dimension {n}")
     dt = A.dtype.type
 
     beta1 = norm2(v)
@@ -88,7 +83,7 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
     cols = 1
     for i in range(k):
         vi = V[:, i]
-        av = matvec(A, vi)
+        av = _matvec(A, vi)
         if variant == "mgs":
             w = av - beta_i * vprev
             alpha_i = seq_dot(w, vi)
@@ -120,6 +115,7 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
 
 def lanczos_residual(A: np.ndarray, result: LanczosResult):
     """||A V_k - V_k T_k - beta_{k+1} v_{k+1} e_k^T||_F in working precision."""
+    validate_operands(A, result.V)
     k = result.k
     if k == 0:
         return A.dtype.type(0.0)
@@ -128,7 +124,7 @@ def lanczos_residual(A: np.ndarray, result: LanczosResult):
     alphas = result.alpha
     betas = result.beta
     for j in range(k):
-        col = matvec(A, V[:, j])
+        col = _matvec(A, V[:, j])
         col = col - alphas[j] * V[:, j]
         if j > 0:
             col = col - betas[j - 1] * V[:, j - 1]

@@ -25,6 +25,7 @@ from .fp import (
     freeze,
     precision_of,
     require_finite,
+    validate_operands,
 )
 
 
@@ -407,8 +408,7 @@ def detect_structure(A: np.ndarray, v: np.ndarray):
     that entry's index.  Signs are canonicalized into P so that T has
     positive off-diagonals; the factorization is then unique.
     """
-    require_finite(A, "matrix")
-    require_finite(v, "vector")
+    validate_operands(A, v)
     if not bitwise_equal(A, np.ascontiguousarray(A.T)):
         raise ValueError("matrix is not bitwise symmetric")
     n = A.shape[0]
@@ -651,8 +651,7 @@ class DistributionFunction:
         tot = float(np.sum(self.weights, dtype=np.float64))
         if abs(tot - 1.0) > 4 * n * p.unit_roundoff:
             raise ValueError(f"weights sum to {tot}, not 1 within 4nu")
-        freeze(self.nodes)
-        freeze(self.weights)
+        _check_entries((("nodes", self.nodes), ("weights", self.weights)))
 
     def __call__(self, lam: float) -> float:
         # 0 below the first node, cumulative sum on [lambda_i, lambda_{i+1}), 1 at the top
@@ -668,8 +667,6 @@ class DistributionFunction:
 
 def distribution_function(nodes: np.ndarray, v1: np.ndarray) -> DistributionFunction:
     """omega_i = fl(v1_i^2) for a diagonal matrix with distinct eigenvalues."""
-    require_finite(nodes, "eigenvalues")
-    require_finite(v1, "starting vector")
     if len(nodes) != len(v1):
         raise ShapeError("node and vector lengths differ")
     if np.any(np.diff(nodes) <= 0):
@@ -700,12 +697,9 @@ class ConvergenceCurves:
         e = self.energy_errors
         if len(r) != len(e) or len(r) == 0:
             raise ShapeError("curves must have equal positive length")
-        if np.any(r <= 0) or np.any(e <= 0):
-            raise ValueError("curve entries must be positive")
         if np.any(np.diff(e) >= 0):
             raise ValueError("energy errors must be strictly decreasing")
-        freeze(self.residual_norms)
-        freeze(self.energy_errors)
+        _check_entries((("residual norms", r), ("energy errors", e)), (r, e), "curve entries must be positive")
 
     @property
     def n(self) -> int:

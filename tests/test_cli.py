@@ -175,3 +175,11 @@ def test_convert_rejects_a_nan_literal(tmp_path, capsys):
     bad = tmp_path / "nan.txt"
     bad.write_text("dense 1 2\nnan 0x1p0\n")
     assert "non-finite" in _error_exit(capsys, "convert", "--in", str(bad), "--out", str(tmp_path / "out.csv"))
+
+
+def test_vector_file_of_another_precision_exits_2(tmp_path, capsys):
+    mat, v = tmp_path / "T.txt", tmp_path / "v.txt"
+    run_cli(capsys, "gen", "jacobi", "--n", "4", "--precision", "binary32", "--out", str(mat))
+    with v.open("w") as f:
+        write_matrix(f, np.array([1.0, 0.0, 0.0, 0.0]))
+    assert "does not match" in _error_exit(capsys, "run", "lanczos", "--problem", str(mat), "--v-file", str(v))

@@ -16,6 +16,7 @@ from krylovexact.fp import (
     first_bit_difference,
     freeze,
     frobenius_norm,
+    matmat,
     matvec,
     norm2,
     precision_named,
@@ -87,6 +88,8 @@ def test_freeze_blocks_writes():
 def test_require_finite_via_norm2():
     with pytest.raises(NonFiniteError):
         norm2(np.array([1.0, np.inf]))
+    with pytest.raises(NonFiniteError):
+        norm2(np.array([0.0, np.nan], dtype=np.float32))
 
 
 vecs = st.lists(
@@ -122,6 +125,32 @@ def test_seq_dot_float32_matches_reference(xs):
 def test_seq_dot_shape_error():
     with pytest.raises(ShapeError):
         seq_dot(np.zeros(2), np.zeros(3))
+    with pytest.raises(ShapeError):
+        seq_dot(np.ones(2, dtype=np.float32), np.ones(2))
+
+
+# zeros of both signs, NaN, infinities, subnormals, and magnitudes whose
+# products or sums overflow, mixed with ordinary values
+special = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-45, 1e-40, 3e38, -2e38, 1e200, -1e300, 1.5, -0.75])
+entries = st.one_of(special, st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
+
+
+@given(st.lists(st.tuples(entries, entries), min_size=1, max_size=10), st.sampled_from([np.float64, np.float32]))
+def test_seq_dot_raises_exactly_when_the_reference_is_not_finite(pairs, dtype):
+    with np.errstate(all="ignore"):
+        x = np.array([a for a, _ in pairs], dtype=dtype)
+        y = np.array([b for _, b in pairs], dtype=dtype)
+        ref = seq_dot_reference(x, y)
+    if np.isfinite(ref):
+        assert bitwise_equal(np.asarray(seq_dot(x, y)), np.asarray(ref))
+    else:
+        with pytest.raises(NonFiniteError), np.errstate(all="ignore"):
+            seq_dot(x, y)
+
+
+def test_seq_dot_does_not_skip_nan_times_zero():
+    with pytest.raises(NonFiniteError):
+        seq_dot(np.array([np.nan, 1.0]), np.array([0.0, 2.0]))
 
 
 def _matvec_reference(A, x):
@@ -151,6 +180,16 @@ def test_matvec_single_nonzero_fast_path(n, seed, s):
     x = np.zeros(n)
     x[g.integers(0, n)] = s
     assert bitwise_equal(matvec(A, x), _matvec_reference(A, x))
+
+
+def test_matvec_and_matmat_scan_the_columns_x_skips():
+    A = np.eye(3)
+    A[1, 0] = np.nan
+    x = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(NonFiniteError):
+        matvec(A, x)
+    with pytest.raises(NonFiniteError):
+        matmat(A, x[:, None])
 
 
 def test_matvec_signed_zero_renormalization():

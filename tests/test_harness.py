@@ -1,11 +1,15 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from krylovexact.fp import BINARY32, BINARY64
+from krylovexact import fp
+from krylovexact.fp import BINARY32, BINARY64, NonFiniteError, ShapeError
 from krylovexact.harness import (
+    ALGORITHMS,
     MetricSeries,
+    RunInputs,
     a_orthogonality_loss,
     compare_structured,
     exactness_check,
@@ -97,3 +101,51 @@ def test_mismatch_label_names_plain_indices():
     V = res.V.copy()
     V[3, 5] = np.nextafter(V[3, 5], np.inf)
     assert compare_structured(prob, "lanczos", replace(res, V=V)).mismatch == "V[3,5]"
+
+
+def _forbid_arithmetic(monkeypatch):
+    """Make every kernel raise, in every module that binds it, so a check
+    that passes this way ran before the first step."""
+
+    def step_ran(*args, **kwargs):
+        raise AssertionError("a kernel ran before the operands were checked")
+
+    for name in ("_matvec", "_matmat", "matvec", "matmat", "seq_dot", "norm2"):
+        original = getattr(fp, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("krylovexact")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, step_ran)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_algorithm_entry_checks_operands_before_any_step(algorithm, monkeypatch):
+    entry = ALGORITHMS[algorithm]
+    n = 4
+    I = np.eye(n)
+    x = RunInputs(np.diag(np.arange(1.0, n + 1)), I[:, 0].copy(), w=I[:, 0].copy(), U1=I[:, :2].copy())
+    limit = entry.steps(x)
+    entry.run(x, limit)
+    _forbid_arithmetic(monkeypatch)
+    A = x.A.copy()
+    A[n - 1, n - 1] = np.nan  # a column that a one-step run from e1 never reads
+    with pytest.raises(NonFiniteError):
+        entry.run(replace(x, A=A), 1)
+    with pytest.raises(ShapeError):
+        entry.run(replace(x, v=x.v.astype(np.float32), w=x.w.astype(np.float32), U1=x.U1.astype(np.float32)), 1)
+    with pytest.raises(ShapeError):
+        entry.run(replace(x, v=x.v[:-1], w=x.w[:-1], U1=x.U1[:-1]), 1)
+    for k in (-1, limit + 1):
+        with pytest.raises(ValueError, match="outside"):
+            entry.run(x, k)
+    with pytest.raises(TypeError):
+        entry.run(replace(x, A=x.A.astype(np.int64)), 1)
+
+
+def test_metrics_check_operands():
+    A = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(ShapeError):
+        a_orthogonality_loss(np.eye(3, dtype=np.float32)[:, :1], A)
+    with pytest.raises(ShapeError):
+        a_orthogonality_loss(np.ones(3), A)
+    with pytest.raises(NonFiniteError):
+        loss_of_orthogonality(np.array([[1.0], [np.nan]]))

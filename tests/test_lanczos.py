@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krylovexact import fp
 from krylovexact.fp import BINARY32, bitwise_equal
 from krylovexact.lanczos import lanczos, lanczos_residual
 from krylovexact.problems import random_structured_problem
@@ -96,3 +99,24 @@ def test_input_validation():
         lanczos(A, np.ones(4), 2, variant="qr")
     with pytest.raises(ValueError):
         lanczos(A, np.ones(4), 2, reorth="partial")
+
+
+def test_finiteness_scan_does_not_grow_with_k(monkeypatch):
+    original = fp.require_finite
+    scanned = []
+
+    def counting(a, what="input"):
+        scanned.append(np.asarray(a).nbytes)
+        return original(a, what)
+
+    # every module that binds it, so no scan can bypass the count
+    for module in [m for name, m in sys.modules.items() if name.startswith("krylovexact")]:
+        if getattr(module, "require_finite", None) is original:
+            monkeypatch.setattr(module, "require_finite", counting)
+    prob = random_structured_problem("jacobi", 12, 4)
+    per_run = []
+    for k in (2, 12):
+        scanned.clear()
+        lanczos(prob.A, prob.v, k)
+        per_run.append(sum(scanned))
+    assert per_run[0] == per_run[1] == prob.A.nbytes + prob.v.nbytes

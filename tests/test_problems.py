@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krylovexact.fp import BINARY32, bitwise_equal
+from krylovexact.fp import BINARY32, NonFiniteError, ShapeError, bitwise_equal
 from krylovexact.problems import (
     ConvergenceCurves,
+    DistributionFunction,
     JacobiMatrix,
     SignedPermutation,
     assemble,
@@ -165,6 +166,24 @@ def test_curves_validation():
         ConvergenceCurves(np.array([1.0, 1.0]), np.array([1.0, 2.0]))  # energy must decrease
     with pytest.raises(ValueError):
         ConvergenceCurves(np.array([1.0, -1.0]), np.array([2.0, 1.0]))
+
+
+def test_curves_reject_nan():
+    with pytest.raises(NonFiniteError):
+        ConvergenceCurves(np.array([1.0, np.nan]), np.array([2.0, 1.0]))
+
+
+def test_distribution_function_rejects_nan_weights():
+    with pytest.raises(NonFiniteError):
+        DistributionFunction(np.array([0.0, 1.0]), np.array([np.nan, 0.5]))
+
+
+def test_detect_structure_checks_the_vector():
+    prob = random_structured_problem("jacobi", 5, 0)
+    with pytest.raises(ShapeError):
+        detect_structure(prob.A, prob.v[:-1])
+    with pytest.raises(ShapeError):
+        detect_structure(prob.A, prob.v.astype(np.float32))
 
 
 def test_sturm_and_eigenvalues_2x2():
