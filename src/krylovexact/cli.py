@@ -37,7 +37,6 @@ from .problems import (
     random_jacobi,
     random_lower_bidiagonal,
     random_nonsym_tridiagonal,
-    random_signed_permutation,
     random_structured_problem,
     strakos_spectrum,
 )
@@ -57,7 +56,7 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate matrices, vectors, and structured problems")
-    gen.add_argument("what", choices=["jacobi", "hessenberg", "nonsymtridiag", "lowerbidiag", "blocktridiag", "signedperm", "strakos", "structured"])
+    gen.add_argument("what", choices=["jacobi", "hessenberg", "nonsymtridiag", "lowerbidiag", "blocktridiag", "strakos", "structured"])
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--p", type=int, default=1, help="block size (blocktridiag, structured blocktridiag)")
@@ -75,7 +74,7 @@ def _build_parser():
     start = run.add_mutually_exclusive_group()
     start.add_argument("--e1", action="store_true", help="start from beta1 * e1")
     start.add_argument("--v-file", help="read the starting vector from a file")
-    run.add_argument("--beta1", type=float, default=1.0, help="scale for --e1")
+    run.add_argument("--beta1", type=float, help="scale for --e1 (default 1)")
     run.add_argument("--w-file", help="left starting vector file (bilanczos on matrix files)")
     run.add_argument("--k", type=int, default=0, help="number of steps (default: full dimension)")
     run.add_argument("--variant", choices=["mgs", "cgs"], default="mgs")
@@ -95,9 +94,10 @@ def _build_parser():
     chk.add_argument("--samples", type=int, default=1000000)
     chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--problem", help="matrix file for `check structure`")
-    chk.add_argument("--e1", action="store_true")
-    chk.add_argument("--beta1", type=float, default=1.0)
-    chk.add_argument("--v-file")
+    chk_start = chk.add_mutually_exclusive_group()
+    chk_start.add_argument("--e1", action="store_true")
+    chk_start.add_argument("--v-file")
+    chk.add_argument("--beta1", type=float)
     _add_precision(chk)
 
     exp = sub.add_parser("experiment", help="run an experiment and write its CSV")
@@ -133,13 +133,22 @@ def _read_vector(path, flag):
     return v
 
 
-def _starting_vector(args, A):
+def _starting_vector(args, A, v):
+    """v of a problem file, else --v-file, else beta1 * e1; a flag that would be ignored is an error."""
+    if v is not None:
+        for flag, given in (("--v-file", args.v_file), ("--e1", args.e1), ("--beta1", args.beta1 is not None)):
+            if given:
+                raise ValueError(f"{flag} conflicts with the starting vector of the problem file")
+        return v
     if args.v_file:
+        if args.beta1 is not None:
+            raise ValueError("--beta1 scales --e1 and does not apply to --v-file")
         return _read_vector(args.v_file, "--v-file")
-    if args.beta1 <= 0:
+    beta1 = 1.0 if args.beta1 is None else args.beta1
+    if beta1 <= 0:
         raise ValueError("--beta1 must be positive")
     v = np.zeros(A.shape[0], dtype=A.dtype)
-    v[0] = A.dtype.type(args.beta1)
+    v[0] = A.dtype.type(beta1)
     return v
 
 
@@ -177,13 +186,6 @@ def _cmd_gen(args) -> int:
         T = random_block_tridiagonal(n // args.p, args.p, seed, precision=precision)
     elif args.what == "strakos":
         T = strakos_spectrum(n, args.lam1, args.lamn, args.rho, precision)
-    elif args.what == "signedperm":
-        P = random_signed_permutation(n, seed)
-        with open(args.out, "w") as f:
-            f.write(f"signedperm {n}\n")
-            for r, s in zip(P.perm, P.signs):
-                f.write(f"{r} {s}\n")
-        return 0
     with open(args.out, "w") as f:
         fileio.write_matrix(f, T)
     return 0
@@ -192,14 +194,15 @@ def _cmd_gen(args) -> int:
 def _cmd_run(args) -> int:
     """Run the algorithm once; --check-exact compares that run, the one --out writes."""
     A, v, prob, _ = _load_input(args.problem)
-    if v is None:
-        v = _starting_vector(args, A)
+    v = _starting_vector(args, A, v)
     if args.k < 0:
         raise ValueError("--k must be nonnegative")
     entry = ALGORITHMS[args.algorithm]
     if args.check_exact and entry.kind is None:
         raise ValueError("--check-exact applies to basis algorithms only")
     w = prob.w if prob is not None else None  # bilanczos's left vector: the problem's, --w-file, or v
+    if w is not None and args.w_file:
+        raise ValueError("--w-file conflicts with the left starting vector of the problem file")
     if w is None:
         w = _read_vector(args.w_file, "--w-file") if args.w_file else v.copy()
     x = RunInputs(A, v, w, prob.U1 if prob is not None else None, args.variant, args.reorth, args.qr_variant)
@@ -254,10 +257,8 @@ def _cmd_check(args) -> int:
     if args.what == "structure":
         if not args.problem:
             raise ValueError("check structure needs --problem")
-        A, v, prob, _ = _load_input(args.problem)
-        if v is None:
-            v = _starting_vector(args, A)
-        found = detect_structure(A, v)
+        A, v, _, _ = _load_input(args.problem)
+        found = detect_structure(A, _starting_vector(args, A, v))
         if found is None:
             print("no structure detected", file=sys.stderr)
             return 1

@@ -13,7 +13,7 @@ import numpy as np
 
 from .fp import _matmat, _matvec, norm2, seq_dot, validate_operands
 from .problems import LowerBidiagonal, NonsymTridiagonal
-from .rational import rat_norm2_sq, rational_lstsq, to_rational_matrix, to_rational_vector
+from .rational import rat_matvec, rat_norm2_sq, rational_lstsq, to_rational_matrix, to_rational_vector
 
 
 @dataclass(frozen=True)
@@ -360,8 +360,7 @@ def gmres_structured(A: np.ndarray, v: np.ndarray, k: int) -> GmresResult:
     yexact = rational_lstsq(H, rhs)
     dy = [ye - yb for ye, yb in zip(yexact, to_rational_vector(ybar))]
     y_err = float(np.sqrt(float(rat_norm2_sq(dy))))
-    Vr = to_rational_matrix(V)
-    xexact = [sum(Vr[r][j] * yexact[j] for j in range(keff)) for r in range(len(v))]
+    xexact = rat_matvec(to_rational_matrix(V), yexact)
     dx = [xe - xb for xe, xb in zip(xexact, to_rational_vector(xbar))]
     x_err = float(np.sqrt(float(rat_norm2_sq(dx))))
     return GmresResult(xbar, ybar, x_err, y_err, res.breakdown)

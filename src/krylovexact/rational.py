@@ -182,14 +182,42 @@ def rational_lanczos_directions(A, v, kmax: int | None = None) -> list[list[Frac
 
 
 def rational_lstsq(H, rhs) -> list[Fraction]:
-    """Exact least-squares argmin ||H y - rhs|| via rational normal equations."""
+    """Exact least-squares argmin ||H y - rhs|| for an (m+1) x m upper Hessenberg H.
+
+    H must have one of the two shapes Arnoldi produces: unreduced (every
+    subdiagonal entry H[j+1][j] nonzero), or a zero last row (breakdown), when
+    y solves the leading m x m system exactly.  Anything else raises
+    ValueError: H not (m+1) x m or rhs not of length m+1, a nonzero entry below
+    the subdiagonal, a zero subdiagonal entry above a nonzero last row, or a
+    singular leading block after a breakdown.  Floats convert exactly.
+
+    For unreduced H, z with z_0 = 1, z_{j+1} = -(sum_{i<=j} z_i H[i][j]) / H[j+1][j]
+    spans the null space of H^T, so H y = rhs - (z^T rhs / z^T z) z, solved by
+    back-substitution on rows 1..m, whose diagonal is the subdiagonal of H.
+    That is O(m^2) Fraction operations; the normal equations H^T H y = H^T rhs
+    cost O(m^3) on numbers of twice the bit length.
+    """
     Hr = H if isinstance(H, list) else to_rational_matrix(H)
     br = rhs if isinstance(rhs, list) else to_rational_vector(rhs)
-    rows = len(Hr)
-    cols = len(Hr[0])
-    G = [[sum(Hr[r][i] * Hr[r][j] for r in range(rows)) for j in range(cols)] for i in range(cols)]
-    rhsn = [sum(Hr[r][i] * br[r] for r in range(rows)) for i in range(cols)]
-    return rat_solve(G, rhsn)
+    m = len(Hr) - 1
+    if m < 0 or len(br) != m + 1 or any(len(row) != m for row in Hr):
+        raise ValueError("least squares needs an (m+1) x m matrix and a right-hand side of length m+1")
+    if any(Hr[i][j] for j in range(m) for i in range(j + 2, m + 1)):
+        raise ValueError("H has a nonzero entry below the subdiagonal")
+    if not any(Hr[m]):
+        return rat_solve(Hr[:m], br[:m])
+    if not all(Hr[j + 1][j] for j in range(m)):
+        raise ValueError("H has a zero subdiagonal entry above a nonzero last row")
+    z = [Fraction(1)]
+    for j in range(m):
+        z.append(-rat_dot(z, [Hr[i][j] for i in range(j + 1)]) / Hr[j + 1][j])
+    c = rat_dot(z, br) / rat_dot(z, z)
+    p = [b - c * zi for b, zi in zip(br, z)]
+    y = [Fraction(0)] * m
+    for i in range(m - 1, -1, -1):
+        row = Hr[i + 1]
+        y[i] = (p[i + 1] - rat_dot(row[i + 1 :], y[i + 1 :])) / row[i]
+    return y
 
 
 def rat_norm2_sq(x: list[Fraction]) -> Fraction:

@@ -183,3 +183,49 @@ def test_vector_file_of_another_precision_exits_2(tmp_path, capsys):
     with v.open("w") as f:
         write_matrix(f, np.array([1.0, 0.0, 0.0, 0.0]))
     assert "does not match" in _error_exit(capsys, "run", "lanczos", "--problem", str(mat), "--v-file", str(v))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--v-file", "v.txt"], ["--e1"], ["--beta1", "3"], ["--e1", "--beta1", "3"], ["--w-file", "v.txt"]],
+    ids=["v-file", "e1", "beta1", "e1-beta1", "w-file"],
+)
+def test_run_rejects_a_starting_vector_flag_the_problem_file_overrides(tmp_path, capsys, flags):
+    prob, vec = tmp_path / "prob.txt", tmp_path / "v.txt"
+    run_cli(capsys, "gen", "structured", "--kind", "nonsymtridiag", "--n", "4", "--out", str(prob))
+    with vec.open("w") as f:
+        write_matrix(f, np.array([1.0, 0.0, 0.0, 0.0]))
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in flags]
+    assert flags[0] in _error_exit(capsys, "run", "bilanczos", "--problem", str(prob), *argv)
+
+
+def test_starting_vector_flags_that_exclude_each_other(tmp_path, capsys):
+    mat, vec = tmp_path / "T.txt", tmp_path / "v.txt"
+    run_cli(capsys, "gen", "jacobi", "--n", "4", "--out", str(mat))
+    with vec.open("w") as f:
+        write_matrix(f, np.array([1.0, 0.0, 0.0, 0.0]))
+    assert "--beta1" in _error_exit(capsys, "run", "lanczos", "--problem", str(mat), "--v-file", str(vec), "--beta1", "2")
+    assert "--beta1" in _error_exit(capsys, "check", "structure", "--problem", str(mat), "--v-file", str(vec), "--beta1", "2")
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", "structure", "--problem", str(mat), "--e1", "--v-file", str(vec)])
+    assert exit_.value.code == 2
+
+
+@pytest.mark.parametrize("precision", ["binary64", "binary32"])
+@pytest.mark.parametrize(
+    "gen",
+    [["jacobi"], ["hessenberg"], ["nonsymtridiag"], ["lowerbidiag"], ["blocktridiag", "--p", "2"], ["strakos"]]
+    + [["structured", "--kind", kind, "--p", "2"] for kind in ("jacobi", "hessenberg", "nonsymtridiag", "lowerbidiag", "blocktridiag")],
+)
+def test_every_gen_kind_reads_back(tmp_path, capsys, gen, precision):
+    path = tmp_path / "gen.txt"
+    code, _ = run_cli(capsys, "gen", *gen, "--n", "4", "--precision", precision, "--out", str(path))
+    assert code == 0
+    code, out = run_cli(capsys, "convert", "--in", str(path), "--out", str(tmp_path / "gen.csv"))
+    assert code == 0, out.err
+
+
+def test_gen_signedperm_is_not_a_choice(tmp_path):
+    with pytest.raises(SystemExit) as exit_:
+        main(["gen", "signedperm", "--n", "4", "--out", str(tmp_path / "P.txt")])
+    assert exit_.value.code == 2

@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krylovexact.rational import (
     MAX_ORACLE_DIM,
@@ -87,6 +90,69 @@ def test_rational_lstsq_matches_normal_equations_by_hand():
     # min ||[1;1]y - [0;1]||: y = 1/2
     H = [[Fraction(1)], [Fraction(1)]]
     assert rational_lstsq(H, [Fraction(0), Fraction(1)]) == [Fraction(1, 2)]
+
+
+def _normal_equations_lstsq(H, rhs):
+    """Reference: the normal equations H^T H y = H^T rhs, solved exactly."""
+    Hr, br = to_rational_matrix(H), to_rational_vector(rhs)
+    cols = range(len(Hr[0]))
+    G = [[sum(row[i] * row[j] for row in Hr) for j in cols] for i in cols]
+    return rat_solve(G, [sum(row[i] * b for row, b in zip(Hr, br)) for i in cols])
+
+
+@st.composite
+def _hessenberg_lstsq_inputs(draw):
+    """An unreduced (m+1) x m upper Hessenberg H of binary64 or binary32 dyadics,
+    with +-0 entries on and above the diagonal, and an arbitrary rhs."""
+    dtype, bits = draw(st.sampled_from([(np.float64, 53), (np.float32, 24)]))
+    m = draw(st.integers(1, 16))
+
+    def value(nonzero=False):
+        mantissas = st.integers(1, 2**bits - 1)
+        mantissa = draw(mantissas if nonzero else st.just(0) | mantissas)
+        return math.copysign(math.ldexp(mantissa, draw(st.integers(-bits - 20, 20))), draw(st.sampled_from([1.0, -1.0])))
+
+    H = np.zeros((m + 1, m), dtype=dtype)
+    for j in range(m):
+        H[: j + 1, j] = [value() for _ in range(j + 1)]
+        H[j + 1, j] = value(nonzero=True)
+    return H, np.array([value() for _ in range(m + 1)], dtype=dtype)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hessenberg_lstsq_inputs())
+def test_rational_lstsq_matches_the_normal_equations_on_unreduced_hessenberg(inputs):
+    H, rhs = inputs
+    assert rational_lstsq(H, rhs) == _normal_equations_lstsq(H, rhs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hessenberg_lstsq_inputs())
+def test_rational_lstsq_matches_the_normal_equations_after_a_breakdown(inputs):
+    H, rhs = inputs
+    H[-1] = 0.0
+    try:
+        expected = _normal_equations_lstsq(H, rhs)
+    except ValueError:  # the leading m x m block is singular
+        with pytest.raises(ValueError, match="singular"):
+            rational_lstsq(H, rhs)
+        return
+    assert rational_lstsq(H, rhs) == expected
+
+
+@pytest.mark.parametrize(
+    "H, message",
+    [
+        ([[1, 2], [1, 1], [1, 1]], "below the subdiagonal"),
+        ([[1, 2], [0, 1], [0, 1]], "zero subdiagonal"),
+        ([[1, 2], [1, 1]], r"\(m\+1\) x m"),
+    ],
+    ids=["below-subdiagonal", "zero-subdiagonal", "square"],
+)
+def test_rational_lstsq_rejects_other_shapes(H, message):
+    Hr = [[Fraction(h) for h in row] for row in H]
+    with pytest.raises(ValueError, match=message):
+        rational_lstsq(Hr, [Fraction(1)] * len(Hr))
 
 
 def test_dimension_guard():
