@@ -6,20 +6,32 @@ rounded IEEE 754 operation at a time: no FMA, no extended intermediate
 precision, no reassociation.  Sums are strictly sequential left-to-right,
 which pins a bitwise-deterministic result for regression testing.
 
-Fast paths below skip terms that are exactly zero.  This is bit-identical
-to the naive sequential loop: the accumulator starts at +0, adding a signed
-zero to +0 yields +0, and adding a signed zero to a nonzero value leaves it
-unchanged.  IEEE addition cannot round a nonzero exact sum to zero, so the
-accumulator never becomes -0.  A NaN or infinite term is never zero, so it
-is never skipped.
+_matvec skips the columns whose entry of x is exactly zero.  This is
+bit-identical to the naive sequential loop: the accumulator starts at +0,
+adding a signed zero to +0 yields +0, and adding a signed zero to a nonzero
+value leaves it unchanged.  IEEE addition cannot round a nonzero exact sum
+to zero, so the accumulator never becomes -0.  A NaN or infinite term is
+never zero, so it is never skipped.
+
+Sequential sums are computed by np.add.accumulate, which (unlike
+np.add.reduce, which sums pairwise) adds strictly left to right:
+accumulate(t)[-1] is fl(((t_0 + t_1) + t_2) + ...).  This fold starts at
+t_0 instead of +0 + t_0.  The two differ only in the sign of a zero partial
+sum (+0 + -0 is +0, while a -0 start stays -0), and the sign of a zero
+partial sum never changes a later nonzero one.  So every partial sum has
+the value of the +0-started fold, and a trailing + 0 turns a final -0 into
++0: accumulate(t)[-1] + 0 is the sequential fold bit for bit.  seq_dot
+and norm2 sum every product this way.  _gram builds a whole table of such
+dots, G[i, j] = seq_dot(X[:, i], Y[:, j]), with one accumulate down axis 0
+per row of G, each column of the products summed in index order.
 
 Operand contract: each algorithm calls validate_operands once, before its
 first step, on its matrix and operands (one format, one row count, all
 finite, step count in range).  The kernels then check only their outputs:
-seq_dot, norm2 and the unchecked _matvec/_matmat raise NonFiniteError on a
-non-finite result, which covers overflow and non-finite inputs alike.  The
-public matvec and matmat also scan the matrix once per call, because a NaN
-in a column that x skips would otherwise go unseen.
+seq_dot, norm2, _gram and the unchecked _matvec/_matmat raise
+NonFiniteError on a non-finite result, which covers overflow and non-finite
+inputs alike.  The public matvec and matmat also scan the matrix once per
+call, because a NaN in a column that x skips would otherwise go unseen.
 """
 
 from __future__ import annotations
@@ -89,23 +101,24 @@ def require_finite(a, what: str = "input") -> None:
         raise NonFiniteError(f"{what} contains a NaN or infinity")
 
 
-def validate_operands(A, *operands, k: int = 0, limit: int = 0) -> None:
+def validate_operands(A, *vectors, block=None, k: int = 0, limit: int = 0) -> None:
     """Entry check of an algorithm on the matrix A and its operands.
 
     A must be a binary32 or binary64 matrix (TypeError otherwise); every
-    operand that is not None must have A's dtype and A's row count
-    (ShapeError); A and the operands must be finite (NonFiniteError); and
-    the step count must satisfy 0 <= k <= limit (ValueError).
+    vector operand that is not None must be 1-D, and the block operand 2-D,
+    with A's dtype and A's row count (ShapeError); A and the operands must
+    be finite (NonFiniteError); and the step count must satisfy
+    0 <= k <= limit (ValueError).
     """
     precision_of(A)
     if A.ndim != 2:
         raise ShapeError(f"matrix must be 2-D, got shape {A.shape}")
-    given = [x for x in operands if x is not None]
-    for x in given:
-        if x.dtype != A.dtype or x.shape[:1] != A.shape[:1]:
-            raise ShapeError(f"operand {x.dtype} {x.shape} does not match the {A.dtype} {A.shape} matrix")
+    given = [(x, 1) for x in vectors if x is not None] + ([] if block is None else [(block, 2)])
+    for x, ndim in given:
+        if x.ndim != ndim or x.dtype != A.dtype or x.shape[0] != A.shape[0]:
+            raise ShapeError(f"{ndim}-D operand {x.dtype} {x.shape} does not match the {A.dtype} {A.shape} matrix")
     require_finite(A, "matrix")
-    for x in given:
+    for x, _ in given:
         require_finite(x, "operand")
     if not 0 <= k <= limit:
         raise ValueError(f"k = {k} is outside [0, {limit}]")
@@ -154,30 +167,20 @@ def bitwise_equal(a, b) -> bool:
 # sequential arithmetic kernels
 
 
-def seq_dot(x: np.ndarray, y: np.ndarray):
-    """fl(x^T y) with strictly sequential left-to-right summation.
+def _sequential_sum(terms: np.ndarray, dt):
+    """fl(((0 + t_0) + t_1) + ...): accumulate's last partial sum plus +0."""
+    return np.add.accumulate(terms)[-1] + dt.type(0.0) if terms.size else dt.type(0.0)
 
-    Terms whose rounded product is exactly zero are skipped; see module
-    docstring for why this is bit-identical to the naive loop.
-    """
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite product or sum raises below
+def seq_dot(x: np.ndarray, y: np.ndarray):
+    """fl(x^T y) with strictly sequential left-to-right summation."""
     if x.shape != y.shape or x.ndim != 1:
         raise ShapeError(f"dot operands must be equal-length vectors, got {x.shape} and {y.shape}")
     if x.dtype != y.dtype:
         raise ShapeError(f"dtype mismatch: {x.dtype} vs {y.dtype}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product raises below
-        prod = x * y
-    terms = prod[prod != 0]
-    if x.dtype == np.float64:
-        acc = 0.0
-        for p in terms.tolist():
-            acc = acc + p
-        out = np.float64(acc)
-    else:
-        acc = np.float32(0.0)
-        for p in terms:
-            acc = acc + p
-        out = acc
-    if not np.isfinite(out):
+    out = _sequential_sum(x * y, x.dtype)
+    if not math.isfinite(out):
         raise NonFiniteError("non-finite dot product")
     return out
 
@@ -191,22 +194,46 @@ def seq_dot_reference(x: np.ndarray, y: np.ndarray):
     return acc
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sum raises below
 def norm2(x: np.ndarray):
     """fl(sqrt(fl(sum fl(x_i^2)))) with sequential summation."""
-    if x.dtype == np.float64:
-        acc = 0.0
-        for a in x.tolist():
-            if a != 0.0:
-                acc = acc + a * a
-        if not math.isfinite(acc):
-            raise NonFiniteError("non-finite sum of squares")
-        return np.float64(math.sqrt(acc))
-    acc = np.float32(0.0)
-    for i in np.nonzero(x)[0]:
-        acc = acc + x[i] * x[i]
-    if not np.isfinite(acc):
+    if x.ndim != 1:
+        raise ShapeError(f"norm operand must be a vector, got shape {x.shape}")
+    acc = _sequential_sum(x * x, x.dtype)
+    if not math.isfinite(acc):
         raise NonFiniteError("non-finite sum of squares")
+    if x.dtype == np.float64:
+        return np.float64(math.sqrt(acc))
     return np.sqrt(acc)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite entry raises below
+def _gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """G[i, j] = seq_dot(X[:, i], Y[:, j]), one row of G per accumulate call.
+
+    Row i sums the n x m products X[:, i:i+1] * Y down axis 0, each column
+    strictly in index order; the temporaries are n x m, never n x k x m.
+    When Y is X, row i starts at the diagonal and the strict lower triangle
+    is copied from the upper one: fl(x*y) = fl(y*x), so X^T X is
+    symmetric bit for bit.  Raises NonFiniteError if any entry is non-finite.
+    """
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
+        raise ShapeError(f"gram shapes {X.shape} and {Y.shape} do not agree")
+    if X.dtype != Y.dtype:
+        raise ShapeError(f"dtype mismatch: {X.dtype} vs {Y.dtype}")
+    out = np.zeros((X.shape[1], Y.shape[1]), dtype=X.dtype)
+    if X.shape[0] == 0:
+        return out
+    symmetric = Y is X
+    for i in range(X.shape[1]):
+        j = i if symmetric else 0
+        out[i, j:] = np.add.accumulate(X[:, i : i + 1] * Y[:, j:], axis=0)[-1]
+    if symmetric:
+        out = np.where(np.tri(len(out), k=-1, dtype=bool), out.T, out)
+    out += X.dtype.type(0.0)  # the +0 start of each sum
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError("non-finite entry in gram matrix")
+    return out
 
 
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ from .cg import cg_hs, cglanczos
 from .fp import (
     BINARY64,
     Precision,
-    ShapeError,
+    _gram,
+    _matmat,
     _matvec,
     first_bit_difference,
     frobenius_norm,
@@ -97,34 +98,20 @@ def loss_of_orthogonality(V: np.ndarray):
     for j in range(k):
         if abs(float(norm2(V[:, j])) - 1.0) > tol:
             raise ValueError(f"column {j + 1} is not normalized")
-    one = V.dtype.type(1.0)
-    E = np.empty((k, k), dtype=V.dtype)
-    for i in range(k):
-        for j in range(k):
-            g = seq_dot(V[:, i], V[:, j])
-            E[i, j] = g - one if i == j else g
-    return frobenius_norm(E)
+    return frobenius_norm(_gram(V, V) - np.eye(k, dtype=V.dtype))
 
 
 def a_orthogonality_loss(Pdirs: np.ndarray, A: np.ndarray):
     """||Ptilde^T A Ptilde - I||_F with columns A-normalized internally."""
-    validate_operands(A, Pdirs)
-    if Pdirs.ndim != 2:
-        raise ShapeError("directions must be a matrix")
-    n, k = Pdirs.shape
+    validate_operands(A, block=Pdirs)
+    k = Pdirs.shape[1]
     Pt = np.empty_like(Pdirs)
     for j in range(k):
         pap = seq_dot(Pdirs[:, j], _matvec(A, Pdirs[:, j]))
         if pap <= 0:
             raise ValueError(f"p^T A p <= 0 for column {j + 1}: matrix is not numerically positive definite")
         Pt[:, j] = Pdirs[:, j] / np.sqrt(pap)
-    one = A.dtype.type(1.0)
-    E = np.empty((k, k), dtype=A.dtype)
-    for i in range(k):
-        for j in range(k):
-            g = seq_dot(Pt[:, i], _matvec(A, Pt[:, j]))
-            E[i, j] = g - one if i == j else g
-    return frobenius_norm(E)
+    return frobenius_norm(_gram(Pt, _matmat(A, Pt)) - np.eye(k, dtype=A.dtype))
 
 
 def sqrt_square_violations(samples: int, precision: Precision = BINARY64, seed: int = 0) -> int:

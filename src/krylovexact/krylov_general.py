@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import _matmat, _matvec, norm2, seq_dot, validate_operands
+from .fp import ShapeError, _gram, _matmat, _matvec, norm2, seq_dot, validate_operands
 from .problems import LowerBidiagonal, NonsymTridiagonal
 from .rational import rat_matvec, rat_norm2_sq, rational_lstsq, to_rational_matrix, to_rational_vector
 
@@ -228,7 +228,7 @@ def gram_schmidt_qr(R: np.ndarray, variant: str = "mgs"):
     for j in range(p):
         w = R[:, j].copy()
         if variant == "cgs":
-            coeffs = [seq_dot(Q[:, i], R[:, j]) for i in range(j)]
+            coeffs = _gram(Q[:, :j], R[:, j : j + 1])[:, 0]
             for i in range(j):
                 Rf[i, j] = coeffs[i]
                 w = w - coeffs[i] * Q[:, i]
@@ -257,23 +257,17 @@ class BlockLanczosResult:
         return len(self.M)
 
 
-def _block_inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    out = np.empty((X.shape[1], Y.shape[1]), dtype=X.dtype)
-    for i in range(X.shape[1]):
-        for j in range(Y.shape[1]):
-            out[i, j] = seq_dot(X[:, i], Y[:, j])
-    return out
-
-
 def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs") -> BlockLanczosResult:
     """Block three-term recurrence R_{i+1} = A U_i - U_i M_i - U_{i-1} B_i^T with
     Gram-Schmidt QR of R_{i+1} and M_{i+1} = U_{i+1}^T A U_{i+1}."""
-    n, p = len(A), U1.shape[1]
-    validate_operands(A, U1, k=k, limit=n // p)
+    n, p = len(A), U1.shape[-1] if U1.ndim else 0
+    validate_operands(A, block=U1, k=k, limit=n // max(p, 1))
+    if p == 0:
+        raise ShapeError("starting block has no columns")
     if n % p:
         raise ValueError("n must be a multiple of the block size")
     Us = [U1.copy()]
-    Ms = [_block_inner(U1, _matmat(A, U1))]
+    Ms = [_gram(U1, _matmat(A, U1))]
     Bs = []
     Uprev = U1.copy()
     Bprev = np.zeros((p, p), dtype=A.dtype)  # B_1 = 0, U_0 = U_1 per the recurrence
@@ -290,7 +284,7 @@ def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs"
             break
         Us.append(Q)
         Bs.append(Bi)
-        Ms.append(_block_inner(Q, _matmat(A, Q)))
+        Ms.append(_gram(Q, _matmat(A, Q)))
         Uprev = Ui
         Bprev = Bi
     return BlockLanczosResult(tuple(Us), tuple(Ms), tuple(Bs), breakdown)

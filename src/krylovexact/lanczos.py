@@ -115,7 +115,7 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
 
 def lanczos_residual(A: np.ndarray, result: LanczosResult):
     """||A V_k - V_k T_k - beta_{k+1} v_{k+1} e_k^T||_F in working precision."""
-    validate_operands(A, result.V)
+    validate_operands(A, block=result.V)
     k = result.k
     if k == 0:
         return A.dtype.type(0.0)

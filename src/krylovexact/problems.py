@@ -110,11 +110,10 @@ class HessenbergMatrix:
         H = self.entries
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ShapeError("Hessenberg matrix must be square")
-        n = H.shape[0]
-        for i in range(n):
-            for j in range(i - 1):
-                if H[i, j] != 0:
-                    raise ValueError(f"nonzero below the subdiagonal at ({i},{j})")
+        below = np.flatnonzero(np.tril(H, -2))  # row-major; a NaN counts as nonzero
+        if below.size:
+            i, j = divmod(int(below[0]), H.shape[1])
+            raise ValueError(f"nonzero below the subdiagonal at ({i},{j})")
         sub = np.diagonal(H, -1)
         _check_entries(
             (("Hessenberg entries", H),),

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krylovexact.fp import (
@@ -11,6 +11,7 @@ from krylovexact.fp import (
     NonFiniteError,
     RangeError,
     ShapeError,
+    _gram,
     bitwise_equal,
     exact_op_catalog,
     first_bit_difference,
@@ -231,3 +232,97 @@ def test_guard_interval():
     assert not BINARY64.in_guard(2.0**501)
     assert BINARY32.in_guard(np.float32(2.0**-59))
     assert not BINARY32.in_guard(np.float32(2.0**61))
+
+
+def _fold(terms, dtype):
+    """The sequential sum every kernel must realize: ((+0 + t_0) + t_1) + ..."""
+    acc = dtype(0.0)
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+def _same_sum(got, want):
+    return np.isnan(want) and np.isnan(got) or bitwise_equal(np.asarray(got), np.asarray(want))
+
+
+# Full 53-bit mantissas over a range of exponents: their products and sums
+# round, so a sum taken in another order gives other bits.
+rough = st.builds(lambda m, e, s: s * m * 2.0 ** (e - 52), st.integers(2**52, 2**53 - 1), st.integers(-40, 40), st.sampled_from([-1.0, 1.0]))
+finite = st.one_of(rough, st.sampled_from([0.0, -0.0, 5e-324, -1e-45, 1e-40, 1.5, -0.75]))
+# values that make a product or a sum overflow, or a product NaN
+hazards = st.sampled_from([np.nan, np.inf, -np.inf, 3e38, -2e38, 1e200, -1e300])
+
+
+@st.composite
+def products(draw, length=None, dtype=None):
+    """Products x_i * y_i in one precision: rounding ones among +-0 and
+    subnormals, and now and then an overflowing or NaN one."""
+    dtype = dtype or draw(st.sampled_from([np.float64, np.float32]))
+    n = length if length is not None else draw(st.integers(1, 24))
+    x = draw(st.lists(finite, min_size=n, max_size=n))
+    y = draw(st.lists(finite, min_size=n, max_size=n))
+    for pos, value in draw(st.lists(st.tuples(st.integers(0, n - 1), hazards), max_size=2)):
+        x[pos] = value
+    with np.errstate(all="ignore"):
+        return np.array(x, dtype=dtype) * np.array(y, dtype=dtype), dtype
+
+
+@given(products())
+def test_accumulate_is_the_sequential_fold(case):
+    # Gate on numpy: np.add.accumulate must add strictly left to right.  If a
+    # release ever sums it pairwise or reordered, seq_dot, norm2 and _gram
+    # lose their bits, and this fails.
+    t, dtype = case
+    with np.errstate(all="ignore"):
+        want = _fold(t, dtype)
+        assert _same_sum(np.add.accumulate(t)[-1] + dtype(0.0), want)
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 24), st.integers(1, 4), st.booleans(), st.data())
+def test_axis0_accumulate_folds_each_column(m, cols, fortran, data):
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+    T = np.stack([data.draw(products(m, dtype))[0] for _ in range(cols)], axis=1)
+    if fortran:
+        T = np.asfortranarray(T)
+    with np.errstate(all="ignore"):
+        got = np.add.accumulate(T, axis=0)[-1] + dtype(0.0)
+        for j in range(cols):
+            assert _same_sum(got[j], _fold(T[:, j], dtype))
+
+
+@given(st.lists(finite, min_size=1, max_size=40), st.sampled_from([np.float64, np.float32]))
+def test_norm2_is_the_root_of_the_sequential_sum_of_squares(xs, dtype):
+    x = np.array(xs, dtype=dtype)  # |x_i| < 2^41: no square or sum overflows
+    assert bitwise_equal(np.asarray(norm2(x)), np.sqrt(seq_dot_reference(x, x)))
+
+
+@given(st.integers(0, 6), st.integers(0, 4), st.integers(0, 4), st.sampled_from([np.float64, np.float32]), st.booleans(), st.data())
+def test_gram_is_the_table_of_reference_dots(n, kx, ky, dtype, same, data):
+    draw = lambda k: data.draw(st.lists(finite, min_size=n * k, max_size=n * k))
+    with np.errstate(all="ignore"):
+        X = np.array(draw(kx), dtype=dtype).reshape(n, kx)
+        for pos, value in data.draw(st.lists(st.tuples(st.integers(0, max(n * kx - 1, 0)), hazards), max_size=1)) if n * kx else ():
+            X.flat[pos] = value
+        Y = X if same else np.array(draw(ky), dtype=dtype).reshape(n, ky)  # Y is X: the symmetric half
+        ref = np.array([[seq_dot_reference(X[:, i], Y[:, j]) for j in range(Y.shape[1])] for i in range(kx)], dtype=dtype).reshape(kx, Y.shape[1])
+    if np.all(np.isfinite(ref)):
+        assert bitwise_equal(_gram(X, Y), ref)
+    else:
+        with pytest.raises(NonFiniteError), np.errstate(all="ignore"):
+            _gram(X, Y)
+
+
+def test_gram_checks_shapes():
+    with pytest.raises(ShapeError):
+        _gram(np.ones((3, 2)), np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        _gram(np.ones((3, 2)), np.ones((3, 2), dtype=np.float32))
+    with pytest.raises(ShapeError):
+        _gram(np.ones(3), np.ones((3, 1)))
+
+
+def test_norm2_rejects_a_matrix():
+    with pytest.raises(ShapeError):
+        norm2(np.ones((3, 1)))

@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from krylovexact import fp
-from krylovexact.fp import BINARY32, BINARY64, NonFiniteError, ShapeError
+from krylovexact.fp import BINARY32, BINARY64, NonFiniteError, ShapeError, _matvec, bitwise_equal, frobenius_norm, norm2, seq_dot
 from krylovexact.harness import (
     ALGORITHMS,
     MetricSeries,
@@ -110,7 +112,7 @@ def _forbid_arithmetic(monkeypatch):
     def step_ran(*args, **kwargs):
         raise AssertionError("a kernel ran before the operands were checked")
 
-    for name in ("_matvec", "_matmat", "matvec", "matmat", "seq_dot", "norm2"):
+    for name in ("_matvec", "_matmat", "_gram", "matvec", "matmat", "seq_dot", "norm2"):
         original = getattr(fp, name)
         for module in [m for key, m in sys.modules.items() if key.startswith("krylovexact")]:
             if getattr(module, name, None) is original:
@@ -134,11 +136,22 @@ def test_algorithm_entry_checks_operands_before_any_step(algorithm, monkeypatch)
         entry.run(replace(x, v=x.v.astype(np.float32), w=x.w.astype(np.float32), U1=x.U1.astype(np.float32)), 1)
     with pytest.raises(ShapeError):
         entry.run(replace(x, v=x.v[:-1], w=x.w[:-1], U1=x.U1[:-1]), 1)
+    with pytest.raises(ShapeError):  # vectors that are not 1-D, a block that is not 2-D
+        entry.run(replace(x, v=x.v[:, None], w=x.w[:, None], U1=x.U1[:, 0]), 1)
     for k in (-1, limit + 1):
         with pytest.raises(ValueError, match="outside"):
             entry.run(x, k)
     with pytest.raises(TypeError):
         entry.run(replace(x, A=x.A.astype(np.int64)), 1)
+
+
+def test_metric_series_checks_rows_it_was_given():
+    s = MetricSeries("demo", rows=[(3, "loss", 0.5, np.float64(0.5).hex())])
+    with pytest.raises(ValueError, match="must increase"):
+        s.add(3, "loss", 0.25)
+    s.add(4, "loss", 0.25)
+    s.add(1, "other", 1.0)
+    assert [r[0] for r in s.rows] == [3, 4, 1]
 
 
 def test_metrics_check_operands():
@@ -149,3 +162,111 @@ def test_metrics_check_operands():
         a_orthogonality_loss(np.ones(3), A)
     with pytest.raises(NonFiniteError):
         loss_of_orthogonality(np.array([[1.0], [np.nan]]))
+
+
+# The double-loop bodies the metrics had before they used fp._gram: k^2
+# seq_dot calls, and k^2 matvecs in the A-orthogonality loss.
+def _loss_of_orthogonality_reference(V):
+    n, k = V.shape
+    tol = 4 * n * (np.finfo(V.dtype).eps / 2)
+    for j in range(k):
+        if abs(float(norm2(V[:, j])) - 1.0) > tol:
+            raise ValueError(f"column {j + 1} is not normalized")
+    one = V.dtype.type(1.0)
+    E = np.empty((k, k), dtype=V.dtype)
+    for i in range(k):
+        for j in range(k):
+            g = seq_dot(V[:, i], V[:, j])
+            E[i, j] = g - one if i == j else g
+    return frobenius_norm(E)
+
+
+def _a_orthogonality_loss_reference(Pdirs, A):
+    k = Pdirs.shape[1]
+    Pt = np.empty_like(Pdirs)
+    for j in range(k):
+        pap = seq_dot(Pdirs[:, j], _matvec(A, Pdirs[:, j]))
+        if pap <= 0:
+            raise ValueError("p^T A p <= 0")
+        Pt[:, j] = Pdirs[:, j] / np.sqrt(pap)
+    one = A.dtype.type(1.0)
+    E = np.empty((k, k), dtype=A.dtype)
+    for i in range(k):
+        for j in range(k):
+            g = seq_dot(Pt[:, i], _matvec(A, Pt[:, j]))
+            E[i, j] = g - one if i == j else g
+    return frobenius_norm(E)
+
+
+metric_entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 2.0**-30, -(2.0**20)]), st.floats(-4.0, 4.0))
+dtypes = st.sampled_from([np.float64, np.float32])
+
+
+@st.composite
+def matrices(draw, square=False):
+    n = draw(st.integers(1, 7))
+    k = n if square else draw(st.integers(0, n))
+    dtype = draw(dtypes)
+    return np.array(draw(st.lists(metric_entries, min_size=n * k, max_size=n * k)), dtype=dtype).reshape(n, k)
+
+
+@given(matrices(), st.lists(st.tuples(st.integers(0, 6), st.sampled_from([1 + 2.0**-40, 1 + 2.0**-20, 2.0, 1 - 2.0**-50])), max_size=2))
+def test_loss_of_orthogonality_matches_the_double_loop(M, bumps):
+    n, k = M.shape
+    V = M.copy()
+    for j in range(k):
+        nrm = norm2(M[:, j])
+        if nrm == 0:
+            V[:, j] = 0
+            V[j, j] = 1
+        else:
+            V[:, j] = M[:, j] / nrm
+    for j, factor in bumps:  # columns that may fail the normalization check
+        if j < k:
+            V[:, j] *= V.dtype.type(factor)
+    try:
+        want = _loss_of_orthogonality_reference(V)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=f"^{e}$"):
+            loss_of_orthogonality(V)
+        return
+    assert bitwise_equal(loss_of_orthogonality(V), want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("big_first", [False, True])
+def test_loss_of_orthogonality_raises_what_the_double_loop_raises_first(dtype, big_first):
+    # one column is not normalized, the other is finite but its squares overflow
+    big = 2.0**600 if dtype == np.float64 else 2.0**70
+    cols = [[2.0, 0.0], [big, big]]
+    V = np.array(cols[::-1] if big_first else cols, dtype=dtype).T
+    with pytest.raises(ValueError) as want:
+        _loss_of_orthogonality_reference(V)
+    with pytest.raises(type(want.value), match=f"^{want.value}$"):
+        loss_of_orthogonality(V)
+
+
+@given(matrices(square=True), matrices())
+def test_a_orthogonality_loss_matches_the_double_loop(B, P):
+    n = min(len(B), len(P))
+    B, P = B[:n, :n], P[:n, : min(P.shape[1], n)].astype(B.dtype)
+    with np.errstate(all="ignore"):
+        A = (B.astype(np.float64) @ B.T.astype(np.float64) + n * np.eye(n)).astype(B.dtype)
+    try:
+        want = _a_orthogonality_loss_reference(P, A)
+    except ValueError:
+        with pytest.raises(ValueError):
+            a_orthogonality_loss(P, A)
+        return
+    assert bitwise_equal(a_orthogonality_loss(P, A), want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_metrics_on_no_columns_one_column_and_negative_zero_products(dtype):
+    # the two columns below have products that are all -0 in every position
+    V = np.array([[1.0, -0.0], [-0.0, 1.0], [0.0, -0.0]], dtype=dtype)
+    A = np.diag([2.0, 0.5, 4.0]).astype(dtype)
+    for k in (0, 1, 2):
+        got, want = loss_of_orthogonality(V[:, :k]), _loss_of_orthogonality_reference(V[:, :k])
+        assert bitwise_equal(got, want) and got == 0 and not np.signbit(got)
+        assert bitwise_equal(a_orthogonality_loss(V[:, :k], A), _a_orthogonality_loss_reference(V[:, :k], A))

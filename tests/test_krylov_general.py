@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krylovexact.fp import bitwise_equal
+from krylovexact.fp import ShapeError, bitwise_equal
 from krylovexact.krylov_general import (
     SeriousBreakdownError,
     arnoldi,
@@ -215,6 +215,8 @@ def test_block_lanczos_validation():
         block_lanczos(np.eye(6), np.ones((6, 4)), 1)  # 6 not a multiple of 4
     with pytest.raises(ValueError):
         block_lanczos(np.eye(6), np.ones((6, 2)), 4)  # k exceeds block count
+    with pytest.raises(ShapeError):
+        block_lanczos(np.eye(6), np.ones((6, 0)), 1)  # no columns
 
 
 # GMRES ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from krylovexact.fp import BINARY32, NonFiniteError, ShapeError, bitwise_equal
 from krylovexact.problems import (
     ConvergenceCurves,
     DistributionFunction,
+    HessenbergMatrix,
     JacobiMatrix,
     SignedPermutation,
     assemble,
@@ -35,6 +36,24 @@ def test_jacobi_validation():
     T = JacobiMatrix(np.array([1.0, 2.0]), np.array([3.0]))
     D = T.to_dense()
     assert D[0, 1] == D[1, 0] == 3.0
+
+
+def test_hessenberg_names_the_first_offender_below_the_subdiagonal_in_row_major_order():
+    H = np.triu(np.ones((5, 5)), -1)
+    H[2, 0] = -0.0  # a zero of either sign is allowed
+    H[4, 0] = 7.0
+    H[3, 1] = 2.0  # first in row-major order, second in column-major order
+    with pytest.raises(ValueError, match=r"nonzero below the subdiagonal at \(3,1\)$"):
+        HessenbergMatrix(H)
+    H[3, 1] = 0.0
+    with pytest.raises(ValueError, match=r"nonzero below the subdiagonal at \(4,0\)$"):
+        HessenbergMatrix(H)
+    H[4, 0] = 0.0
+    H[4, 2] = np.nan  # a NaN counts as nonzero
+    with pytest.raises(ValueError, match=r"nonzero below the subdiagonal at \(4,2\)$"):
+        HessenbergMatrix(H)
+    H[4, 2] = 0.0
+    assert HessenbergMatrix(H).n == 5
 
 
 def test_generators_are_deterministic():
