@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fp import ShapeError, _matvec, norm2, seq_dot, validate_operands
+from .fp import ShapeError, _dot, _matvec, norm2, seq_dot, validate_operands
 from .problems import JacobiMatrix
 
 
@@ -160,6 +160,7 @@ def cg_from_lanczos_solve(A: np.ndarray, b: np.ndarray, k: int):
     return x, y, res.breakdown is not None and res.breakdown < k
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     """CG reconstructed from the Lanczos recurrence (x0 = 0).
 
@@ -186,8 +187,8 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     tr.residual_norms.append(rho)
     tr.rho.append(rho)
 
-    V = np.zeros((n, kmax + 1), dtype=A.dtype)
-    V[:, 0] = b / rho
+    Vt = np.zeros((kmax + 1, n), dtype=A.dtype)  # row k is the Lanczos vector v_{k+1}
+    Vt[0] = b / rho
     vprev = np.zeros(n, dtype=A.dtype)
     beta_k = dt(0.0)
     ell_prev = dt(0.0)
@@ -195,9 +196,9 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     betas = []
     cols = 1
     for k in range(1, kmax + 1):
-        vk = V[:, k - 1]
+        vk = Vt[k - 1]
         w = _matvec(A, vk) - beta_k * vprev
-        alpha_k = seq_dot(w, vk)
+        alpha_k = _dot(w, vk)
         w = w - alpha_k * vk
         beta_next = norm2(w)
         alphas.append(alpha_k)
@@ -214,9 +215,9 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
             p = np.zeros(n, dtype=A.dtype)
             tr.exact_termination = True
         else:
-            V[:, k] = w / beta_next
+            Vt[k] = w / beta_next
             cols = k + 1
-            r = rho * V[:, k]
+            r = rho * Vt[k]
             if k % 2 == 1:
                 r = -r  # exact sign flip, fl(-a) = -a
             p = r + (ell_k * ell_k) * p
@@ -234,7 +235,7 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
         ell_prev = ell_k
         if tr.exact_termination:
             break
-    tr.lanczos_V = V[:, :cols].copy()
+    tr.lanczos_V = Vt[:cols].T.copy()
     tr.lanczos_alpha = np.array(alphas, dtype=A.dtype)
     tr.lanczos_beta = np.array(betas, dtype=A.dtype)
     return tr

@@ -25,10 +25,16 @@ and norm2 sum every product this way.  _gram builds a whole table of such
 dots, G[i, j] = seq_dot(X[:, i], Y[:, j]), with one accumulate down axis 0
 per row of G, each column of the products summed in index order.
 
+Row layout: a recurrence that keeps a Krylov basis stores it as the
+contiguous rows of a (k+1) x n array and returns the transpose as a C-order
+copy, so every step reads its vectors without a strided gather.  It enters
+np.errstate(over="ignore", invalid="ignore") once per run, and its loops
+call _dot, which is seq_dot minus the operand checks and its own errstate.
+
 Operand contract: each algorithm calls validate_operands once, before its
 first step, on its matrix and operands (one format, one row count, all
 finite, step count in range).  The kernels then check only their outputs:
-seq_dot, norm2, _gram and the unchecked _matvec/_matmat raise
+seq_dot, _dot, norm2, _gram and the unchecked _matvec/_matmat raise
 NonFiniteError on a non-finite result, which covers overflow and non-finite
 inputs alike.  The public matvec and matmat also scan the matrix once per
 call, because a NaN in a column that x skips would otherwise go unseen.
@@ -172,17 +178,22 @@ def _sequential_sum(terms: np.ndarray, dt):
     return np.add.accumulate(terms)[-1] + dt.type(0.0) if terms.size else dt.type(0.0)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite product or sum raises below
+def _dot(x: np.ndarray, y: np.ndarray):
+    """seq_dot without its operand checks or errstate: the caller holds both."""
+    out = _sequential_sum(x * y, x.dtype)
+    if not math.isfinite(out):
+        raise NonFiniteError("non-finite dot product")
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite product or sum raises in _dot
 def seq_dot(x: np.ndarray, y: np.ndarray):
     """fl(x^T y) with strictly sequential left-to-right summation."""
     if x.shape != y.shape or x.ndim != 1:
         raise ShapeError(f"dot operands must be equal-length vectors, got {x.shape} and {y.shape}")
     if x.dtype != y.dtype:
         raise ShapeError(f"dtype mismatch: {x.dtype} vs {y.dtype}")
-    out = _sequential_sum(x * y, x.dtype)
-    if not math.isfinite(out):
-        raise NonFiniteError("non-finite dot product")
-    return out
+    return _dot(x, y)
 
 
 def seq_dot_reference(x: np.ndarray, y: np.ndarray):

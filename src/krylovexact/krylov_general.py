@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import ShapeError, _gram, _matmat, _matvec, norm2, seq_dot, validate_operands
+from .fp import ShapeError, _dot, _gram, _matmat, _matvec, norm2, seq_dot, validate_operands
 from .problems import LowerBidiagonal, NonsymTridiagonal
 from .rational import rat_matvec, rat_norm2_sq, rational_lstsq, to_rational_matrix, to_rational_vector
 
@@ -30,6 +30,7 @@ class ArnoldiResult:
         return self.H[: self.k, :].copy()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
     """Algorithm: w = A v_j; for i = 1..j: h_{i,j} = v_i^T w, w = w - h_{i,j} v_i;
     h_{j+1,j} = ||w||; stop on exact zero."""
@@ -38,25 +39,25 @@ def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
     nrm = norm2(v)
     if nrm == 0:
         raise ValueError("starting vector is zero")
-    V = np.zeros((n, k + 1), dtype=A.dtype)
+    Vt = np.zeros((k + 1, n), dtype=A.dtype)  # row j is v_{j+1}
     H = np.zeros((k + 1, k), dtype=A.dtype)
-    V[:, 0] = v / nrm
+    Vt[0] = v / nrm
     breakdown = None
     cols = 1
     for j in range(k):
-        w = _matvec(A, V[:, j])
+        w = _matvec(A, Vt[j])
         for i in range(j + 1):
-            h = seq_dot(V[:, i], w)
+            h = _dot(Vt[i], w)
             H[i, j] = h
-            w = w - h * V[:, i]
+            w = w - h * Vt[i]
         hnext = norm2(w)
         H[j + 1, j] = hnext
         if hnext == 0:
             breakdown = j + 1
-            return ArnoldiResult(V[:, : j + 1].copy(), H[: j + 2, : j + 1].copy(), breakdown)
-        V[:, j + 1] = w / hnext
+            return ArnoldiResult(Vt[: j + 1].T.copy(), H[: j + 2, : j + 1].copy(), breakdown)
+        Vt[j + 1] = w / hnext
         cols = j + 2
-    return ArnoldiResult(V[:, :cols].copy(), H, breakdown)
+    return ArnoldiResult(Vt[:cols].T.copy(), H, breakdown)
 
 
 @dataclass(frozen=True)
@@ -82,20 +83,21 @@ class SeriousBreakdownError(RuntimeError):
     """beta_{i+1} = 0 with a nonzero continuation vector: biorthogonalization failed."""
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> NonsymLanczosResult:
     n = len(A)
     validate_operands(A, v, w, k=k, limit=n)
-    At = np.ascontiguousarray(A.T)
+    At = A.T
     gamma1 = norm2(v)
     if gamma1 == 0:
         raise ValueError("right starting vector is zero")
-    V = np.zeros((n, k + 1), dtype=A.dtype)
-    W = np.zeros((n, k + 1), dtype=A.dtype)
-    V[:, 0] = v / gamma1
-    beta1 = seq_dot(w, V[:, 0])
+    Vt = np.zeros((k + 1, n), dtype=A.dtype)  # rows are the basis vectors
+    Wt = np.zeros((k + 1, n), dtype=A.dtype)
+    Vt[0] = v / gamma1
+    beta1 = _dot(w, Vt[0])
     if beta1 == 0:
         raise ValueError("w^T v_1 = 0: the starting pair is biorthogonally degenerate")
-    W[:, 0] = w / beta1
+    Wt[0] = w / beta1
     vprev = np.zeros(n, dtype=A.dtype)
     wprev = np.zeros(n, dtype=A.dtype)
     alphas, betas, gammas = [], [], []
@@ -104,10 +106,10 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
     breakdown = None
     cols = 1
     for i in range(k):
-        vi = V[:, i]
-        wi = W[:, i]
+        vi = Vt[i]
+        wi = Wt[i]
         Av = _matvec(A, vi)
-        alpha_i = seq_dot(wi, Av)
+        alpha_i = _dot(wi, Av)
         alphas.append(alpha_i)
         vnew = Av - alpha_i * vi
         vnew = vnew - beta_i * vprev
@@ -118,11 +120,11 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
         vnext = vnew / gamma_next
         wnew = _matvec(At, wi) - alpha_i * wi
         wnew = wnew - gamma_i * wprev
-        beta_next = seq_dot(vnext, wnew)
+        beta_next = _dot(vnext, wnew)
         if beta_next == 0:
             raise SeriousBreakdownError(f"serious breakdown at step {i + 1}")
-        V[:, i + 1] = vnext
-        W[:, i + 1] = wnew / beta_next
+        Vt[i + 1] = vnext
+        Wt[i + 1] = wnew / beta_next
         gammas.append(gamma_next)
         betas.append(beta_next)
         vprev, wprev = vi, wi
@@ -130,8 +132,8 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
         cols = i + 2
     keff = len(alphas)
     return NonsymLanczosResult(
-        V=V[:, :cols].copy(),
-        W=W[:, :cols].copy(),
+        V=Vt[:cols].T.copy(),
+        W=Wt[:cols].T.copy(),
         alpha=np.array(alphas, dtype=A.dtype),
         beta=np.array(betas[: keff - 1], dtype=A.dtype),
         gamma=np.array(gammas[: keff - 1], dtype=A.dtype),
@@ -158,49 +160,50 @@ class GolubKahanResult:
         return LowerBidiagonal(self.gamma.copy(), self.delta.copy())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
     """Alternating recurrence gamma_i w_i = A^T s_i - delta_i w_{i-1},
     delta_{i+1} s_{i+1} = A w_i - gamma_i s_i, coefficients by normalization."""
     validate_operands(A, v, k=k, limit=min(A.shape))
     n, m = A.shape
-    At = np.ascontiguousarray(A.T)
+    At = A.T
     delta1 = norm2(v)
     if delta1 == 0:
         raise ValueError("starting vector is zero")
-    S = np.zeros((n, k + 1), dtype=A.dtype)
-    W = np.zeros((m, k), dtype=A.dtype)
-    S[:, 0] = v / delta1
+    St = np.zeros((k + 1, n), dtype=A.dtype)  # rows are the basis vectors
+    Wt = np.zeros((k, m), dtype=A.dtype)
+    St[0] = v / delta1
     gammas, deltas = [], []
     delta_i = delta1
     breakdown = None
     scols = 1
     wcols = 0
     for i in range(k):
-        t = _matvec(At, S[:, i])
+        t = _matvec(At, St[i])
         if i > 0:
-            t = t - delta_i * W[:, i - 1]
+            t = t - delta_i * Wt[i - 1]
         else:
             t = t - delta_i * np.zeros(m, dtype=A.dtype)
         gamma_i = norm2(t)
         if gamma_i == 0:
             breakdown = ("gamma", i + 1)
             break
-        W[:, i] = t / gamma_i
+        Wt[i] = t / gamma_i
         wcols = i + 1
         gammas.append(gamma_i)
-        u = _matvec(A, W[:, i]) - gamma_i * S[:, i]
+        u = _matvec(A, Wt[i]) - gamma_i * St[i]
         delta_next = norm2(u)
         if delta_next == 0:
             breakdown = ("delta", i + 2)
             break
         deltas.append(delta_next)
-        S[:, i + 1] = u / delta_next
+        St[i + 1] = u / delta_next
         scols = i + 2
         delta_i = delta_next
     kg = len(gammas)
     return GolubKahanResult(
-        S=S[:, :scols].copy(),
-        W=W[:, :wcols].copy(),
+        S=St[:scols].T.copy(),
+        W=Wt[:wcols].T.copy(),
         gamma=np.array(gammas, dtype=A.dtype),
         delta=np.array(deltas[: kg - 1] if kg else [], dtype=A.dtype),
         delta1=delta1,
@@ -333,20 +336,16 @@ def hessenberg_lstsq(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def gmres_structured(A: np.ndarray, v: np.ndarray, k: int) -> GmresResult:
-    """GMRES iterate x_k = V_k y_k with y_k = argmin ||H_{k+1,k} y - e1|| (x0 = 0,
-    ||v|| = 1).  Returns the witness pair (||x_k - xbar_k||, ||y_k - ybar_k||)
-    with the exact coordinates computed by a rational least-squares oracle.
+    """GMRES iterate x_k = V_k y_k for A x = v from x0 = 0, with
+    y_k = argmin ||H_{k+1,k} y - ||v|| e1||.  Returns the witness pair
+    (||x_k - xbar_k||, ||y_k - ybar_k||) with the exact coordinates computed by
+    a rational least-squares oracle.  A zero v raises ValueError.
     """
-    validate_operands(A, v, k=k, limit=len(A))
-    p0 = norm2(v)
-    pr = 4 * len(v) * np.finfo(A.dtype).eps / 2
-    if abs(float(p0) - 1.0) > pr:
-        raise ValueError("starting vector must have unit norm")
     res = arnoldi(A, v, k)
     keff = res.k
     H = res.H  # (keff+1) x keff
     rhs = np.zeros(keff + 1, dtype=A.dtype)
-    rhs[0] = A.dtype.type(1.0)
+    rhs[0] = norm2(v)
     ybar = hessenberg_lstsq(H, rhs)
     V = res.V[:, :keff]
     xbar = _matvec(V, ybar)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import _matvec, bitwise_equal, frobenius_norm, norm2, seq_dot, validate_operands
+from .fp import _dot, _matvec, bitwise_equal, frobenius_norm, norm2, validate_operands
 from .problems import JacobiMatrix
 
 VARIANTS = ("mgs", "cgs")
@@ -43,14 +43,15 @@ class LanczosResult:
         return JacobiMatrix(self.alpha.copy(), off.copy())
 
 
-def _reorthogonalize(z, V, upto, passes):
+def _reorthogonalize(z, Vt, upto, passes):
     for _ in range(passes):
         for j in range(upto):
-            c = seq_dot(V[:, j], z)
-            z = z - c * V[:, j]
+            c = _dot(Vt[j], z)
+            z = z - c * Vt[j]
     return z
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: str = "none") -> LanczosResult:
     """Run k steps; stops early when fl(||z||) = 0 (exact breakdown test).
 
@@ -73,27 +74,27 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
     beta1 = norm2(v)
     if beta1 == 0:
         raise ValueError("starting vector is zero")
-    V = np.zeros((n, k + 1), dtype=A.dtype)
+    Vt = np.zeros((k + 1, n), dtype=A.dtype)  # row i is v_{i+1}
     alphas = []
     betas = []
     vprev = np.zeros(n, dtype=A.dtype)  # v_0 = 0; beta_i * v_0 is evaluated, not skipped
-    V[:, 0] = v / beta1
+    Vt[0] = v / beta1
     beta_i = dt(0.0)
     breakdown = None
     cols = 1
     for i in range(k):
-        vi = V[:, i]
-        av = _matvec(A, vi)
+        vi = Vt[i]
+        av = _matvec(A.T, vi)  # A is bitwise symmetric: same bits, contiguous columns
         if variant == "mgs":
             w = av - beta_i * vprev
-            alpha_i = seq_dot(w, vi)
+            alpha_i = _dot(w, vi)
             z = w - alpha_i * vi
         else:
-            alpha_i = seq_dot(vi, av)
+            alpha_i = _dot(vi, av)
             z = av - alpha_i * vi
             z = z - beta_i * vprev
         if reorth != "none":
-            z = _reorthogonalize(z, V, i + 1, 1 if reorth == "full" else 2)
+            z = _reorthogonalize(z, Vt, i + 1, 1 if reorth == "full" else 2)
         alphas.append(alpha_i)
         beta_next = norm2(z)
         betas.append(beta_next)
@@ -101,11 +102,11 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
             breakdown = i + 1
             break
         vprev = vi
-        V[:, i + 1] = z / beta_next
+        Vt[i + 1] = z / beta_next
         beta_i = beta_next
         cols = i + 2
     return LanczosResult(
-        V=V[:, :cols].copy(),
+        V=Vt[:cols].T.copy(),
         alpha=np.array(alphas, dtype=A.dtype),
         beta=np.array(betas, dtype=A.dtype),
         beta1=beta1,

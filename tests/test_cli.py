@@ -132,6 +132,16 @@ def test_run_check_exact_runs_the_algorithm_once(tmp_path, capsys, monkeypatch, 
     assert calls == [function]
 
 
+@pytest.mark.parametrize("precision", ["binary64", "binary32"])
+def test_run_gmres_on_a_structured_hessenberg_file(tmp_path, capsys, precision):
+    prob, csv_out = tmp_path / "prob.txt", tmp_path / "gmres.csv"
+    code, _ = run_cli(capsys, "gen", "structured", "--kind", "hessenberg", "--n", "6", "--seed", "1", "--precision", precision, "--out", str(prob))
+    assert code == 0
+    code, out = run_cli(capsys, "run", "gmres", "--problem", str(prob), "--out", str(csv_out))
+    assert code == 0, out.err
+    assert {row[0] for row in csv.reader(csv_out.open())} >= {"x", "y"}
+
+
 def _error_exit(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2

@@ -11,6 +11,7 @@ from krylovexact.fp import (
     NonFiniteError,
     RangeError,
     ShapeError,
+    _dot,
     _gram,
     bitwise_equal,
     exact_op_catalog,
@@ -147,6 +148,22 @@ def test_seq_dot_raises_exactly_when_the_reference_is_not_finite(pairs, dtype):
     else:
         with pytest.raises(NonFiniteError), np.errstate(all="ignore"):
             seq_dot(x, y)
+
+
+@given(st.lists(st.tuples(entries, entries), max_size=10), st.sampled_from([np.float64, np.float32]))
+def test_unchecked_dot_is_seq_dot(pairs, dtype):
+    with np.errstate(all="ignore"):
+        x = np.array([a for a, _ in pairs], dtype=dtype)
+        y = np.array([b for _, b in pairs], dtype=dtype)
+    try:
+        want = seq_dot(x, y)
+    except NonFiniteError:
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+            _dot(x, y)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # the errstate its callers hold
+            got = _dot(x, y)
+        assert got.dtype == want.dtype and bitwise_equal(np.asarray(got), np.asarray(want))
 
 
 def test_seq_dot_does_not_skip_nan_times_zero():

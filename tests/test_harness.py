@@ -112,7 +112,7 @@ def _forbid_arithmetic(monkeypatch):
     def step_ran(*args, **kwargs):
         raise AssertionError("a kernel ran before the operands were checked")
 
-    for name in ("_matvec", "_matmat", "_gram", "matvec", "matmat", "seq_dot", "norm2"):
+    for name in ("_matvec", "_matmat", "_gram", "_dot", "matvec", "matmat", "seq_dot", "norm2"):
         original = getattr(fp, name)
         for module in [m for key, m in sys.modules.items() if key.startswith("krylovexact")]:
             if getattr(module, name, None) is original:

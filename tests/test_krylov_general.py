@@ -1,10 +1,16 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krylovexact.fp import ShapeError, bitwise_equal
+from krylovexact.fp import NonFiniteError, ShapeError, _matvec, bitwise_equal, norm2, seq_dot, validate_operands
 from krylovexact.krylov_general import (
+    ArnoldiResult,
+    GolubKahanResult,
+    NonsymLanczosResult,
     SeriousBreakdownError,
     arnoldi,
     block_lanczos,
@@ -243,7 +249,248 @@ def test_gmres_witness_identity_on_structured_input():
         assert res.x_error_norm == res.y_error_norm
 
 
-def test_gmres_requires_unit_start():
-    prob = random_structured_problem("hessenberg", 5, 0)
-    with pytest.raises(ValueError, match="unit norm"):
-        gmres_structured(prob.A, 3.0 * prob.v / prob.beta1, 3)
+def test_gmres_scales_with_the_starting_vector():
+    # rhs = ||v|| e1, and a power-of-two scale is exact in every operation
+    prob = random_structured_problem("hessenberg", 8, 0)
+    v = prob.v / prob.beta1
+    for k in (1, 5, 8):
+        a = gmres_structured(prob.A, v, k)
+        b = gmres_structured(prob.A, 4.0 * v, k)
+        assert bitwise_equal(b.x, 4.0 * a.x) and bitwise_equal(b.y, 4.0 * a.y)
+        assert b.x_error_norm == 4.0 * a.x_error_norm and b.y_error_norm == 4.0 * a.y_error_norm
+        assert b.breakdown == a.breakdown
+    with pytest.raises(ValueError, match="zero"):
+        gmres_structured(prob.A, np.zeros(8), 3)
+
+
+# Row-major bases: the column-major loops they replaced, kept as references ---
+
+
+def _arnoldi_columns(A, v, k):
+    n = len(A)
+    validate_operands(A, v, k=k, limit=n)
+    nrm = norm2(v)
+    if nrm == 0:
+        raise ValueError("starting vector is zero")
+    V = np.zeros((n, k + 1), dtype=A.dtype)
+    H = np.zeros((k + 1, k), dtype=A.dtype)
+    V[:, 0] = v / nrm
+    breakdown = None
+    cols = 1
+    for j in range(k):
+        w = _matvec(A, V[:, j])
+        for i in range(j + 1):
+            h = seq_dot(V[:, i], w)
+            H[i, j] = h
+            w = w - h * V[:, i]
+        hnext = norm2(w)
+        H[j + 1, j] = hnext
+        if hnext == 0:
+            breakdown = j + 1
+            return ArnoldiResult(V[:, : j + 1].copy(), H[: j + 2, : j + 1].copy(), breakdown)
+        V[:, j + 1] = w / hnext
+        cols = j + 2
+    return ArnoldiResult(V[:, :cols].copy(), H, breakdown)
+
+
+def _nonsym_lanczos_columns(A, v, w, k):
+    n = len(A)
+    validate_operands(A, v, w, k=k, limit=n)
+    At = np.ascontiguousarray(A.T)
+    gamma1 = norm2(v)
+    if gamma1 == 0:
+        raise ValueError("right starting vector is zero")
+    V = np.zeros((n, k + 1), dtype=A.dtype)
+    W = np.zeros((n, k + 1), dtype=A.dtype)
+    V[:, 0] = v / gamma1
+    beta1 = seq_dot(w, V[:, 0])
+    if beta1 == 0:
+        raise ValueError("w^T v_1 = 0: the starting pair is biorthogonally degenerate")
+    W[:, 0] = w / beta1
+    vprev = np.zeros(n, dtype=A.dtype)
+    wprev = np.zeros(n, dtype=A.dtype)
+    alphas, betas, gammas = [], [], []
+    beta_i = beta1
+    gamma_i = gamma1
+    breakdown = None
+    cols = 1
+    for i in range(k):
+        vi = V[:, i]
+        wi = W[:, i]
+        Av = _matvec(A, vi)
+        alpha_i = seq_dot(wi, Av)
+        alphas.append(alpha_i)
+        vnew = Av - alpha_i * vi
+        vnew = vnew - beta_i * vprev
+        gamma_next = norm2(vnew)
+        if gamma_next == 0:
+            breakdown = i + 1
+            break
+        vnext = vnew / gamma_next
+        wnew = _matvec(At, wi) - alpha_i * wi
+        wnew = wnew - gamma_i * wprev
+        beta_next = seq_dot(vnext, wnew)
+        if beta_next == 0:
+            raise SeriousBreakdownError(f"serious breakdown at step {i + 1}")
+        V[:, i + 1] = vnext
+        W[:, i + 1] = wnew / beta_next
+        gammas.append(gamma_next)
+        betas.append(beta_next)
+        vprev, wprev = vi, wi
+        beta_i, gamma_i = beta_next, gamma_next
+        cols = i + 2
+    keff = len(alphas)
+    return NonsymLanczosResult(
+        V=V[:, :cols].copy(),
+        W=W[:, :cols].copy(),
+        alpha=np.array(alphas, dtype=A.dtype),
+        beta=np.array(betas[: keff - 1], dtype=A.dtype),
+        gamma=np.array(gammas[: keff - 1], dtype=A.dtype),
+        gamma1=gamma1,
+        beta1=beta1,
+        breakdown=breakdown,
+    )
+
+
+def _golub_kahan_columns(A, v, k):
+    validate_operands(A, v, k=k, limit=min(A.shape))
+    n, m = A.shape
+    At = np.ascontiguousarray(A.T)
+    delta1 = norm2(v)
+    if delta1 == 0:
+        raise ValueError("starting vector is zero")
+    S = np.zeros((n, k + 1), dtype=A.dtype)
+    W = np.zeros((m, k), dtype=A.dtype)
+    S[:, 0] = v / delta1
+    gammas, deltas = [], []
+    delta_i = delta1
+    breakdown = None
+    scols = 1
+    wcols = 0
+    for i in range(k):
+        t = _matvec(At, S[:, i])
+        if i > 0:
+            t = t - delta_i * W[:, i - 1]
+        else:
+            t = t - delta_i * np.zeros(m, dtype=A.dtype)
+        gamma_i = norm2(t)
+        if gamma_i == 0:
+            breakdown = ("gamma", i + 1)
+            break
+        W[:, i] = t / gamma_i
+        wcols = i + 1
+        gammas.append(gamma_i)
+        u = _matvec(A, W[:, i]) - gamma_i * S[:, i]
+        delta_next = norm2(u)
+        if delta_next == 0:
+            breakdown = ("delta", i + 2)
+            break
+        deltas.append(delta_next)
+        S[:, i + 1] = u / delta_next
+        scols = i + 2
+        delta_i = delta_next
+    kg = len(gammas)
+    return GolubKahanResult(
+        S=S[:, :scols].copy(),
+        W=W[:, :wcols].copy(),
+        gamma=np.array(gammas, dtype=A.dtype),
+        delta=np.array(deltas[: kg - 1] if kg else [], dtype=A.dtype),
+        delta1=delta1,
+        breakdown=breakdown,
+    )
+
+
+def _outcome(f, *args):
+    """The result of f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _assert_same(got, want, name="result"):
+    """The same raise, or, field by field and item by item, arrays and
+    scalars of the same shape, dtype, bits and C order."""
+    if dataclasses.is_dataclass(want):
+        for field in dataclasses.fields(want):
+            _assert_same(getattr(got, field.name), getattr(want, field.name), field.name)
+    elif isinstance(want, list):
+        assert len(got) == len(want), name
+        for a, b in zip(got, want):
+            _assert_same(a, b, name)
+    elif isinstance(want, (np.ndarray, np.generic)):
+        assert got.shape == want.shape and got.dtype == want.dtype and bitwise_equal(got, want), name
+        assert got.flags.c_contiguous and want.flags.c_contiguous, name
+    else:
+        assert got == want, name
+
+
+# Full 53-bit mantissas (their products round), signed zeros, scales 2^+-20.
+rough = st.builds(lambda m, e, s: s * m * 2.0 ** (e - 52), st.integers(2**52, 2**53 - 1), st.integers(-3, 2), st.sampled_from([-1.0, 1.0]))
+entry = st.one_of(rough, st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def dense_case(draw, rows=None):
+    """A general dense n x m matrix and a start v; some lines of A are zero,
+    and v may lie on them, so that A v = 0 (A^T v = 0 when rows is set)
+    breaks the run down at its first step."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 7)) if rows else n
+    A = np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m))).reshape(n, m)
+    zero = draw(st.lists(st.integers(0, (n if rows else m) - 1), max_size=3, unique=True))
+    if rows:
+        A[zero, :] = 0.0
+    else:
+        A[:, zero] = 0.0
+    v = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    if zero and draw(st.booleans()):
+        v[np.setdiff1d(np.arange(n), zero)] = 0.0
+    scale = [2.0 ** draw(st.sampled_from([-20, 0, 20])) for _ in range(2)]
+    return (A * scale[0]).astype(dtype), (v * scale[1]).astype(dtype)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_case(), st.data())
+def test_arnoldi_rows_match_the_column_loop(case, data):
+    A, v = case
+    k = data.draw(st.integers(0, len(A)))
+    _assert_same(_outcome(arnoldi, A, v, k), _outcome(_arnoldi_columns, A, v, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_case(), st.booleans(), st.data())
+def test_nonsym_lanczos_rows_match_the_column_loop(case, same_start, data):
+    A, v = case
+    w = v.copy() if same_start else np.array(data.draw(st.lists(entry, min_size=len(v), max_size=len(v))), dtype=A.dtype)
+    k = data.draw(st.integers(0, len(A)))
+    _assert_same(_outcome(nonsym_lanczos, A, v, w, k), _outcome(_nonsym_lanczos_columns, A, v, w, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_case(rows=True), st.data())
+def test_golub_kahan_rows_match_the_column_loop(case, data):
+    A, v = case
+    k = data.draw(st.integers(0, min(A.shape)))
+    _assert_same(_outcome(golub_kahan, A, v, k), _outcome(_golub_kahan_columns, A, v, k))
+
+
+def test_overflow_raises_without_a_warning_and_restores_errstate():
+    big, ones = np.full((4, 4), 1e308), np.ones(4)  # the sum in A v_1 overflows
+    runs = [
+        lambda: arnoldi(np.full((3, 3), 1e200), np.ones(3), 3),  # ||w|| overflows
+        lambda: arnoldi(big, ones, 2),
+        lambda: nonsym_lanczos(big, ones, ones, 2),
+        lambda: nonsym_lanczos(np.full((2, 2), 1e308), np.ones(2), np.ones(2), 2),  # w_1^T A v_1 overflows
+        lambda: golub_kahan(big, ones, 2),
+    ]
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in runs:
+            with pytest.raises(NonFiniteError):
+                run()
+            assert np.geterr() == before
+        arnoldi(np.eye(3), np.ones(3), 3)
+    assert np.geterr() == before

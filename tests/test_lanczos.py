@@ -1,4 +1,6 @@
+import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krylovexact import fp
-from krylovexact.fp import BINARY32, bitwise_equal
-from krylovexact.lanczos import lanczos, lanczos_residual
+from krylovexact.cg import CGTrace, cglanczos
+from krylovexact.fp import BINARY32, NonFiniteError, _matvec, bitwise_equal, norm2, seq_dot, validate_operands
+from krylovexact.lanczos import REORTH, VARIANTS, LanczosResult, lanczos, lanczos_residual
 from krylovexact.problems import random_structured_problem
 
 
@@ -120,3 +123,216 @@ def test_finiteness_scan_does_not_grow_with_k(monkeypatch):
         lanczos(prob.A, prob.v, k)
         per_run.append(sum(scanned))
     assert per_run[0] == per_run[1] == prob.A.nbytes + prob.v.nbytes
+
+
+# Row-major bases: the column-major loops they replaced, kept as references ---
+
+
+def _reorthogonalize_columns(z, V, upto, passes):
+    for _ in range(passes):
+        for j in range(upto):
+            c = seq_dot(V[:, j], z)
+            z = z - c * V[:, j]
+    return z
+
+
+def _lanczos_columns(A, v, k, variant, reorth):
+    n = len(A)
+    validate_operands(A, v, k=k, limit=n)
+    if not bitwise_equal(A, np.ascontiguousarray(A.T)):
+        raise ValueError("matrix is not bitwise symmetric")
+    dt = A.dtype.type
+    beta1 = norm2(v)
+    if beta1 == 0:
+        raise ValueError("starting vector is zero")
+    V = np.zeros((n, k + 1), dtype=A.dtype)
+    alphas = []
+    betas = []
+    vprev = np.zeros(n, dtype=A.dtype)
+    V[:, 0] = v / beta1
+    beta_i = dt(0.0)
+    breakdown = None
+    cols = 1
+    for i in range(k):
+        vi = V[:, i]
+        av = _matvec(A, vi)
+        if variant == "mgs":
+            w = av - beta_i * vprev
+            alpha_i = seq_dot(w, vi)
+            z = w - alpha_i * vi
+        else:
+            alpha_i = seq_dot(vi, av)
+            z = av - alpha_i * vi
+            z = z - beta_i * vprev
+        if reorth != "none":
+            z = _reorthogonalize_columns(z, V, i + 1, 1 if reorth == "full" else 2)
+        alphas.append(alpha_i)
+        beta_next = norm2(z)
+        betas.append(beta_next)
+        if beta_next == 0:
+            breakdown = i + 1
+            break
+        vprev = vi
+        V[:, i + 1] = z / beta_next
+        beta_i = beta_next
+        cols = i + 2
+    return LanczosResult(
+        V=V[:, :cols].copy(),
+        alpha=np.array(alphas, dtype=A.dtype),
+        beta=np.array(betas, dtype=A.dtype),
+        beta1=beta1,
+        breakdown=breakdown,
+    )
+
+
+def _cglanczos_columns(A, b, kmax):
+    n = len(A)
+    validate_operands(A, b, k=kmax, limit=n)
+    dt = A.dtype.type
+    tr = CGTrace()
+    x = np.zeros(n, dtype=A.dtype)
+    r = b.copy()
+    p = r.copy()
+    rho = norm2(b)
+    if rho == 0:
+        raise ValueError("right-hand side is zero")
+    tr.x.append(x.copy())
+    tr.r.append(r.copy())
+    tr.p.append(p.copy())
+    tr.residual_norms.append(rho)
+    tr.rho.append(rho)
+    V = np.zeros((n, kmax + 1), dtype=A.dtype)
+    V[:, 0] = b / rho
+    vprev = np.zeros(n, dtype=A.dtype)
+    beta_k = dt(0.0)
+    ell_prev = dt(0.0)
+    alphas = []
+    betas = []
+    cols = 1
+    for k in range(1, kmax + 1):
+        vk = V[:, k - 1]
+        w = _matvec(A, vk) - beta_k * vprev
+        alpha_k = seq_dot(w, vk)
+        w = w - alpha_k * vk
+        beta_next = norm2(w)
+        alphas.append(alpha_k)
+        betas.append(beta_next)
+        d_k = alpha_k - beta_k * ell_prev
+        if d_k <= 0:
+            raise ValueError(f"nonpositive pivot d_{k}: matrix is not positive definite")
+        ell_k = beta_next / d_k
+        rho = ell_k * rho
+        x = x + p / d_k
+        if beta_next == 0:
+            r = np.zeros(n, dtype=A.dtype)
+            p = np.zeros(n, dtype=A.dtype)
+            tr.exact_termination = True
+        else:
+            V[:, k] = w / beta_next
+            cols = k + 1
+            r = rho * V[:, k]
+            if k % 2 == 1:
+                r = -r
+            p = r + (ell_k * ell_k) * p
+        tr.d.append(d_k)
+        tr.ell.append(ell_k)
+        tr.rho.append(rho)
+        tr.x.append(x.copy())
+        tr.r.append(r.copy())
+        tr.p.append(p.copy())
+        tr.residual_norms.append(norm2(r))
+        tr.gammas.append(dt(1.0) / d_k)
+        tr.deltas.append(ell_k * ell_k)
+        vprev = vk
+        beta_k = beta_next
+        ell_prev = ell_k
+        if tr.exact_termination:
+            break
+    tr.lanczos_V = V[:, :cols].copy()
+    tr.lanczos_alpha = np.array(alphas, dtype=A.dtype)
+    tr.lanczos_beta = np.array(betas, dtype=A.dtype)
+    return tr
+
+
+def _outcome(f, *args):
+    """The result of f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _assert_same(got, want, name="result"):
+    """The same raise, or, field by field and item by item, arrays and
+    scalars of the same shape, dtype, bits and C order."""
+    if dataclasses.is_dataclass(want):
+        for field in dataclasses.fields(want):
+            _assert_same(getattr(got, field.name), getattr(want, field.name), field.name)
+    elif isinstance(want, list):
+        assert len(got) == len(want), name
+        for a, b in zip(got, want):
+            _assert_same(a, b, name)
+    elif isinstance(want, (np.ndarray, np.generic)):
+        assert got.shape == want.shape and got.dtype == want.dtype and bitwise_equal(got, want), name
+        assert got.flags.c_contiguous and want.flags.c_contiguous, name
+    else:
+        assert got == want, name
+
+
+# Full 53-bit mantissas (their products round), signed zeros, scales 2^+-20.
+rough = st.builds(lambda m, e, s: s * m * 2.0 ** (e - 52), st.integers(2**52, 2**53 - 1), st.integers(-3, 2), st.sampled_from([-1.0, 1.0]))
+entry = st.one_of(rough, st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def symmetric_case(draw, spd=False):
+    """A bitwise symmetric dense matrix and a start v.  The rows and columns
+    in a drawn set Z are zero off the diagonal and hold one value c on it, so
+    a v on Z gives A v = c v; c = 0, or a v with one nonzero, breaks the run
+    down at its first step.  spd adds a dominant diagonal."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    n = draw(st.integers(1, 7))
+    B = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    A = np.triu(B) + np.triu(B, 1).T
+    zero = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    A[zero, :] = 0.0
+    A[:, zero] = 0.0
+    A[zero, zero] = draw(entry)
+    if spd:
+        A[np.arange(n), np.arange(n)] = np.abs(A).sum(axis=1) + 1.0
+    v = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    if zero and draw(st.booleans()):
+        v[np.setdiff1d(np.arange(n), zero)] = 0.0
+    scale = [2.0 ** draw(st.sampled_from([-20, 0, 20])) for _ in range(2)]
+    return (A * scale[0]).astype(dtype), (v * scale[1]).astype(dtype)
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_case(), st.sampled_from(VARIANTS), st.sampled_from(REORTH), st.data())
+def test_lanczos_rows_match_the_column_loop(case, variant, reorth, data):
+    A, v = case
+    k = data.draw(st.integers(0, len(A)))
+    _assert_same(_outcome(lanczos, A, v, k, variant, reorth), _outcome(_lanczos_columns, A, v, k, variant, reorth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_case(spd=True), st.data())
+def test_cglanczos_rows_match_the_column_loop(case, data):
+    A, b = case
+    k = data.draw(st.integers(0, len(A)))
+    _assert_same(_outcome(cglanczos, A, b, k), _outcome(_cglanczos_columns, A, b, k))
+
+
+def test_overflow_raises_without_a_warning_and_restores_errstate():
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for variant in VARIANTS:  # the first dot, alpha_1, overflows
+            with pytest.raises(NonFiniteError, match="dot product"):
+                lanczos(np.full((2, 2), 1e308), np.ones(2), 2, variant)
+            assert np.geterr() == before
+        with pytest.raises(NonFiniteError):
+            cglanczos(np.full((2, 2), 1e308), np.ones(2))
+        assert np.geterr() == before
+        lanczos(np.eye(3), np.ones(3), 3, reorth="double")
+    assert np.geterr() == before
