@@ -38,7 +38,6 @@ from .problems import (
     assemble,
     detect_structure,
     distribution_function,
-    eigenvalues_jacobi,
     extend_deficient,
     prescribe_cg_curves,
     random_structured_problem,

@@ -169,6 +169,15 @@ def bitwise_equal(a, b) -> bool:
     return first_bit_difference(a, b) is None
 
 
+def bitwise_symmetric(A: np.ndarray) -> bool:
+    """bitwise_equal(A, A.T) for a float matrix, without a transposed copy:
+    the bit view of A is compared with its own transpose view."""
+    if A.shape != A.T.shape:
+        raise ShapeError(f"shape mismatch: {A.shape} vs {A.T.shape}")
+    U = _bit_view(A)
+    return bool((U == U.T).all())
+
+
 # ---------------------------------------------------------------------------
 # sequential arithmetic kernels
 

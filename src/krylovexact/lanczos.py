@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import _dot, _matvec, bitwise_equal, frobenius_norm, norm2, validate_operands
+from .fp import _dot, _matvec, bitwise_symmetric, frobenius_norm, norm2, validate_operands
 from .problems import JacobiMatrix
 
 VARIANTS = ("mgs", "cgs")
@@ -67,7 +67,7 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
         raise ValueError(f"variant must be one of {VARIANTS}")
     if reorth not in REORTH:
         raise ValueError(f"reorth must be one of {REORTH}")
-    if not bitwise_equal(A, np.ascontiguousarray(A.T)):
+    if not bitwise_symmetric(A):
         raise ValueError("matrix is not bitwise symmetric")
     dt = A.dtype.type
 

@@ -22,6 +22,7 @@ from .fp import (
     RangeError,
     ShapeError,
     bitwise_equal,
+    bitwise_symmetric,
     freeze,
     precision_of,
     require_finite,
@@ -408,7 +409,7 @@ def detect_structure(A: np.ndarray, v: np.ndarray):
     positive off-diagonals; the factorization is then unique.
     """
     validate_operands(A, v)
-    if not bitwise_equal(A, np.ascontiguousarray(A.T)):
+    if not bitwise_symmetric(A):
         raise ValueError("matrix is not bitwise symmetric")
     n = A.shape[0]
     nz = np.nonzero(v)[0]
@@ -776,58 +777,3 @@ def random_convergence_curves(n: int, seed: int) -> ConvergenceCurves:
     energy = np.cumprod(ratios) * float(g.uniform(0.5, 2.0))
     return ConvergenceCurves(res.astype(np.float64), energy.astype(np.float64))
 
-
-# ---------------------------------------------------------------------------
-# Sturm-sequence eigenvalues of Jacobi matrices
-
-
-def sturm_count(T: JacobiMatrix, x: float) -> int:
-    """Number of eigenvalues of T strictly below x (LDL^T pivot sign count)."""
-    alpha = [float(a) for a in T.alpha]
-    beta2 = [float(b) * float(b) for b in T.beta]
-    tiny = float(np.finfo(np.float64).tiny)
-    count = 0
-    dcur = alpha[0] - x
-    if dcur == 0.0:
-        dcur = -tiny
-    if dcur < 0:
-        count += 1
-    for j in range(1, len(alpha)):
-        dcur = (alpha[j] - x) - beta2[j - 1] / dcur
-        if dcur == 0.0:
-            dcur = -tiny
-        if dcur < 0:
-            count += 1
-    return count
-
-
-def eigenvalues_jacobi(T: JacobiMatrix, rtol: float = 1e-12) -> np.ndarray:
-    """All eigenvalues by bisection on the Sturm count, to relative rtol."""
-    alpha = np.asarray(T.alpha, dtype=np.float64)
-    beta = np.asarray(T.beta, dtype=np.float64)
-    n = T.n
-    rad = np.zeros(n)
-    rad[:-1] += np.abs(beta)
-    rad[1:] += np.abs(beta)
-    lo = float(np.min(alpha - rad)) - 1e-30
-    hi = float(np.max(alpha + rad)) + 1e-30
-    out = np.empty(n)
-    for k in range(n):
-        a, b = lo, hi
-        while b - a > rtol * max(abs(a), abs(b), 1e-300):
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break
-            if sturm_count(T, mid) <= k:
-                a = mid
-            else:
-                b = mid
-        out[k] = 0.5 * (a + b)
-    return out
-
-
-def condition_number_jacobi(T: JacobiMatrix, rtol: float = 1e-12) -> float:
-    ev = eigenvalues_jacobi(T, rtol)
-    if ev[0] <= 0:
-        raise ValueError("matrix is not positive definite")
-    return float(ev[-1] / ev[0])

@@ -4,12 +4,25 @@ Floats convert to dyadic rationals losslessly (Fraction(float) is exact),
 so running an algorithm here gives its exact-arithmetic result for the
 same floating-point input data.  No square roots are ever needed: the CG
 coefficients, iterates, squared norms, and cross products are all rational.
+
+Every exact sum of products (dots, matrix-vector rows, back substitution)
+goes through one kernel, _sum_products.  It carries the sum in plain ints
+over a running common denominator and builds one Fraction at the end.
+Exact sums do not depend on the order of their terms, and Fraction is
+canonical (lowest terms, positive denominator), so Fraction(num, den) has
+the same numerator and denominator as a term-by-term Fraction fold.  A zero
+term adds exactly nothing, so the kernel skips it; for the same reason
+rat_matvec visits only each row's nonzero (column, entry) pairs, and the
+eliminations of rat_solve and is_spd_rational update only the columns where
+the pivot row is nonzero.  A Jacobi matrix has no fill-in, so its solve and
+SPD test take O(n) Fraction operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -25,12 +38,37 @@ def to_rational_matrix(A) -> list[list[Fraction]]:
     return [[Fraction(float(v)) for v in row] for row in A]
 
 
-def rat_matvec(A: list[list[Fraction]], x: list[Fraction]) -> list[Fraction]:
-    return [sum((a * b for a, b in zip(row, x) if a and b), Fraction(0)) for row in A]
+def nonzero_rows(A) -> list[list[tuple[int, Fraction]]]:
+    """Each row's nonzero entries as (column, Fraction) pairs, the form rat_matvec
+    takes.  Float entries convert exactly; zeros are left out."""
+    rows = A.tolist() if isinstance(A, np.ndarray) else A
+    return [[(j, Fraction(a)) for j, a in enumerate(row) if a] for row in rows]
+
+
+def _sum_products(pairs) -> Fraction:
+    """Exact sum of a*b over pairs of Fractions or ints, carried in ints over a
+    running common denominator and normalized once."""
+    num, den = 0, 1
+    for a, b in pairs:
+        n = a.numerator * b.numerator
+        if n:
+            d = a.denominator * b.denominator
+            if d == den:
+                num += n
+            else:
+                g = gcd(d, den)
+                num = num * (d // g) + n * (den // g)
+                den = den // g * d
+    return Fraction(num, den)
+
+
+def rat_matvec(rows: list[list[tuple[int, Fraction]]], x: list[Fraction]) -> list[Fraction]:
+    """A x for A given by nonzero_rows(A)."""
+    return [_sum_products((a, x[j]) for j, a in row) for row in rows]
 
 
 def rat_dot(x: list[Fraction], y: list[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(x, y) if a and b), Fraction(0))
+    return _sum_products(zip(x, y))
 
 
 def rat_solve(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
@@ -43,23 +81,26 @@ def rat_solve(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
             raise ValueError("singular matrix in exact solve")
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-        fp = m[col][col]
+        prow = m[col]
+        fp = Fraction(prow[col])  # an int pivot would make int / int a float
+        cols = [c for c in range(col + 1, n + 1) if prow[c]]
         for r in range(col + 1, n):
-            fr = m[r][col]
-            if fr == 0:
-                continue
-            ratio = fr / fp
-            for c in range(col, n + 1):
-                m[r][c] -= m[col][c] * ratio
+            row = m[r]
+            if row[col]:
+                ratio = row[col] / fp
+                for c in cols:
+                    row[c] -= prow[c] * ratio
     x = [Fraction(0)] * n
     for r in range(n - 1, -1, -1):
-        s = m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = s / m[r][r]
+        row = m[r]
+        x[r] = (row[n] - _sum_products(zip(row[r + 1 : n], x[r + 1 :]))) / row[r]
     return x
 
 
 def is_spd_rational(A: list[list[Fraction]]) -> bool:
-    """Exact SPD test via rational Cholesky-style pivots (LDL^T of a dense matrix)."""
+    """Exact SPD test via rational LDL^T pivots.  The Schur complements stay
+    exactly symmetric, so the rows to update are the pivot row's nonzero
+    columns, and only their upper triangle is kept."""
     n = len(A)
     m = [row[:] for row in A]
     for i in range(n):
@@ -67,16 +108,16 @@ def is_spd_rational(A: list[list[Fraction]]) -> bool:
             if m[i][j] != m[j][i]:
                 return False
     for col in range(n):
-        if m[col][col] <= 0:
+        prow = m[col]
+        fp = Fraction(prow[col])  # an int pivot would make int / int a float
+        if fp <= 0:
             return False
-        fp = m[col][col]
-        for r in range(col + 1, n):
-            fr = m[r][col]
-            if fr == 0:
-                continue
-            ratio = fr / fp
-            for c in range(col, n):
-                m[r][c] -= m[col][c] * ratio
+        cols = [c for c in range(col + 1, n) if prow[c]]
+        for i, r in enumerate(cols):
+            row = m[r]
+            ratio = prow[r] / fp
+            for c in cols[i:]:
+                row[c] -= prow[c] * ratio
     return True
 
 
@@ -114,8 +155,9 @@ def rational_cg(A, b, kmax: int | None = None, x0=None) -> RationalCGTrace:
     if kmax is None:
         kmax = n
     x = [Fraction(0)] * n if x0 is None else (x0 if isinstance(x0, list) else to_rational_vector(x0))
+    rows = nonzero_rows(Ar)
     xs = rat_solve(Ar, br)
-    r = [bi - ai for bi, ai in zip(br, rat_matvec(Ar, x))]
+    r = [bi - ai for bi, ai in zip(br, rat_matvec(rows, x))]
     p = r[:]
     tr = RationalCGTrace(x_exact=xs)
 
@@ -124,7 +166,7 @@ def rational_cg(A, b, kmax: int | None = None, x0=None) -> RationalCGTrace:
         tr.x.append(xk[:])
         tr.r.append(rk[:])
         tr.rnorm2.append(rat_dot(rk, rk))
-        tr.energy2.append(rat_dot(e, rat_matvec(Ar, e)))
+        tr.energy2.append(rat_dot(e, rat_matvec(rows, e)))
 
     record(x, r)
     tr.p.append(p[:])
@@ -132,7 +174,7 @@ def rational_cg(A, b, kmax: int | None = None, x0=None) -> RationalCGTrace:
     for _ in range(kmax):
         if rr == 0:
             break
-        Ap = rat_matvec(Ar, p)
+        Ap = rat_matvec(rows, p)
         pAp = rat_dot(p, Ap)
         gamma = rr / pAp
         x = [xi + gamma * pi for xi, pi in zip(x, p)]
@@ -155,7 +197,7 @@ def rational_lanczos_directions(A, v, kmax: int | None = None) -> list[list[Frac
     without square roots via the Stieltjes recurrence
     u_{j+1} = A u_j - (u_j^T A u_j / u_j^T u_j) u_j - (u_j^T u_j / u_{j-1}^T u_{j-1}) u_{j-1}.
     """
-    Ar = A if isinstance(A, list) else to_rational_matrix(A)
+    rows = nonzero_rows(A)
     u = v if isinstance(v, list) else to_rational_vector(v)
     n = len(u)
     if kmax is None:
@@ -167,7 +209,7 @@ def rational_lanczos_directions(A, v, kmax: int | None = None) -> list[list[Frac
         nrm = rat_dot(u, u)
         if nrm == 0:
             break
-        Au = rat_matvec(Ar, u)
+        Au = rat_matvec(rows, u)
         a = rat_dot(u, Au) / nrm
         nxt = [w - a * ui for w, ui in zip(Au, u)]
         if prev is not None:

@@ -14,6 +14,7 @@ from krylovexact.fp import (
     _dot,
     _gram,
     bitwise_equal,
+    bitwise_symmetric,
     exact_op_catalog,
     first_bit_difference,
     freeze,
@@ -72,6 +73,44 @@ def test_bitwise_zero_signs():
     assert a[0] == b[0]
     assert not bitwise_equal(a, b)
     assert first_bit_difference(a, b) == (0,)
+
+
+def _with_payload(dtype, bits):
+    kind = np.uint64 if dtype == np.float64 else np.uint32
+    return np.array([bits], dtype=kind).view(dtype)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bitwise_symmetric_is_bitwise_equal_to_the_transpose(data):
+    """The in-place comparison gives the verdict of bitwise_equal against a
+    transposed copy, on symmetric inputs with one entry made asymmetric by a
+    zero sign or a NaN payload, and on non-square or non-contiguous ones."""
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+    n = data.draw(st.integers(1, 6))
+    nan_bits = (0x7FF8000000000001, 0x7FF8000000000002) if dtype == np.float64 else (0x7FC00001, 0x7FC00002)
+    values = [0.0, -0.0, 1.5, -2.0, np.inf, _with_payload(dtype, nan_bits[0])]
+    A = np.array(data.draw(st.lists(st.sampled_from(values), min_size=n * n, max_size=n * n)), dtype=dtype).reshape(n, n)
+    A[np.tril_indices(n, -1)] = A.T[np.tril_indices(n, -1)]  # mirror the upper triangle's bits
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    A[i, j] = data.draw(st.sampled_from([A[i, j], -0.0, 0.0, _with_payload(dtype, nan_bits[1])]))
+    for M in (A, np.asfortranarray(A), A[:, ::-1][:, ::-1]):
+        assert bitwise_symmetric(M) is bitwise_equal(M, np.ascontiguousarray(M.T))
+
+
+def test_bitwise_symmetric_tells_zero_signs_and_nan_payloads_apart():
+    A = np.array([[1.0, 0.0], [-0.0, 1.0]])
+    assert A[0, 1] == A[1, 0] and not bitwise_symmetric(A)
+    A[1, 0] = 0.0
+    assert bitwise_symmetric(A)
+    for dtype, bits in ((np.float64, (0x7FF8000000000001, 0x7FF8000000000002)), (np.float32, (0x7FC00001, 0x7FC00002))):
+        B = np.zeros((3, 3), dtype=dtype)
+        B[0, 2] = B[2, 0] = _with_payload(dtype, bits[0])
+        assert bitwise_symmetric(B)
+        B[2, 0] = _with_payload(dtype, bits[1])
+        assert not bitwise_symmetric(B)
+    with pytest.raises(ShapeError, match=r"^shape mismatch: \(2, 3\) vs \(3, 2\)$"):
+        bitwise_symmetric(np.zeros((2, 3)))
 
 
 def test_first_bit_difference_location():

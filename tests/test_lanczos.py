@@ -11,7 +11,7 @@ from krylovexact import fp
 from krylovexact.cg import CGTrace, cglanczos
 from krylovexact.fp import BINARY32, NonFiniteError, _matvec, bitwise_equal, norm2, seq_dot, validate_operands
 from krylovexact.lanczos import REORTH, VARIANTS, LanczosResult, lanczos, lanczos_residual
-from krylovexact.problems import random_structured_problem
+from krylovexact.problems import detect_structure, random_structured_problem
 
 
 def _sym(n, seed):
@@ -102,6 +102,19 @@ def test_input_validation():
         lanczos(A, np.ones(4), 2, variant="qr")
     with pytest.raises(ValueError):
         lanczos(A, np.ones(4), 2, reorth="partial")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_zero_sign_asymmetry_is_rejected(dtype):
+    """A[0, 2] = +0 and A[2, 0] = -0 compare equal but are not the same bits."""
+    A = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [-0.0, 1.0, 2.0]], dtype=dtype)
+    v = np.zeros(3, dtype=dtype)
+    v[0] = 1.0
+    for run in (lambda: lanczos(A, v, 2), lambda: detect_structure(A, v)):
+        with pytest.raises(ValueError, match="^matrix is not bitwise symmetric$"):
+            run()
+    A[2, 0] = 0.0
+    assert lanczos(A, v, 2).k == 2 and detect_structure(A, v) is not None
 
 
 def test_finiteness_scan_does_not_grow_with_k(monkeypatch):

@@ -13,10 +13,8 @@ from krylovexact.problems import (
     JacobiMatrix,
     SignedPermutation,
     assemble,
-    condition_number_jacobi,
     detect_structure,
     distribution_function,
-    eigenvalues_jacobi,
     extend_deficient,
     prescribe_cg_curves,
     random_convergence_curves,
@@ -24,8 +22,8 @@ from krylovexact.problems import (
     random_signed_permutation,
     random_structured_problem,
     strakos_spectrum,
-    sturm_count,
 )
+from krylovexact.rational import is_spd_rational, to_rational_matrix
 
 KINDS = ["jacobi", "hessenberg", "nonsymtridiag", "lowerbidiag", "blocktridiag"]
 
@@ -205,20 +203,9 @@ def test_detect_structure_checks_the_vector():
         detect_structure(prob.A, prob.v.astype(np.float32))
 
 
-def test_sturm_and_eigenvalues_2x2():
-    T = JacobiMatrix(np.array([2.0, 2.0]), np.array([1.0]))
-    ev = eigenvalues_jacobi(T)
-    assert ev == pytest.approx([1.0, 3.0], rel=1e-12)
-    assert sturm_count(T, 2.0) == 1
-    assert sturm_count(T, 0.0) == 0
-    assert sturm_count(T, 4.0) == 2
-    assert condition_number_jacobi(T) == pytest.approx(3.0, rel=1e-10)
-
-
 def test_spd_jacobi_is_positive_definite():
     T = random_jacobi(12, 4, spd=True)
-    ev = eigenvalues_jacobi(T)
-    assert ev[0] > 0
+    assert is_spd_rational(to_rational_matrix(T.to_dense()))
 
 
 def test_binary32_instances():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from krylovexact.rational import (
     MAX_ORACLE_DIM,
     is_spd_rational,
+    nonzero_rows,
     rat_dot,
     rat_matvec,
     rat_norm2_sq,
@@ -33,7 +34,7 @@ def test_rat_solve_known_2x2():
     b = [Fraction(3), Fraction(4)]
     x = rat_solve(A, b)
     assert x == [Fraction(1), Fraction(1)]
-    assert rat_matvec(A, x) == b
+    assert rat_matvec(nonzero_rows(A), x) == b
 
 
 def test_rat_solve_singular_raises():
@@ -54,7 +55,7 @@ def test_rational_cg_terminates_at_exact_solution():
     b = np.array([1.0, 0.0, 2.0])
     tr = rational_cg(A, b)
     xs_last = tr.x[-1]
-    assert rat_matvec(to_rational_matrix(A), xs_last) == to_rational_vector(b)
+    assert rat_matvec(nonzero_rows(A), xs_last) == to_rational_vector(b)
     assert tr.rnorm2[-1] == 0
     # energy error strictly decreasing until termination
     for a, c in zip(tr.energy2, tr.energy2[1:]):
@@ -164,3 +165,228 @@ def test_dimension_guard():
 
 def test_rat_norm2_sq():
     assert rat_norm2_sq([Fraction(3), Fraction(4)]) == 25
+
+
+# ---------------------------------------------------------------------------
+# The integer-accumulated kernels against the former Fraction folds
+
+
+def _fold_dot(x, y):
+    """Reference: the former term-by-term Fraction fold."""
+    return sum((a * b for a, b in zip(x, y) if a and b), Fraction(0))
+
+
+def _dense_matvec(A, x):
+    return [_fold_dot(row, x) for row in A]
+
+
+def _dense_solve(A, b):
+    """Reference: the former dense elimination over every column."""
+    n = len(A)
+    m = [row[:] + [bi] for row, bi in zip(A, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix in exact solve")
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+        fp = m[col][col]
+        for r in range(col + 1, n):
+            fr = m[r][col]
+            if fr == 0:
+                continue
+            ratio = fr / fp
+            for c in range(col, n + 1):
+                m[r][c] -= m[col][c] * ratio
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        s = m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))
+        x[r] = s / m[r][r]
+    return x
+
+
+def _dense_is_spd(A):
+    n = len(A)
+    m = [row[:] for row in A]
+    for i in range(n):
+        for j in range(i):
+            if m[i][j] != m[j][i]:
+                return False
+    for col in range(n):
+        if m[col][col] <= 0:
+            return False
+        fp = m[col][col]
+        for r in range(col + 1, n):
+            fr = m[r][col]
+            if fr == 0:
+                continue
+            ratio = fr / fp
+            for c in range(col, n):
+                m[r][c] -= m[col][c] * ratio
+    return True
+
+
+def _same_fractions(got, want):
+    """Equal values with the same numerator and denominator, entry by entry."""
+    got, want = list(got), list(want)
+    assert all(type(g) is Fraction for g in got)
+    assert [(g.numerator, g.denominator) for g in got] == [(w.numerator, w.denominator) for w in want]
+
+
+# Dyadic entries (exact binary64 values), non-dyadic ones over odd denominators
+# that share some factors and not others, and exact zeros; _ENTRIES also has
+# ints, and int zeros.
+_DYADIC = st.builds(
+    lambda m, e: Fraction(m) * Fraction(2) ** e, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-80, 30)
+)
+_NON_DYADIC = st.builds(Fraction, st.integers(-(10**9), 10**9), st.sampled_from([3, 5, 7, 9, 15, 21, 35, 77, 3**12, 1001]))
+_ZERO = st.sampled_from([0, Fraction(0)])
+_FRACTIONS = st.one_of(_DYADIC, _NON_DYADIC, _ZERO.map(Fraction))
+_ENTRIES = st.one_of(_DYADIC, _NON_DYADIC, _ZERO, st.integers(-(2**70), 2**70))
+
+STRUCTURES = ("dense", "tridiagonal", "hessenberg", "zero-rows")
+
+
+@st.composite
+def _matrices(draw, entries, n_max=7, structures=STRUCTURES):
+    """An n x n list matrix whose entries outside the structure are exact zeros."""
+    n = draw(st.integers(1, n_max))
+    structure = draw(st.sampled_from(structures))
+    inside = {
+        "dense": lambda i, j: True,
+        "tridiagonal": lambda i, j: abs(i - j) <= 1,
+        "hessenberg": lambda i, j: i <= j + 1,
+        "zero-rows": lambda i, j: i % 3 != 1,
+    }[structure]
+    return [[draw(entries) if inside(i, j) else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_ENTRIES, _ENTRIES), max_size=40))
+def test_rat_dot_matches_the_fraction_fold(pairs):
+    x, y = [a for a, _ in pairs], [b for _, b in pairs]
+    _same_fractions([rat_dot(x, y)], [_fold_dot(x, y)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rat_matvec_on_nonzero_rows_matches_the_dense_fold(data):
+    A = data.draw(_matrices(_ENTRIES, n_max=9))
+    x = data.draw(st.lists(_ENTRIES, min_size=len(A), max_size=len(A)))
+    _same_fractions(rat_matvec(nonzero_rows(A), x), _dense_matvec(A, x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_nonzero_rows_of_a_float_array_match_its_rational_matrix(data):
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+    n = data.draw(st.integers(1, 8))
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -3.5e-30, 7.25e12])
+    A = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n)), dtype=dtype)
+    x = data.draw(st.lists(_FRACTIONS, min_size=n, max_size=n))
+    rows = nonzero_rows(A)
+    assert all(a for row in rows for _, a in row)
+    _same_fractions(rat_matvec(rows, x), _dense_matvec(to_rational_matrix(A), x))
+
+
+def _as_fractions(A):
+    return [[Fraction(a) for a in row] for row in A]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rat_solve_matches_the_dense_elimination(data):
+    """Int entries solve to the Fractions of their values; the reference, whose
+    int / int pivots would give floats, gets them as Fractions."""
+    A = data.draw(_matrices(_ENTRIES))
+    n = len(A)
+    if data.draw(st.booleans()) and n > 1:  # a row that repeats a multiple of another: singular
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        c = data.draw(_ENTRIES)
+        A[i] = [c * a for a in A[j]]
+    b = data.draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+    try:
+        want = _dense_solve(_as_fractions(A), [Fraction(v) for v in b])
+    except ValueError as e:
+        with pytest.raises(ValueError, match=f"^{e}$"):
+            rat_solve(A, b)
+        return
+    _same_fractions(rat_solve(A, b), want)
+
+
+def test_int_lists_give_the_fractions_of_their_values():
+    A, b = [[2, 1, 0], [1, 3, 1], [0, 1, 4]], [1, 0, 2]
+    want = rational_cg(_as_fractions(A), [Fraction(v) for v in b])
+    got = rational_cg(A, b)
+    _same_fractions(got.x_exact, want.x_exact)
+    for k in range(len(want.x)):
+        _same_fractions(got.x[k], want.x[k])
+    _same_fractions(got.rnorm2 + got.energy2 + got.gammas, want.rnorm2 + want.energy2 + want.gammas)
+    _same_fractions(rat_solve([[3]], [1]), [Fraction(1, 3)])
+    assert is_spd_rational([[2, 1], [1, 1]]) and not is_spd_rational([[1, 2], [2, 3]])
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """L D L^T for a unit lower L of the drawn structure (tridiagonal or dense
+    products), then, at times, an entry that breaks the symmetry.  The result
+    is SPD exactly when every entry of D is positive and no entry was broken."""
+    L = draw(_matrices(_FRACTIONS, structures=("dense", "tridiagonal", "zero-rows")))
+    n = len(L)
+    for i in range(n):
+        L[i][i] = Fraction(1)
+        L[i][i + 1 :] = [Fraction(0)] * (n - i - 1)
+    positive = st.builds(Fraction, st.integers(1, 10**6), st.sampled_from([1, 2, 3, 2**40, 35]))
+    D = [draw(positive) for _ in range(n)]
+    if draw(st.booleans()):  # indefinite or singular
+        D[draw(st.integers(0, n - 1))] *= draw(st.sampled_from([0, -1]))
+    A = [[_fold_dot([L[i][k] * D[k] for k in range(n)], L[j]) for j in range(n)] for i in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = sorted(draw(st.permutations(range(n)))[:2])
+        A[j][i] += draw(_FRACTIONS.filter(bool))
+    if draw(st.booleans()):  # integral entries as ints
+        A = [[int(a) if a.denominator == 1 else a for a in row] for row in A]
+    return A, all(d > 0 for d in D) and all(A[i][j] == A[j][i] for i in range(n) for j in range(i))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symmetric_matrices())
+def test_is_spd_rational_matches_the_dense_elimination(case):
+    A, spd = case
+    assert is_spd_rational(A) is _dense_is_spd(_as_fractions(A)) is spd
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(_FRACTIONS, structures=("dense", "hessenberg")))
+def test_is_spd_rational_rejects_non_symmetric_input(A):
+    n = len(A)
+    if all(A[i][j] == A[j][i] for i in range(n) for j in range(i)):
+        A[n - 1][0] += 1
+        if n == 1:
+            return
+    assert not is_spd_rational(A) and not _dense_is_spd(A)
+
+
+def test_jacobi_oracle_is_linear_in_n(monkeypatch):
+    """On a Jacobi matrix the SPD test and the solve add no fill-in: they make
+    at most 3n Fraction products (the dense loops make O(n^2))."""
+    calls = [0]
+    mul = Fraction.__mul__
+
+    def counting_mul(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Fraction, "__mul__", counting_mul)
+    for n in (12, 24, 48):
+        T = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            T[i][i] = Fraction(4)
+            if i + 1 < n:
+                T[i][i + 1] = T[i + 1][i] = Fraction(1, 3)
+        b = [Fraction(1)] * n
+        calls[0] = 0
+        assert is_spd_rational(T)
+        x = rat_solve(T, b)
+        assert calls[0] <= 3 * n, (n, calls[0])
+        _same_fractions(x, _dense_solve(T, b))
