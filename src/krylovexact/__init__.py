@@ -37,14 +37,13 @@ from .problems import (
     StructuredProblem,
     assemble,
     detect_structure,
-    distribution_function,
     extend_deficient,
     prescribe_cg_curves,
     random_structured_problem,
     strakos_spectrum,
 )
-from .lanczos import LanczosResult, lanczos, lanczos_residual
-from .cg import CGTrace, cg_from_lanczos_solve, cg_hs, cglanczos, coeffs_cg_to_lanczos, ldl, ldl_solve
+from .lanczos import LanczosResult, lanczos
+from .cg import CGTrace, cg_hs, cglanczos, ldl
 from .krylov_general import (
     ArnoldiResult,
     BlockLanczosResult,

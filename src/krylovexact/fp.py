@@ -73,9 +73,6 @@ class Precision:
     def scalar(self, x):
         return self.dtype(x)
 
-    def zeros(self, *shape):
-        return np.zeros(shape, dtype=self.dtype)
-
     def in_guard(self, x) -> bool:
         return self.guard_lo <= abs(float(x)) <= self.guard_hi
 

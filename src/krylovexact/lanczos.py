@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import _dot, _matvec, bitwise_symmetric, frobenius_norm, norm2, validate_operands
+from .fp import _dot, _matvec, bitwise_symmetric, norm2, validate_operands
 from .problems import JacobiMatrix
 
 VARIANTS = ("mgs", "cgs")
@@ -112,26 +112,3 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
         beta1=beta1,
         breakdown=breakdown,
     )
-
-
-def lanczos_residual(A: np.ndarray, result: LanczosResult):
-    """||A V_k - V_k T_k - beta_{k+1} v_{k+1} e_k^T||_F in working precision."""
-    validate_operands(A, block=result.V)
-    k = result.k
-    if k == 0:
-        return A.dtype.type(0.0)
-    V = result.V[:, :k]
-    R = np.empty_like(V)
-    alphas = result.alpha
-    betas = result.beta
-    for j in range(k):
-        col = _matvec(A, V[:, j])
-        col = col - alphas[j] * V[:, j]
-        if j > 0:
-            col = col - betas[j - 1] * V[:, j - 1]
-        if j < k - 1:
-            col = col - betas[j] * V[:, j + 1]
-        elif result.breakdown is None and result.V.shape[1] > k:
-            col = col - betas[k - 1] * result.V[:, k]
-        R[:, j] = col
-    return frobenius_norm(R)

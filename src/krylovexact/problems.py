@@ -21,7 +21,6 @@ from .fp import (
     Precision,
     RangeError,
     ShapeError,
-    bitwise_equal,
     bitwise_symmetric,
     freeze,
     precision_of,
@@ -206,7 +205,7 @@ class BlockTridiagonal:
             raise ShapeError("need m diagonal blocks and m-1 subdiagonal blocks")
         p = self.M[0].shape[0]
         for Mi in self.M:
-            if Mi.shape != (p, p) or not bitwise_equal(Mi, np.ascontiguousarray(Mi.T)):
+            if Mi.shape != (p, p) or not bitwise_symmetric(Mi):
                 raise ValueError("diagonal blocks must be bitwise symmetric p x p")
         for Bi in self.B:
             if Bi.shape != (p, p):
@@ -264,11 +263,6 @@ class SignedPermutation:
         P = np.zeros((self.n, self.n), dtype=dtype)
         P[self.perm, np.arange(self.n)] = self.signs.astype(dtype)
         return P
-
-    def column(self, j: int, dtype=np.float64) -> np.ndarray:
-        e = np.zeros(self.n, dtype=dtype)
-        e[self.perm[j]] = dtype(1.0) if self.signs[j] > 0 else dtype(-1.0)
-        return e
 
 
 @dataclass(frozen=True)
@@ -492,27 +486,14 @@ def random_signed_permutation(n: int, seed: int) -> SignedPermutation:
     return SignedPermutation(perm, signs)
 
 
-def random_jacobi(
-    n: int,
-    seed: int,
-    diag_range=(-4.0, 4.0),
-    offdiag_range=(0.125, 8.0),
-    spd: bool = False,
-    precision: Precision = BINARY64,
-) -> JacobiMatrix:
+def random_jacobi(n: int, seed: int, spd: bool = False, precision: Precision = BINARY64) -> JacobiMatrix:
+    """alpha uniform on [-4, 4), beta uniform on [1/8, 8): inside both precisions' exponent-range guards."""
     if n < 1:
         raise ValueError("n must be positive")
-    lo, hi = offdiag_range
-    if not (0 < lo < hi):
-        raise ValueError("offdiag_range must be a positive interval")
-    if not (precision.in_guard(lo) and precision.in_guard(hi)):
-        raise RangeError("offdiag_range outside the exponent-range guard")
-    if diag_range[0] >= diag_range[1]:
-        raise ValueError("empty diag_range")
     g = make_rng(seed)
     dt = precision.dtype
-    alpha = _uniform(g, *diag_range, n, dt)
-    beta = _uniform(g, lo, hi, n - 1, dt)
+    alpha = _uniform(g, -4.0, 4.0, n, dt)
+    beta = _uniform(g, 0.125, 8.0, n - 1, dt)
     if spd:
         # Gershgorin shift: make every row strictly diagonally dominant with
         # a positive diagonal, which forces positive definiteness.
@@ -523,49 +504,47 @@ def random_jacobi(
     return JacobiMatrix(alpha, beta)
 
 
-def random_hessenberg(n: int, seed: int, scale=2.0, precision: Precision = BINARY64) -> HessenbergMatrix:
+def random_hessenberg(n: int, seed: int, precision: Precision = BINARY64) -> HessenbergMatrix:
     g = make_rng(seed)
     dt = precision.dtype
     H = np.zeros((n, n), dtype=dt)
     for j in range(n):
-        H[: j + 2, j] = _uniform(g, -scale, scale, min(j + 2, n), dt)
+        H[: j + 2, j] = _uniform(g, -2.0, 2.0, min(j + 2, n), dt)
         if j + 1 < n:
-            H[j + 1, j] = dt(float(g.uniform(0.125, scale)))
+            H[j + 1, j] = dt(float(g.uniform(0.125, 2.0)))
     return HessenbergMatrix(H)
 
 
-def random_nonsym_tridiagonal(
-    n: int, seed: int, scale=2.0, positive_beta: bool = False, precision: Precision = BINARY64
-) -> NonsymTridiagonal:
+def random_nonsym_tridiagonal(n: int, seed: int, positive_beta: bool = False, precision: Precision = BINARY64) -> NonsymTridiagonal:
     g = make_rng(seed)
     dt = precision.dtype
-    alpha = _uniform(g, -scale, scale, n, dt)
-    beta = _uniform(g, 0.125, scale, n - 1, dt)
+    alpha = _uniform(g, -2.0, 2.0, n, dt)
+    beta = _uniform(g, 0.125, 2.0, n - 1, dt)
     if not positive_beta:
         beta = (beta * (2 * g.integers(0, 2, n - 1) - 1).astype(dt)).astype(dt)
-    gamma = _uniform(g, 0.125, scale, n - 1, dt)
+    gamma = _uniform(g, 0.125, 2.0, n - 1, dt)
     return NonsymTridiagonal(alpha, beta, gamma)
 
 
-def random_lower_bidiagonal(n: int, seed: int, scale=2.0, precision: Precision = BINARY64) -> LowerBidiagonal:
+def random_lower_bidiagonal(n: int, seed: int, precision: Precision = BINARY64) -> LowerBidiagonal:
     g = make_rng(seed)
     dt = precision.dtype
-    return LowerBidiagonal(_uniform(g, 0.125, scale, n, dt), _uniform(g, 0.125, scale, n - 1, dt))
+    return LowerBidiagonal(_uniform(g, 0.125, 2.0, n, dt), _uniform(g, 0.125, 2.0, n - 1, dt))
 
 
-def random_block_tridiagonal(m: int, p: int, seed: int, scale=2.0, precision: Precision = BINARY64) -> BlockTridiagonal:
+def random_block_tridiagonal(m: int, p: int, seed: int, precision: Precision = BINARY64) -> BlockTridiagonal:
     g = make_rng(seed)
     dt = precision.dtype
     M = []
     for _ in range(m):
-        W = _uniform(g, -scale, scale, (p, p), dt)
+        W = _uniform(g, -2.0, 2.0, (p, p), dt)
         Mi = np.triu(W) + np.ascontiguousarray(np.triu(W, 1).T)
         M.append(Mi)
     B = []
     for _ in range(m - 1):
-        Bi = np.triu(_uniform(g, -scale, scale, (p, p), dt))
+        Bi = np.triu(_uniform(g, -2.0, 2.0, (p, p), dt))
         di = np.arange(p)
-        Bi[di, di] = _uniform(g, 0.125, scale, p, dt)
+        Bi[di, di] = _uniform(g, 0.125, 2.0, p, dt)
         B.append(Bi)
     return BlockTridiagonal(tuple(M), tuple(B))
 
@@ -609,7 +588,7 @@ def random_structured_problem(kind: str, n: int, seed: int, precision: Precision
 
 
 # ---------------------------------------------------------------------------
-# spectra and distribution functions
+# spectra
 
 
 def strakos_spectrum(n: int, lam1, lamn, rho, precision: Precision = BINARY64) -> np.ndarray:
@@ -632,53 +611,6 @@ def strakos_spectrum(n: int, lam1, lamn, rho, precision: Precision = BINARY64) -
     if np.any(np.diff(out) <= 0):
         raise ValueError("spectrum is not strictly increasing for these parameters")
     return out
-
-
-@dataclass(frozen=True)
-class DistributionFunction:
-    """Step function with jumps weights[i] at nodes[i]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
-        n = len(self.nodes)
-        p = precision_of(self.weights)
-        tot = float(np.sum(self.weights, dtype=np.float64))
-        if abs(tot - 1.0) > 4 * n * p.unit_roundoff:
-            raise ValueError(f"weights sum to {tot}, not 1 within 4nu")
-        _check_entries((("nodes", self.nodes), ("weights", self.weights)))
-
-    def __call__(self, lam: float) -> float:
-        # 0 below the first node, cumulative sum on [lambda_i, lambda_{i+1}), 1 at the top
-        if lam >= float(self.nodes[-1]):
-            return 1.0
-        total = 0.0
-        for node, w in zip(self.nodes.tolist(), self.weights.tolist()):
-            if lam < node:
-                return total
-            total += w
-        return total
-
-
-def distribution_function(nodes: np.ndarray, v1: np.ndarray) -> DistributionFunction:
-    """omega_i = fl(v1_i^2) for a diagonal matrix with distinct eigenvalues."""
-    if len(nodes) != len(v1):
-        raise ShapeError("node and vector lengths differ")
-    if np.any(np.diff(nodes) <= 0):
-        raise ValueError("eigenvalues must be strictly increasing and distinct")
-    from .fp import norm2
-
-    p = precision_of(v1)
-    nrm = float(norm2(v1))
-    if abs(nrm - 1.0) > 4 * len(v1) * p.unit_roundoff:
-        raise ValueError(f"starting vector norm {nrm} is not 1 within 4nu")
-    weights = v1 * v1
-    return DistributionFunction(np.asarray(nodes), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +650,6 @@ class PrescribedSystem:
     b: np.ndarray
     exact_alpha: list
     exact_beta: list
-    exact_gammas: list
-    exact_deltas: list
 
     def exact_matrix(self) -> list:
         n = len(self.exact_alpha)
@@ -766,7 +696,7 @@ def prescribe_cg_curves(curves: ConvergenceCurves, precision: Precision = BINARY
     T = JacobiMatrix(np.array([dt(float(a)) for a in alpha], dtype=dt), np.array([dt(float(b)) for b in beta], dtype=dt))
     b = np.zeros(n, dtype=dt)
     b[0] = dt(float(curves.residual_norms[0]))
-    return PrescribedSystem(T, freeze(b), alpha, beta, gammas, deltas)
+    return PrescribedSystem(T, freeze(b), alpha, beta)
 
 
 def random_convergence_curves(n: int, seed: int) -> ConvergenceCurves:

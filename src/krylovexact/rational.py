@@ -139,8 +139,8 @@ class RationalCGTrace:
     x_exact: list[Fraction] | None = None
 
 
-def rational_cg(A, b, kmax: int | None = None, x0=None) -> RationalCGTrace:
-    """Hestenes-Stiefel CG in exact rational arithmetic.
+def rational_cg(A, b) -> RationalCGTrace:
+    """Hestenes-Stiefel CG in exact rational arithmetic, from x0 = 0 for up to n steps.
 
     Accepts float arrays or rational lists; floats are converted exactly.
     Also returns the exact squared energy errors via an exact solve of Ax=b.
@@ -152,9 +152,7 @@ def rational_cg(A, b, kmax: int | None = None, x0=None) -> RationalCGTrace:
         raise ValueError(f"rational oracle limited to n <= {MAX_ORACLE_DIM}, got {n}")
     if not is_spd_rational(Ar):
         raise ValueError("matrix is not symmetric positive definite over the rationals")
-    if kmax is None:
-        kmax = n
-    x = [Fraction(0)] * n if x0 is None else (x0 if isinstance(x0, list) else to_rational_vector(x0))
+    x = [Fraction(0)] * n
     rows = nonzero_rows(Ar)
     xs = rat_solve(Ar, br)
     r = [bi - ai for bi, ai in zip(br, rat_matvec(rows, x))]
@@ -171,7 +169,7 @@ def rational_cg(A, b, kmax: int | None = None, x0=None) -> RationalCGTrace:
     record(x, r)
     tr.p.append(p[:])
     rr = tr.rnorm2[0]
-    for _ in range(kmax):
+    for _ in range(n):
         if rr == 0:
             break
         Ap = rat_matvec(rows, p)
@@ -190,8 +188,8 @@ def rational_cg(A, b, kmax: int | None = None, x0=None) -> RationalCGTrace:
     return tr
 
 
-def rational_lanczos_directions(A, v, kmax: int | None = None) -> list[list[Fraction]]:
-    """Unnormalized exact Lanczos directions u_1, u_2, ...
+def rational_lanczos_directions(A, v) -> list[list[Fraction]]:
+    """Unnormalized exact Lanczos directions u_1, u_2, ..., at most n of them.
 
     u_j is a positive rational multiple of the j-th Lanczos vector, computed
     without square roots via the Stieltjes recurrence
@@ -199,13 +197,10 @@ def rational_lanczos_directions(A, v, kmax: int | None = None) -> list[list[Frac
     """
     rows = nonzero_rows(A)
     u = v if isinstance(v, list) else to_rational_vector(v)
-    n = len(u)
-    if kmax is None:
-        kmax = n
     out = [u[:]]
     prev = None
     nrm_prev = None
-    for _ in range(kmax - 1):
+    for _ in range(len(u) - 1):
         nrm = rat_dot(u, u)
         if nrm == 0:
             break

@@ -2,17 +2,10 @@
 import numpy as np
 import pytest
 
-from krylovexact.cg import (
-    cg_from_lanczos_solve,
-    cg_hs,
-    cglanczos,
-    coeffs_cg_to_lanczos,
-    ldl,
-    ldl_solve,
-)
-from krylovexact.fp import bitwise_equal
+from krylovexact.cg import cg_hs, cglanczos, ldl
+from krylovexact.fp import ShapeError, bitwise_equal
 from krylovexact.lanczos import lanczos
-from krylovexact.problems import JacobiMatrix, random_jacobi, random_structured_problem
+from krylovexact.problems import random_jacobi, random_structured_problem
 from krylovexact.rational import float_of, rational_cg
 
 
@@ -57,7 +50,7 @@ def test_cg_hs_coefficients_match_rational_oracle():
 
 def test_ldl_roundtrip_and_pivot_error():
     T = random_jacobi(7, 1, spd=True)
-    f = ldl(T)
+    f = ldl(T.alpha, T.beta)
     # reconstruct L D L^T and compare to T
     n = T.n
     L = np.eye(n)
@@ -65,38 +58,25 @@ def test_ldl_roundtrip_and_pivot_error():
         L[j + 1, j] = f.ell[j]
     R = L @ np.diag(f.d) @ L.T
     assert np.allclose(R, T.to_dense(), rtol=1e-14, atol=1e-14)
-    bad = JacobiMatrix(np.array([1.0, 0.25]), np.array([1.0]))
-    with pytest.raises(ValueError, match="pivot d_2"):
-        ldl(bad)
+    with pytest.raises(ValueError, match="^nonpositive pivot d_2: matrix is not positive definite$"):
+        ldl(np.array([1.0, 0.25]), np.array([1.0]))
+    # a Lanczos run's trailing beta_{k+1} gives ell_k as well
+    res = lanczos(_spd(6, 3), np.ones(6), 4)
+    g = ldl(res.alpha, res.beta)
+    assert len(g.d) == len(g.ell) == 4
+    assert bitwise_equal(g.ell[-1:], res.beta[-1:] / g.d[-1:])
+    assert bitwise_equal(ldl(res.alpha, res.beta[:3]).d, g.d)
+    for beta in (res.beta[:2], np.ones(5)):
+        with pytest.raises(ShapeError):
+            ldl(res.alpha, beta)
 
 
-def test_ldl_solve_matches_dense_solve():
-    T = random_jacobi(9, 4, spd=True)
-    rhs = np.arange(1.0, 10.0)
-    y = ldl_solve(ldl(T), rhs)
-    assert np.allclose(T.to_dense() @ y, rhs, rtol=1e-12, atol=1e-12)
-
-
-def test_coeffs_cg_to_lanczos_matches_direct_lanczos():
-    A = _spd(8, 6)
-    b = np.ones(8)
-    tr = cg_hs(A, b)
-    k = len(tr.gammas)
-    alphas, betas = coeffs_cg_to_lanczos(tr.gammas, tr.deltas)
-    ref = lanczos(A, b, k)
-    for j in range(min(k, ref.k) - 1):
-        assert float(alphas[j]) == pytest.approx(float(ref.alpha[j]), rel=1e-8)
-        if j < k - 1:
-            assert float(betas[j]) == pytest.approx(float(ref.beta[j]), rel=1e-8)
-
-
-def test_cg_from_lanczos_solve_agrees_with_cg_hs():
-    A = _spd(10, 8)
-    b = np.ones(10)
-    for k in (2, 5, 10):
-        x, y, _ = cg_from_lanczos_solve(A, b, k)
-        ref = cg_hs(A, b, kmax=k)
-        assert np.allclose(x, ref.x[-1], rtol=1e-8, atol=1e-10)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("solver", [cg_hs, cglanczos])
+def test_cg_entries_reject_a_non_symmetric_matrix(solver, dtype):
+    A = np.array([[4.0, 1.0, 0.0], [0.0, 4.0, 1.0], [1.0, 0.0, 4.0]], dtype=dtype)  # diagonally dominant
+    with pytest.raises(ValueError, match="^matrix is not bitwise symmetric$"):
+        solver(A, np.ones(3, dtype=dtype))
 
 
 def test_cglanczos_residual_collinear_with_lanczos_vector():

@@ -159,6 +159,15 @@ def test_serious_breakdown_exits_2(tmp_path, capsys):
     assert "serious breakdown" in err
 
 
+@pytest.mark.parametrize("algorithm", ["cglanczos", "cg-hs"])
+def test_cg_on_a_non_symmetric_matrix_exits_2(tmp_path, capsys, algorithm):
+    mat = tmp_path / "A.txt"
+    with mat.open("w") as f:
+        write_matrix(f, np.array([[4.0, 1.0, 0.0], [0.0, 4.0, 1.0], [1.0, 0.0, 4.0]]))  # diagonally dominant
+    err = _error_exit(capsys, "run", algorithm, "--problem", str(mat), "--e1")
+    assert "not bitwise symmetric" in err
+
+
 def test_negative_k_exits_2(tmp_path, capsys):
     prob = tmp_path / "prob.txt"
     run_cli(capsys, "gen", "structured", "--kind", "jacobi", "--n", "5", "--out", str(prob))

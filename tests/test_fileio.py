@@ -14,7 +14,7 @@ from krylovexact.fileio import (
     write_reports_csv,
     write_vector_csv,
 )
-from krylovexact.fp import BINARY32, bitwise_equal
+from krylovexact.fp import BINARY32, BINARY64, bitwise_equal
 from krylovexact.harness import MetricSeries, exactness_check
 from krylovexact.problems import (
     random_hessenberg,
@@ -74,17 +74,24 @@ def test_dense_and_vector_roundtrip():
 
 @pytest.mark.parametrize("kind", ["jacobi", "hessenberg", "nonsymtridiag", "lowerbidiag", "blocktridiag"])
 def test_problem_roundtrip_bitwise(kind):
+    """write -> read gives the same arrays and scalars, bit for bit, in both
+    precisions, and writing what was read gives the same bytes."""
     p = 2 if kind == "blocktridiag" else 1
-    prob = random_structured_problem(kind, 6, 4, p=p)
-    buf = io.StringIO()
-    write_problem(buf, prob)
-    buf.seek(0)
-    prob2 = read_problem(buf)
-    assert bitwise_equal(prob2.A, prob.A)
-    assert bitwise_equal(prob2.v, prob.v)
-    if prob.w is not None:
-        assert bitwise_equal(prob2.w, prob.w)
-    assert prob2.beta1 == prob.beta1
+    for precision in (BINARY64, BINARY32):
+        prob = random_structured_problem(kind, 6, 4, precision, p=p)
+        buf = io.StringIO()
+        write_problem(buf, prob)
+        buf.seek(0)
+        prob2 = read_problem(buf)
+        for name in ("A", "v", "w", "U1", "beta1", "gamma1"):
+            got, want = getattr(prob2, name), getattr(prob, name)
+            assert (got is None) == (want is None), name
+            if want is not None:
+                assert bitwise_equal(np.asarray(got), np.asarray(want)), name
+        assert (prob2.kind, prob2.d) == (prob.kind, prob.d)
+        again = io.StringIO()
+        write_problem(again, prob2)
+        assert again.getvalue() == buf.getvalue()
 
 
 def test_binary32_roundtrip():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from krylovexact import fp
 from krylovexact.cg import CGTrace, cglanczos
-from krylovexact.fp import BINARY32, NonFiniteError, _matvec, bitwise_equal, norm2, seq_dot, validate_operands
-from krylovexact.lanczos import REORTH, VARIANTS, LanczosResult, lanczos, lanczos_residual
+from krylovexact.fp import BINARY32, NonFiniteError, _matvec, bitwise_equal, frobenius_norm, norm2, seq_dot, validate_operands
+from krylovexact.lanczos import REORTH, VARIANTS, LanczosResult, lanczos
 from krylovexact.problems import detect_structure, random_structured_problem
 
 
@@ -18,6 +18,29 @@ def _sym(n, seed):
     g = np.random.Generator(np.random.Philox(key=seed))
     W = g.uniform(-2, 2, (n, n))
     return np.triu(W) + np.triu(W, 1).T
+
+
+def _lanczos_residual(A, result):
+    """||A V_k - V_k T_k - beta_{k+1} v_{k+1} e_k^T||_F in working precision."""
+    validate_operands(A, block=result.V)
+    k = result.k
+    if k == 0:
+        return A.dtype.type(0.0)
+    V = result.V[:, :k]
+    R = np.empty_like(V)
+    alphas = result.alpha
+    betas = result.beta
+    for j in range(k):
+        col = _matvec(A, V[:, j])
+        col = col - alphas[j] * V[:, j]
+        if j > 0:
+            col = col - betas[j - 1] * V[:, j - 1]
+        if j < k - 1:
+            col = col - betas[j] * V[:, j + 1]
+        elif result.breakdown is None and result.V.shape[1] > k:
+            col = col - betas[k - 1] * result.V[:, k]
+        R[:, j] = col
+    return frobenius_norm(R)
 
 
 @given(st.integers(2, 16), st.integers(0, 40), st.sampled_from(["mgs", "cgs"]))
@@ -43,7 +66,7 @@ def test_leading_blocks_are_exact_for_every_k():
 def test_residual_is_exact_zero_on_structured_input():
     prob = random_structured_problem("jacobi", 12, 3)
     res = lanczos(prob.A, prob.v, 12)
-    r = lanczos_residual(prob.A, res)
+    r = _lanczos_residual(prob.A, res)
     assert r == 0.0 and not np.signbit(np.float64(r))
 
 
@@ -79,7 +102,7 @@ def test_general_run_satisfies_three_term_recurrence():
     A = _sym(20, 5)
     v = np.ones(20)
     res = lanczos(A, v, 12)
-    assert float(lanczos_residual(A, res)) <= 100 * 20 * 2**-53 * np.linalg.norm(A)
+    assert float(_lanczos_residual(A, res)) <= 100 * 20 * 2**-53 * np.linalg.norm(A)
 
 
 def test_tridiagonal_accessor():
@@ -328,9 +351,11 @@ def test_lanczos_rows_match_the_column_loop(case, variant, reorth, data):
     _assert_same(_outcome(lanczos, A, v, k, variant, reorth), _outcome(_lanczos_columns, A, v, k, variant, reorth))
 
 
-@settings(max_examples=60, deadline=None)
-@given(symmetric_case(spd=True), st.data())
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(symmetric_case(spd=True), symmetric_case(spd=False)), st.data())
 def test_cglanczos_rows_match_the_column_loop(case, data):
+    """On indefinite input the pivot error now comes after the whole Lanczos
+    run, not inside it: the same type and message."""
     A, b = case
     k = data.draw(st.integers(0, len(A)))
     _assert_same(_outcome(cglanczos, A, b, k), _outcome(_cglanczos_columns, A, b, k))

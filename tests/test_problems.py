@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from krylovexact.fp import BINARY32, NonFiniteError, ShapeError, bitwise_equal
 from krylovexact.problems import (
     ConvergenceCurves,
-    DistributionFunction,
     HessenbergMatrix,
     JacobiMatrix,
     SignedPermutation,
     assemble,
     detect_structure,
-    distribution_function,
     extend_deficient,
     prescribe_cg_curves,
     random_convergence_curves,
@@ -143,23 +141,6 @@ def test_strakos_spectrum_rejects_bad_parameters():
         strakos_spectrum(5, 1.0, 0.1, 0.5)
 
 
-def test_distribution_function_steps():
-    nodes = np.array([1.0, 2.0, 3.0])
-    v1 = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    om = distribution_function(nodes, v1)
-    assert om(0.5) == 0.0
-    assert om(3.0) == 1.0
-    assert om(10.0) == 1.0
-    assert 0.3 < om(1.5) < 0.35
-    s = sum(float(w) for w in om.weights)
-    assert abs(s - 1.0) <= 4 * 3 * 2**-53
-
-
-def test_distribution_function_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        distribution_function(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-
-
 def test_prescribe_cg_curves_single_step():
     curves = ConvergenceCurves(np.array([2.0]), np.array([0.5]))
     sys_ = prescribe_cg_curves(curves)
@@ -188,11 +169,6 @@ def test_curves_validation():
 def test_curves_reject_nan():
     with pytest.raises(NonFiniteError):
         ConvergenceCurves(np.array([1.0, np.nan]), np.array([2.0, 1.0]))
-
-
-def test_distribution_function_rejects_nan_weights():
-    with pytest.raises(NonFiniteError):
-        DistributionFunction(np.array([0.0, 1.0]), np.array([np.nan, 0.5]))
 
 
 def test_detect_structure_checks_the_vector():
