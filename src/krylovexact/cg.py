@@ -120,12 +120,8 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     r_k = (-1)^k rho_k v_{k+1}, p_k = r_k + ell_k^2 p_{k-1}.
     """
     n = len(A)
-    kmax = n if kmax is None else kmax
-    validate_operands(A, b, k=kmax, limit=n)
-    rho = norm2(b)
-    if rho == 0:
-        raise ValueError("right-hand side is zero")
-    res = lanczos(A, b, kmax)
+    res = lanczos(A, b, n if kmax is None else kmax)  # validates A and b, and rejects b = 0
+    rho = res.beta1
     f = ldl(res.alpha, res.beta)
     dt = A.dtype.type
 

@@ -28,19 +28,16 @@ from .harness import (
 )
 from .krylov_general import SeriousBreakdownError
 from .problems import (
+    STRUCTURES,
     assemble,
     detect_structure,
     prescribe_cg_curves,
-    random_block_tridiagonal,
     random_convergence_curves,
-    random_hessenberg,
-    random_jacobi,
-    random_lower_bidiagonal,
-    random_nonsym_tridiagonal,
+    random_structure,
     random_structured_problem,
     strakos_spectrum,
 )
-from .rational import float_of, rational_cg
+from .rational import rational_cg
 
 # the algorithms `run` accepts, and the structured ones the exactness sweeps run
 _RUN_CHOICES = [name for name, a in ALGORITHMS.items() if a.columns]
@@ -56,12 +53,12 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate matrices, vectors, and structured problems")
-    gen.add_argument("what", choices=["jacobi", "hessenberg", "nonsymtridiag", "lowerbidiag", "blocktridiag", "strakos", "structured"])
+    gen.add_argument("what", choices=[*STRUCTURES, "strakos", "structured"])
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--p", type=int, default=1, help="block size (blocktridiag, structured blocktridiag)")
     gen.add_argument("--spd", action="store_true", help="shift the diagonal to force positive definiteness (jacobi)")
-    gen.add_argument("--kind", choices=["jacobi", "hessenberg", "nonsymtridiag", "lowerbidiag", "blocktridiag"], default="jacobi", help="structure kind for `gen structured`")
+    gen.add_argument("--kind", choices=list(STRUCTURES), default="jacobi", help="structure kind for `gen structured`")
     gen.add_argument("--lam1", type=float, default=1e-3)
     gen.add_argument("--lamn", type=float, default=1.0)
     gen.add_argument("--rho", type=float, default=0.7)
@@ -153,39 +150,21 @@ def _starting_vector(args, A, v):
 
 
 def _write_series_csv(path, pairs):
-    """pairs: iterable of (name, 1d array)."""
-    import csv as _csv
-
     with open(path, "w", newline="") as f:
-        w = _csv.writer(f)
-        w.writerow(["name", "index", "value", "value_hex"])
-        for name, arr in pairs:
-            for i, val in enumerate(np.asarray(arr).ravel()):
-                w.writerow([name, i, repr(float(val)), float(val).hex()])
+        fileio.write_vector_csv(f, pairs)
 
 
 def _cmd_gen(args) -> int:
     precision = precision_named(args.precision)
-    n, seed = args.n, args.seed
     if args.what == "structured":
-        prob = random_structured_problem(args.kind, n, seed, precision, p=args.p, spd=args.spd)
+        prob = random_structured_problem(args.kind, args.n, args.seed, precision, p=args.p, spd=args.spd)
         with open(args.out, "w") as f:
             fileio.write_problem(f, prob)
         return 0
-    if args.what == "jacobi":
-        T = random_jacobi(n, seed, spd=args.spd, precision=precision)
-    elif args.what == "hessenberg":
-        T = random_hessenberg(n, seed, precision=precision)
-    elif args.what == "nonsymtridiag":
-        T = random_nonsym_tridiagonal(n, seed, precision=precision)
-    elif args.what == "lowerbidiag":
-        T = random_lower_bidiagonal(n, seed, precision=precision)
-    elif args.what == "blocktridiag":
-        if n % args.p:
-            raise ValueError("--n must be a multiple of --p")
-        T = random_block_tridiagonal(n // args.p, args.p, seed, precision=precision)
-    elif args.what == "strakos":
-        T = strakos_spectrum(n, args.lam1, args.lamn, args.rho, precision)
+    if args.what == "strakos":
+        T = strakos_spectrum(args.n, args.lam1, args.lamn, args.rho, precision)
+    else:
+        T = random_structure(args.what, args.n, args.seed, precision, p=args.p, spd=args.spd)
     with open(args.out, "w") as f:
         fileio.write_matrix(f, T)
     return 0
@@ -287,7 +266,7 @@ def _cmd_experiment(args) -> int:
         trace = rational_cg(system.exact_matrix(), system.exact_rhs())
         prescribed = [Fraction(float(x)) ** 2 for x in curves.residual_norms]
         ok = all(trace.rnorm2[j] == prescribed[j] for j in range(args.n))
-        _write_series_csv(args.out, [("residual_norm_sq", np.array([float_of(q) for q in trace.rnorm2]))])
+        _write_series_csv(args.out, [("residual_norm_sq", [float(q) for q in trace.rnorm2])])
         print(f"prescribed-curves: roundtrip {'exact' if ok else 'MISMATCH'} over {args.n} steps")
         return 0 if ok else 1
     if args.what == "exactness-sweep":

@@ -13,7 +13,8 @@ round-trip losslessly.  Entry order is diagonals first, then off-diagonals:
     dense <rows> <cols>  row-major
     vector <n>           n entries
 
-Problem files append `signedperm <n>` (or `signedblockperm <m> <p>`) with
+Every size is at least 1.  Problem files start with one of the five structure
+records and append `signedperm <n>` (or `signedblockperm <m> <p>`) with
 index/sign pairs per column, a `beta1` record, and `gamma1` for nonsymmetric
 problems.  An optional leading `precision <name>` record selects binary32;
 binary64 is the default.  CSV output prints each value twice, as the shortest
@@ -51,23 +52,23 @@ def _hex(x) -> str:
 def _fromhex(tok: str) -> float:
     try:
         return float.fromhex(tok)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: beyond the binary64 range
         raise FormatError(f"bad float literal {tok!r}") from e
 
 
 def _matrix_payload(T) -> tuple[str, np.ndarray]:
     """Header and stored entries, in file order and in T's own dtype."""
     if isinstance(T, JacobiMatrix):
-        return f"jacobi {T.n}", np.concatenate([T.alpha, T.beta])
+        return f"{T.kind} {T.n}", np.concatenate([T.alpha, T.beta])
     if isinstance(T, HessenbergMatrix):
         H = T.entries
-        return f"hessenberg {T.n}", np.concatenate([np.diagonal(H), np.diagonal(H, -1), H[np.triu_indices(T.n, 1)]])
+        return f"{T.kind} {T.n}", np.concatenate([np.diagonal(H), np.diagonal(H, -1), H[np.triu_indices(T.n, 1)]])
     if isinstance(T, NonsymTridiagonal):
-        return f"nonsymtridiag {T.n}", np.concatenate([T.alpha, T.beta, T.gamma])
+        return f"{T.kind} {T.n}", np.concatenate([T.alpha, T.beta, T.gamma])
     if isinstance(T, LowerBidiagonal):
-        return f"lowerbidiag {T.n}", np.concatenate([T.gamma, T.delta])
+        return f"{T.kind} {T.n}", np.concatenate([T.gamma, T.delta])
     if isinstance(T, BlockTridiagonal):
-        return f"blocktridiag {T.m} {T.p}", np.concatenate([M.ravel() for M in T.M] + [B.ravel() for B in T.B])
+        return f"{T.kind} {T.m} {T.p}", np.concatenate([M.ravel() for M in T.M] + [B.ravel() for B in T.B])
     if isinstance(T, np.ndarray):
         if T.ndim == 1:
             return f"vector {len(T)}", T
@@ -126,6 +127,13 @@ class _Tokens:
                 raise FormatError(f"expected an integer, got {tok!r}") from None
         return out
 
+    def sizes(self, k: int) -> list[int]:
+        """k record sizes, each at least 1."""
+        out = self.ints(k)
+        if min(out) < 1:
+            raise FormatError(f"record size {min(out)} is not positive")
+        return out
+
     def floats(self, k: int, dt) -> np.ndarray:
         toks = [self.next() for _ in range(k)]
         with np.errstate(over="ignore"):  # a binary32 overflow is reported below
@@ -140,31 +148,32 @@ def _read_structure(tk: _Tokens, precision: Precision):
     dt = precision.dtype
     kind = tk.next()
     if kind == "jacobi":
-        (n,) = tk.ints(1)
+        (n,) = tk.sizes(1)
         return JacobiMatrix(tk.floats(n, dt), tk.floats(n - 1, dt))
     if kind == "hessenberg":
-        (n,) = tk.ints(1)
-        H = np.zeros((n, n), dtype=dt)
-        H[np.diag_indices(n)] = tk.floats(n, dt)
-        H[np.arange(1, n), np.arange(n - 1)] = tk.floats(n - 1, dt)
-        H[np.triu_indices(n, 1)] = tk.floats(n * (n - 1) // 2, dt)
+        (n,) = tk.sizes(1)
+        diag, sub, upper = tk.floats(n, dt), tk.floats(n - 1, dt), tk.floats(n * (n - 1) // 2, dt)
+        H = np.zeros((n, n), dtype=dt)  # allocated once the entries are read, whatever size the header claims
+        H[np.diag_indices(n)] = diag
+        H[np.arange(1, n), np.arange(n - 1)] = sub
+        H[np.triu_indices(n, 1)] = upper
         return HessenbergMatrix(H)
     if kind == "nonsymtridiag":
-        (n,) = tk.ints(1)
+        (n,) = tk.sizes(1)
         return NonsymTridiagonal(tk.floats(n, dt), tk.floats(n - 1, dt), tk.floats(n - 1, dt))
     if kind == "lowerbidiag":
-        (n,) = tk.ints(1)
+        (n,) = tk.sizes(1)
         return LowerBidiagonal(tk.floats(n, dt), tk.floats(n - 1, dt))
     if kind == "blocktridiag":
-        m, p = tk.ints(2)
+        m, p = tk.sizes(2)
         M = tuple(tk.floats(p * p, dt).reshape(p, p) for _ in range(m))
         B = tuple(tk.floats(p * p, dt).reshape(p, p) for _ in range(m - 1))
         return BlockTridiagonal(M, B)
     if kind == "dense":
-        r, c = tk.ints(2)
+        r, c = tk.sizes(2)
         return tk.floats(r * c, dt).reshape(r, c)
     if kind == "vector":
-        (n,) = tk.ints(1)
+        (n,) = tk.sizes(1)
         return tk.floats(n, dt)
     raise FormatError(f"unknown structure kind {kind!r}")
 
@@ -187,11 +196,11 @@ def read_matrix(f):
 def _read_signedperm(tk: _Tokens):
     kind = tk.next()
     if kind == "signedperm":
-        (n,) = tk.ints(1)
+        (n,) = tk.sizes(1)
         pairs = tk.ints(2 * n)
         return SignedPermutation(np.array(pairs[0::2]), np.array(pairs[1::2]))
     if kind == "signedblockperm":
-        m, p = tk.ints(2)
+        m, p = tk.sizes(2)
         block_perm = np.array(tk.ints(m))
         blocks = []
         for _ in range(m):
@@ -221,6 +230,8 @@ def write_problem(out, prob: StructuredProblem):
 def read_problem(f) -> StructuredProblem:
     tk = _Tokens(f)
     precision = _read_precision(tk)
+    if tk.peek() in ("dense", "vector"):
+        raise FormatError(f"a problem needs a structure record, not {tk.peek()}")
     T = _read_structure(tk, precision)
     P = _read_signedperm(tk)
     if tk.next() != "beta1":
@@ -267,8 +278,9 @@ def write_matrix_summary_csv(out, T):
         w.writerow([parts[0], dims, i, _decimal(v), _hex(v)])
 
 
-def write_vector_csv(out, name: str, x: np.ndarray):
+def write_vector_csv(out, pairs):
+    """One row per entry of each (name, array) pair, the array raveled row-major."""
     w = csv.writer(out)
     w.writerow(["name", "index", "value", "value_hex"])
-    for i, v in enumerate(x):
-        w.writerow([name, i, _decimal(v), _hex(v)])
+    for name, x in pairs:
+        w.writerows([name, i, repr(v), v.hex()] for i, v in enumerate(np.asarray(x, dtype=np.float64).ravel().tolist()))

@@ -70,9 +70,6 @@ class Precision:
     guard_lo: float
     guard_hi: float
 
-    def scalar(self, x):
-        return self.dtype(x)
-
     def in_guard(self, x) -> bool:
         return self.guard_lo <= abs(float(x)) <= self.guard_hi
 
@@ -205,7 +202,7 @@ def seq_dot(x: np.ndarray, y: np.ndarray):
 def seq_dot_reference(x: np.ndarray, y: np.ndarray):
     """Literal term-by-term fold of fl(sum fl(x_i*y_i)); oracle for seq_dot."""
     p = precision_of(x)
-    acc = p.scalar(0.0)
+    acc = p.dtype(0.0)
     for i in range(len(x)):
         acc = acc + x[i] * y[i]
     return acc
@@ -318,7 +315,7 @@ def sqrt_square_roundtrip(alpha, precision: Precision | None = None) -> bool:
     """Whether fl(sqrt(fl(alpha^2))) is bit-identical to |alpha|."""
     if precision is None:
         precision = precision_of(alpha)
-    a = precision.scalar(alpha)
+    a = precision.dtype(alpha)
     require_finite(a, "alpha")
     with np.errstate(over="ignore"):
         sq = a * a
@@ -343,13 +340,13 @@ def exact_op_catalog(alpha, precision: Precision | None = None) -> dict:
     """
     if precision is None:
         precision = precision_of(alpha)
-    a = precision.scalar(alpha)
+    a = precision.dtype(alpha)
     require_finite(a, "alpha")
-    one = precision.scalar(1.0)
-    zero = precision.scalar(0.0)
+    one = precision.dtype(1.0)
+    zero = precision.dtype(0.0)
     out = {
         "one_times": bitwise_equal(one * a, a),
-        "negate": bitwise_equal(-a, precision.scalar(-float(a))),
+        "negate": bitwise_equal(-a, precision.dtype(-float(a))),
         "zero_times": (zero * a) == 0,
         "self_minus": bitwise_equal(a - a, zero),
         "self_div": (a / a) == one if a != 0 else True,

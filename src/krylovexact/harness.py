@@ -33,7 +33,7 @@ from .problems import (
     random_structured_problem,
     strakos_spectrum,
 )
-from .rational import float_of, rat_norm2_sq, rational_cg, to_rational_vector
+from .rational import rat_dot, rational_cg, to_rational_vector
 
 
 @dataclass
@@ -390,8 +390,8 @@ def experiment_fig3() -> MetricSeries:
         if k < len(oracle.x):
             xk = oracle.x[k]
             dx = [xe - xb for xe, xb in zip(xk, to_rational_vector(tr.x[k]))]
-            num = float_of(rat_norm2_sq(dx)) ** 0.5
-            den = float_of(rat_norm2_sq(xk)) ** 0.5
+            num = float(rat_dot(dx, dx)) ** 0.5
+            den = float(rat_dot(xk, xk)) ** 0.5
             series.add(k, "rel_error", num / den if den else 0.0)
         series.add(k, "residual_norm", tr.residual_norms[k])
     return series

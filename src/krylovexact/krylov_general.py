@@ -13,7 +13,7 @@ import numpy as np
 
 from .fp import ShapeError, _dot, _gram, _matmat, _matvec, norm2, seq_dot, validate_operands
 from .problems import LowerBidiagonal, NonsymTridiagonal
-from .rational import nonzero_rows, rat_matvec, rat_norm2_sq, rational_lstsq, to_rational_vector
+from .rational import nonzero_rows, rat_dot, rat_matvec, rational_lstsq, to_rational_vector
 
 
 @dataclass(frozen=True)
@@ -352,8 +352,8 @@ def gmres_structured(A: np.ndarray, v: np.ndarray, k: int) -> GmresResult:
 
     yexact = rational_lstsq(H, rhs)
     dy = [ye - yb for ye, yb in zip(yexact, to_rational_vector(ybar))]
-    y_err = float(np.sqrt(float(rat_norm2_sq(dy))))
+    y_err = float(np.sqrt(float(rat_dot(dy, dy))))
     xexact = rat_matvec(nonzero_rows(V), yexact)
     dx = [xe - xb for xe, xb in zip(xexact, to_rational_vector(xbar))]
-    x_err = float(np.sqrt(float(rat_norm2_sq(dx))))
+    x_err = float(np.sqrt(float(rat_dot(dx, dx))))
     return GmresResult(xbar, ybar, x_err, y_err, res.breakdown)

@@ -68,6 +68,7 @@ def _check_entries(finite, positive=(), positive_msg="", guarded=(), range_msg="
 class JacobiMatrix:
     """Symmetric tridiagonal with strictly positive off-diagonals."""
 
+    kind = "jacobi"
     alpha: np.ndarray  # diagonal, length n
     beta: np.ndarray  # off-diagonal, length n-1
 
@@ -104,6 +105,7 @@ class JacobiMatrix:
 class HessenbergMatrix:
     """Upper Hessenberg with positive subdiagonal, stored dense."""
 
+    kind = "hessenberg"
     entries: np.ndarray
 
     def __post_init__(self):
@@ -133,6 +135,7 @@ class HessenbergMatrix:
 class NonsymTridiagonal:
     """Tridiagonal with nonzero superdiagonal and positive subdiagonal."""
 
+    kind = "nonsymtridiag"
     alpha: np.ndarray  # diagonal
     beta: np.ndarray  # superdiagonal (row i, col i+1)
     gamma: np.ndarray  # subdiagonal (row i+1, col i)
@@ -167,6 +170,7 @@ class NonsymTridiagonal:
 class LowerBidiagonal:
     """Lower bidiagonal with positive diagonal and subdiagonal."""
 
+    kind = "lowerbidiag"
     gamma: np.ndarray  # diagonal
     delta: np.ndarray  # subdiagonal
 
@@ -197,6 +201,7 @@ class BlockTridiagonal:
     """Block tridiagonal with symmetric diagonal blocks M_i and upper
     triangular subdiagonal blocks B_{i+1} with positive diagonal."""
 
+    kind = "blocktridiag"
     M: tuple  # m symmetric p x p blocks
     B: tuple  # m-1 upper triangular p x p blocks
 
@@ -238,6 +243,11 @@ class BlockTridiagonal:
             A[(i + 1) * p : (i + 2) * p, i * p : (i + 1) * p] = Bi
             A[i * p : (i + 1) * p, (i + 1) * p : (i + 2) * p] = Bi.T
         return A
+
+
+# kind -> structure type: the one list of the structured kinds, one per process.
+# kind is a plain class attribute, so it is not a dataclass field.
+STRUCTURES = {cls.kind: cls for cls in (JacobiMatrix, HessenbergMatrix, NonsymTridiagonal, LowerBidiagonal, BlockTridiagonal)}
 
 
 @dataclass(frozen=True)
@@ -316,13 +326,11 @@ class SignedBlockPermutation:
 class StructuredProblem:
     """Materialized (A, v) together with its generating data.
 
-    kind is one of jacobi | hessenberg | nonsymtridiag | lowerbidiag |
-    blocktridiag; d is the grade (expected breakdown step), equal to n except
-    for deficient extensions.  Nonsymmetric problems carry the left starting
+    d is the grade (expected breakdown step), equal to n except for
+    deficient extensions.  Nonsymmetric problems carry the left starting
     vector w; block problems carry the starting block U1.
     """
 
-    kind: str
     P: object
     T: object
     beta1: object
@@ -337,6 +345,10 @@ class StructuredProblem:
         for a in (self.A, self.v, self.w, self.U1):
             if a is not None:
                 freeze(a)
+
+    @property
+    def kind(self) -> str:
+        return self.T.kind
 
 
 def _signed_conjugate(P: SignedPermutation, T: np.ndarray) -> np.ndarray:
@@ -378,7 +390,7 @@ def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
         for j in range(p):
             U1[:, j] = _scaled_column(flat, j, 1.0, dtype)
         v = U1[:, 0].copy()
-        return StructuredProblem("blocktridiag", P, T, dtype(beta1), A, v, T.m, U1=U1)
+        return StructuredProblem(P, T, dtype(beta1), A, v, T.m, U1=U1)
 
     if not isinstance(P, SignedPermutation) or P.n != T.n:
         raise ShapeError("dimensions of P and T do not agree")
@@ -388,10 +400,9 @@ def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
             raise ValueError("nonsymmetric problems need gamma1 > 0")
         v = _scaled_column(P, 0, gamma1, dtype)
         w = _scaled_column(P, 0, beta1, dtype)
-        return StructuredProblem("nonsymtridiag", P, T, dtype(beta1), A, v, T.n, w=w, gamma1=dtype(gamma1))
+        return StructuredProblem(P, T, dtype(beta1), A, v, T.n, w=w, gamma1=dtype(gamma1))
     v = _scaled_column(P, 0, beta1, dtype)
-    kind = {JacobiMatrix: "jacobi", HessenbergMatrix: "hessenberg", LowerBidiagonal: "lowerbidiag"}[type(T)]
-    return StructuredProblem(kind, P, T, dtype(beta1), A, v, T.n)
+    return StructuredProblem(P, T, dtype(beta1), A, v, T.n)
 
 
 def detect_structure(A: np.ndarray, v: np.ndarray):
@@ -466,7 +477,7 @@ def extend_deficient(T: JacobiMatrix, P: SignedPermutation, R1: np.ndarray, R2: 
         A[d:, d:] = np.triu(C) + np.ascontiguousarray(np.triu(C, 1).T)
     v = np.zeros(n, dtype=lead.v.dtype)
     v[:d] = lead.v
-    return StructuredProblem("jacobi", P, T, lead.beta1, A, v, d)
+    return StructuredProblem(P, T, lead.beta1, A, v, d)
 
 
 # ---------------------------------------------------------------------------
@@ -504,47 +515,48 @@ def random_jacobi(n: int, seed: int, spd: bool = False, precision: Precision = B
     return JacobiMatrix(alpha, beta)
 
 
-def random_hessenberg(n: int, seed: int, precision: Precision = BINARY64) -> HessenbergMatrix:
+def random_structure(kind: str, n: int, seed: int, precision: Precision = BINARY64, p: int = 1, spd: bool = False, positive_beta: bool = False):
+    """Seeded n x n structure of the given kind, drawn from make_rng(seed).
+
+    spd applies to jacobi (random_jacobi), positive_beta to the superdiagonal
+    of nonsymtridiag (else its signs are drawn), and the block size p to
+    blocktridiag, which needs n = m p; the other kinds ignore them.
+    """
+    if kind not in STRUCTURES:
+        raise ValueError(f"unknown structured kind {kind!r}")
+    if n < 1:
+        raise ValueError("n must be positive")
+    if kind == "jacobi":
+        return random_jacobi(n, seed, spd=spd, precision=precision)
     g = make_rng(seed)
     dt = precision.dtype
-    H = np.zeros((n, n), dtype=dt)
-    for j in range(n):
-        H[: j + 2, j] = _uniform(g, -2.0, 2.0, min(j + 2, n), dt)
-        if j + 1 < n:
-            H[j + 1, j] = dt(float(g.uniform(0.125, 2.0)))
-    return HessenbergMatrix(H)
-
-
-def random_nonsym_tridiagonal(n: int, seed: int, positive_beta: bool = False, precision: Precision = BINARY64) -> NonsymTridiagonal:
-    g = make_rng(seed)
-    dt = precision.dtype
-    alpha = _uniform(g, -2.0, 2.0, n, dt)
-    beta = _uniform(g, 0.125, 2.0, n - 1, dt)
-    if not positive_beta:
-        beta = (beta * (2 * g.integers(0, 2, n - 1) - 1).astype(dt)).astype(dt)
-    gamma = _uniform(g, 0.125, 2.0, n - 1, dt)
-    return NonsymTridiagonal(alpha, beta, gamma)
-
-
-def random_lower_bidiagonal(n: int, seed: int, precision: Precision = BINARY64) -> LowerBidiagonal:
-    g = make_rng(seed)
-    dt = precision.dtype
-    return LowerBidiagonal(_uniform(g, 0.125, 2.0, n, dt), _uniform(g, 0.125, 2.0, n - 1, dt))
-
-
-def random_block_tridiagonal(m: int, p: int, seed: int, precision: Precision = BINARY64) -> BlockTridiagonal:
-    g = make_rng(seed)
-    dt = precision.dtype
+    if kind == "hessenberg":
+        H = np.zeros((n, n), dtype=dt)
+        for j in range(n):
+            H[: j + 2, j] = _uniform(g, -2.0, 2.0, min(j + 2, n), dt)
+            if j + 1 < n:
+                H[j + 1, j] = dt(float(g.uniform(0.125, 2.0)))
+        return HessenbergMatrix(H)
+    if kind == "nonsymtridiag":
+        alpha = _uniform(g, -2.0, 2.0, n, dt)
+        beta = _uniform(g, 0.125, 2.0, n - 1, dt)
+        if not positive_beta:
+            beta = (beta * (2 * g.integers(0, 2, n - 1) - 1).astype(dt)).astype(dt)
+        return NonsymTridiagonal(alpha, beta, _uniform(g, 0.125, 2.0, n - 1, dt))
+    if kind == "lowerbidiag":
+        return LowerBidiagonal(_uniform(g, 0.125, 2.0, n, dt), _uniform(g, 0.125, 2.0, n - 1, dt))
+    if p < 1:
+        raise ValueError("the block size must be positive")
+    if n % p:
+        raise ValueError("n must be a multiple of the block size")
     M = []
-    for _ in range(m):
+    for _ in range(n // p):
         W = _uniform(g, -2.0, 2.0, (p, p), dt)
-        Mi = np.triu(W) + np.ascontiguousarray(np.triu(W, 1).T)
-        M.append(Mi)
+        M.append(np.triu(W) + np.ascontiguousarray(np.triu(W, 1).T))
     B = []
-    for _ in range(m - 1):
+    for _ in range(n // p - 1):
         Bi = np.triu(_uniform(g, -2.0, 2.0, (p, p), dt))
-        di = np.arange(p)
-        Bi[di, di] = _uniform(g, 0.125, 2.0, p, dt)
+        Bi[np.diag_indices(p)] = _uniform(g, 0.125, 2.0, p, dt)
         B.append(Bi)
     return BlockTridiagonal(tuple(M), tuple(B))
 
@@ -565,26 +577,13 @@ def random_structured_problem(kind: str, n: int, seed: int, precision: Precision
     scale_seed = seed ^ 0x5EED
     g = make_rng(scale_seed)
     beta1 = precision.dtype(float(g.uniform(0.25, 4.0)))
-    if kind == "jacobi":
-        T = random_jacobi(n, seed, spd=spd, precision=precision)
-        return assemble(T, random_signed_permutation(n, scale_seed + 1), beta1)
-    if kind == "hessenberg":
-        T = random_hessenberg(n, seed, precision=precision)
-        return assemble(T, random_signed_permutation(n, scale_seed + 1), beta1)
-    if kind == "nonsymtridiag":
-        T = random_nonsym_tridiagonal(n, seed, positive_beta=True, precision=precision)
-        gamma1 = precision.dtype(float(g.uniform(0.25, 4.0)))
-        return assemble(T, random_signed_permutation(n, scale_seed + 1), beta1, gamma1=gamma1)
-    if kind == "lowerbidiag":
-        T = random_lower_bidiagonal(n, seed, precision=precision)
-        return assemble(T, random_signed_permutation(n, scale_seed + 1), beta1)
+    T = random_structure(kind, n, seed, precision, p=p, spd=spd, positive_beta=True)
     if kind == "blocktridiag":
-        if n % p:
-            raise ValueError("n must be a multiple of the block size")
-        m = n // p
-        T = random_block_tridiagonal(m, p, seed, precision=precision)
-        return assemble(T, random_signed_block_permutation(m, p, scale_seed + 1), beta1)
-    raise ValueError(f"unknown structured kind {kind!r}")
+        P = random_signed_block_permutation(T.m, p, scale_seed + 1)
+    else:
+        P = random_signed_permutation(n, scale_seed + 1)
+    gamma1 = precision.dtype(float(g.uniform(0.25, 4.0))) if kind == "nonsymtridiag" else None
+    return assemble(T, P, beta1, gamma1=gamma1)
 
 
 # ---------------------------------------------------------------------------

@@ -152,29 +152,28 @@ def rational_cg(A, b) -> RationalCGTrace:
         raise ValueError(f"rational oracle limited to n <= {MAX_ORACLE_DIM}, got {n}")
     if not is_spd_rational(Ar):
         raise ValueError("matrix is not symmetric positive definite over the rationals")
-    x = [Fraction(0)] * n
     rows = nonzero_rows(Ar)
     xs = rat_solve(Ar, br)
-    r = [bi - ai for bi, ai in zip(br, rat_matvec(rows, x))]
-    p = r[:]
     tr = RationalCGTrace(x_exact=xs)
 
-    def record(xk, rk):
+    def record(xk, rk, pk, rr):  # the loop builds new lists each step, so none is copied
         e = [a - b_ for a, b_ in zip(xs, xk)]
-        tr.x.append(xk[:])
-        tr.r.append(rk[:])
-        tr.rnorm2.append(rat_dot(rk, rk))
+        tr.x.append(xk)
+        tr.r.append(rk)
+        tr.p.append(pk)
+        tr.rnorm2.append(rr)
         tr.energy2.append(rat_dot(e, rat_matvec(rows, e)))
 
-    record(x, r)
-    tr.p.append(p[:])
-    rr = tr.rnorm2[0]
+    x = [Fraction(0)] * n
+    r = [Fraction(bi) for bi in br]  # r_0 = b - A x_0 with x_0 = 0
+    p = r[:]
+    rr = rat_dot(r, r)
+    record(x, r, p, rr)
     for _ in range(n):
         if rr == 0:
             break
         Ap = rat_matvec(rows, p)
-        pAp = rat_dot(p, Ap)
-        gamma = rr / pAp
+        gamma = rr / rat_dot(p, Ap)
         x = [xi + gamma * pi for xi, pi in zip(x, p)]
         r = [ri - gamma * ai for ri, ai in zip(r, Ap)]
         rr_new = rat_dot(r, r)
@@ -182,9 +181,8 @@ def rational_cg(A, b) -> RationalCGTrace:
         p = [ri + delta * pi for ri, pi in zip(r, p)]
         tr.gammas.append(gamma)
         tr.deltas.append(delta)
-        record(x, r)
-        tr.p.append(p[:])
         rr = rr_new
+        record(x, r, p, rr)
     return tr
 
 
@@ -255,11 +253,3 @@ def rational_lstsq(H, rhs) -> list[Fraction]:
         row = Hr[i + 1]
         y[i] = (p[i + 1] - rat_dot(row[i + 1 :], y[i + 1 :])) / row[i]
     return y
-
-
-def rat_norm2_sq(x: list[Fraction]) -> Fraction:
-    return rat_dot(x, x)
-
-
-def float_of(q: Fraction) -> float:
-    return float(q)  # Fraction.__float__ is correctly rounded

@@ -6,7 +6,7 @@ from krylovexact.cg import cg_hs, cglanczos, ldl
 from krylovexact.fp import ShapeError, bitwise_equal
 from krylovexact.lanczos import lanczos
 from krylovexact.problems import random_jacobi, random_structured_problem
-from krylovexact.rational import float_of, rational_cg
+from krylovexact.rational import rational_cg
 
 
 def _spd(n, seed):
@@ -44,7 +44,7 @@ def test_cg_hs_coefficients_match_rational_oracle():
     m = min(len(tr.gammas), len(oracle.gammas))
     assert m >= 6
     for j in range(m):
-        exact = float_of(oracle.gammas[j])
+        exact = float(oracle.gammas[j])
         assert float(tr.gammas[j]) == pytest.approx(exact, rel=1e-10)
 
 

@@ -248,3 +248,40 @@ def test_gen_signedperm_is_not_a_choice(tmp_path):
     with pytest.raises(SystemExit) as exit_:
         main(["gen", "signedperm", "--n", "4", "--out", str(tmp_path / "P.txt")])
     assert exit_.value.code == 2
+
+
+_PERM_BETA = "signedperm 1\n0 1\nbeta1 0x1p0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("blocktridiag 1 1\n0x1p0\nsignedblockperm 0 1\nbeta1 0x1p0\n", "record size 0"),
+        ("blocktridiag 1 0\nsignedblockperm 1 0\n0\nbeta1 0x1p0\n", "record size 0"),
+        ("vector -3\n", "record size -3"),
+        ("dense 2 -1\n", "record size -1"),
+        ("dense 1 1\n0x1p0\n" + _PERM_BETA, "not dense"),
+        ("vector 1\n0x1p0\n" + _PERM_BETA, "not vector"),
+        ("jacobi 1\n0x1p2000\n" + _PERM_BETA, "bad float literal"),
+    ],
+    ids=["block-perm-m0", "block-p0", "vector-negative", "dense-negative", "dense-problem", "vector-problem", "overflow"],
+)
+def test_convert_and_run_reject_a_malformed_file(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert message in _error_exit(capsys, "convert", "--in", str(bad), "--out", str(tmp_path / "out.csv"))
+    assert message in _error_exit(capsys, "run", "lanczos", "--problem", str(bad))
+
+
+@pytest.mark.parametrize("what", ["jacobi", "hessenberg", "nonsymtridiag", "lowerbidiag", "blocktridiag", "structured"])
+def test_gen_rejects_a_nonpositive_n(tmp_path, capsys, what):
+    out = tmp_path / "T.txt"
+    assert "n must be positive" in _error_exit(capsys, "gen", what, "--n", "0", "--out", str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("what", [["blocktridiag"], ["structured", "--kind", "blocktridiag"]])
+def test_gen_checks_the_block_size(tmp_path, capsys, what):
+    out = str(tmp_path / "T.txt")
+    assert "multiple of the block size" in _error_exit(capsys, "gen", *what, "--n", "5", "--p", "2", "--out", out)
+    assert "block size must be positive" in _error_exit(capsys, "gen", *what, "--n", "4", "--p", "0", "--out", out)

@@ -1,7 +1,10 @@
+import functools
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krylovexact.fileio import (
     FormatError,
@@ -16,13 +19,7 @@ from krylovexact.fileio import (
 )
 from krylovexact.fp import BINARY32, BINARY64, bitwise_equal
 from krylovexact.harness import MetricSeries, exactness_check
-from krylovexact.problems import (
-    random_hessenberg,
-    random_jacobi,
-    random_lower_bidiagonal,
-    random_nonsym_tridiagonal,
-    random_structured_problem,
-)
+from krylovexact.problems import STRUCTURES, random_jacobi, random_structure, random_structured_problem
 
 
 def _roundtrip_matrix(T):
@@ -43,13 +40,13 @@ def test_jacobi_roundtrip_bitwise():
 
 
 def test_hessenberg_roundtrip_bitwise():
-    T = random_hessenberg(6, 1)
+    T = random_structure("hessenberg", 6, 1)
     T2 = _roundtrip_matrix(T)
     assert bitwise_equal(T2.entries, T.entries)
 
 
 def test_nonsym_roundtrip_bitwise():
-    T = random_nonsym_tridiagonal(6, 2, positive_beta=False)
+    T = random_structure("nonsymtridiag", 6, 2, positive_beta=False)
     T2 = _roundtrip_matrix(T)
     assert bitwise_equal(T2.alpha, T.alpha)
     assert bitwise_equal(T2.beta, T.beta)
@@ -57,7 +54,7 @@ def test_nonsym_roundtrip_bitwise():
 
 
 def test_lower_bidiagonal_roundtrip_bitwise():
-    T = random_lower_bidiagonal(5, 4)
+    T = random_structure("lowerbidiag", 5, 4)
     T2 = _roundtrip_matrix(T)
     assert bitwise_equal(T2.gamma, T.gamma)
     assert bitwise_equal(T2.delta, T.delta)
@@ -138,7 +135,7 @@ def test_csv_writers_smoke():
     assert out.getvalue().splitlines()[0] == "kind,dims,index,value,value_hex"
 
     out = io.StringIO()
-    write_vector_csv(out, "v", np.array([1.5, -0.0]))
+    write_vector_csv(out, [("v", np.array([1.5, -0.0]))])
     body = out.getvalue()
     assert "-0.0,-0x0.0p+0" in body
 
@@ -160,3 +157,79 @@ def test_tokens_after_the_record_are_rejected():
     buf.seek(0)
     with pytest.raises(FormatError, match="after the record"):
         read_problem(buf)
+
+
+def _written(prob) -> str:
+    buf = io.StringIO()
+    write_problem(buf, prob)
+    return buf.getvalue()
+
+
+@st.composite
+def structured_problems(draw):
+    kind = draw(st.sampled_from(list(STRUCTURES)))
+    p = draw(st.integers(1, 3)) if kind == "blocktridiag" else 1
+    n = p * draw(st.integers(1, 5))
+    precision = draw(st.sampled_from([BINARY64, BINARY32]))
+    return random_structured_problem(kind, n, draw(st.integers(0, 2**32 - 1)), precision, p=p, spd=draw(st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(structured_problems())
+def test_problem_roundtrip_property(prob):
+    """write -> read gives bitwise the same T, P and scalars for every kind,
+    precision and size, and a second write gives the same bytes."""
+    text = _written(prob)
+    prob2 = read_problem(io.StringIO(text))
+    assert (type(prob2.T), type(prob2.P), prob2.kind, prob2.d) == (type(prob.T), type(prob.P), prob.kind, prob.d)
+    assert bitwise_equal(prob2.T.to_dense(), prob.T.to_dense())
+    assert np.array_equal(prob2.P.to_dense(), prob.P.to_dense())
+    for name in ("A", "v", "w", "U1", "beta1", "gamma1"):
+        got, want = getattr(prob2, name), getattr(prob, name)
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert bitwise_equal(np.asarray(got), np.asarray(want)), name
+    assert _written(prob2) == text
+
+
+@functools.cache
+def _problem_file(kind, precision) -> str:
+    return _written(random_structured_problem(kind, 4, 1, precision, p=2))
+
+
+def _read_or_value_error(text):
+    """read_problem returns or raises a ValueError subclass; anything else propagates."""
+    try:
+        read_problem(io.StringIO(text))
+    except ValueError:
+        pass
+
+
+# tokens a mutation can put in place of another: sizes, edge floats, record names
+_REPLACEMENTS = ["", "0", "1", "-1", "2", "3", "100000000000", "x", "-0x0.0p+0", "0x1p2000", "0x1p-1074", "nan", "inf"]
+_REPLACEMENTS += ["precision", "binary16", "binary32", "signedperm", "signedblockperm", "beta1", "gamma1", "dense", "vector", *STRUCTURES]
+
+
+@pytest.mark.parametrize("precision", [BINARY64, BINARY32], ids=lambda p: p.name)
+@pytest.mark.parametrize("kind", list(STRUCTURES))
+def test_truncated_or_mutated_problem_files_read_or_raise_a_value_error(kind, precision):
+    """Every prefix, and every replacement (or, with "", deletion) of one
+    token by a listed token or another token of the file."""
+    text = _problem_file(kind, precision)
+    for end in range(len(text)):
+        _read_or_value_error(text[:end])
+    tokens = text.split()
+    for i in range(len(tokens)):
+        for tok in _REPLACEMENTS + tokens:
+            _read_or_value_error(" ".join(tokens[:i] + [tok] + tokens[i + 1 :]))
+
+
+@pytest.mark.parametrize("text", ["vector -3\n", "vector 0\n", "dense 2 -1\n", "hessenberg 0\n", "blocktridiag 0 2\n"])
+def test_record_sizes_must_be_positive(text):
+    with pytest.raises(FormatError, match="is not positive"):
+        read_matrix(io.StringIO(text))
+
+
+def test_a_huge_size_allocates_nothing_before_its_entries():
+    with pytest.raises(FormatError, match="end of file"):
+        read_matrix(io.StringIO("hessenberg 10000000000\n0x1p0\n"))

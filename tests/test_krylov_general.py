@@ -21,7 +21,7 @@ from krylovexact.krylov_general import (
     nonsym_lanczos,
 )
 from krylovexact.lanczos import lanczos
-from krylovexact.problems import random_nonsym_tridiagonal, random_signed_permutation, random_structured_problem, assemble
+from krylovexact.problems import random_signed_permutation, random_structure, random_structured_problem, assemble
 from krylovexact.rational import rational_lstsq
 
 
@@ -99,9 +99,9 @@ def test_nonsym_structured_exactness(n, seed):
 def test_nonsym_negative_superdiagonal_values_still_exact():
     # signed intermediate zeros make the W basis carry -0 entries, so the
     # comparison is by value here, not bitwise
-    T = random_nonsym_tridiagonal(8, 3, positive_beta=False)
+    T = random_structure("nonsymtridiag", 8, 3, positive_beta=False)
     if not np.any(T.beta < 0):
-        T = random_nonsym_tridiagonal(8, 5, positive_beta=False)
+        T = random_structure("nonsymtridiag", 8, 5, positive_beta=False)
     P = random_signed_permutation(8, 1)
     prob = assemble(T, P, 1.5, gamma1=2.0)
     res = nonsym_lanczos(prob.A, prob.v, prob.w, 8)

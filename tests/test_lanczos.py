@@ -231,7 +231,7 @@ def _cglanczos_columns(A, b, kmax):
     p = r.copy()
     rho = norm2(b)
     if rho == 0:
-        raise ValueError("right-hand side is zero")
+        raise ValueError("starting vector is zero")
     tr.x.append(x.copy())
     tr.r.append(r.copy())
     tr.p.append(p.copy())

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from krylovexact.problems import (
     ConvergenceCurves,
     HessenbergMatrix,
     JacobiMatrix,
+    STRUCTURES,
     SignedPermutation,
     assemble,
     detect_structure,
@@ -18,6 +20,7 @@ from krylovexact.problems import (
     random_convergence_curves,
     random_jacobi,
     random_signed_permutation,
+    random_structure,
     random_structured_problem,
     strakos_spectrum,
 )
@@ -196,3 +199,16 @@ def test_signed_permutation_validation():
         SignedPermutation(np.array([0, 0]), np.array([1, 1]))
     with pytest.raises(ValueError):
         SignedPermutation(np.array([0, 1]), np.array([1, 2]))
+
+
+def test_structures_name_each_kind_once():
+    assert list(STRUCTURES) == KINDS
+    for kind, cls in STRUCTURES.items():
+        assert cls.kind == kind
+        assert "kind" not in {f.name for f in dataclasses.fields(cls)}  # a class constant, not hashed with the data
+        p = 2 if kind == "blocktridiag" else 1
+        prob = random_structured_problem(kind, 4, 1, p=p)
+        assert type(prob.T) is cls and prob.kind == kind
+        assert type(random_structure(kind, 4, 1, p=p if kind == "blocktridiag" else 3)) is cls  # only blocktridiag reads p
+    with pytest.raises(ValueError, match="unknown structured kind"):
+        random_structure("dense", 4, 0)
