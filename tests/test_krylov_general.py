@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krylovexact.fp import NonFiniteError, ShapeError, _matvec, bitwise_equal, norm2, seq_dot, validate_operands
+from krylovexact.fp import NonFiniteError, ShapeError, _gram, _matmat, _matvec, bitwise_equal, norm2, seq_dot, validate_operands
 from krylovexact.krylov_general import (
     ArnoldiResult,
+    BlockLanczosResult,
     GolubKahanResult,
     NonsymLanczosResult,
     SeriousBreakdownError,
@@ -400,6 +401,63 @@ def _golub_kahan_columns(A, v, k):
     )
 
 
+def _gram_schmidt_qr_columns(R, variant="mgs"):
+    if variant not in ("cgs", "mgs"):
+        raise ValueError("variant must be cgs or mgs")
+    n, p = R.shape
+    Q = np.zeros((n, p), dtype=R.dtype)
+    Rf = np.zeros((p, p), dtype=R.dtype)
+    for j in range(p):
+        w = R[:, j].copy()
+        if variant == "cgs":
+            coeffs = _gram(Q[:, :j], R[:, j : j + 1])[:, 0]
+            for i in range(j):
+                Rf[i, j] = coeffs[i]
+                w = w - coeffs[i] * Q[:, i]
+        else:
+            for i in range(j):
+                c = seq_dot(Q[:, i], w)
+                Rf[i, j] = c
+                w = w - c * Q[:, i]
+        nrm = norm2(w)
+        Rf[j, j] = nrm
+        if nrm == 0:
+            return Q, Rf, j
+        Q[:, j] = w / nrm
+    return Q, Rf, None
+
+
+def _block_lanczos_columns(A, U1, k, qr_variant="mgs"):
+    n, p = len(A), U1.shape[-1] if U1.ndim else 0
+    validate_operands(A, block=U1, k=k, limit=n // max(p, 1))
+    if p == 0:
+        raise ShapeError("starting block has no columns")
+    if n % p:
+        raise ValueError("n must be a multiple of the block size")
+    Us = [U1.copy()]
+    Ms = [_gram(U1, _matmat(A, U1))]
+    Bs = []
+    Uprev = U1.copy()
+    Bprev = np.zeros((p, p), dtype=A.dtype)
+    breakdown = None
+    for i in range(1, k + 1):
+        Ui = Us[-1]
+        R = _matmat(A, Ui) - _matmat(Ui, Ms[-1])
+        R = R - _matmat(Uprev, np.ascontiguousarray(Bprev.T))
+        Q, Bi, zero_col = _gram_schmidt_qr_columns(R, qr_variant)
+        if zero_col is not None:
+            breakdown = i
+            break
+        if i == k:
+            break
+        Us.append(Q)
+        Bs.append(Bi)
+        Ms.append(_gram(Q, _matmat(A, Q)))
+        Uprev = Ui
+        Bprev = Bi
+    return BlockLanczosResult(tuple(Us), tuple(Ms), tuple(Bs), breakdown)
+
+
 def _outcome(f, *args):
     """The result of f(*args), or the type and message of what it raised."""
     try:
@@ -414,8 +472,8 @@ def _assert_same(got, want, name="result"):
     if dataclasses.is_dataclass(want):
         for field in dataclasses.fields(want):
             _assert_same(getattr(got, field.name), getattr(want, field.name), field.name)
-    elif isinstance(want, list):
-        assert len(got) == len(want), name
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want), name
         for a, b in zip(got, want):
             _assert_same(a, b, name)
     elif isinstance(want, (np.ndarray, np.generic)):
@@ -474,6 +532,34 @@ def test_golub_kahan_rows_match_the_column_loop(case, data):
     A, v = case
     k = data.draw(st.integers(0, min(A.shape)))
     _assert_same(_outcome(golub_kahan, A, v, k), _outcome(_golub_kahan_columns, A, v, k))
+
+
+@st.composite
+def block_case(draw):
+    """A general dense n x n matrix and an n x p starting block, n = m p.
+    Some columns of A are zero, and U1 may lie on them, so that A U1 = 0
+    breaks the run down at its first QR; U1 may repeat a column."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    m, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = m * p
+    A = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    zero = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    A[:, zero] = 0.0
+    U1 = np.array(draw(st.lists(entry, min_size=n * p, max_size=n * p))).reshape(n, p)
+    if zero and draw(st.booleans()):
+        U1[np.setdiff1d(np.arange(n), zero), :] = 0.0
+    if p > 1 and draw(st.booleans()):
+        U1[:, -1] = U1[:, 0]
+    scale = [2.0 ** draw(st.sampled_from([-20, 0, 20])) for _ in range(2)]
+    return (A * scale[0]).astype(dtype), (U1 * scale[1]).astype(dtype)
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_case(), st.sampled_from(["mgs", "cgs"]), st.data())
+def test_block_lanczos_rows_match_the_column_loop(case, qr_variant, data):
+    A, U1 = case
+    k = data.draw(st.integers(0, len(A) // U1.shape[1]))
+    _assert_same(_outcome(block_lanczos, A, U1, k, qr_variant), _outcome(_block_lanczos_columns, A, U1, k, qr_variant))
 
 
 def test_overflow_raises_without_a_warning_and_restores_errstate():

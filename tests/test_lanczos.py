@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krylovexact import fp
-from krylovexact.cg import CGTrace, cglanczos
-from krylovexact.fp import BINARY32, NonFiniteError, _matvec, bitwise_equal, frobenius_norm, norm2, seq_dot, validate_operands
+from krylovexact.cg import CGTrace, cg_hs, cglanczos
+from krylovexact.fp import BINARY32, NonFiniteError, _matvec, bitwise_equal, bitwise_symmetric, frobenius_norm, norm2, seq_dot, validate_operands
 from krylovexact.lanczos import REORTH, VARIANTS, LanczosResult, lanczos
 from krylovexact.problems import detect_structure, random_structured_problem
 
@@ -290,6 +290,44 @@ def _cglanczos_columns(A, b, kmax):
     return tr
 
 
+def _cg_hs_columns(A, b, kmax):
+    n = len(A)
+    validate_operands(A, b, k=kmax, limit=n)
+    if not bitwise_symmetric(A):
+        raise ValueError("matrix is not bitwise symmetric")
+    x = np.zeros(n, dtype=A.dtype)
+    r = b - _matvec(A, x)
+    p = r.copy()
+    tr = CGTrace()
+    tr.x.append(x.copy())
+    tr.r.append(r.copy())
+    tr.p.append(p.copy())
+    rr = seq_dot(r, r)
+    tr.residual_norms.append(norm2(r))
+    for _ in range(kmax):
+        if rr == 0:
+            tr.exact_termination = True
+            break
+        Ap = _matvec(A, p)
+        pAp = seq_dot(p, Ap)
+        if pAp <= 0:
+            raise ValueError("p^T A p <= 0: matrix is not numerically positive definite")
+        gamma = rr / pAp
+        x = x + gamma * p
+        r = r - gamma * Ap
+        rr_new = seq_dot(r, r)
+        delta = rr_new / rr
+        p = r + delta * p
+        rr = rr_new
+        tr.gammas.append(gamma)
+        tr.deltas.append(delta)
+        tr.x.append(x.copy())
+        tr.r.append(r.copy())
+        tr.p.append(p.copy())
+        tr.residual_norms.append(norm2(r))
+    return tr
+
+
 def _outcome(f, *args):
     """The result of f(*args), or the type and message of what it raised."""
     try:
@@ -359,6 +397,14 @@ def test_cglanczos_rows_match_the_column_loop(case, data):
     A, b = case
     k = data.draw(st.integers(0, len(A)))
     _assert_same(_outcome(cglanczos, A, b, k), _outcome(_cglanczos_columns, A, b, k))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(symmetric_case(spd=True), symmetric_case(spd=False)), st.data())
+def test_cg_hs_rows_match_the_column_loop(case, data):
+    A, b = case
+    k = data.draw(st.integers(0, len(A)))
+    _assert_same(_outcome(cg_hs, A, b, k), _outcome(_cg_hs_columns, A, b, k))
 
 
 def test_overflow_raises_without_a_warning_and_restores_errstate():
