@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fp import ShapeError, _matvec, bitwise_symmetric, norm2, seq_dot, validate_operands
+from .fp import ShapeError, _dot, _matvec, bitwise_symmetric, norm2, validate_operands
 from .lanczos import lanczos
 
 
@@ -49,7 +49,15 @@ class CGTrace:
     def steps(self) -> int:
         return len(self.x) - 1
 
+    def record(self, x, r, p) -> None:
+        """Append x_k, r_k and p_k (fresh arrays, not copied) and ||r_k||."""
+        self.x.append(x)
+        self.r.append(r)
+        self.p.append(p)
+        self.residual_norms.append(norm2(r))
 
+
+@np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     """Hestenes-Stiefel CG from x0 = 0, recording all iterates; stops on ||r_k|| = 0 exactly."""
     n = len(A)
@@ -60,33 +68,27 @@ def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     x = np.zeros(n, dtype=A.dtype)
     r = b - _matvec(A, x)
     p = r.copy()
+    rr = _dot(r, r)
     tr = CGTrace()
-    tr.x.append(x.copy())
-    tr.r.append(r.copy())
-    tr.p.append(p.copy())
-    rr = seq_dot(r, r)
-    tr.residual_norms.append(norm2(r))
+    tr.record(x, r, p)
     for _ in range(kmax):
         if rr == 0:
             tr.exact_termination = True
             break
         Ap = _matvec(A, p)
-        pAp = seq_dot(p, Ap)
+        pAp = _dot(p, Ap)
         if pAp <= 0:
             raise ValueError("p^T A p <= 0: matrix is not numerically positive definite")
         gamma = rr / pAp
         x = x + gamma * p
         r = r - gamma * Ap
-        rr_new = seq_dot(r, r)
+        rr_new = _dot(r, r)
         delta = rr_new / rr
         p = r + delta * p
         rr = rr_new
         tr.gammas.append(gamma)
         tr.deltas.append(delta)
-        tr.x.append(x.copy())
-        tr.r.append(r.copy())
-        tr.p.append(p.copy())
-        tr.residual_norms.append(norm2(r))
+        tr.record(x, r, p)
     return tr
 
 
@@ -135,12 +137,8 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
         exact_termination=res.breakdown is not None,
     )
     x = np.zeros(n, dtype=A.dtype)
-    r = b.copy()
-    p = r.copy()
-    tr.x.append(x.copy())
-    tr.r.append(r.copy())
-    tr.p.append(p.copy())
-    tr.residual_norms.append(rho)
+    p = b.copy()
+    tr.record(x, b.copy(), p)  # ||r_0|| = norm2(b) has the bits of rho
     Vt = res.V.T  # row k is the Lanczos vector v_{k+1}
     for k, (d_k, ell_k) in enumerate(zip(f.d, f.ell), start=1):
         rho = ell_k * rho
@@ -154,10 +152,7 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
                 r = -r  # exact sign flip, fl(-a) = -a
             p = r + (ell_k * ell_k) * p
         tr.rho.append(rho)
-        tr.x.append(x.copy())
-        tr.r.append(r.copy())
-        tr.p.append(p.copy())
-        tr.residual_norms.append(norm2(r))
+        tr.record(x, r, p)
         tr.gammas.append(dt(1.0) / d_k)
         tr.deltas.append(ell_k * ell_k)
     return tr

@@ -25,11 +25,12 @@ and norm2 sum every product this way.  _gram builds a whole table of such
 dots, G[i, j] = seq_dot(X[:, i], Y[:, j]), with one accumulate down axis 0
 per row of G, each column of the products summed in index order.
 
-Row layout: a recurrence that keeps a Krylov basis stores it as the
-contiguous rows of a (k+1) x n array and returns the transpose as a C-order
-copy, so every step reads its vectors without a strided gather.  It enters
-np.errstate(over="ignore", invalid="ignore") once per run, and its loops
-call _dot, which is seq_dot minus the operand checks and its own errstate.
+Row layout: the Krylov loops and the block QR keep their bases as the
+contiguous rows of an array and return a C-order copy of the transpose.
+Every recurrence (those, and HS-CG) enters np.errstate(over="ignore",
+invalid="ignore") once per call and calls _dot, which is seq_dot minus the
+operand checks and its own errstate.  _mgs is the one modified Gram-Schmidt
+loop, for Arnoldi, Lanczos reorthogonalization and block QR.
 
 Operand contract: each algorithm calls validate_operands once, before its
 first step, on its matrix and operands (one format, one row count, all
@@ -189,6 +190,15 @@ def _dot(x: np.ndarray, y: np.ndarray):
     return out
 
 
+def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """For each row q_i of Qt in order, c[i] = fl(q_i^T w) and then
+    w = w - c[i] q_i; returns w.  c has w's dtype, so c[i] keeps _dot's bits."""
+    for i, q in enumerate(Qt):
+        c[i] = h = _dot(q, w)
+        w = w - h * q
+    return w
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite product or sum raises in _dot
 def seq_dot(x: np.ndarray, y: np.ndarray):
     """fl(x^T y) with strictly sequential left-to-right summation."""
@@ -266,8 +276,6 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     if dt != x.dtype:
         raise ShapeError(f"dtype mismatch: {A.dtype} vs {x.dtype}")
     nz = np.nonzero(x)[0]
-    if nz.size == 0:
-        return np.zeros(A.shape[0], dtype=dt)
     if nz.size == 1:
         j = nz[0]
         y = A[:, j] * x[j] + dt.type(0.0)

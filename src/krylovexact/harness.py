@@ -13,6 +13,7 @@ from .cg import cg_hs, cglanczos
 from .fp import (
     BINARY64,
     Precision,
+    _dot,
     _gram,
     _matmat,
     _matvec,
@@ -20,7 +21,6 @@ from .fp import (
     frobenius_norm,
     norm2,
     precision_of,
-    seq_dot,
     validate_operands,
 )
 from .krylov_general import arnoldi, block_lanczos, gmres_structured, golub_kahan, nonsym_lanczos
@@ -101,13 +101,14 @@ def loss_of_orthogonality(V: np.ndarray):
     return frobenius_norm(_gram(V, V) - np.eye(k, dtype=V.dtype))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per call; non-finite results raise in the kernels
 def a_orthogonality_loss(Pdirs: np.ndarray, A: np.ndarray):
     """||Ptilde^T A Ptilde - I||_F with columns A-normalized internally."""
     validate_operands(A, block=Pdirs)
     k = Pdirs.shape[1]
     Pt = np.empty_like(Pdirs)
     for j in range(k):
-        pap = seq_dot(Pdirs[:, j], _matvec(A, Pdirs[:, j]))
+        pap = _dot(Pdirs[:, j], _matvec(A, Pdirs[:, j]))
         if pap <= 0:
             raise ValueError(f"p^T A p <= 0 for column {j + 1}: matrix is not numerically positive definite")
         Pt[:, j] = Pdirs[:, j] / np.sqrt(pap)

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import ShapeError, _dot, _gram, _matmat, _matvec, norm2, seq_dot, validate_operands
-from .problems import LowerBidiagonal, NonsymTridiagonal
+from .fp import ShapeError, _dot, _gram, _matmat, _matvec, _mgs, norm2, validate_operands
 from .rational import nonzero_rows, rat_dot, rat_matvec, rational_lstsq, to_rational_vector
 
 
@@ -45,11 +44,7 @@ def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
     breakdown = None
     cols = 1
     for j in range(k):
-        w = _matvec(A, Vt[j])
-        for i in range(j + 1):
-            h = _dot(Vt[i], w)
-            H[i, j] = h
-            w = w - h * Vt[i]
+        w = _mgs(Vt[: j + 1], _matvec(A, Vt[j]), H[: j + 1, j])
         hnext = norm2(w)
         H[j + 1, j] = hnext
         if hnext == 0:
@@ -74,9 +69,6 @@ class NonsymLanczosResult:
     @property
     def k(self) -> int:
         return len(self.alpha)
-
-    def tridiagonal(self) -> NonsymTridiagonal:
-        return NonsymTridiagonal(self.alpha.copy(), self.beta.copy(), self.gamma.copy())
 
 
 class SeriousBreakdownError(RuntimeError):
@@ -156,9 +148,6 @@ class GolubKahanResult:
     def k(self) -> int:
         return len(self.gamma)
 
-    def bidiagonal(self) -> LowerBidiagonal:
-        return LowerBidiagonal(self.gamma.copy(), self.delta.copy())
-
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
@@ -180,10 +169,8 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
     wcols = 0
     for i in range(k):
         t = _matvec(At, St[i])
-        if i > 0:
+        if i > 0:  # at i = 0, t - delta_1 * 0 would be t bit for bit
             t = t - delta_i * Wt[i - 1]
-        else:
-            t = t - delta_i * np.zeros(m, dtype=A.dtype)
         gamma_i = norm2(t)
         if gamma_i == 0:
             breakdown = ("gamma", i + 1)
@@ -215,6 +202,7 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
 # block Lanczos
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per call; non-finite results raise in the kernels
 def gram_schmidt_qr(R: np.ndarray, variant: str = "mgs"):
     """QR of a tall matrix by classical or modified Gram-Schmidt.
 
@@ -226,26 +214,21 @@ def gram_schmidt_qr(R: np.ndarray, variant: str = "mgs"):
     if variant not in ("cgs", "mgs"):
         raise ValueError("variant must be cgs or mgs")
     n, p = R.shape
-    Q = np.zeros((n, p), dtype=R.dtype)
+    Qt = np.zeros((p, n), dtype=R.dtype)  # row j is q_{j+1}
     Rf = np.zeros((p, p), dtype=R.dtype)
     for j in range(p):
-        w = R[:, j].copy()
+        w = R[:, j]
         if variant == "cgs":
-            coeffs = _gram(Q[:, :j], R[:, j : j + 1])[:, 0]
+            Rf[:j, j] = _gram(Qt[:j].T, R[:, j : j + 1])[:, 0]
             for i in range(j):
-                Rf[i, j] = coeffs[i]
-                w = w - coeffs[i] * Q[:, i]
+                w = w - Rf[i, j] * Qt[i]
         else:
-            for i in range(j):
-                c = seq_dot(Q[:, i], w)
-                Rf[i, j] = c
-                w = w - c * Q[:, i]
-        nrm = norm2(w)
-        Rf[j, j] = nrm
-        if nrm == 0:
-            return Q, Rf, j
-        Q[:, j] = w / nrm
-    return Q, Rf, None
+            w = _mgs(Qt[:j], w, Rf[:j, j])
+        Rf[j, j] = norm2(w)
+        if Rf[j, j] == 0:
+            return Qt.T.copy(), Rf, j
+        Qt[j] = w / Rf[j, j]
+    return Qt.T.copy(), Rf, None
 
 
 @dataclass(frozen=True)
@@ -260,6 +243,7 @@ class BlockLanczosResult:
         return len(self.M)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs") -> BlockLanczosResult:
     """Block three-term recurrence R_{i+1} = A U_i - U_i M_i - U_{i-1} B_i^T with
     Gram-Schmidt QR of R_{i+1} and M_{i+1} = U_{i+1}^T A U_{i+1}."""

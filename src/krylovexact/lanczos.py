@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import _dot, _matvec, bitwise_symmetric, norm2, validate_operands
+from .fp import _dot, _matvec, _mgs, bitwise_symmetric, norm2, validate_operands
 from .problems import JacobiMatrix
 
 VARIANTS = ("mgs", "cgs")
-REORTH = ("none", "full", "double")
+REORTH = ("none", "full", "double")  # the index is the number of reorthogonalization passes
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,6 @@ class LanczosResult:
         k = self.k
         off = self.beta[: k - 1] if k > 1 else self.beta[:0]
         return JacobiMatrix(self.alpha.copy(), off.copy())
-
-
-def _reorthogonalize(z, Vt, upto, passes):
-    for _ in range(passes):
-        for j in range(upto):
-            c = _dot(Vt[j], z)
-            z = z - c * Vt[j]
-    return z
 
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
@@ -80,6 +72,7 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
     vprev = np.zeros(n, dtype=A.dtype)  # v_0 = 0; beta_i * v_0 is evaluated, not skipped
     Vt[0] = v / beta1
     beta_i = dt(0.0)
+    scratch = np.empty(k, dtype=A.dtype)  # the discarded reorthogonalization coefficients
     breakdown = None
     cols = 1
     for i in range(k):
@@ -93,8 +86,8 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
             alpha_i = _dot(vi, av)
             z = av - alpha_i * vi
             z = z - beta_i * vprev
-        if reorth != "none":
-            z = _reorthogonalize(z, Vt, i + 1, 1 if reorth == "full" else 2)
+        for _ in range(REORTH.index(reorth)):
+            z = _mgs(Vt[: i + 1], z, scratch)
         alphas.append(alpha_i)
         beta_next = norm2(z)
         betas.append(beta_next)

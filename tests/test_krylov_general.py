@@ -570,6 +570,9 @@ def test_overflow_raises_without_a_warning_and_restores_errstate():
         lambda: nonsym_lanczos(big, ones, ones, 2),
         lambda: nonsym_lanczos(np.full((2, 2), 1e308), np.ones(2), np.ones(2), 2),  # w_1^T A v_1 overflows
         lambda: golub_kahan(big, ones, 2),
+        *(lambda qr=qr: block_lanczos(big, np.ones((4, 2)), 1, qr) for qr in ("mgs", "cgs")),
+        # q_1 = (0.6, 0.8); the update w - r_12 q_1 of the second column overflows
+        *(lambda qr=qr: gram_schmidt_qr(np.array([[3.0, 1.7e308], [4.0, -1.7e308]]), qr) for qr in ("mgs", "cgs")),
     ]
     before = np.geterr()
     with warnings.catch_warnings():

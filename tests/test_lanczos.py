@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from krylovexact import fp
 from krylovexact.cg import CGTrace, cg_hs, cglanczos
 from krylovexact.fp import BINARY32, NonFiniteError, _matvec, bitwise_equal, bitwise_symmetric, frobenius_norm, norm2, seq_dot, validate_operands
+from krylovexact.harness import a_orthogonality_loss
 from krylovexact.lanczos import REORTH, VARIANTS, LanczosResult, lanczos
 from krylovexact.problems import detect_structure, random_structured_problem
 
@@ -415,8 +416,10 @@ def test_overflow_raises_without_a_warning_and_restores_errstate():
             with pytest.raises(NonFiniteError, match="dot product"):
                 lanczos(np.full((2, 2), 1e308), np.ones(2), 2, variant)
             assert np.geterr() == before
-        with pytest.raises(NonFiniteError):
-            cglanczos(np.full((2, 2), 1e308), np.ones(2))
-        assert np.geterr() == before
+        huge = np.full((2, 2), float.fromhex("0x1.5p1023"))  # the sum in A p_0 overflows
+        for run in (lambda: cglanczos(np.full((2, 2), 1e308), np.ones(2)), lambda: cg_hs(huge, np.ones(2)), lambda: a_orthogonality_loss(np.ones((2, 1)), huge)):
+            with pytest.raises(NonFiniteError):
+                run()
+            assert np.geterr() == before
         lanczos(np.eye(3), np.ones(3), 3, reorth="double")
     assert np.geterr() == before
