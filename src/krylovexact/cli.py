@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fileio
-from .fp import precision_named
+from .fp import precision_named, precision_of
 from .harness import (
     ALGORITHMS,
     RunInputs,
@@ -142,10 +142,11 @@ def _starting_vector(args, A, v):
             raise ValueError("--beta1 scales --e1 and does not apply to --v-file")
         return _read_vector(args.v_file, "--v-file")
     beta1 = 1.0 if args.beta1 is None else args.beta1
-    if beta1 <= 0:
-        raise ValueError("--beta1 must be positive")
     v = np.zeros(A.shape[0], dtype=A.dtype)
-    v[0] = A.dtype.type(beta1)
+    with np.errstate(over="ignore"):  # an overflowed cast raises below
+        v[0] = A.dtype.type(beta1)
+    if not 0 < v[0] < np.inf:
+        raise ValueError(f"--beta1 must be positive and finite in {precision_of(A).name}, got {beta1!r}")
     return v
 
 

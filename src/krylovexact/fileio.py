@@ -135,12 +135,17 @@ class _Tokens:
         return out
 
     def floats(self, k: int, dt) -> np.ndarray:
+        """k literals, each exactly representable in dt and finite there."""
         toks = [self.next() for _ in range(k)]
+        exact = np.array([_fromhex(tok) for tok in toks])
         with np.errstate(over="ignore"):  # a binary32 overflow is reported below
-            a = np.array([_fromhex(tok) for tok in toks], dtype=dt)
+            a = exact.astype(dt)
         bad = np.flatnonzero(~np.isfinite(a))
         if bad.size:
             raise FormatError(f"non-finite literal {toks[bad[0]]!r}")
+        bad = np.flatnonzero(a != exact)
+        if bad.size:
+            raise FormatError(f"literal {toks[bad[0]]!r} is not representable in {precision_of(a).name}")
         return a
 
 

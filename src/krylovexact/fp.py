@@ -298,6 +298,7 @@ def _matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises in _matvec
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y = fl(A x) as _matvec computes it, after one finiteness scan of A, so
     a NaN in a column that x skips still raises NonFiniteError."""
@@ -305,6 +306,7 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _matvec(A, x)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises in _matvec
 def matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """fl(A B) as _matmat computes it, after one finiteness scan of A."""
     require_finite(A, "matrix")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import ShapeError, _dot, _gram, _matmat, _matvec, _mgs, norm2, validate_operands
+from .fp import ShapeError, _dot, _gram, _matmat, _matvec, _mgs, norm2, require_finite, validate_operands
 from .rational import nonzero_rows, rat_dot, rat_matvec, rational_lstsq, to_rational_vector
 
 
@@ -290,12 +290,13 @@ class GmresResult:
     breakdown: int | None
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite y raises below
 def hessenberg_lstsq(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least squares min ||H y - rhs|| for (m+1) x m Hessenberg H by Givens QR."""
+    """Least squares min ||H y - rhs|| for (m+1) x m Hessenberg H by Givens QR.
+    Raises NonFiniteError on a non-finite y (a Givens norm of 0, a zero pivot)."""
     m = H.shape[1]
-    R = H.astype(H.dtype).copy()
-    g = rhs.astype(H.dtype).copy()
-    dt = H.dtype.type
+    R = H.copy()
+    g = rhs.astype(H.dtype)
     for j in range(m):
         a, b = R[j, j], R[j + 1, j]
         if b == 0:
@@ -316,9 +317,11 @@ def hessenberg_lstsq(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         for j in range(m - 1, i, -1):
             acc = acc - R[i, j] * y[j]
         y[i] = acc / R[i, i]
+    require_finite(y, "least-squares solution")
     return y
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def gmres_structured(A: np.ndarray, v: np.ndarray, k: int) -> GmresResult:
     """GMRES iterate x_k = V_k y_k for A x = v from x0 = 0, with
     y_k = argmin ||H_{k+1,k} y - ||v|| e1||.  Returns the witness pair

@@ -595,18 +595,21 @@ def strakos_spectrum(n: int, lam1, lamn, rho, precision: Precision = BINARY64) -
     if n < 2 or not (0 < float(lam1) < float(lamn)) or not (0 < float(rho) <= 1):
         raise ValueError("need n >= 2, 0 < lam1 < lamn, 0 < rho <= 1")
     dt = precision.dtype
-    lam1 = dt(lam1)
-    lamn = dt(lamn)
-    rho = dt(rho)
-    diff = lamn - lam1
-    out = np.empty(n, dtype=dt)
-    out[0] = lam1
-    for i in range(2, n + 1):
-        frac = dt(i - 1) / dt(n - 1)
-        rp = dt(1.0)
-        for _ in range(n - i):
-            rp = rp * rho
-        out[i - 1] = lam1 + frac * diff * rp
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite parameter or entry raises below
+        lam1, lamn, rho = dt(lam1), dt(lamn), dt(rho)
+        if not (np.isfinite(lamn) and 0 < lam1 < lamn):
+            raise RangeError(f"need finite 0 < lam1 < lamn in {precision.name}, got {float(lam1)!r} and {float(lamn)!r}")
+        diff = lamn - lam1
+        out = np.empty(n, dtype=dt)
+        out[0] = lam1
+        for i in range(2, n + 1):
+            frac = dt(i - 1) / dt(n - 1)
+            rp = dt(1.0)
+            for _ in range(n - i):
+                rp = rp * rho
+            out[i - 1] = lam1 + frac * diff * rp
+    if not np.all(np.isfinite(out)):
+        raise RangeError(f"the spectrum overflows {precision.name}")
     if np.any(np.diff(out) <= 0):
         raise ValueError("spectrum is not strictly increasing for these parameters")
     return out

@@ -1,12 +1,18 @@
+import argparse
+import contextlib
 import csv
+import io
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from krylovexact import harness
-from krylovexact.cli import main
+from krylovexact.cli import _build_parser, main
 from krylovexact.fileio import write_matrix
+from krylovexact.problems import STRUCTURES
 
 
 def run_cli(capsys, *argv):
@@ -285,3 +291,113 @@ def test_gen_checks_the_block_size(tmp_path, capsys, what):
     out = str(tmp_path / "T.txt")
     assert "multiple of the block size" in _error_exit(capsys, "gen", *what, "--n", "5", "--p", "2", "--out", out)
     assert "block size must be positive" in _error_exit(capsys, "gen", *what, "--n", "4", "--p", "0", "--out", out)
+
+
+def test_gen_strakos_rejects_a_parameter_binary32_cannot_hold(tmp_path, capsys):
+    out = tmp_path / "T.txt"
+    assert "lam1 < lamn in binary32" in _error_exit(capsys, "gen", "strakos", "--n", "5", "--lamn", "1e300", "--precision", "binary32", "--out", str(out))
+    assert not out.exists()
+
+
+def test_run_rejects_a_beta1_the_matrix_precision_cannot_hold(tmp_path, capsys):
+    mat = tmp_path / "T.txt"
+    assert run_cli(capsys, "gen", "jacobi", "--n", "4", "--precision", "binary32", "--out", str(mat))[0] == 0
+    for beta1 in ("1e300", "1e-50", "-1", "nan", "inf"):
+        assert "--beta1 must be positive and finite in binary32" in _error_exit(capsys, "run", "lanczos", "--problem", str(mat), "--e1", "--beta1", beta1)
+
+
+def test_convert_rejects_a_literal_binary32_cannot_hold(tmp_path, capsys):
+    path = tmp_path / "v.txt"
+    path.write_text("precision binary32\nvector 2\n0x1.000001p0 0x1p-1074\n")
+    assert "'0x1.000001p0' is not representable in binary32" in _error_exit(capsys, "convert", "--in", str(path), "--out", str(tmp_path / "v.csv"))
+
+
+# argv drawn from the parser's grammar ------------------------------------
+
+_SUBPARSERS = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+_FLOATS = ["0", "1e-300", "-1e-300", "1e-50", "0.5", "3", "1e300", "nan", "inf"]
+_INTS = {"n": (-1, 6), "k": (-1, 6), "p": (-1, 3), "seed": (0, 3), "seeds": (-1, 2), "samples": (-1, 50)}
+_COST = {"samples", "sizes", "seeds"}  # always drawn, and small: their defaults take seconds
+_PATHS = ("problem", "v_file", "w_file", "infile")
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """A generated file of every kind in both precisions (strakos writes a
+    vector), a missing path and a malformed file."""
+    root = tmp_path_factory.mktemp("argv")
+    paths = [root / "missing.txt", root / "malformed.txt"]
+    paths[1].write_text("jacobi 2\n0x1p0 zz 0x1p0\n")
+    gens = [[kind, "--p", "2"] for kind in STRUCTURES] + [["strakos"]] + [["structured", "--kind", kind, "--p", "2"] for kind in STRUCTURES]
+    for i, gen in enumerate(gens):
+        for precision in ("binary64", "binary32"):
+            paths.append(root / f"{i}-{precision}.txt")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["gen", *gen, "--n", "4", "--precision", precision, "--out", str(paths[-1])]) == 0
+    return [str(path) for path in paths], root
+
+
+def _value(action, files, out):
+    if action.dest in _PATHS:
+        return st.sampled_from(files)
+    if action.dest == "out":
+        return st.just(out)
+    if action.choices:
+        return st.sampled_from(list(action.choices))
+    if action.dest == "sizes":
+        return st.lists(st.integers(-1, 6), max_size=2).map(lambda sizes: ",".join(map(str, sizes)))
+    if action.type is int:
+        return st.integers(*_INTS[action.dest]).map(str)
+    return st.sampled_from(_FLOATS)
+
+
+def _positional(command):
+    """The choices of the subcommand's positional argument, or [None]."""
+    return next((list(a.choices) for a in _SUBPARSERS[command]._actions if not a.option_strings and a.choices), [None])
+
+
+@st.composite
+def argv(draw, command, what, files, out):
+    """The subcommand, its positional choice, its required and cost flags
+    and a subset of its other flags, each with a value of its kind."""
+    args = [command] + ([what] if what else [])
+    for action in _SUBPARSERS[command]._actions:
+        if action.option_strings and not isinstance(action, argparse._HelpAction) and (action.required or action.dest in _COST or draw(st.booleans())):
+            args.append(action.option_strings[0])
+            if action.nargs != 0:
+                args.append(draw(_value(action, files, out)))
+    return args
+
+
+def _main(args):
+    """main's exit code, output kept out of the test log."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(args)
+        except SystemExit as e:  # an argparse usage error
+            return e.code
+
+
+_FIXED = {"bound52", "fig2", "fig3"}  # no flag changes what these compute
+_COMMANDS = [(command, what) for command in _SUBPARSERS for what in _positional(command)]
+
+
+@pytest.mark.parametrize("command, what", _COMMANDS)
+def test_any_argv_exits_0_1_or_2_and_a_generated_file_reads_back(input_files, command, what):
+    """No exception but SystemExit escapes main (a RuntimeWarning is an
+    error here), every exit is 0, 1 or 2, and what `gen` writes `convert`
+    reads.  Each subcommand and choice draws its own fixed sequence of
+    examples, so a run is reproducible."""
+    files, root = input_files
+    out = str(root / f"out-{command}-{what}")
+
+    @seed(_COMMANDS.index((command, what)))
+    @settings(max_examples=3 if what in _FIXED else 40, deadline=None, database=None)
+    @given(argv(command, what, files, out))
+    def prop(args):
+        code = _main(args)
+        assert code in (0, 1, 2), args
+        if command == "gen" and code == 0:
+            assert _main(["convert", "--in", out, "--out", out + ".csv"]) == 0, args
+
+    prop()

@@ -147,6 +147,14 @@ def test_non_finite_literals_are_rejected(literal):
         read_matrix(io.StringIO(f"{header}dense 1 2\n{literal} 0x1p0\n"))
 
 
+@pytest.mark.parametrize("literals, bad", [("0x1.000001p0 0x1p-1074", "0x1.000001p0"), ("0x1p0 0x1p-1074", "0x1p-1074"), ("0x1p-150 0x1p0", "0x1p-150")])
+def test_a_literal_the_precision_cannot_hold_is_rejected(literals, bad):
+    with pytest.raises(FormatError, match=f"literal '{bad}' is not representable in binary32"):
+        read_matrix(io.StringIO(f"precision binary32\nvector 2\n{literals}\n"))
+    v = read_matrix(io.StringIO("precision binary32\nvector 3\n0x1.fffffep127 0x1p-149 -0x0p+0\n"))
+    assert v.tolist() == [float.fromhex("0x1.fffffep127"), 2.0**-149, 0.0] and np.signbit(v[2])
+
+
 def test_tokens_after_the_record_are_rejected():
     with pytest.raises(FormatError, match="after the record"):
         read_matrix(io.StringIO("vector 2\n0x1p0 0x1p0 0x1p0 0x1p0\n"))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krylovexact.fp import NonFiniteError, ShapeError, _gram, _matmat, _matvec, bitwise_equal, norm2, seq_dot, validate_operands
+from krylovexact.fp import NonFiniteError, ShapeError, _gram, _matmat, _matvec, bitwise_equal, matmat, matvec, norm2, seq_dot, validate_operands
 from krylovexact.krylov_general import (
     ArnoldiResult,
     BlockLanczosResult,
@@ -573,6 +573,11 @@ def test_overflow_raises_without_a_warning_and_restores_errstate():
         *(lambda qr=qr: block_lanczos(big, np.ones((4, 2)), 1, qr) for qr in ("mgs", "cgs")),
         # q_1 = (0.6, 0.8); the update w - r_12 q_1 of the second column overflows
         *(lambda qr=qr: gram_schmidt_qr(np.array([[3.0, 1.7e308], [4.0, -1.7e308]]), qr) for qr in ("mgs", "cgs")),
+        lambda: matvec(big, ones),
+        lambda: matmat(big, np.ones((4, 2))),
+        lambda: hessenberg_lstsq(np.array([[1e-300], [1e-300]]), np.array([1.0, 0.0])),  # the Givens norm underflows to 0
+        lambda: hessenberg_lstsq(np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0, 0.0])),  # zero pivot
+        lambda: gmres_structured(np.diag([0.0, 1.0]), np.array([1.0, 0.0]), 1),  # A v = 0: H = [[0], [0]]
     ]
     before = np.geterr()
     with warnings.catch_warnings():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krylovexact import fp
-from krylovexact.cg import CGTrace, cg_hs, cglanczos
+from krylovexact.cg import CGTrace, cg_hs, cglanczos, ldl
 from krylovexact.fp import BINARY32, NonFiniteError, _matvec, bitwise_equal, bitwise_symmetric, frobenius_norm, norm2, seq_dot, validate_operands
 from krylovexact.harness import a_orthogonality_loss
 from krylovexact.lanczos import REORTH, VARIANTS, LanczosResult, lanczos
@@ -421,5 +421,8 @@ def test_overflow_raises_without_a_warning_and_restores_errstate():
             with pytest.raises(NonFiniteError):
                 run()
             assert np.geterr() == before
+        with pytest.raises(ValueError, match="nonpositive pivot d_2"):
+            ldl(np.array([1e-300, 1.0]), np.array([1e300]))  # ell_1 overflows
+        assert np.geterr() == before
         lanczos(np.eye(3), np.ones(3), 3, reorth="double")
     assert np.geterr() == before

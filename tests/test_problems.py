@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krylovexact.fp import BINARY32, NonFiniteError, ShapeError, bitwise_equal
+from krylovexact.fp import BINARY32, BINARY64, NonFiniteError, RangeError, ShapeError, bitwise_equal
 from krylovexact.problems import (
     ConvergenceCurves,
     HessenbergMatrix,
@@ -142,6 +142,20 @@ def test_strakos_spectrum_rejects_bad_parameters():
         strakos_spectrum(1, 0.1, 1.0, 0.5)
     with pytest.raises(ValueError):
         strakos_spectrum(5, 1.0, 0.1, 0.5)
+
+
+@pytest.mark.parametrize(
+    "lam1, lamn, precision",
+    [
+        (1e-3, 1e300, BINARY32),  # lamn overflows the cast
+        (1e-300, 1.0, BINARY32),  # lam1 underflows to 0
+        (1e-3, float("inf"), BINARY64),
+        (3 * 2.0**970, np.finfo(np.float64).max, BINARY64),  # lam1 + (lamn - lam1) rounds to inf
+    ],
+)
+def test_strakos_spectrum_checks_its_parameters_after_the_cast_and_its_result(lam1, lamn, precision):
+    with pytest.raises(RangeError):
+        strakos_spectrum(2, lam1, lamn, 0.7, precision)
 
 
 def test_prescribe_cg_curves_single_step():
