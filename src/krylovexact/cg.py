@@ -92,7 +92,7 @@ def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     return tr
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow makes the next pivot -inf, which raises
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed ell_j makes d_{j+1} -inf, which raises
 def ldl(alpha: np.ndarray, beta: np.ndarray) -> LDLFactors:
     """d_1 = alpha_1; ell_j = beta_{j+1}/d_j; d_{j+1} = alpha_{j+1} - beta_{j+1} ell_j.
 
