@@ -48,6 +48,13 @@ def _add_precision(p):
     p.add_argument("--precision", choices=["binary64", "binary32"], default="binary64")
 
 
+def _add_start(p):
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--e1", action="store_true", help="start from beta1 * e1")
+    start.add_argument("--v-file", help="read the starting vector from a file")
+    p.add_argument("--beta1", type=float, help="scale for --e1 (default 1)")
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="krylovexact", description="Krylov recurrences with bit-level exactness checks")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -68,10 +75,7 @@ def _build_parser():
     run = sub.add_parser("run", help="run an algorithm on a matrix or problem file")
     run.add_argument("algorithm", choices=_RUN_CHOICES)
     run.add_argument("--problem", required=True, help="matrix or problem file")
-    start = run.add_mutually_exclusive_group()
-    start.add_argument("--e1", action="store_true", help="start from beta1 * e1")
-    start.add_argument("--v-file", help="read the starting vector from a file")
-    run.add_argument("--beta1", type=float, help="scale for --e1 (default 1)")
+    _add_start(run)
     run.add_argument("--w-file", help="left starting vector file (bilanczos on matrix files)")
     run.add_argument("--k", type=int, default=0, help="number of steps (default: full dimension)")
     run.add_argument("--variant", choices=["mgs", "cgs"], default="mgs")
@@ -91,10 +95,7 @@ def _build_parser():
     chk.add_argument("--samples", type=int, default=1000000)
     chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--problem", help="matrix file for `check structure`")
-    chk_start = chk.add_mutually_exclusive_group()
-    chk_start.add_argument("--e1", action="store_true")
-    chk_start.add_argument("--v-file")
-    chk.add_argument("--beta1", type=float)
+    _add_start(chk)
     _add_precision(chk)
 
     exp = sub.add_parser("experiment", help="run an experiment and write its CSV")
@@ -289,24 +290,16 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+_COMMANDS = {"gen": _cmd_gen, "run": _cmd_run, "check": _cmd_check, "experiment": _cmd_experiment, "convert": _cmd_convert}
+
+
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "convert":
-            return _cmd_convert(args)
+        return _COMMANDS[args.command](args)
     except (ValueError, TypeError, OSError, SeriousBreakdownError) as e:  # ValueError covers the fp and fileio errors
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

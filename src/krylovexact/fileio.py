@@ -90,19 +90,22 @@ def write_matrix(out, T):
 
 
 class _Tokens:
-    """Whitespace token stream over a text file."""
+    """The whitespace-separated tokens of a text file, read once, and the
+    index of the next one."""
 
     def __init__(self, f):
-        self._it = iter(tok for line in f for tok in line.split())
-        self._push = []
+        self._toks = f.read().split()
+        self._i = 0
+
+    def take(self, k: int) -> list[str]:
+        toks = self._toks[self._i : self._i + k]
+        if len(toks) < k:
+            raise FormatError("unexpected end of file")
+        self._i += k
+        return toks
 
     def next(self) -> str:
-        if self._push:
-            return self._push.pop()
-        try:
-            return next(self._it)
-        except StopIteration:
-            raise FormatError("unexpected end of file") from None
+        return self.take(1)[0]
 
     def end(self):
         tok = self.peek()
@@ -110,12 +113,7 @@ class _Tokens:
             raise FormatError(f"unexpected token {tok!r} after the record")
 
     def peek(self) -> str | None:
-        if not self._push:
-            try:
-                self._push.append(next(self._it))
-            except StopIteration:
-                return None
-        return self._push[-1]
+        return self._toks[self._i] if self._i < len(self._toks) else None
 
     def ints(self, k: int) -> list[int]:
         out = []
@@ -136,7 +134,7 @@ class _Tokens:
 
     def floats(self, k: int, dt) -> np.ndarray:
         """k literals, each exactly representable in dt and finite there."""
-        toks = [self.next() for _ in range(k)]
+        toks = self.take(k)
         exact = np.array([_fromhex(tok) for tok in toks])
         with np.errstate(over="ignore"):  # a binary32 overflow is reported below
             a = exact.astype(dt)
@@ -254,15 +252,10 @@ def read_problem(f) -> StructuredProblem:
 # CSV
 
 
-def _decimal(x) -> str:
-    return repr(float(x))
-
-
 def write_metric_csv(out, series):
     w = csv.writer(out)
     w.writerow(["experiment", "k", "metric", "value", "value_hex"])
-    for k, name, value, hx in series.rows:
-        w.writerow([series.experiment, k, name, _decimal(value), hx])
+    w.writerows([series.experiment, k, name, repr(value), hx] for k, name, value, hx in series.rows)
 
 
 def write_reports_csv(out, reports):
@@ -275,12 +268,10 @@ def write_reports_csv(out, reports):
 def write_matrix_summary_csv(out, T):
     """CSV summary of a structure: one row per stored entry."""
     header, vals = _matrix_payload(T)
-    parts = header.split()
+    kind, *dims = header.split()
     w = csv.writer(out)
     w.writerow(["kind", "dims", "index", "value", "value_hex"])
-    dims = "x".join(parts[1:])
-    for i, v in enumerate(vals):
-        w.writerow([parts[0], dims, i, _decimal(v), _hex(v)])
+    w.writerows([kind, "x".join(dims), i, repr(v), v.hex()] for i, v in enumerate(vals.tolist()))
 
 
 def write_vector_csv(out, pairs):

@@ -336,38 +336,33 @@ def sweep_failures(reports) -> list:
 # figure experiments (Strakos spectrum, n = 24, lam1 = 1e-3, lamn = 1, rho = 0.7)
 
 
-def _strakos_tridiagonal():
+def _strakos_system():
+    """The dense T_24 that Lanczos with double reorthogonalization gives on
+    (diag(lambda), ones), and b = e1."""
     lam = strakos_spectrum(24, 1e-3, 1.0, 0.7)
-    A = np.diag(lam)
-    v = np.ones(24, dtype=np.float64)
-    res = lanczos(A, v, 24, variant="mgs", reorth="double")
+    res = lanczos(np.diag(lam), np.ones(24, dtype=np.float64), 24, variant="mgs", reorth="double")
     if res.k < 24:
         raise RuntimeError("unexpected breakdown while building the reference tridiagonal")
-    return res.tridiagonal()
+    b = np.zeros(24, dtype=np.float64)
+    b[0] = 1.0
+    return res.tridiagonal().to_dense(), b
 
 
 def experiment_fig2() -> MetricSeries:
     """Loss of orthogonality of HS-CG's normalized residuals on the Strakos
     instance, against the exact (+0) loss of plain Lanczos on the same pair."""
-    T = _strakos_tridiagonal()
-    A = T.to_dense()
-    n = T.n
-    b = np.zeros(n, dtype=np.float64)
-    b[0] = 1.0
+    A, b = _strakos_system()
     tr = cg_hs(A, b)
     series = MetricSeries("fig2")
-    steps = len(tr.r) - 1
-    Vt = np.empty((n, steps + 1), dtype=np.float64)
-    for j in range(steps + 1):
-        nrm = tr.residual_norms[j]
+    basis = []  # the normalized residuals up to the first zero norm
+    for r, nrm in zip(tr.r, tr.residual_norms):
         if nrm == 0:
-            Vt = Vt[:, :j]
-            steps = j - 1
             break
-        Vt[:, j] = tr.r[j] / nrm
-    for k in range(1, steps + 2):
-        series.add(k, "hscg_orth_loss", loss_of_orthogonality(Vt[:, :k]))
-    lres = lanczos(A, b, n, variant="mgs", reorth="none")
+        basis.append(r / nrm)
+    V = np.column_stack(basis)
+    for k in range(1, V.shape[1] + 1):
+        series.add(k, "hscg_orth_loss", loss_of_orthogonality(V[:, :k]))
+    lres = lanczos(A, b, len(b), variant="mgs", reorth="none")
     for k in range(1, lres.k + 1):
         series.add(k, "lanczos_orth_loss", loss_of_orthogonality(lres.V[:, :k]))
     return series
@@ -376,11 +371,7 @@ def experiment_fig2() -> MetricSeries:
 def experiment_fig3() -> MetricSeries:
     """A-orthogonality of cgLanczos directions and relative error against the
     exact-arithmetic CG oracle on the Strakos instance."""
-    T = _strakos_tridiagonal()
-    A = T.to_dense()
-    n = T.n
-    b = np.zeros(n, dtype=np.float64)
-    b[0] = 1.0
+    A, b = _strakos_system()
     tr = cglanczos(A, b)
     oracle = rational_cg(A, b)
     series = MetricSeries("fig3")

@@ -46,6 +46,17 @@ def _fisher_yates(g: np.random.Generator, n: int) -> np.ndarray:
 # structured matrix types
 
 
+def _tridiagonal(diag, sup, sub) -> np.ndarray:
+    """Dense n x n matrix with the given diagonal, superdiagonal and
+    subdiagonal, by placement only; every other entry is +0."""
+    n = len(diag)
+    A = np.zeros((n, n), dtype=diag.dtype)
+    A.flat[:: n + 1] = diag
+    A.flat[1 :: n + 1] = sup
+    A.flat[n :: n + 1] = sub
+    return A
+
+
 def _check_entries(finite, positive=(), positive_msg="", guarded=(), range_msg=""):
     """Entry checks shared by the structure types, after their shape checks:
     the (name, array) pairs of finite hold no NaN or infinity, the arrays of
@@ -87,18 +98,8 @@ class JacobiMatrix:
     def n(self) -> int:
         return len(self.alpha)
 
-    @property
-    def precision(self) -> Precision:
-        return precision_of(self.alpha)
-
     def to_dense(self) -> np.ndarray:
-        n = self.n
-        A = np.zeros((n, n), dtype=self.alpha.dtype)
-        A[np.arange(n), np.arange(n)] = self.alpha
-        i = np.arange(n - 1)
-        A[i, i + 1] = self.beta
-        A[i + 1, i] = self.beta
-        return A
+        return _tridiagonal(self.alpha, self.beta, self.beta)
 
 
 @dataclass(frozen=True)
@@ -157,13 +158,7 @@ class NonsymTridiagonal:
         return len(self.alpha)
 
     def to_dense(self) -> np.ndarray:
-        n = self.n
-        A = np.zeros((n, n), dtype=self.alpha.dtype)
-        A[np.arange(n), np.arange(n)] = self.alpha
-        i = np.arange(n - 1)
-        A[i, i + 1] = self.beta
-        A[i + 1, i] = self.gamma
-        return A
+        return _tridiagonal(self.alpha, self.beta, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -188,12 +183,7 @@ class LowerBidiagonal:
         return len(self.gamma)
 
     def to_dense(self) -> np.ndarray:
-        n = self.n
-        A = np.zeros((n, n), dtype=self.gamma.dtype)
-        A[np.arange(n), np.arange(n)] = self.gamma
-        i = np.arange(n - 1)
-        A[i + 1, i] = self.delta
-        return A
+        return _tridiagonal(self.gamma, np.zeros_like(self.delta), self.delta)
 
 
 @dataclass(frozen=True)
@@ -384,13 +374,8 @@ def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
         if not isinstance(P, SignedBlockPermutation) or P.n != T.n or P.p != T.p:
             raise ShapeError("block dimensions of P and T do not agree")
         flat = P.flatten()
-        A = _signed_conjugate(flat, Td)
-        p = T.p
-        U1 = np.zeros((T.n, p), dtype=dtype)
-        for j in range(p):
-            U1[:, j] = _scaled_column(flat, j, 1.0, dtype)
-        v = U1[:, 0].copy()
-        return StructuredProblem(P, T, dtype(beta1), A, v, T.m, U1=U1)
+        U1 = np.ascontiguousarray(flat.to_dense(dtype)[:, : T.p])  # P [I, 0, ..., 0]^T
+        return StructuredProblem(P, T, dtype(beta1), _signed_conjugate(flat, Td), U1[:, 0].copy(), T.m, U1=U1)
 
     if not isinstance(P, SignedPermutation) or P.n != T.n:
         raise ShapeError("dimensions of P and T do not agree")
@@ -435,8 +420,6 @@ def detect_structure(A: np.ndarray, v: np.ndarray):
             return None
         order.append(nxt[0])
         seen.add(nxt[0])
-    if n > 1 and len(neighbors[order[-1]]) != 1:
-        return None
 
     dtype = A.dtype.type
     signs = np.empty(n, dtype=int)
@@ -488,13 +471,15 @@ def _uniform(g, lo, hi, size, dtype):
     return g.uniform(lo, hi, size).astype(dtype)
 
 
+def _signed_permutation(g: np.random.Generator, n: int) -> SignedPermutation:
+    """Fisher-Yates on g, then the n signs from the same g."""
+    return SignedPermutation(_fisher_yates(g, n), 2 * g.integers(0, 2, n) - 1)
+
+
 def random_signed_permutation(n: int, seed: int) -> SignedPermutation:
     if n < 1:
         raise ValueError("n must be positive")
-    g = make_rng(seed)
-    perm = _fisher_yates(g, n)
-    signs = 2 * g.integers(0, 2, n) - 1
-    return SignedPermutation(perm, signs)
+    return _signed_permutation(make_rng(seed), n)
 
 
 def random_jacobi(n: int, seed: int, spd: bool = False, precision: Precision = BINARY64) -> JacobiMatrix:
@@ -564,12 +549,7 @@ def random_structure(kind: str, n: int, seed: int, precision: Precision = BINARY
 def random_signed_block_permutation(m: int, p: int, seed: int) -> SignedBlockPermutation:
     g = make_rng(seed)
     block_perm = _fisher_yates(g, m)
-    blocks = []
-    for _ in range(m):
-        perm = _fisher_yates(g, p)
-        signs = 2 * g.integers(0, 2, p) - 1
-        blocks.append(SignedPermutation(perm, signs))
-    return SignedBlockPermutation(block_perm, tuple(blocks))
+    return SignedBlockPermutation(block_perm, tuple(_signed_permutation(g, p) for _ in range(m)))
 
 
 def random_structured_problem(kind: str, n: int, seed: int, precision: Precision = BINARY64, p: int = 1, spd: bool = False) -> StructuredProblem:
