@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fp import ShapeError, _dot, _matvec, bitwise_symmetric, norm2, validate_operands
+from .fp import NonFiniteError, ShapeError, _dot, _matvec, bitwise_symmetric, norm2, validate_operands
 from .lanczos import lanczos
 
 
@@ -92,12 +92,13 @@ def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     return tr
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowed ell_j makes d_{j+1} -inf, which raises
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed inner ell_j makes d_{j+1} -inf, which raises
 def ldl(alpha: np.ndarray, beta: np.ndarray) -> LDLFactors:
     """d_1 = alpha_1; ell_j = beta_{j+1}/d_j; d_{j+1} = alpha_{j+1} - beta_{j+1} ell_j.
 
     beta holds beta_2 .. beta_n, or also a trailing beta_{n+1} (as a Lanczos
-    run returns it), which gives a last multiplier ell_n.
+    run returns it), which gives a last multiplier ell_n.  No pivot follows
+    ell_n, so it raises NonFiniteError itself if it is not finite.
     """
     n = len(alpha)
     if len(beta) not in (n - 1, n):
@@ -110,6 +111,8 @@ def ldl(alpha: np.ndarray, beta: np.ndarray) -> LDLFactors:
             raise ValueError(f"nonpositive pivot d_{j + 1}: matrix is not positive definite")
         if j < len(beta):
             ell[j] = beta[j] / d[j]
+    if len(ell) == n > 0 and not np.isfinite(ell[-1]):
+        raise NonFiniteError(f"the trailing multiplier ell_{n} = beta_{n + 1}/d_{n} is not finite")
     return LDLFactors(d, ell)
 
 

@@ -7,11 +7,12 @@ coordinate-error identity for structured Hessenberg inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import ShapeError, _dot, _gram, _matmat, _matvec, _mgs, norm2, require_finite, validate_operands
+from .fp import RangeError, ShapeError, _dot, _gram, _matmat, _matvec, _mgs, norm2, require_finite, validate_operands
 from .rational import nonzero_rows, rat_dot, rat_matvec, rational_lstsq, to_rational_vector
 
 
@@ -321,6 +322,22 @@ def hessenberg_lstsq(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return y
 
 
+def _error_norm(exact, computed) -> float:
+    """||exact - computed|| as float(sqrt(float(q))) of the exact squared norm
+    q; where float(q) overflows, the root of q / 4^e times 2^e.  RangeError if
+    the norm itself is beyond binary64."""
+    d = [xe - xb for xe, xb in zip(exact, to_rational_vector(computed))]
+    q = rat_dot(d, d)
+    try:
+        return float(np.sqrt(float(q)))
+    except OverflowError:  # q is beyond binary64; its root need not be
+        e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    try:
+        return math.ldexp(float(np.sqrt(float(q / 4**e))), e)
+    except OverflowError:
+        raise RangeError("the error norm is beyond binary64") from None
+
+
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def gmres_structured(A: np.ndarray, v: np.ndarray, k: int) -> GmresResult:
     """GMRES iterate x_k = V_k y_k for A x = v from x0 = 0, with
@@ -338,9 +355,5 @@ def gmres_structured(A: np.ndarray, v: np.ndarray, k: int) -> GmresResult:
     xbar = _matvec(V, ybar)
 
     yexact = rational_lstsq(H, rhs)
-    dy = [ye - yb for ye, yb in zip(yexact, to_rational_vector(ybar))]
-    y_err = float(np.sqrt(float(rat_dot(dy, dy))))
     xexact = rat_matvec(nonzero_rows(V), yexact)
-    dx = [xe - xb for xe, xb in zip(xexact, to_rational_vector(xbar))]
-    x_err = float(np.sqrt(float(rat_dot(dx, dx))))
-    return GmresResult(xbar, ybar, x_err, y_err, res.breakdown)
+    return GmresResult(xbar, ybar, _error_norm(xexact, xbar), _error_norm(yexact, ybar), res.breakdown)

@@ -2,7 +2,9 @@ import argparse
 import contextlib
 import csv
 import io
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from krylovexact import harness
 from krylovexact.cli import _build_parser, main
 from krylovexact.fileio import write_matrix
+from krylovexact.fp import norm2
 from krylovexact.problems import STRUCTURES
 
 
@@ -146,6 +149,22 @@ def test_run_gmres_on_a_structured_hessenberg_file(tmp_path, capsys, precision):
     code, out = run_cli(capsys, "run", "gmres", "--problem", str(prob), "--out", str(csv_out))
     assert code == 0, out.err
     assert {row[0] for row in csv.reader(csv_out.open())} >= {"x", "y"}
+
+
+def test_run_gmres_writes_a_witness_norm_whose_square_overflows(tmp_path, capsys):
+    """A = diag(a, 1) and v = 1e100 e1 break down at step 1 with H = [a; 0], so
+    the exact coordinate is ||v|| / a, and its error is about 2.6e183."""
+    a = float.fromhex("0x1.bff2ee48e0530p-333")
+    mat, csv_out = tmp_path / "d.txt", tmp_path / "gmres.csv"
+    mat.write_text(f"dense 2 2\n{a.hex()} 0x0p+0 0x0p+0 0x1p+0\n")
+    code, out = run_cli(capsys, "run", "gmres", "--problem", str(mat), "--e1", "--beta1", "1e100", "--out", str(csv_out))
+    assert code == 0, out.err
+    vals = {name: float.fromhex(hx) for name, i, _, hx in list(csv.reader(csv_out.open()))[1:] if i == "0"}
+    r = vals["y_error_norm"]
+    assert math.isfinite(r) and vals["x_error_norm"] == r
+    q = (Fraction(float(norm2(np.array([1e100, 0.0])))) / Fraction(a) - Fraction(vals["y"])) ** 2
+    assert q > Fraction(sys.float_info.max)
+    assert Fraction(r - math.ulp(r)) ** 2 <= q <= Fraction(r + math.ulp(r)) ** 2
 
 
 def _error_exit(capsys, *argv):

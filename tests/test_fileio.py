@@ -200,6 +200,31 @@ def test_problem_roundtrip_property(prob):
     assert _written(prob2) == text
 
 
+def _respaced(text) -> str:
+    """text's tokens, separated in turn by a space, a tab, CRLF, a blank line
+    and mixed runs, so that every record is split across lines."""
+    seps = [" ", "\t", "\r\n", "\n\n", " \t\r\n  ", "\n\t\n"]
+    return "".join(tok + seps[i % len(seps)] for i, tok in enumerate(text.split()))
+
+
+@pytest.mark.parametrize("precision", [BINARY64, BINARY32], ids=lambda p: p.name)
+@pytest.mark.parametrize("kind", list(STRUCTURES))
+def test_any_whitespace_between_tokens_reads_the_same_bits(kind, precision):
+    prob = random_structured_problem(kind, 4, 1, precision, p=2)
+    text = _written(prob)
+    again = read_problem(io.StringIO("\r\n" + _respaced(text)))
+    assert _written(again) == text
+    for name in ("A", "v", "w", "U1"):
+        assert (getattr(again, name) is None) == (getattr(prob, name) is None)
+        if getattr(prob, name) is not None:
+            assert bitwise_equal(getattr(again, name), getattr(prob, name)), name
+    for T in (prob.T, prob.A, prob.v):
+        buf = io.StringIO()
+        write_matrix(buf, T)
+        got = read_matrix(io.StringIO(_respaced(buf.getvalue())))
+        assert bitwise_equal(got if isinstance(got, np.ndarray) else got.to_dense(), T if isinstance(T, np.ndarray) else T.to_dense())
+
+
 @functools.cache
 def _problem_file(kind, precision) -> str:
     return _written(random_structured_problem(kind, 4, 1, precision, p=2))

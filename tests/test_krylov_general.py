@@ -1,18 +1,21 @@
 import dataclasses
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krylovexact.fp import NonFiniteError, ShapeError, _gram, _matmat, _matvec, bitwise_equal, matmat, matvec, norm2, seq_dot, validate_operands
+from krylovexact.fp import NonFiniteError, RangeError, ShapeError, _gram, _matmat, _matvec, bitwise_equal, matmat, matvec, norm2, seq_dot, validate_operands
 from krylovexact.krylov_general import (
     ArnoldiResult,
     BlockLanczosResult,
     GolubKahanResult,
     NonsymLanczosResult,
     SeriousBreakdownError,
+    _error_norm,
     arnoldi,
     block_lanczos,
     gmres_structured,
@@ -262,6 +265,19 @@ def test_gmres_scales_with_the_starting_vector():
         assert b.breakdown == a.breakdown
     with pytest.raises(ValueError, match="zero"):
         gmres_structured(prob.A, np.zeros(8), 3)
+
+
+def test_a_witness_norm_is_the_root_of_its_square_even_where_the_square_overflows():
+    third = Fraction(1, 3)
+    for e in (0, 300, 511, 512, 600, 1023):  # float(q) overflows from 2^1024 on
+        exact = [third * 2**e, Fraction(-3, 7) * 2**e]
+        q = sum(x * x for x in exact)
+        r = _error_norm(exact, np.zeros(2))
+        if e < 512:
+            assert r == float(np.sqrt(float(q)))
+        assert r == math.ldexp(_error_norm([third, Fraction(-3, 7)], np.zeros(2)), e)
+    with pytest.raises(RangeError, match="beyond binary64"):
+        _error_norm([Fraction(2**1024)], np.zeros(1))
 
 
 # Row-major bases: the column-major loops they replaced, kept as references ---

@@ -424,5 +424,8 @@ def test_overflow_raises_without_a_warning_and_restores_errstate():
         with pytest.raises(ValueError, match="nonpositive pivot d_2"):
             ldl(np.array([1e-300, 1.0]), np.array([1e300]))  # ell_1 overflows
         assert np.geterr() == before
+        with pytest.raises(NonFiniteError, match="trailing multiplier ell_1"):
+            ldl(np.array([1e-300]), np.array([1e300]))  # ell_1 overflows, and no pivot follows it
+        assert np.geterr() == before
         lanczos(np.eye(3), np.ones(3), 3, reorth="double")
     assert np.geterr() == before

@@ -103,6 +103,50 @@ def test_detect_structure_rejects_unstructured():
     assert detect_structure(prob.A, np.ones(4)) is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_detect_structure_rejects_a_path_with_a_chord_or_a_closed_cycle(data):
+    """One extra symmetric edge between non-adjacent path nodes i < j - 1,
+    with i = 0 and j = n - 1 closing the path into a cycle."""
+    n = data.draw(st.integers(3, 9))
+    prob = random_structured_problem("jacobi", n, data.draw(st.integers(0, 2**32 - 1)), data.draw(st.sampled_from([BINARY64, BINARY32])))
+    if data.draw(st.booleans()):
+        i, j = 0, n - 1
+    else:
+        i = data.draw(st.integers(0, n - 3))
+        j = data.draw(st.integers(i + 2, n - 1))
+    a, b = prob.P.perm[i], prob.P.perm[j]  # path node k sits at row perm[k] of A
+    A = prob.A.copy()
+    A[a, b] = A[b, a] = data.draw(st.sampled_from([1.0, -0.5, 2.0**-20]))
+    assert detect_structure(A, prob.v) is None
+
+
+# banded kind -> names of its diagonal, superdiagonal (None: zero) and subdiagonal
+_BANDS = {"jacobi": ("alpha", "beta", "beta"), "nonsymtridiag": ("alpha", "beta", "gamma"), "lowerbidiag": ("gamma", None, "delta")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(_BANDS)), st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from([BINARY64, BINARY32]), st.data())
+def test_banded_to_dense_is_a_placement_loop(kind, n, seed, precision, data):
+    """Bit for bit, with +0 and -0 on the diagonals that may hold them."""
+    T = random_structure(kind, n, seed, precision)
+    diag, sup, sub = _BANDS[kind]
+    if kind != "lowerbidiag":  # its diagonal must be positive
+        d = getattr(T, diag).copy()
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+            d[i] = data.draw(st.sampled_from([0.0, -0.0]))
+        T = dataclasses.replace(T, **{diag: d})
+    want = np.zeros((n, n), dtype=precision.dtype)
+    for i in range(n):
+        want[i, i] = getattr(T, diag)[i]
+        if i + 1 < n:
+            if sup is not None:
+                want[i, i + 1] = getattr(T, sup)[i]
+            want[i + 1, i] = getattr(T, sub)[i]
+    got = T.to_dense()
+    assert got.dtype == want.dtype and bitwise_equal(got, want)
+
+
 def test_extend_deficient_empty_blocks_matches_assemble():
     T = random_jacobi(5, 2)
     P = random_signed_permutation(5, 7)
