@@ -354,7 +354,7 @@ def experiment_fig2() -> MetricSeries:
     A, b = _strakos_system()
     tr = cg_hs(A, b)
     series = MetricSeries("fig2")
-    basis = []  # the normalized residuals up to the first zero norm
+    basis = []
     for r, nrm in zip(tr.r, tr.residual_norms):
         if nrm == 0:
             break
