@@ -4,6 +4,9 @@ Floats convert to dyadic rationals losslessly (Fraction(float) is exact),
 so running an algorithm here gives its exact-arithmetic result for the
 same floating-point input data.  No square roots are ever needed: the CG
 coefficients, iterates, squared norms, and cross products are all rational.
+The CG oracle is the exact SPD test plus the CG recurrence alone: x* is the
+iterate at which r reaches 0, and the energy errors are sums of the
+recurrence's own gamma_j ||r_j||^2, exact because r_{j+1} is orthogonal to p_j.
 
 Every exact sum of products (dots, matrix-vector rows, back substitution)
 goes through one kernel, _sum_products.  It carries the sum in plain ints
@@ -26,7 +29,9 @@ from math import gcd
 
 import numpy as np
 
-MAX_ORACLE_DIM = 48  # entry bit-length grows quickly under exact elimination
+# Exact CG's own numbers grow: the denominators of x_k are Krylov Gram
+# determinants, so their bit length, not the Fraction overhead, sets the cost.
+MAX_ORACLE_DIM = 48
 
 
 def to_rational_vector(x) -> list[Fraction]:
@@ -140,10 +145,13 @@ class RationalCGTrace:
 
 
 def rational_cg(A, b) -> RationalCGTrace:
-    """Hestenes-Stiefel CG in exact rational arithmetic, from x0 = 0 for up to n steps.
+    """Hestenes-Stiefel CG in exact rational arithmetic, from x0 = 0 until r = 0.
 
     Accepts float arrays or rational lists; floats are converted exactly.
-    Also returns the exact squared energy errors via an exact solve of Ax=b.
+    On SPD A exact CG reaches r_m = 0 within m <= n steps, so x_m is x*, and
+    since r_{j+1} is orthogonal to p_j the squared energy errors are the
+    suffix sums ||x* - x_k||_A^2 = sum_{j>=k} gamma_j ||r_j||^2 (Hestenes and
+    Stiefel, 1952): no solve and no error vector is formed.
     """
     Ar = A if isinstance(A, list) else to_rational_matrix(A)
     br = b if isinstance(b, list) else to_rational_vector(b)
@@ -153,25 +161,12 @@ def rational_cg(A, b) -> RationalCGTrace:
     if not is_spd_rational(Ar):
         raise ValueError("matrix is not symmetric positive definite over the rationals")
     rows = nonzero_rows(Ar)
-    xs = rat_solve(Ar, br)
-    tr = RationalCGTrace(x_exact=xs)
-
-    def record(xk, rk, pk, rr):  # the loop builds new lists each step, so none is copied
-        e = [a - b_ for a, b_ in zip(xs, xk)]
-        tr.x.append(xk)
-        tr.r.append(rk)
-        tr.p.append(pk)
-        tr.rnorm2.append(rr)
-        tr.energy2.append(rat_dot(e, rat_matvec(rows, e)))
-
     x = [Fraction(0)] * n
     r = [Fraction(bi) for bi in br]  # r_0 = b - A x_0 with x_0 = 0
     p = r[:]
     rr = rat_dot(r, r)
-    record(x, r, p, rr)
-    for _ in range(n):
-        if rr == 0:
-            break
+    tr = RationalCGTrace(x=[x], r=[r], p=[p], rnorm2=[rr])
+    while rr:  # each step builds new lists, so none is copied
         Ap = rat_matvec(rows, p)
         gamma = rr / rat_dot(p, Ap)
         x = [xi + gamma * pi for xi, pi in zip(x, p)]
@@ -182,7 +177,15 @@ def rational_cg(A, b) -> RationalCGTrace:
         tr.gammas.append(gamma)
         tr.deltas.append(delta)
         rr = rr_new
-        record(x, r, p, rr)
+        tr.x.append(x)
+        tr.r.append(r)
+        tr.p.append(p)
+        tr.rnorm2.append(rr)
+    tr.x_exact = x[:]
+    tr.energy2 = [Fraction(0)]
+    for gamma, rr in zip(reversed(tr.gammas), reversed(tr.rnorm2[:-1])):
+        tr.energy2.append(tr.energy2[-1] + gamma * rr)
+    tr.energy2.reverse()
     return tr
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krylovexact import rational
+from krylovexact.problems import random_jacobi
 from krylovexact.rational import (
     MAX_ORACLE_DIM,
+    RationalCGTrace,
     is_spd_rational,
     nonzero_rows,
     rat_dot,
@@ -390,3 +394,107 @@ def test_jacobi_oracle_is_linear_in_n(monkeypatch):
         x = rat_solve(T, b)
         assert calls[0] <= 3 * n, (n, calls[0])
         _same_fractions(x, _dense_solve(T, b))
+
+
+# ---------------------------------------------------------------------------
+# The CG oracle against the former one, which solved A x = b a second time
+
+
+def _rational_cg_two_solves(A, b):
+    """Reference: the former rational_cg, which took x* from rat_solve and each
+    energy error from the error vector, e_k^T A e_k."""
+    Ar = A if isinstance(A, list) else to_rational_matrix(A)
+    br = b if isinstance(b, list) else to_rational_vector(b)
+    n = len(br)
+    if n > MAX_ORACLE_DIM:
+        raise ValueError(f"rational oracle limited to n <= {MAX_ORACLE_DIM}, got {n}")
+    if not is_spd_rational(Ar):
+        raise ValueError("matrix is not symmetric positive definite over the rationals")
+    rows = nonzero_rows(Ar)
+    xs = rat_solve(Ar, br)
+    tr = RationalCGTrace(x_exact=xs)
+
+    def record(xk, rk, pk, rr):
+        e = [a - b_ for a, b_ in zip(xs, xk)]
+        tr.x.append(xk)
+        tr.r.append(rk)
+        tr.p.append(pk)
+        tr.rnorm2.append(rr)
+        tr.energy2.append(rat_dot(e, rat_matvec(rows, e)))
+
+    x = [Fraction(0)] * n
+    r = [Fraction(bi) for bi in br]
+    p = r[:]
+    rr = rat_dot(r, r)
+    record(x, r, p, rr)
+    for _ in range(n):
+        if rr == 0:
+            break
+        Ap = rat_matvec(rows, p)
+        gamma = rr / rat_dot(p, Ap)
+        x = [xi + gamma * pi for xi, pi in zip(x, p)]
+        r = [ri - gamma * ai for ri, ai in zip(r, Ap)]
+        rr_new = rat_dot(r, r)
+        delta = rr_new / rr
+        p = [ri + delta * pi for ri, pi in zip(r, p)]
+        tr.gammas.append(gamma)
+        tr.deltas.append(delta)
+        rr = rr_new
+        record(x, r, p, rr)
+    return tr
+
+
+def _same_cg(A, b):
+    """rational_cg and the two-solve reference raise the same error, or give the
+    same numerator and denominator in every entry of every field."""
+    try:
+        want = _rational_cg_two_solves(A, b)
+    except Exception as e:
+        with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+            rational_cg(A, b)
+        return None
+    got = rational_cg(A, b)
+    for name in ("x", "r", "p"):
+        assert len(getattr(got, name)) == len(getattr(want, name))
+        for g, w in zip(getattr(got, name), getattr(want, name)):
+            _same_fractions(g, w)
+    for name in ("gammas", "deltas", "rnorm2", "energy2", "x_exact"):
+        _same_fractions(getattr(got, name), getattr(want, name))
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rational_cg_gives_the_fractions_of_the_two_solve_oracle(data):
+    """SPD, indefinite, singular, asymmetric and int-entry matrices, with any b."""
+    A, _ = data.draw(_symmetric_matrices())
+    _same_cg(A, data.draw(st.lists(_ENTRIES, min_size=len(A), max_size=len(A))))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 9])
+def test_rational_cg_on_dense_binary64_arrays_gives_the_two_solve_fractions(n):
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n))
+    A = M @ M.T + n * np.eye(n)
+    A = (A + A.T) / 2  # bitwise symmetric
+    assert _same_cg(A, rng.standard_normal(n)) is not None
+    _same_cg(A - 2 * n * np.eye(n), np.ones(n))  # indefinite: the same error
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 24])
+def test_rational_cg_on_a_jacobi_matrix_from_e1_gives_the_two_solve_fractions(n):
+    T = random_jacobi(n, n, spd=True).to_dense()
+    b = np.zeros(n)
+    b[0] = 1.0
+    assert len(_same_cg(T, b).x) == n + 1
+
+
+def test_rational_cg_solves_nothing_a_second_time(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("rat_solve called")
+
+    monkeypatch.setattr(rational, "rat_solve", forbidden)
+    T = random_jacobi(12, 1, spd=True).to_dense()
+    tr = rational_cg(T, np.ones(12))
+    assert rat_matvec(nonzero_rows(T), tr.x_exact) == to_rational_vector(np.ones(12))
+    assert tr.energy2[-1] == 0 and all(c < a for a, c in zip(tr.energy2, tr.energy2[1:]))
