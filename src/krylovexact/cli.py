@@ -190,22 +190,26 @@ def _cmd_run(args) -> int:
     full = entry.steps(x)
     if args.check_exact and 0 < args.k < full:
         raise ValueError(f"--check-exact compares the full run of {full} steps; --k {args.k} stops it early")
+    if args.check_exact and prob is None:  # settled before the run, so no run is discarded
+        prob = _detected_problem(A, v, args.algorithm)
     res = entry.run(x, args.k or full)
-    ok = _check_against_structure(A, v, prob, args.algorithm, res) if args.check_exact else True
+    ok = _check_against_structure(prob, args.algorithm, res) if args.check_exact else True
     if args.out:
         _write_series_csv(args.out, entry.columns(res))
     return 0 if ok else 1
 
 
-def _check_against_structure(A, v, prob, algorithm, result) -> bool:
-    if prob is None:
-        found = detect_structure(A, v)
-        if found is None:
-            raise ValueError("input is not a structured (P T P^T, beta1 P e1) pair")
-        if algorithm != "lanczos":
-            raise ValueError("structure detection supports symmetric tridiagonal inputs only")
-        P, T, beta1 = found
-        prob = assemble(T, P, beta1)
+def _detected_problem(A, v, algorithm):
+    found = detect_structure(A, v)
+    if found is None:
+        raise ValueError("input is not a structured (P T P^T, beta1 P e1) pair")
+    if algorithm != "lanczos":
+        raise ValueError("structure detection supports symmetric tridiagonal inputs only")
+    P, T, beta1 = found
+    return assemble(T, P, beta1)
+
+
+def _check_against_structure(prob, algorithm, result) -> bool:
     report = compare_structured(prob, algorithm, result)
     if not report.ok:
         print(f"exactness check FAILED: first mismatch at {report.mismatch}", file=sys.stderr)
