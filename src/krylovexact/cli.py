@@ -200,11 +200,11 @@ def _cmd_run(args) -> int:
 
 
 def _detected_problem(A, v, algorithm):
+    if algorithm != "lanczos":
+        raise ValueError("structure detection supports symmetric tridiagonal inputs only")
     found = detect_structure(A, v)
     if found is None:
         raise ValueError("input is not a structured (P T P^T, beta1 P e1) pair")
-    if algorithm != "lanczos":
-        raise ValueError("structure detection supports symmetric tridiagonal inputs only")
     P, T, beta1 = found
     return assemble(T, P, beta1)
 
@@ -239,18 +239,16 @@ def _cmd_check(args) -> int:
         ok = rel <= 5.6e-13 and aorth <= 1e-13
         print(f"bound52: max relative error {rel:.3e} (limit 5.6e-13), max A-orthogonality loss {aorth:.3e} (limit 1e-13)")
         return 0 if ok else 1
-    if args.what == "structure":
-        if not args.problem:
-            raise ValueError("check structure needs --problem")
-        A, v, _, _ = _load_input(args.problem)
-        found = detect_structure(A, _starting_vector(args, A, v))
-        if found is None:
-            print("no structure detected", file=sys.stderr)
-            return 1
-        P, T, beta1 = found
-        print(f"structured: n={T.n}, beta1={float(beta1)!r}")
-        return 0
-    raise ValueError(f"unknown check {args.what!r}")
+    if not args.problem:  # structure
+        raise ValueError("check structure needs --problem")
+    A, v, _, _ = _load_input(args.problem)
+    found = detect_structure(A, _starting_vector(args, A, v))
+    if found is None:
+        print("no structure detected", file=sys.stderr)
+        return 1
+    P, T, beta1 = found
+    print(f"structured: n={T.n}, beta1={float(beta1)!r}")
+    return 0
 
 
 def _cmd_experiment(args) -> int:
@@ -275,16 +273,14 @@ def _cmd_experiment(args) -> int:
         _write_series_csv(args.out, [("residual_norm_sq", [float(q) for q in trace.rnorm2])])
         print(f"prescribed-curves: roundtrip {'exact' if ok else 'MISMATCH'} over {args.n} steps")
         return 0 if ok else 1
-    if args.what == "exactness-sweep":
-        reports = []
-        for alg in _STRUCTURED:  # p is the block size of blocklanczos; the others ignore it
-            reports += exactness_sweep(alg, (4, 12), range(args.seeds), p=2)
-        with open(args.out, "w", newline="") as f:
-            fileio.write_reports_csv(f, reports)
-        bad = sweep_failures(reports)
-        print(f"exactness-sweep: {len(reports)} instances, {len(bad)} mismatches")
-        return 0 if not bad else 1
-    raise ValueError(f"unknown experiment {args.what!r}")
+    reports = []  # exactness-sweep
+    for alg in _STRUCTURED:  # p is the block size of blocklanczos; the others ignore it
+        reports += exactness_sweep(alg, (4, 12), range(args.seeds), p=2)
+    with open(args.out, "w", newline="") as f:
+        fileio.write_reports_csv(f, reports)
+    bad = sweep_failures(reports)
+    print(f"exactness-sweep: {len(reports)} instances, {len(bad)} mismatches")
+    return 0 if not bad else 1
 
 
 def _cmd_convert(args) -> int:

@@ -393,27 +393,21 @@ def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
 def detect_structure(A: np.ndarray, v: np.ndarray):
     """Recover (P, T, beta1) with T Jacobi from (A, v), or None.
 
-    Succeeds iff v has a single nonzero entry and the off-diagonal adjacency
-    graph of the (bitwise symmetric) matrix A is a simple path starting at
-    that entry's index.  Signs are canonicalized into P so that T has
-    positive off-diagonals; the factorization is then unique.
+    Succeeds iff A is bitwise symmetric, v has a single nonzero entry and
+    the off-diagonal adjacency graph of A is a simple path starting at that
+    entry's index.  Signs are canonicalized into P so that T has positive
+    off-diagonals; the factorization is then unique.
     """
     validate_operands(A, v)
-    if not bitwise_symmetric(A):
-        raise ValueError("matrix is not bitwise symmetric")
-    n = A.shape[0]
     nz = np.nonzero(v)[0]
-    if nz.size != 1:
+    if nz.size != 1 or not bitwise_symmetric(A):
         return None
+    n = A.shape[0]
     start = int(nz[0])
     neighbors = [set(np.nonzero(A[r])[0].tolist()) - {r} for r in range(n)]
-    if any(len(s) > 2 for s in neighbors):
-        return None
-    if n > 1 and len(neighbors[start]) != 1:
-        return None
     order = [start]
     seen = {start}
-    while len(order) < n:
+    while len(order) < n:  # one unvisited neighbour each: no branch, chord or inner start
         cur = order[-1]
         nxt = [c for c in neighbors[cur] if c not in seen]
         if len(nxt) != 1:

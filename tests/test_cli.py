@@ -110,6 +110,22 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def _count_calls(monkeypatch, function):
+    """The list each call of the named algorithm appends its name to."""
+    original = getattr(harness, function)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(function)
+        return original(*args, **kwargs)
+
+    # every module that binds the function, so no call can bypass the count
+    for module in [m for name, m in sys.modules.items() if name.startswith("krylovexact")]:
+        if getattr(module, function, None) is original:
+            monkeypatch.setattr(module, function, counting)
+    return calls
+
+
 @pytest.mark.parametrize(
     "algorithm, function, kind",
     [
@@ -124,21 +140,41 @@ def test_run_check_exact_runs_the_algorithm_once(tmp_path, capsys, monkeypatch, 
     prob = tmp_path / "prob.txt"
     code, _ = run_cli(capsys, "gen", "structured", "--kind", kind, "--n", "6", "--p", "2", "--seed", "1", "--out", str(prob))
     assert code == 0
-    original = getattr(harness, function)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(function)
-        return original(*args, **kwargs)
-
-    # every module that binds the function, so no call can bypass the count
-    for module in [m for name, m in sys.modules.items() if name.startswith("krylovexact")]:
-        if getattr(module, function, None) is original:
-            monkeypatch.setattr(module, function, counting)
+    calls = _count_calls(monkeypatch, function)
     code, out = run_cli(capsys, "run", algorithm, "--problem", str(prob), "--check-exact", "--out", str(tmp_path / "run.csv"))
     assert code == 0, out.err
     assert "exactness check passed" in out.out
     assert calls == [function]
+
+
+@pytest.mark.parametrize(
+    "algorithm, function, kind, message",
+    [
+        ("arnoldi", "arnoldi", "hessenberg", "supports symmetric tridiagonal inputs only"),
+        ("bilanczos", "nonsym_lanczos", "nonsymtridiag", "supports symmetric tridiagonal inputs only"),
+        ("gk", "golub_kahan", "lowerbidiag", "supports symmetric tridiagonal inputs only"),
+        ("lanczos", "lanczos", None, "not a structured"),
+    ],
+)
+def test_run_check_exact_that_cannot_apply_runs_no_algorithm(tmp_path, capsys, monkeypatch, algorithm, function, kind, message):
+    """On a matrix file, detection and the lanczos-only rule are settled before
+    the run; a kind of None is an unstructured dense symmetric matrix."""
+    mat, out_csv = tmp_path / "A.txt", tmp_path / "run.csv"
+    if kind is None:
+        with mat.open("w") as f:
+            write_matrix(f, np.ones((4, 4)) + np.eye(4))
+    else:
+        assert run_cli(capsys, "gen", kind, "--n", "6", "--seed", "1", "--out", str(mat))[0] == 0
+    calls = _count_calls(monkeypatch, function)
+    assert message in _error_exit(capsys, "run", algorithm, "--problem", str(mat), "--e1", "--check-exact", "--out", str(out_csv))
+    assert calls == [] and not out_csv.exists()
+
+
+def test_check_structure_on_a_non_symmetric_matrix_exits_1(tmp_path, capsys):
+    mat = tmp_path / "H.txt"
+    assert run_cli(capsys, "gen", "hessenberg", "--n", "5", "--seed", "0", "--out", str(mat))[0] == 0
+    code, out = run_cli(capsys, "check", "structure", "--problem", str(mat), "--e1")
+    assert code == 1 and out.err == "no structure detected\n"
 
 
 @pytest.mark.parametrize("precision", ["binary64", "binary32"])

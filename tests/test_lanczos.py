@@ -134,9 +134,9 @@ def test_a_zero_sign_asymmetry_is_rejected(dtype):
     A = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [-0.0, 1.0, 2.0]], dtype=dtype)
     v = np.zeros(3, dtype=dtype)
     v[0] = 1.0
-    for run in (lambda: lanczos(A, v, 2), lambda: detect_structure(A, v)):
-        with pytest.raises(ValueError, match="^matrix is not bitwise symmetric$"):
-            run()
+    with pytest.raises(ValueError, match="^matrix is not bitwise symmetric$"):
+        lanczos(A, v, 2)
+    assert detect_structure(A, v) is None  # not a structured pair
     A[2, 0] = 0.0
     assert lanczos(A, v, 2).k == 2 and detect_structure(A, v) is not None
 

@@ -96,8 +96,7 @@ def test_detect_structure_rejects_unstructured():
     v = np.zeros(4)
     v[0] = 1.0
     assert detect_structure(A, v) is None
-    with pytest.raises(ValueError):
-        detect_structure(np.triu(np.ones((3, 3))), np.ones(3))  # not symmetric
+    assert detect_structure(np.triu(np.ones((3, 3))), np.ones(3)) is None  # not symmetric
     # dense starting vector
     prob = random_structured_problem("jacobi", 4, 1)
     assert detect_structure(prob.A, np.ones(4)) is None
