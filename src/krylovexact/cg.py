@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fp import NonFiniteError, ShapeError, _dot, _matvec, bitwise_symmetric, norm2, validate_operands
+from .fp import NonFiniteError, ShapeError, _dot, _matvec, _norm2, bitwise_symmetric, validate_operands
 from .lanczos import lanczos
 
 
@@ -54,7 +54,7 @@ class CGTrace:
         self.x.append(x)
         self.r.append(r)
         self.p.append(p)
-        self.residual_norms.append(norm2(r))
+        self.residual_norms.append(_norm2(r))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
@@ -62,7 +62,7 @@ def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     """Hestenes-Stiefel CG from x0 = 0, recording all iterates; stops on ||r_k|| = 0 exactly."""
     n = len(A)
     kmax = n if kmax is None else kmax
-    validate_operands(A, b, k=kmax, limit=n)
+    validate_operands(A, b, k=kmax, limit=n, square=True)
     if not bitwise_symmetric(A):
         raise ValueError("matrix is not bitwise symmetric")
     x = np.zeros(n, dtype=A.dtype)
@@ -142,7 +142,7 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     )
     x = np.zeros(n, dtype=A.dtype)
     p = b.copy()
-    tr.record(x, b.copy(), p)  # ||r_0|| = norm2(b) has the bits of rho
+    tr.record(x, b.copy(), p)  # ||r_0|| = _norm2(b) has the bits of rho
     Vt = res.V.T  # row k is the Lanczos vector v_{k+1}
     for k, (d_k, ell_k) in enumerate(zip(f.d, f.ell), start=1):
         rho = ell_k * rho

@@ -20,25 +20,28 @@ t_0 instead of +0 + t_0.  The two differ only in the sign of a zero partial
 sum (+0 + -0 is +0, while a -0 start stays -0), and the sign of a zero
 partial sum never changes a later nonzero one.  So every partial sum has
 the value of the +0-started fold, and a trailing + 0 turns a final -0 into
-+0: accumulate(t)[-1] + 0 is the sequential fold bit for bit.  seq_dot
-and norm2 sum every product this way.  _gram builds a whole table of such
-dots, G[i, j] = seq_dot(X[:, i], Y[:, j]), with one accumulate down axis 0
-per row of G, each column of the products summed in index order.
++0: accumulate(t)[-1] + 0 is the sequential fold bit for bit.  _dot
+sums every product this way, and seq_dot and norm2 through it.  _gram
+builds a whole table of such dots, G[i, j] = seq_dot(X[:, i], Y[:, j]),
+with one accumulate down axis 0 per row of G, each column of the products
+summed in index order.
 
 Row layout: the Krylov loops and the block QR keep their bases as the
 contiguous rows of an array and return a C-order copy of the transpose.
 Every recurrence (those, and HS-CG) enters np.errstate(over="ignore",
-invalid="ignore") once per call and calls _dot, which is seq_dot minus the
-operand checks and its own errstate.  _mgs is the one modified Gram-Schmidt
+invalid="ignore") once per call.  _mgs is the one modified Gram-Schmidt
 loop, for Arnoldi, Lanczos reorthogonalization and block QR.
 
 Operand contract: each algorithm calls validate_operands once, before its
-first step, on its matrix and operands (one format, one row count, all
-finite, step count in range).  The kernels then check only their outputs:
-seq_dot, _dot, norm2, _gram and the unchecked _matvec/_matmat raise
-NonFiniteError on a non-finite result, which covers overflow and non-finite
-inputs alike.  The public matvec and matmat also scan the matrix once per
-call, because a NaN in a column that x skips would otherwise go unseen.
+first step, on its matrix and operands (one format, one row count, a square
+matrix where the algorithm needs one, all finite, step count in range).
+The kernels inside the recurrences, _dot, _norm2, _matvec, _matmat and
+_mgs, keep one code path and check only their outputs: they raise
+NonFiniteError on a non-finite result, which covers overflow and
+non-finite inputs alike.  The public seq_dot, norm2, matvec and matmat are
+operand checks plus one errstate around those kernels; matvec and matmat
+also scan the matrix once per call, because a NaN in a column that x skips
+would otherwise go unseen.  _gram keeps its own checks and errstate.
 """
 
 from __future__ import annotations
@@ -102,18 +105,18 @@ def require_finite(a, what: str = "input") -> None:
         raise NonFiniteError(f"{what} contains a NaN or infinity")
 
 
-def validate_operands(A, *vectors, block=None, k: int = 0, limit: int = 0) -> None:
+def validate_operands(A, *vectors, block=None, k: int = 0, limit: int = 0, square: bool = False) -> None:
     """Entry check of an algorithm on the matrix A and its operands.
 
-    A must be a binary32 or binary64 matrix (TypeError otherwise); every
-    vector operand that is not None must be 1-D, and the block operand 2-D,
-    with A's dtype and A's row count (ShapeError); A and the operands must
-    be finite (NonFiniteError); and the step count must satisfy
-    0 <= k <= limit (ValueError).
+    A must be a binary32 or binary64 matrix (TypeError otherwise), 2-D and,
+    for a square-only algorithm, square; every vector operand that is not
+    None must be 1-D, and the block operand 2-D, with A's dtype and A's row
+    count (ShapeError); A and the operands must be finite (NonFiniteError);
+    and the step count must satisfy 0 <= k <= limit (ValueError).
     """
     precision_of(A)
-    if A.ndim != 2:
-        raise ShapeError(f"matrix must be 2-D, got shape {A.shape}")
+    if A.ndim != 2 or (square and A.shape[0] != A.shape[1]):
+        raise ShapeError(f"matrix must be 2-D{' and square' if square else ''}, got shape {A.shape}")
     given = [(x, 1) for x in vectors if x is not None] + ([] if block is None else [(block, 2)])
     for x, ndim in given:
         if x.ndim != ndim or x.dtype != A.dtype or x.shape[0] != A.shape[0]:
@@ -177,17 +180,18 @@ def bitwise_symmetric(A: np.ndarray) -> bool:
 # sequential arithmetic kernels
 
 
-def _sequential_sum(terms: np.ndarray, dt):
-    """fl(((0 + t_0) + t_1) + ...): accumulate's last partial sum plus +0."""
-    return np.add.accumulate(terms)[-1] + dt.type(0.0) if terms.size else dt.type(0.0)
-
-
 def _dot(x: np.ndarray, y: np.ndarray):
-    """seq_dot without its operand checks or errstate: the caller holds both."""
-    out = _sequential_sum(x * y, x.dtype)
+    """fl(((0 + t_0) + t_1) + ...) of t = x * y; the caller holds the checks and errstate."""
+    zero = x.dtype.type(0.0)
+    out = np.add.accumulate(x * y)[-1] + zero if x.size else zero
     if not math.isfinite(out):
         raise NonFiniteError("non-finite dot product")
     return out
+
+
+def _norm2(x: np.ndarray):
+    """norm2 without its operand check or errstate (IEEE sqrt is correctly rounded)."""
+    return np.sqrt(_dot(x, x))
 
 
 def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -218,17 +222,12 @@ def seq_dot_reference(x: np.ndarray, y: np.ndarray):
     return acc
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite sum raises below
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sum raises in _dot
 def norm2(x: np.ndarray):
     """fl(sqrt(fl(sum fl(x_i^2)))) with sequential summation."""
     if x.ndim != 1:
         raise ShapeError(f"norm operand must be a vector, got shape {x.shape}")
-    acc = _sequential_sum(x * x, x.dtype)
-    if not math.isfinite(acc):
-        raise NonFiniteError("non-finite sum of squares")
-    if x.dtype == np.float64:
-        return np.float64(math.sqrt(acc))
-    return np.sqrt(acc)
+    return _norm2(x)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite entry raises below
@@ -265,24 +264,12 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Columns are accumulated in index order with one elementwise multiply and
     one elementwise add per column, which realizes exactly the per-row
-    sequential sum.  A single-nonzero x takes an O(n) shortcut that is
-    bit-identical (the trailing `+ 0.0` renormalizes -0 products to +0, as
-    accumulation onto the +0 accumulator would).  A is not scanned: the
-    columns that x skips are never read.
+    sequential sum.  A is not scanned: the columns that x skips are never
+    read.
     """
-    if A.ndim != 2 or x.ndim != 1 or A.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec shapes {A.shape} x {x.shape} do not agree")
-    dt = A.dtype
-    if dt != x.dtype:
-        raise ShapeError(f"dtype mismatch: {A.dtype} vs {x.dtype}")
-    nz = np.nonzero(x)[0]
-    if nz.size == 1:
-        j = nz[0]
-        y = A[:, j] * x[j] + dt.type(0.0)
-    else:
-        y = np.zeros(A.shape[0], dtype=dt)
-        for c in nz:
-            y = y + A[:, c] * x[c]
+    y = np.zeros(A.shape[0], dtype=A.dtype)
+    for c in np.nonzero(x)[0]:
+        y = y + A[:, c] * x[c]
     if not np.all(np.isfinite(y)):
         raise NonFiniteError("non-finite result in matvec")
     return y
@@ -290,8 +277,6 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Column-by-column _matvec product; same sequential-sum semantics."""
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ShapeError(f"matmat shapes {A.shape} x {B.shape} do not agree")
     out = np.empty((A.shape[0], B.shape[1]), dtype=A.dtype)
     for j in range(B.shape[1]):
         out[:, j] = _matvec(A, B[:, j])
@@ -300,15 +285,20 @@ def _matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises in _matvec
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y = fl(A x) as _matvec computes it, after one finiteness scan of A, so
-    a NaN in a column that x skips still raises NonFiniteError."""
+    """y = fl(A x) as _matvec computes it, after the operand checks and one scan
+    of A, so a NaN in a column that x skips still raises NonFiniteError."""
+    if A.ndim != 2 or x.ndim != 1 or A.shape[1] != x.shape[0] or A.dtype != x.dtype:
+        raise ShapeError(f"matvec operands {A.dtype} {A.shape} and {x.dtype} {x.shape} do not agree")
     require_finite(A, "matrix")
     return _matvec(A, x)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises in _matvec
 def matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """fl(A B) as _matmat computes it, after one finiteness scan of A."""
+    """fl(A B) as _matmat computes it, after the operand checks and one
+    finiteness scan of A."""
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0] or A.dtype != B.dtype:
+        raise ShapeError(f"matmat operands {A.dtype} {A.shape} and {B.dtype} {B.shape} do not agree")
     require_finite(A, "matrix")
     return _matmat(A, B)
 
@@ -333,8 +323,7 @@ def sqrt_square_roundtrip(alpha, precision: Precision | None = None) -> bool:
         raise RangeError("alpha^2 overflows")
     if sq != 0 and abs(float(sq)) < _smallest_normal(precision):
         raise RangeError("alpha^2 underflows to the subnormal range")
-    back = np.sqrt(sq) if precision is BINARY32 else np.float64(math.sqrt(float(sq)))
-    return bitwise_equal(back, abs(a))
+    return bitwise_equal(np.sqrt(sq), abs(a))
 
 
 def _smallest_normal(p: Precision) -> float:

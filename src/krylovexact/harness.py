@@ -104,7 +104,7 @@ def loss_of_orthogonality(V: np.ndarray):
 @np.errstate(over="ignore", invalid="ignore")  # once per call; non-finite results raise in the kernels
 def a_orthogonality_loss(Pdirs: np.ndarray, A: np.ndarray):
     """||Ptilde^T A Ptilde - I||_F with columns A-normalized internally."""
-    validate_operands(A, block=Pdirs)
+    validate_operands(A, block=Pdirs, square=True)
     k = Pdirs.shape[1]
     Pt = np.empty_like(Pdirs)
     for j in range(k):

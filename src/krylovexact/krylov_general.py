@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import RangeError, ShapeError, _dot, _gram, _matmat, _matvec, _mgs, norm2, require_finite, validate_operands
+from .fp import RangeError, ShapeError, _dot, _gram, _matmat, _matvec, _mgs, _norm2, require_finite, validate_operands
 from .rational import nonzero_rows, rat_dot, rat_matvec, rational_lstsq, to_rational_vector
 
 
@@ -35,8 +35,8 @@ def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
     """Algorithm: w = A v_j; for i = 1..j: h_{i,j} = v_i^T w, w = w - h_{i,j} v_i;
     h_{j+1,j} = ||w||; stop on exact zero."""
     n = len(A)
-    validate_operands(A, v, k=k, limit=n)
-    nrm = norm2(v)
+    validate_operands(A, v, k=k, limit=n, square=True)
+    nrm = _norm2(v)
     if nrm == 0:
         raise ValueError("starting vector is zero")
     Vt = np.zeros((k + 1, n), dtype=A.dtype)  # row j is v_{j+1}
@@ -46,7 +46,7 @@ def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
     cols = 1
     for j in range(k):
         w = _mgs(Vt[: j + 1], _matvec(A, Vt[j]), H[: j + 1, j])
-        hnext = norm2(w)
+        hnext = _norm2(w)
         H[j + 1, j] = hnext
         if hnext == 0:
             breakdown = j + 1
@@ -79,9 +79,9 @@ class SeriousBreakdownError(RuntimeError):
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> NonsymLanczosResult:
     n = len(A)
-    validate_operands(A, v, w, k=k, limit=n)
+    validate_operands(A, v, w, k=k, limit=n, square=True)
     At = A.T
-    gamma1 = norm2(v)
+    gamma1 = _norm2(v)
     if gamma1 == 0:
         raise ValueError("right starting vector is zero")
     Vt = np.zeros((k + 1, n), dtype=A.dtype)  # rows are the basis vectors
@@ -106,7 +106,7 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
         alphas.append(alpha_i)
         vnew = Av - alpha_i * vi
         vnew = vnew - beta_i * vprev
-        gamma_next = norm2(vnew)
+        gamma_next = _norm2(vnew)
         if gamma_next == 0:
             breakdown = i + 1
             break
@@ -157,7 +157,7 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
     validate_operands(A, v, k=k, limit=min(A.shape))
     n, m = A.shape
     At = A.T
-    delta1 = norm2(v)
+    delta1 = _norm2(v)
     if delta1 == 0:
         raise ValueError("starting vector is zero")
     St = np.zeros((k + 1, n), dtype=A.dtype)  # rows are the basis vectors
@@ -172,7 +172,7 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
         t = _matvec(At, St[i])
         if i > 0:  # at i = 0, t - delta_1 * 0 would be t bit for bit
             t = t - delta_i * Wt[i - 1]
-        gamma_i = norm2(t)
+        gamma_i = _norm2(t)
         if gamma_i == 0:
             breakdown = ("gamma", i + 1)
             break
@@ -180,7 +180,7 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
         wcols = i + 1
         gammas.append(gamma_i)
         u = _matvec(A, Wt[i]) - gamma_i * St[i]
-        delta_next = norm2(u)
+        delta_next = _norm2(u)
         if delta_next == 0:
             breakdown = ("delta", i + 2)
             break
@@ -225,7 +225,7 @@ def gram_schmidt_qr(R: np.ndarray, variant: str = "mgs"):
                 w = w - Rf[i, j] * Qt[i]
         else:
             w = _mgs(Qt[:j], w, Rf[:j, j])
-        Rf[j, j] = norm2(w)
+        Rf[j, j] = _norm2(w)
         if Rf[j, j] == 0:
             return Qt.T.copy(), Rf, j
         Qt[j] = w / Rf[j, j]
@@ -249,7 +249,7 @@ def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs"
     """Block three-term recurrence R_{i+1} = A U_i - U_i M_i - U_{i-1} B_i^T with
     Gram-Schmidt QR of R_{i+1} and M_{i+1} = U_{i+1}^T A U_{i+1}."""
     n, p = len(A), U1.shape[-1] if U1.ndim else 0
-    validate_operands(A, block=U1, k=k, limit=n // max(p, 1))
+    validate_operands(A, block=U1, k=k, limit=n // max(p, 1), square=True)
     if p == 0:
         raise ShapeError("starting block has no columns")
     if n % p:
@@ -302,7 +302,7 @@ def hessenberg_lstsq(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         a, b = R[j, j], R[j + 1, j]
         if b == 0:
             continue
-        t = norm2(np.array([a, b], dtype=H.dtype))
+        t = _norm2(np.array([a, b], dtype=H.dtype))
         c = a / t
         s = b / t
         rj = R[j, :].copy()
@@ -349,7 +349,7 @@ def gmres_structured(A: np.ndarray, v: np.ndarray, k: int) -> GmresResult:
     keff = res.k
     H = res.H  # (keff+1) x keff
     rhs = np.zeros(keff + 1, dtype=A.dtype)
-    rhs[0] = norm2(v)
+    rhs[0] = _norm2(v)
     ybar = hessenberg_lstsq(H, rhs)
     V = res.V[:, :keff]
     xbar = _matvec(V, ybar)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import _dot, _matvec, _mgs, bitwise_symmetric, norm2, validate_operands
+from .fp import _dot, _matvec, _mgs, _norm2, bitwise_symmetric, validate_operands
 from .problems import JacobiMatrix
 
 VARIANTS = ("mgs", "cgs")
@@ -54,7 +54,7 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
     coefficients are discarded.
     """
     n = len(A)
-    validate_operands(A, v, k=k, limit=n)
+    validate_operands(A, v, k=k, limit=n, square=True)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if reorth not in REORTH:
@@ -63,7 +63,7 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
         raise ValueError("matrix is not bitwise symmetric")
     dt = A.dtype.type
 
-    beta1 = norm2(v)
+    beta1 = _norm2(v)
     if beta1 == 0:
         raise ValueError("starting vector is zero")
     Vt = np.zeros((k + 1, n), dtype=A.dtype)  # row i is v_{i+1}
@@ -89,7 +89,7 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
         for _ in range(REORTH.index(reorth)):
             z = _mgs(Vt[: i + 1], z, scratch)
         alphas.append(alpha_i)
-        beta_next = norm2(z)
+        beta_next = _norm2(z)
         betas.append(beta_next)
         if beta_next == 0:
             breakdown = i + 1

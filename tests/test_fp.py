@@ -13,6 +13,7 @@ from krylovexact.fp import (
     ShapeError,
     _dot,
     _gram,
+    _matvec,
     bitwise_equal,
     bitwise_symmetric,
     exact_op_catalog,
@@ -255,6 +256,18 @@ def test_matvec_signed_zero_renormalization():
     x = np.array([0.0, 1.0])
     y = matvec(A, x)
     assert y[1] == 0.0 and not np.signbit(y[1])
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([np.float64, np.float32]), st.data())
+def test_unchecked_matvec_with_one_nonzero_is_the_rowwise_fold(rows, cols, dtype, data):
+    """One nonzero x_j of either sign, and A with zeros of both signs: the
+    column sweep's +0 + fl(a * x_j) has the reference's bits, so a -0
+    product comes out +0."""
+    with np.errstate(all="ignore"):
+        A = np.array(data.draw(st.lists(finite, min_size=rows * cols, max_size=rows * cols)), dtype=dtype).reshape(rows, cols)
+        x = np.zeros(cols, dtype=dtype)
+        x[data.draw(st.integers(0, cols - 1))] = data.draw(finite.filter(lambda t: dtype(t) != 0))
+    assert bitwise_equal(_matvec(A, x), _matvec_reference(A, x))
 
 
 def test_norm2_of_signed_identity_column_is_exact():

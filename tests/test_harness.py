@@ -105,18 +105,25 @@ def test_mismatch_label_names_plain_indices():
     assert compare_structured(prob, "lanczos", replace(res, V=V)).mismatch == "V[3,5]"
 
 
-def _forbid_arithmetic(monkeypatch):
-    """Make every kernel raise, in every module that binds it, so a check
-    that passes this way ran before the first step."""
+def _replace_kernels(monkeypatch, names, message):
+    """Make each named fp kernel raise AssertionError(message), in every
+    module that binds it."""
 
-    def step_ran(*args, **kwargs):
-        raise AssertionError("a kernel ran before the operands were checked")
+    def stub(*args, **kwargs):
+        raise AssertionError(message)
 
-    for name in ("_matvec", "_matmat", "_gram", "_dot", "matvec", "matmat", "seq_dot", "norm2"):
+    for name in names:
         original = getattr(fp, name)
         for module in [m for key, m in sys.modules.items() if key.startswith("krylovexact")]:
             if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, step_ran)
+                monkeypatch.setattr(module, name, stub)
+
+
+def _forbid_arithmetic(monkeypatch):
+    """Make every kernel raise, in every module that binds it, so a check
+    that passes this way ran before the first step."""
+    names = ("_matvec", "_matmat", "_gram", "_dot", "_norm2", "_mgs", "matvec", "matmat", "seq_dot", "norm2")
+    _replace_kernels(monkeypatch, names, "a kernel ran before the operands were checked")
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
@@ -143,6 +150,33 @@ def test_algorithm_entry_checks_operands_before_any_step(algorithm, monkeypatch)
             entry.run(x, k)
     with pytest.raises(TypeError):
         entry.run(replace(x, A=x.A.astype(np.int64)), 1)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 4)])
+@pytest.mark.parametrize("algorithm", sorted(set(ALGORITHMS) - {"gk"}))
+def test_a_square_only_algorithm_rejects_a_rectangular_matrix_before_any_step(algorithm, shape, monkeypatch):
+    """Every operand but A fits its row count, so only squareness is wrong."""
+    rows = shape[0]
+    e1 = np.eye(rows)[:, 0]
+    x = RunInputs(np.ones(shape) + np.eye(*shape), e1.copy(), w=e1.copy(), U1=e1[:, None].copy())
+    _forbid_arithmetic(monkeypatch)
+    with pytest.raises(ShapeError):
+        ALGORITHMS[algorithm].run(x, 1)
+
+
+def test_no_recurrence_calls_a_checked_kernel(monkeypatch):
+    """The loops call the unchecked kernels; the checked public ones are for
+    callers that no entry check stands in front of."""
+    n = 6
+    g = np.random.Generator(np.random.Philox(key=5))
+    M = g.uniform(-1.0, 1.0, (n, n))
+    A = M @ M.T + n * np.eye(n)
+    A = np.triu(A) + np.triu(A, 1).T  # bitwise symmetric and positive definite
+    v = g.uniform(0.5, 1.0, n)
+    x = RunInputs(A, v, w=v.copy(), U1=np.ascontiguousarray(np.eye(n)[:, :2]))
+    _replace_kernels(monkeypatch, ("norm2", "seq_dot", "matvec", "matmat"), "a recurrence called a checked kernel")
+    for entry in ALGORITHMS.values():
+        entry.run(x, entry.steps(x))
 
 
 def test_metric_series_checks_rows_it_was_given():
