@@ -268,8 +268,8 @@ def _cmd_experiment(args) -> int:
         curves = random_convergence_curves(args.n, args.seed)
         system = prescribe_cg_curves(curves)
         trace = rational_cg(system.exact_matrix(), system.exact_rhs())
-        prescribed = [Fraction(float(x)) ** 2 for x in curves.residual_norms]
-        ok = all(trace.rnorm2[j] == prescribed[j] for j in range(args.n))
+        prescribed = [[Fraction(float(x)) ** 2 for x in curve] for curve in (curves.residual_norms, curves.energy_errors)]
+        ok = [trace.rnorm2[: args.n], trace.energy2[: args.n]] == prescribed
         _write_series_csv(args.out, [("residual_norm_sq", [float(q) for q in trace.rnorm2])])
         print(f"prescribed-curves: roundtrip {'exact' if ok else 'MISMATCH'} over {args.n} steps")
         return 0 if ok else 1

@@ -235,6 +235,7 @@ ALGORITHMS = {
     "gk": Algorithm(
         run=lambda x, k: golub_kahan(x.A, x.v, k),
         columns=lambda r: [("gamma", r.gamma), ("delta", r.delta)],
+        steps=lambda x: min(x.A.shape),
         kind="lowerbidiag",
         projected=(
             "L",
@@ -274,6 +275,10 @@ def _structured(algorithm: str) -> Algorithm:
 
 
 def _pair(a, b, what):
+    """(label, match) of the result's a against the problem's b; a shape
+    difference, such as a run that stopped early, is a mismatch too."""
+    if np.shape(a) != np.shape(b):
+        return f"{what} (shape {np.shape(a)}, expected {np.shape(b)})", False
     idx = first_bit_difference(a, b)
     return (what if idx is None else f"{what}[{','.join(str(int(i)) for i in idx)}]", idx is None)
 
@@ -318,7 +323,10 @@ def _deficient_instance(n: int, seed: int, precision: Precision = BINARY64):
 
 
 def exactness_sweep(algorithm: str, sizes, seeds, precisions=(BINARY64,), p: int = 1, variant: str = "mgs", qr_variant: str = "mgs") -> list:
-    """Run exactness_check over the grid; reports sorted by (precision, n, seed)."""
+    """Run exactness_check over the grid; reports sorted by (precision, n, seed).
+    A grid without a size, a seed or a precision raises ValueError."""
+    if not (len(sizes) and len(seeds) and len(precisions)):
+        raise ValueError("an exactness sweep needs at least one size, one seed and one precision")
     reports = []
     for precision in precisions:
         for n in sizes:

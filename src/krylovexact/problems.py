@@ -400,7 +400,7 @@ def detect_structure(A: np.ndarray, v: np.ndarray):
     """
     validate_operands(A, v)
     nz = np.nonzero(v)[0]
-    if nz.size != 1 or not bitwise_symmetric(A):
+    if nz.size != 1 or A.shape[0] != A.shape[1] or not bitwise_symmetric(A):
         return None
     n = A.shape[0]
     start = int(nz[0])

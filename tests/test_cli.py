@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from krylovexact import harness
+from krylovexact import cli, harness
 from krylovexact.cli import _build_parser, main
 from krylovexact.fileio import write_matrix
 from krylovexact.fp import norm2
@@ -175,6 +175,54 @@ def test_check_structure_on_a_non_symmetric_matrix_exits_1(tmp_path, capsys):
     assert run_cli(capsys, "gen", "hessenberg", "--n", "5", "--seed", "0", "--out", str(mat))[0] == 0
     code, out = run_cli(capsys, "check", "structure", "--problem", str(mat), "--e1")
     assert code == 1 and out.err == "no structure detected\n"
+
+
+def _tall_matrix_file(tmp_path):
+    mat = tmp_path / "tall.txt"
+    with mat.open("w") as f:
+        write_matrix(f, np.random.Generator(np.random.Philox(key=4)).uniform(-1.0, 1.0, (5, 3)))
+    return mat
+
+
+def test_run_gk_on_a_tall_matrix_runs_its_full_length(tmp_path, capsys):
+    """Without --k, gk runs min(n, m) steps, the limit golub_kahan enforces."""
+    out_csv = tmp_path / "gk.csv"
+    code, out = run_cli(capsys, "run", "gk", "--problem", str(_tall_matrix_file(tmp_path)), "--e1", "--out", str(out_csv))
+    assert code == 0, out.err
+    assert [row[0] for row in csv.reader(out_csv.open())].count("gamma") == 3
+
+
+def test_check_structure_on_a_rectangular_matrix_exits_1(tmp_path, capsys):
+    code, out = run_cli(capsys, "check", "structure", "--problem", str(_tall_matrix_file(tmp_path)), "--e1")
+    assert code == 1 and out.err == "no structure detected\n"
+
+
+@pytest.mark.parametrize("flags", [["--seeds", "0"], ["--seeds", "-2"], ["--sizes", ","]])
+def test_check_exactness_over_zero_instances_exits_2(capsys, flags):
+    assert "at least one size, one seed" in _error_exit(capsys, "check", "exactness", *flags)
+
+
+def test_experiment_exactness_sweep_over_zero_seeds_exits_2_and_writes_nothing(tmp_path, capsys):
+    out_csv = tmp_path / "sweep.csv"
+    assert "at least one size, one seed" in _error_exit(capsys, "experiment", "exactness-sweep", "--seeds", "0", "--out", str(out_csv))
+    assert not out_csv.exists()
+
+
+def test_prescribed_curves_compares_the_energy_errors_too(tmp_path, capsys, monkeypatch):
+    exact, wrong = tmp_path / "exact.csv", tmp_path / "wrong.csv"
+    code, out = run_cli(capsys, "experiment", "prescribed-curves", "--n", "6", "--out", str(exact))
+    assert code == 0 and out.out == "prescribed-curves: roundtrip exact over 6 steps\n"
+    original = cli.rational_cg
+
+    def energy_off_by_one_ulp(A, b):
+        trace = original(A, b)
+        trace.energy2[1] = Fraction(math.nextafter(float(trace.energy2[1]), math.inf))
+        return trace
+
+    monkeypatch.setattr(cli, "rational_cg", energy_off_by_one_ulp)
+    code, out = run_cli(capsys, "experiment", "prescribed-curves", "--n", "6", "--out", str(wrong))
+    assert code == 1 and "MISMATCH" in out.out
+    assert wrong.read_bytes() == exact.read_bytes()  # the CSV holds the residual norms only
 
 
 @pytest.mark.parametrize("precision", ["binary64", "binary32"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from krylovexact import fp
+from krylovexact import fp, harness
 from krylovexact.fp import BINARY32, BINARY64, NonFiniteError, ShapeError, _matvec, bitwise_equal, frobenius_norm, norm2, seq_dot
 from krylovexact.harness import (
     ALGORITHMS,
@@ -103,6 +103,26 @@ def test_mismatch_label_names_plain_indices():
     V = res.V.copy()
     V[3, 5] = np.nextafter(V[3, 5], np.inf)
     assert compare_structured(prob, "lanczos", replace(res, V=V)).mismatch == "V[3,5]"
+
+
+def test_a_run_that_stops_early_is_a_mismatch_not_an_error():
+    prob = random_structured_problem("jacobi", 6, 0)
+    rep = compare_structured(prob, "lanczos", lanczos(prob.A, prob.v, 5))
+    assert not rep.projected_match and not rep.breakdown_match
+    assert rep.mismatch == "T (shape (9,), expected (11,))"
+
+
+def test_exactness_check_reports_a_lanczos_that_stops_one_step_short(monkeypatch):
+    monkeypatch.setattr(harness, "lanczos", lambda A, v, k, **kwargs: lanczos(A, v, k - 1, **kwargs))
+    rep = exactness_check("lanczos", 6, seed=0)
+    assert not rep.ok and rep.mismatch == "T (shape (9,), expected (11,))"
+    assert sweep_failures(exactness_sweep("lanczos", sizes=[6], seeds=[0, 1])) != []
+
+
+@pytest.mark.parametrize("sizes, seeds, precisions", [([], [0], (BINARY64,)), ([4], [], (BINARY64,)), ([4], range(-2), (BINARY64,)), ([4], [0], ())])
+def test_an_exactness_sweep_over_zero_instances_is_an_error(sizes, seeds, precisions):
+    with pytest.raises(ValueError, match="at least one size, one seed and one precision"):
+        exactness_sweep("lanczos", sizes, seeds, precisions)
 
 
 def _replace_kernels(monkeypatch, names, message):
