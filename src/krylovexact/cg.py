@@ -66,7 +66,7 @@ def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     if not bitwise_symmetric(A):
         raise ValueError("matrix is not bitwise symmetric")
     x = np.zeros(n, dtype=A.dtype)
-    r = b - _matvec(A, x)
+    r = b - _matvec(A.T, x)  # A is bitwise symmetric: same bits, contiguous columns
     p = r.copy()
     rr = _dot(r, r)
     tr = CGTrace()
@@ -75,7 +75,7 @@ def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
         if rr == 0:
             tr.exact_termination = True
             break
-        Ap = _matvec(A, p)
+        Ap = _matvec(A.T, p)
         pAp = _dot(p, Ap)
         if pAp <= 0:
             raise ValueError("p^T A p <= 0: matrix is not numerically positive definite")

@@ -6,12 +6,15 @@ rounded IEEE 754 operation at a time: no FMA, no extended intermediate
 precision, no reassociation.  Sums are strictly sequential left-to-right,
 which pins a bitwise-deterministic result for regression testing.
 
-_matvec skips the columns whose entry of x is exactly zero.  This is
-bit-identical to the naive sequential loop: the accumulator starts at +0,
-adding a signed zero to +0 yields +0, and adding a signed zero to a nonzero
-value leaves it unchanged.  IEEE addition cannot round a nonzero exact sum
-to zero, so the accumulator never becomes -0.  A NaN or infinite term is
-never zero, so it is never skipped.
+_matvec realizes the column sweep y = +0; y = fl(y + fl(A[:, c] * x[c])), c
+in index order, which is the per-row sequential sum: it gathers the columns
+with x[c] != 0 as rows of A^T, _BLOCK at a time, scales a batch in one call
+and adds its rows in order, y += p, each row the sweep's product and each +=
+its addition.  Skipping x[c] = 0 keeps the bits: the accumulator starts at
++0, adding a signed zero to +0 yields +0, and adding a signed zero to a
+nonzero value leaves it unchanged.  IEEE addition cannot round a nonzero
+exact sum to zero, so the accumulator never becomes -0.  A NaN or infinite
+term is never zero, so it is never skipped.
 
 Sequential sums are computed by np.add.accumulate, which (unlike
 np.add.reduce, which sums pairwise) adds strictly left to right:
@@ -83,6 +86,7 @@ BINARY32 = Precision("binary32", np.float32, 2.0 ** -24, 2.0 ** -60, 2.0 ** 60)
 
 _BY_DTYPE = {np.dtype(np.float64): BINARY64, np.dtype(np.float32): BINARY32}
 _BY_NAME = {"binary64": BINARY64, "binary32": BINARY32}
+_BLOCK = 64  # columns per batch in _matvec: a batch of rows stays in cache
 
 
 def precision_named(name: str) -> Precision:
@@ -262,15 +266,21 @@ def _gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y_r = fl(sum_c A[r,c] * x[c]), sequential left-to-right per row.
 
-    Columns are accumulated in index order with one elementwise multiply and
-    one elementwise add per column, which realizes exactly the per-row
-    sequential sum.  A is not scanned: the columns that x skips are never
-    read.
+    The columns with x[c] != 0 are gathered in index order, _BLOCK at a time,
+    as rows of A^T (contiguous when A is in Fortran order); P *= x scales a
+    batch in one call, each row fl(A[:, c] * x[c]), and y += p adds its rows
+    in order: the column sweep's products and additions, so its bits.  A is
+    not scanned: the columns that x skips are never read.
     """
     y = np.zeros(A.shape[0], dtype=A.dtype)
-    for c in np.nonzero(x)[0]:
-        y = y + A[:, c] * x[c]
-    if not np.all(np.isfinite(y)):
+    cols = x.nonzero()[0]
+    xs = x[cols][:, None]
+    for s in range(0, len(cols), _BLOCK):
+        P = A.T[cols[s : s + _BLOCK]]
+        P *= xs[s : s + _BLOCK]
+        for p in P:
+            y += p
+    if not np.isfinite(y).all():
         raise NonFiniteError("non-finite result in matvec")
     return y
 

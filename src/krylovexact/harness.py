@@ -12,6 +12,7 @@ import numpy as np
 from .cg import cg_hs, cglanczos
 from .fp import (
     BINARY64,
+    NonFiniteError,
     Precision,
     _dot,
     _gram,
@@ -19,7 +20,6 @@ from .fp import (
     _matvec,
     first_bit_difference,
     frobenius_norm,
-    norm2,
     precision_of,
     validate_operands,
 )
@@ -85,18 +85,22 @@ class ExactnessReport:
 # metrics
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per call; a non-finite square raises below
 def loss_of_orthogonality(V: np.ndarray):
     """||V^T V - I||_F in the working precision of V.
 
-    Columns must already be normalized (checked to 4nu).  On a basis whose
-    columns are exactly signed identity columns every dot product below is
-    exact and the result is +0 bitwise.
+    Columns must already be normalized (checked to 4nu in column order, on
+    squared norms that are _dot's folds).  On a basis of exactly signed
+    identity columns every dot below is exact and the result is +0 bitwise.
     """
     validate_operands(V)
     n, k = V.shape
     tol = 4 * n * (np.finfo(V.dtype).eps / 2)
-    for j in range(k):
-        if abs(float(norm2(V[:, j])) - 1.0) > tol:
+    squares = np.add.accumulate(np.vstack([np.zeros(k, dtype=V.dtype), V * V]))[-1]  # +0-started folds
+    for j, sq in enumerate(squares):
+        if not np.isfinite(sq):
+            raise NonFiniteError("non-finite dot product")
+        if abs(float(np.sqrt(sq)) - 1.0) > tol:
             raise ValueError(f"column {j + 1} is not normalized")
     return frobenius_norm(_gram(V, V) - np.eye(k, dtype=V.dtype))
 

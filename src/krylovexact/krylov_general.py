@@ -42,10 +42,11 @@ def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
     Vt = np.zeros((k + 1, n), dtype=A.dtype)  # row j is v_{j+1}
     H = np.zeros((k + 1, k), dtype=A.dtype)
     Vt[0] = v / nrm
+    Af = np.asfortranarray(A)  # _matvec gathers columns of A: make them contiguous once per run
     breakdown = None
     cols = 1
     for j in range(k):
-        w = _mgs(Vt[: j + 1], _matvec(A, Vt[j]), H[: j + 1, j])
+        w = _mgs(Vt[: j + 1], _matvec(Af, Vt[j]), H[: j + 1, j])
         hnext = _norm2(w)
         H[j + 1, j] = hnext
         if hnext == 0:

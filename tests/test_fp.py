@@ -13,6 +13,7 @@ from krylovexact.fp import (
     ShapeError,
     _dot,
     _gram,
+    _matmat,
     _matvec,
     bitwise_equal,
     bitwise_symmetric,
@@ -395,3 +396,64 @@ def test_gram_checks_shapes():
 def test_norm2_rejects_a_matrix():
     with pytest.raises(ShapeError):
         norm2(np.ones((3, 1)))
+
+
+# _matvec batches its columns _BLOCK = 64 at a time; 200 columns span four
+# batches, with the last one partial.
+@st.composite
+def matvec_operands(draw):
+    """A in C order, in Fortran order or as a transposed view, and a block B
+    whose columns are the x's: rough entries with +-0 among them, zeros of x
+    at a drawn rate (all of them now and then), and a scale at which some
+    products or sums overflow."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rows, cols, q = draw(st.integers(1, 4)), draw(st.integers(0, 200)), draw(st.integers(1, 3))
+    emax = np.finfo(dtype).maxexp
+    shift = draw(st.sampled_from([0, 0, emax - 44, emax - 24]))  # |A| < 2^(shift+21), |x| < 2^21
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def full_mantissas(shape, zero_rate, shift):
+        t = g.integers(2**52, 2**53, shape) * 2.0 ** (g.integers(-20, 21, shape) - 52 + shift)
+        return (np.where(g.random(shape) < zero_rate, 0.0, t) * g.choice([-1.0, 1.0], shape)).astype(dtype)
+
+    A = full_mantissas((rows, cols), draw(st.sampled_from([0.0, 0.3])), shift)
+    B = full_mantissas((cols, q), draw(st.sampled_from([0.0, 0.5, 0.95, 1.0])), 0)
+    layout = draw(st.sampled_from([np.ascontiguousarray, np.asfortranarray, lambda M: np.ascontiguousarray(M.T).T]))
+    return layout(A), B
+
+
+@settings(max_examples=100, deadline=None)
+@given(matvec_operands())
+def test_matvec_and_matmat_are_the_literal_double_loop(operands):
+    A, B = operands
+    with np.errstate(all="ignore"):
+        want = np.stack([_matvec_reference(A, x) for x in B.T], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the errstate their callers hold
+        for x, y in zip(B.T, want.T):
+            if np.all(np.isfinite(y)):
+                assert bitwise_equal(_matvec(A, x), y)
+            else:
+                with pytest.raises(NonFiniteError):
+                    _matvec(A, x)
+        if np.all(np.isfinite(want)):
+            assert bitwise_equal(_matmat(A, B), want)
+        else:
+            with pytest.raises(NonFiniteError):
+                _matmat(A, B)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("overflow", ["product", "sum"])
+def test_matvec_raises_on_an_overflow_in_the_last_batch(dtype, overflow):
+    big = np.finfo(dtype).max / 4
+    A = np.ones((2, 140), dtype=dtype)
+    x = np.ones(140, dtype=dtype)
+    if overflow == "product":
+        A[1, 139], x[139] = big, 8  # only the last column's product overflows
+    else:
+        A[0, 130:] = big  # finite products whose running sum overflows in the third batch
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            _matvec(A, x)
+        with pytest.raises(NonFiniteError):
+            _matmat(A, x[:, None])

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import sys
 from dataclasses import replace
 
@@ -22,6 +24,7 @@ from krylovexact.harness import (
 )
 from krylovexact.lanczos import lanczos
 from krylovexact.problems import JacobiMatrix, random_structured_problem
+from test_golden_bits import _feed
 
 
 def test_metric_series_enforces_increasing_k():
@@ -197,6 +200,34 @@ def test_no_recurrence_calls_a_checked_kernel(monkeypatch):
     _replace_kernels(monkeypatch, ("norm2", "seq_dot", "matvec", "matmat"), "a recurrence called a checked kernel")
     for entry in ALGORITHMS.values():
         entry.run(x, entry.steps(x))
+
+
+def _digest(obj):
+    h = hashlib.sha256()
+    _feed(h, obj)
+    return h.hexdigest()
+
+
+_SYMMETRIC = ("lanczos", "cg-hs", "cglanczos", "blocklanczos")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("algorithm", _SYMMETRIC + ("arnoldi", "bilanczos", "gk"))
+def test_an_algorithm_gives_the_same_bits_on_a_c_order_and_a_fortran_order_matrix(algorithm, dtype):
+    """_matvec gathers the columns of A; on a dense general n = 70 input,
+    each product spans two batches of columns, and the layout of A moves no
+    bit of any output field."""
+    n = 70
+    g = np.random.Generator(np.random.Philox(key=70))
+    M = g.uniform(-1, 1, (n, n))
+    # bitwise symmetric with spectrum in [0.77, 26.7], so every run takes all k steps; or general
+    A = (M + M.T + 14 * np.eye(n) if algorithm in _SYMMETRIC else M).astype(dtype)
+    v, w = g.uniform(-1, 1, (2, n)).astype(dtype)
+    k = 33 if algorithm == "blocklanczos" else 66  # 66 basis vectors either way
+    runs = [ALGORITHMS[algorithm].run(RunInputs(B, v, w=w, U1=np.eye(n, 2, dtype=dtype)), k) for B in (A, np.asfortranarray(A))]
+    for field in dataclasses.fields(runs[0]):
+        c_order, fortran = (_digest(getattr(r, field.name)) for r in runs)
+        assert c_order == fortran, field.name
 
 
 def test_metric_series_checks_rows_it_was_given():
