@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fileio
-from .fp import precision_named, precision_of
+from .fp import BINARY64, PRECISIONS, precision_named, precision_of
 from .harness import (
     ALGORITHMS,
     RunInputs,
@@ -45,7 +45,7 @@ _STRUCTURED = [name for name, a in ALGORITHMS.items() if a.kind]
 
 
 def _add_precision(p):
-    p.add_argument("--precision", choices=["binary64", "binary32"], default="binary64")
+    p.add_argument("--precision", choices=[row.name for row in PRECISIONS], default=BINARY64.name)
 
 
 def _add_start(p):

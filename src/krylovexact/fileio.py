@@ -81,7 +81,7 @@ def write_matrix(out, T):
     """Write T's record, after a `precision` record unless T is binary64."""
     header, vals = _matrix_payload(T)
     precision = precision_of(vals)
-    if precision.name != "binary64":
+    if precision is not BINARY64:
         out.write(f"precision {precision.name}\n")
     out.write(header + "\n")
     vals = vals.tolist()

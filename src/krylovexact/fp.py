@@ -1,10 +1,11 @@
 """IEEE 754 scalar model, dense containers, and bit-exact comparison utilities.
 
-Vectors and matrices are plain numpy arrays of dtype float64 (binary64) or
-float32 (binary32).  Every operation in this module performs one correctly
-rounded IEEE 754 operation at a time: no FMA, no extended intermediate
-precision, no reassociation.  Sums are strictly sequential left-to-right,
-which pins a bitwise-deterministic result for regression testing.
+The one module that names a format, writes a sequential fold or normalizes
+a starting vector.  PRECISIONS is the table of formats, one Precision row
+each: binary64 (float64) and binary32 (float32).  Every operation here
+performs one correctly rounded IEEE 754 operation at a time: no FMA, no
+extended intermediate precision, no reassociation.  Sums are strictly
+sequential left-to-right, which pins a bitwise-deterministic result.
 
 _matvec realizes the column sweep y = +0; y = fl(y + fl(A[:, c] * x[c])), c
 in index order, which is the per-row sequential sum: it gathers the columns
@@ -23,11 +24,12 @@ t_0 instead of +0 + t_0.  The two differ only in the sign of a zero partial
 sum (+0 + -0 is +0, while a -0 start stays -0), and the sign of a zero
 partial sum never changes a later nonzero one.  So every partial sum has
 the value of the +0-started fold, and a trailing + 0 turns a final -0 into
-+0: accumulate(t)[-1] + 0 is the sequential fold bit for bit.  _dot
-sums every product this way, and seq_dot and norm2 through it.  _gram
-builds a whole table of such dots, G[i, j] = seq_dot(X[:, i], Y[:, j]),
-with one accumulate down axis 0 per row of G, each column of the products
-summed in index order.
++0: accumulate(t)[-1] + 0 is the sequential fold bit for bit, and _fold(t)
+is it down axis 0.  _dot is the same fold of x * y, inlined because it is
+the hottest kernel; seq_dot and norm2 sum through it.  _gram builds a table
+of such dots, G[i, j] = seq_dot(X[:, i], Y[:, j]), with one _fold per row of
+G.  _start(v, what), the normalization that begins each single-vector
+recurrence, returns (||v||, v / ||v||) or raises ValueError("<what> is zero").
 
 Row layout: the Krylov loops and the block QR keep their bases as the
 contiguous rows of an array and return a C-order copy of the transpose.
@@ -78,30 +80,31 @@ class Precision:
     guard_hi: float
 
     def in_guard(self, x) -> bool:
-        return self.guard_lo <= abs(float(x)) <= self.guard_hi
+        """True iff every entry of x (a scalar or an array) lies in the guard."""
+        a = np.abs(np.asarray(x, dtype=np.float64))
+        return bool(np.all((self.guard_lo <= a) & (a <= self.guard_hi)))
 
 
 BINARY64 = Precision("binary64", np.float64, 2.0 ** -53, 2.0 ** -500, 2.0 ** 500)
 BINARY32 = Precision("binary32", np.float32, 2.0 ** -24, 2.0 ** -60, 2.0 ** 60)
+PRECISIONS = (BINARY64, BINARY32)
 
-_BY_DTYPE = {np.dtype(np.float64): BINARY64, np.dtype(np.float32): BINARY32}
-_BY_NAME = {"binary64": BINARY64, "binary32": BINARY32}
 _BLOCK = 64  # columns per batch in _matvec: a batch of rows stays in cache
 
 
 def precision_named(name: str) -> Precision:
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise ValueError(f"unknown precision {name!r}") from None
+    for p in PRECISIONS:
+        if p.name == name:
+            return p
+    raise ValueError(f"unknown precision {name!r}")
 
 
 def precision_of(a) -> Precision:
     dt = np.asarray(a).dtype
-    try:
-        return _BY_DTYPE[dt]
-    except KeyError:
-        raise TypeError(f"unsupported dtype {dt}; use float64 or float32") from None
+    for p in PRECISIONS:
+        if dt == p.dtype:
+            return p
+    raise TypeError(f"unsupported dtype {dt}; use float64 or float32")
 
 
 def require_finite(a, what: str = "input") -> None:
@@ -143,8 +146,8 @@ def freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _bit_view(a: np.ndarray) -> np.ndarray:
-    kind = np.uint64 if a.dtype == np.float64 else np.uint32
-    return np.ascontiguousarray(a).view(kind)
+    """a as unsigned integers of its own item size: one per bit pattern."""
+    return np.ascontiguousarray(a).view(f"u{a.dtype.itemsize}")
 
 
 def first_bit_difference(a, b):
@@ -184,8 +187,23 @@ def bitwise_symmetric(A: np.ndarray) -> bool:
 # sequential arithmetic kernels
 
 
+def _fold(t: np.ndarray):
+    """fl(((0 + t_0) + t_1) + ...) down axis 0 of t; zeros when axis 0 is empty."""
+    if not len(t):
+        return np.zeros(t.shape[1:], dtype=t.dtype)[()]
+    return np.add.accumulate(t)[-1] + t.dtype.type(0.0)
+
+
+def _start(v: np.ndarray, what: str):
+    """(||v||, v / ||v||) of a starting vector; ValueError if ||v|| is 0."""
+    nrm = _norm2(v)
+    if nrm == 0:
+        raise ValueError(f"{what} is zero")
+    return nrm, v / nrm
+
+
 def _dot(x: np.ndarray, y: np.ndarray):
-    """fl(((0 + t_0) + t_1) + ...) of t = x * y; the caller holds the checks and errstate."""
+    """_fold(x * y), inlined: the hottest kernel; the caller holds the checks and errstate."""
     zero = x.dtype.type(0.0)
     out = np.add.accumulate(x * y)[-1] + zero if x.size else zero
     if not math.isfinite(out):
@@ -249,15 +267,12 @@ def _gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if X.dtype != Y.dtype:
         raise ShapeError(f"dtype mismatch: {X.dtype} vs {Y.dtype}")
     out = np.zeros((X.shape[1], Y.shape[1]), dtype=X.dtype)
-    if X.shape[0] == 0:
-        return out
     symmetric = Y is X
     for i in range(X.shape[1]):
         j = i if symmetric else 0
-        out[i, j:] = np.add.accumulate(X[:, i : i + 1] * Y[:, j:], axis=0)[-1]
+        out[i, j:] = _fold(X[:, i : i + 1] * Y[:, j:])
     if symmetric:
         out = np.where(np.tri(len(out), k=-1, dtype=bool), out.T, out)
-    out += X.dtype.type(0.0)  # the +0 start of each sum
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("non-finite entry in gram matrix")
     return out
@@ -331,13 +346,9 @@ def sqrt_square_roundtrip(alpha, precision: Precision | None = None) -> bool:
         sq = a * a
     if not np.isfinite(sq):
         raise RangeError("alpha^2 overflows")
-    if sq != 0 and abs(float(sq)) < _smallest_normal(precision):
+    if sq != 0 and abs(sq) < np.finfo(precision.dtype).smallest_normal:
         raise RangeError("alpha^2 underflows to the subnormal range")
     return bitwise_equal(np.sqrt(sq), abs(a))
-
-
-def _smallest_normal(p: Precision) -> float:
-    return float(np.finfo(p.dtype).smallest_normal)
 
 
 def exact_op_catalog(alpha, precision: Precision | None = None) -> dict:

@@ -14,7 +14,9 @@ from .fp import (
     BINARY64,
     NonFiniteError,
     Precision,
+    _bit_view,
     _dot,
+    _fold,
     _gram,
     _matmat,
     _matvec,
@@ -95,9 +97,8 @@ def loss_of_orthogonality(V: np.ndarray):
     """
     validate_operands(V)
     n, k = V.shape
-    tol = 4 * n * (np.finfo(V.dtype).eps / 2)
-    squares = np.add.accumulate(np.vstack([np.zeros(k, dtype=V.dtype), V * V]))[-1]  # +0-started folds
-    for j, sq in enumerate(squares):
+    tol = 4 * n * precision_of(V).unit_roundoff
+    for j, sq in enumerate(_fold(V * V)):
         if not np.isfinite(sq):
             raise NonFiniteError("non-finite dot product")
         if abs(float(np.sqrt(sq)) - 1.0) > tol:
@@ -124,15 +125,12 @@ def sqrt_square_violations(samples: int, precision: Precision = BINARY64, seed: 
     if samples < 1:
         raise ValueError("samples must be positive")
     g = make_rng(seed)
-    emax = 499 if precision.name == "binary64" else 59
+    emax = int(np.log2(precision.guard_hi)) - 1  # |a| < 2^(emax + 1): inside the guard
     mant = g.uniform(1.0, 2.0, samples)
     expo = g.integers(-emax, emax + 1, samples)
     sign = (2 * g.integers(0, 2, samples) - 1).astype(np.float64)
     alpha = (sign * mant * np.exp2(expo.astype(np.float64))).astype(precision.dtype)
-    roundtrip = np.sqrt(alpha * alpha)
-    kind = np.uint64 if precision.dtype == np.float64 else np.uint32
-    bad = roundtrip.view(kind) != np.abs(alpha).view(kind)
-    return int(np.count_nonzero(bad))
+    return int(np.count_nonzero(_bit_view(np.sqrt(alpha * alpha)) != _bit_view(np.abs(alpha))))
 
 
 # ---------------------------------------------------------------------------

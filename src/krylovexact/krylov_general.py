@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import RangeError, ShapeError, _dot, _gram, _matmat, _matvec, _mgs, _norm2, require_finite, validate_operands
+from .fp import RangeError, ShapeError, _dot, _gram, _matmat, _matvec, _mgs, _norm2, _start, require_finite, validate_operands
 from .rational import nonzero_rows, rat_dot, rat_matvec, rational_lstsq, to_rational_vector
 
 
@@ -36,12 +36,9 @@ def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
     h_{j+1,j} = ||w||; stop on exact zero."""
     n = len(A)
     validate_operands(A, v, k=k, limit=n, square=True)
-    nrm = _norm2(v)
-    if nrm == 0:
-        raise ValueError("starting vector is zero")
     Vt = np.zeros((k + 1, n), dtype=A.dtype)  # row j is v_{j+1}
+    _, Vt[0] = _start(v, "starting vector")
     H = np.zeros((k + 1, k), dtype=A.dtype)
-    Vt[0] = v / nrm
     Af = np.asfortranarray(A)  # _matvec gathers columns of A: make them contiguous once per run
     breakdown = None
     cols = 1
@@ -82,12 +79,9 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
     n = len(A)
     validate_operands(A, v, w, k=k, limit=n, square=True)
     At = A.T
-    gamma1 = _norm2(v)
-    if gamma1 == 0:
-        raise ValueError("right starting vector is zero")
     Vt = np.zeros((k + 1, n), dtype=A.dtype)  # rows are the basis vectors
+    gamma1, Vt[0] = _start(v, "right starting vector")
     Wt = np.zeros((k + 1, n), dtype=A.dtype)
-    Vt[0] = v / gamma1
     beta1 = _dot(w, Vt[0])
     if beta1 == 0:
         raise ValueError("w^T v_1 = 0: the starting pair is biorthogonally degenerate")
@@ -158,12 +152,9 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
     validate_operands(A, v, k=k, limit=min(A.shape))
     n, m = A.shape
     At = A.T
-    delta1 = _norm2(v)
-    if delta1 == 0:
-        raise ValueError("starting vector is zero")
     St = np.zeros((k + 1, n), dtype=A.dtype)  # rows are the basis vectors
+    delta1, St[0] = _start(v, "starting vector")
     Wt = np.zeros((k, m), dtype=A.dtype)
-    St[0] = v / delta1
     gammas, deltas = [], []
     delta_i = delta1
     breakdown = None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import _dot, _matvec, _mgs, _norm2, bitwise_symmetric, validate_operands
+from .fp import _dot, _matvec, _mgs, _norm2, _start, bitwise_symmetric, validate_operands
 from .problems import JacobiMatrix
 
 VARIANTS = ("mgs", "cgs")
@@ -63,14 +63,11 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
         raise ValueError("matrix is not bitwise symmetric")
     dt = A.dtype.type
 
-    beta1 = _norm2(v)
-    if beta1 == 0:
-        raise ValueError("starting vector is zero")
     Vt = np.zeros((k + 1, n), dtype=A.dtype)  # row i is v_{i+1}
+    beta1, Vt[0] = _start(v, "starting vector")
     alphas = []
     betas = []
     vprev = np.zeros(n, dtype=A.dtype)  # v_0 = 0; beta_i * v_0 is evaluated, not skipped
-    Vt[0] = v / beta1
     beta_i = dt(0.0)
     scratch = np.empty(k, dtype=A.dtype)  # the discarded reorthogonalization coefficients
     breakdown = None

@@ -69,7 +69,7 @@ def _check_entries(finite, positive=(), positive_msg="", guarded=(), range_msg="
         raise ValueError(positive_msg)
     if guarded:
         p = precision_of(finite[0][1])
-        if not all(p.in_guard(x) for a in guarded for x in a.tolist()):
+        if not all(p.in_guard(a) for a in guarded):
             raise RangeError(range_msg)
     for _, a in finite:
         freeze(a)
