@@ -8,6 +8,7 @@ including a serious breakdown of nonsymmetric Lanczos.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fileio
-from .fp import BINARY64, PRECISIONS, precision_named, precision_of
+from .fp import PRECISIONS, precision_named, precision_of
 from .harness import (
     ALGORITHMS,
     RunInputs,
@@ -45,7 +46,7 @@ _STRUCTURED = [name for name, a in ALGORITHMS.items() if a.kind]
 
 
 def _add_precision(p):
-    p.add_argument("--precision", choices=[row.name for row in PRECISIONS], default=BINARY64.name)
+    p.add_argument("--precision", choices=[row.name for row in PRECISIONS], default=PRECISIONS[0].name)
 
 
 def _add_start(p):
@@ -55,6 +56,7 @@ def _add_start(p):
     p.add_argument("--beta1", type=float, help="scale for --e1 (default 1)")
 
 
+@functools.cache  # built on the first main call and reused: one build costs about 18 parses
 def _build_parser():
     ap = argparse.ArgumentParser(prog="krylovexact", description="Krylov recurrences with bit-level exactness checks")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -207,9 +207,11 @@ class BlockTridiagonal:
                 raise ShapeError("subdiagonal blocks must be p x p")
             if np.any(np.tril(Bi, -1) != 0):
                 raise ValueError("subdiagonal blocks must be upper triangular")
+        diagonals = [np.diagonal(Bi) for Bi in self.B]
         _check_entries(
             [("diagonal block", Mi) for Mi in self.M] + [("subdiagonal block", Bi) for Bi in self.B],
-            [np.diagonal(Bi) for Bi in self.B], "subdiagonal block diagonals must be positive",
+            diagonals, "subdiagonal block diagonals must be positive",
+            diagonals, "subdiagonal block diagonal outside the exponent-range guard",
         )
 
     @property
@@ -364,8 +366,13 @@ def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
     For NonsymTridiagonal T, gamma1 scales the right starting vector v and
     beta1 scales the left starting vector w.  For BlockTridiagonal T, P must
     be a SignedBlockPermutation and U1 = P [I, 0, ..., 0]^T is produced.
+    The scale of v, whose norm a run takes (beta1, or gamma1 for
+    NonsymTridiagonal), must lie in the exponent-range guard (RangeError).
+    A NonsymTridiagonal's beta1 enters only through w^T v_1, a dot with no
+    square, and a block problem's v is a column of P: neither is guarded.
     """
     Td = T.to_dense()
+    precision = precision_of(Td)
     dtype = Td.dtype.type
     if float(beta1) <= 0:
         raise ValueError("beta1 must be positive")
@@ -383,9 +390,13 @@ def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
     if isinstance(T, NonsymTridiagonal):
         if gamma1 is None or float(gamma1) <= 0:
             raise ValueError("nonsymmetric problems need gamma1 > 0")
+        if not precision.in_guard(gamma1):
+            raise RangeError("gamma1 outside the exponent-range guard")
         v = _scaled_column(P, 0, gamma1, dtype)
         w = _scaled_column(P, 0, beta1, dtype)
         return StructuredProblem(P, T, dtype(beta1), A, v, T.n, w=w, gamma1=dtype(gamma1))
+    if not precision.in_guard(beta1):
+        raise RangeError("beta1 outside the exponent-range guard")
     v = _scaled_column(P, 0, beta1, dtype)
     return StructuredProblem(P, T, dtype(beta1), A, v, T.n)
 
@@ -396,7 +407,8 @@ def detect_structure(A: np.ndarray, v: np.ndarray):
     Succeeds iff A is bitwise symmetric, v has a single nonzero entry and
     the off-diagonal adjacency graph of A is a simple path starting at that
     entry's index.  Signs are canonicalized into P so that T has positive
-    off-diagonals; the factorization is then unique.
+    off-diagonals; the factorization is then unique.  An off-diagonal or a
+    beta1 outside the exponent-range guard raises RangeError.
     """
     validate_operands(A, v)
     nz = np.nonzero(v)[0]
@@ -426,6 +438,8 @@ def detect_structure(A: np.ndarray, v: np.ndarray):
     P = SignedPermutation(np.array(order), signs)
     T = JacobiMatrix(alpha, beta)
     beta1 = abs(v[start])
+    if not precision_of(A).in_guard(beta1):
+        raise RangeError("beta1 outside the exponent-range guard")
     return P, T, dtype(beta1)
 
 

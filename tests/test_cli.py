@@ -409,6 +409,33 @@ def test_run_rejects_a_beta1_the_matrix_precision_cannot_hold(tmp_path, capsys):
         assert "--beta1 must be positive and finite in binary32" in _error_exit(capsys, "run", "lanczos", "--problem", str(mat), "--e1", "--beta1", beta1)
 
 
+@pytest.mark.parametrize("kind, record", [("jacobi", "beta1"), ("hessenberg", "beta1"), ("lowerbidiag", "beta1"), ("nonsymtridiag", "gamma1")])
+def test_run_check_exact_on_a_scale_outside_the_guard_exits_2(tmp_path, capsys, kind, record):
+    """A problem file whose v has a scale outside the guard lies outside the
+    structured class: a typed error (exit 2), not a failed check (exit 1)."""
+    prob = tmp_path / "prob.txt"
+    assert run_cli(capsys, "gen", "structured", "--kind", kind, "--n", "6", "--out", str(prob))[0] == 0
+    lines = [f"{record} {(1.3 * 2.0**-520).hex()}" if line.startswith(record + " ") else line for line in prob.read_text().splitlines()]
+    prob.write_text("\n".join(lines) + "\n")
+    algorithm = {"jacobi": "lanczos", "hessenberg": "arnoldi", "lowerbidiag": "gk", "nonsymtridiag": "bilanczos"}[kind]
+    assert f"{record} outside the exponent-range guard" in _error_exit(capsys, "run", algorithm, "--problem", str(prob), "--check-exact")
+
+
+def test_run_check_exact_on_a_matrix_file_with_a_beta1_outside_the_guard_exits_2(tmp_path, capsys):
+    mat = tmp_path / "T.txt"
+    assert run_cli(capsys, "gen", "jacobi", "--n", "5", "--out", str(mat))[0] == 0
+    assert "beta1 outside the exponent-range guard" in _error_exit(capsys, "run", "lanczos", "--problem", str(mat), "--e1", "--beta1", "1e-160", "--check-exact")
+    assert "beta1 outside the exponent-range guard" in _error_exit(capsys, "check", "structure", "--problem", str(mat), "--e1", "--beta1", "1e-160")
+
+
+def test_the_parser_is_built_once_and_prints_to_the_current_streams(capsys):
+    assert _build_parser() is _build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            main(["run", "no-such-algorithm"])
+        assert "invalid choice: 'no-such-algorithm'" in capsys.readouterr().err
+
+
 def test_convert_rejects_a_literal_binary32_cannot_hold(tmp_path, capsys):
     path = tmp_path / "v.txt"
     path.write_text("precision binary32\nvector 2\n0x1.000001p0 0x1p-1074\n")

@@ -1,16 +1,21 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krylovexact import fp
 from krylovexact.fp import (
     BINARY32,
     BINARY64,
+    PRECISIONS,
     NonFiniteError,
     RangeError,
     ShapeError,
+    _bit_view,
     _dot,
     _gram,
     _matmat,
@@ -40,11 +45,67 @@ signed64 = st.tuples(guarded64, st.sampled_from([-1.0, 1.0])).map(lambda t: t[0]
 def test_precision_lookup():
     assert precision_named("binary64") is BINARY64
     assert precision_named("binary32") is BINARY32
-    with pytest.raises(ValueError):
+    assert PRECISIONS == (BINARY64, BINARY32)  # the first row is the CLI's default
+    with pytest.raises(ValueError, match=r"^unknown precision 'binary16'$"):
         precision_named("binary16")
     assert precision_of(np.zeros(3, dtype=np.float32)) is BINARY32
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^unsupported dtype int64; use float64 or float32$"):
         precision_of(np.zeros(3, dtype=np.int64))
+    with pytest.raises(TypeError, match=r"^unsupported dtype float16; use float64 or float32$"):
+        precision_of(np.float16(1.0))
+
+
+@pytest.mark.parametrize("row", PRECISIONS, ids=lambda p: p.name)
+def test_precision_lookups_round_trip_every_row(row):
+    assert precision_named(row.name) is row
+    assert precision_of(np.zeros((2, 3), dtype=row.dtype)) is row
+    assert precision_of(row.dtype(1.5)) is row
+
+
+@pytest.mark.parametrize("row", PRECISIONS, ids=lambda p: p.name)
+def test_in_guard_on_an_array_agrees_with_the_scalar_rule(row):
+    dt = row.dtype
+    lo, hi = dt(row.guard_lo), dt(row.guard_hi)
+    values = [lo, hi, np.nextafter(lo, dt(0)), np.nextafter(hi, dt(np.inf)), dt(0.0), dt(-0.0), np.finfo(dt).max, dt(1.0), dt(np.nan)]
+    values += [-x for x in values]
+
+    def rule(x):
+        return row.guard_lo <= abs(float(x)) <= row.guard_hi
+
+    for x in values:
+        assert row.in_guard(x) is rule(x)
+        assert row.in_guard(np.array([x, 1.0], dtype=dt)) is rule(x)
+        assert row.in_guard(np.array([[1.0], [x]], dtype=dt)) is rule(x)
+    assert row.in_guard(np.array([x for x in values if rule(x)], dtype=dt)) is True
+    assert row.in_guard(np.array(values, dtype=dt)) is False
+    assert row.in_guard(np.array([], dtype=dt)) is True
+
+
+@pytest.mark.parametrize("row", PRECISIONS, ids=lambda p: p.name)
+def test_bit_view_tells_plus_zero_from_minus_zero_in_every_row(row):
+    u = _bit_view(np.array([0.0, -0.0, 1.0], dtype=row.dtype))
+    assert u.dtype.kind == "u" and u.dtype.itemsize == np.dtype(row.dtype).itemsize
+    assert u[0] == 0 and u[1] != u[0] and u[2] not in (u[0], u[1])
+    assert not bitwise_equal(np.array(0.0, dtype=row.dtype), np.array(-0.0, dtype=row.dtype))
+
+
+_FORMAT_NAMES = {"np.add.accumulate", "np.finfo", "np.uint32", "np.uint64"}
+
+
+def test_only_fp_names_a_format_or_writes_a_fold():
+    """No module but fp refers to np.add.accumulate, np.finfo, np.uint32 or
+    np.uint64, or holds a string that is a precision's name."""
+    names = {row.name for row in PRECISIONS}
+    hits = []
+    for path in sorted(Path(fp.__file__).parent.glob("*.py")):
+        if path.name == "fp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) in _FORMAT_NAMES:
+                hits.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in names:
+                hits.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert hits == []
 
 
 def test_unit_roundoff_values():
@@ -347,6 +408,30 @@ def test_accumulate_is_the_sequential_fold(case):
     with np.errstate(all="ignore"):
         want = _fold(t, dtype)
         assert _same_sum(np.add.accumulate(t)[-1] + dtype(0.0), want)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 24), st.integers(1, 4), st.booleans(), st.sampled_from([np.float64, np.float32]), st.data())
+def test_fp_fold_is_the_literal_plus_zero_started_loop(n, cols, matrix, dtype, data):
+    """fp._fold down axis 0 of a vector (a scalar) or of an n x cols matrix
+    (one fold per column), n = 0 included, against the literal loop."""
+    T = np.stack([data.draw(products(n, dtype))[0] for _ in range(cols)], axis=1) if n else np.zeros((0, cols), dtype=dtype)
+    t = T if matrix else T[:, 0]
+    with np.errstate(all="ignore"):
+        got = fp._fold(t)
+        want = [_fold(T[:, j], dtype) for j in range(cols if matrix else 1)]
+    assert np.shape(got) == ((cols,) if matrix else ())
+    assert np.asarray(got).dtype == dtype
+    for g, w in zip(np.atleast_1d(got), want):
+        assert _same_sum(g, w)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("terms", [[], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0, -0.0], [-2.0, 2.0]])
+def test_fp_fold_of_signed_zeros_and_cancellations_is_plus_zero(terms, dtype):
+    t = np.array(terms, dtype=dtype)
+    for got in (fp._fold(t), fp._fold(np.stack([t, -t], axis=1))[1]):
+        assert bitwise_equal(np.asarray(got), np.asarray(_fold(t, dtype))) and got == 0 and not np.signbit(got)
 
 
 @settings(max_examples=50)

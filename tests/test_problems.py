@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krylovexact.fp import BINARY32, BINARY64, NonFiniteError, RangeError, ShapeError, bitwise_equal
+from krylovexact.harness import ALGORITHMS, RunInputs, compare_structured
 from krylovexact.problems import (
+    BlockTridiagonal,
     ConvergenceCurves,
     HessenbergMatrix,
     JacobiMatrix,
@@ -199,6 +201,55 @@ def test_strakos_spectrum_rejects_bad_parameters():
 def test_strakos_spectrum_checks_its_parameters_after_the_cast_and_its_result(lam1, lamn, precision):
     with pytest.raises(RangeError):
         strakos_spectrum(2, lam1, lamn, 0.7, precision)
+
+
+# scales just outside each precision's exponent-range guard, below and above
+_OUTSIDE = [(BINARY64, 1.3 * 2.0**-520), (BINARY64, 2.0**501), (BINARY32, 1.3 * 2.0**-70), (BINARY32, 2.0**61)]
+
+
+@pytest.mark.parametrize("precision, scale", _OUTSIDE)
+@pytest.mark.parametrize("kind", ["jacobi", "hessenberg", "lowerbidiag", "nonsymtridiag"])
+def test_assemble_guards_the_scale_of_v(kind, precision, scale):
+    """v = beta1 P e1 (gamma1 P e1 for nonsymtridiag), and a run takes its
+    norm: a scale outside the guard is a RangeError, the guard's ends are not."""
+    prob = random_structured_problem(kind, 6, 1, precision)
+    other = {"gamma1": prob.gamma1} if kind == "nonsymtridiag" else {}
+    name = "gamma1" if kind == "nonsymtridiag" else "beta1"
+    for inside in (precision.guard_lo, precision.guard_hi):
+        assemble(prob.T, prob.P, **{"beta1": prob.beta1, **other, name: inside})
+    with pytest.raises(RangeError, match=f"{name} outside the exponent-range guard"):
+        assemble(prob.T, prob.P, **{"beta1": prob.beta1, **other, name: scale})
+
+
+@pytest.mark.parametrize("precision, scale", _OUTSIDE)
+def test_a_nonsymmetric_beta1_outside_the_guard_still_runs_exactly(precision, scale):
+    """beta1 scales w, which enters only through w^T v_1: no square, no guard."""
+    base = random_structured_problem("nonsymtridiag", 7, 2, precision)
+    prob = assemble(base.T, base.P, scale, gamma1=base.gamma1)
+    x = RunInputs(prob.A, prob.v, prob.w)
+    assert compare_structured(prob, "bilanczos", ALGORITHMS["bilanczos"].run(x, 7)).ok
+
+
+@pytest.mark.parametrize("precision, scale", _OUTSIDE)
+def test_block_tridiagonal_guards_the_diagonals_of_its_b_blocks(precision, scale):
+    T = random_structured_problem("blocktridiag", 8, 0, precision, p=2).T
+    B = [Bi.copy() for Bi in T.B]
+    B[1][1, 1] = scale
+    with pytest.raises(RangeError, match="subdiagonal block diagonal outside the exponent-range guard"):
+        BlockTridiagonal(tuple(Mi.copy() for Mi in T.M), tuple(B))
+    B[1][1, 1] = precision.guard_lo
+    BlockTridiagonal(tuple(Mi.copy() for Mi in T.M), tuple(B))
+
+
+@pytest.mark.parametrize("precision, scale", _OUTSIDE)
+def test_detect_structure_guards_the_beta1_it_returns(precision, scale):
+    prob = random_structured_problem("jacobi", 6, 3, precision)
+    v = np.zeros_like(prob.v)
+    v[prob.P.perm[0]] = -scale
+    with pytest.raises(RangeError, match="beta1 outside the exponent-range guard"):
+        detect_structure(prob.A, v)
+    v[prob.P.perm[0]] = -precision.guard_hi
+    assert detect_structure(prob.A, v)[2] == precision.guard_hi
 
 
 def test_prescribe_cg_curves_single_step():
