@@ -14,7 +14,7 @@ from .fp import (
     RangeError,
     ShapeError,
     bitwise_equal,
-    exact_op_catalog,
+    exact_identity_violations,
     first_bit_difference,
     frobenius_norm,
     matvec,
@@ -22,7 +22,6 @@ from .fp import (
     precision_named,
     precision_of,
     seq_dot,
-    sqrt_square_roundtrip,
 )
 from .problems import (
     BlockTridiagonal,

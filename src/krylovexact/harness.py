@@ -14,12 +14,12 @@ from .fp import (
     BINARY64,
     NonFiniteError,
     Precision,
-    _bit_view,
     _dot,
     _fold,
     _gram,
     _matmat,
     _matvec,
+    exact_identity_violations,
     first_bit_difference,
     frobenius_norm,
     precision_of,
@@ -121,7 +121,7 @@ def a_orthogonality_loss(Pdirs: np.ndarray, A: np.ndarray):
 
 
 def sqrt_square_violations(samples: int, precision: Precision = BINARY64, seed: int = 0) -> int:
-    """Count violations of fl(sqrt(fl(a^2))) = |a| over guarded random samples."""
+    """Count violations of fl(sqrt(fl(a^2))) = |a| (Lemma 3.1) over guarded random samples."""
     if samples < 1:
         raise ValueError("samples must be positive")
     g = make_rng(seed)
@@ -130,7 +130,7 @@ def sqrt_square_violations(samples: int, precision: Precision = BINARY64, seed: 
     expo = g.integers(-emax, emax + 1, samples)
     sign = (2 * g.integers(0, 2, samples) - 1).astype(np.float64)
     alpha = (sign * mant * np.exp2(expo.astype(np.float64))).astype(precision.dtype)
-    return int(np.count_nonzero(_bit_view(np.sqrt(alpha * alpha)) != _bit_view(np.abs(alpha))))
+    return exact_identity_violations(alpha)["sqrt_square"]
 
 
 # ---------------------------------------------------------------------------

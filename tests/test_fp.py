@@ -1,4 +1,5 @@
 import ast
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from krylovexact.fp import (
     _matvec,
     bitwise_equal,
     bitwise_symmetric,
-    exact_op_catalog,
+    exact_identity_violations,
     first_bit_difference,
     freeze,
     frobenius_norm,
@@ -32,8 +33,6 @@ from krylovexact.fp import (
     precision_named,
     precision_of,
     seq_dot,
-    seq_dot_reference,
-    sqrt_square_roundtrip,
 )
 
 guarded64 = st.floats(min_value=2.0**-400, max_value=2.0**400, allow_nan=False).map(
@@ -113,21 +112,78 @@ def test_unit_roundoff_values():
     assert BINARY32.unit_roundoff == 2.0**-24
 
 
-@given(signed64)
-def test_exact_op_catalog_holds(a):
-    assert all(exact_op_catalog(a).values())
+IDENTITIES = ("one_times", "negate", "zero_times", "self_minus", "self_div", "sqrt_square")
+NONE_BROKEN = dict.fromkeys(IDENTITIES, 0)
 
 
 @given(signed64)
-def test_sqrt_square_roundtrip_in_guard(a):
-    assert sqrt_square_roundtrip(a)
+def test_exact_identities_hold_on_a_guarded_scalar(a):
+    assert exact_identity_violations(np.float64(a)) == NONE_BROKEN
 
 
-def test_sqrt_square_roundtrip_guard_violations():
-    with pytest.raises(RangeError):
-        sqrt_square_roundtrip(1e200)  # alpha^2 overflows
-    with pytest.raises(RangeError):
-        sqrt_square_roundtrip(np.float32(1e30), BINARY32)
+@st.composite
+def guarded_arrays(draw):
+    """A 1-D or 2-D array of signed values inside its row's guard, with +0 and -0."""
+    row = draw(st.sampled_from(PRECISIONS))
+    e = int(np.log2(row.guard_hi))
+    value = st.builds(lambda m, k, s: s * m * 2.0**k, st.floats(1.0, 2.0, exclude_max=True), st.integers(-e, e - 1), st.sampled_from([-1.0, 1.0]))
+    shape = draw(st.sampled_from([(0,), (1,), (7,), (3, 4)]))
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.one_of(value, st.sampled_from([0.0, -0.0])), min_size=size, max_size=size))
+    return np.array(values, dtype=row.dtype).reshape(shape)
+
+
+@given(guarded_arrays())
+def test_exact_identities_hold_on_guarded_arrays(a):
+    assert exact_identity_violations(a) == NONE_BROKEN
+
+
+@pytest.mark.parametrize(
+    "alpha, error, message",
+    [
+        (np.float64(1e200), RangeError, r"^alpha\^2 overflows$"),
+        (np.float32(1e30), RangeError, r"^alpha\^2 overflows$"),
+        (np.array([1.0, 1e-160]), RangeError, r"^alpha\^2 underflows to the subnormal range$"),
+        (np.array([1e-20, -0.0], dtype=np.float32), RangeError, r"^alpha\^2 underflows to the subnormal range$"),
+        (np.float64(-1e-200), RangeError, r"^alpha\^2 underflows to the subnormal range$"),  # a^2 rounds to +0
+        (np.array([1.0, np.nan]), NonFiniteError, r"^alpha contains a NaN or infinity$"),
+        (np.array([np.inf], dtype=np.float32), NonFiniteError, r"^alpha contains a NaN or infinity$"),
+    ],
+)
+def test_exact_identity_violations_rejects_values_outside_the_lemma(alpha, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            exact_identity_violations(alpha)
+
+
+def test_exact_identity_violations_on_signed_zeros_no_entries_and_another_format():
+    a = np.array([1.5, -0.0, 0.0, -3.0])  # fl(0 * -0) = -0 and fl(0 * -3) = -0: the sign rule
+    assert exact_identity_violations(a) == NONE_BROKEN
+    assert exact_identity_violations(a[:0]) == NONE_BROKEN
+    with pytest.raises(TypeError):
+        exact_identity_violations(np.float16(1.0))
+
+
+def test_lemma31_holds_for_every_binary32_significand():
+    """Every binary32 m in [1, 2) keeps every identity.  While the square
+    stays normal, a = m 2^e squares to fl(m^2) 4^e and its root is
+    sqrt(fl(m^2)) 2^e, both scalings exact, so this covers every binary32
+    value whose square is normal; the other identities hold at any scale."""
+    m = (np.uint32(0x3F800000) | np.arange(2**23, dtype=np.uint32)).view(np.float32)
+    assert m[0] == 1.0 and m[-1] == np.nextafter(np.float32(2.0), np.float32(0.0))
+    for chunk in np.split(m, 8):  # 4 MiB at a time
+        assert exact_identity_violations(chunk) == NONE_BROKEN
+
+
+def test_only_fp_takes_a_bit_view():
+    """No module but fp compares bit views: each exact identity is checked
+    by exact_identity_violations."""
+    hits = []
+    for path in sorted(Path(fp.__file__).parent.glob("*.py")):
+        if path.name != "fp.py" and "_bit_view" in path.read_text():
+            hits.append(path.name)
+    assert hits == []
 
 
 def test_bitwise_zero_signs():
@@ -271,6 +327,14 @@ def test_unchecked_dot_is_seq_dot(pairs, dtype):
 def test_seq_dot_does_not_skip_nan_times_zero():
     with pytest.raises(NonFiniteError):
         seq_dot(np.array([np.nan, 1.0]), np.array([0.0, 2.0]))
+
+
+def seq_dot_reference(x, y):
+    """Literal term-by-term fold of fl(sum fl(x_i*y_i)); oracle for seq_dot."""
+    acc = x.dtype.type(0.0)
+    for i in range(len(x)):
+        acc = acc + x[i] * y[i]
+    return acc
 
 
 def _matvec_reference(A, x):
