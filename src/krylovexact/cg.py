@@ -59,7 +59,8 @@ class CGTrace:
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
-    """Hestenes-Stiefel CG from x0 = 0, recording all iterates; stops on ||r_k|| = 0 exactly."""
+    """Hestenes-Stiefel CG from x0 = 0, recording all iterates; stops on ||r_k|| = 0 exactly.
+    A nonzero b whose squared norm underflows raises ValueError."""
     n = len(A)
     kmax = n if kmax is None else kmax
     validate_operands(A, b, k=kmax, limit=n, square=True)
@@ -69,6 +70,8 @@ def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     r = b - _matvec(A.T, x)  # A is bitwise symmetric: same bits, contiguous columns
     p = r.copy()
     rr = _dot(r, r)
+    if rr == 0 and b.any():  # a zero b is solved by x = 0; this one is not
+        raise ValueError("right-hand side's squared norm underflows")
     tr = CGTrace()
     tr.record(x, r, p)
     for _ in range(kmax):

@@ -29,7 +29,8 @@ is it down axis 0.  _dot is the same fold of x * y, inlined because it is
 the hottest kernel; seq_dot and norm2 sum through it.  _gram builds a table
 of such dots, G[i, j] = seq_dot(X[:, i], Y[:, j]), with one _fold per row of
 G.  _start(v, what), the normalization that begins each single-vector
-recurrence, returns (||v||, v / ||v||) or raises ValueError("<what> is zero").
+recurrence, returns (||v||, v / ||v||) or raises ValueError: "<what> is zero",
+or "<what>'s squared norm underflows" for a nonzero v.
 
 Row layout: the Krylov loops and the block QR keep their bases as the
 contiguous rows of an array and return a C-order copy of the transpose.
@@ -198,10 +199,11 @@ def _fold(t: np.ndarray):
 
 
 def _start(v: np.ndarray, what: str):
-    """(||v||, v / ||v||) of a starting vector; ValueError if ||v|| is 0."""
+    """(||v||, v / ||v||) of a starting vector; ValueError if ||v|| is 0,
+    because v is zero or because its squared norm underflows."""
     nrm = _norm2(v)
     if nrm == 0:
-        raise ValueError(f"{what} is zero")
+        raise ValueError(f"{what}'s squared norm underflows" if v.any() else f"{what} is zero")
     return nrm, v / nrm
 
 

@@ -409,6 +409,14 @@ def test_run_rejects_a_beta1_the_matrix_precision_cannot_hold(tmp_path, capsys):
         assert "--beta1 must be positive and finite in binary32" in _error_exit(capsys, "run", "lanczos", "--problem", str(mat), "--e1", "--beta1", beta1)
 
 
+@pytest.mark.parametrize("algorithm", [a for a in cli._RUN_CHOICES if a != "blocklanczos"])
+@pytest.mark.parametrize("precision, beta1", [("binary64", "1e-170"), ("binary32", "1e-25")])
+def test_run_from_a_start_whose_squared_norm_underflows_exits_2(tmp_path, capsys, algorithm, precision, beta1):
+    mat = tmp_path / "T.txt"
+    assert run_cli(capsys, "gen", "jacobi", "--n", "5", "--precision", precision, "--out", str(mat))[0] == 0
+    assert "squared norm underflows" in _error_exit(capsys, "run", algorithm, "--problem", str(mat), "--e1", "--beta1", beta1)
+
+
 @pytest.mark.parametrize("kind, record", [("jacobi", "beta1"), ("hessenberg", "beta1"), ("lowerbidiag", "beta1"), ("nonsymtridiag", "gamma1")])
 def test_run_check_exact_on_a_scale_outside_the_guard_exits_2(tmp_path, capsys, kind, record):
     """A problem file whose v has a scale outside the guard lies outside the

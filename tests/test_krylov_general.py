@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krylovexact.cg import cg_hs, cglanczos
 from krylovexact.fp import NonFiniteError, RangeError, ShapeError, _gram, _matmat, _matvec, bitwise_equal, matmat, matvec, norm2, seq_dot, validate_operands
 from krylovexact.krylov_general import (
     ArnoldiResult,
@@ -220,6 +221,37 @@ def test_block_lanczos_general_orthogonality():
     assert res.breakdown is None
 
 
+_NORMALIZING_ENTRIES = {
+    "lanczos": (lambda A, v: lanczos(A, v, 5), "starting vector"),
+    "arnoldi": (lambda A, v: arnoldi(A, v, 5), "starting vector"),
+    "nonsym_lanczos": (lambda A, v: nonsym_lanczos(A, v, v, 5), "right starting vector"),
+    "golub_kahan": (lambda A, v: golub_kahan(A, v, 5), "starting vector"),
+    "cglanczos": (lambda A, v: cglanczos(A, v), "starting vector"),
+    "gmres_structured": (lambda A, v: gmres_structured(A, v, 5), "starting vector"),
+    "cg_hs": (lambda A, v: cg_hs(A, v), "right-hand side"),
+}
+
+
+@pytest.mark.parametrize("name", _NORMALIZING_ENTRIES)
+@pytest.mark.parametrize("dtype, scale", [(np.float64, 1e-170), (np.float32, 1e-25)])
+def test_a_start_whose_squared_norm_underflows_is_an_error(name, dtype, scale):
+    """A nonzero start whose squared norm underflows to +0 is named as such; a
+    zero start keeps its own message, and HS-CG its exact termination at x = 0."""
+    run, what = _NORMALIZING_ENTRIES[name]
+    A = (4 * np.eye(5) + np.eye(5, k=1) + np.eye(5, k=-1)).astype(dtype)
+    v = np.zeros(5, dtype=dtype)
+    v[2] = -scale
+    with pytest.raises(ValueError, match=f"^{what}'s squared norm underflows$"):
+        run(A, v)
+    zero = np.full(5, -0.0, dtype=dtype)
+    if name == "cg_hs":
+        tr = run(A, zero)
+        assert tr.exact_termination and tr.steps == 0
+    else:
+        with pytest.raises(ValueError, match=f"^{what} is zero$"):
+            run(A, zero)
+
+
 def test_block_lanczos_validation():
     with pytest.raises(ValueError):
         block_lanczos(np.eye(6), np.ones((6, 4)), 1)  # 6 not a multiple of 4
@@ -288,7 +320,7 @@ def _arnoldi_columns(A, v, k):
     validate_operands(A, v, k=k, limit=n)
     nrm = norm2(v)
     if nrm == 0:
-        raise ValueError("starting vector is zero")
+        raise ValueError("starting vector's squared norm underflows" if v.any() else "starting vector is zero")
     V = np.zeros((n, k + 1), dtype=A.dtype)
     H = np.zeros((k + 1, k), dtype=A.dtype)
     V[:, 0] = v / nrm
@@ -316,7 +348,7 @@ def _nonsym_lanczos_columns(A, v, w, k):
     At = np.ascontiguousarray(A.T)
     gamma1 = norm2(v)
     if gamma1 == 0:
-        raise ValueError("right starting vector is zero")
+        raise ValueError("right starting vector's squared norm underflows" if v.any() else "right starting vector is zero")
     V = np.zeros((n, k + 1), dtype=A.dtype)
     W = np.zeros((n, k + 1), dtype=A.dtype)
     V[:, 0] = v / gamma1
@@ -375,7 +407,7 @@ def _golub_kahan_columns(A, v, k):
     At = np.ascontiguousarray(A.T)
     delta1 = norm2(v)
     if delta1 == 0:
-        raise ValueError("starting vector is zero")
+        raise ValueError("starting vector's squared norm underflows" if v.any() else "starting vector is zero")
     S = np.zeros((n, k + 1), dtype=A.dtype)
     W = np.zeros((m, k), dtype=A.dtype)
     S[:, 0] = v / delta1

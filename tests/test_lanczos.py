@@ -181,7 +181,7 @@ def _lanczos_columns(A, v, k, variant, reorth):
     dt = A.dtype.type
     beta1 = norm2(v)
     if beta1 == 0:
-        raise ValueError("starting vector is zero")
+        raise ValueError("starting vector's squared norm underflows" if v.any() else "starting vector is zero")
     V = np.zeros((n, k + 1), dtype=A.dtype)
     alphas = []
     betas = []
@@ -232,7 +232,7 @@ def _cglanczos_columns(A, b, kmax):
     p = r.copy()
     rho = norm2(b)
     if rho == 0:
-        raise ValueError("starting vector is zero")
+        raise ValueError("starting vector's squared norm underflows" if b.any() else "starting vector is zero")
     tr.x.append(x.copy())
     tr.r.append(r.copy())
     tr.p.append(p.copy())
