@@ -247,14 +247,15 @@ def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs"
     if n % p:
         raise ValueError("n must be a multiple of the block size")
     Us = [U1.copy()]
-    Ms = [_gram(U1, _matmat(A, U1))]
+    AU = _matmat(A, U1)  # A U_i: M_i and then R_{i+1} use the one product
+    Ms = [_gram(U1, AU)]
     Bs = []
     Uprev = U1.copy()
     Bprev = np.zeros((p, p), dtype=A.dtype)  # B_1 = 0, U_0 = U_1 per the recurrence
     breakdown = None
     for i in range(1, k + 1):
         Ui = Us[-1]
-        R = _matmat(A, Ui) - _matmat(Ui, Ms[-1])
+        R = AU - _matmat(Ui, Ms[-1])
         R = R - _matmat(Uprev, np.ascontiguousarray(Bprev.T))
         Q, Bi, zero_col = gram_schmidt_qr(R, qr_variant)
         if zero_col is not None:
@@ -264,7 +265,8 @@ def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs"
             break
         Us.append(Q)
         Bs.append(Bi)
-        Ms.append(_gram(Q, _matmat(A, Q)))
+        AU = _matmat(A, Q)
+        Ms.append(_gram(Q, AU))
         Uprev = Ui
         Bprev = Bi
     return BlockLanczosResult(tuple(Us), tuple(Ms), tuple(Bs), breakdown)

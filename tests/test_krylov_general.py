@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krylovexact import krylov_general
 from krylovexact.cg import cg_hs, cglanczos
 from krylovexact.fp import NonFiniteError, RangeError, ShapeError, _gram, _matmat, _matvec, bitwise_equal, matmat, matvec, norm2, seq_dot, validate_operands
 from krylovexact.krylov_general import (
@@ -219,6 +220,30 @@ def test_block_lanczos_general_orthogonality():
     U = np.concatenate(res.U, axis=1)
     assert np.linalg.norm(U.T @ U - np.eye(U.shape[1])) <= 1e-12
     assert res.breakdown is None
+
+
+@pytest.mark.parametrize("structured", [False, True])
+def test_block_lanczos_forms_each_a_times_u_once(monkeypatch, structured):
+    """One block's worth of A-columns per block step: A U_i gives M_i and then R_{i+1}."""
+    if structured:
+        prob = random_structured_problem("blocktridiag", 12, 0, p=3)
+        A, U1, k = prob.A, prob.U1, prob.d
+    else:
+        A = _sym(12, 3)
+        U1, _, _ = gram_schmidt_qr(np.random.Generator(np.random.Philox(key=5)).uniform(-1, 1, (12, 3)), "mgs")
+        k = 3
+    cols = []
+    real = krylov_general._matmat
+
+    def counting(X, B):
+        if X is A:
+            cols.append(B.shape[1])
+        return real(X, B)
+
+    monkeypatch.setattr(krylov_general, "_matmat", counting)
+    res = block_lanczos(A, U1, k)
+    assert res.breakdown == (k if structured else None)
+    assert cols == [3] * k
 
 
 _NORMALIZING_ENTRIES = {
