@@ -3,8 +3,10 @@ import contextlib
 import csv
 import io
 import math
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,6 +417,15 @@ def test_run_from_a_start_whose_squared_norm_underflows_exits_2(tmp_path, capsys
     mat = tmp_path / "T.txt"
     assert run_cli(capsys, "gen", "jacobi", "--n", "5", "--precision", precision, "--out", str(mat))[0] == 0
     assert "squared norm underflows" in _error_exit(capsys, "run", algorithm, "--problem", str(mat), "--e1", "--beta1", beta1)
+
+
+def test_every_readme_command_parses():
+    """Each `krylovexact ...` line of the README's sh blocks is a valid command line."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S) for line in block.splitlines() if line.startswith("krylovexact ")]
+    assert len(lines) >= 9
+    for line in lines:
+        assert isinstance(_build_parser().parse_args(line.split()[1:]), argparse.Namespace), line
 
 
 @pytest.mark.parametrize("kind, record", [("jacobi", "beta1"), ("hessenberg", "beta1"), ("lowerbidiag", "beta1"), ("nonsymtridiag", "gamma1")])

@@ -179,11 +179,8 @@ def test_lemma31_holds_for_every_binary32_significand():
 def test_only_fp_takes_a_bit_view():
     """No module but fp compares bit views: each exact identity is checked
     by exact_identity_violations."""
-    hits = []
-    for path in sorted(Path(fp.__file__).parent.glob("*.py")):
-        if path.name != "fp.py" and "_bit_view" in path.read_text():
-            hits.append(path.name)
-    assert hits == []
+    modules = sorted(Path(fp.__file__).parent.glob("*.py"))
+    assert [path.name for path in modules if path.name != "fp.py" and "_bit_view" in path.read_text()] == []
 
 
 def test_bitwise_zero_signs():
