@@ -120,17 +120,25 @@ def a_orthogonality_loss(Pdirs: np.ndarray, A: np.ndarray):
     return frobenius_norm(_gram(Pt, _matmat(A, Pt)) - np.eye(k, dtype=A.dtype))
 
 
+_SAMPLE_CHUNK = 2**20  # samples drawn and checked at a time: memory stays bounded
+
+
 def sqrt_square_violations(samples: int, precision: Precision = BINARY64, seed: int = 0) -> int:
-    """Count violations of fl(sqrt(fl(a^2))) = |a| (Lemma 3.1) over guarded random samples."""
+    """Count violations of fl(sqrt(fl(a^2))) = |a| (Lemma 3.1) over guarded random samples,
+    drawn and checked _SAMPLE_CHUNK at a time (one chunk when samples <= _SAMPLE_CHUNK)."""
     if samples < 1:
         raise ValueError("samples must be positive")
     g = make_rng(seed)
     emax = int(np.log2(precision.guard_hi)) - 1  # |a| < 2^(emax + 1): inside the guard
-    mant = g.uniform(1.0, 2.0, samples)
-    expo = g.integers(-emax, emax + 1, samples)
-    sign = (2 * g.integers(0, 2, samples) - 1).astype(np.float64)
-    alpha = (sign * mant * np.exp2(expo.astype(np.float64))).astype(precision.dtype)
-    return exact_identity_violations(alpha)["sqrt_square"]
+    violations = 0
+    for start in range(0, samples, _SAMPLE_CHUNK):
+        m = min(_SAMPLE_CHUNK, samples - start)
+        mant = g.uniform(1.0, 2.0, m)
+        expo = g.integers(-emax, emax + 1, m)
+        sign = (2 * g.integers(0, 2, m) - 1).astype(np.float64)
+        alpha = (sign * mant * np.exp2(expo.astype(np.float64))).astype(precision.dtype)
+        violations += exact_identity_violations(alpha)["sqrt_square"]
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krylovexact import fp
@@ -603,3 +603,93 @@ def test_matvec_raises_on_an_overflow_in_the_last_batch(dtype, overflow):
             _matvec(A, x)
         with pytest.raises(NonFiniteError):
             _matmat(A, x[:, None])
+
+
+def _mgs_reference(Qt, w, c):
+    """The per-row modified Gram-Schmidt loop, term by term: c[i] is the
+    literal fold of q_i * w, or NonFiniteError before c[i] is written, and
+    then w_j = fl(w_j - fl(c[i] q_i[j])) for every j."""
+    for i, q in enumerate(Qt):
+        h = seq_dot_reference(q, w)
+        if not np.isfinite(h):
+            raise NonFiniteError("non-finite dot product")
+        c[i] = h
+        w = np.array([w[j] - h * q[j] for j in range(len(w))], dtype=w.dtype)
+    return w
+
+
+@st.composite
+def mgs_operands(draw):
+    """(Qt, w, c) for _mgs.  Qt: r = 0..6 signed, scaled coordinate rows on
+    distinct columns, or with a repeated column, or with a second nonzero in
+    one row (now and then after a zero row), or dense rows, with +-0 in the
+    zero places.  w: rough values with +0 and subnormals, and in a third of
+    the draws a -0, an infinity or a NaN.  c: now and then longer than Qt, as
+    Lanczos passes a length-k scratch.  Magnitudes reach 2^(maxexp/3), where
+    q^2 w overflows while q w does not."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["coordinate"] * 4 + ["repeated", "two_nonzeros", "zero_row", "dense"]))
+    r = draw(st.integers(0, min(n, 6)))
+    big = 2.0 ** (np.finfo(dtype).maxexp // 3 + 1)
+    tiny = float(np.finfo(dtype).smallest_subnormal)
+    values = st.one_of(rough, st.sampled_from([1.0, -1.0, 0.5, big, -big, tiny]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Qt = (g.choice([0.0, -0.0], (r, n))).astype(dtype)
+    cols = list(g.permutation(n)[:r])
+    if kind == "zero_row" and 0 in cols:
+        cols[cols.index(0)], cols[0] = cols[0], 0
+    if kind == "repeated" and r >= 2:
+        cols[draw(st.integers(1, r - 1))] = cols[0]
+    with np.errstate(all="ignore"):
+        for i, p in enumerate(cols):
+            Qt[i, p] = draw(values)
+        if kind == "two_nonzeros" and r and n >= 2:
+            i = draw(st.integers(0, r - 1))
+            Qt[i, (cols[i] + draw(st.integers(1, n - 1))) % n] = draw(values)
+        if kind == "zero_row" and 3 <= r < n:
+            # r nonzeros in all, first nonzeros in distinct columns, but row 0
+            # has none (its first "nonzero" reads as column 0) and row 1 two
+            Qt[0] = 0.0
+            Qt[1, max(set(range(n)) - set(cols[1:]))] = draw(values)
+        if kind == "dense":
+            Qt = np.array(draw(st.lists(values, min_size=r * n, max_size=r * n)), dtype=dtype).reshape(r, n)
+        w = np.array(draw(st.lists(st.one_of(rough, st.sampled_from([0.0, tiny, big, -big])), min_size=n, max_size=n)), dtype=dtype)
+        if draw(st.sampled_from([False, False, True])):
+            w[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-0.0, np.inf, -np.inf, np.nan]))
+    c = np.full(r + draw(st.sampled_from([0, 0, 1, 3])), 7.0, dtype=dtype)
+    return Qt, w, c
+
+
+def _mgs_outcome(mgs, Qt, w, c):
+    """(returned w or the raised (type, message), c afterwards), as bits."""
+    try:
+        got = mgs(Qt, w, c)
+    except ValueError as exc:
+        return (type(exc), str(exc)), _bit_view(c).tolist()
+    return (got.dtype, _bit_view(got).tolist()), _bit_view(c).tolist()
+
+
+def _mgs_case(rows, w, extra=0, dtype=np.float64):
+    Qt = np.array(rows, dtype=dtype).reshape(len(rows), len(w))
+    return Qt, np.array(w, dtype=dtype), np.full(len(rows) + extra, 7.0, dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mgs_operands())
+@example(_mgs_case([[0, -1.5, 0], [-0.5, 0, 0]], [0, 2, 3], extra=1))  # -0.5 * +0 is -0; c is longer
+@example(_mgs_case([[1, 0, 0], [1, 0, 0]], [1, 2, 3]))  # a repeated column
+@example(_mgs_case([[1, 0, 0], [0, 1, 0]], [1, 2, np.inf]))  # 0 * inf is NaN
+@example(_mgs_case([[0, 0, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0]], [1, 2, 3, 4, 5], extra=2))  # a zero row
+@example(_mgs_case([[2, 0, -0.0], [0, 1, 0]], [3, 1, -0.0]))  # 6 * -0 takes w[2] = -0 to +0
+@example(_mgs_case([[2.0**342, 0], [0, 1]], [2.0**342, 1]))  # w[0] overflows, then 0 * inf is NaN
+@example(_mgs_case([[2.0**43, 0], [0, 1]], [2.0**43, 1], dtype=np.float32))
+def test_mgs_is_the_literal_per_row_loop(operands):
+    Qt, w, c = operands
+    w_before = w.copy()
+    with np.errstate(all="ignore"):
+        want = _mgs_outcome(_mgs_reference, Qt, w, c.copy())
+    with np.errstate(over="ignore", invalid="ignore"):  # the errstate its callers hold
+        got = _mgs_outcome(fp._mgs, Qt, w, c)
+    assert got == want
+    assert bitwise_equal(w, w_before)

@@ -23,7 +23,7 @@ from krylovexact.harness import (
     sweep_failures,
 )
 from krylovexact.lanczos import lanczos
-from krylovexact.problems import JacobiMatrix, random_structured_problem
+from krylovexact.problems import JacobiMatrix, make_rng, random_structured_problem
 from test_golden_bits import _feed
 
 
@@ -70,6 +70,30 @@ def test_a_orthogonality_loss():
 def test_sqrt_square_violations_zero_in_guard():
     assert sqrt_square_violations(5000, BINARY64, seed=0) == 0
     assert sqrt_square_violations(5000, BINARY32, seed=0) == 0
+
+
+@pytest.mark.parametrize("precision", [BINARY64, BINARY32], ids=lambda p: p.name)
+def test_sqrt_square_violations_checks_at_most_2_20_samples_at_a_time(monkeypatch, precision):
+    """Up to 2^20 samples are one draw, the same as before chunking; more are
+    drawn and checked in chunks of 2^20, and their counts are summed."""
+    checked = []
+    real = harness.exact_identity_violations
+
+    def recording(alpha):
+        checked.append(alpha.copy())
+        counts = real(alpha)
+        return {**counts, "sqrt_square": counts["sqrt_square"] + 1}  # one per chunk, to see the sum
+
+    monkeypatch.setattr(harness, "exact_identity_violations", recording)
+    assert sqrt_square_violations(1000, precision, seed=3) == 1
+    g = make_rng(3)
+    emax = int(np.log2(precision.guard_hi)) - 1
+    mant, expo = g.uniform(1.0, 2.0, 1000), g.integers(-emax, emax + 1, 1000)
+    sign = (2 * g.integers(0, 2, 1000) - 1).astype(np.float64)
+    assert bitwise_equal(checked[0], (sign * mant * np.exp2(expo.astype(np.float64))).astype(precision.dtype))
+    checked.clear()
+    assert sqrt_square_violations(2**21 + 5, precision, seed=3) == 3
+    assert [len(a) for a in checked] == [2**20, 2**20, 5]
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krylovexact import krylov_general
+from krylovexact import fp, krylov_general
 from krylovexact.cg import cg_hs, cglanczos
-from krylovexact.fp import NonFiniteError, RangeError, ShapeError, _gram, _matmat, _matvec, bitwise_equal, matmat, matvec, norm2, seq_dot, validate_operands
+from krylovexact.fp import PRECISIONS, NonFiniteError, RangeError, ShapeError, _gram, _matmat, _matvec, bitwise_equal, matmat, matvec, norm2, seq_dot, validate_operands
 from krylovexact.krylov_general import (
     ArnoldiResult,
     BlockLanczosResult,
@@ -633,6 +633,46 @@ def test_block_lanczos_rows_match_the_column_loop(case, qr_variant, data):
     A, U1 = case
     k = data.draw(st.integers(0, len(A) // U1.shape[1]))
     _assert_same(_outcome(block_lanczos, A, U1, k, qr_variant), _outcome(_block_lanczos_columns, A, U1, k, qr_variant))
+
+
+@pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.name)
+def test_structured_arnoldi_and_block_lanczos_match_the_column_loop(precision):
+    """Signed-coordinate bases, where _mgs takes its one vectorized step:
+    the bits, breakdowns and errors of the column loops."""
+    for n, seed in [(2, 0), (9, 1), (40, 2)]:
+        prob = random_structured_problem("hessenberg", n, seed, precision)
+        for k in (n - 1, n):
+            _assert_same(_outcome(arnoldi, prob.A, prob.v, k), _outcome(_arnoldi_columns, prob.A, prob.v, k))
+    for p, seed in [(2, 3), (3, 4), (4, 5)]:
+        prob = random_structured_problem("blocktridiag", 6 * p, seed, precision, p=p)
+        for qr_variant in ("mgs", "cgs"):
+            got = _outcome(block_lanczos, prob.A, prob.U1, prob.d, qr_variant)
+            _assert_same(got, _outcome(_block_lanczos_columns, prob.A, prob.U1, prob.d, qr_variant))
+            assert got.breakdown == prob.d
+
+
+@pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.name)
+def test_mgs_projects_a_signed_coordinate_basis_without_the_dot_loop(monkeypatch, precision):
+    """fp._dot calls of an Arnoldi run at n = k = 60: one for the start, one
+    per step for h_{j+1,j}, and on structured input one for the single-row
+    projection of step 1, where r = 1 keeps the loop; a dense run makes the
+    loop's k(k+1)/2 projections on top."""
+    n = k = 60
+    calls = []
+    real = fp._dot
+
+    def counting(x, y):
+        calls.append(len(x))
+        return real(x, y)
+
+    monkeypatch.setattr(fp, "_dot", counting)
+    prob = random_structured_problem("hessenberg", n, 0, precision)
+    assert arnoldi(prob.A, prob.v, k).breakdown == n
+    assert len(calls) == 1 + k + 1
+    calls.clear()
+    A = np.random.default_rng(0).uniform(-1.0, 1.0, (n, n)).astype(precision.dtype)
+    assert arnoldi(A, np.ones(n, dtype=precision.dtype), k).breakdown is None
+    assert len(calls) == 1 + k + k * (k + 1) // 2
 
 
 def test_overflow_raises_without_a_warning_and_restores_errstate():

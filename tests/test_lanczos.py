@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from krylovexact import fp
 from krylovexact.cg import CGTrace, cg_hs, cglanczos, ldl
-from krylovexact.fp import BINARY32, NonFiniteError, _matvec, bitwise_equal, bitwise_symmetric, frobenius_norm, norm2, seq_dot, validate_operands
+from krylovexact.fp import BINARY32, PRECISIONS, NonFiniteError, _matvec, bitwise_equal, bitwise_symmetric, frobenius_norm, norm2, seq_dot, validate_operands
 from krylovexact.harness import a_orthogonality_loss
 from krylovexact.lanczos import REORTH, VARIANTS, LanczosResult, lanczos
 from krylovexact.problems import detect_structure, random_structured_problem
@@ -388,6 +388,21 @@ def test_lanczos_rows_match_the_column_loop(case, variant, reorth, data):
     A, v = case
     k = data.draw(st.integers(0, len(A)))
     _assert_same(_outcome(lanczos, A, v, k, variant, reorth), _outcome(_lanczos_columns, A, v, k, variant, reorth))
+
+
+@pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.name)
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("reorth", ["full", "double"])
+def test_structured_reorthogonalized_run_matches_the_column_loop(precision, variant, reorth):
+    """On a Jacobi pair every basis is a signed-coordinate one, so each
+    reorthogonalization pass takes _mgs's one vectorized step, into the
+    length-k scratch; bits, breakdown and errors stay the column loop's."""
+    for n, seed in [(2, 0), (9, 1), (40, 2)]:
+        prob = random_structured_problem("jacobi", n, seed, precision)
+        for k in (n - 1, n):
+            got = _outcome(lanczos, prob.A, prob.v, k, variant, reorth)
+            _assert_same(got, _outcome(_lanczos_columns, prob.A, prob.v, k, variant, reorth))
+        assert bitwise_equal(got.V, prob.P.to_dense(precision.dtype)) and got.breakdown == n
 
 
 @settings(max_examples=120, deadline=None)
