@@ -44,13 +44,8 @@ matrix where the algorithm needs one, all finite, step count in range).
 The kernels inside the recurrences, _dot, _norm2, _matvec, _matmat and
 _mgs, check only their outputs: they raise NonFiniteError on a non-finite
 result, which covers overflow and non-finite inputs alike.  Each keeps one
-code path, but for _mgs on a signed-coordinate basis: r >= 2 rows, each
-with one nonzero, in distinct columns p_i, and a finite w with no -0.  There
-one vectorized step sets c[i] = fl(q_i[p_i] w[p_i]) + 0 and w[p_i] =
-fl(w[p_i] - fl(c[i] q_i[p_i])), the loop's bits: a +0-started fold of +-0
-terms and one term t is t (+0 for t = +-0); fl(x - (+-0)) = x for finite
-x != -0; and fl(x - y) is -0 only when x = -0, so the one-column steps
-commute.  A non-finite entry there reruns the loop, which raises as before.
+code path, but _mgs, which projects a signed-coordinate basis in one
+vectorized step with the loop's bits (its docstring gives the argument).
 The public seq_dot, norm2, matvec and matmat are operand checks plus one
 errstate around those kernels; matvec and matmat also scan the matrix once
 per call, because a NaN in a column that x skips would otherwise go unseen.
@@ -101,6 +96,9 @@ BINARY32 = Precision("binary32", np.float32, 2.0 ** -24, 2.0 ** -60, 2.0 ** 60)
 PRECISIONS = (BINARY64, BINARY32)
 
 _BLOCK = 64  # columns per batch in _matvec: a batch of rows stays in cache
+# rows from which _mgs's vectorized step costs less than the loop: its tests
+# and gathers cost about as much as four _dot-and-update rows at n = 48-1000
+_MGS_STEP_ROWS = 5
 
 
 def precision_named(name: str) -> Precision:
@@ -232,18 +230,19 @@ def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
     """For each row q_i of Qt in order, c[i] = fl(q_i^T w) and then
     w = w - c[i] q_i; returns w.  c has w's dtype, so c[i] keeps _dot's bits.
 
-    A signed-coordinate basis takes one vectorized step: when Qt has r >= 2
-    rows, each with exactly one nonzero, in distinct columns p_i, and w is
-    finite with no -0, c[i] = fl(q_i[p_i] w[p_i]) + 0 and w[p_i] =
-    fl(w[p_i] - fl(c[i] q_i[p_i])), every other entry unchanged.  That is the
-    loop bit for bit: the +0-started fold of +-0 terms and one term t is t
-    (+0 when t is +-0); fl(x - (+-0)) = x for finite x != -0; and fl(x - y)
-    is -0 only when x = -0, so no step makes a -0 and the steps, each on its
-    own column, commute.  A non-finite entry runs the loop instead, so an
-    error keeps the loop's type, message and row, and c the loop's writes.
+    A signed-coordinate basis takes one vectorized step: when Qt has r >=
+    _MGS_STEP_ROWS rows, each with exactly one nonzero, in distinct columns
+    p_i, and w is finite with no -0, c[i] = fl(q_i[p_i] w[p_i]) + 0 and
+    w[p_i] = fl(w[p_i] - fl(c[i] q_i[p_i])), every other entry unchanged.
+    That is the loop bit for bit: the +0-started fold of +-0 terms and one
+    term t is t (+0 when t is +-0); fl(x - (+-0)) = x for finite x != -0; and
+    fl(x - y) is -0 only when x = -0, so no step makes a -0 and the steps,
+    each on its own column, commute.  A non-finite entry runs the loop
+    instead, so an error keeps the loop's type, message and row, and c the
+    loop's writes.  A dense basis fails the one-nonzero test on its last row.
     """
     r = len(Qt)
-    if r >= 2 and np.count_nonzero(Qt[-1]) == 1 and np.isfinite(w).all() and not np.signbit(w[w == 0]).any():
+    if r >= _MGS_STEP_ROWS and np.count_nonzero(Qt[-1]) == 1 and np.isfinite(w).all() and not (np.signbit(w) & (w == 0)).any():
         nz = Qt != 0
         p = nz.argmax(axis=1)  # the first nonzero column of each row
         q = Qt[np.arange(r), p]

@@ -78,7 +78,6 @@ class SeriousBreakdownError(RuntimeError):
 def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> NonsymLanczosResult:
     n = len(A)
     validate_operands(A, v, w, k=k, limit=n, square=True)
-    Af = np.asfortranarray(A)  # _matvec gathers columns of A: make them contiguous once per run
     At = A.T
     Vt = np.zeros((k + 1, n), dtype=A.dtype)  # rows are the basis vectors
     gamma1, Vt[0] = _start(v, "right starting vector")
@@ -97,7 +96,7 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
     for i in range(k):
         vi = Vt[i]
         wi = Wt[i]
-        Av = _matvec(Af, vi)
+        Av = _matvec(A, vi)
         alpha_i = _dot(wi, Av)
         alphas.append(alpha_i)
         vnew = Av - alpha_i * vi
@@ -152,7 +151,6 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
     delta_{i+1} s_{i+1} = A w_i - gamma_i s_i, coefficients by normalization."""
     validate_operands(A, v, k=k, limit=min(A.shape))
     n, m = A.shape
-    Af = np.asfortranarray(A)  # _matvec gathers columns of A: make them contiguous once per run
     At = A.T
     St = np.zeros((k + 1, n), dtype=A.dtype)  # rows are the basis vectors
     delta1, St[0] = _start(v, "starting vector")
@@ -173,7 +171,7 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
         Wt[i] = t / gamma_i
         wcols = i + 1
         gammas.append(gamma_i)
-        u = _matvec(Af, Wt[i]) - gamma_i * St[i]
+        u = _matvec(A, Wt[i]) - gamma_i * St[i]
         delta_next = _norm2(u)
         if delta_next == 0:
             breakdown = ("delta", i + 2)

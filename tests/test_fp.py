@@ -620,17 +620,18 @@ def _mgs_reference(Qt, w, c):
 
 @st.composite
 def mgs_operands(draw):
-    """(Qt, w, c) for _mgs.  Qt: r = 0..6 signed, scaled coordinate rows on
+    """(Qt, w, c) for _mgs.  Qt: r = 0..8 signed, scaled coordinate rows on
     distinct columns, or with a repeated column, or with a second nonzero in
     one row (now and then after a zero row), or dense rows, with +-0 in the
-    zero places.  w: rough values with +0 and subnormals, and in a third of
-    the draws a -0, an infinity or a NaN.  c: now and then longer than Qt, as
-    Lanczos passes a length-k scratch.  Magnitudes reach 2^(maxexp/3), where
-    q^2 w overflows while q w does not."""
+    zero places; r = 4 and 5 straddle _MGS_STEP_ROWS.  w: rough values with
+    +0 and subnormals, and in a third of the draws a -0, an infinity or a
+    NaN.  c: now and then longer than Qt, as Lanczos passes a length-k
+    scratch.  Magnitudes reach 2^(maxexp/3), where q^2 w overflows while q w
+    does not."""
     dtype = draw(st.sampled_from([np.float64, np.float32]))
     n = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["coordinate"] * 4 + ["repeated", "two_nonzeros", "zero_row", "dense"]))
-    r = draw(st.integers(0, min(n, 6)))
+    r = min(n, draw(st.sampled_from([0, 1, 2, 4, 5, 6, 8])))
     big = 2.0 ** (np.finfo(dtype).maxexp // 3 + 1)
     tiny = float(np.finfo(dtype).smallest_subnormal)
     values = st.one_of(rough, st.sampled_from([1.0, -1.0, 0.5, big, -big, tiny]))
@@ -671,14 +672,21 @@ def _mgs_outcome(mgs, Qt, w, c):
 
 
 def _mgs_case(rows, w, extra=0, dtype=np.float64):
-    Qt = np.array(rows, dtype=dtype).reshape(len(rows), len(w))
-    return Qt, np.array(w, dtype=dtype), np.full(len(rows) + extra, 7.0, dtype=dtype)
+    """rows and w, with unit rows on new columns (w = 1 there) appended up to
+    the _MGS_STEP_ROWS rows from which _mgs may take its vectorized step."""
+    r, n = len(rows), len(w)
+    m = max(0, fp._MGS_STEP_ROWS - r)
+    Qt = np.zeros((r + m, n + m), dtype=dtype)
+    Qt[:r, :n] = np.array(rows, dtype=dtype).reshape(r, n)
+    Qt[r:, n:] = np.eye(m, dtype=dtype)
+    return Qt, np.array(list(w) + [1.0] * m, dtype=dtype), np.full(r + m + extra, 7.0, dtype=dtype)
 
 
 @settings(max_examples=300, deadline=None)
 @given(mgs_operands())
 @example(_mgs_case([[0, -1.5, 0], [-0.5, 0, 0]], [0, 2, 3], extra=1))  # -0.5 * +0 is -0; c is longer
 @example(_mgs_case([[1, 0, 0], [1, 0, 0]], [1, 2, 3]))  # a repeated column
+@example(_mgs_case([[1, 0, 2], [0, 1, 0]], [1, 2, 3]))  # a row with two nonzeros, first ones distinct
 @example(_mgs_case([[1, 0, 0], [0, 1, 0]], [1, 2, np.inf]))  # 0 * inf is NaN
 @example(_mgs_case([[0, 0, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0]], [1, 2, 3, 4, 5], extra=2))  # a zero row
 @example(_mgs_case([[2, 0, -0.0], [0, 1, 0]], [3, 1, -0.0]))  # 6 * -0 takes w[2] = -0 to +0

@@ -643,7 +643,7 @@ def test_structured_arnoldi_and_block_lanczos_match_the_column_loop(precision):
         prob = random_structured_problem("hessenberg", n, seed, precision)
         for k in (n - 1, n):
             _assert_same(_outcome(arnoldi, prob.A, prob.v, k), _outcome(_arnoldi_columns, prob.A, prob.v, k))
-    for p, seed in [(2, 3), (3, 4), (4, 5)]:
+    for p, seed in [(2, 3), (3, 4), (4, 5), (6, 6)]:  # the QR of a block of 6 projects up to 5 rows
         prob = random_structured_problem("blocktridiag", 6 * p, seed, precision, p=p)
         for qr_variant in ("mgs", "cgs"):
             got = _outcome(block_lanczos, prob.A, prob.U1, prob.d, qr_variant)
@@ -654,9 +654,9 @@ def test_structured_arnoldi_and_block_lanczos_match_the_column_loop(precision):
 @pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.name)
 def test_mgs_projects_a_signed_coordinate_basis_without_the_dot_loop(monkeypatch, precision):
     """fp._dot calls of an Arnoldi run at n = k = 60: one for the start, one
-    per step for h_{j+1,j}, and on structured input one for the single-row
-    projection of step 1, where r = 1 keeps the loop; a dense run makes the
-    loop's k(k+1)/2 projections on top."""
+    per step for h_{j+1,j}, and on structured input the loop's projections of
+    the first steps, whose r < _MGS_STEP_ROWS rows keep the loop; a dense run
+    makes the loop's k(k+1)/2 projections on top."""
     n = k = 60
     calls = []
     real = fp._dot
@@ -668,7 +668,7 @@ def test_mgs_projects_a_signed_coordinate_basis_without_the_dot_loop(monkeypatch
     monkeypatch.setattr(fp, "_dot", counting)
     prob = random_structured_problem("hessenberg", n, 0, precision)
     assert arnoldi(prob.A, prob.v, k).breakdown == n
-    assert len(calls) == 1 + k + 1
+    assert len(calls) == 1 + k + sum(range(fp._MGS_STEP_ROWS))
     calls.clear()
     A = np.random.default_rng(0).uniform(-1.0, 1.0, (n, n)).astype(precision.dtype)
     assert arnoldi(A, np.ones(n, dtype=precision.dtype), k).breakdown is None
