@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .fp import RangeError, ShapeError, _dot, _gram, _matmat, _matvec, _mgs, _norm2, _start, require_finite, validate_operands
-from .rational import nonzero_rows, rat_dot, rat_matvec, rational_lstsq, to_rational_vector
+from .rational import _integers_over_lcm, _lstsq_integers
 
 
 @dataclass(frozen=True)
@@ -316,12 +317,13 @@ def hessenberg_lstsq(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return y
 
 
-def _error_norm(exact, computed) -> float:
-    """||exact - computed|| as float(sqrt(float(q))) of the exact squared norm
-    q; where float(q) overflows, the root of q / 4^e times 2^e.  RangeError if
-    the norm itself is beyond binary64."""
-    d = [xe - xb for xe, xb in zip(exact, to_rational_vector(computed))]
-    q = rat_dot(d, d)
+def _distance(nums: list[int], den: int, computed) -> float:
+    """||nums / den - computed|| for int numerators over one denominator, as
+    float(sqrt(float(q))) of the exact squared norm q, which is built in ints
+    and made one Fraction; where float(q) overflows, the root of q / 4^e times
+    2^e.  RangeError if the norm itself is beyond binary64."""
+    cs, scale = _integers_over_lcm(np.asarray(computed).ravel().tolist())
+    q = Fraction(sum((a * scale - b * den) ** 2 for a, b in zip(nums, cs)), (den * scale) ** 2)
     try:
         return float(np.sqrt(float(q)))
     except OverflowError:  # q is beyond binary64; its root need not be
@@ -332,12 +334,20 @@ def _error_norm(exact, computed) -> float:
         raise RangeError("the error norm is beyond binary64") from None
 
 
+def _error_norm(exact, computed) -> float:
+    """||exact - computed|| for rational exact, by _distance."""
+    return _distance(*_integers_over_lcm(exact), computed)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def gmres_structured(A: np.ndarray, v: np.ndarray, k: int) -> GmresResult:
     """GMRES iterate x_k = V_k y_k for A x = v from x0 = 0, with
     y_k = argmin ||H_{k+1,k} y - ||v|| e1||.  Returns the witness pair
     (||x_k - xbar_k||, ||y_k - ybar_k||) with the exact coordinates computed by
     a rational least-squares oracle.  A zero v raises ValueError.
+
+    The exact y_k is Y / F in ints, and x_k is V_k Y / (L F), with V_k's
+    nonzero entries taken as ints over their common denominator L.
     """
     res = arnoldi(A, v, k)
     keff = res.k
@@ -348,6 +358,9 @@ def gmres_structured(A: np.ndarray, v: np.ndarray, k: int) -> GmresResult:
     V = res.V[:, :keff]
     xbar = _matvec(V, ybar)
 
-    yexact = rational_lstsq(H, rhs)
-    xexact = rat_matvec(nonzero_rows(V), yexact)
-    return GmresResult(xbar, ybar, _error_norm(xexact, xbar), _error_norm(yexact, ybar), res.breakdown)
+    Y, F = _lstsq_integers(H, rhs)
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in V.tolist()]
+    vs, scale = _integers_over_lcm([a for row in rows for _, a in row])
+    vs = iter(vs)
+    X = [sum(next(vs) * Y[j] for j, _ in row) for row in rows]
+    return GmresResult(xbar, ybar, _distance(X, scale * F, xbar), _distance(Y, F, ybar), res.breakdown)

@@ -8,29 +8,41 @@ The CG oracle is the exact SPD test plus the CG recurrence alone: x* is the
 iterate at which r reaches 0, and the energy errors are sums of the
 recurrence's own gamma_j ||r_j||^2, exact because r_{j+1} is orthogonal to p_j.
 
-Every exact sum of products (dots, matrix-vector rows, back substitution)
-goes through one kernel, _sum_products.  It carries the sum in plain ints
-over a running common denominator and builds one Fraction at the end.
-Exact sums do not depend on the order of their terms, and Fraction is
-canonical (lowest terms, positive denominator), so Fraction(num, den) has
-the same numerator and denominator as a term-by-term Fraction fold.  A zero
-term adds exactly nothing, so the kernel skips it; for the same reason
-rat_matvec visits only each row's nonzero (column, entry) pairs, and the
-eliminations of rat_solve and is_spd_rational update only the columns where
-the pivot row is nonzero.  A Jacobi matrix has no fill-in, so its solve and
-SPD test take O(n) Fraction operations.
+The Fraction kernels (dots, matrix-vector rows, rat_solve's back
+substitution) take every exact sum of products through one kernel,
+_sum_products.  It carries the sum in plain ints over a running common
+denominator and builds one Fraction at the end.  Exact sums do not depend on
+the order of their terms, and Fraction is canonical (lowest terms, positive
+denominator), so Fraction(num, den) has the same numerator and denominator
+as a term-by-term Fraction fold.  A zero term adds exactly nothing, so the
+kernel skips it; for the same reason rat_matvec visits only each row's
+nonzero (column, entry) pairs, and the eliminations of rat_solve and
+is_spd_rational update only the columns where the pivot row is nonzero.  A
+Jacobi matrix has no fill-in, so its solve and SPD test take O(n) Fraction
+operations.
+
+The Hessenberg least squares of the GMRES witness (_lstsq_integers) builds
+no Fraction in its loops: it reads H and the right-hand side once as ints
+over one common denominator and scales its recurrences so that every
+division is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from itertools import islice
+from math import gcd, lcm, prod
+from operator import mul
 
 import numpy as np
 
-# Exact CG's own numbers grow: the denominators of x_k are Krylov Gram
-# determinants, so their bit length, not the Fraction overhead, sets the cost.
+# A bound on n only.  Exact CG's own numbers grow: the denominators of x_k are
+# Krylov Gram determinants, so their bit length, not the Fraction overhead,
+# sets the cost, and it depends on b as well as on A.  Measured CPU time of
+# rational_cg on a 2-vCPU VM: 6.03 s for a dense SPD A at n = 20; 10.8 s for
+# random_jacobi(24, 3, spd=True) with b = ones; 0.08 s in all for fig3's calls
+# (T_24 with b = e_1).
 MAX_ORACLE_DIM = 48
 
 
@@ -152,6 +164,9 @@ def rational_cg(A, b) -> RationalCGTrace:
     since r_{j+1} is orthogonal to p_j the squared energy errors are the
     suffix sums ||x* - x_k||_A^2 = sum_{j>=k} gamma_j ||r_j||^2 (Hestenes and
     Stiefel, 1952): no solve and no error vector is formed.
+
+    n > MAX_ORACLE_DIM raises ValueError.  That limit bounds n only; the cost
+    also depends on b (see MAX_ORACLE_DIM for measured costs).
     """
     Ar = A if isinstance(A, list) else to_rational_matrix(A)
     br = b if isinstance(b, list) else to_rational_vector(b)
@@ -219,6 +234,85 @@ def rational_lanczos_directions(A, v) -> list[list[Fraction]]:
     return out
 
 
+def _integers_over_lcm(values) -> tuple[list[int], int]:
+    """Integers N and one positive L with values[i] == N[i] / L exactly, where L
+    is the lcm of the values' denominators: a power of two when they are
+    floats.  Takes floats, ints and Fractions."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*(d for _, d in ratios))
+    return [n * (scale // d) for n, d in ratios], scale
+
+
+def _back_substitute(cols, s, b, y) -> list[int]:
+    """Integer back substitution on rows 1.. of a Hessenberg matrix given by its
+    band columns: for i = len(b) - 1, ..., 0, y[i] = (b[i] - sum_{l>i}
+    cols[l][i+1] y[l]) / s[i].  Entries of y from len(b) on are given.  Every
+    division must be exact; the callers' scalings make it so."""
+    for i in range(len(b) - 1, -1, -1):
+        y[i] = (b[i] - sum(cols[l][i + 1] * y[l] for l in range(i + 1, len(y)))) // s[i]
+    return y
+
+
+def _lstsq_integers(H, rhs) -> tuple[list[int], int]:
+    """rational_lstsq's argmin y as ints Y over one denominator F, y[i] ==
+    Fraction(Y[i], F), with the same checks and errors.
+
+    H's band (rows <= j+1 of column j) and rhs are read once as ints over their
+    common denominator L.  Scaling every row by L leaves the argmin unchanged,
+    so only G = L H and r = L rhs are used.  Let s_j = G[j+1][j].
+
+    - Unreduced H, D = prod(s).  z with z_0 = 1 and z_{j+1} = -(sum_{i<=j}
+      z_i G[i][j]) / s_j spans the null space of G^T, so G y = r - (z.r / z.z) z,
+      solved by back substitution on rows 1..m, whose diagonal is s.  In ints:
+      Z = D z (Z_0 = D), Q = Z.Z, P_i = r_i Q - (Z.r) Z_i, Y_i = (P_{i+1} D -
+      sum_{l>i} G[i+1][l] Y_l) / s_i, and y = Y / (Q D).
+    - A zero last row over an unreduced leading block, E = prod(s_0..s_{m-2}).
+      Rows 1..m-1 give y = (A + t U) / E from two back substitutions: A of r E
+      with A_{m-1} = 0, and U of 0 with U_{m-1} = E.  Row 0 gives t = N / M,
+      N = r_0 E - G_0.A and M = G_0.U, so y = (A M + N U) / (E M).  The block is
+      singular iff M = 0.
+    - A zero last row over a reducible leading block: rat_solve.
+
+    Every division is exact: by induction Z_j is a multiple of prod_{l>=j} s_l,
+    and A_j, U_j and Y_j of prod_{l<j} s_l, so each term of a sum divided by
+    s_i holds s_i.  So the O(m^2) operations are int products and sums, and no
+    gcd is taken.
+    """
+    Hr = H if isinstance(H, list) else np.asarray(H).tolist()
+    br = rhs if isinstance(rhs, list) else np.asarray(rhs).ravel().tolist()
+    m = len(Hr) - 1
+    if m < 0 or len(br) != m + 1 or any(len(row) != m for row in Hr):
+        raise ValueError("least squares needs an (m+1) x m matrix and a right-hand side of length m+1")
+    if any(Hr[i][j] for j in range(m) for i in range(j + 2, m + 1)):
+        raise ValueError("H has a nonzero entry below the subdiagonal")
+    ints, _ = _integers_over_lcm([Hr[i][j] for j in range(m) for i in range(j + 2)] + br)
+    it = iter(ints)
+    cols = [list(islice(it, j + 2)) for j in range(m)]  # cols[j][i] = G[i][j], i <= j + 1
+    r = list(it)
+    s = [col[-1] for col in cols]
+    if not any(Hr[m]):
+        if m == 0 or not all(s[:-1]):  # an empty or reducible leading block
+            return _integers_over_lcm(rat_solve([[col[i] if i < len(col) else 0 for col in cols] for i in range(m)], r[:m]))
+        E = prod(s[:-1])
+        A = _back_substitute(cols, s, [ri * E for ri in r[1:m]], [0] * m)
+        U = _back_substitute(cols, s, [0] * (m - 1), [0] * (m - 1) + [E])
+        g0 = [col[0] for col in cols]
+        M = sum(map(mul, g0, U))
+        if not M:
+            raise ValueError("singular matrix in exact solve")
+        N = r[0] * E - sum(map(mul, g0, A))
+        return [a * M + N * u for a, u in zip(A, U)], E * M
+    if not all(s):
+        raise ValueError("H has a zero subdiagonal entry above a nonzero last row")
+    D = prod(s)
+    Z = [D]
+    for col, sj in zip(cols, s):
+        Z.append(-sum(map(mul, Z, col)) // sj)
+    Q = sum(map(mul, Z, Z))
+    c = sum(map(mul, Z, r))
+    return _back_substitute(cols, s, [(ri * Q - c * zi) * D for ri, zi in zip(r[1:], Z[1:])], [0] * m), Q * D
+
+
 def rational_lstsq(H, rhs) -> list[Fraction]:
     """Exact least-squares argmin ||H y - rhs|| for an (m+1) x m upper Hessenberg H.
 
@@ -227,32 +321,12 @@ def rational_lstsq(H, rhs) -> list[Fraction]:
     y solves the leading m x m system exactly.  Anything else raises
     ValueError: H not (m+1) x m or rhs not of length m+1, a nonzero entry below
     the subdiagonal, a zero subdiagonal entry above a nonzero last row, or a
-    singular leading block after a breakdown.  Floats convert exactly.
+    singular leading block after a breakdown.  Floats, ints and Fractions
+    convert exactly.
 
-    For unreduced H, z with z_0 = 1, z_{j+1} = -(sum_{i<=j} z_i H[i][j]) / H[j+1][j]
-    spans the null space of H^T, so H y = rhs - (z^T rhs / z^T z) z, solved by
-    back-substitution on rows 1..m, whose diagonal is the subdiagonal of H.
-    That is O(m^2) Fraction operations; the normal equations H^T H y = H^T rhs
-    cost O(m^3) on numbers of twice the bit length.
+    The argmin is computed in ints over one common scale (_lstsq_integers) in
+    O(m^2) operations; the normal equations H^T H y = H^T rhs would cost O(m^3)
+    on numbers of twice the bit length.
     """
-    Hr = H if isinstance(H, list) else to_rational_matrix(H)
-    br = rhs if isinstance(rhs, list) else to_rational_vector(rhs)
-    m = len(Hr) - 1
-    if m < 0 or len(br) != m + 1 or any(len(row) != m for row in Hr):
-        raise ValueError("least squares needs an (m+1) x m matrix and a right-hand side of length m+1")
-    if any(Hr[i][j] for j in range(m) for i in range(j + 2, m + 1)):
-        raise ValueError("H has a nonzero entry below the subdiagonal")
-    if not any(Hr[m]):
-        return rat_solve(Hr[:m], br[:m])
-    if not all(Hr[j + 1][j] for j in range(m)):
-        raise ValueError("H has a zero subdiagonal entry above a nonzero last row")
-    z = [Fraction(1)]
-    for j in range(m):
-        z.append(-rat_dot(z, [Hr[i][j] for i in range(j + 1)]) / Hr[j + 1][j])
-    c = rat_dot(z, br) / rat_dot(z, z)
-    p = [b - c * zi for b, zi in zip(br, z)]
-    y = [Fraction(0)] * m
-    for i in range(m - 1, -1, -1):
-        row = Hr[i + 1]
-        y[i] = (p[i + 1] - rat_dot(row[i + 1 :], y[i + 1 :])) / row[i]
-    return y
+    Y, F = _lstsq_integers(H, rhs)
+    return [Fraction(y, F) for y in Y]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krylovexact import fp, krylov_general
@@ -28,7 +28,7 @@ from krylovexact.krylov_general import (
 )
 from krylovexact.lanczos import lanczos
 from krylovexact.problems import random_signed_permutation, random_structure, random_structured_problem, assemble
-from krylovexact.rational import rational_lstsq
+from krylovexact.rational import nonzero_rows, rat_dot, rat_matvec, rational_lstsq, to_rational_vector
 
 
 def _sym(n, seed):
@@ -335,6 +335,53 @@ def test_a_witness_norm_is_the_root_of_its_square_even_where_the_square_overflow
         assert r == math.ldexp(_error_norm([third, Fraction(-3, 7)], np.zeros(2)), e)
     with pytest.raises(RangeError, match="beyond binary64"):
         _error_norm([Fraction(2**1024)], np.zeros(1))
+
+
+def _fraction_error_norm(exact, computed):
+    """Reference: the former _error_norm, a Fraction dot of the differences."""
+    d = [xe - xb for xe, xb in zip(exact, to_rational_vector(computed))]
+    q = rat_dot(d, d)
+    try:
+        return float(np.sqrt(float(q)))
+    except OverflowError:
+        e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    return math.ldexp(float(np.sqrt(float(q / 4**e))), e)
+
+
+@st.composite
+def _gmres_inputs(draw):
+    """A structured Hessenberg pair (A, v), which breaks down at k = n, or a
+    dense random one, whose V is dense; in binary64 or binary32."""
+    prec = draw(st.sampled_from(PRECISIONS))
+    n = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        prob = random_structured_problem("hessenberg", n, seed, prec)
+        return prob.A, prob.v
+    g = np.random.Generator(np.random.Philox(key=seed))
+    return g.uniform(-1, 1, (n, n)).astype(prec.dtype), g.uniform(-1, 1, n).astype(prec.dtype)
+
+
+_OVERFLOWING_WITNESS = (np.diag([float.fromhex("0x1.bff2ee48e0530p-333"), 1.0]), np.array([1e100, 0.0]))  # run gmres on dense 2 2, --e1 --beta1 1e100
+
+
+@settings(max_examples=40, deadline=None)
+@given(_gmres_inputs())
+@example(_OVERFLOWING_WITNESS)
+def test_gmres_witness_norms_are_the_fraction_paths(inputs):
+    """At every k, both witness norms have the bits of the former Fraction path:
+    rat_matvec(nonzero_rows(V), rational_lstsq(H, rhs)) and a Fraction dot."""
+    A, v = inputs
+    for k in range(1, len(A) + 1):
+        res = gmres_structured(A, v, k)
+        arn = arnoldi(A, v, k)
+        rhs = np.zeros(arn.k + 1, dtype=A.dtype)
+        rhs[0] = norm2(v)
+        yexact = rational_lstsq(arn.H, rhs)
+        xexact = rat_matvec(nonzero_rows(arn.V[:, : arn.k]), yexact)
+        want = (_fraction_error_norm(xexact, res.x), _fraction_error_norm(yexact, res.y))
+        assert [r.hex() for r in (res.x_error_norm, res.y_error_norm)] == [w.hex() for w in want]
+        assert res.breakdown == arn.breakdown
 
 
 # Row-major bases: the column-major loops they replaced, kept as references ---

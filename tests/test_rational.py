@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from krylovexact import rational
@@ -97,8 +97,10 @@ def test_rational_lstsq_matches_normal_equations_by_hand():
 
 
 def _normal_equations_lstsq(H, rhs):
-    """Reference: the normal equations H^T H y = H^T rhs, solved exactly."""
-    Hr, br = to_rational_matrix(H), to_rational_vector(rhs)
+    """Reference: the normal equations H^T H y = H^T rhs, solved exactly, for
+    float arrays or lists of Fractions and ints."""
+    Hr = [[Fraction(h) for h in row] for row in (H.tolist() if isinstance(H, np.ndarray) else H)]
+    br = [Fraction(b) for b in (rhs.tolist() if isinstance(rhs, np.ndarray) else rhs)]
     cols = range(len(Hr[0]))
     G = [[sum(row[i] * row[j] for row in Hr) for j in cols] for i in cols]
     return rat_solve(G, [sum(row[i] * b for row, b in zip(Hr, br)) for i in cols])
@@ -328,6 +330,63 @@ def test_int_lists_give_the_fractions_of_their_values():
     _same_fractions(got.rnorm2 + got.energy2 + got.gammas, want.rnorm2 + want.energy2 + want.gammas)
     _same_fractions(rat_solve([[3]], [1]), [Fraction(1, 3)])
     assert is_spd_rational([[2, 1], [1, 1]]) and not is_spd_rational([[1, 2], [2, 3]])
+
+
+_LSTSQ_REJECTIONS = {
+    "below": "H has a nonzero entry below the subdiagonal",
+    "zero-subdiagonal": "H has a zero subdiagonal entry above a nonzero last row",
+    "shape": "least squares needs an (m+1) x m matrix and a right-hand side of length m+1",
+}
+
+
+@st.composite
+def _hessenberg_lists(draw):
+    """An (m+1) x m list H of _ENTRIES (non-dyadic Fractions, ints, zeros) and a
+    rhs, in one shape: unreduced; a zero last row over an unreduced or a
+    reducible leading block, singular or not; or one of the three rejected
+    shapes.  Returns (H, rhs, the expected rejection message or None)."""
+    shape = draw(st.sampled_from(["unreduced", "breakdown", "reducible", "singular", *_LSTSQ_REJECTIONS]))
+    m = draw(st.integers(2 if shape in ("reducible", "below", "zero-subdiagonal") else 1, 7))
+    nonzero = _ENTRIES.map(lambda e: e or 1)
+    H = [[draw(_ENTRIES) if i <= j else draw(nonzero) if i == j + 1 else draw(_ZERO) for j in range(m)] for i in range(m + 1)]
+    rhs = draw(st.lists(_ENTRIES, min_size=m + 1, max_size=m + 1))
+    if shape in ("breakdown", "reducible", "singular"):
+        H[m][m - 1] = draw(_ZERO)
+    if shape in ("reducible", "zero-subdiagonal"):
+        j = draw(st.integers(0, m - 2))
+        H[j + 1][j] = draw(_ZERO)
+    if shape == "singular":  # row 0 a multiple of row 1, or 0 when m = 1
+        c = draw(_ENTRIES)
+        H[0] = [c * h for h in H[1]] if m > 1 else [0]
+        if draw(st.booleans()) and m > 2:  # over a reducible block as well
+            H[2][1] = draw(_ZERO)
+    if shape == "below":
+        j = draw(st.integers(0, m - 2))
+        H[draw(st.integers(j + 2, m))][j] = draw(nonzero)
+    if shape == "shape":
+        H, rhs = draw(st.sampled_from([(H[:m], rhs[:m]), (H, rhs[:m]), (H, rhs + [1]), ([row[:-1] for row in H], rhs), (H[:m] + [H[m] + [0]], rhs)]))
+    return H, rhs, _LSTSQ_REJECTIONS.get(shape)
+
+
+# No explain phase: on a failing run it spends minutes drawing from this
+# strategy before the failure is reported.
+@settings(max_examples=150, deadline=None, phases=[p for p in Phase if p != Phase.explain])
+@given(_hessenberg_lists())
+def test_rational_lstsq_on_lists_matches_the_normal_equations(case):
+    """A common scale that is not a power of two, the rat_solve path of a
+    reducible block, a singular block and the three rejections."""
+    H, rhs, message = case
+    if message:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rational_lstsq(H, rhs)
+        return
+    try:
+        want = _normal_equations_lstsq(H, rhs)
+    except ValueError:  # the leading m x m block is singular
+        with pytest.raises(ValueError, match="^singular matrix in exact solve$"):
+            rational_lstsq(H, rhs)
+        return
+    _same_fractions(rational_lstsq(H, rhs), want)
 
 
 @st.composite
