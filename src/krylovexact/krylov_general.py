@@ -7,14 +7,12 @@ coordinate-error identity for structured Hessenberg inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .fp import RangeError, ShapeError, _dot, _gram, _matmat, _matvec, _mgs, _norm2, _start, require_finite, validate_operands
-from .rational import _integers_over_lcm, _lstsq_integers
+from .fp import ShapeError, _dot, _gram, _matmat, _matvec, _mgs, _norm2, _start, require_finite, validate_operands
+from .rational import witness_norms
 
 
 @dataclass(frozen=True)
@@ -41,18 +39,14 @@ def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
     _, Vt[0] = _start(v, "starting vector")
     H = np.zeros((k + 1, k), dtype=A.dtype)
     Af = np.asfortranarray(A)  # _matvec gathers columns of A: make them contiguous once per run
-    breakdown = None
-    cols = 1
     for j in range(k):
         w = _mgs(Vt[: j + 1], _matvec(Af, Vt[j]), H[: j + 1, j])
         hnext = _norm2(w)
         H[j + 1, j] = hnext
         if hnext == 0:
-            breakdown = j + 1
-            return ArnoldiResult(Vt[: j + 1].T.copy(), H[: j + 2, : j + 1].copy(), breakdown)
+            return ArnoldiResult(Vt[: j + 1].T.copy(), H[: j + 2, : j + 1].copy(), j + 1)
         Vt[j + 1] = w / hnext
-        cols = j + 2
-    return ArnoldiResult(Vt[:cols].T.copy(), H, breakdown)
+    return ArnoldiResult(Vt.T.copy(), H, None)
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,6 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
     beta_i = beta1
     gamma_i = gamma1
     breakdown = None
-    cols = 1
     for i in range(k):
         vi = Vt[i]
         wi = Wt[i]
@@ -118,8 +111,8 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
         betas.append(beta_next)
         vprev, wprev = vi, wi
         beta_i, gamma_i = beta_next, gamma_next
-        cols = i + 2
     keff = len(alphas)
+    cols = breakdown or k + 1
     return NonsymLanczosResult(
         V=Vt[:cols].T.copy(),
         W=Wt[:cols].T.copy(),
@@ -159,8 +152,6 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
     gammas, deltas = [], []
     delta_i = delta1
     breakdown = None
-    scols = 1
-    wcols = 0
     for i in range(k):
         t = _matvec(At, St[i])
         if i > 0:  # at i = 0, t - delta_1 * 0 would be t bit for bit
@@ -170,7 +161,6 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
             breakdown = ("gamma", i + 1)
             break
         Wt[i] = t / gamma_i
-        wcols = i + 1
         gammas.append(gamma_i)
         u = _matvec(A, Wt[i]) - gamma_i * St[i]
         delta_next = _norm2(u)
@@ -179,12 +169,11 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
             break
         deltas.append(delta_next)
         St[i + 1] = u / delta_next
-        scols = i + 2
         delta_i = delta_next
     kg = len(gammas)
     return GolubKahanResult(
-        S=St[:scols].T.copy(),
-        W=Wt[:wcols].T.copy(),
+        S=St[: len(deltas) + 1].T.copy(),
+        W=Wt[:kg].T.copy(),
         gamma=np.array(gammas, dtype=A.dtype),
         delta=np.array(deltas[: kg - 1] if kg else [], dtype=A.dtype),
         delta1=delta1,
@@ -317,37 +306,13 @@ def hessenberg_lstsq(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return y
 
 
-def _distance(nums: list[int], den: int, computed) -> float:
-    """||nums / den - computed|| for int numerators over one denominator, as
-    float(sqrt(float(q))) of the exact squared norm q, which is built in ints
-    and made one Fraction; where float(q) overflows, the root of q / 4^e times
-    2^e.  RangeError if the norm itself is beyond binary64."""
-    cs, scale = _integers_over_lcm(np.asarray(computed).ravel().tolist())
-    q = Fraction(sum((a * scale - b * den) ** 2 for a, b in zip(nums, cs)), (den * scale) ** 2)
-    try:
-        return float(np.sqrt(float(q)))
-    except OverflowError:  # q is beyond binary64; its root need not be
-        e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
-    try:
-        return math.ldexp(float(np.sqrt(float(q / 4**e))), e)
-    except OverflowError:
-        raise RangeError("the error norm is beyond binary64") from None
-
-
-def _error_norm(exact, computed) -> float:
-    """||exact - computed|| for rational exact, by _distance."""
-    return _distance(*_integers_over_lcm(exact), computed)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def gmres_structured(A: np.ndarray, v: np.ndarray, k: int) -> GmresResult:
     """GMRES iterate x_k = V_k y_k for A x = v from x0 = 0, with
     y_k = argmin ||H_{k+1,k} y - ||v|| e1||.  Returns the witness pair
     (||x_k - xbar_k||, ||y_k - ybar_k||) with the exact coordinates computed by
-    a rational least-squares oracle.  A zero v raises ValueError.
-
-    The exact y_k is Y / F in ints, and x_k is V_k Y / (L F), with V_k's
-    nonzero entries taken as ints over their common denominator L.
+    the exact least squares of rational.witness_norms.  A zero v raises
+    ValueError.
     """
     res = arnoldi(A, v, k)
     keff = res.k
@@ -357,10 +322,4 @@ def gmres_structured(A: np.ndarray, v: np.ndarray, k: int) -> GmresResult:
     ybar = hessenberg_lstsq(H, rhs)
     V = res.V[:, :keff]
     xbar = _matvec(V, ybar)
-
-    Y, F = _lstsq_integers(H, rhs)
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in V.tolist()]
-    vs, scale = _integers_over_lcm([a for row in rows for _, a in row])
-    vs = iter(vs)
-    X = [sum(next(vs) * Y[j] for j, _ in row) for row in rows]
-    return GmresResult(xbar, ybar, _distance(X, scale * F, xbar), _distance(Y, F, ybar), res.breakdown)
+    return GmresResult(xbar, ybar, *witness_norms(V, H, rhs, xbar, ybar), res.breakdown)

@@ -71,7 +71,6 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
     beta_i = dt(0.0)
     scratch = np.empty(k, dtype=A.dtype)  # the discarded reorthogonalization coefficients
     breakdown = None
-    cols = 1
     for i in range(k):
         vi = Vt[i]
         av = _matvec(A.T, vi)  # A is bitwise symmetric: same bits, contiguous columns
@@ -94,9 +93,8 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
         vprev = vi
         Vt[i + 1] = z / beta_next
         beta_i = beta_next
-        cols = i + 2
     return LanczosResult(
-        V=Vt[:cols].T.copy(),
+        V=Vt[: breakdown or k + 1].T.copy(),
         alpha=np.array(alphas, dtype=A.dtype),
         beta=np.array(betas, dtype=A.dtype),
         beta1=beta1,

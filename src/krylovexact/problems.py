@@ -404,15 +404,17 @@ def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
 def detect_structure(A: np.ndarray, v: np.ndarray):
     """Recover (P, T, beta1) with T Jacobi from (A, v), or None.
 
-    Succeeds iff A is bitwise symmetric, v has a single nonzero entry and
-    the off-diagonal adjacency graph of A is a simple path starting at that
-    entry's index.  Signs are canonicalized into P so that T has positive
-    off-diagonals; the factorization is then unique.  An off-diagonal or a
-    beta1 outside the exponent-range guard raises RangeError.
+    Succeeds iff A is bitwise symmetric, v has a single nonzero entry and no
+    -0 (beta1 P e1 has only +0 zeros), and the off-diagonal adjacency graph of
+    A is a simple path starting at that entry's index.  A may hold -0s: the
+    sign flips of assembly leave them off the band.  Signs are canonicalized
+    into P so that T has positive off-diagonals; the factorization is then
+    unique.  An off-diagonal or a beta1 outside the exponent-range guard
+    raises RangeError.
     """
     validate_operands(A, v)
     nz = np.nonzero(v)[0]
-    if nz.size != 1 or A.shape[0] != A.shape[1] or not bitwise_symmetric(A):
+    if nz.size != 1 or np.signbit(v[v == 0]).any() or A.shape[0] != A.shape[1] or not bitwise_symmetric(A):
         return None
     n = A.shape[0]
     start = int(nz[0])
@@ -655,7 +657,7 @@ class PrescribedSystem:
         return [Fraction(float(self.b[0])) if i == 0 else Fraction(0) for i in range(n)]
 
 
-def prescribe_cg_curves(curves: ConvergenceCurves, precision: Precision = BINARY64) -> PrescribedSystem:
+def prescribe_cg_curves(curves: ConvergenceCurves) -> PrescribedSystem:
     """Build (T_n, b = ||r_0|| e1) whose exact CG reproduces the curves.
 
     delta_k = ||r_k||^2/||r_{k-1}||^2 and gamma_k follows from the telescoping
@@ -663,7 +665,7 @@ def prescribe_cg_curves(curves: ConvergenceCurves, precision: Precision = BINARY
     tridiagonal entries are alpha_k = 1/gamma_{k-1} + delta_{k-1}/gamma_{k-2}
     and beta_{k+1} = sqrt(delta_k)/gamma_{k-1}.  The construction is carried
     out in exact rational arithmetic (sqrt(delta_k) = ||r_k||/||r_{k-1}|| is
-    rational) and rounded once at the end.
+    rational) and rounded once, to binary64, at the end.
     """
     n = curves.n
     r = [Fraction(float(x)) for x in curves.residual_norms]
@@ -682,7 +684,7 @@ def prescribe_cg_curves(curves: ConvergenceCurves, precision: Precision = BINARY
     for k in range(2, n + 1):
         alpha.append(d[k - 1] + deltas[k - 1] * d[k - 2])
     beta = [ell[k - 1] * d[k - 1] for k in range(1, n)]
-    dt = precision.dtype
+    dt = BINARY64.dtype
     T = JacobiMatrix(np.array([dt(float(a)) for a in alpha], dtype=dt), np.array([dt(float(b)) for b in beta], dtype=dt))
     b = np.zeros(n, dtype=dt)
     b[0] = dt(float(curves.residual_norms[0]))

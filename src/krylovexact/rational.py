@@ -21,10 +21,14 @@ is_spd_rational update only the columns where the pivot row is nonzero.  A
 Jacobi matrix has no fill-in, so its solve and SPD test take O(n) Fraction
 operations.
 
-The Hessenberg least squares of the GMRES witness (_lstsq_integers) builds
-no Fraction in its loops: it reads H and the right-hand side once as ints
-over one common denominator and scales its recurrences so that every
-division is exact.
+The GMRES witness's exact arithmetic lives here too (witness_norms).  Its
+Hessenberg least squares (_lstsq_integers) builds no Fraction in its loops:
+it reads H and the right-hand side once as ints over one common denominator,
+runs one null-space recurrence over the columns with a nonzero subdiagonal
+(all of them when H is unreduced, all but the last after a breakdown) and
+one back substitution, scaled by the product of those subdiagonal entries so
+that every division is exact.  Entries are read through tolist(), so an int
+array entry stays exact at any size.
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm, prod
+from math import gcd, lcm, ldexp, prod
 from operator import mul
 
 import numpy as np
+
+from .fp import RangeError
 
 # A bound on n only.  Exact CG's own numbers grow: the denominators of x_k are
 # Krylov Gram determinants, so their bit length, not the Fraction overhead,
@@ -47,12 +53,11 @@ MAX_ORACLE_DIM = 48
 
 
 def to_rational_vector(x) -> list[Fraction]:
-    return [Fraction(float(v)) for v in np.asarray(x).ravel()]
+    return [Fraction(v) for v in np.asarray(x).ravel().tolist()]
 
 
 def to_rational_matrix(A) -> list[list[Fraction]]:
-    A = np.asarray(A)
-    return [[Fraction(float(v)) for v in row] for row in A]
+    return [[Fraction(v) for v in row] for row in np.asarray(A).tolist()]
 
 
 def nonzero_rows(A) -> list[list[tuple[int, Fraction]]]:
@@ -159,7 +164,7 @@ class RationalCGTrace:
 def rational_cg(A, b) -> RationalCGTrace:
     """Hestenes-Stiefel CG in exact rational arithmetic, from x0 = 0 until r = 0.
 
-    Accepts float arrays or rational lists; floats are converted exactly.
+    Accepts int or float arrays or rational lists; entries convert exactly.
     On SPD A exact CG reaches r_m = 0 within m <= n steps, so x_m is x*, and
     since r_{j+1} is orthogonal to p_j the squared energy errors are the
     suffix sums ||x* - x_k||_A^2 = sum_{j>=k} gamma_j ||r_j||^2 (Hestenes and
@@ -259,24 +264,27 @@ def _lstsq_integers(H, rhs) -> tuple[list[int], int]:
 
     H's band (rows <= j+1 of column j) and rhs are read once as ints over their
     common denominator L.  Scaling every row by L leaves the argmin unchanged,
-    so only G = L H and r = L rhs are used.  Let s_j = G[j+1][j].
+    so only G = L H and r = L rhs are used.  Let s_j = G[j+1][j], and let c = m
+    for an unreduced H and c = m - 1 for a zero last row.
 
-    - Unreduced H, D = prod(s).  z with z_0 = 1 and z_{j+1} = -(sum_{i<=j}
-      z_i G[i][j]) / s_j spans the null space of G^T, so G y = r - (z.r / z.z) z,
-      solved by back substitution on rows 1..m, whose diagonal is s.  In ints:
-      Z = D z (Z_0 = D), Q = Z.Z, P_i = r_i Q - (Z.r) Z_i, Y_i = (P_{i+1} D -
-      sum_{l>i} G[i+1][l] Y_l) / s_i, and y = Y / (Q D).
-    - A zero last row over an unreduced leading block, E = prod(s_0..s_{m-2}).
-      Rows 1..m-1 give y = (A + t U) / E from two back substitutions: A of r E
-      with A_{m-1} = 0, and U of 0 with U_{m-1} = E.  Row 0 gives t = N / M,
-      N = r_0 E - G_0.A and M = G_0.U, so y = (A M + N U) / (E M).  The block is
-      singular iff M = 0.
-    - A zero last row over a reducible leading block: rat_solve.
+    One recurrence serves both shapes: with D = prod(s_0..s_{c-1}), Z_0 = D and
+    Z_{j+1} = -(sum_{i<=j} Z_i G[i][j]) / s_j for j < c, Z spans the left null
+    space of G's first c columns.  Then one back substitution over rows 1..c,
+    whose diagonal is s, gives Y_i = (b_i - sum_{l>i} G[i+1][l] Y_l) / s_i:
 
-    Every division is exact: by induction Z_j is a multiple of prod_{l>=j} s_l,
-    and A_j, U_j and Y_j of prod_{l<j} s_l, so each term of a sum divided by
-    s_i holds s_i.  So the O(m^2) operations are int products and sums, and no
-    gcd is taken.
+    - Unreduced H (c = m).  G y = r - (Z.r / Q) Z with Q = Z.Z, so b_i =
+      (r_{i+1} Q - (Z.r) Z_{i+1}) D, and y = Y / (Q D).
+    - Zero last row (c = m - 1).  y solves the leading m x m system, and Z
+      annihilates its first m - 1 columns, so y_{m-1} = Z.r / M with M =
+      Z.h_{m-1}, h_{m-1} the last column.  M = 0 iff the system is singular.
+      b_i = r_{i+1} M D, the preset Y_{m-1} = (Z.r) D, and y = Y / (M D).
+    - A zero last row over a reducible leading block (an s_j = 0 with j < c):
+      rat_solve.
+
+    Every division is exact: by induction Z_j is a multiple of prod_{l>=j}
+    s_l, and Y_j of prod_{l<j} s_l, since b_i and every Y_l with l > i are
+    multiples of prod_{l<=i} s_l.  So the O(m^2) operations are int products
+    and sums, and no gcd is taken.
     """
     Hr = H if isinstance(H, list) else np.asarray(H).tolist()
     br = rhs if isinstance(rhs, list) else np.asarray(rhs).ravel().tolist()
@@ -290,27 +298,25 @@ def _lstsq_integers(H, rhs) -> tuple[list[int], int]:
     cols = [list(islice(it, j + 2)) for j in range(m)]  # cols[j][i] = G[i][j], i <= j + 1
     r = list(it)
     s = [col[-1] for col in cols]
-    if not any(Hr[m]):
-        if m == 0 or not all(s[:-1]):  # an empty or reducible leading block
-            return _integers_over_lcm(rat_solve([[col[i] if i < len(col) else 0 for col in cols] for i in range(m)], r[:m]))
-        E = prod(s[:-1])
-        A = _back_substitute(cols, s, [ri * E for ri in r[1:m]], [0] * m)
-        U = _back_substitute(cols, s, [0] * (m - 1), [0] * (m - 1) + [E])
-        g0 = [col[0] for col in cols]
-        M = sum(map(mul, g0, U))
-        if not M:
-            raise ValueError("singular matrix in exact solve")
-        N = r[0] * E - sum(map(mul, g0, A))
-        return [a * M + N * u for a, u in zip(A, U)], E * M
-    if not all(s):
-        raise ValueError("H has a zero subdiagonal entry above a nonzero last row")
-    D = prod(s)
+    c = m if any(Hr[m]) else m - 1
+    if m == 0 or not all(s[:c]):
+        if c == m:
+            raise ValueError("H has a zero subdiagonal entry above a nonzero last row")
+        return _integers_over_lcm(rat_solve([[col[i] if i < len(col) else 0 for col in cols] for i in range(m)], r[:m]))
+    D = prod(s[:c])
     Z = [D]
-    for col, sj in zip(cols, s):
+    for col, sj in zip(cols[:c], s):
         Z.append(-sum(map(mul, Z, col)) // sj)
-    Q = sum(map(mul, Z, Z))
-    c = sum(map(mul, Z, r))
-    return _back_substitute(cols, s, [(ri * Q - c * zi) * D for ri, zi in zip(r[1:], Z[1:])], [0] * m), Q * D
+    Zr = sum(map(mul, Z, r))
+    if c == m:
+        F = sum(map(mul, Z, Z))  # Q
+        b, preset = [ri * F - Zr * zi for ri, zi in zip(r[1:], Z[1:])], []
+    else:
+        F = sum(map(mul, Z, cols[-1]))  # M = Z.h_{m-1}
+        if not F:
+            raise ValueError("singular matrix in exact solve")
+        b, preset = [ri * F for ri in r[1:m]], [Zr * D]
+    return _back_substitute(cols, s, [bi * D for bi in b], [0] * c + preset), F * D
 
 
 def rational_lstsq(H, rhs) -> list[Fraction]:
@@ -330,3 +336,35 @@ def rational_lstsq(H, rhs) -> list[Fraction]:
     """
     Y, F = _lstsq_integers(H, rhs)
     return [Fraction(y, F) for y in Y]
+
+
+def _distance(nums: list[int], den: int, computed) -> float:
+    """||nums / den - computed|| for int numerators over one denominator, as
+    float(sqrt(float(q))) of the exact squared norm q, which is built in ints
+    and made one Fraction; where float(q) overflows, the root of q / 4^e times
+    2^e.  RangeError if the norm itself is beyond binary64."""
+    cs, scale = _integers_over_lcm(np.asarray(computed).ravel().tolist())
+    q = Fraction(sum((a * scale - b * den) ** 2 for a, b in zip(nums, cs)), (den * scale) ** 2)
+    try:
+        return float(np.sqrt(float(q)))
+    except OverflowError:  # q is beyond binary64; its root need not be
+        e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    try:
+        return ldexp(float(np.sqrt(float(q / 4**e))), e)
+    except OverflowError:
+        raise RangeError("the error norm is beyond binary64") from None
+
+
+def witness_norms(V, H, rhs, xbar, ybar) -> tuple[float, float]:
+    """The GMRES witness pair (||x - xbar||, ||y - ybar||) for the exact
+    y = argmin ||H y - rhs|| and x = V y.
+
+    y is Y / F in ints (_lstsq_integers), and x is V Y / (L F), with V's
+    nonzero entries taken as ints over their common denominator L.
+    """
+    Y, F = _lstsq_integers(H, rhs)
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in V.tolist()]
+    vs, scale = _integers_over_lcm([a for row in rows for _, a in row])
+    vs = iter(vs)
+    X = [sum(next(vs) * Y[j] for j, _ in row) for row in rows]
+    return _distance(X, scale * F, xbar), _distance(Y, F, ybar)

@@ -81,6 +81,17 @@ def test_check_structure_detects(tmp_path, capsys):
     assert code == 1
 
 
+def test_a_start_vector_with_a_minus_zero_is_not_structured(tmp_path, capsys):
+    mat, v = tmp_path / "T.txt", tmp_path / "v.txt"
+    run_cli(capsys, "gen", "jacobi", "--n", "5", "--out", str(mat))
+    with v.open("w") as f:
+        write_matrix(f, np.array([1.0, 0.0, 0.0, -0.0, 0.0]))
+    code, out = run_cli(capsys, "check", "structure", "--problem", str(mat), "--v-file", str(v))
+    assert code == 1 and "no structure detected" in out.err
+    err = _error_exit(capsys, "run", "lanczos", "--problem", str(mat), "--v-file", str(v), "--check-exact")
+    assert "input is not a structured" in err
+
+
 def test_experiment_fig2_csv(tmp_path, capsys):
     out_csv = tmp_path / "fig2.csv"
     code, _ = run_cli(capsys, "experiment", "fig2", "--out", str(out_csv))

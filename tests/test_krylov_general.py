@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krylovexact import fp, krylov_general
+from krylovexact import fp, krylov_general, rational
 from krylovexact.cg import cg_hs, cglanczos
 from krylovexact.fp import PRECISIONS, NonFiniteError, RangeError, ShapeError, _gram, _matmat, _matvec, bitwise_equal, matmat, matvec, norm2, seq_dot, validate_operands
 from krylovexact.krylov_general import (
@@ -17,7 +17,6 @@ from krylovexact.krylov_general import (
     GolubKahanResult,
     NonsymLanczosResult,
     SeriousBreakdownError,
-    _error_norm,
     arnoldi,
     block_lanczos,
     gmres_structured,
@@ -322,6 +321,11 @@ def test_gmres_scales_with_the_starting_vector():
         assert b.breakdown == a.breakdown
     with pytest.raises(ValueError, match="zero"):
         gmres_structured(prob.A, np.zeros(8), 3)
+
+
+def _error_norm(exact, computed):
+    """||exact - computed|| for rational exact, by rational._distance."""
+    return rational._distance(*rational._integers_over_lcm(exact), computed)
 
 
 def test_a_witness_norm_is_the_root_of_its_square_even_where_the_square_overflows():

@@ -104,6 +104,20 @@ def test_detect_structure_rejects_unstructured():
     assert detect_structure(prob.A, np.ones(4)) is None
 
 
+@pytest.mark.parametrize("precision", [BINARY64, BINARY32], ids=lambda p: p.name)
+def test_detect_structure_rejects_a_minus_zero_in_v_but_not_in_a(precision):
+    """beta1 P e1 has only +0 zeros, so a v with a -0 is not such a vector.  The
+    assembled A has off-band -0s, and A is detected with or without them."""
+    prob = random_structured_problem("jacobi", 6, 0, precision)
+    assert np.signbit(prob.A[prob.A == 0]).any()
+    assert detect_structure(prob.A, prob.v) is not None
+    assert detect_structure(prob.A + precision.dtype(0), prob.v) is not None
+    for i in np.flatnonzero(prob.v == 0):
+        v = prob.v.copy()
+        v[i] = -0.0
+        assert detect_structure(prob.A, v) is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_detect_structure_rejects_a_path_with_a_chord_or_a_closed_cycle(data):

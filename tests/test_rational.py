@@ -1,6 +1,8 @@
+import ast
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,12 @@ def test_dyadic_conversion_is_exact():
     rs = to_rational_vector(xs)
     assert rs[1] == Fraction(-5, 2)
     assert float(rs[0]) == 0.1  # exact binary value of the double 0.1
+
+
+def test_int_entries_above_2_53_convert_exactly():
+    assert to_rational_vector(np.array([2**60 + 1])) == [Fraction(2**60 + 1)]
+    assert to_rational_matrix(np.array([[2**60 + 1, -3]])) == [[Fraction(2**60 + 1), Fraction(-3)]]
+    assert rational_cg(np.array([[2**53 + 1]]), np.array([1])).x_exact == [Fraction(1, 2**53 + 1)]
 
 
 def test_rat_solve_known_2x2():
@@ -159,6 +167,20 @@ def test_rational_lstsq_rejects_other_shapes(H, message):
     Hr = [[Fraction(h) for h in row] for row in H]
     with pytest.raises(ValueError, match=message):
         rational_lstsq(Hr, [Fraction(1)] * len(Hr))
+
+
+@pytest.mark.parametrize("H", [[[2, 1], [3, 5], [0, 7]], [[2, 1], [3, 5], [0, 0]]], ids=["unreduced", "breakdown"])
+def test_lstsq_integers_back_substitutes_once_in_either_shape(H, monkeypatch):
+    calls = []
+    back_substitute = rational._back_substitute
+
+    def counted(*args):
+        calls.append(args)
+        return back_substitute(*args)
+
+    monkeypatch.setattr(rational, "_back_substitute", counted)
+    _same_fractions(rational_lstsq(H, [1, 2, 3]), _normal_equations_lstsq(H, [1, 2, 3]))
+    assert len(calls) == 1
 
 
 def test_dimension_guard():
@@ -557,3 +579,17 @@ def test_rational_cg_solves_nothing_a_second_time(monkeypatch):
     tr = rational_cg(T, np.ones(12))
     assert rat_matvec(nonzero_rows(T), tr.x_exact) == to_rational_vector(np.ones(12))
     assert tr.energy2[-1] == 0 and all(c < a for a, c in zip(tr.energy2, tr.energy2[1:]))
+
+
+def test_only_rational_uses_its_private_names_and_krylov_general_holds_no_exact_numbers():
+    """No module but rational imports a _-prefixed name from rational, and
+    krylov_general imports neither fractions nor math."""
+    hits = []
+    for path in sorted(Path(rational.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "rational" and path.name != "rational.py":
+                hits += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+            if path.name == "krylov_general.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module] if not node.level else []
+                hits += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] in ("fractions", "math")]
+    assert hits == []
