@@ -19,12 +19,14 @@ from . import fileio
 from .fp import PRECISIONS, precision_named, precision_of
 from .harness import (
     ALGORITHMS,
+    SWEEPS,
     RunInputs,
     compare_structured,
     exactness_sweep,
     experiment_fig2,
     experiment_fig3,
     sqrt_square_violations,
+    structured_entry,
     sweep_failures,
 )
 from .krylov_general import SeriousBreakdownError
@@ -39,10 +41,6 @@ from .problems import (
     strakos_spectrum,
 )
 from .rational import rational_cg
-
-# the algorithms `run` accepts, and the structured ones the exactness sweeps run
-_RUN_CHOICES = [name for name, a in ALGORITHMS.items() if a.columns]
-_STRUCTURED = [name for name, a in ALGORITHMS.items() if a.kind]
 
 
 def _add_precision(p):
@@ -75,7 +73,7 @@ def _build_parser():
     gen.add_argument("--out", required=True)
 
     run = sub.add_parser("run", help="run an algorithm on a matrix or problem file")
-    run.add_argument("algorithm", choices=_RUN_CHOICES)
+    run.add_argument("algorithm", choices=list(ALGORITHMS))
     run.add_argument("--problem", required=True, help="matrix or problem file")
     _add_start(run)
     run.add_argument("--w-file", help="left starting vector file (bilanczos on matrix files)")
@@ -88,7 +86,7 @@ def _build_parser():
 
     chk = sub.add_parser("check", help="run a correctness check")
     chk.add_argument("what", choices=["exactness", "lemma31", "bound52", "structure"])
-    chk.add_argument("--algorithm", choices=_STRUCTURED, default="lanczos")
+    chk.add_argument("--algorithm", choices=SWEEPS, default="lanczos")
     chk.add_argument("--sizes", default="2,10,50", help="comma-separated instance sizes")
     chk.add_argument("--seeds", type=int, default=10, help="number of seeds per size")
     chk.add_argument("--p", type=int, default=1)
@@ -192,8 +190,9 @@ def _cmd_run(args) -> int:
     full = entry.steps(x)
     if args.check_exact and 0 < args.k < full:
         raise ValueError(f"--check-exact compares the full run of {full} steps; --k {args.k} stops it early")
-    if args.check_exact and prob is None:  # settled before the run, so no run is discarded
-        prob = _detected_problem(A, v, args.algorithm)
+    if args.check_exact:  # settled before the run, so no run is discarded
+        prob = _detected_problem(A, v, args.algorithm) if prob is None else prob
+        structured_entry(prob, args.algorithm)
     res = entry.run(x, args.k or full)
     ok = _check_against_structure(prob, args.algorithm, res) if args.check_exact else True
     if args.out:
@@ -276,7 +275,7 @@ def _cmd_experiment(args) -> int:
         print(f"prescribed-curves: roundtrip {'exact' if ok else 'MISMATCH'} over {args.n} steps")
         return 0 if ok else 1
     reports = []  # exactness-sweep
-    for alg in _STRUCTURED:  # p is the block size of blocklanczos; the others ignore it
+    for alg in SWEEPS:  # p is the block size of blocklanczos; the others ignore it
         reports += exactness_sweep(alg, (4, 12), range(args.seeds), p=2)
     with open(args.out, "w", newline="") as f:
         fileio.write_reports_csv(f, reports)

@@ -4,7 +4,7 @@ on the Strakos spectrum."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -22,12 +22,14 @@ from .fp import (
     exact_identity_violations,
     first_bit_difference,
     frobenius_norm,
+    matmat,
     precision_of,
     validate_operands,
 )
 from .krylov_general import arnoldi, block_lanczos, gmres_structured, golub_kahan, nonsym_lanczos
 from .lanczos import lanczos
 from .problems import (
+    assemble,
     extend_deficient,
     make_rng,
     random_jacobi,
@@ -167,13 +169,13 @@ class Algorithm:
     run(inputs, k) looks the algorithm up by name in this module at call time,
     so patching ``harness.lanczos`` reaches every caller.  steps(inputs) is the
     length of a full run; columns(result) gives the (name, array) pairs that
-    `run --out` writes (None: sweep only).  Structured entries name the problem
-    kind they run on, compare the projected matrix and the basis as (label,
-    of_result, of_problem) triples, and test breakdown(result, problem).
+    `run --out` writes.  Structured entries name the problem kind they run on,
+    compare the projected matrix and the basis as (label, of_result,
+    of_problem) triples, and test breakdown(result, problem).
     """
 
     run: Callable
-    columns: Callable | None
+    columns: Callable
     steps: Callable = lambda x: len(x.v)
     kind: str | None = None
     projected: tuple = ()
@@ -182,13 +184,11 @@ class Algorithm:
 
 
 def _dense_P(prob):
-    return prob.P.to_dense(prob.A.dtype)
-
-
-def _embedded_P(prob):
-    """P in the leading rows of an n x d basis; d < n on deficient instances."""
-    Pd, n, d = _dense_P(prob), len(prob.v), prob.d
-    return Pd if n == d else np.vstack([Pd, np.zeros((n - d, d), dtype=Pd.dtype)])
+    """P over +0 rows up to len(v), the basis of a grade-deficient instance;
+    P itself, uncopied, when there is nothing to pad."""
+    P = prob.P.to_dense(prob.A.dtype)
+    pad = len(prob.v) - len(P)
+    return np.vstack([P, np.zeros((pad, P.shape[1]), dtype=P.dtype)]) if pad else P
 
 
 def _block_entries(T):
@@ -211,19 +211,16 @@ def _cg_columns(tr):
     return [("residual_norm", np.array(tr.residual_norms)), ("x", tr.x[-1])]
 
 
-_LANCZOS = Algorithm(
-    run=lambda x, k: lanczos(x.A, x.v, k, variant=x.variant, reorth=x.reorth),
-    columns=lambda r: [("alpha", r.alpha), ("beta", r.beta)],
-    kind="jacobi",
-    projected=("T", lambda r: np.concatenate([r.alpha, r.beta[: r.k - 1]]), lambda prob: np.concatenate([prob.T.alpha, prob.T.beta])),
-    basis=("V", lambda r: r.V, _embedded_P),
-    breakdown=_lanczos_breakdown,
-)
-
-# CLI name -> Algorithm.  Structured entries (kind set) are the exactness
-# sweep algorithms; "deficient" runs Lanczos on a grade-deficient instance.
+# CLI name -> Algorithm, one entry per algorithm.
 ALGORITHMS = {
-    "lanczos": _LANCZOS,
+    "lanczos": Algorithm(
+        run=lambda x, k: lanczos(x.A, x.v, k, variant=x.variant, reorth=x.reorth),
+        columns=lambda r: [("alpha", r.alpha), ("beta", r.beta)],
+        kind="jacobi",
+        projected=("T", lambda r: np.concatenate([r.alpha, r.beta[: r.k - 1]]), lambda prob: np.concatenate([prob.T.alpha, prob.T.beta])),
+        basis=("V", lambda r: r.V, _dense_P),
+        breakdown=_lanczos_breakdown,
+    ),
     "arnoldi": Algorithm(
         run=lambda x, k: arnoldi(x.A, x.v, k),
         columns=lambda r: [("H", r.H)],
@@ -269,14 +266,25 @@ ALGORITHMS = {
         run=lambda x, k: gmres_structured(x.A, x.v, k),
         columns=lambda r: [("x", r.x), ("y", r.y), ("x_error_norm", np.array([r.x_error_norm])), ("y_error_norm", np.array([r.y_error_norm]))],
     ),
-    "deficient": replace(_LANCZOS, columns=None),
 }
+
+# The exactness sweeps: each structured entry on instances of its kind, and
+# "deficient", Lanczos on grade-deficient instances (criterion 9).
+SWEEPS = [name for name, a in ALGORITHMS.items() if a.kind] + ["deficient"]
 
 
 def _structured(algorithm: str) -> Algorithm:
-    entry = ALGORITHMS.get(algorithm)
-    if entry is None or entry.kind is None:
+    if algorithm not in SWEEPS:
         raise ValueError(f"unknown sweep algorithm {algorithm!r}")
+    return ALGORITHMS["lanczos" if algorithm == "deficient" else algorithm]
+
+
+def structured_entry(prob, algorithm: str) -> Algorithm:
+    """The entry that compares its results against prob; a problem of
+    another kind raises ValueError."""
+    entry = _structured(algorithm)
+    if prob.kind != entry.kind:
+        raise ValueError(f"{algorithm} compares against a {entry.kind} problem, not {prob.kind}")
     return entry
 
 
@@ -307,9 +315,7 @@ def exactness_check(algorithm: str, n: int, seed: int, precision: Precision = BI
 def compare_structured(prob, algorithm: str, result, seed: int = -1) -> ExactnessReport:
     """Compare an algorithm's result bitwise against the generating
     (P, T, grade) of the structured instance it ran on."""
-    entry = _structured(algorithm)
-    if prob.kind != entry.kind:
-        raise ValueError(f"{algorithm} compares against a {entry.kind} problem, not {prob.kind}")
+    entry = structured_entry(prob, algorithm)
     precision = precision_of(prob.A)
     n = len(prob.v)
     checks = [_pair(of_result(result), of_problem(prob), label) for label, of_result, of_problem in (entry.projected, entry.basis)]
@@ -319,7 +325,8 @@ def compare_structured(prob, algorithm: str, result, seed: int = -1) -> Exactnes
 
 
 def _deficient_instance(n: int, seed: int, precision: Precision = BINARY64):
-    """Grade-d instance embedded in dimension n (d = ceil(n/2) at least 1)."""
+    """A Jacobi problem of grade d = max(n // 2, 1), extended to dimension n
+    by the bitwise symmetric R = R1 R2 R1^T."""
     d = max(n // 2, 1)
     T = random_jacobi(d, seed, precision=precision)
     P = random_signed_permutation(d, seed + 917)
@@ -329,7 +336,10 @@ def _deficient_instance(n: int, seed: int, precision: Precision = BINARY64):
     W = g.uniform(-1.0, 1.0, (m, m)).astype(precision.dtype)
     R2 = np.triu(W) + np.ascontiguousarray(np.triu(W, 1).T)
     beta1 = precision.dtype(float(g.uniform(0.25, 4.0)))
-    return extend_deficient(T, P, R1, R2, beta1)
+    C = matmat(matmat(R1, R2), np.ascontiguousarray(R1.T))
+    # mirror the upper triangle: Lanczos needs a bitwise symmetric A, and with
+    # symmetric R2 this only papers over the last rounding of the triple product
+    return extend_deficient(assemble(T, P, beta1), np.triu(C) + np.ascontiguousarray(np.triu(C, 1).T))
 
 
 def exactness_sweep(algorithm: str, sizes, seeds, precisions=(BINARY64,), p: int = 1, variant: str = "mgs", qr_variant: str = "mgs") -> list:

@@ -11,7 +11,7 @@ by the seed) and are bitwise deterministic given (seed, size, precision).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -62,8 +62,10 @@ def _check_entries(finite, positive=(), positive_msg="", guarded=(), range_msg="
     the (name, array) pairs of finite hold no NaN or infinity, the arrays of
     positive are > 0, and the entries of guarded (which get squared) lie in
     the exponent-range guard of the first array's precision.  Then every
-    array of finite is frozen."""
+    array of finite is frozen.  All arrays share one dtype (ShapeError)."""
     for name, a in finite:
+        if a.dtype != finite[0][1].dtype:
+            raise ShapeError(f"mixed dtypes: {finite[0][0]} is {finite[0][1].dtype}, {name} is {a.dtype}")
         require_finite(a, name)
     if any(np.any(a <= 0) for a in positive):
         raise ValueError(positive_msg)
@@ -86,8 +88,6 @@ class JacobiMatrix:
     def __post_init__(self):
         if self.alpha.ndim != 1 or self.beta.ndim != 1 or len(self.beta) != len(self.alpha) - 1:
             raise ShapeError("Jacobi matrix needs n diagonal and n-1 off-diagonal entries")
-        if self.alpha.dtype != self.beta.dtype:
-            raise ShapeError("mixed dtypes in Jacobi matrix")
         _check_entries(
             (("diagonal", self.alpha), ("off-diagonal", self.beta)),
             (self.beta,), "Jacobi off-diagonals must be positive",
@@ -445,32 +445,20 @@ def detect_structure(A: np.ndarray, v: np.ndarray):
     return P, T, dtype(beta1)
 
 
-def extend_deficient(T: JacobiMatrix, P: SignedPermutation, R1: np.ndarray, R2: np.ndarray, beta1) -> StructuredProblem:
-    """Block-diagonal extension diag(P, R1), diag(T, R2) with grade d = T.n.
-
-    The leading d x d block of A and the vector v are still assembled
-    exactly; the trailing block A22 = R1 R2 R1^T is ordinary floating-point
-    arithmetic, which is irrelevant to the exactness claims (the Lanczos run
-    stops at step d before touching it).
-    """
-    if R1.shape != R2.shape or R1.ndim != 2 or R1.shape[0] != R1.shape[1]:
-        raise ShapeError("R1 and R2 must be square of equal size")
-    from .fp import matmat
-
-    d = T.n
-    n = d + R1.shape[0]
-    lead = assemble(T, P, beta1)
-    A = np.zeros((n, n), dtype=lead.A.dtype)
-    A[:d, :d] = lead.A
-    if R1.shape[0]:
-        C = matmat(matmat(R1, R2), np.ascontiguousarray(R1.T))
-        # mirror the upper triangle so the matrix is bitwise symmetric, which
-        # the Lanczos precondition demands; with symmetric R2 this only papers
-        # over the last rounding of the triple product
-        A[d:, d:] = np.triu(C) + np.ascontiguousarray(np.triu(C, 1).T)
-    v = np.zeros(n, dtype=lead.v.dtype)
-    v[:d] = lead.v
-    return StructuredProblem(P, T, lead.beta1, A, v, d)
+def extend_deficient(prob: StructuredProblem, R: np.ndarray) -> StructuredProblem:
+    """The grade-deficient extension (diag(A, R), [v; 0], [w; 0]) of a
+    single-vector problem, by placement only; P, T, beta1, gamma1 and the grade
+    d carry over, and a run breaks down at step d before R enters a result.
+    A block problem raises ValueError, an R not square in A's dtype ShapeError."""
+    if prob.U1 is not None:
+        raise ValueError("a block problem has no grade-deficient extension")
+    if R.ndim != 2 or R.shape[0] != R.shape[1] or R.dtype != prob.A.dtype:
+        raise ShapeError(f"R must be square of the problem's dtype {prob.A.dtype}, got {R.dtype} {R.shape}")
+    lead, zeros = len(prob.v), np.zeros(len(R), dtype=R.dtype)
+    A = np.zeros((lead + len(R),) * 2, dtype=R.dtype)
+    A[:lead, :lead] = prob.A
+    A[lead:, lead:] = R
+    return replace(prob, A=A, v=np.concatenate([prob.v, zeros]), w=None if prob.w is None else np.concatenate([prob.w, zeros]))
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +578,11 @@ def strakos_spectrum(n: int, lam1, lamn, rho, precision: Precision = BINARY64) -
         if not (np.isfinite(lamn) and 0 < lam1 < lamn):
             raise RangeError(f"need finite 0 < lam1 < lamn in {precision.name}, got {float(lam1)!r} and {float(lamn)!r}")
         diff = lamn - lam1
-        out = np.empty(n, dtype=dt)
-        out[0] = lam1
-        for i in range(2, n + 1):
-            frac = dt(i - 1) / dt(n - 1)
-            rp = dt(1.0)
-            for _ in range(n - i):
-                rp = rp * rho
-            out[i - 1] = lam1 + frac * diff * rp
+        powers = np.full(n - 1, rho, dtype=dt)
+        powers[0] = 1
+        np.multiply.accumulate(powers, out=powers)  # rho^0 .. rho^(n-2), one product at a time
+        frac = np.arange(1, n, dtype=dt) / dt(n - 1)  # (i-1)/(n-1) for i = 2..n
+        out = np.concatenate([[lam1], lam1 + frac * diff * powers[::-1]])
     if not np.all(np.isfinite(out)):
         raise RangeError(f"the spectrum overflows {precision.name}")
     if np.any(np.diff(out) <= 0):

@@ -312,6 +312,19 @@ def test_check_exact_on_another_kind_exits_2(tmp_path, capsys):
     assert "hessenberg problem" in _error_exit(capsys, "run", "arnoldi", "--problem", str(prob), "--check-exact")
 
 
+def test_check_exact_on_another_kind_runs_no_algorithm(tmp_path, capsys, monkeypatch):
+    prob, out_csv = tmp_path / "j.txt", tmp_path / "run.csv"
+    run_cli(capsys, "gen", "structured", "--kind", "jacobi", "--n", "6", "--out", str(prob))
+
+    def never(*args, **kwargs):
+        raise AssertionError("the algorithm ran before the kind was checked")
+
+    monkeypatch.setattr(harness, "golub_kahan", never)
+    err = _error_exit(capsys, "run", "gk", "--problem", str(prob), "--check-exact", "--out", str(out_csv))
+    assert "gk compares against a lowerbidiag problem, not jacobi" in err
+    assert not out_csv.exists()
+
+
 def test_convert_rejects_a_nan_literal(tmp_path, capsys):
     bad = tmp_path / "nan.txt"
     bad.write_text("dense 1 2\nnan 0x1p0\n")
@@ -422,7 +435,7 @@ def test_run_rejects_a_beta1_the_matrix_precision_cannot_hold(tmp_path, capsys):
         assert "--beta1 must be positive and finite in binary32" in _error_exit(capsys, "run", "lanczos", "--problem", str(mat), "--e1", "--beta1", beta1)
 
 
-@pytest.mark.parametrize("algorithm", [a for a in cli._RUN_CHOICES if a != "blocklanczos"])
+@pytest.mark.parametrize("algorithm", [a for a in harness.ALGORITHMS if a != "blocklanczos"])
 @pytest.mark.parametrize("precision, beta1", [("binary64", "1e-170"), ("binary32", "1e-25")])
 def test_run_from_a_start_whose_squared_norm_underflows_exits_2(tmp_path, capsys, algorithm, precision, beta1):
     mat = tmp_path / "T.txt"

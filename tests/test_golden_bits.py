@@ -94,7 +94,9 @@ def _entries(g, shape, dtype, flavor):
 
 def _inputs(dtype, n, seed, flavor):
     """Nonsymmetric A, bitwise symmetric indefinite and SPD matrices, two
-    start vectors and (n even) an n x 2 starting block."""
+    start vectors, and {p: n x p starting block} for p = 2 and 3 where p
+    divides n.  The 3-column block is drawn last: with two columns CGS and
+    MGS block QR perform the same operations, with three they differ."""
     g = make_rng(1000 * seed + 100 * n + FLAVORS.index(flavor) + (10 if dtype == np.float32 else 0))
     A = _entries(g, (n, n), dtype, flavor)
     B = _entries(g, (n, n), dtype, flavor)
@@ -103,28 +105,29 @@ def _inputs(dtype, n, seed, flavor):
     spd[np.arange(n), np.arange(n)] = np.abs(np.diagonal(sym)) + dtype(2.0**10)  # dominates rows of n <= 12 entries below 2^6
     v = _entries(g, (n,), dtype, flavor)
     w = _entries(g, (n,), dtype, flavor)
-    U1 = _entries(g, (n, 2), dtype, flavor) if n % 2 == 0 else None
-    return {"nonsym": A, "sym": sym, "spd": spd}, v, w, U1
+    blocks = {p: _entries(g, (n, p), dtype, flavor) for p in (2, 3) if n % p == 0}
+    return {"nonsym": A, "sym": sym, "spd": spd}, v, w, blocks
 
 
 def _runs():
-    """(entry label, operand kind, RunInputs keyword choices) for every
-    variant of every ALGORITHMS entry."""
+    """(entry label, operand kind, RunInputs keyword choices, block size or
+    None) for every variant of every ALGORITHMS entry."""
     for name in ALGORITHMS:
-        if name in ("lanczos", "deficient"):
+        if name == "lanczos":
             for variant in VARIANTS:
                 for reorth in REORTH:
                     for kind in ("sym", "spd"):
-                        yield f"{name}[{variant},{reorth}]", kind, {"variant": variant, "reorth": reorth}
+                        yield f"{name}[{variant},{reorth}]", kind, {"variant": variant, "reorth": reorth}, None
         elif name == "blocklanczos":
             for qr in VARIANTS:
                 for kind in ("nonsym", "sym"):
-                    yield f"{name}[{qr}]", kind, {"qr_variant": qr}
+                    yield f"{name}[{qr}]", kind, {"qr_variant": qr}, 2
+                    yield f"{name}[{qr},p=3]", kind, {"qr_variant": qr}, 3
         elif name in ("cg-hs", "cglanczos"):
             for kind in ("sym", "spd"):
-                yield name, kind, {}
+                yield name, kind, {}, None
         else:
-            yield name, "nonsym", {}
+            yield name, "nonsym", {}, None
 
 
 def compute() -> dict:
@@ -141,11 +144,11 @@ def compute() -> dict:
             for n in SIZES:
                 for seed in SEEDS:
                     for flavor in FLAVORS:
-                        mats, v, w, U1 = _inputs(dtype, n, seed, flavor)
-                        for label, kind, opts in _runs():
-                            if label.startswith("blocklanczos") and U1 is None:
+                        mats, v, w, blocks = _inputs(dtype, n, seed, flavor)
+                        for label, kind, opts, p in _runs():
+                            if p is not None and p not in blocks:
                                 continue
-                            x = RunInputs(mats[kind], v, w, U1, **opts)
+                            x = RunInputs(mats[kind], v, w, blocks.get(p), **opts)
                             full = ALGORITHMS[label.split("[")[0]].steps(x)
                             for k in (full, full // 2):
                                 res = _outcome(ALGORITHMS[label.split("[")[0]].run, x, k)

@@ -105,6 +105,20 @@ def test_exactness_check_small(algorithm):
     assert rep.ok, rep.mismatch
 
 
+def test_a_full_grade_basis_is_compared_without_a_padded_copy(monkeypatch):
+    """Only a grade-deficient instance pads P; an n = 1000 Lanczos compare
+    would otherwise copy an n x n basis."""
+
+    def no_vstack(*args, **kwargs):
+        raise AssertionError("P was padded on a full-grade problem")
+
+    monkeypatch.setattr(np, "vstack", no_vstack)
+    for algorithm in ("lanczos", "arnoldi", "bilanczos", "gk", "blocklanczos"):
+        assert exactness_check(algorithm, 6, seed=1, p=2).ok
+    with pytest.raises(AssertionError, match="full-grade"):
+        exactness_check("deficient", 6, seed=1)
+
+
 def test_exactness_check_binary32():
     rep = exactness_check("lanczos", 8, seed=5, precision=BINARY32)
     assert rep.ok

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krylovexact.fp import BINARY32, BINARY64, NonFiniteError, RangeError, ShapeError, bitwise_equal
-from krylovexact.harness import ALGORITHMS, RunInputs, compare_structured
+from krylovexact.harness import ALGORITHMS, RunInputs, _deficient_instance, compare_structured
 from krylovexact.problems import (
     BlockTridiagonal,
     ConvergenceCurves,
     HessenbergMatrix,
     JacobiMatrix,
+    LowerBidiagonal,
+    NonsymTridiagonal,
     STRUCTURES,
     SignedPermutation,
     assemble,
@@ -29,6 +31,25 @@ from krylovexact.problems import (
 from krylovexact.rational import is_spd_rational, to_rational_matrix
 
 KINDS = ["jacobi", "hessenberg", "nonsymtridiag", "lowerbidiag", "blocktridiag"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda a, b: JacobiMatrix(np.ones(3, a), np.ones(2, b)),
+        lambda a, b: NonsymTridiagonal(np.ones(3, a), np.ones(2, b), np.ones(2, b)),
+        lambda a, b: NonsymTridiagonal(np.ones(3, a), np.ones(2, a), np.ones(2, b)),
+        lambda a, b: LowerBidiagonal(np.ones(3, a), np.ones(2, b)),
+        lambda a, b: BlockTridiagonal((np.eye(2, dtype=a), np.eye(2, dtype=b)), (np.eye(2, dtype=a),)),
+        lambda a, b: ConvergenceCurves(np.ones(2, a), np.array([2.0, 1.0], b)),
+    ],
+    ids=["jacobi", "nonsymtridiag", "nonsymtridiag-gamma", "lowerbidiag", "blocktridiag", "curves"],
+)
+@pytest.mark.parametrize("a, b", [(np.float64, np.float32), (np.float32, np.float64)], ids=["64-32", "32-64"])
+def test_a_structure_rejects_arrays_of_two_precisions(build, a, b):
+    with pytest.raises(ShapeError, match=r"mixed dtypes: .+ is float(64|32), .+ is float(32|64)"):
+        build(a, b)
+    build(a, a)  # the same arrays in one precision are accepted
 
 
 def test_jacobi_validation():
@@ -166,7 +187,7 @@ def test_extend_deficient_empty_blocks_matches_assemble():
     T = random_jacobi(5, 2)
     P = random_signed_permutation(5, 7)
     lead = assemble(T, P, 1.5)
-    ext = extend_deficient(T, P, np.zeros((0, 0)), np.zeros((0, 0)), 1.5)
+    ext = extend_deficient(lead, np.zeros((0, 0)))
     assert bitwise_equal(lead.A, ext.A)
     assert bitwise_equal(lead.v, ext.v)
     assert ext.d == 5
@@ -176,12 +197,63 @@ def test_extend_deficient_is_bitwise_symmetric():
     T = random_jacobi(3, 0)
     P = random_signed_permutation(3, 1)
     g = np.random.Generator(np.random.Philox(key=9))
-    R1 = g.uniform(-1, 1, (4, 4))
     W = g.uniform(-1, 1, (4, 4))
-    R2 = np.triu(W) + np.triu(W, 1).T
-    prob = extend_deficient(T, P, R1, R2, 2.0)
+    R = np.triu(W) + np.triu(W, 1).T
+    prob = extend_deficient(assemble(T, P, 2.0), R)
     assert bitwise_equal(prob.A, np.ascontiguousarray(prob.A.T))
     assert prob.d == 3 and prob.A.shape == (7, 7)
+
+
+@pytest.mark.parametrize("precision", [BINARY64, BINARY32])
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_a_deficient_instance_is_bitwise_symmetric(n, precision):
+    """The instance mirrors its trailing block R1 R2 R1^T itself."""
+    A = _deficient_instance(n, 4, precision).A
+    assert A.dtype == precision.dtype and bitwise_equal(A, np.ascontiguousarray(A.T))
+
+
+def test_extend_deficient_places_without_arithmetic():
+    """diag(A, R) and zero-padded v and w, bit for bit; every field but the
+    operands carries over."""
+    prob = random_structured_problem("nonsymtridiag", 4, 3)
+    R = -np.arange(9.0).reshape(3, 3)  # -0 at (0, 0)
+    ext = extend_deficient(prob, R)
+    A = np.zeros((7, 7))
+    A[:4, :4], A[4:, 4:] = prob.A, R
+    assert bitwise_equal(ext.A, A) and ext.A.flags.writeable is False
+    for got, lead in ((ext.v, prob.v), (ext.w, prob.w)):
+        assert bitwise_equal(got, np.concatenate([lead, np.zeros(3)]))
+    assert (ext.P, ext.T, ext.beta1, ext.gamma1, ext.d, ext.U1) == (prob.P, prob.T, prob.beta1, prob.gamma1, 4, None)
+
+
+def test_extend_deficient_rejects_a_block_problem_and_a_bad_r():
+    prob = random_structured_problem("jacobi", 4, 0, BINARY32)
+    with pytest.raises(ValueError, match="block problem"):
+        extend_deficient(random_structured_problem("blocktridiag", 4, 0, p=2), np.zeros((1, 1)))
+    for R in (np.zeros((2, 3), np.float32), np.zeros(2, np.float32), np.zeros((2, 2))):
+        with pytest.raises(ShapeError, match="R must be square of the problem's dtype float32"):
+            extend_deficient(prob, R)
+
+
+# (grade d, trailing size m) pairs; m = 0 is the problem itself
+_EXTENSIONS = [(1, 0), (1, 3), (4, 0), (5, 2), (8, 5)]
+
+
+@pytest.mark.parametrize("precision", [BINARY64, BINARY32])
+@pytest.mark.parametrize("kind", ["jacobi", "hessenberg", "nonsymtridiag", "lowerbidiag"])
+def test_every_single_vector_kind_runs_exactly_on_its_deficient_extension(kind, precision):
+    """The algorithm of the kind reproduces T and [P; 0] bit for bit and
+    breaks down at the grade d, whatever R holds below the leading block."""
+    name, entry = next((name, a) for name, a in ALGORITHMS.items() if a.kind == kind)
+    g = np.random.Generator(np.random.Philox(key=21))
+    for seed, (d, m) in enumerate(_EXTENSIONS):
+        W = g.uniform(-4.0, 4.0, (m, m)).astype(precision.dtype)
+        R = np.triu(W) + np.ascontiguousarray(np.triu(W, 1).T)  # bitwise symmetric, as Lanczos needs
+        prob = extend_deficient(random_structured_problem(kind, d, seed, precision), R)
+        x = RunInputs(prob.A, prob.v, prob.w)
+        rep = compare_structured(prob, name, entry.run(x, entry.steps(x)), seed=seed)
+        assert rep.ok, (d, m, rep.mismatch)
+        assert len(prob.v) == d + m and prob.d == d
 
 
 def test_strakos_spectrum_endpoints_and_monotonicity():
@@ -194,6 +266,26 @@ def test_strakos_spectrum_endpoints_and_monotonicity():
             23 - i
         )
         assert abs(Fraction(float(lam[i])) - exact) <= Fraction(2) ** -48
+
+
+def _strakos_loop(n, lam1, lamn, rho, dt):
+    """lambda_i with each rho^(n-i) as its own loop of products from 1."""
+    lam1, lamn, rho = dt(lam1), dt(lamn), dt(rho)
+    out = np.empty(n, dtype=dt)
+    out[0] = lam1
+    for i in range(2, n + 1):
+        rp = dt(1.0)
+        for _ in range(n - i):
+            rp = rp * rho
+        out[i - 1] = lam1 + dt(i - 1) / dt(n - 1) * (lamn - lam1) * rp
+    return out
+
+
+@pytest.mark.parametrize("precision", [BINARY64, BINARY32], ids=lambda p: p.name)
+@pytest.mark.parametrize("n, lam1, lamn, rho", [(24, 1e-3, 1.0, 0.7), (100, 1e-3, 1.0, 0.98), (300, 1e-3, 1.0, 0.98), (2, 0.5, 3.0, 0.1), (57, 1e-30, 7.5, 0.31), (40, 2.0, 1e20, 1.0)])
+def test_strakos_spectrum_is_the_loop_of_sequential_powers(n, lam1, lamn, rho, precision):
+    want = _strakos_loop(n, lam1, lamn, rho, precision.dtype)
+    assert bitwise_equal(strakos_spectrum(n, lam1, lamn, rho, precision), want)
 
 
 def test_strakos_spectrum_rejects_bad_parameters():

@@ -133,14 +133,14 @@ def _hessenberg_lstsq_inputs(draw):
     return H, np.array([value() for _ in range(m + 1)], dtype=dtype)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=[p for p in Phase if p != Phase.explain])
 @given(_hessenberg_lstsq_inputs())
 def test_rational_lstsq_matches_the_normal_equations_on_unreduced_hessenberg(inputs):
     H, rhs = inputs
     assert rational_lstsq(H, rhs) == _normal_equations_lstsq(H, rhs)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=[p for p in Phase if p != Phase.explain])
 @given(_hessenberg_lstsq_inputs())
 def test_rational_lstsq_matches_the_normal_equations_after_a_breakdown(inputs):
     H, rhs = inputs
