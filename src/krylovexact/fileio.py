@@ -17,13 +17,18 @@ Every size is at least 1.  Problem files start with one of the five structure
 records and append `signedperm <n>` (or `signedblockperm <m> <p>`) with
 index/sign pairs per column, a `beta1` record, and `gamma1` for nonsymmetric
 problems.  An optional leading `precision <name>` record selects binary32;
-binary64 is the default.  CSV output prints each value twice, as the shortest
-round-trip decimal and as a hex literal.
+binary64 is the default.  A finite literal needs its `0x` prefix (float.fromhex
+reads `10` as 16.0).  CSV output prints each value twice, as the shortest
+round-trip decimal and as a hex literal, in the bytes of the csv module's default
+dialect: `\r\n` line ends, a cell quoted only when it holds `,`, `"` or a line break.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import math
 
 import numpy as np
 
@@ -45,15 +50,14 @@ class FormatError(ValueError):
     pass
 
 
-def _hex(x) -> str:
-    return float(x).hex()
-
-
 def _fromhex(tok: str) -> float:
     try:
-        return float.fromhex(tok)
-    except (ValueError, OverflowError) as e:  # OverflowError: beyond the binary64 range
-        raise FormatError(f"bad float literal {tok!r}") from e
+        x = float.fromhex(tok)
+    except (ValueError, OverflowError):  # OverflowError: beyond the binary64 range
+        x = None
+    if x is None or (math.isfinite(x) and "x" not in tok.lower()):  # nan and inf are the caller's to reject
+        raise FormatError(f"bad float literal {tok!r}")
+    return x
 
 
 def _matrix_payload(T) -> tuple[str, np.ndarray]:
@@ -83,10 +87,8 @@ def write_matrix(out, T):
     precision = precision_of(vals)
     if precision is not BINARY64:
         out.write(f"precision {precision.name}\n")
-    out.write(header + "\n")
-    vals = vals.tolist()
-    for start in range(0, len(vals), 6):
-        out.write(" ".join(_hex(v) for v in vals[start : start + 6]) + "\n")
+    hexes = list(map(float.hex, vals.tolist()))
+    out.write(header + "\n" + "".join(" ".join(hexes[i : i + 6]) + "\n" for i in range(0, len(hexes), 6)))
 
 
 class _Tokens:
@@ -116,14 +118,14 @@ class _Tokens:
         return self._toks[self._i] if self._i < len(self._toks) else None
 
     def ints(self, k: int) -> list[int]:
-        out = []
-        for _ in range(k):
-            tok = self.next()
+        toks = self.take(k)
+        with contextlib.suppress(ValueError):
+            return list(map(int, toks))
+        for tok in toks:  # name the first bad token
             try:
-                out.append(int(tok))
+                int(tok)
             except ValueError:
                 raise FormatError(f"expected an integer, got {tok!r}") from None
-        return out
 
     def sizes(self, k: int) -> list[int]:
         """k record sizes, each at least 1."""
@@ -135,7 +137,13 @@ class _Tokens:
     def floats(self, k: int, dt) -> np.ndarray:
         """k literals, each exactly representable in dt and finite there."""
         toks = self.take(k)
-        exact = np.array([_fromhex(tok) for tok in toks])
+        exact = None
+        if "".join(toks).lower().count("x") == k:  # float.fromhex allows an x only in a 0x prefix
+            with contextlib.suppress(ValueError, OverflowError):
+                exact = list(map(float.fromhex, toks))
+        if exact is None:  # name the first bad token
+            exact = [_fromhex(tok) for tok in toks]
+        exact = np.array(exact)
         with np.errstate(over="ignore"):  # a binary32 overflow is reported below
             a = exact.astype(dt)
         bad = np.flatnonzero(~np.isfinite(a))
@@ -222,12 +230,10 @@ def write_problem(out, prob: StructuredProblem):
         for blk in P.blocks:
             out.write(" ".join(f"{r} {s}" for r, s in zip(blk.perm, blk.signs)) + "\n")
     else:
-        out.write(f"signedperm {P.n}\n")
-        for r, s in zip(P.perm, P.signs):
-            out.write(f"{r} {s}\n")
-    out.write(f"beta1 {_hex(prob.beta1)}\n")
+        out.write(f"signedperm {P.n}\n" + "".join(f"{r} {s}\n" for r, s in zip(P.perm.tolist(), P.signs.tolist())))
+    out.write(f"beta1 {float(prob.beta1).hex()}\n")
     if prob.gamma1 is not None:
-        out.write(f"gamma1 {_hex(prob.gamma1)}\n")
+        out.write(f"gamma1 {float(prob.gamma1).hex()}\n")
 
 
 def read_problem(f) -> StructuredProblem:
@@ -252,13 +258,27 @@ def read_problem(f) -> StructuredProblem:
 # CSV
 
 
+def _csv_cells(*cells) -> str:
+    """`cells` as csv.writer writes them inside a longer row (a lone empty cell would be `""`)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([*cells, ""])
+    return buf.getvalue()[:-3]  # the last `,` and the line end
+
+
+def _value_lines(lead: str, keyed) -> str:
+    """A CSV line `lead,key,value,value_hex` per (key, value) of `keyed`, value a Python float
+    and lead and key CSV text.  A float repr or hex literal needs no quoting."""
+    return "".join(f"{lead},{key},{v!r},{v.hex()}\r\n" for key, v in keyed)
+
+
 def write_metric_csv(out, series):
-    w = csv.writer(out)
-    w.writerow(["experiment", "k", "metric", "value", "value_hex"])
-    w.writerows([series.experiment, k, name, repr(value), hx] for k, name, value, hx in series.rows)
+    metric = {name: _csv_cells(name) for _, name, _, _ in series.rows}
+    rows = ((f"{k},{metric[name]}", value) for k, name, value, _ in series.rows)
+    out.write("experiment,k,metric,value,value_hex\r\n" + _value_lines(_csv_cells(series.experiment), rows))
 
 
 def write_reports_csv(out, reports):
+    # csv.writer quotes the mismatch cell, whose text holds commas (`V[3,5]`).
     w = csv.writer(out)
     w.writerow(["algorithm", "n", "seed", "precision", "projected_match", "basis_match", "breakdown_match", "mismatch"])
     for r in reports:
@@ -269,14 +289,10 @@ def write_matrix_summary_csv(out, T):
     """CSV summary of a structure: one row per stored entry."""
     header, vals = _matrix_payload(T)
     kind, *dims = header.split()
-    w = csv.writer(out)
-    w.writerow(["kind", "dims", "index", "value", "value_hex"])
-    w.writerows([kind, "x".join(dims), i, repr(v), v.hex()] for i, v in enumerate(vals.tolist()))
+    out.write("kind,dims,index,value,value_hex\r\n" + _value_lines(_csv_cells(kind, "x".join(dims)), enumerate(vals.tolist())))
 
 
 def write_vector_csv(out, pairs):
     """One row per entry of each (name, array) pair, the array raveled row-major."""
-    w = csv.writer(out)
-    w.writerow(["name", "index", "value", "value_hex"])
-    for name, x in pairs:
-        w.writerows([name, i, repr(v), v.hex()] for i, v in enumerate(np.asarray(x, dtype=np.float64).ravel().tolist()))
+    lines = (_value_lines(_csv_cells(name), enumerate(np.asarray(x, dtype=np.float64).ravel().tolist())) for name, x in pairs)
+    out.write("name,index,value,value_hex\r\n" + "".join(lines))

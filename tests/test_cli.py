@@ -398,8 +398,10 @@ _PERM_BETA = "signedperm 1\n0 1\nbeta1 0x1p0\n"
         ("dense 1 1\n0x1p0\n" + _PERM_BETA, "not dense"),
         ("vector 1\n0x1p0\n" + _PERM_BETA, "not vector"),
         ("jacobi 1\n0x1p2000\n" + _PERM_BETA, "bad float literal"),
+        ("jacobi 1\n10\n" + _PERM_BETA, "bad float literal '10'"),
+        ("jacobi 1\n0x1p0\nsignedperm 1\n0 1\nbeta1 1.5\n", "bad float literal '1.5'"),
     ],
-    ids=["block-perm-m0", "block-p0", "vector-negative", "dense-negative", "dense-problem", "vector-problem", "overflow"],
+    ids=["block-perm-m0", "block-p0", "vector-negative", "dense-negative", "dense-problem", "vector-problem", "overflow", "no-prefix", "no-prefix-beta1"],
 )
 def test_convert_and_run_reject_a_malformed_file(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.txt"

@@ -1,5 +1,7 @@
+import csv
 import functools
 import io
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from krylovexact.fileio import (
     FormatError,
+    _Tokens,
     read_matrix,
     read_problem,
     write_matrix,
@@ -266,3 +269,154 @@ def test_record_sizes_must_be_positive(text):
 def test_a_huge_size_allocates_nothing_before_its_entries():
     with pytest.raises(FormatError, match="end of file"):
         read_matrix(io.StringIO("hessenberg 10000000000\n0x1p0\n"))
+
+
+# ---------------------------------------------------------------------------
+# The CSV writers and the token reader against the row-by-row code they replace
+
+
+def _csv_writer_bytes(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _finite_values(dtype):
+    """Finite values from random bit patterns, with ±0, subnormals and ±max drawn often."""
+    info = np.finfo(dtype)
+    uint = np.dtype(f"u{info.dtype.itemsize}")
+    edges = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal, info.smallest_normal - info.smallest_subnormal, info.smallest_normal, info.max, -info.max]
+    bits = st.integers(0, np.iinfo(uint).max).map(lambda b: np.array(b, dtype=uint).view(dtype)[()])
+    return st.one_of(st.sampled_from([dtype(x) for x in edges]), bits.filter(np.isfinite))
+
+
+@st.composite
+def _arrays(draw):
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    shape = draw(st.tuples(st.integers(1, 12)) | st.tuples(st.integers(1, 3), st.integers(1, 4)))
+    return np.array(draw(st.lists(_finite_values(dtype), min_size=math.prod(shape), max_size=math.prod(shape))), dtype=dtype).reshape(shape)
+
+
+# names with every character that csv quotes, and the empty name
+_names = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "x"]) | st.characters(), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_names, _arrays()), max_size=3), _names, st.lists(st.tuples(_names, _finite_values(np.float64)), max_size=8), _arrays())
+def test_csv_writers_give_the_bytes_of_csv_writer(pairs, experiment, metric_rows, T):
+    out = io.StringIO()
+    write_vector_csv(out, pairs)
+    rows = ([name, i, repr(v), v.hex()] for name, x in pairs for i, v in enumerate(np.asarray(x, dtype=np.float64).ravel().tolist()))
+    assert out.getvalue() == _csv_writer_bytes(["name", "index", "value", "value_hex"], rows)
+
+    series = MetricSeries(experiment)
+    for k, (name, value) in enumerate(metric_rows):
+        series.add(k, name, value)
+    out = io.StringIO()
+    write_metric_csv(out, series)
+    rows = ([series.experiment, k, name, repr(value), hx] for k, name, value, hx in series.rows)
+    assert out.getvalue() == _csv_writer_bytes(["experiment", "k", "metric", "value", "value_hex"], rows)
+
+    out = io.StringIO()
+    write_matrix_summary_csv(out, T)
+    kind, dims = ("vector", f"{T.size}") if T.ndim == 1 else ("dense", "x".join(map(str, T.shape)))
+    rows = ([kind, dims, i, repr(v), v.hex()] for i, v in enumerate(T.ravel().tolist()))
+    assert out.getvalue() == _csv_writer_bytes(["kind", "dims", "index", "value", "value_hex"], rows)
+
+
+def _floats_token_by_token(toks, dt):
+    """The reading of a float slice one token at a time: every literal parsed
+    (a finite one with its 0x prefix), then the first non-finite one, then the
+    first one dt cannot hold is named."""
+    exact = []
+    for tok in toks:
+        try:
+            x = float.fromhex(tok)
+        except (ValueError, OverflowError):
+            raise FormatError(f"bad float literal {tok!r}") from None
+        if math.isfinite(x) and tok.lstrip("+-")[:2] not in ("0x", "0X"):
+            raise FormatError(f"bad float literal {tok!r}")
+        exact.append(x)
+    exact = np.array(exact)  # a Python float would be compared in dt
+    with np.errstate(over="ignore"):
+        a = exact.astype(dt)
+    for tok, x in zip(toks, a):
+        if not np.isfinite(x):
+            raise FormatError(f"non-finite literal {tok!r}")
+    for tok, e, x in zip(toks, exact, a):
+        if x != e:
+            raise FormatError(f"literal {tok!r} is not representable in {np.dtype(dt).name.replace('float', 'binary')}")
+    return a
+
+
+def _ints_token_by_token(toks):
+    out = []
+    for tok in toks:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise FormatError(f"expected an integer, got {tok!r}") from None
+    return out
+
+
+# bad float tokens by the rank of their error: a bad literal is named before a
+# non-finite one, which is named before one the precision cannot hold
+_BAD_FLOATS = {
+    np.float64: [["0xg", "zz", "0x", "--0x1p0", "0x1p2000", "-0x1p99999", "10", "1.5", "-3", "+0", "1e5", "1p3"], ["nan", "inf", "-inf", "Infinity"], []],
+    np.float32: [["0xg", "zz", "0x1p2000", "10", "1.5", "0"], ["nan", "-inf", "0x1p200", "0x1p128", "-0x1.fffffffp127"], ["0x1.000001p0", "0x1p-150", "0x1p-1074"]],
+}
+
+
+def _valid_floats(dt):
+    written = _finite_values(dt).map(lambda x: float(x).hex())
+    return written | st.sampled_from(["0X1.8P1", "+0x1p0", "-0x0p+0", "0x.8p1", "0x1P-3"])
+
+
+@st.composite
+def _float_slices(draw):
+    """A slice of valid literals with zero, one or two bad ones put in; the token that must be named."""
+    dt = draw(st.sampled_from([np.float64, np.float32]))
+    toks = draw(st.lists(_valid_floats(dt), max_size=12))
+    bad = []
+    for _ in range(draw(st.integers(0, 2))):
+        rank = draw(st.sampled_from([r for r, lst in enumerate(_BAD_FLOATS[dt]) if lst]))
+        tok = draw(st.sampled_from(_BAD_FLOATS[dt][rank]))
+        pos = draw(st.integers(0, len(toks)))
+        bad = [(r, p + (p >= pos), t) for r, p, t in bad] + [(rank, pos, tok)]
+        toks.insert(pos, tok)
+    return dt, toks, min(bad)[2] if bad else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_slices())
+def test_a_float_slice_read_in_one_map_names_the_token_the_loop_names(case):
+    dt, toks, named = case
+    tk = _Tokens(io.StringIO(" ".join(toks)))
+    if named is None:
+        assert bitwise_equal(tk.floats(len(toks), dt), _floats_token_by_token(toks, dt))
+        return
+    with pytest.raises(FormatError) as want:
+        _floats_token_by_token(toks, dt)
+    with pytest.raises(FormatError) as got:
+        tk.floats(len(toks), dt)
+    assert str(got.value) == str(want.value)
+    assert repr(named) in str(got.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(10**20), 10**20).map(str), max_size=12), st.lists(st.tuples(st.sampled_from(["x", "1.5", "0x10", "1e3", "--1", "0x1p0", "٣x"]), st.integers(0, 12)), max_size=2))
+def test_an_int_slice_read_in_one_map_names_the_token_the_loop_names(toks, bad):
+    for tok, pos in bad:
+        toks.insert(min(pos, len(toks)), tok)
+    tk = _Tokens(io.StringIO(" ".join(toks)))
+    if not bad:
+        assert tk.ints(len(toks)) == _ints_token_by_token(toks)
+        return
+    with pytest.raises(FormatError) as want:
+        _ints_token_by_token(toks)
+    with pytest.raises(FormatError) as got:
+        tk.ints(len(toks))
+    assert str(got.value) == str(want.value)
+    assert repr(next(t for t in toks if t in dict(bad))) in str(got.value)
