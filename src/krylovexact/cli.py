@@ -30,6 +30,7 @@ from .harness import (
     sweep_failures,
 )
 from .krylov_general import SeriousBreakdownError
+from .lanczos import REORTH, VARIANTS
 from .problems import (
     STRUCTURES,
     assemble,
@@ -78,9 +79,9 @@ def _build_parser():
     _add_start(run)
     run.add_argument("--w-file", help="left starting vector file (bilanczos on matrix files)")
     run.add_argument("--k", type=int, default=0, help="number of steps (default: full dimension)")
-    run.add_argument("--variant", choices=["mgs", "cgs"], default="mgs")
-    run.add_argument("--reorth", choices=["none", "full", "double"], default="none")
-    run.add_argument("--qr-variant", choices=["mgs", "cgs"], default="mgs")
+    run.add_argument("--variant", choices=VARIANTS, default="mgs")
+    run.add_argument("--reorth", choices=REORTH, default="none")
+    run.add_argument("--qr-variant", choices=VARIANTS, default="mgs")
     run.add_argument("--check-exact", action="store_true", help="compare bitwise against the structured generator")
     run.add_argument("--out", help="CSV output path")
 
@@ -90,8 +91,8 @@ def _build_parser():
     chk.add_argument("--sizes", default="2,10,50", help="comma-separated instance sizes")
     chk.add_argument("--seeds", type=int, default=10, help="number of seeds per size")
     chk.add_argument("--p", type=int, default=1)
-    chk.add_argument("--variant", choices=["mgs", "cgs"], default="mgs")
-    chk.add_argument("--qr-variant", choices=["mgs", "cgs"], default="mgs")
+    chk.add_argument("--variant", choices=VARIANTS, default="mgs")
+    chk.add_argument("--qr-variant", choices=VARIANTS, default="mgs")
     chk.add_argument("--samples", type=int, default=1000000)
     chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--problem", help="matrix file for `check structure`")

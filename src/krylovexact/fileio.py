@@ -13,7 +13,8 @@ round-trip losslessly.  Entry order is diagonals first, then off-diagonals:
     dense <rows> <cols>  row-major
     vector <n>           n entries
 
-Every size is at least 1.  Problem files start with one of the five structure
+Every size is at least 1.  Sizes and permutation entries are ASCII decimal
+integers (`-?[0-9]+`).  Problem files start with one of the five structure
 records and append `signedperm <n>` (or `signedblockperm <m> <p>`) with
 index/sign pairs per column, a `beta1` record, and `gamma1` for nonsymmetric
 problems.  An optional leading `precision <name>` record selects binary32;
@@ -29,6 +30,7 @@ import contextlib
 import csv
 import io
 import math
+import re
 
 import numpy as np
 
@@ -91,6 +93,11 @@ def write_matrix(out, T):
     out.write(header + "\n" + "".join(" ".join(hexes[i : i + 6]) + "\n" for i in range(0, len(hexes), 6)))
 
 
+# k integer tokens joined by single spaces, each ASCII -?[0-9]+; int() alone
+# would also take "+1", "1_0" and the decimal digits of other scripts ("٢")
+_INTS = re.compile(r"(?:-?[0-9]+(?: -?[0-9]+)*)?")
+
+
 class _Tokens:
     """The whitespace-separated tokens of a text file, read once, and the
     index of the next one."""
@@ -119,13 +126,10 @@ class _Tokens:
 
     def ints(self, k: int) -> list[int]:
         toks = self.take(k)
-        with contextlib.suppress(ValueError):
+        if _INTS.fullmatch(" ".join(toks)):
             return list(map(int, toks))
-        for tok in toks:  # name the first bad token
-            try:
-                int(tok)
-            except ValueError:
-                raise FormatError(f"expected an integer, got {tok!r}") from None
+        bad = next(tok for tok in toks if not _INTS.fullmatch(tok))  # the first bad token
+        raise FormatError(f"expected an integer, got {bad!r}")
 
     def sizes(self, k: int) -> list[int]:
         """k record sizes, each at least 1."""

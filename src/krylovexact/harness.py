@@ -4,7 +4,7 @@ on the Strakos spectrum."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -26,8 +26,8 @@ from .fp import (
     precision_of,
     validate_operands,
 )
-from .krylov_general import arnoldi, block_lanczos, gmres_structured, golub_kahan, nonsym_lanczos
-from .lanczos import lanczos
+from .krylov_general import ArnoldiResult, BlockLanczosResult, GolubKahanResult, NonsymLanczosResult, arnoldi, block_lanczos, gmres_structured, golub_kahan, nonsym_lanczos
+from .lanczos import LanczosResult, lanczos
 from .problems import (
     assemble,
     extend_deficient,
@@ -170,17 +170,16 @@ class Algorithm:
     so patching ``harness.lanczos`` reaches every caller.  steps(inputs) is the
     length of a full run; columns(result) gives the (name, array) pairs that
     `run --out` writes.  Structured entries name the problem kind they run on,
-    compare the projected matrix and the basis as (label, of_result,
-    of_problem) triples, and test breakdown(result, problem).
+    and predict(problem) builds, from the problem alone and in its dtype, the
+    result that an exact full run returns: the basis P, T's entries, the
+    terminal +0 and the breakdown at the grade d.
     """
 
     run: Callable
     columns: Callable
     steps: Callable = lambda x: len(x.v)
     kind: str | None = None
-    projected: tuple = ()
-    basis: tuple = ()
-    breakdown: Callable = lambda r, prob: r.breakdown == prob.d
+    predict: Callable | None = None
 
 
 def _dense_P(prob):
@@ -191,14 +190,9 @@ def _dense_P(prob):
     return np.vstack([P, np.zeros((pad, P.shape[1]), dtype=P.dtype)]) if pad else P
 
 
-def _block_entries(T):
-    return np.concatenate([M.ravel() for M in T.M] + [B.ravel() for B in T.B])
-
-
-def _lanczos_breakdown(res, prob) -> bool:
-    """Breakdown at the grade d with a +0 terminal coefficient beta_{d+1}."""
-    d = prob.d
-    return res.breakdown == d and res.k == d and res.beta[d - 1] == 0 and not np.signbit(res.beta[d - 1])
+def _plus_zero(a):
+    """a with one +0 entry (a vector) or one +0 row (a matrix) appended, in a's dtype."""
+    return np.concatenate([a, np.zeros((1, *a.shape[1:]), dtype=a.dtype)])
 
 
 def _block_steps(x) -> int:
@@ -217,48 +211,33 @@ ALGORITHMS = {
         run=lambda x, k: lanczos(x.A, x.v, k, variant=x.variant, reorth=x.reorth),
         columns=lambda r: [("alpha", r.alpha), ("beta", r.beta)],
         kind="jacobi",
-        projected=("T", lambda r: np.concatenate([r.alpha, r.beta[: r.k - 1]]), lambda prob: np.concatenate([prob.T.alpha, prob.T.beta])),
-        basis=("V", lambda r: r.V, _dense_P),
-        breakdown=_lanczos_breakdown,
+        predict=lambda prob: LanczosResult(_dense_P(prob), prob.T.alpha, _plus_zero(prob.T.beta), prob.beta1, prob.d),
     ),
     "arnoldi": Algorithm(
         run=lambda x, k: arnoldi(x.A, x.v, k),
         columns=lambda r: [("H", r.H)],
         kind="hessenberg",
-        projected=("H", lambda r: r.square(), lambda prob: prob.T.entries),
-        basis=("V", lambda r: r.V, _dense_P),
+        predict=lambda prob: ArnoldiResult(_dense_P(prob), _plus_zero(prob.T.entries), prob.d),
     ),
     "bilanczos": Algorithm(
         run=lambda x, k: nonsym_lanczos(x.A, x.v, x.w, k),
         columns=lambda r: [("alpha", r.alpha), ("beta", r.beta), ("gamma", r.gamma)],
         kind="nonsymtridiag",
-        projected=(
-            "T",
-            lambda r: np.concatenate([r.alpha, r.beta, r.gamma, [r.gamma1, r.beta1]]),
-            lambda prob: np.concatenate([prob.T.alpha, prob.T.beta, prob.T.gamma, [prob.gamma1, prob.beta1]]),
-        ),
-        basis=("VW", lambda r: np.concatenate([r.V, r.W], axis=1), lambda prob: np.concatenate([_dense_P(prob)] * 2, axis=1)),
+        predict=lambda prob: NonsymLanczosResult(*[_dense_P(prob)] * 2, prob.T.alpha, prob.T.beta, prob.T.gamma, prob.gamma1, prob.beta1, prob.d),  # V = W = P
     ),
     "gk": Algorithm(
         run=lambda x, k: golub_kahan(x.A, x.v, k),
         columns=lambda r: [("gamma", r.gamma), ("delta", r.delta)],
         steps=lambda x: min(x.A.shape),
         kind="lowerbidiag",
-        projected=(
-            "L",
-            lambda r: np.concatenate([r.gamma, r.delta, [r.delta1]]),
-            lambda prob: np.concatenate([prob.T.gamma, prob.T.delta, [prob.beta1]]),
-        ),
-        basis=("SW", lambda r: np.concatenate([r.S, r.W], axis=1), lambda prob: np.concatenate([_dense_P(prob)] * 2, axis=1)),
-        breakdown=lambda r, prob: r.breakdown == ("delta", prob.d + 1),
+        predict=lambda prob: GolubKahanResult(*[_dense_P(prob)] * 2, prob.T.gamma, prob.T.delta, prob.beta1, ("delta", prob.d + 1)),  # S = W = P
     ),
     "blocklanczos": Algorithm(
         run=lambda x, k: block_lanczos(x.A, x.U1, k, qr_variant=x.qr_variant),
         columns=lambda r: [(f"M{i + 1}", M) for i, M in enumerate(r.M)] + [(f"B{i + 2}", B) for i, B in enumerate(r.B)],
         steps=_block_steps,
         kind="blocktridiag",
-        projected=("T", _block_entries, lambda prob: _block_entries(prob.T)),
-        basis=("U", lambda r: np.concatenate(r.U, axis=1), _dense_P),
+        predict=lambda prob: BlockLanczosResult(tuple(np.hsplit(_dense_P(prob), prob.T.m)), prob.T.M, prob.T.B, prob.d),
     ),
     "cg-hs": Algorithm(run=lambda x, k: cg_hs(x.A, x.v, kmax=k), columns=_cg_columns),
     "cglanczos": Algorithm(run=lambda x, k: cglanczos(x.A, x.v, kmax=k), columns=_cg_columns),
@@ -293,12 +272,12 @@ def structured_entry(prob, algorithm: str) -> Algorithm:
 
 
 def _pair(a, b, what):
-    """(label, match) of the result's a against the problem's b; a shape
+    """(label, match) of the result's a against the predicted b; a shape
     difference, such as a run that stopped early, is a mismatch too."""
     if np.shape(a) != np.shape(b):
         return f"{what} (shape {np.shape(a)}, expected {np.shape(b)})", False
     idx = first_bit_difference(a, b)
-    return (what if idx is None else f"{what}[{','.join(str(int(i)) for i in idx)}]", idx is None)
+    return (f"{what}[{','.join(str(int(i)) for i in idx)}]" if idx else what, idx is None)
 
 
 def exactness_check(algorithm: str, n: int, seed: int, precision: Precision = BINARY64, p: int = 1, variant: str = "mgs", qr_variant: str = "mgs") -> ExactnessReport:
@@ -313,15 +292,27 @@ def exactness_check(algorithm: str, n: int, seed: int, precision: Precision = BI
 
 
 def compare_structured(prob, algorithm: str, result, seed: int = -1) -> ExactnessReport:
-    """Compare an algorithm's result bitwise against the generating
-    (P, T, grade) of the structured instance it ran on."""
+    """Compare an algorithm's result bitwise, field by field, with the result
+    its entry predicts from the structured instance it ran on.  The bases
+    (V, W, S, U) decide basis_match, the breakdown decides breakdown_match and
+    every other field (coefficients, scales, the terminal +0) projected_match.
+    The mismatch names the first differing field in field order, with the
+    index of its first differing entry: alpha[2], W[3,5], or beta1 for a scalar."""
     entry = structured_entry(prob, algorithm)
     precision = precision_of(prob.A)
     n = len(prob.v)
-    checks = [_pair(of_result(result), of_problem(prob), label) for label, of_result, of_problem in (entry.projected, entry.basis)]
-    checks.append((f"breakdown index (seed={seed}, n={n}, {precision.name})", entry.breakdown(result, prob)))
-    mismatch = next((label for label, ok in checks if not ok), None)
-    return ExactnessReport(algorithm, n, seed, precision.name, *(ok for _, ok in checks), mismatch)
+    expected = entry.predict(prob)
+    checks = []  # (category, label, match) per field
+    for f in fields(expected):
+        got, want = getattr(result, f.name), getattr(expected, f.name)
+        if f.name == "breakdown":
+            checks.append(("breakdown", f"breakdown index (seed={seed}, n={n}, {precision.name})", got == want))
+        else:
+            checks.append(("basis" if f.name in ("V", "W", "S", "U") else "projected", *_pair(got, want, f.name)))
+    del expected  # free the n x n P before the report is built: held to the return, exact-large's peak RSS read 77 MiB, not 71
+    matches = (all(ok for c, _, ok in checks if c == category) for category in ("projected", "basis", "breakdown"))
+    mismatch = next((label for _, label, ok in checks if not ok), None)
+    return ExactnessReport(algorithm, n, seed, precision.name, *matches, mismatch)
 
 
 def _deficient_instance(n: int, seed: int, precision: Precision = BINARY64):

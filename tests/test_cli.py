@@ -5,6 +5,7 @@ import io
 import math
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from krylovexact import cli, harness
 from krylovexact.cli import _build_parser, main
 from krylovexact.fileio import write_matrix
 from krylovexact.fp import norm2
-from krylovexact.problems import STRUCTURES
+from krylovexact.lanczos import lanczos
+from krylovexact.problems import STRUCTURES, random_structured_problem
 
 
 def run_cli(capsys, *argv):
@@ -400,8 +402,15 @@ _PERM_BETA = "signedperm 1\n0 1\nbeta1 0x1p0\n"
         ("jacobi 1\n0x1p2000\n" + _PERM_BETA, "bad float literal"),
         ("jacobi 1\n10\n" + _PERM_BETA, "bad float literal '10'"),
         ("jacobi 1\n0x1p0\nsignedperm 1\n0 1\nbeta1 1.5\n", "bad float literal '1.5'"),
+        ("vector ٢\n0x1p0 0x1p1\n", "expected an integer, got '٢'"),
+        ("vector +0_2\n0x1p0 0x1p1\n", "expected an integer, got '+0_2'"),
+        ("vector 1_0\n" + "0x1p0 " * 10 + "\n", "expected an integer, got '1_0'"),
+        ("jacobi 1\n0x1p0\nsignedperm 1\n0_0 +1\nbeta1 0x1p0\n", "expected an integer, got '0_0'"),
     ],
-    ids=["block-perm-m0", "block-p0", "vector-negative", "dense-negative", "dense-problem", "vector-problem", "overflow", "no-prefix", "no-prefix-beta1"],
+    ids=[
+        "block-perm-m0", "block-p0", "vector-negative", "dense-negative", "dense-problem", "vector-problem", "overflow", "no-prefix", "no-prefix-beta1",
+        "non-ascii-digit", "plus-underscore", "underscore", "perm-underscore-plus",
+    ],
 )
 def test_convert_and_run_reject_a_malformed_file(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.txt"
@@ -452,6 +461,20 @@ def test_every_readme_command_parses():
     assert len(lines) >= 9
     for line in lines:
         assert isinstance(_build_parser().parse_args(line.split()[1:]), argparse.Namespace), line
+
+
+def test_every_readme_mismatch_example_is_a_label_the_check_returns():
+    """The README's exit-1 examples (a one-ULP alpha, a perturbed V, a run one
+    step short) are the labels compare_structured gives for them."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    prob = random_structured_problem("jacobi", 6, 3)
+    res = lanczos(prob.A, prob.v, 6)
+    alpha, V = res.alpha.copy(), res.V.copy()
+    alpha[2] = np.nextafter(alpha[2], np.inf)
+    V[3, 5] = np.nextafter(V[3, 5], np.inf)
+    for run in (replace(res, alpha=alpha), replace(res, V=V), lanczos(prob.A, prob.v, 5)):
+        label = harness.compare_structured(prob, "lanczos", run).mismatch
+        assert f"`{label}`" in readme, label
 
 
 @pytest.mark.parametrize("kind, record", [("jacobi", "beta1"), ("hessenberg", "beta1"), ("lowerbidiag", "beta1"), ("nonsymtridiag", "gamma1")])

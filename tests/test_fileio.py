@@ -352,12 +352,13 @@ def _floats_token_by_token(toks, dt):
 
 
 def _ints_token_by_token(toks):
+    """Each token is an optional "-" and one or more ASCII digits."""
     out = []
     for tok in toks:
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise FormatError(f"expected an integer, got {tok!r}") from None
+        digits = tok[1:] if tok.startswith("-") else tok
+        if not digits or digits.strip("0123456789"):
+            raise FormatError(f"expected an integer, got {tok!r}")
+        out.append(int(tok))
     return out
 
 
@@ -406,7 +407,7 @@ def test_a_float_slice_read_in_one_map_names_the_token_the_loop_names(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-(10**20), 10**20).map(str), max_size=12), st.lists(st.tuples(st.sampled_from(["x", "1.5", "0x10", "1e3", "--1", "0x1p0", "٣x"]), st.integers(0, 12)), max_size=2))
+@given(st.lists(st.integers(-(10**20), 10**20).map(str), max_size=12), st.lists(st.tuples(st.sampled_from(["x", "1.5", "0x10", "1e3", "--1", "0x1p0", "٣x", "+1", "1_0", "٢", "-"]), st.integers(0, 12)), max_size=2))
 def test_an_int_slice_read_in_one_map_names_the_token_the_loop_names(toks, bad):
     for tok, pos in bad:
         toks.insert(min(pos, len(toks)), tok)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krylovexact import fp, harness
@@ -22,8 +22,9 @@ from krylovexact.harness import (
     sqrt_square_violations,
     sweep_failures,
 )
+from krylovexact.krylov_general import arnoldi
 from krylovexact.lanczos import lanczos
-from krylovexact.problems import JacobiMatrix, make_rng, random_structured_problem
+from krylovexact.problems import JacobiMatrix, extend_deficient, make_rng, random_structured_problem
 from test_golden_bits import _feed
 
 
@@ -140,7 +141,7 @@ def test_mismatch_label_names_plain_indices():
     off_by_one_ulp = replace(prob, T=JacobiMatrix(alpha, prob.T.beta))
     rep = compare_structured(off_by_one_ulp, "lanczos", res, seed=3)
     assert not rep.projected_match and rep.basis_match and rep.breakdown_match
-    assert rep.mismatch == "T[2]"
+    assert rep.mismatch == "alpha[2]"
     V = res.V.copy()
     V[3, 5] = np.nextafter(V[3, 5], np.inf)
     assert compare_structured(prob, "lanczos", replace(res, V=V)).mismatch == "V[3,5]"
@@ -150,14 +151,101 @@ def test_a_run_that_stops_early_is_a_mismatch_not_an_error():
     prob = random_structured_problem("jacobi", 6, 0)
     rep = compare_structured(prob, "lanczos", lanczos(prob.A, prob.v, 5))
     assert not rep.projected_match and not rep.breakdown_match
-    assert rep.mismatch == "T (shape (9,), expected (11,))"
+    assert rep.mismatch == "alpha (shape (5,), expected (6,))"
 
 
 def test_exactness_check_reports_a_lanczos_that_stops_one_step_short(monkeypatch):
     monkeypatch.setattr(harness, "lanczos", lambda A, v, k, **kwargs: lanczos(A, v, k - 1, **kwargs))
     rep = exactness_check("lanczos", 6, seed=0)
-    assert not rep.ok and rep.mismatch == "T (shape (9,), expected (11,))"
+    assert not rep.ok and rep.mismatch == "alpha (shape (5,), expected (6,))"
     assert sweep_failures(exactness_sweep("lanczos", sizes=[6], seeds=[0, 1])) != []
+
+
+@st.composite
+def _full_structured_runs(draw):
+    """(entry name, problem, full run): the five structured kinds in both
+    precisions, and the grade-deficient extension of each single-vector kind."""
+    name = draw(st.sampled_from([name for name, a in ALGORITHMS.items() if a.kind]))
+    entry = ALGORITHMS[name]
+    precision = draw(st.sampled_from([BINARY64, BINARY32]))
+    seed = draw(st.integers(0, 2**16))
+    if name == "blocklanczos":
+        p = draw(st.integers(1, 3))
+        prob = random_structured_problem(entry.kind, p * draw(st.integers(1, 4)), seed, precision, p=p)
+    else:
+        prob = random_structured_problem(entry.kind, draw(st.integers(1, 9)), seed, precision)
+        m = draw(st.integers(0, 4))
+        if m:
+            W = make_rng(seed).uniform(-4.0, 4.0, (m, m)).astype(precision.dtype)
+            prob = extend_deficient(prob, np.triu(W) + np.ascontiguousarray(np.triu(W, 1).T))  # bitwise symmetric, as Lanczos needs
+    x = RunInputs(prob.A, prob.v, prob.w, prob.U1)
+    return name, prob, entry.run(x, entry.steps(x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_full_structured_runs())
+def test_the_predicted_result_is_the_full_run_bit_for_bit(case):
+    """predict builds the run's own dataclass: every field has the run's
+    type, shape, dtype and bits, and the breakdown is the run's."""
+    name, prob, res = case
+    want = ALGORITHMS[name].predict(prob)
+    assert type(want) is type(res)
+    for f in dataclasses.fields(res):
+        got, exp = getattr(res, f.name), getattr(want, f.name)
+        assert type(got) is type(exp), f.name
+        if f.name == "breakdown":
+            assert got == exp
+            continue
+        parts = zip(got, exp, strict=True) if isinstance(got, tuple) else [(got, exp)]
+        for a, b in parts:
+            assert type(a) is type(b) and a.dtype == b.dtype and np.shape(a) == np.shape(b) and bitwise_equal(a, b), f.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(_full_structured_runs(), st.data())
+def test_one_moved_entry_of_any_field_fails_the_check_with_that_field_s_name(case, data):
+    """One entry of one field of the run moved by one ULP, or from +0 to -0,
+    is a mismatch named by the field and the entry's index (a tuple of
+    blocks is indexed block first), in the field's category."""
+    name, prob, res = case
+    assert compare_structured(prob, name, res).ok
+    field = data.draw(st.sampled_from([f.name for f in dataclasses.fields(res) if f.name != "breakdown" and np.size(getattr(res, f.name))]))
+    value = getattr(res, field)
+    moved = np.array(value)  # a copy; a tuple of blocks stacks to (blocks, rows, cols)
+    flat = moved.reshape(-1)
+    zeros = np.flatnonzero((flat == 0) & ~np.signbit(flat))
+    if zeros.size and data.draw(st.booleans()):
+        i = int(data.draw(st.sampled_from(zeros)))
+        flat[i] = -flat[i]
+    else:
+        i = data.draw(st.integers(0, flat.size - 1))
+        flat[i] = np.nextafter(flat[i], data.draw(st.sampled_from([-np.inf, np.inf])))
+    new = tuple(moved) if isinstance(value, tuple) else moved if moved.ndim else moved[()]
+    rep = compare_structured(prob, name, replace(res, **{field: new}))
+    idx = np.unravel_index(i, moved.shape)
+    assert rep.mismatch == (f"{field}[{','.join(map(str, idx))}]" if moved.ndim else field)
+    basis = field in ("V", "W", "S", "U")
+    assert (rep.projected_match, rep.basis_match, rep.breakdown_match) == (basis, not basis, True)
+
+
+@pytest.mark.parametrize("precision", [BINARY64, BINARY32], ids=lambda p: p.name)
+def test_the_check_compares_beta1_and_the_terminal_zeros(precision):
+    """Lanczos beta1, the terminal beta_{d+1} = +0 and Arnoldi's last H row
+    are compared as coefficients: a one-ULP beta1 or a -0 terminal entry is a
+    mismatch, and the breakdown still matches."""
+    prob = random_structured_problem("jacobi", 6, 4, precision)
+    res = lanczos(prob.A, prob.v, 6)
+    beta = res.beta.copy()
+    beta[5] = -beta[5]
+    for bad, label in ((replace(res, beta1=np.nextafter(res.beta1, np.inf)), "beta1"), (replace(res, beta=beta), "beta[5]")):
+        rep = compare_structured(prob, "lanczos", bad)
+        assert (rep.projected_match, rep.basis_match, rep.breakdown_match, rep.mismatch) == (False, True, True, label)
+    prob = random_structured_problem("hessenberg", 6, 4, precision)
+    res = arnoldi(prob.A, prob.v, 6)
+    H = res.H.copy()
+    H[6, 5] = -H[6, 5]
+    rep = compare_structured(prob, "arnoldi", replace(res, H=H))
+    assert (rep.projected_match, rep.basis_match, rep.breakdown_match, rep.mismatch) == (False, True, True, "H[6,5]")
 
 
 @pytest.mark.parametrize("sizes, seeds, precisions", [([], [0], (BINARY64,)), ([4], [], (BINARY64,)), ([4], range(-2), (BINARY64,)), ([4], [0], ())])
