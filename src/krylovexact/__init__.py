@@ -42,7 +42,7 @@ from .problems import (
     strakos_spectrum,
 )
 from .lanczos import LanczosResult, lanczos
-from .cg import CGTrace, cg_hs, cglanczos, ldl
+from .cg import CGTrace, cg_hs, cglanczos
 from .krylov_general import (
     ArnoldiResult,
     BlockLanczosResult,

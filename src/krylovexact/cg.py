@@ -1,11 +1,10 @@
 """Conjugate gradient: the Hestenes-Stiefel iteration and cgLanczos.
 
 cg_hs is the classical Hestenes-Stiefel iteration.  cglanczos is CG rebuilt
-from the Lanczos recurrence: `lanczos` gives the coefficients and basis,
-`ldl` the LDL^T factors of T_k, and a vector block turns them into the CG
-iterates.  Its residuals are the Lanczos vectors scaled by rho_k, so they are
-exactly orthogonal whenever the input data has the structured form that lets
-Lanczos compute exactly.
+from one Lanczos run: one pass over its steps forms the LDL^T factors of T_k
+and turns them into the CG iterates.  Its residuals are the Lanczos vectors
+scaled by rho_k, so they are exactly orthogonal whenever the input data has
+the structured form that lets Lanczos compute exactly.
 """
 
 from __future__ import annotations
@@ -14,16 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fp import NonFiniteError, ShapeError, _dot, _matvec, _norm2, bitwise_symmetric, validate_operands
+from .fp import NonFiniteError, _dot, _matvec, _norm2, bitwise_symmetric, validate_operands
 from .lanczos import lanczos
-
-
-@dataclass(frozen=True)
-class LDLFactors:
-    """T = L D L^T with unit lower bidiagonal L: pivots d and multipliers ell."""
-
-    d: np.ndarray
-    ell: np.ndarray
 
 
 @dataclass
@@ -40,9 +31,6 @@ class CGTrace:
     rho: list = field(default_factory=list)
     d: list = field(default_factory=list)
     ell: list = field(default_factory=list)
-    lanczos_V: np.ndarray | None = None
-    lanczos_alpha: np.ndarray | None = None
-    lanczos_beta: np.ndarray | None = None
     exact_termination: bool = False
 
     @property
@@ -95,59 +83,39 @@ def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     return tr
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowed inner ell_j makes d_{j+1} -inf, which raises
-def ldl(alpha: np.ndarray, beta: np.ndarray) -> LDLFactors:
-    """d_1 = alpha_1; ell_j = beta_{j+1}/d_j; d_{j+1} = alpha_{j+1} - beta_{j+1} ell_j.
-
-    beta holds beta_2 .. beta_n, or also a trailing beta_{n+1} (as a Lanczos
-    run returns it), which gives a last multiplier ell_n.  No pivot follows
-    ell_n, so it raises NonFiniteError itself if it is not finite.
-    """
-    n = len(alpha)
-    if len(beta) not in (n - 1, n):
-        raise ShapeError(f"{n} pivots need {n - 1} or {n} off-diagonal entries, got {len(beta)}")
-    d = np.empty(n, dtype=alpha.dtype)
-    ell = np.empty(len(beta), dtype=alpha.dtype)
-    for j in range(n):
-        d[j] = alpha[j] if j == 0 else alpha[j] - beta[j - 1] * ell[j - 1]
-        if d[j] <= 0:
-            raise ValueError(f"nonpositive pivot d_{j + 1}: matrix is not positive definite")
-        if j < len(beta):
-            ell[j] = beta[j] / d[j]
-    if len(ell) == n > 0 and not np.isfinite(ell[-1]):
-        raise NonFiniteError(f"the trailing multiplier ell_{n} = beta_{n + 1}/d_{n} is not finite")
-    return LDLFactors(d, ell)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     """CG reconstructed from the Lanczos recurrence (x0 = 0).
 
-    lanczos(A, b, kmax) gives alpha_k, beta_{k+1} and v_{k+1}; ldl gives
-    d_k = alpha_k - beta_k ell_{k-1} and ell_k = beta_{k+1}/d_k; the vector
-    block is rho_k = ell_k rho_{k-1}, x_k = x_{k-1} + p_{k-1}/d_k,
+    lanczos(A, b, kmax) gives alpha_k, beta_{k+1} and v_{k+1}.  Step k forms
+    the pivot d_k = alpha_k - beta_k ell_{k-1} and the multiplier
+    ell_k = beta_{k+1}/d_k of T_k = L D L^T, then the vector block
+    rho_k = ell_k rho_{k-1}, x_k = x_{k-1} + p_{k-1}/d_k,
     r_k = (-1)^k rho_k v_{k+1}, p_k = r_k + ell_k^2 p_{k-1}.
+
+    A pivot d_k <= 0 raises ValueError.  So does an ell_k that is not finite
+    when a step follows, since d_{k+1} = alpha_{k+1} - beta_{k+1} ell_k is
+    then -inf; a last ell_k that is not finite raises NonFiniteError.
     """
     n = len(A)
     res = lanczos(A, b, n if kmax is None else kmax)  # validates A and b, and rejects b = 0
-    rho = res.beta1
-    f = ldl(res.alpha, res.beta)
     dt = A.dtype.type
-
-    tr = CGTrace(
-        rho=[rho],
-        d=list(f.d),
-        ell=list(f.ell),
-        lanczos_V=res.V,
-        lanczos_alpha=res.alpha,
-        lanczos_beta=res.beta,
-        exact_termination=res.breakdown is not None,
-    )
+    rho = res.beta1
+    tr = CGTrace(rho=[rho], exact_termination=res.breakdown is not None)
     x = np.zeros(n, dtype=A.dtype)
     p = b.copy()
     tr.record(x, b.copy(), p)  # ||r_0|| = _norm2(b) has the bits of rho
     Vt = res.V.T  # row k is the Lanczos vector v_{k+1}
-    for k, (d_k, ell_k) in enumerate(zip(f.d, f.ell), start=1):
+    beta_k = ell_k = dt(0.0)  # beta_1 ell_0 = +0, so d_1 = alpha_1
+    for k, (alpha_k, beta_next) in enumerate(zip(res.alpha, res.beta), start=1):
+        d_k = alpha_k - beta_k * ell_k
+        if d_k <= 0:
+            raise ValueError(f"nonpositive pivot d_{k}: matrix is not positive definite")
+        ell_k = beta_next / d_k
+        if not np.isfinite(ell_k):
+            if k < res.k:
+                raise ValueError(f"nonpositive pivot d_{k + 1}: matrix is not positive definite")
+            raise NonFiniteError(f"the trailing multiplier ell_{k} = beta_{k + 1}/d_{k} is not finite")
         rho = ell_k * rho
         x = x + p / d_k
         if k == res.breakdown:
@@ -158,8 +126,11 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
             if k % 2 == 1:
                 r = -r  # exact sign flip, fl(-a) = -a
             p = r + (ell_k * ell_k) * p
+        tr.d.append(d_k)
+        tr.ell.append(ell_k)
         tr.rho.append(rho)
         tr.record(x, r, p)
         tr.gammas.append(dt(1.0) / d_k)
         tr.deltas.append(ell_k * ell_k)
+        beta_k = beta_next
     return tr

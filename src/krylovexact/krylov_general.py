@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fp import ShapeError, _dot, _gram, _matmat, _matvec, _mgs, _norm2, _start, require_finite, validate_operands
+from .lanczos import VARIANTS
 from .rational import witness_norms
 
 
@@ -192,10 +193,9 @@ def gram_schmidt_qr(R: np.ndarray, variant: str = "mgs"):
     The diagonal of the triangular factor consists of the (nonnegative)
     normalization norms, so the positive-diagonal convention holds without
     sign flips.  A zero pivot signals rank deficiency; the caller treats it
-    as breakdown.  Returns (Q, Rfac, zero_pivot_col or None).
+    as breakdown.  Returns (Q, Rfac, zero_pivot_col or None).  variant is
+    'cgs' or 'mgs' (lanczos.VARIANTS); block_lanczos checks it at its entry.
     """
-    if variant not in ("cgs", "mgs"):
-        raise ValueError("variant must be cgs or mgs")
     n, p = R.shape
     Qt = np.zeros((p, n), dtype=R.dtype)  # row j is q_{j+1}
     Rf = np.zeros((p, p), dtype=R.dtype)
@@ -236,6 +236,8 @@ def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs"
         raise ShapeError("starting block has no columns")
     if n % p:
         raise ValueError("n must be a multiple of the block size")
+    if qr_variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
     Us = [U1.copy()]
     AU = _matmat(A, U1)  # A U_i: M_i and then R_{i+1} use the one product
     Ms = [_gram(U1, AU)]

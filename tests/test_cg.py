@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from krylovexact.cg import cg_hs, cglanczos, ldl
-from krylovexact.fp import ShapeError, bitwise_equal
+from krylovexact.cg import cg_hs, cglanczos
+from krylovexact.fp import bitwise_equal
 from krylovexact.lanczos import lanczos
 from krylovexact.problems import random_jacobi, random_structured_problem
 from krylovexact.rational import rational_cg
@@ -48,27 +48,22 @@ def test_cg_hs_coefficients_match_rational_oracle():
         assert float(tr.gammas[j]) == pytest.approx(exact, rel=1e-10)
 
 
-def test_ldl_roundtrip_and_pivot_error():
-    T = random_jacobi(7, 1, spd=True)
-    f = ldl(T.alpha, T.beta)
-    # reconstruct L D L^T and compare to T
-    n = T.n
-    L = np.eye(n)
-    for j in range(n - 1):
-        L[j + 1, j] = f.ell[j]
-    R = L @ np.diag(f.d) @ L.T
-    assert np.allclose(R, T.to_dense(), rtol=1e-14, atol=1e-14)
-    with pytest.raises(ValueError, match="^nonpositive pivot d_2: matrix is not positive definite$"):
-        ldl(np.array([1.0, 0.25]), np.array([1.0]))
-    # a Lanczos run's trailing beta_{k+1} gives ell_k as well
+def test_cglanczos_pivots_and_multipliers_factor_t_k():
+    """tr.d and tr.ell are the LDL^T factors of the T_k of its Lanczos run,
+    with the trailing beta_{k+1} giving a last ell_k."""
+    prob = random_structured_problem("jacobi", 7, 1, spd=True)
+    tr = cglanczos(prob.A, prob.v)
+    n = prob.T.n
+    assert len(tr.d) == len(tr.ell) == n and tr.ell[-1] == 0  # beta_{n+1} = +0 at the breakdown
+    L = np.eye(n) + np.diag(tr.ell[:-1], -1)
+    R = L @ np.diag(tr.d) @ L.T
+    assert np.allclose(R, prob.T.to_dense(), rtol=1e-14, atol=1e-14)
     res = lanczos(_spd(6, 3), np.ones(6), 4)
-    g = ldl(res.alpha, res.beta)
-    assert len(g.d) == len(g.ell) == 4
-    assert bitwise_equal(g.ell[-1:], res.beta[-1:] / g.d[-1:])
-    assert bitwise_equal(ldl(res.alpha, res.beta[:3]).d, g.d)
-    for beta in (res.beta[:2], np.ones(5)):
-        with pytest.raises(ShapeError):
-            ldl(res.alpha, beta)
+    tr = cglanczos(_spd(6, 3), np.ones(6), 4)
+    assert len(tr.d) == len(tr.ell) == 4
+    assert bitwise_equal(np.array(tr.ell[-1:]), res.beta[-1:] / np.array(tr.d[-1:]))
+    with pytest.raises(ValueError, match="^nonpositive pivot d_2: matrix is not positive definite$"):
+        cglanczos(np.array([[1.0, 1.0], [1.0, 0.25]]), np.array([1.0, 0.0]))  # d_2 = 0.25 - 1 * 1
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -83,7 +78,7 @@ def test_cglanczos_residual_collinear_with_lanczos_vector():
     A = _spd(9, 2)
     b = np.ones(9)
     tr = cglanczos(A, b)
-    V = tr.lanczos_V
+    V = lanczos(A, b, 9).V
     for k in range(1, len(tr.rho) - 1):
         r = tr.r[k]
         expect = tr.rho[k] * V[:, k]

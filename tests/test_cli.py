@@ -27,6 +27,12 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr()
 
 
+def csv_rows(path):
+    """The rows of a CSV file, read inside a with block so the file closes."""
+    with path.open(newline="") as f:
+        return list(csv.reader(f))
+
+
 def test_gen_run_check_exact_roundtrip(tmp_path, capsys):
     prob = tmp_path / "prob.txt"
     code, _ = run_cli(capsys, "gen", "structured", "--kind", "jacobi", "--n", "8", "--seed", "3", "--out", str(prob))
@@ -43,7 +49,7 @@ def test_gen_spd_jacobi_and_run_cg(tmp_path, capsys):
     csv_out = tmp_path / "cg.csv"
     code, out = run_cli(capsys, "run", "cg-hs", "--problem", str(mat), "--e1", "--out", str(csv_out))
     assert code == 0
-    rows = list(csv.reader(csv_out.open()))
+    rows = csv_rows(csv_out)
     assert rows[0] == ["name", "index", "value", "value_hex"]
 
 
@@ -98,7 +104,7 @@ def test_experiment_fig2_csv(tmp_path, capsys):
     out_csv = tmp_path / "fig2.csv"
     code, _ = run_cli(capsys, "experiment", "fig2", "--out", str(out_csv))
     assert code == 0
-    rows = list(csv.reader(out_csv.open()))
+    rows = csv_rows(out_csv)
     vals = [float(r[3]) for r in rows[1:] if r[2] == "hscg_orth_loss"]
     assert max(vals) > 1e-8
     lan = [float(r[3]) for r in rows[1:] if r[2] == "lanczos_orth_loss"]
@@ -111,7 +117,7 @@ def test_convert(tmp_path, capsys):
     out_csv = tmp_path / "T.csv"
     code, _ = run_cli(capsys, "convert", "--in", str(mat), "--out", str(out_csv))
     assert code == 0
-    rows = list(csv.reader(out_csv.open()))
+    rows = csv_rows(out_csv)
     assert rows[0] == ["kind", "dims", "index", "value", "value_hex"]
     assert len(rows) == 1 + 4 + 3
 
@@ -204,7 +210,7 @@ def test_run_gk_on_a_tall_matrix_runs_its_full_length(tmp_path, capsys):
     out_csv = tmp_path / "gk.csv"
     code, out = run_cli(capsys, "run", "gk", "--problem", str(_tall_matrix_file(tmp_path)), "--e1", "--out", str(out_csv))
     assert code == 0, out.err
-    assert [row[0] for row in csv.reader(out_csv.open())].count("gamma") == 3
+    assert [row[0] for row in csv_rows(out_csv)].count("gamma") == 3
 
 
 def test_check_structure_on_a_rectangular_matrix_exits_1(tmp_path, capsys):
@@ -247,7 +253,7 @@ def test_run_gmres_on_a_structured_hessenberg_file(tmp_path, capsys, precision):
     assert code == 0
     code, out = run_cli(capsys, "run", "gmres", "--problem", str(prob), "--out", str(csv_out))
     assert code == 0, out.err
-    assert {row[0] for row in csv.reader(csv_out.open())} >= {"x", "y"}
+    assert {row[0] for row in csv_rows(csv_out)} >= {"x", "y"}
 
 
 def test_run_gmres_writes_a_witness_norm_whose_square_overflows(tmp_path, capsys):
@@ -258,7 +264,7 @@ def test_run_gmres_writes_a_witness_norm_whose_square_overflows(tmp_path, capsys
     mat.write_text(f"dense 2 2\n{a.hex()} 0x0p+0 0x0p+0 0x1p+0\n")
     code, out = run_cli(capsys, "run", "gmres", "--problem", str(mat), "--e1", "--beta1", "1e100", "--out", str(csv_out))
     assert code == 0, out.err
-    vals = {name: float.fromhex(hx) for name, i, _, hx in list(csv.reader(csv_out.open()))[1:] if i == "0"}
+    vals = {name: float.fromhex(hx) for name, i, _, hx in csv_rows(csv_out)[1:] if i == "0"}
     r = vals["y_error_norm"]
     assert math.isfinite(r) and vals["x_error_norm"] == r
     q = (Fraction(float(norm2(np.array([1e100, 0.0])))) / Fraction(a) - Fraction(vals["y"])) ** 2

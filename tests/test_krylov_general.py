@@ -25,7 +25,7 @@ from krylovexact.krylov_general import (
     hessenberg_lstsq,
     nonsym_lanczos,
 )
-from krylovexact.lanczos import lanczos
+from krylovexact.lanczos import VARIANTS, lanczos
 from krylovexact.problems import random_signed_permutation, random_structure, random_structured_problem, assemble
 from krylovexact.rational import nonzero_rows, rat_dot, rat_matvec, rational_lstsq, to_rational_vector
 
@@ -526,8 +526,6 @@ def _golub_kahan_columns(A, v, k):
 
 
 def _gram_schmidt_qr_columns(R, variant="mgs"):
-    if variant not in ("cgs", "mgs"):
-        raise ValueError("variant must be cgs or mgs")
     n, p = R.shape
     Q = np.zeros((n, p), dtype=R.dtype)
     Rf = np.zeros((p, p), dtype=R.dtype)
@@ -558,6 +556,8 @@ def _block_lanczos_columns(A, U1, k, qr_variant="mgs"):
         raise ShapeError("starting block has no columns")
     if n % p:
         raise ValueError("n must be a multiple of the block size")
+    if qr_variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
     Us = [U1.copy()]
     Ms = [_gram(U1, _matmat(A, U1))]
     Bs = []
@@ -684,6 +684,25 @@ def test_block_lanczos_rows_match_the_column_loop(case, qr_variant, data):
     A, U1 = case
     k = data.draw(st.integers(0, len(A) // U1.shape[1]))
     _assert_same(_outcome(block_lanczos, A, U1, k, qr_variant), _outcome(_block_lanczos_columns, A, U1, k, qr_variant))
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_block_lanczos_rejects_a_bad_qr_variant_before_any_product(monkeypatch, k):
+    """The check of lanczos's variant, with its message, before the first
+    A U_1, as lanczos checks its variant before the first step."""
+    calls = []
+    real = krylov_general._matmat
+
+    def counting(A, B):
+        calls.append(B.shape)
+        return real(A, B)
+
+    monkeypatch.setattr(krylov_general, "_matmat", counting)
+    with pytest.raises(ValueError, match=r"^variant must be one of \('mgs', 'cgs'\)$"):
+        block_lanczos(np.eye(4), np.eye(4)[:, :2], k, qr_variant="xyz")
+    assert calls == []
+    with pytest.raises(ValueError, match=r"^variant must be one of \('mgs', 'cgs'\)$"):
+        lanczos(np.eye(4), np.ones(4), k, variant="xyz")
 
 
 @pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.name)

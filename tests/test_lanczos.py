@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krylovexact import fp
-from krylovexact.cg import CGTrace, cg_hs, cglanczos, ldl
+from krylovexact.cg import CGTrace, cg_hs, cglanczos
 from krylovexact.fp import BINARY32, PRECISIONS, NonFiniteError, _matvec, bitwise_equal, bitwise_symmetric, frobenius_norm, norm2, seq_dot, validate_operands
 from krylovexact.harness import a_orthogonality_loss
 from krylovexact.lanczos import REORTH, VARIANTS, LanczosResult, lanczos
 from krylovexact.problems import detect_structure, random_structured_problem
+from test_golden_bits import _inputs
 
 
 def _sym(n, seed):
@@ -222,6 +223,7 @@ def _lanczos_columns(A, v, k, variant, reorth):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cglanczos_columns(A, b, kmax):
     n = len(A)
     validate_operands(A, b, k=kmax, limit=n)
@@ -243,21 +245,20 @@ def _cglanczos_columns(A, b, kmax):
     vprev = np.zeros(n, dtype=A.dtype)
     beta_k = dt(0.0)
     ell_prev = dt(0.0)
-    alphas = []
-    betas = []
-    cols = 1
     for k in range(1, kmax + 1):
         vk = V[:, k - 1]
         w = _matvec(A, vk) - beta_k * vprev
         alpha_k = seq_dot(w, vk)
         w = w - alpha_k * vk
         beta_next = norm2(w)
-        alphas.append(alpha_k)
-        betas.append(beta_next)
         d_k = alpha_k - beta_k * ell_prev
         if d_k <= 0:
             raise ValueError(f"nonpositive pivot d_{k}: matrix is not positive definite")
         ell_k = beta_next / d_k
+        if not np.isfinite(ell_k):  # beta_next > 0, so a next step's pivot would be -inf
+            if k < kmax:
+                raise ValueError(f"nonpositive pivot d_{k + 1}: matrix is not positive definite")
+            raise NonFiniteError(f"the trailing multiplier ell_{k} = beta_{k + 1}/d_{k} is not finite")
         rho = ell_k * rho
         x = x + p / d_k
         if beta_next == 0:
@@ -266,7 +267,6 @@ def _cglanczos_columns(A, b, kmax):
             tr.exact_termination = True
         else:
             V[:, k] = w / beta_next
-            cols = k + 1
             r = rho * V[:, k]
             if k % 2 == 1:
                 r = -r
@@ -285,9 +285,6 @@ def _cglanczos_columns(A, b, kmax):
         ell_prev = ell_k
         if tr.exact_termination:
             break
-    tr.lanczos_V = V[:, :cols].copy()
-    tr.lanczos_alpha = np.array(alphas, dtype=A.dtype)
-    tr.lanczos_beta = np.array(betas, dtype=A.dtype)
     return tr
 
 
@@ -415,6 +412,23 @@ def test_cglanczos_rows_match_the_column_loop(case, data):
     _assert_same(_outcome(cglanczos, A, b, k), _outcome(_cglanczos_columns, A, b, k))
 
 
+@pytest.mark.parametrize("dtype, n, seed", [(np.float64, 2, 0), (np.float64, 5, 1), (np.float32, 2, 0)])
+def test_cglanczos_raises_an_overflowed_multiplier_before_the_vector_block_uses_it(dtype, n, seed):
+    """Golden-grid inputs whose subnormal pivot d_1 makes ell_1 = beta_2/d_1
+    overflow.  Used by the vector block, ell_1 would raise 'non-finite dot
+    product'; the pivot d_2 = alpha_2 - beta_2 ell_1 = -inf raises in its
+    place, and with no step to follow, the trailing-multiplier error."""
+    mats, v, _, _ = _inputs(dtype, n, seed, "subnormal")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (n, n // 2):
+            if k == 1:
+                want = (NonFiniteError, "the trailing multiplier ell_1 = beta_2/d_1 is not finite")
+            else:
+                want = (ValueError, "nonpositive pivot d_2: matrix is not positive definite")
+            assert _outcome(cglanczos, mats["sym"], v, k) == _outcome(_cglanczos_columns, mats["sym"], v, k) == want
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(symmetric_case(spd=True), symmetric_case(spd=False)), st.data())
 def test_cg_hs_rows_match_the_column_loop(case, data):
@@ -436,11 +450,14 @@ def test_overflow_raises_without_a_warning_and_restores_errstate():
             with pytest.raises(NonFiniteError):
                 run()
             assert np.geterr() == before
-        with pytest.raises(ValueError, match="nonpositive pivot d_2"):
-            ldl(np.array([1e-300, 1.0]), np.array([1e300]))  # ell_1 overflows
-        assert np.geterr() == before
-        with pytest.raises(NonFiniteError, match="trailing multiplier ell_1"):
-            ldl(np.array([1e-300]), np.array([1e300]))  # ell_1 overflows, and no pivot follows it
-        assert np.geterr() == before
+        for dtype, t in ((np.float64, 1e-310), (np.float32, 1e-40)):  # d_1 = t is subnormal; ell_1 = 1/t overflows
+            A = np.array([[t, 1.0], [1.0, 1.0]], dtype=dtype)
+            e1 = np.array([1.0, 0.0], dtype=dtype)
+            with pytest.raises(ValueError, match="^nonpositive pivot d_2: matrix is not positive definite$"):
+                cglanczos(A, e1, 2)
+            assert np.geterr() == before
+            with pytest.raises(NonFiniteError, match=r"^the trailing multiplier ell_1 = beta_2/d_1 is not finite$"):
+                cglanczos(A, e1, 1)  # no pivot follows ell_1
+            assert np.geterr() == before
         lanczos(np.eye(3), np.ones(3), 3, reorth="double")
     assert np.geterr() == before
