@@ -44,8 +44,12 @@ matrix where the algorithm needs one, all finite, step count in range).
 The kernels inside the recurrences, _dot, _norm2, _matvec, _matmat and
 _mgs, check only their outputs: they raise NonFiniteError on a non-finite
 result, which covers overflow and non-finite inputs alike.  Each keeps one
-code path, but _mgs, which projects a signed-coordinate basis in one
-vectorized step with the loop's bits (its docstring gives the argument).
+code path, except two that take a signed-coordinate operand in one step with
+the loop's bits: _mgs projects such a basis in one vectorized step (its
+docstring gives the argument), and _matvec forms A x for an x with one
+nonzero x[c] as y = fl(A[:, c] * x[c]), then y += 0: fl(p + 0) is the
+sweep's fl(+0 + p) bit for bit, since IEEE addition commutes, signed zeros
+included.  _matvec returns a fresh array, which its caller may overwrite.
 The public seq_dot, norm2, matvec and matmat are operand checks plus one
 errstate around those kernels; matvec and matmat also scan the matrix once
 per call, because a NaN in a column that x skips would otherwise go unseen.
@@ -311,17 +315,22 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     The columns with x[c] != 0 are gathered in index order, _BLOCK at a time,
     as rows of A^T (contiguous when A is in Fortran order); P *= x scales a
     batch in one call, each row fl(A[:, c] * x[c]), and y += p adds its rows
-    in order: the column sweep's products and additions, so its bits.  A is
-    not scanned: the columns that x skips are never read.
+    in order: the column sweep's products and additions, so its bits.  One
+    nonzero x[c] skips the batch: p = fl(A[:, c] * x[c]); p += 0 is fl(+0 + p).
+    A is not scanned: the columns that x skips are never read.  y is never a view of A.
     """
-    y = np.zeros(A.shape[0], dtype=A.dtype)
     cols = x.nonzero()[0]
-    xs = x[cols][:, None]
-    for s in range(0, len(cols), _BLOCK):
-        P = A.T[cols[s : s + _BLOCK]]
-        P *= xs[s : s + _BLOCK]
-        for p in P:
-            y += p
+    if len(cols) == 1:  # a signed coordinate: one product row, then fl(p + 0)
+        y = A.T[cols[0]] * x[cols[0]]
+        y += 0.0
+    else:
+        y = np.zeros(A.shape[0], dtype=A.dtype)
+        xs = x[cols][:, None]
+        for s in range(0, len(cols), _BLOCK):
+            P = A.T[cols[s : s + _BLOCK]]
+            P *= xs[s : s + _BLOCK]
+            for p in P:
+                y += p
     if not np.isfinite(y).all():
         raise NonFiniteError("non-finite result in matvec")
     return y

@@ -70,18 +70,19 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
     vprev = np.zeros(n, dtype=A.dtype)  # v_0 = 0; beta_i * v_0 is evaluated, not skipped
     beta_i = dt(0.0)
     scratch = np.empty(k, dtype=A.dtype)  # the discarded reorthogonalization coefficients
+    t = np.empty(n, dtype=A.dtype)  # beta_i v_{i-1} or alpha_i v_i, subtracted in place from _matvec's fresh output
     breakdown = None
     for i in range(k):
         vi = Vt[i]
-        av = _matvec(A.T, vi)  # A is bitwise symmetric: same bits, contiguous columns
+        z = _matvec(A.T, vi)  # A is bitwise symmetric: same bits, contiguous columns
         if variant == "mgs":
-            w = av - beta_i * vprev
-            alpha_i = _dot(w, vi)
-            z = w - alpha_i * vi
+            z -= np.multiply(beta_i, vprev, out=t)  # z holds w
+            alpha_i = _dot(z, vi)
+            z -= np.multiply(alpha_i, vi, out=t)
         else:
-            alpha_i = _dot(vi, av)
-            z = av - alpha_i * vi
-            z = z - beta_i * vprev
+            alpha_i = _dot(vi, z)
+            z -= np.multiply(alpha_i, vi, out=t)
+            z -= np.multiply(beta_i, vprev, out=t)
         for _ in range(REORTH.index(reorth)):
             z = _mgs(Vt[: i + 1], z, scratch)
         alphas.append(alpha_i)
@@ -91,7 +92,7 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
             breakdown = i + 1
             break
         vprev = vi
-        Vt[i + 1] = z / beta_next
+        np.divide(z, beta_next, out=Vt[i + 1])
         beta_i = beta_next
     return LanczosResult(
         V=Vt[: breakdown or k + 1].T.copy(),

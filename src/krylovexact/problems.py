@@ -344,12 +344,15 @@ class StructuredProblem:
 
 
 def _signed_conjugate(P: SignedPermutation, T: np.ndarray) -> np.ndarray:
-    """A = P T P^T by placement and sign flips only (no rounding)."""
-    signs = P.signs
-    flip = np.not_equal.outer(signs < 0, signs < 0)
-    Ts = np.where(flip, -T, T)
-    A = np.zeros_like(T)
-    A[np.ix_(P.perm, P.perm)] = Ts
+    """A = P T P^T, A[perm[i], perm[j]] = T[i, j] negated iff signs[i] !=
+    signs[j]: one C-order gather through the inverse permutation, then a row
+    and a column scaling by s = +-1.0.  Multiplying by +-1 rounds nothing,
+    and (-1) * (+-0) = -+0, so a flipped +0 off the band becomes -0."""
+    inv = np.argsort(P.perm)
+    A = T[inv[:, None], inv]
+    s = P.signs[inv].astype(T.dtype)
+    A *= s[:, None]
+    A *= s
     return A
 
 

@@ -340,14 +340,15 @@ def rational_lstsq(H, rhs) -> list[Fraction]:
 
 def _distance(nums: list[int], den: int, computed) -> float:
     """||nums / den - computed|| for int numerators over one denominator, as
-    float(sqrt(float(q))) of the exact squared norm q, which is built in ints
-    and made one Fraction; where float(q) overflows, the root of q / 4^e times
-    2^e.  RangeError if the norm itself is beyond binary64."""
+    float(sqrt(num / den2)) of the exact squared norm q = num / den2 in ints
+    (int / int is float(q), correctly rounded, without a gcd); where it
+    overflows, the root of q / 4^e times 2^e.  RangeError if the norm is beyond binary64."""
     cs, scale = _integers_over_lcm(np.asarray(computed).ravel().tolist())
-    q = Fraction(sum((a * scale - b * den) ** 2 for a, b in zip(nums, cs)), (den * scale) ** 2)
+    num, den2 = sum((a * scale - b * den) ** 2 for a, b in zip(nums, cs)), (den * scale) ** 2
     try:
-        return float(np.sqrt(float(q)))
+        return float(np.sqrt(num / den2))
     except OverflowError:  # q is beyond binary64; its root need not be
+        q = Fraction(num, den2)
         e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
     try:
         return ldexp(float(np.sqrt(float(q / 4**e))), e)

@@ -381,16 +381,32 @@ def test_matvec_signed_zero_renormalization():
     assert y[1] == 0.0 and not np.signbit(y[1])
 
 
-@given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([np.float64, np.float32]), st.data())
-def test_unchecked_matvec_with_one_nonzero_is_the_rowwise_fold(rows, cols, dtype, data):
-    """One nonzero x_j of either sign, and A with zeros of both signs: the
-    column sweep's +0 + fl(a * x_j) has the reference's bits, so a -0
-    product comes out +0."""
+@given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([np.float64, np.float32]), st.sampled_from(["C", "F", "view"]), st.data())
+def test_unchecked_matvec_with_one_nonzero_is_the_rowwise_fold(rows, cols, dtype, layout, data):
+    """One nonzero x_j of either sign, +-1 among them, and A with zeros of
+    both signs, in C order, in Fortran order or as the transposed view of a
+    C-order array: the column sweep's +0 + fl(a * x_j) has the reference's
+    bits, so a -0 product comes out +0, and an overflowed product raises.
+    The one-column path and the batch (the same x with its zeros made 1)
+    both return a fresh, writeable array: writing into it leaves A alone."""
+    huge = st.sampled_from([3e38, -2e38] if dtype == np.float32 else [1e200, -1e300])  # finite in dtype
     with np.errstate(all="ignore"):
-        A = np.array(data.draw(st.lists(finite, min_size=rows * cols, max_size=rows * cols)), dtype=dtype).reshape(rows, cols)
+        a = np.array(data.draw(st.lists(st.one_of(finite, huge), min_size=rows * cols, max_size=rows * cols)), dtype=dtype)
+        A = {"C": a.reshape(rows, cols), "F": np.asfortranarray(a.reshape(rows, cols)), "view": a.reshape(cols, rows).T}[layout]
         x = np.zeros(cols, dtype=dtype)
-        x[data.draw(st.integers(0, cols - 1))] = data.draw(finite.filter(lambda t: dtype(t) != 0))
-    assert bitwise_equal(_matvec(A, x), _matvec_reference(A, x))
+        x[data.draw(st.integers(0, cols - 1))] = data.draw(st.one_of(st.sampled_from([1.0, -1.0]), huge, finite.filter(lambda t: dtype(t) != 0)))
+    before = A.copy()
+    for x in (x, np.where(x == 0, dtype(1.0), x)):
+        with np.errstate(all="ignore"):
+            want = _matvec_reference(A, x)
+        if not np.isfinite(want).all():
+            with pytest.raises(NonFiniteError, match=r"^non-finite result in matvec$"), np.errstate(over="ignore", invalid="ignore"):
+                _matvec(A, x)
+            continue
+        y = _matvec(A, x)
+        assert bitwise_equal(y, want) and y.flags.writeable and not np.shares_memory(y, A)
+        y[:] = dtype(7.0)
+        assert bitwise_equal(A, before)
 
 
 def test_norm2_of_signed_identity_column_is_exact():

@@ -402,6 +402,29 @@ def test_structured_reorthogonalized_run_matches_the_column_loop(precision, vari
         assert bitwise_equal(got.V, prob.P.to_dense(precision.dtype)) and got.breakdown == n
 
 
+@pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.name)
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("reorth", REORTH)
+@pytest.mark.parametrize("structured", [True, False], ids=["structured", "dense"])
+def test_lanczos_leaves_its_inputs_alone_and_repeats_its_bits(structured, reorth, variant, precision):
+    """Each step writes into _matvec's fresh output and into the next basis
+    row, never into A or v: a writeable A and v keep their bits, and a second
+    run gives the first run's.  On the structured pair every v_i is +-e_j, so
+    a one-column _matvec that returned a view of A would fail both."""
+    if structured:
+        prob = random_structured_problem("jacobi", 12, 3, precision)
+        A, v = prob.A.copy(), prob.v.copy()
+    else:
+        A = _sym(12, 3).astype(precision.dtype)
+        v = np.random.Generator(np.random.Philox(key=4)).uniform(-1, 1, 12).astype(precision.dtype)
+    A0, v0 = A.copy(), v.copy()
+    first = lanczos(A, v, 12, variant, reorth)
+    assert A.flags.writeable and v.flags.writeable
+    assert bitwise_equal(A, A0) and bitwise_equal(v, v0)
+    _assert_same(lanczos(A, v, 12, variant, reorth), first)
+    assert bitwise_equal(A, A0) and bitwise_equal(v, v0)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(symmetric_case(spd=True), symmetric_case(spd=False)), st.data())
 def test_cglanczos_rows_match_the_column_loop(case, data):

@@ -23,6 +23,7 @@ from krylovexact.problems import (
     prescribe_cg_curves,
     random_convergence_curves,
     random_jacobi,
+    random_signed_block_permutation,
     random_signed_permutation,
     random_structure,
     random_structured_problem,
@@ -99,6 +100,58 @@ def test_assemble_is_rounding_free():
     exact = Pd @ prob.T.to_dense() @ Pd.T  # products of +-1 placements: exact
     assert bitwise_equal(np.where(exact == 0, 0.0, exact), np.where(prob.A == 0, 0.0, prob.A))
     assert np.count_nonzero(prob.v) == 1
+
+
+def _salted(T, draw, dt):
+    """T with each entry that its kind leaves free drawn from zeros of both
+    signs, subnormals and normal values (nonzero where the kind needs it)."""
+    tiny = np.finfo(dt)
+    pool = [0.0, -0.0, float(tiny.smallest_subnormal), -float(tiny.smallest_normal) / 4, 1.5, -0.75]
+
+    def entries(shape, nonzero=False):
+        values = st.sampled_from(pool[2:] if nonzero else pool)
+        return np.array(draw(st.lists(values, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))), dtype=dt).reshape(shape)
+
+    def symmetric(p):  # the upper triangle mirrored: its -0s stay
+        W = entries((p, p))
+        return np.where(np.tri(p, k=-1, dtype=bool), W.T, W)
+
+    def strict_upper(B):
+        return np.where(np.tri(len(B), dtype=bool), B, entries(B.shape))
+
+    if T.kind == "jacobi":
+        return dataclasses.replace(T, alpha=entries(T.n))
+    if T.kind == "nonsymtridiag":
+        return dataclasses.replace(T, alpha=entries(T.n), beta=entries(T.n - 1, nonzero=True))
+    if T.kind == "hessenberg":
+        H = T.entries
+        return HessenbergMatrix(np.where(np.tri(T.n, k=-1, dtype=bool), H, entries(H.shape)))
+    if T.kind == "blocktridiag":
+        return BlockTridiagonal(tuple(symmetric(T.p) for _ in T.M), tuple(strict_upper(B) for B in T.B))
+    return T  # lowerbidiag: every band entry must be positive and guarded
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from([BINARY64, BINARY32]), st.data())
+def test_assemble_places_and_flips_every_entry_bit_for_bit(kind, m, p, seed, precision, data):
+    """A = P T P^T is the literal placement loop A[perm[i], perm[j]] = T[i, j],
+    negated iff signs[i] != signs[j], bit for bit: zeros of both signs and
+    subnormals keep their bits, and a flipped +0 off the band becomes -0.
+    A block P is compared through flatten().  A is C-contiguous."""
+    n, p = (m * p, p) if kind == "blocktridiag" else (m * p, 1)
+    T = _salted(random_structure(kind, n, seed, precision, p=p, positive_beta=True), data.draw, precision.dtype)
+    if kind == "blocktridiag":
+        P = random_signed_block_permutation(m, p, seed)
+        flat = P.flatten()
+    else:
+        P = flat = random_signed_permutation(n, seed)
+    got = assemble(T, P, 1.5, gamma1=2.0 if kind == "nonsymtridiag" else None).A
+    Td = T.to_dense()
+    want = np.zeros((n, n), dtype=precision.dtype)
+    for i in range(n):
+        for j in range(n):
+            want[flat.perm[i], flat.perm[j]] = -Td[i, j] if flat.signs[i] != flat.signs[j] else Td[i, j]
+    assert got.dtype == want.dtype and bitwise_equal(got, want) and got.flags.c_contiguous
 
 
 @given(st.integers(1, 20), st.integers(0, 30))
