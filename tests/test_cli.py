@@ -191,6 +191,67 @@ def test_run_check_exact_that_cannot_apply_runs_no_algorithm(tmp_path, capsys, m
     assert calls == [] and not out_csv.exists()
 
 
+def _move_one_bit_of_alpha(monkeypatch):
+    """Make every Lanczos run of the ALGORITHMS table return alpha_2 one ULP
+    up; the list collects each moved alpha."""
+    moved = []
+
+    def off_by_one_ulp(A, v, k, **kwargs):
+        res = lanczos(A, v, k, **kwargs)
+        alpha = res.alpha.copy()
+        alpha[1] = np.nextafter(alpha[1], np.inf)
+        moved.append(alpha)
+        return replace(res, alpha=alpha)
+
+    monkeypatch.setattr(harness, "lanczos", off_by_one_ulp)
+    return moved
+
+
+def test_run_check_exact_that_fails_exits_1_and_still_writes_the_csv(tmp_path, capsys, monkeypatch):
+    prob, out_csv = tmp_path / "prob.txt", tmp_path / "run.csv"
+    assert run_cli(capsys, "gen", "structured", "--kind", "jacobi", "--n", "6", "--seed", "2", "--out", str(prob))[0] == 0
+    moved = _move_one_bit_of_alpha(monkeypatch)
+    code, out = run_cli(capsys, "run", "lanczos", "--problem", str(prob), "--check-exact", "--out", str(out_csv))
+    assert code == 1
+    assert out.err == "exactness check FAILED: first mismatch at alpha[1]\n"
+    assert ["alpha", "1", repr(float(moved[0][1])), float(moved[0][1]).hex()] in csv_rows(out_csv)
+
+
+def test_check_exactness_that_fails_exits_1_and_prints_at_most_5_mismatches(capsys, monkeypatch):
+    _move_one_bit_of_alpha(monkeypatch)
+    code, out = run_cli(capsys, "check", "exactness", "--algorithm", "lanczos", "--sizes", "3,4", "--seeds", "4")
+    assert code == 1
+    assert out.out == "exactness[lanczos]: 8 instances, 8 mismatches\n"
+    lines = out.err.splitlines()
+    assert len(lines) == 5
+    assert lines[0] == "  mismatch at alpha[1] (n=3, seed=0, binary64)"
+    assert all(re.fullmatch(r"  mismatch at alpha\[1\] \(n=\d, seed=\d, binary64\)", line) for line in lines)
+
+
+def _jacobi_file_and_w_file(tmp_path, capsys, w_text):
+    mat, w = tmp_path / "T.txt", tmp_path / "w.txt"
+    assert run_cli(capsys, "gen", "jacobi", "--n", "4", "--out", str(mat))[0] == 0
+    w.write_text(w_text)
+    return mat, w
+
+
+@pytest.mark.parametrize("w_text", ["vector 4\n0x1p0 0x0p0 0x0p0 0x0p0\n", "vector 4\n0x1p0 zz 0x0p0 0x0p0\n"], ids=["good", "malformed"])
+@pytest.mark.parametrize("algorithm", [a for a in harness.ALGORITHMS if a != "bilanczos"])
+def test_w_file_with_an_algorithm_other_than_bilanczos_exits_2(tmp_path, capsys, monkeypatch, algorithm, w_text):
+    """The rule is settled before the file is opened, so a good and a
+    malformed file give the same error."""
+    mat, w = _jacobi_file_and_w_file(tmp_path, capsys, w_text)
+    monkeypatch.setattr(cli, "_read_vector", lambda *args: pytest.fail("--w-file was read"))
+    assert _error_exit(capsys, "run", algorithm, "--problem", str(mat), "--e1", "--w-file", str(w)) == "error: --w-file applies to bilanczos only\n"
+
+
+def test_w_file_with_bilanczos_is_read(tmp_path, capsys):
+    mat, w = _jacobi_file_and_w_file(tmp_path, capsys, "vector 4\n0x1p0 0x0p0 0x0p0 0x0p0\n")
+    assert run_cli(capsys, "run", "bilanczos", "--problem", str(mat), "--e1", "--w-file", str(w))[0] == 0
+    w.write_text("vector 4\n0x1p0 zz 0x0p0 0x0p0\n")
+    assert "bad float literal 'zz'" in _error_exit(capsys, "run", "bilanczos", "--problem", str(mat), "--e1", "--w-file", str(w))
+
+
 def test_check_structure_on_a_non_symmetric_matrix_exits_1(tmp_path, capsys):
     mat = tmp_path / "H.txt"
     assert run_cli(capsys, "gen", "hessenberg", "--n", "5", "--seed", "0", "--out", str(mat))[0] == 0
@@ -471,14 +532,15 @@ def test_every_readme_command_parses():
 
 def test_every_readme_mismatch_example_is_a_label_the_check_returns():
     """The README's exit-1 examples (a one-ULP alpha, a perturbed V, a run one
-    step short) are the labels compare_structured gives for them."""
+    step short, a run without its breakdown) are the labels compare_structured
+    gives for them."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     prob = random_structured_problem("jacobi", 6, 3)
     res = lanczos(prob.A, prob.v, 6)
     alpha, V = res.alpha.copy(), res.V.copy()
     alpha[2] = np.nextafter(alpha[2], np.inf)
     V[3, 5] = np.nextafter(V[3, 5], np.inf)
-    for run in (replace(res, alpha=alpha), replace(res, V=V), lanczos(prob.A, prob.v, 5)):
+    for run in (replace(res, alpha=alpha), replace(res, V=V), lanczos(prob.A, prob.v, 5), replace(res, breakdown=None)):
         label = harness.compare_structured(prob, "lanczos", run).mismatch
         assert f"`{label}`" in readme, label
 

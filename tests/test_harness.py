@@ -139,12 +139,21 @@ def test_mismatch_label_names_plain_indices():
     alpha = prob.T.alpha.copy()
     alpha[2] = np.nextafter(alpha[2], np.inf)
     off_by_one_ulp = replace(prob, T=JacobiMatrix(alpha, prob.T.beta))
-    rep = compare_structured(off_by_one_ulp, "lanczos", res, seed=3)
+    rep = compare_structured(off_by_one_ulp, "lanczos", res)
     assert not rep.projected_match and rep.basis_match and rep.breakdown_match
     assert rep.mismatch == "alpha[2]"
     V = res.V.copy()
     V[3, 5] = np.nextafter(V[3, 5], np.inf)
     assert compare_structured(prob, "lanczos", replace(res, V=V)).mismatch == "V[3,5]"
+
+
+def test_a_breakdown_mismatch_names_the_run_s_value_and_the_predicted_one():
+    prob = random_structured_problem("jacobi", 6, 3)
+    res = lanczos(prob.A, prob.v, 6)
+    rep = compare_structured(prob, "lanczos", replace(res, breakdown=None))
+    assert rep.projected_match and rep.basis_match and not rep.breakdown_match
+    assert rep.mismatch == "breakdown (None, expected 6)"
+    assert rep.seed == -1 and exactness_check("lanczos", 6, seed=3).seed == 3
 
 
 def test_a_run_that_stops_early_is_a_mismatch_not_an_error():

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krylovexact.fileio import read_problem, write_problem
 from krylovexact.fp import BINARY32, BINARY64, NonFiniteError, RangeError, ShapeError, bitwise_equal
 from krylovexact.harness import ALGORITHMS, RunInputs, _deficient_instance, compare_structured
 from krylovexact.problems import (
@@ -167,6 +169,47 @@ def test_detect_structure_roundtrip(n, seed):
     assert np.all(T.beta > 0)
 
 
+@pytest.mark.parametrize("precision", [BINARY64, BINARY32], ids=lambda p: p.name)
+def test_detect_structure_returns_the_generating_p_t_and_beta1(precision):
+    """The generated T has positive off-diagonals, so the canonical
+    factorization is the generating one: P, T and beta1 come back bit for bit."""
+    for n in range(1, 41):
+        for seed in (n, 1000 + n):
+            prob = random_structured_problem("jacobi", n, seed, precision)
+            P, T, beta1 = detect_structure(prob.A, prob.v)
+            for got, want in ((P.perm, prob.P.perm), (P.signs, prob.P.signs)):
+                assert got.dtype == np.int64 and np.array_equal(got, want), (n, seed)
+            assert bitwise_equal(T.alpha, prob.T.alpha) and bitwise_equal(T.beta, prob.T.beta), (n, seed)
+            assert type(beta1) is precision.dtype and bitwise_equal(beta1, prob.beta1), (n, seed)
+
+
+def _flatten_by_entry(P):
+    """SignedBlockPermutation.flatten's definition, one entry at a time."""
+    perm, signs = [], []
+    for bj, blk in enumerate(P.blocks):
+        for j in range(P.p):
+            perm.append(int(P.block_perm[bj]) * P.p + int(blk.perm[j]))
+            signs.append(int(blk.signs[j]))
+    return perm, signs
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_flatten_is_its_per_entry_definition(m, p, seed):
+    """perm[bj*p + j] = block_perm[bj]*p + blocks[bj].perm[j] and signs[bj*p + j]
+    = blocks[bj].signs[j], as int64 arrays, for a generated P and for the
+    same P read back from a signedblockperm problem file."""
+    P = random_signed_block_permutation(m, p, seed)
+    prob = random_structured_problem("blocktridiag", m * p, seed, p=p)
+    buf = io.StringIO()
+    write_problem(buf, prob)
+    buf.seek(0)
+    for Q in (P, prob.P, read_problem(buf).P):
+        flat = Q.flatten()
+        assert flat.perm.dtype == np.int64 and flat.signs.dtype == np.int64
+        assert (flat.perm.tolist(), flat.signs.tolist()) == _flatten_by_entry(Q)
+
+
 def test_detect_structure_rejects_unstructured():
     A = np.ones((4, 4)) + np.eye(4)
     v = np.zeros(4)
@@ -304,7 +347,7 @@ def test_every_single_vector_kind_runs_exactly_on_its_deficient_extension(kind, 
         R = np.triu(W) + np.ascontiguousarray(np.triu(W, 1).T)  # bitwise symmetric, as Lanczos needs
         prob = extend_deficient(random_structured_problem(kind, d, seed, precision), R)
         x = RunInputs(prob.A, prob.v, prob.w)
-        rep = compare_structured(prob, name, entry.run(x, entry.steps(x)), seed=seed)
+        rep = compare_structured(prob, name, entry.run(x, entry.steps(x)))
         assert rep.ok, (d, m, rep.mismatch)
         assert len(prob.v) == d + m and prob.d == d
 

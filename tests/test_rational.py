@@ -92,6 +92,15 @@ def test_rational_lanczos_directions_are_orthogonal():
             assert rat_dot(U[i], U[j]) == 0
 
 
+@pytest.mark.parametrize("v", [[0, 0, 0], [0, 1, 0]], ids=["zero", "eigenvector"])
+def test_rational_lanczos_directions_stop_at_a_zero_direction(v):
+    """v = 0 stops before the first product, and an eigenvector of A after it
+    (its next direction is 0): either way v is the one direction."""
+    A = to_rational_matrix(np.diag([2.0, 3.0, 5.0]))
+    v = [Fraction(x) for x in v]
+    assert rational_lanczos_directions(A, v) == [v]
+
+
 def test_rational_lstsq_consistent_system():
     H = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
     y = rational_lstsq(H, [Fraction(1), Fraction(2), Fraction(3)])

@@ -1,0 +1,61 @@
+"""Each typed error of the package's entry checks, with its type and message."""
+
+import io
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from krylovexact import fileio, fp, harness, problems
+from krylovexact.fp import ShapeError
+from krylovexact.problems import SignedPermutation
+
+
+_CASES = {
+    "jacobi-lengths": (lambda: problems.JacobiMatrix(np.ones(3), np.ones(3)), ShapeError, "Jacobi matrix needs n diagonal and n-1 off-diagonal entries"),
+    "hessenberg-not-square": (lambda: problems.HessenbergMatrix(np.ones((2, 3))), ShapeError, "Hessenberg matrix must be square"),
+    "nonsymtridiag-lengths": (lambda: problems.NonsymTridiagonal(np.ones(3), np.ones(2), np.ones(1)), ShapeError, "off-diagonal lengths must be n-1"),
+    "lowerbidiag-length": (lambda: problems.LowerBidiagonal(np.ones(3), np.ones(3)), ShapeError, "subdiagonal length must be n-1"),
+    "blocktridiag-block-count": (lambda: problems.BlockTridiagonal((np.eye(2),), (np.eye(2),)), ShapeError, "need m diagonal blocks and m-1 subdiagonal blocks"),
+    "blocktridiag-b-shape": (lambda: problems.BlockTridiagonal((np.eye(2), np.eye(2)), (np.eye(3),)), ShapeError, "subdiagonal blocks must be p x p"),
+    "blockperm-block-sizes": (
+        lambda: problems.SignedBlockPermutation(np.arange(2), (SignedPermutation(np.arange(2), np.ones(2, int)), SignedPermutation(np.arange(3), np.ones(3, int)))),
+        ShapeError,
+        "all blocks must have equal size",
+    ),
+    "assemble-block-dims": (lambda: problems.assemble(problems.random_structured_problem("blocktridiag", 4, 0, p=2).T, problems.random_signed_permutation(4, 0), 1.0), ShapeError, "block dimensions of P and T do not agree"),
+    "assemble-dims": (lambda: problems.assemble(problems.random_jacobi(3, 0), problems.random_signed_permutation(4, 0), 1.0), ShapeError, "dimensions of P and T do not agree"),
+    "signed-permutation-n": (lambda: problems.random_signed_permutation(0, 0), ValueError, "n must be positive"),
+    "jacobi-n": (lambda: problems.random_jacobi(0, 0), ValueError, "n must be positive"),
+    "curves-gamma": (
+        # energy errors that rise: ConvergenceCurves rejects them, so the curves are a plain namespace
+        lambda: problems.prescribe_cg_curves(SimpleNamespace(n=2, residual_norms=np.ones(2), energy_errors=np.array([1.0, 2.0]))),
+        ValueError,
+        "gamma_0 <= 0: curves inconsistent with an SPD system",
+    ),
+    "first-bit-difference-shape": (lambda: fp.first_bit_difference(np.zeros(2), np.zeros(3)), ShapeError, "shape mismatch: (2,) vs (3,)"),
+    "first-bit-difference-dtype": (lambda: fp.first_bit_difference(np.zeros(2), np.zeros(2, np.float32)), ShapeError, "dtype mismatch: float64 vs float32"),
+    "matvec": (lambda: fp.matvec(np.eye(2), np.ones(3)), ShapeError, "matvec operands float64 (2, 2) and float64 (3,) do not agree"),
+    "matmat": (lambda: fp.matmat(np.eye(2), np.ones((3, 2))), ShapeError, "matmat operands float64 (2, 2) and float64 (3, 2) do not agree"),
+    "matrix-payload": (lambda: fileio.write_matrix(io.StringIO(), np.zeros((1, 1, 1))), TypeError, "cannot serialize ndarray"),
+    "metric-series-max": (lambda: harness.MetricSeries("demo").max_value("loss"), KeyError, "no rows for metric 'loss'"),
+    "report-mismatch-without-failure": (
+        lambda: harness.ExactnessReport("lanczos", 4, 0, "binary64", True, True, True, "alpha[0]"),
+        ValueError,
+        "mismatch location must be recorded iff a check failed",
+    ),
+    "report-failure-without-mismatch": (
+        lambda: harness.ExactnessReport("lanczos", 4, 0, "binary64", True, False, True),
+        ValueError,
+        "mismatch location must be recorded iff a check failed",
+    ),
+    "unknown-sweep": (lambda: harness.exactness_check("cg-hs", 4, 0), ValueError, "unknown sweep algorithm 'cg-hs'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_each_entry_check_raises_its_typed_error(case):
+    call, error, message = _CASES[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and info.value.args == (message,)
