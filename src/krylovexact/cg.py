@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fp import NonFiniteError, _dot, _matvec, _norm2, bitwise_symmetric, validate_operands
+from .fp import NonFiniteError, _dot, _matvec, _norm2, bitwise_symmetric, require_finite, validate_operands
 from .lanczos import lanczos
 
 
@@ -37,18 +37,27 @@ class CGTrace:
     def steps(self) -> int:
         return len(self.x) - 1
 
-    def record(self, x, r, p) -> None:
-        """Append x_k, r_k and p_k (fresh arrays, not copied) and ||r_k||."""
+    def record(self, x, r, p, gamma=None, delta=None) -> None:
+        """Append x_k, r_k, p_k (fresh arrays, not copied), ||r_k|| and, for k >= 1,
+        gamma_{k-1} and delta_k; a non-finite r_k, x_k, p_k or gamma_{k-1} raises NonFiniteError."""
+        k, nrm = len(self.x), _norm2(r)
+        require_finite(x, f"CG iterate x_{k}")
+        require_finite(p, f"CG direction p_{k}")
+        if k:
+            require_finite(gamma, f"CG step gamma_{k - 1}")
+            self.gammas.append(gamma)
+            self.deltas.append(delta)
         self.x.append(x)
         self.r.append(r)
         self.p.append(p)
-        self.residual_norms.append(_norm2(r))
+        self.residual_norms.append(nrm)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     """Hestenes-Stiefel CG from x0 = 0, recording all iterates; stops on ||r_k|| = 0 exactly.
-    A nonzero b whose squared norm underflows raises ValueError."""
+    A nonzero b whose squared norm underflows raises ValueError; an x_k, p_k
+    or gamma_{k-1} that overflows raises NonFiniteError (CGTrace.record)."""
     n = len(A)
     kmax = n if kmax is None else kmax
     validate_operands(A, b, k=kmax, limit=n, square=True)
@@ -77,9 +86,7 @@ def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
         delta = rr_new / rr
         p = r + delta * p
         rr = rr_new
-        tr.gammas.append(gamma)
-        tr.deltas.append(delta)
-        tr.record(x, r, p)
+        tr.record(x, r, p, gamma, delta)
     return tr
 
 
@@ -95,7 +102,8 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
 
     A pivot d_k <= 0 raises ValueError.  So does an ell_k that is not finite
     when a step follows, since d_{k+1} = alpha_{k+1} - beta_{k+1} ell_k is
-    then -inf; a last ell_k that is not finite raises NonFiniteError.
+    then -inf; a last ell_k that is not finite raises NonFiniteError, and so
+    does an x_k, p_k or gamma_{k-1} = 1/d_k that overflows (CGTrace.record).
     """
     n = len(A)
     res = lanczos(A, b, n if kmax is None else kmax)  # validates A and b, and rejects b = 0
@@ -129,8 +137,6 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
         tr.d.append(d_k)
         tr.ell.append(ell_k)
         tr.rho.append(rho)
-        tr.record(x, r, p)
-        tr.gammas.append(dt(1.0) / d_k)
-        tr.deltas.append(ell_k * ell_k)
+        tr.record(x, r, p, dt(1.0) / d_k, ell_k * ell_k)
         beta_k = beta_next
     return tr

@@ -44,10 +44,6 @@ from .problems import (
 from .rational import rational_cg
 
 
-def _add_precision(p):
-    p.add_argument("--precision", choices=[row.name for row in PRECISIONS], default=PRECISIONS[0].name)
-
-
 def _add_start(p):
     start = p.add_mutually_exclusive_group()
     start.add_argument("--e1", action="store_true", help="start from beta1 * e1")
@@ -70,7 +66,7 @@ def _build_parser():
     gen.add_argument("--lam1", type=float, default=1e-3)
     gen.add_argument("--lamn", type=float, default=1.0)
     gen.add_argument("--rho", type=float, default=0.7)
-    _add_precision(gen)
+    gen.add_argument("--precision", choices=[row.name for row in PRECISIONS], default=PRECISIONS[0].name)
     gen.add_argument("--out", required=True)
 
     run = sub.add_parser("run", help="run an algorithm on a matrix or problem file")
@@ -79,9 +75,9 @@ def _build_parser():
     _add_start(run)
     run.add_argument("--w-file", help="left starting vector file (bilanczos on matrix files)")
     run.add_argument("--k", type=int, default=0, help="number of steps (default: full dimension)")
-    run.add_argument("--variant", choices=VARIANTS, default="mgs")
-    run.add_argument("--reorth", choices=REORTH, default="none")
-    run.add_argument("--qr-variant", choices=VARIANTS, default="mgs")
+    run.add_argument("--variant", choices=VARIANTS, help="Gram-Schmidt variant of lanczos (default mgs)")
+    run.add_argument("--reorth", choices=REORTH, help="reorthogonalization of lanczos (default none)")
+    run.add_argument("--qr-variant", choices=VARIANTS, help="block QR of blocklanczos (default mgs)")
     run.add_argument("--check-exact", action="store_true", help="compare bitwise against the structured generator")
     run.add_argument("--out", help="CSV output path")
 
@@ -90,14 +86,14 @@ def _build_parser():
     chk.add_argument("--algorithm", choices=SWEEPS, default="lanczos")
     chk.add_argument("--sizes", default="2,10,50", help="comma-separated instance sizes")
     chk.add_argument("--seeds", type=int, default=10, help="number of seeds per size")
-    chk.add_argument("--p", type=int, default=1)
-    chk.add_argument("--variant", choices=VARIANTS, default="mgs")
-    chk.add_argument("--qr-variant", choices=VARIANTS, default="mgs")
+    chk.add_argument("--p", type=int, help="block size of blocklanczos (default 1)")
+    chk.add_argument("--variant", choices=VARIANTS, help="Gram-Schmidt variant of lanczos and deficient (default mgs)")
+    chk.add_argument("--qr-variant", choices=VARIANTS, help="block QR of blocklanczos (default mgs)")
     chk.add_argument("--samples", type=int, default=1000000)
     chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--problem", help="matrix file for `check structure`")
     _add_start(chk)
-    _add_precision(chk)
+    chk.add_argument("--precision", choices=[row.name for row in PRECISIONS], help="default binary64; structure reads the file's")
 
     exp = sub.add_parser("experiment", help="run an experiment and write its CSV")
     exp.add_argument("what", choices=["fig2", "fig3", "prescribed-curves", "exactness-sweep"])
@@ -152,6 +148,18 @@ def _starting_vector(args, A, v):
     return v
 
 
+def _reject_unread(args, target, readers):
+    """ValueError naming the first flag of readers, {flag: its readers}, that is given to a target not among them."""
+    for flag, names in readers.items():
+        if getattr(args, flag[2:].replace("-", "_")) not in (None, False) and target not in names:
+            raise ValueError(f"{flag} applies to {' and '.join(filter(None, (', '.join(names[:-1]), names[-1])))} only")
+
+
+def _given(args, *dests):
+    """{dest: value} of the flags given, so the callee's defaults fill in the rest."""
+    return {dest: getattr(args, dest) for dest in dests if getattr(args, dest) is not None}
+
+
 def _write_series_csv(path, pairs):
     with open(path, "w", newline="") as f:
         fileio.write_vector_csv(f, pairs)
@@ -182,14 +190,13 @@ def _cmd_run(args) -> int:
     entry = ALGORITHMS[args.algorithm]
     if args.check_exact and entry.kind is None:
         raise ValueError("--check-exact applies to basis algorithms only")
-    if args.w_file and args.algorithm != "bilanczos":
-        raise ValueError("--w-file applies to bilanczos only")
+    _reject_unread(args, args.algorithm, _RUN_READERS)
     w = prob.w if prob is not None else None  # bilanczos's left vector: the problem's, --w-file, or v
     if w is not None and args.w_file:
         raise ValueError("--w-file conflicts with the left starting vector of the problem file")
     if w is None and args.algorithm == "bilanczos":
         w = _read_vector(args.w_file, "--w-file") if args.w_file else v.copy()
-    x = RunInputs(A, v, w, prob.U1 if prob is not None else None, args.variant, args.reorth, args.qr_variant)
+    x = RunInputs(A, v, w, prob.U1 if prob is not None else None, **_given(args, "variant", "reorth", "qr_variant"))
     full = entry.steps(x)
     if args.check_exact and 0 < args.k < full:
         raise ValueError(f"--check-exact compares the full run of {full} steps; --k {args.k} stops it early")
@@ -222,15 +229,27 @@ def _check_against_structure(prob, algorithm, result) -> bool:
     return True
 
 
+_RUN_READERS = {"--w-file": ("bilanczos",), "--variant": ("lanczos",), "--reorth": ("lanczos",), "--qr-variant": ("blocklanczos",)}
+_CHECK_READERS = {
+    **dict.fromkeys(("--problem", "--e1", "--v-file", "--beta1"), ("check structure",)),
+    "--precision": ("check lemma31", "check exactness", "check structure"),  # bound52 runs fig3, which is binary64
+    **dict.fromkeys(("--p", "--variant", "--qr-variant"), ("check exactness",)),
+}
+_SWEEP_READERS = {"--variant": ("lanczos", "deficient"), "--qr-variant": ("blocklanczos",), "--p": ("blocklanczos",)}
+
+
 def _cmd_check(args) -> int:
-    precision = precision_named(args.precision)
+    _reject_unread(args, f"check {args.what}", _CHECK_READERS)
+    if args.what == "exactness":
+        _reject_unread(args, args.algorithm, _SWEEP_READERS)
+    precision = precision_named(args.precision or PRECISIONS[0].name)
     if args.what == "lemma31":
         bad = sqrt_square_violations(args.samples, precision, args.seed)
         print(f"lemma31: {args.samples} samples, {bad} violations ({precision.name})")
         return 0 if bad == 0 else 1
     if args.what == "exactness":
         sizes = [int(s) for s in args.sizes.split(",") if s]
-        reports = exactness_sweep(args.algorithm, sizes, range(args.seeds), (precision,), p=args.p, variant=args.variant, qr_variant=args.qr_variant)
+        reports = exactness_sweep(args.algorithm, sizes, range(args.seeds), (precision,), **_given(args, "p", "variant", "qr_variant"))
         bad = sweep_failures(reports)
         print(f"exactness[{args.algorithm}]: {len(reports)} instances, {len(bad)} mismatches")
         for r in bad[:5]:
@@ -246,6 +265,8 @@ def _cmd_check(args) -> int:
     if not args.problem:  # structure
         raise ValueError("check structure needs --problem")
     A, v, _, _ = _load_input(args.problem)
+    if args.precision not in (None, precision_of(A).name):
+        raise ValueError(f"--precision {args.precision} differs from the file's {precision_of(A).name}")
     found = detect_structure(A, _starting_vector(args, A, v))
     if found is None:
         print("no structure detected", file=sys.stderr)

@@ -32,8 +32,8 @@ from .problems import (
     assemble,
     extend_deficient,
     make_rng,
-    random_jacobi,
     random_signed_permutation,
+    random_structure,
     random_structured_problem,
     strakos_spectrum,
 )
@@ -322,7 +322,7 @@ def _deficient_instance(n: int, seed: int, precision: Precision = BINARY64):
     """A Jacobi problem of grade d = max(n // 2, 1), extended to dimension n
     by the bitwise symmetric R = R1 R2 R1^T."""
     d = max(n // 2, 1)
-    T = random_jacobi(d, seed, precision=precision)
+    T = random_structure("jacobi", d, seed, precision)
     P = random_signed_permutation(d, seed + 917)
     g = make_rng(seed + 31)
     m = n - d

@@ -26,9 +26,6 @@ class ArnoldiResult:
     def k(self) -> int:
         return self.H.shape[1]
 
-    def square(self) -> np.ndarray:
-        return self.H[: self.k, :].copy()
-
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
@@ -60,10 +57,6 @@ class NonsymLanczosResult:
     gamma1: object  # ||v||
     beta1: object  # w^T v_1
     breakdown: int | None  # step with gamma_{i+1} = 0 (lucky)
-
-    @property
-    def k(self) -> int:
-        return len(self.alpha)
 
 
 class SeriousBreakdownError(RuntimeError):
@@ -134,10 +127,6 @@ class GolubKahanResult:
     delta: np.ndarray  # delta_2.. (subdiagonal of L); delta_1 = ||v|| kept separately
     delta1: object
     breakdown: tuple | None  # ("gamma", i) or ("delta", i) naming the zero coefficient
-
-    @property
-    def k(self) -> int:
-        return len(self.gamma)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
@@ -220,10 +209,6 @@ class BlockLanczosResult:
     M: tuple  # diagonal blocks M_1..M_k
     B: tuple  # subdiagonal blocks B_2..B_k
     breakdown: int | None  # block step whose QR hit a zero pivot
-
-    @property
-    def k(self) -> int:
-        return len(self.M)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels

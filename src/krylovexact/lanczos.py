@@ -38,9 +38,7 @@ class LanczosResult:
         return len(self.alpha)
 
     def tridiagonal(self) -> JacobiMatrix:
-        k = self.k
-        off = self.beta[: k - 1] if k > 1 else self.beta[:0]
-        return JacobiMatrix(self.alpha.copy(), off.copy())
+        return JacobiMatrix(self.alpha.copy(), self.beta[: self.k - 1].copy())  # beta has k entries, so k = 0 slices none
 
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels

@@ -470,39 +470,31 @@ def random_signed_permutation(n: int, seed: int) -> SignedPermutation:
     return _signed_permutation(make_rng(seed), n)
 
 
-def random_jacobi(n: int, seed: int, spd: bool = False, precision: Precision = BINARY64) -> JacobiMatrix:
-    """alpha uniform on [-4, 4), beta uniform on [1/8, 8): inside both precisions' exponent-range guards."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    g = make_rng(seed)
-    dt = precision.dtype
-    alpha = _uniform(g, -4.0, 4.0, n, dt)
-    beta = _uniform(g, 0.125, 8.0, n - 1, dt)
-    if spd:
-        # Gershgorin shift: make every row strictly diagonally dominant with
-        # a positive diagonal, which forces positive definiteness.
-        pad = np.zeros(n, dtype=dt)
-        pad[:-1] += beta
-        pad[1:] += beta
-        alpha = np.abs(alpha) + pad + dt(1.0)
-    return JacobiMatrix(alpha, beta)
-
-
 def random_structure(kind: str, n: int, seed: int, precision: Precision = BINARY64, p: int = 1, spd: bool = False, positive_beta: bool = False):
     """Seeded n x n structure of the given kind, drawn from make_rng(seed).
 
-    spd applies to jacobi (random_jacobi), positive_beta to the superdiagonal
-    of nonsymtridiag (else its signs are drawn), and the block size p to
+    A jacobi T has alpha uniform on [-4, 4) and beta uniform on [1/8, 8),
+    inside both precisions' exponent-range guards; spd shifts its diagonal
+    (Gershgorin) so that every row is strictly diagonally dominant with a
+    positive diagonal.  positive_beta applies to the superdiagonal of
+    nonsymtridiag (else its signs are drawn), and the block size p to
     blocktridiag, which needs n = m p; the other kinds ignore them.
     """
     if kind not in STRUCTURES:
         raise ValueError(f"unknown structured kind {kind!r}")
     if n < 1:
         raise ValueError("n must be positive")
-    if kind == "jacobi":
-        return random_jacobi(n, seed, spd=spd, precision=precision)
     g = make_rng(seed)
     dt = precision.dtype
+    if kind == "jacobi":
+        alpha = _uniform(g, -4.0, 4.0, n, dt)
+        beta = _uniform(g, 0.125, 8.0, n - 1, dt)
+        if spd:
+            pad = np.zeros(n, dtype=dt)
+            pad[:-1] += beta
+            pad[1:] += beta
+            alpha = np.abs(alpha) + pad + dt(1.0)
+        return JacobiMatrix(alpha, beta)
     if kind == "hessenberg":
         H = np.zeros((n, n), dtype=dt)
         for j in range(n):
@@ -635,33 +627,30 @@ class PrescribedSystem:
 def prescribe_cg_curves(curves: ConvergenceCurves) -> PrescribedSystem:
     """Build (T_n, b = ||r_0|| e1) whose exact CG reproduces the curves.
 
-    delta_k = ||r_k||^2/||r_{k-1}||^2 and gamma_k follows from the telescoping
-    identity ||x-x_k||_A^2 = gamma_k ||r_k||^2 + ||x-x_{k+1}||_A^2; the
-    tridiagonal entries are alpha_k = 1/gamma_{k-1} + delta_{k-1}/gamma_{k-2}
-    and beta_{k+1} = sqrt(delta_k)/gamma_{k-1}.  The construction is carried
-    out in exact rational arithmetic (sqrt(delta_k) = ||r_k||/||r_{k-1}|| is
-    rational) and rounded once, to binary64, at the end.
+    The telescoping identity ||x-x_k||_A^2 = gamma_k ||r_k||^2 + ||x-x_{k+1}||_A^2
+    gives the pivot d_k = 1/gamma_k = ||r_k||^2/(e_k^2 - e_{k+1}^2), and
+    ell_k = ||r_k||/||r_{k-1}|| is the multiplier of T_n = L D L^T, so one
+    pass over k gives beta_{k+1} = ell_k d_{k-1} and alpha_{k+1} = d_k +
+    ell_k beta_{k+1} (alpha_1 = d_0).  The construction is carried out in
+    exact rational arithmetic and rounded once, to binary64, at the end.
     """
-    n = curves.n
     r = [Fraction(float(x)) for x in curves.residual_norms]
     e2 = [Fraction(float(x)) ** 2 for x in curves.energy_errors] + [Fraction(0)]
-    r2 = [x * x for x in r]
-    gammas = []
-    for k in range(n):
-        g = (e2[k] - e2[k + 1]) / r2[k]
-        if g <= 0:
+    alpha, beta = [], []
+    for k in range(curves.n):
+        if e2[k] <= e2[k + 1]:
             raise ValueError(f"gamma_{k} <= 0: curves inconsistent with an SPD system")
-        gammas.append(g)
-    deltas = [Fraction(0)] + [r2[k] / r2[k - 1] for k in range(1, n)]
-    ell = [r[k] / r[k - 1] for k in range(1, n)]  # sqrt(delta_k), exact
-    d = [1 / gammas[k] for k in range(n)]
-    alpha = [d[0]]
-    for k in range(2, n + 1):
-        alpha.append(d[k - 1] + deltas[k - 1] * d[k - 2])
-    beta = [ell[k - 1] * d[k - 1] for k in range(1, n)]
+        d = r[k] * r[k] / (e2[k] - e2[k + 1])
+        if k:
+            ell = r[k] / r[k - 1]
+            beta.append(ell * d_prev)
+            alpha.append(d + ell * beta[-1])
+        else:
+            alpha.append(d)
+        d_prev = d
     dt = BINARY64.dtype
     T = JacobiMatrix(np.array([dt(float(a)) for a in alpha], dtype=dt), np.array([dt(float(b)) for b in beta], dtype=dt))
-    b = np.zeros(n, dtype=dt)
+    b = np.zeros(curves.n, dtype=dt)
     b[0] = dt(float(curves.residual_norms[0]))
     return PrescribedSystem(T, freeze(b), alpha, beta)
 

@@ -47,8 +47,8 @@ from .fp import RangeError
 # Krylov Gram determinants, so their bit length, not the Fraction overhead,
 # sets the cost, and it depends on b as well as on A.  Measured CPU time of
 # rational_cg on a 2-vCPU VM: 6.03 s for a dense SPD A at n = 20; 10.8 s for
-# random_jacobi(24, 3, spd=True) with b = ones; 0.08 s in all for fig3's calls
-# (T_24 with b = e_1).
+# random_structure("jacobi", 24, 3, spd=True) with b = ones; 0.08 s in all for
+# fig3's calls (T_24 with b = e_1).
 MAX_ORACLE_DIM = 48
 
 

@@ -21,7 +21,7 @@ from krylovexact.lanczos import lanczos
 from krylovexact.problems import (
     prescribe_cg_curves,
     random_convergence_curves,
-    random_jacobi,
+    random_structure,
     random_structured_problem,
 )
 from krylovexact.rational import (
@@ -120,7 +120,7 @@ def test_criterion_6_cg_lanczos_collinearity():
     total = 0
     for seed in range(20):
         n = 4 + seed % 9
-        T = random_jacobi(n, seed, spd=True)
+        T = random_structure("jacobi", n, seed, spd=True)
         A = to_rational_matrix(T.to_dense())
         b = [Fraction(1 if i == 0 else 0) for i in range(n)]
         tr = rational_cg(A, b)

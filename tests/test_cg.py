@@ -5,12 +5,12 @@ import pytest
 from krylovexact.cg import cg_hs, cglanczos
 from krylovexact.fp import bitwise_equal
 from krylovexact.lanczos import lanczos
-from krylovexact.problems import random_jacobi, random_structured_problem
+from krylovexact.problems import random_structure, random_structured_problem
 from krylovexact.rational import rational_cg
 
 
 def _spd(n, seed):
-    T = random_jacobi(n, seed, spd=True)
+    T = random_structure("jacobi", n, seed, spd=True)
     return T.to_dense()
 
 

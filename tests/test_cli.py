@@ -252,6 +252,98 @@ def test_w_file_with_bilanczos_is_read(tmp_path, capsys):
     assert "bad float literal 'zz'" in _error_exit(capsys, "run", "bilanczos", "--problem", str(mat), "--e1", "--w-file", str(w))
 
 
+def _recording(monkeypatch, module, name):
+    """Patch module.name with a wrapper that records each call's keywords."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(kwargs) or real(*args, **kwargs))
+    return calls
+
+
+_RUN_SETTINGS = [("--variant", "cgs", "lanczos", "lanczos"), ("--reorth", "full", "lanczos", "lanczos"), ("--qr-variant", "cgs", "blocklanczos", "block_lanczos")]
+
+
+@pytest.mark.parametrize("flag, value, reader, function", _RUN_SETTINGS, ids=[s[0] for s in _RUN_SETTINGS])
+@pytest.mark.parametrize("algorithm", list(harness.ALGORITHMS))
+def test_run_takes_a_setting_only_for_the_algorithm_that_reads_it(tmp_path, capsys, monkeypatch, algorithm, flag, value, reader, function):
+    mat, blk = tmp_path / "T.txt", tmp_path / "blk.txt"
+    assert run_cli(capsys, "gen", "jacobi", "--n", "4", "--out", str(mat))[0] == 0
+    assert run_cli(capsys, "gen", "structured", "--kind", "blocktridiag", "--n", "4", "--p", "2", "--out", str(blk))[0] == 0
+    source = ["--problem", str(blk)] if algorithm == "blocklanczos" else ["--problem", str(mat), "--e1"]
+    calls = _recording(monkeypatch, harness, function)
+    if algorithm != reader:
+        assert _error_exit(capsys, "run", algorithm, *source, flag, value) == f"error: {flag} applies to {reader} only\n"
+        assert calls == []
+        return
+    assert run_cli(capsys, "run", algorithm, *source, flag, value)[0] == 0
+    assert run_cli(capsys, "run", algorithm, *source)[0] == 0
+    dest = flag[2:].replace("-", "_")
+    assert [call[dest] for call in calls] == [value, getattr(harness.RunInputs, dest)]  # absent: RunInputs' default
+
+
+_SWEEP_SETTINGS = [("--variant", "cgs", ("lanczos", "deficient"), "lanczos and deficient"), ("--qr-variant", "cgs", ("blocklanczos",), "blocklanczos"), ("--p", "2", ("blocklanczos",), "blocklanczos")]
+
+
+@pytest.mark.parametrize("flag, value, readers, names", _SWEEP_SETTINGS, ids=[s[0] for s in _SWEEP_SETTINGS])
+@pytest.mark.parametrize("algorithm", harness.SWEEPS)
+def test_check_exactness_takes_a_setting_only_for_the_sweeps_that_read_it(capsys, monkeypatch, algorithm, flag, value, readers, names):
+    calls = _recording(monkeypatch, cli, "exactness_sweep")
+    argv = ["check", "exactness", "--algorithm", algorithm, "--sizes", "4", "--seeds", "1"]
+    if algorithm not in readers:
+        assert _error_exit(capsys, *argv, flag, value) == f"error: {flag} applies to {names} only\n"
+        assert calls == []
+        return
+    assert run_cli(capsys, *argv, flag, value)[0] == 0
+    assert run_cli(capsys, *argv)[0] == 0
+    dest = flag[2:].replace("-", "_")
+    assert [call.get(dest) for call in calls] == [int(value) if flag == "--p" else value, None]  # absent: exactness_sweep's default
+
+
+@pytest.mark.parametrize("what", ["lemma31", "exactness", "bound52", "structure"])
+def test_check_rejects_a_flag_its_target_does_not_read(tmp_path, capsys, monkeypatch, what):
+    """Each check is patched to fail, so every rejection comes before a check runs."""
+    mat = tmp_path / "T.txt"
+    assert run_cli(capsys, "gen", "jacobi", "--n", "4", "--out", str(mat))[0] == 0
+    for name in ("sqrt_square_violations", "exactness_sweep", "experiment_fig3", "detect_structure"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("the check ran"))
+    readers = {
+        ("--problem", str(mat)): ["structure"],
+        ("--e1",): ["structure"],
+        ("--v-file", str(mat)): ["structure"],
+        ("--beta1", "2"): ["structure"],
+        ("--precision", "binary64"): ["lemma31", "exactness", "structure"],
+        ("--p", "2"): ["exactness"],
+        ("--variant", "cgs"): ["exactness"],
+        ("--qr-variant", "cgs"): ["exactness"],
+    }
+    for flag, targets in readers.items():
+        names = ", ".join(f"check {t}" for t in targets[:-1]) + " and " * (len(targets) > 1) + f"check {targets[-1]}"
+        if what not in targets:
+            assert _error_exit(capsys, "check", what, *flag) == f"error: {flag[0]} applies to {names} only\n"
+
+
+def test_check_reads_precision_where_it_applies(tmp_path, capsys):
+    code, out = run_cli(capsys, "check", "lemma31", "--samples", "100", "--precision", "binary32")
+    assert code == 0 and out.out == "lemma31: 100 samples, 0 violations (binary32)\n"
+    code, out = run_cli(capsys, "check", "exactness", "--sizes", "3", "--seeds", "1", "--precision", "binary32")
+    assert code == 0 and out.out == "exactness[lanczos]: 1 instances, 0 mismatches\n"
+    mat = tmp_path / "T.txt"
+    assert run_cli(capsys, "gen", "jacobi", "--n", "4", "--precision", "binary32", "--out", str(mat))[0] == 0
+    for flags in ([], ["--precision", "binary32"]):
+        assert run_cli(capsys, "check", "structure", "--problem", str(mat), *flags)[0] == 0
+    err = _error_exit(capsys, "check", "structure", "--problem", str(mat), "--precision", "binary64")
+    assert err == "error: --precision binary64 differs from the file's binary32\n"
+
+
+def test_run_cglanczos_on_an_overflowing_iterate_exits_2_and_writes_nothing(tmp_path, capsys):
+    """SPD and 1 x 1 with pivot d_1 = 2^-140 > 0, so no pivot rule fires:
+    x_1 = 1/d_1 overflows binary32."""
+    mat, out_csv = tmp_path / "t.txt", tmp_path / "o.csv"
+    mat.write_text("precision binary32\ndense 1 1\n0x1p-140\n")
+    err = _error_exit(capsys, "run", "cglanczos", "--problem", str(mat), "--e1", "--out", str(out_csv))
+    assert err == "error: CG iterate x_1 contains a NaN or infinity\n"
+    assert not out_csv.exists()
+
+
 def test_check_structure_on_a_non_symmetric_matrix_exits_1(tmp_path, capsys):
     mat = tmp_path / "H.txt"
     assert run_cli(capsys, "gen", "hessenberg", "--n", "5", "--seed", "0", "--out", str(mat))[0] == 0

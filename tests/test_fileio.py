@@ -22,7 +22,7 @@ from krylovexact.fileio import (
 )
 from krylovexact.fp import BINARY32, BINARY64, bitwise_equal
 from krylovexact.harness import MetricSeries, exactness_check
-from krylovexact.problems import STRUCTURES, random_jacobi, random_structure, random_structured_problem
+from krylovexact.problems import STRUCTURES, random_structure, random_structured_problem
 
 
 def _roundtrip_matrix(T):
@@ -33,7 +33,7 @@ def _roundtrip_matrix(T):
 
 
 def test_jacobi_roundtrip_bitwise():
-    T = random_jacobi(7, 3)
+    T = random_structure("jacobi", 7, 3)
     alpha = T.alpha.copy()
     alpha[2] = -0.0
     T = type(T)(alpha, T.beta)
@@ -134,7 +134,7 @@ def test_csv_writers_smoke():
     assert "lanczos,4,0" in out.getvalue()
 
     out = io.StringIO()
-    write_matrix_summary_csv(out, random_jacobi(3, 0))
+    write_matrix_summary_csv(out, random_structure("jacobi", 3, 0))
     assert out.getvalue().splitlines()[0] == "kind,dims,index,value,value_hex"
 
     out = io.StringIO()

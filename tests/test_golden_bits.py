@@ -12,14 +12,17 @@ meant to move bits, with the reason in CHANGES.md):
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import json
+import platform
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from krylovexact.fp import precision_of
 from krylovexact.harness import ALGORITHMS, RunInputs, a_orthogonality_loss, loss_of_orthogonality, sqrt_square_violations
@@ -164,7 +167,91 @@ def compute() -> dict:
     return {key: hashes[key].hexdigest() for key in sorted(hashes)}
 
 
+def environment_faults() -> list:
+    """The attributes of the floating-point environment that the digests
+    assume and this process lacks: round-to-nearest-even in each format (1 +
+    3/4 ulp rounds up, 1 + 1/4 ulp and -1 - 1/4 ulp round back to +-1), and
+    gradual underflow.  Half the smallest normal must keep nonzero bits (read
+    as bits: with denormals-are-zero, a float compare reads it as 0), and the
+    smallest subnormal times 2^nmant must give the smallest normal, a normal
+    result that flush-to-zero leaves alone."""
+    faults = []
+    for dtype, name in zip(DTYPES, ("binary64", "binary32")):
+        info, one = np.finfo(dtype), dtype(1)
+        if not (one + info.eps * dtype(0.75) == one + info.eps and one + info.eps * dtype(0.25) == one and -one - info.eps * dtype(0.25) == -one):
+            faults.append(f"{name} round-to-nearest-even")
+        if not np.array([info.smallest_normal / dtype(2)]).view(f"u{info.bits // 8}")[0]:
+            faults.append(f"{name} gradual underflow (flush-to-zero is set)")
+        if info.smallest_subnormal * dtype(1 << info.nmant) != info.smallest_normal:  # not 2.0**nmant: libm's pow rounds under a directed mode
+            faults.append(f"{name} subnormal operands (denormals-are-zero is set)")
+    return faults
+
+
+def require_default_environment():
+    """Fail, naming each missing attribute, before a digest is compared."""
+    faults = environment_faults()
+    assert not faults, f"the floating-point environment lacks {faults}, which every digest assumes"
+
+
+# glibc's directed rounding modes (<bits/fenv.h>) for the machines they are listed for here
+_ROUNDING_MODES = {
+    "x86_64": {"FE_UPWARD": 0x800, "FE_DOWNWARD": 0x400, "FE_TOWARDZERO": 0xC00},
+    "i686": {"FE_UPWARD": 0x800, "FE_DOWNWARD": 0x400, "FE_TOWARDZERO": 0xC00},
+    "aarch64": {"FE_UPWARD": 0x400000, "FE_DOWNWARD": 0x800000, "FE_TOWARDZERO": 0xC00000},
+}
+
+
+def _glibc_libm():
+    """glibc's libm with the signatures of the four fenv functions declared."""
+    libm = ctypes.CDLL("libm.so.6")
+    libm.fegetround.argtypes, libm.fesetround.argtypes = [], [ctypes.c_int]
+    libm.fegetenv.argtypes = libm.fesetenv.argtypes = [ctypes.c_void_p]
+    for f in (libm.fegetround, libm.fesetround, libm.fegetenv, libm.fesetenv):
+        f.restype = ctypes.c_int
+    return libm
+
+
+@pytest.mark.parametrize("mode", ["FE_UPWARD", "FE_DOWNWARD", "FE_TOWARDZERO"])
+def test_the_environment_check_names_a_directed_rounding_mode(mode):
+    """Each clause of the rounding probe is needed: only 1 + 1/4 ulp catches
+    FE_UPWARD, only 1 + 3/4 ulp FE_TOWARDZERO."""
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("libm is not glibc: this test sets the rounding mode with glibc's fesetround")
+    if platform.machine() not in _ROUNDING_MODES:
+        pytest.skip(f"glibc's rounding-mode values are listed here for {sorted(_ROUNDING_MODES)} only, not {platform.machine()}")
+    libm = _glibc_libm()
+    old = libm.fegetround()
+    assert libm.fesetround(_ROUNDING_MODES[platform.machine()][mode]) == 0
+    try:
+        faults = environment_faults()
+    finally:
+        libm.fesetround(old)
+    assert libm.fegetround() == old
+    assert faults == ["binary64 round-to-nearest-even", "binary32 round-to-nearest-even"]
+    assert environment_faults() == []
+
+
+@pytest.mark.parametrize("mxcsr, names", [(0x8000, ["gradual underflow (flush-to-zero is set)"]), (0x0040, ["subnormal operands (denormals-are-zero is set)"])], ids=["FTZ", "DAZ"])
+def test_the_environment_check_names_flush_to_zero_and_denormals_are_zero(mxcsr, names):
+    """Sets one MXCSR bit through glibc's fesetenv, on an fenv_t whose MXCSR
+    word is its last 4 of 32 bytes, as on x86-64 glibc."""
+    if platform.libc_ver()[0] != "glibc" or platform.machine() != "x86_64":
+        pytest.skip("the fenv_t layout edited here (MXCSR at byte 28) is x86-64 glibc's")
+    libm = _glibc_libm()
+    old, env = (ctypes.c_uint8 * 32)(), (ctypes.c_uint8 * 32)()
+    assert libm.fegetenv(old) == 0 and libm.fegetenv(env) == 0
+    env[28:32] = list((int.from_bytes(bytes(env[28:32]), "little") | mxcsr).to_bytes(4, "little"))
+    assert libm.fesetenv(env) == 0
+    try:
+        faults = environment_faults()
+    finally:
+        libm.fesetenv(old)
+    assert faults == [f"{precision} {name}" for precision in ("binary64", "binary32") for name in names]
+    assert environment_faults() == []
+
+
 def test_golden_bits():
+    require_default_environment()
     want = json.loads(GOLDEN.read_text())
     got = compute()
     assert sorted(got) == sorted(want)

@@ -22,7 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from test_golden_bits import _feed
+from test_golden_bits import _feed, require_default_environment
 
 from krylovexact.cli import main
 from krylovexact.fileio import read_matrix, read_problem, write_matrix, write_matrix_summary_csv, write_problem
@@ -142,6 +142,7 @@ def compute() -> dict:
 
 
 def test_golden_io():
+    require_default_environment()
     want = json.loads(GOLDEN.read_text())
     got = compute()
     assert sorted(got) == sorted(want)

@@ -44,7 +44,7 @@ def _sym(n, seed):
 def test_arnoldi_structured_exactness(n, seed):
     prob = random_structured_problem("hessenberg", n, seed)
     res = arnoldi(prob.A, prob.v, n)
-    assert bitwise_equal(res.square(), prob.T.entries)
+    assert bitwise_equal(res.H[: res.k], prob.T.entries)
     assert bitwise_equal(res.V, prob.P.to_dense())
     assert res.breakdown == n
 
@@ -53,7 +53,7 @@ def test_arnoldi_on_symmetric_structured_matches_lanczos_bitwise():
     prob = random_structured_problem("jacobi", 10, 4)
     ar = arnoldi(prob.A, prob.v, 10)
     la = lanczos(prob.A, prob.v, 10)
-    H = ar.square()
+    H = ar.H[: ar.k]
     assert bitwise_equal(np.diag(H), la.alpha)
     assert bitwise_equal(np.diag(H, -1), la.beta[:9])
     assert bitwise_equal(ar.V, la.V)
@@ -158,7 +158,7 @@ def test_golub_kahan_rectangular():
     A = g.uniform(-1, 1, (9, 5))
     v = g.uniform(-1, 1, 9)
     res = golub_kahan(A, v, 5)
-    k = res.k
+    k = len(res.gamma)
     # the recurrence A w_i = gamma_i s_i + delta_{i+1} s_{i+1}
     for i in range(k - 1):
         lhs = A @ res.W[:, i]

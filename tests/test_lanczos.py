@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krylovexact import fp
@@ -223,6 +223,21 @@ def _lanczos_columns(A, v, k, variant, reorth):
     )
 
 
+def _record_step(tr, x, r, p, gamma, delta):
+    """Step k >= 1 of a column loop: ||r_k|| first, then x_k, p_k and
+    gamma_{k-1} must be finite; copies of the vectors are appended."""
+    k, nrm = len(tr.x), norm2(r)
+    for what, a in ((f"CG iterate x_{k}", x), (f"CG direction p_{k}", p), (f"CG step gamma_{k - 1}", gamma)):
+        if not np.all(np.isfinite(a)):
+            raise NonFiniteError(f"{what} contains a NaN or infinity")
+    tr.gammas.append(gamma)
+    tr.deltas.append(delta)
+    tr.x.append(x.copy())
+    tr.r.append(r.copy())
+    tr.p.append(p.copy())
+    tr.residual_norms.append(nrm)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _cglanczos_columns(A, b, kmax):
     n = len(A)
@@ -274,12 +289,7 @@ def _cglanczos_columns(A, b, kmax):
         tr.d.append(d_k)
         tr.ell.append(ell_k)
         tr.rho.append(rho)
-        tr.x.append(x.copy())
-        tr.r.append(r.copy())
-        tr.p.append(p.copy())
-        tr.residual_norms.append(norm2(r))
-        tr.gammas.append(dt(1.0) / d_k)
-        tr.deltas.append(ell_k * ell_k)
+        _record_step(tr, x, r, p, dt(1.0) / d_k, ell_k * ell_k)
         vprev = vk
         beta_k = beta_next
         ell_prev = ell_k
@@ -288,6 +298,7 @@ def _cglanczos_columns(A, b, kmax):
     return tr
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cg_hs_columns(A, b, kmax):
     n = len(A)
     validate_operands(A, b, k=kmax, limit=n)
@@ -317,12 +328,7 @@ def _cg_hs_columns(A, b, kmax):
         delta = rr_new / rr
         p = r + delta * p
         rr = rr_new
-        tr.gammas.append(gamma)
-        tr.deltas.append(delta)
-        tr.x.append(x.copy())
-        tr.r.append(r.copy())
-        tr.p.append(p.copy())
-        tr.residual_norms.append(norm2(r))
+        _record_step(tr, x, r, p, gamma, delta)
     return tr
 
 
@@ -425,13 +431,35 @@ def test_lanczos_leaves_its_inputs_alone_and_repeats_its_bits(structured, reorth
     assert bitwise_equal(A, A0) and bitwise_equal(v, v0)
 
 
+def _cg_hs_overflow():
+    """A binary32 pair on which cg_hs's x_4 overflows while r_4 stays finite."""
+    t = 2.0**-20
+    A = np.zeros((5, 5), dtype=np.float32)
+    A[1, 1] = t
+    A[3, 3] = A[3, 4] = A[4, 3] = -t
+    return A, np.array([-float.fromhex("0x1.17b6b6p-23"), -t, -t, 0, 0], dtype=np.float32)
+
+
+# SPD and 1 x 1: the pivot d_1 = 2^-140 is positive, and x_1 = 1/d_1 overflows binary32;
+# from b = 2^-20, x_1 = 2^120 is finite and gamma_0 = 1/d_1 overflows alone.
+_CGLANCZOS_OVERFLOW = (np.array([[2.0**-140]], dtype=np.float32), np.ones(1, dtype=np.float32))
+_CGLANCZOS_GAMMA_OVERFLOW = (_CGLANCZOS_OVERFLOW[0], np.full(1, 2.0**-20, dtype=np.float32))
+# k = 1 on the binary32 [[2^-60, 2^10], [2^10, 1]] from 2^-20 e1: ell_1 = 2^70 is finite,
+# x_1 = 2^40 and r_1 = +-2^50 e2 are too, and ell_1^2 in p_1 = r_1 + ell_1^2 p_0 overflows.
+_CGLANCZOS_DIRECTION_OVERFLOW = (np.array([[2.0**-60, 2.0**10], [2.0**10, 1.0]], dtype=np.float32), np.array([2.0**-20, 0.0], dtype=np.float32))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(symmetric_case(spd=True), symmetric_case(spd=False)), st.data())
+@example(_CGLANCZOS_OVERFLOW, 1)
+@example(_CGLANCZOS_GAMMA_OVERFLOW, 1)
+@example(_CGLANCZOS_DIRECTION_OVERFLOW, 1)
 def test_cglanczos_rows_match_the_column_loop(case, data):
     """On indefinite input the pivot error now comes after the whole Lanczos
-    run, not inside it: the same type and message."""
+    run, not inside it: the same type and message.  An explicit example
+    passes k in place of data."""
     A, b = case
-    k = data.draw(st.integers(0, len(A)))
+    k = data if isinstance(data, int) else data.draw(st.integers(0, len(A)))
     _assert_same(_outcome(cglanczos, A, b, k), _outcome(_cglanczos_columns, A, b, k))
 
 
@@ -454,10 +482,30 @@ def test_cglanczos_raises_an_overflowed_multiplier_before_the_vector_block_uses_
 
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(symmetric_case(spd=True), symmetric_case(spd=False)), st.data())
+@example(_cg_hs_overflow(), 4)
 def test_cg_hs_rows_match_the_column_loop(case, data):
+    """An explicit example passes k in place of data."""
     A, b = case
-    k = data.draw(st.integers(0, len(A)))
+    k = data if isinstance(data, int) else data.draw(st.integers(0, len(A)))
     _assert_same(_outcome(cg_hs, A, b, k), _outcome(_cg_hs_columns, A, b, k))
+
+
+@pytest.mark.parametrize(
+    "variant, case, k, what",
+    [
+        (cg_hs, _cg_hs_overflow(), 4, "CG iterate x_4"),
+        (cglanczos, _CGLANCZOS_OVERFLOW, 1, "CG iterate x_1"),
+        (cglanczos, _CGLANCZOS_GAMMA_OVERFLOW, 1, "CG step gamma_0"),
+        (cglanczos, _CGLANCZOS_DIRECTION_OVERFLOW, 1, "CG direction p_1"),
+    ],
+    ids=["cg_hs", "cglanczos", "cglanczos-gamma", "cglanczos-direction"],
+)
+def test_cg_raises_an_overflowed_iterate_or_step_without_a_warning(variant, case, k, what):
+    """Neither pivot rule fires on these inputs; what overflows raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=f"^{what} contains a NaN or infinity$"):
+            variant(*case, k)
 
 
 def test_overflow_raises_without_a_warning_and_restores_errstate():

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from krylovexact.problems import (
     extend_deficient,
     prescribe_cg_curves,
     random_convergence_curves,
-    random_jacobi,
     random_signed_block_permutation,
     random_signed_permutation,
     random_structure,
@@ -280,7 +280,7 @@ def test_banded_to_dense_is_a_placement_loop(kind, n, seed, precision, data):
 
 
 def test_extend_deficient_empty_blocks_matches_assemble():
-    T = random_jacobi(5, 2)
+    T = random_structure("jacobi", 5, 2)
     P = random_signed_permutation(5, 7)
     lead = assemble(T, P, 1.5)
     ext = extend_deficient(lead, np.zeros((0, 0)))
@@ -290,7 +290,7 @@ def test_extend_deficient_empty_blocks_matches_assemble():
 
 
 def test_extend_deficient_is_bitwise_symmetric():
-    T = random_jacobi(3, 0)
+    T = random_structure("jacobi", 3, 0)
     P = random_signed_permutation(3, 1)
     g = np.random.Generator(np.random.Philox(key=9))
     W = g.uniform(-1, 1, (4, 4))
@@ -472,6 +472,54 @@ def test_prescribe_cg_curves_yields_jacobi(n, seed):
     assert len(sys_.exact_alpha) == n
 
 
+def _prescribe_with_lists(curves):
+    """The prescription with its gamma, delta, ell and d lists kept: alpha_1 =
+    d_0, alpha_{k+1} = d_k + delta_k d_{k-1}, beta_{k+1} = ell_k d_{k-1}."""
+    n = curves.n
+    r = [Fraction(float(x)) for x in curves.residual_norms]
+    e2 = [Fraction(float(x)) ** 2 for x in curves.energy_errors] + [Fraction(0)]
+    r2 = [x * x for x in r]
+    gammas = []
+    for k in range(n):
+        g = (e2[k] - e2[k + 1]) / r2[k]
+        if g <= 0:
+            raise ValueError(f"gamma_{k} <= 0: curves inconsistent with an SPD system")
+        gammas.append(g)
+    deltas = [Fraction(0)] + [r2[k] / r2[k - 1] for k in range(1, n)]
+    ell = [r[k] / r[k - 1] for k in range(1, n)]
+    d = [1 / g for g in gammas]
+    alpha = [d[0]] + [d[k - 1] + deltas[k - 1] * d[k - 2] for k in range(2, n + 1)]
+    beta = [ell[k - 1] * d[k - 1] for k in range(1, n)]
+    return alpha, beta, np.array([float(a) for a in alpha]), np.array([float(b) for b in beta])
+
+
+@given(st.integers(1, 24), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_one_pass_prescription_matches_the_list_reference(n, seed):
+    curves = random_convergence_curves(n, seed)
+    got = prescribe_cg_curves(curves)
+    alpha, beta, T_alpha, T_beta = _prescribe_with_lists(curves)
+    assert got.exact_alpha == alpha and got.exact_beta == beta
+    assert bitwise_equal(got.T.alpha, T_alpha) and bitwise_equal(got.T.beta, T_beta)
+
+
+@given(st.integers(1, 24), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_pass_prescription_raises_at_the_first_rise_in_energy(n, seed, data):
+    """Duck-typed curves (ConvergenceCurves rejects them) whose e_k^2 <= e_{k+1}^2
+    at a drawn k, equal or rising; the terminal e_n = 0 is never reached."""
+    curves = random_convergence_curves(n + 1, seed)
+    k = data.draw(st.integers(0, n - 1))
+    e = curves.energy_errors.copy()
+    e[k + 1] = e[k] * data.draw(st.sampled_from([1.0, 1.5]))
+    duck = SimpleNamespace(n=n + 1, residual_norms=curves.residual_norms, energy_errors=e)
+    with pytest.raises(ValueError) as want:
+        _prescribe_with_lists(duck)
+    with pytest.raises(ValueError) as got:
+        prescribe_cg_curves(duck)
+    assert str(got.value) == str(want.value) == f"gamma_{k} <= 0: curves inconsistent with an SPD system"
+
+
 def test_curves_validation():
     with pytest.raises(ValueError):
         ConvergenceCurves(np.array([1.0, 1.0]), np.array([1.0, 2.0]))  # energy must decrease
@@ -493,7 +541,7 @@ def test_detect_structure_checks_the_vector():
 
 
 def test_spd_jacobi_is_positive_definite():
-    T = random_jacobi(12, 4, spd=True)
+    T = random_structure("jacobi", 12, 4, spd=True)
     assert is_spd_rational(to_rational_matrix(T.to_dense()))
 
 

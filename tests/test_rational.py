@@ -10,7 +10,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from krylovexact import rational
-from krylovexact.problems import random_jacobi
+from krylovexact.problems import random_structure
 from krylovexact.rational import (
     MAX_ORACLE_DIM,
     RationalCGTrace,
@@ -573,7 +573,7 @@ def test_rational_cg_on_dense_binary64_arrays_gives_the_two_solve_fractions(n):
 
 @pytest.mark.parametrize("n", [1, 2, 8, 16, 24])
 def test_rational_cg_on_a_jacobi_matrix_from_e1_gives_the_two_solve_fractions(n):
-    T = random_jacobi(n, n, spd=True).to_dense()
+    T = random_structure("jacobi", n, n, spd=True).to_dense()
     b = np.zeros(n)
     b[0] = 1.0
     assert len(_same_cg(T, b).x) == n + 1
@@ -584,7 +584,7 @@ def test_rational_cg_solves_nothing_a_second_time(monkeypatch):
         raise AssertionError("rat_solve called")
 
     monkeypatch.setattr(rational, "rat_solve", forbidden)
-    T = random_jacobi(12, 1, spd=True).to_dense()
+    T = random_structure("jacobi", 12, 1, spd=True).to_dense()
     tr = rational_cg(T, np.ones(12))
     assert rat_matvec(nonzero_rows(T), tr.x_exact) == to_rational_vector(np.ones(12))
     assert tr.energy2[-1] == 0 and all(c < a for a, c in zip(tr.energy2, tr.energy2[1:]))

@@ -1,13 +1,16 @@
 """Each typed error of the package's entry checks, with its type and message."""
 
+import dataclasses
 import io
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_golden_bits import FLAVORS, SEEDS, SIZES, _inputs, _runs
 
 from krylovexact import fileio, fp, harness, problems
 from krylovexact.fp import ShapeError
+from krylovexact.krylov_general import SeriousBreakdownError
 from krylovexact.problems import SignedPermutation
 
 
@@ -24,9 +27,9 @@ _CASES = {
         "all blocks must have equal size",
     ),
     "assemble-block-dims": (lambda: problems.assemble(problems.random_structured_problem("blocktridiag", 4, 0, p=2).T, problems.random_signed_permutation(4, 0), 1.0), ShapeError, "block dimensions of P and T do not agree"),
-    "assemble-dims": (lambda: problems.assemble(problems.random_jacobi(3, 0), problems.random_signed_permutation(4, 0), 1.0), ShapeError, "dimensions of P and T do not agree"),
+    "assemble-dims": (lambda: problems.assemble(problems.random_structure("jacobi", 3, 0), problems.random_signed_permutation(4, 0), 1.0), ShapeError, "dimensions of P and T do not agree"),
     "signed-permutation-n": (lambda: problems.random_signed_permutation(0, 0), ValueError, "n must be positive"),
-    "jacobi-n": (lambda: problems.random_jacobi(0, 0), ValueError, "n must be positive"),
+    "jacobi-n": (lambda: problems.random_structure("jacobi", 0, 0), ValueError, "n must be positive"),
     "curves-gamma": (
         # energy errors that rise: ConvergenceCurves rejects them, so the curves are a plain namespace
         lambda: problems.prescribe_cg_curves(SimpleNamespace(n=2, residual_norms=np.ones(2), energy_errors=np.array([1.0, 2.0]))),
@@ -59,3 +62,38 @@ def test_each_entry_check_raises_its_typed_error(case):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and info.value.args == (message,)
+
+
+def _finite_leaves(obj):
+    """True when every float array and float scalar inside a result (its
+    dataclass fields, lists and tuples) is finite; ints, strings and None pass."""
+    if dataclasses.is_dataclass(obj):
+        return all(_finite_leaves(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, (list, tuple)):
+        return all(_finite_leaves(item) for item in obj)
+    if isinstance(obj, (np.ndarray, np.floating, float)):
+        return bool(np.all(np.isfinite(obj)))
+    return True
+
+
+@pytest.mark.parametrize("precision", ["binary64", "binary32"])
+@pytest.mark.parametrize("algorithm", list(harness.ALGORITHMS))
+def test_every_algorithm_on_the_golden_grid_returns_finite_data_or_a_typed_error(algorithm, precision):
+    """Each variant of each ALGORITHMS entry, on every general input of the
+    golden grid, at the full run and at half of it."""
+    dtype = np.float64 if precision == "binary64" else np.float32
+    entry, runs = harness.ALGORITHMS[algorithm], [run for run in _runs() if run[0].split("[")[0] == algorithm]
+    for n in SIZES:
+        for seed in SEEDS:
+            for flavor in FLAVORS:
+                mats, v, w, blocks = _inputs(dtype, n, seed, flavor)
+                for label, kind, opts, p in runs:
+                    if p is not None and p not in blocks:
+                        continue
+                    x = harness.RunInputs(mats[kind], v, w, blocks.get(p), **opts)
+                    for k in (entry.steps(x), entry.steps(x) // 2):
+                        try:
+                            res = entry.run(x, k)
+                        except (ValueError, TypeError, SeriousBreakdownError):  # the typed errors the CLI maps to exit 2
+                            continue
+                        assert _finite_leaves(res), (label, kind, n, seed, flavor, k)
