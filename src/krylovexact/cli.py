@@ -59,13 +59,13 @@ def _build_parser():
     gen = sub.add_parser("gen", help="generate matrices, vectors, and structured problems")
     gen.add_argument("what", choices=[*STRUCTURES, "strakos", "structured"])
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, help="seed of every target but strakos (default 0)")
     gen.add_argument("--p", type=int, default=1, help="block size (blocktridiag, structured blocktridiag)")
-    gen.add_argument("--spd", action="store_true", help="shift the diagonal to force positive definiteness (jacobi)")
-    gen.add_argument("--kind", choices=list(STRUCTURES), default="jacobi", help="structure kind for `gen structured`")
-    gen.add_argument("--lam1", type=float, default=1e-3)
-    gen.add_argument("--lamn", type=float, default=1.0)
-    gen.add_argument("--rho", type=float, default=0.7)
+    gen.add_argument("--spd", action="store_true", help="shift the diagonal to force positive definiteness (jacobi, structured --kind jacobi)")
+    gen.add_argument("--kind", choices=list(STRUCTURES), help="structure kind for `gen structured` (default jacobi)")
+    gen.add_argument("--lam1", type=float, help="strakos (default 1e-3)")
+    gen.add_argument("--lamn", type=float, help="strakos (default 1)")
+    gen.add_argument("--rho", type=float, help="strakos (default 0.7)")
     gen.add_argument("--precision", choices=[row.name for row in PRECISIONS], default=PRECISIONS[0].name)
     gen.add_argument("--out", required=True)
 
@@ -83,23 +83,23 @@ def _build_parser():
 
     chk = sub.add_parser("check", help="run a correctness check")
     chk.add_argument("what", choices=["exactness", "lemma31", "bound52", "structure"])
-    chk.add_argument("--algorithm", choices=SWEEPS, default="lanczos")
-    chk.add_argument("--sizes", default="2,10,50", help="comma-separated instance sizes")
-    chk.add_argument("--seeds", type=int, default=10, help="number of seeds per size")
+    chk.add_argument("--algorithm", choices=SWEEPS, help="sweep of `check exactness` (default lanczos)")
+    chk.add_argument("--sizes", help="comma-separated instance sizes of `check exactness` (default 2,10,50)")
+    chk.add_argument("--seeds", type=int, help="number of seeds per size of `check exactness` (default 10)")
     chk.add_argument("--p", type=int, help="block size of blocklanczos (default 1)")
     chk.add_argument("--variant", choices=VARIANTS, help="Gram-Schmidt variant of lanczos and deficient (default mgs)")
     chk.add_argument("--qr-variant", choices=VARIANTS, help="block QR of blocklanczos (default mgs)")
-    chk.add_argument("--samples", type=int, default=1000000)
-    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument("--samples", type=int, help="samples of `check lemma31` (default 1000000)")
+    chk.add_argument("--seed", type=int, help="seed of `check lemma31` (default 0)")
     chk.add_argument("--problem", help="matrix file for `check structure`")
     _add_start(chk)
     chk.add_argument("--precision", choices=[row.name for row in PRECISIONS], help="default binary64; structure reads the file's")
 
     exp = sub.add_parser("experiment", help="run an experiment and write its CSV")
     exp.add_argument("what", choices=["fig2", "fig3", "prescribed-curves", "exactness-sweep"])
-    exp.add_argument("--n", type=int, default=12)
-    exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--seeds", type=int, default=5)
+    exp.add_argument("--n", type=int, help="steps of prescribed-curves (default 12)")
+    exp.add_argument("--seed", type=int, help="seed of prescribed-curves (default 0)")
+    exp.add_argument("--seeds", type=int, help="seeds per size of exactness-sweep (default 5)")
     exp.add_argument("--out", required=True)
 
     cnv = sub.add_parser("convert", help="matrix/problem file to CSV summary")
@@ -151,8 +151,16 @@ def _starting_vector(args, A, v):
 def _reject_unread(args, target, readers):
     """ValueError naming the first flag of readers, {flag: its readers}, that is given to a target not among them."""
     for flag, names in readers.items():
-        if getattr(args, flag[2:].replace("-", "_")) not in (None, False) and target not in names:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False and target not in names:  # a given 0 is given: 0 == False
             raise ValueError(f"{flag} applies to {' and '.join(filter(None, (', '.join(names[:-1]), names[-1])))} only")
+
+
+def _fill(args, **defaults):
+    """Set each flag of defaults that is not given to its default, once _reject_unread has seen what is."""
+    for dest, value in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
 
 
 def _given(args, *dests):
@@ -165,7 +173,18 @@ def _write_series_csv(path, pairs):
         fileio.write_vector_csv(f, pairs)
 
 
+_GEN_READERS = {
+    "--seed": tuple(f"gen {what}" for what in (*STRUCTURES, "structured")),
+    "--kind": ("gen structured",),
+    **dict.fromkeys(("--lam1", "--lamn", "--rho"), ("gen strakos",)),
+}
+
+
 def _cmd_gen(args) -> int:
+    _reject_unread(args, f"gen {args.what}", _GEN_READERS)
+    _fill(args, seed=0, kind="jacobi", lam1=1e-3, lamn=1.0, rho=0.7)
+    target = f"gen structured --kind {args.kind}" if args.what == "structured" else f"gen {args.what}"
+    _reject_unread(args, target, {"--spd": ("gen jacobi", "gen structured --kind jacobi")})
     precision = precision_named(args.precision)
     if args.what == "structured":
         prob = random_structured_problem(args.kind, args.n, args.seed, precision, p=args.p, spd=args.spd)
@@ -233,13 +252,15 @@ _RUN_READERS = {"--w-file": ("bilanczos",), "--variant": ("lanczos",), "--reorth
 _CHECK_READERS = {
     **dict.fromkeys(("--problem", "--e1", "--v-file", "--beta1"), ("check structure",)),
     "--precision": ("check lemma31", "check exactness", "check structure"),  # bound52 runs fig3, which is binary64
-    **dict.fromkeys(("--p", "--variant", "--qr-variant"), ("check exactness",)),
+    **dict.fromkeys(("--algorithm", "--sizes", "--seeds", "--p", "--variant", "--qr-variant"), ("check exactness",)),
+    **dict.fromkeys(("--samples", "--seed"), ("check lemma31",)),
 }
 _SWEEP_READERS = {"--variant": ("lanczos", "deficient"), "--qr-variant": ("blocklanczos",), "--p": ("blocklanczos",)}
 
 
 def _cmd_check(args) -> int:
     _reject_unread(args, f"check {args.what}", _CHECK_READERS)
+    _fill(args, algorithm="lanczos", sizes="2,10,50", seeds=10, samples=1000000, seed=0)
     if args.what == "exactness":
         _reject_unread(args, args.algorithm, _SWEEP_READERS)
     precision = precision_named(args.precision or PRECISIONS[0].name)
@@ -276,7 +297,12 @@ def _cmd_check(args) -> int:
     return 0
 
 
+_EXPERIMENT_READERS = {**dict.fromkeys(("--n", "--seed"), ("experiment prescribed-curves",)), "--seeds": ("experiment exactness-sweep",)}
+
+
 def _cmd_experiment(args) -> int:
+    _reject_unread(args, f"experiment {args.what}", _EXPERIMENT_READERS)
+    _fill(args, n=12, seed=0, seeds=5)
     if args.what == "fig2":
         series = experiment_fig2()
         with open(args.out, "w", newline="") as f:

@@ -34,6 +34,9 @@ or "<what>'s squared norm underflows" for a nonzero v.
 
 Row layout: the Krylov loops and the block QR keep their bases as the
 contiguous rows of an array and return a C-order copy of the transpose.
+The three-term loops (lanczos, nonsym_lanczos, golub_kahan) index theirs as
+the recurrence: row i is v_i over a +0 row 0 for v_0, and each coefficient
+sits at its recurrence index in a preallocated array, one slice per field.
 Every recurrence (those, and HS-CG) enters np.errstate(over="ignore",
 invalid="ignore") once per call.  _mgs is the one modified Gram-Schmidt
 loop, for Arnoldi, Lanczos reorthogonalization and block QR.

@@ -65,56 +65,46 @@ class SeriousBreakdownError(RuntimeError):
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> NonsymLanczosResult:
+    """gamma_{i+1} v_{i+1} = A v_i - alpha_i v_i - beta_i v_{i-1} and its A^T twin for w, from v_0 = w_0 = +0 (fp's Row layout)."""
     n = len(A)
     validate_operands(A, v, w, k=k, limit=n, square=True)
-    At = A.T
-    Vt = np.zeros((k + 1, n), dtype=A.dtype)  # rows are the basis vectors
-    gamma1, Vt[0] = _start(v, "right starting vector")
-    Wt = np.zeros((k + 1, n), dtype=A.dtype)
-    beta1 = _dot(w, Vt[0])
-    if beta1 == 0:
+    Vt = np.zeros((k + 2, n), dtype=A.dtype)  # row i is v_i; row 0 is v_0 = +0
+    Wt = np.zeros((k + 2, n), dtype=A.dtype)  # row i is w_i; row 0 is w_0 = +0
+    alpha = np.zeros(k + 1, dtype=A.dtype)  # alpha[i] is alpha_i
+    beta = np.zeros(k + 2, dtype=A.dtype)  # beta[i] is beta_i
+    gamma = np.zeros(k + 2, dtype=A.dtype)  # gamma[i] is gamma_i
+    gamma[1], Vt[1] = _start(v, "right starting vector")
+    beta[1] = _dot(w, Vt[1])
+    if beta[1] == 0:
         raise ValueError("w^T v_1 = 0: the starting pair is biorthogonally degenerate")
-    Wt[0] = w / beta1
-    vprev = np.zeros(n, dtype=A.dtype)
-    wprev = np.zeros(n, dtype=A.dtype)
-    alphas, betas, gammas = [], [], []
-    beta_i = beta1
-    gamma_i = gamma1
+    Wt[1] = w / beta[1]
     breakdown = None
-    for i in range(k):
-        vi = Vt[i]
-        wi = Wt[i]
-        Av = _matvec(A, vi)
-        alpha_i = _dot(wi, Av)
-        alphas.append(alpha_i)
-        vnew = Av - alpha_i * vi
-        vnew = vnew - beta_i * vprev
-        gamma_next = _norm2(vnew)
-        if gamma_next == 0:
-            breakdown = i + 1
+    for i in range(1, k + 1):
+        Av = _matvec(A, Vt[i])
+        alpha[i] = _dot(Wt[i], Av)
+        vnew = Av - alpha[i] * Vt[i]
+        vnew = vnew - beta[i] * Vt[i - 1]
+        gamma[i + 1] = _norm2(vnew)
+        if gamma[i + 1] == 0:
+            breakdown = i
             break
-        vnext = vnew / gamma_next
-        wnew = _matvec(At, wi) - alpha_i * wi
-        wnew = wnew - gamma_i * wprev
-        beta_next = _dot(vnext, wnew)
-        if beta_next == 0:
-            raise SeriousBreakdownError(f"serious breakdown at step {i + 1}")
-        Vt[i + 1] = vnext
-        Wt[i + 1] = wnew / beta_next
-        gammas.append(gamma_next)
-        betas.append(beta_next)
-        vprev, wprev = vi, wi
-        beta_i, gamma_i = beta_next, gamma_next
-    keff = len(alphas)
+        Vt[i + 1] = vnew / gamma[i + 1]
+        wnew = _matvec(A.T, Wt[i]) - alpha[i] * Wt[i]
+        wnew = wnew - gamma[i] * Wt[i - 1]
+        beta[i + 1] = _dot(Vt[i + 1], wnew)
+        if beta[i + 1] == 0:
+            raise SeriousBreakdownError(f"serious breakdown at step {i}")
+        Wt[i + 1] = wnew / beta[i + 1]
+    steps = breakdown or k
     cols = breakdown or k + 1
     return NonsymLanczosResult(
-        V=Vt[:cols].T.copy(),
-        W=Wt[:cols].T.copy(),
-        alpha=np.array(alphas, dtype=A.dtype),
-        beta=np.array(betas[: keff - 1], dtype=A.dtype),
-        gamma=np.array(gammas[: keff - 1], dtype=A.dtype),
-        gamma1=gamma1,
-        beta1=beta1,
+        V=Vt[1 : cols + 1].T.copy(),
+        W=Wt[1 : cols + 1].T.copy(),
+        alpha=alpha[1 : steps + 1],
+        beta=beta[2 : steps + 1],
+        gamma=gamma[2 : steps + 1],
+        gamma1=gamma[1],
+        beta1=beta[1],
         breakdown=breakdown,
     )
 
@@ -131,42 +121,37 @@ class GolubKahanResult:
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
-    """Alternating recurrence gamma_i w_i = A^T s_i - delta_i w_{i-1},
-    delta_{i+1} s_{i+1} = A w_i - gamma_i s_i, coefficients by normalization."""
+    """Alternating recurrence gamma_i w_i = A^T s_i - delta_i w_{i-1} from w_0 = +0,
+    delta_{i+1} s_{i+1} = A w_i - gamma_i s_i, coefficients by normalization (fp's Row layout)."""
     validate_operands(A, v, k=k, limit=min(A.shape))
     n, m = A.shape
-    At = A.T
-    St = np.zeros((k + 1, n), dtype=A.dtype)  # rows are the basis vectors
-    delta1, St[0] = _start(v, "starting vector")
-    Wt = np.zeros((k, m), dtype=A.dtype)
-    gammas, deltas = [], []
-    delta_i = delta1
+    St = np.zeros((k + 2, n), dtype=A.dtype)  # row i is s_i; row 0 is unused
+    Wt = np.zeros((k + 1, m), dtype=A.dtype)  # row i is w_i; row 0 is w_0 = +0
+    gamma = np.zeros(k + 1, dtype=A.dtype)  # gamma[i] is gamma_i
+    delta = np.zeros(k + 2, dtype=A.dtype)  # delta[i] is delta_i
+    delta[1], St[1] = _start(v, "starting vector")
     breakdown = None
-    for i in range(k):
-        t = _matvec(At, St[i])
-        if i > 0:  # at i = 0, t - delta_1 * 0 would be t bit for bit
-            t = t - delta_i * Wt[i - 1]
-        gamma_i = _norm2(t)
-        if gamma_i == 0:
-            breakdown = ("gamma", i + 1)
+    for i in range(1, k + 1):
+        t = _matvec(A.T, St[i])
+        t = t - delta[i] * Wt[i - 1]  # evaluated, not skipped: at i = 1, t - delta_1 * (+0) is t bit for bit
+        gamma[i] = _norm2(t)
+        if gamma[i] == 0:
+            breakdown = ("gamma", i)
             break
-        Wt[i] = t / gamma_i
-        gammas.append(gamma_i)
-        u = _matvec(A, Wt[i]) - gamma_i * St[i]
-        delta_next = _norm2(u)
-        if delta_next == 0:
-            breakdown = ("delta", i + 2)
+        Wt[i] = t / gamma[i]
+        u = _matvec(A, Wt[i]) - gamma[i] * St[i]
+        delta[i + 1] = _norm2(u)
+        if delta[i + 1] == 0:
+            breakdown = ("delta", i + 1)
             break
-        deltas.append(delta_next)
-        St[i + 1] = u / delta_next
-        delta_i = delta_next
-    kg = len(gammas)
+        St[i + 1] = u / delta[i + 1]
+    kind, j = breakdown or ("gamma", k + 1)  # a full run keeps what a zero gamma_{k+1} would
     return GolubKahanResult(
-        S=St[: len(deltas) + 1].T.copy(),
-        W=Wt[:kg].T.copy(),
-        gamma=np.array(gammas, dtype=A.dtype),
-        delta=np.array(deltas[: kg - 1] if kg else [], dtype=A.dtype),
-        delta1=delta1,
+        S=St[1 : j + (kind == "gamma")].T.copy(),  # a zero delta_j leaves s_j unformed
+        W=Wt[1:j].T.copy(),
+        gamma=gamma[1:j],
+        delta=delta[2:j],
+        delta1=delta[1],
         breakdown=breakdown,
     )
 

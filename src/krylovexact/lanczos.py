@@ -49,7 +49,7 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
     z = w - alpha_i v_i; 'cgs' computes alpha_i = v_i^T (Av_i) and then
     z = Av_i - alpha_i v_i - beta_i v_{i-1}.  reorth 'full' projects z once
     against all previous basis vectors, 'double' twice; the reorthogonalization
-    coefficients are discarded.
+    coefficients are discarded.  Vt, alpha and beta follow fp's Row layout.
     """
     n = len(A)
     validate_operands(A, v, k=k, limit=n, square=True)
@@ -59,43 +59,37 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
         raise ValueError(f"reorth must be one of {REORTH}")
     if not bitwise_symmetric(A):
         raise ValueError("matrix is not bitwise symmetric")
-    dt = A.dtype.type
 
-    Vt = np.zeros((k + 1, n), dtype=A.dtype)  # row i is v_{i+1}
-    beta1, Vt[0] = _start(v, "starting vector")
-    alphas = []
-    betas = []
-    vprev = np.zeros(n, dtype=A.dtype)  # v_0 = 0; beta_i * v_0 is evaluated, not skipped
-    beta_i = dt(0.0)
+    Vt = np.zeros((k + 2, n), dtype=A.dtype)  # row i is v_i; row 0 is v_0 = +0
+    beta1, Vt[1] = _start(v, "starting vector")
+    alpha = np.zeros(k + 1, dtype=A.dtype)  # alpha[i] is alpha_i
+    beta = np.zeros(k + 2, dtype=A.dtype)  # beta[i] is beta_i; beta[1] = +0, so beta_1 v_0 is evaluated, not skipped
     scratch = np.empty(k, dtype=A.dtype)  # the discarded reorthogonalization coefficients
     t = np.empty(n, dtype=A.dtype)  # beta_i v_{i-1} or alpha_i v_i, subtracted in place from _matvec's fresh output
     breakdown = None
-    for i in range(k):
+    for i in range(1, k + 1):
         vi = Vt[i]
         z = _matvec(A.T, vi)  # A is bitwise symmetric: same bits, contiguous columns
         if variant == "mgs":
-            z -= np.multiply(beta_i, vprev, out=t)  # z holds w
-            alpha_i = _dot(z, vi)
-            z -= np.multiply(alpha_i, vi, out=t)
+            z -= np.multiply(beta[i], Vt[i - 1], out=t)  # z holds w
+            alpha[i] = _dot(z, vi)
+            z -= np.multiply(alpha[i], vi, out=t)
         else:
-            alpha_i = _dot(vi, z)
-            z -= np.multiply(alpha_i, vi, out=t)
-            z -= np.multiply(beta_i, vprev, out=t)
+            alpha[i] = _dot(vi, z)
+            z -= np.multiply(alpha[i], vi, out=t)
+            z -= np.multiply(beta[i], Vt[i - 1], out=t)
         for _ in range(REORTH.index(reorth)):
-            z = _mgs(Vt[: i + 1], z, scratch)
-        alphas.append(alpha_i)
-        beta_next = _norm2(z)
-        betas.append(beta_next)
-        if beta_next == 0:
-            breakdown = i + 1
+            z = _mgs(Vt[1 : i + 1], z, scratch)  # v_1..v_i: the +0 row would fail _mgs's one-nonzero-per-row test
+        beta[i + 1] = _norm2(z)
+        if beta[i + 1] == 0:
+            breakdown = i
             break
-        vprev = vi
-        np.divide(z, beta_next, out=Vt[i + 1])
-        beta_i = beta_next
+        np.divide(z, beta[i + 1], out=Vt[i + 1])
+    steps = breakdown or k
     return LanczosResult(
-        V=Vt[: breakdown or k + 1].T.copy(),
-        alpha=np.array(alphas, dtype=A.dtype),
-        beta=np.array(betas, dtype=A.dtype),
+        V=Vt[1 : (breakdown or k + 1) + 1].T.copy(),  # v_1..v_{k+1}, or v_1..v_i on a breakdown at step i
+        alpha=alpha[1 : steps + 1],
+        beta=beta[2 : steps + 2],
         beta1=beta1,
         breakdown=breakdown,
     )

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from krylovexact import cli, harness
 from krylovexact.cli import _build_parser, main
 from krylovexact.fileio import write_matrix
-from krylovexact.fp import norm2
+from krylovexact.fp import BINARY64, norm2
 from krylovexact.lanczos import lanczos
 from krylovexact.problems import STRUCTURES, random_structured_problem
 
@@ -311,14 +311,91 @@ def test_check_rejects_a_flag_its_target_does_not_read(tmp_path, capsys, monkeyp
         ("--v-file", str(mat)): ["structure"],
         ("--beta1", "2"): ["structure"],
         ("--precision", "binary64"): ["lemma31", "exactness", "structure"],
+        ("--algorithm", "gk"): ["exactness"],
+        ("--sizes", "3"): ["exactness"],
+        ("--seeds", "4"): ["exactness"],
         ("--p", "2"): ["exactness"],
+        ("--p", "0"): ["exactness"],  # a given 0 is given, though 0 == False
         ("--variant", "cgs"): ["exactness"],
         ("--qr-variant", "cgs"): ["exactness"],
+        ("--samples", "10"): ["lemma31"],
+        ("--seed", "3"): ["lemma31"],
     }
     for flag, targets in readers.items():
         names = ", ".join(f"check {t}" for t in targets[:-1]) + " and " * (len(targets) > 1) + f"check {targets[-1]}"
         if what not in targets:
             assert _error_exit(capsys, "check", what, *flag) == f"error: {flag[0]} applies to {names} only\n"
+
+
+_GEN_TARGETS = [*STRUCTURES, "strakos", "structured --kind jacobi", "structured --kind hessenberg"]
+
+
+@pytest.mark.parametrize("what", _GEN_TARGETS)
+def test_gen_rejects_a_flag_its_target_does_not_read(tmp_path, capsys, what):
+    """Every rejection comes before the file is written; each reader takes its flag."""
+    seeded = "gen " + ", gen ".join(STRUCTURES) + " and gen structured"
+    readers = {
+        ("--seed", "3"): (what != "strakos", seeded),
+        ("--seed", "0"): (what != "strakos", seeded),  # a given 0 is given, though 0 == False
+        ("--kind", "jacobi"): (what.startswith("structured"), "gen structured"),
+        ("--lam1", "0.5"): (what == "strakos", "gen strakos"),
+        ("--lamn", "2"): (what == "strakos", "gen strakos"),
+        ("--rho", "0.5"): (what == "strakos", "gen strakos"),
+        ("--spd",): (what in ("jacobi", "structured --kind jacobi"), "gen jacobi and gen structured --kind jacobi"),
+    }
+    for flag, (reads, names) in readers.items():
+        out = tmp_path / f"{flag[0][2:]}.txt"
+        argv = ["gen", *what.split(), "--n", "4", *flag, "--out", str(out)]
+        if reads:
+            assert run_cli(capsys, *argv)[0] == 0 and out.exists()
+        else:
+            assert _error_exit(capsys, *argv) == f"error: {flag[0]} applies to {names} only\n" and not out.exists()
+
+
+@pytest.mark.parametrize("what", ["fig2", "fig3", "prescribed-curves", "exactness-sweep"])
+def test_experiment_rejects_a_flag_its_target_does_not_read(tmp_path, capsys, monkeypatch, what):
+    """Each experiment is patched to fail, so every rejection comes before one runs or writes."""
+    for name in ("experiment_fig2", "experiment_fig3", "random_convergence_curves", "exactness_sweep"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("the experiment ran"))
+    out = tmp_path / "out.csv"
+    readers = {
+        ("--n", "5"): "prescribed-curves",
+        ("--seed", "1"): "prescribed-curves",
+        ("--seed", "0"): "prescribed-curves",
+        ("--seeds", "2"): "exactness-sweep",
+    }
+    for flag, reader in readers.items():
+        if what != reader:
+            err = _error_exit(capsys, "experiment", what, *flag, "--out", str(out))
+            assert err == f"error: {flag[0]} applies to experiment {reader} only\n" and not out.exists()
+
+
+class _Called(ValueError):
+    """Raised by a patched callee once it has recorded its arguments: main exits 2."""
+
+
+_DEFAULTS = [  # (argv without --out, the callee cli calls, the arguments a flag left out gives it)
+    (["gen", "strakos", "--n", "5"], "strakos_spectrum", (5, 1e-3, 1.0, 0.7, BINARY64)),
+    (["gen", "jacobi", "--n", "5"], "random_structure", ("jacobi", 5, 0, BINARY64)),
+    (["gen", "structured", "--n", "5"], "random_structured_problem", ("jacobi", 5, 0, BINARY64)),
+    (["check", "lemma31"], "sqrt_square_violations", (1000000, BINARY64, 0)),
+    (["check", "exactness"], "exactness_sweep", ("lanczos", [2, 10, 50], range(10), (BINARY64,))),
+    (["experiment", "prescribed-curves"], "random_convergence_curves", (12, 0)),
+    (["experiment", "exactness-sweep"], "exactness_sweep", (harness.SWEEPS[0], (4, 12), range(5))),
+]
+
+
+@pytest.mark.parametrize("argv, callee, want", _DEFAULTS, ids=[" ".join(d[0][:2]) for d in _DEFAULTS])
+def test_a_flag_left_out_takes_its_documented_default(tmp_path, capsys, monkeypatch, argv, callee, want):
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        raise _Called(callee)
+
+    monkeypatch.setattr(cli, callee, record)
+    assert _error_exit(capsys, *argv, *(["--out", str(tmp_path / "out")] if argv[0] != "check" else [])) == f"error: {callee}\n"
+    assert calls == [want]
 
 
 def test_check_reads_precision_where_it_applies(tmp_path, capsys):
@@ -675,7 +752,7 @@ def test_convert_rejects_a_literal_binary32_cannot_hold(tmp_path, capsys):
 _SUBPARSERS = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 _FLOATS = ["0", "1e-300", "-1e-300", "1e-50", "0.5", "3", "1e300", "nan", "inf"]
 _INTS = {"n": (-1, 6), "k": (-1, 6), "p": (-1, 3), "seed": (0, 3), "seeds": (-1, 2), "samples": (-1, 50)}
-_COST = {"samples", "sizes", "seeds"}  # always drawn, and small: their defaults take seconds
+_COST = {"samples", "sizes", "seeds"}  # small, and always drawn where they are read: their defaults take seconds
 _PATHS = ("problem", "v_file", "w_file", "infile")
 
 
@@ -714,13 +791,29 @@ def _positional(command):
     return next((list(a.choices) for a in _SUBPARSERS[command]._actions if not a.option_strings and a.choices), [None])
 
 
+def _unread(command, what, flag):
+    """Whether cli's reader tables reject flag for the target; gen structured may read --spd."""
+    gen = {**cli._GEN_READERS, "--spd": ("gen jacobi", "gen structured")}
+    readers = {"run": cli._RUN_READERS, "gen": gen, "check": cli._CHECK_READERS, "experiment": cli._EXPERIMENT_READERS}.get(command, {})
+    return flag in readers and (what if command == "run" else f"{command} {what}") not in readers[flag]
+
+
 @st.composite
 def argv(draw, command, what, files, out):
-    """The subcommand, its positional choice, its required and cost flags
-    and a subset of its other flags, each with a value of its kind."""
+    """The subcommand, its positional choice, its required flags, its cost
+    flags where the target reads them, and a subset of its other flags, each
+    with a value of its kind.  A flag the target rejects is drawn 1 time in
+    8, not 1 in 2, so that its rejection does not crowd out the success path."""
     args = [command] + ([what] if what else [])
     for action in _SUBPARSERS[command]._actions:
-        if action.option_strings and not isinstance(action, argparse._HelpAction) and (action.required or action.dest in _COST or draw(st.booleans())):
+        if not action.option_strings or isinstance(action, argparse._HelpAction):
+            continue
+        unread = _unread(command, what, action.option_strings[0])
+        if action.dest in _COST:
+            drawn = not unread
+        else:
+            drawn = action.required or all(draw(st.booleans()) for _ in range(3 if unread else 1))
+        if drawn:
             args.append(action.option_strings[0])
             if action.nargs != 0:
                 args.append(draw(_value(action, files, out)))

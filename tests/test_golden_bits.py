@@ -193,6 +193,15 @@ def require_default_environment():
     assert not faults, f"the floating-point environment lacks {faults}, which every digest assumes"
 
 
+def record(path, compute):
+    """Write compute()'s digests to path; exit without computing or writing,
+    naming each missing attribute, in an environment the digests do not assume."""
+    faults = environment_faults()
+    if faults:
+        sys.exit(f"not recorded: the floating-point environment lacks {faults}, which every digest assumes")
+    path.write_text(json.dumps(compute(), indent=1) + "\n")
+
+
 # glibc's directed rounding modes (<bits/fenv.h>) for the machines they are listed for here
 _ROUNDING_MODES = {
     "x86_64": {"FE_UPWARD": 0x800, "FE_DOWNWARD": 0x400, "FE_TOWARDZERO": 0xC00},
@@ -212,9 +221,10 @@ def _glibc_libm():
 
 
 @pytest.mark.parametrize("mode", ["FE_UPWARD", "FE_DOWNWARD", "FE_TOWARDZERO"])
-def test_the_environment_check_names_a_directed_rounding_mode(mode):
+def test_the_environment_check_names_a_directed_rounding_mode(tmp_path, mode):
     """Each clause of the rounding probe is needed: only 1 + 1/4 ulp catches
-    FE_UPWARD, only 1 + 3/4 ulp FE_TOWARDZERO."""
+    FE_UPWARD, only 1 + 3/4 ulp FE_TOWARDZERO.  The recorder refuses the
+    mode before it computes or writes a digest."""
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("libm is not glibc: this test sets the rounding mode with glibc's fesetround")
     if platform.machine() not in _ROUNDING_MODES:
@@ -224,10 +234,13 @@ def test_the_environment_check_names_a_directed_rounding_mode(mode):
     assert libm.fesetround(_ROUNDING_MODES[platform.machine()][mode]) == 0
     try:
         faults = environment_faults()
+        with pytest.raises(SystemExit) as refused:
+            record(tmp_path / "golden.json", lambda: pytest.fail("the recorder computed digests"))
     finally:
         libm.fesetround(old)
     assert libm.fegetround() == old
     assert faults == ["binary64 round-to-nearest-even", "binary32 round-to-nearest-even"]
+    assert str(faults) in str(refused.value.code) and not (tmp_path / "golden.json").exists()
     assert environment_faults() == []
 
 
@@ -262,4 +275,4 @@ def test_golden_bits():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
-    GOLDEN.write_text(json.dumps(compute(), indent=1) + "\n")
+    record(GOLDEN, compute)

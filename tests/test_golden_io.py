@@ -22,7 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from test_golden_bits import _feed, require_default_environment
+from test_golden_bits import _feed, record, require_default_environment
 
 from krylovexact.cli import main
 from krylovexact.fileio import read_matrix, read_problem, write_matrix, write_matrix_summary_csv, write_problem
@@ -153,4 +153,4 @@ def test_golden_io():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
-    GOLDEN.write_text(json.dumps(compute(), indent=1) + "\n")
+    record(GOLDEN, compute)

@@ -641,20 +641,39 @@ def test_arnoldi_rows_match_the_column_loop(case, data):
     _assert_same(_outcome(arnoldi, A, v, k), _outcome(_arnoldi_columns, A, v, k))
 
 
+# The index edges of the +0-row loops, each from e1 (w = v for nonsym_lanczos): no step at all;
+# A e1 = e1, so gamma_2 = 0 at step 1; A e1 = e1 + e2 with A^T e1 = e1, so beta_2 = 0 at step 1;
+# A^T e1 = 0, so gamma_1 = 0; and A = I, so delta_2 = 0.
+_E1 = np.array([1.0, 0.0])
+_NO_STEP = (np.array([[2.0, 1.0], [-1.0, 3.0]], dtype=np.float32), np.array([1.0, -1.0], dtype=np.float32))
+_LUCKY_AT_1 = (np.array([[1.0, 1.0], [0.0, 1.0]]), _E1)
+_SERIOUS_AT_1 = (np.array([[1.0, 0.0], [1.0, 1.0]]), _E1)
+_GAMMA_AT_1 = (np.array([[0.0, 0.0], [1.0, 1.0]]), _E1)
+_DELTA_AT_2 = (np.eye(2), _E1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(dense_case(), st.booleans(), st.data())
+@example(_NO_STEP, True, 0)
+@example(_LUCKY_AT_1, True, 2)
+@example(_SERIOUS_AT_1, True, 2)
 def test_nonsym_lanczos_rows_match_the_column_loop(case, same_start, data):
+    """An explicit example passes k in place of data."""
     A, v = case
     w = v.copy() if same_start else np.array(data.draw(st.lists(entry, min_size=len(v), max_size=len(v))), dtype=A.dtype)
-    k = data.draw(st.integers(0, len(A)))
+    k = data if isinstance(data, int) else data.draw(st.integers(0, len(A)))
     _assert_same(_outcome(nonsym_lanczos, A, v, w, k), _outcome(_nonsym_lanczos_columns, A, v, w, k))
 
 
 @settings(max_examples=60, deadline=None)
 @given(dense_case(rows=True), st.data())
+@example(_NO_STEP, 0)
+@example(_GAMMA_AT_1, 2)
+@example(_DELTA_AT_2, 2)
 def test_golub_kahan_rows_match_the_column_loop(case, data):
+    """An explicit example passes k in place of data."""
     A, v = case
-    k = data.draw(st.integers(0, min(A.shape)))
+    k = data if isinstance(data, int) else data.draw(st.integers(0, min(A.shape)))
     _assert_same(_outcome(golub_kahan, A, v, k), _outcome(_golub_kahan_columns, A, v, k))
 
 

@@ -385,11 +385,20 @@ def symmetric_case(draw, spd=False):
     return (A * scale[0]).astype(dtype), (v * scale[1]).astype(dtype)
 
 
+# The index edges of the +0-row loop: no step at all, and z = 0 at step 1 (v is an eigenvector).
+_NO_STEP = (np.array([[2.0, 1.0], [1.0, 3.0]], dtype=np.float32), np.array([1.0, -1.0], dtype=np.float32))
+_EIGEN_START = (np.diag([2.0, 3.0]), np.array([3.0, 0.0]))
+
+
 @settings(max_examples=80, deadline=None)
 @given(symmetric_case(), st.sampled_from(VARIANTS), st.sampled_from(REORTH), st.data())
+@example(_NO_STEP, "mgs", "double", 0)
+@example(_EIGEN_START, "mgs", "none", 2)
+@example(_EIGEN_START, "cgs", "full", 2)
 def test_lanczos_rows_match_the_column_loop(case, variant, reorth, data):
+    """An explicit example passes k in place of data."""
     A, v = case
-    k = data.draw(st.integers(0, len(A)))
+    k = data if isinstance(data, int) else data.draw(st.integers(0, len(A)))
     _assert_same(_outcome(lanczos, A, v, k, variant, reorth), _outcome(_lanczos_columns, A, v, k, variant, reorth))
 
 
