@@ -34,9 +34,10 @@ or "<what>'s squared norm underflows" for a nonzero v.
 
 Row layout: the Krylov loops and the block QR keep their bases as the
 contiguous rows of an array and return a C-order copy of the transpose.
-The three-term loops (lanczos, nonsym_lanczos, golub_kahan) index theirs as
-the recurrence: row i is v_i over a +0 row 0 for v_0, and each coefficient
-sits at its recurrence index in a preallocated array, one slice per field.
+The three-term loops (lanczos, nonsym_lanczos, golub_kahan) and block Lanczos
+index theirs as the recurrence: row i is v_i over a +0 row 0 for v_0 (U[i] is
+U_i over U_0 = +0, and B_1 = +0), and each coefficient sits at its recurrence
+index in a preallocated array, one slice per field.
 Every recurrence (those, and HS-CG) enters np.errstate(over="ignore",
 invalid="ignore") once per call.  _mgs is the one modified Gram-Schmidt
 loop, for Arnoldi, Lanczos reorthogonalization and block QR.

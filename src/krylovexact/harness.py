@@ -376,12 +376,7 @@ def experiment_fig2() -> MetricSeries:
     A, b = _strakos_system()
     tr = cg_hs(A, b)
     series = MetricSeries("fig2")
-    basis = []
-    for r, nrm in zip(tr.r, tr.residual_norms):
-        if nrm == 0:
-            break
-        basis.append(r / nrm)
-    V = np.column_stack(basis)
+    V = np.column_stack(tr.r) / np.array(tr.residual_norms)  # r_k / ||r_k||: no residual of this fixed pair is 0
     for k in range(1, V.shape[1] + 1):
         series.add(k, "hscg_orth_loss", loss_of_orthogonality(V[:, :k]))
     lres = lanczos(A, b, len(b), variant="mgs", reorth="none")

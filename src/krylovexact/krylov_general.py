@@ -29,22 +29,24 @@ class ArnoldiResult:
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
-    """Algorithm: w = A v_j; for i = 1..j: h_{i,j} = v_i^T w, w = w - h_{i,j} v_i;
-    h_{j+1,j} = ||w||; stop on exact zero."""
+    """w = A v_j; for i = 1..j: h_{i,j} = v_i^T w, w = w - h_{i,j} v_i; h_{j+1,j} = ||w||;
+    stop on exact zero, at the loop's one exit.  V and H are one slice each of Vt and H."""
     n = len(A)
     validate_operands(A, v, k=k, limit=n, square=True)
     Vt = np.zeros((k + 1, n), dtype=A.dtype)  # row j is v_{j+1}
     _, Vt[0] = _start(v, "starting vector")
     H = np.zeros((k + 1, k), dtype=A.dtype)
     Af = np.asfortranarray(A)  # _matvec gathers columns of A: make them contiguous once per run
+    breakdown = None
     for j in range(k):
         w = _mgs(Vt[: j + 1], _matvec(Af, Vt[j]), H[: j + 1, j])
-        hnext = _norm2(w)
-        H[j + 1, j] = hnext
-        if hnext == 0:
-            return ArnoldiResult(Vt[: j + 1].T.copy(), H[: j + 2, : j + 1].copy(), j + 1)
-        Vt[j + 1] = w / hnext
-    return ArnoldiResult(Vt.T.copy(), H, None)
+        H[j + 1, j] = _norm2(w)
+        if H[j + 1, j] == 0:
+            breakdown = j + 1
+            break
+        Vt[j + 1] = w / H[j + 1, j]
+    steps = breakdown or k
+    return ArnoldiResult(Vt[: (breakdown or k + 1)].T.copy(), H[: steps + 1, : steps].copy(), breakdown)
 
 
 @dataclass(frozen=True)
@@ -198,8 +200,9 @@ class BlockLanczosResult:
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs") -> BlockLanczosResult:
-    """Block three-term recurrence R_{i+1} = A U_i - U_i M_i - U_{i-1} B_i^T with
-    Gram-Schmidt QR of R_{i+1} and M_{i+1} = U_{i+1}^T A U_{i+1}."""
+    """Block three-term recurrence R_{i+1} = A U_i - U_i M_i - U_{i-1} B_i^T, M_i = U_i^T A U_i,
+    with Gram-Schmidt QR R_{i+1} = U_{i+1} B_{i+1} from U_0 = B_1 = +0 (fp's Row layout).
+    Returns U_1..U_s, M_1..M_s and B_2..B_s: s is k, the breakdown step, or 1 when k = 0."""
     n, p = len(A), U1.shape[-1] if U1.ndim else 0
     validate_operands(A, block=U1, k=k, limit=n // max(p, 1), square=True)
     if p == 0:
@@ -208,30 +211,24 @@ def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs"
         raise ValueError("n must be a multiple of the block size")
     if qr_variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    Us = [U1.copy()]
-    AU = _matmat(A, U1)  # A U_i: M_i and then R_{i+1} use the one product
-    Ms = [_gram(U1, AU)]
-    Bs = []
-    Uprev = U1.copy()
-    Bprev = np.zeros((p, p), dtype=A.dtype)  # B_1 = 0, U_0 = U_1 per the recurrence
+    U = np.zeros((k + 2, n, p), dtype=A.dtype)  # U[i] is U_i; U[0] is U_0 = +0
+    M = np.zeros((k + 2, p, p), dtype=A.dtype)  # M[i] is M_i
+    B = np.zeros((k + 2, p, p), dtype=A.dtype)  # B[i] is B_i; B[1] is B_1 = +0
+    U[1] = U1
     breakdown = None
-    for i in range(1, k + 1):
-        Ui = Us[-1]
-        R = AU - _matmat(Ui, Ms[-1])
-        R = R - _matmat(Uprev, np.ascontiguousarray(Bprev.T))
-        Q, Bi, zero_col = gram_schmidt_qr(R, qr_variant)
+    for i in range(1, max(k, 1) + 1):
+        AU = _matmat(A, U[i])  # A U_i: M_i and then R_{i+1} use the one product
+        M[i] = _gram(U[i], AU)
+        if i > k:  # k = 0 forms M_1 and takes no step
+            break
+        R = AU - _matmat(U[i], M[i])
+        R = R - _matmat(U[i - 1], B[i].T)  # evaluated, not skipped: at i = 1, R - U_0 B_1^T is R bit for bit
+        U[i + 1], B[i + 1], zero_col = gram_schmidt_qr(R, qr_variant)
         if zero_col is not None:
             breakdown = i  # an invariant block subspace of dimension i*p
             break
-        if i == k:
-            break
-        Us.append(Q)
-        Bs.append(Bi)
-        AU = _matmat(A, Q)
-        Ms.append(_gram(Q, AU))
-        Uprev = Ui
-        Bprev = Bi
-    return BlockLanczosResult(tuple(Us), tuple(Ms), tuple(Bs), breakdown)
+    s = breakdown or max(k, 1)
+    return BlockLanczosResult(tuple(U[1 : s + 1]), tuple(M[1 : s + 1]), tuple(B[2 : s + 1]), breakdown)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +246,10 @@ class GmresResult:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite y raises below
 def hessenberg_lstsq(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least squares min ||H y - rhs|| for (m+1) x m Hessenberg H by Givens QR.
+    """Least squares min ||H y - rhs|| for (m+1) x m Hessenberg H by Givens QR of [H | rhs].
     Raises NonFiniteError on a non-finite y (a Givens norm of 0, a zero pivot)."""
     m = H.shape[1]
-    R = H.copy()
-    g = rhs.astype(H.dtype)
+    R = np.column_stack([H, rhs.astype(H.dtype)])  # [H | rhs]: each rotation turns the rhs with the rows
     for j in range(m):
         a, b = R[j, j], R[j + 1, j]
         if b == 0:
@@ -261,16 +257,12 @@ def hessenberg_lstsq(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         t = _norm2(np.array([a, b], dtype=H.dtype))
         c = a / t
         s = b / t
-        rj = R[j, :].copy()
-        rj1 = R[j + 1, :].copy()
-        R[j, :] = c * rj + s * rj1
-        R[j + 1, :] = c * rj1 - s * rj
-        gj = g[j]
-        g[j] = c * gj + s * g[j + 1]
-        g[j + 1] = c * g[j + 1] - s * gj
+        rj = R[j].copy()
+        R[j] = c * rj + s * R[j + 1]
+        R[j + 1] = c * R[j + 1] - s * rj
     y = np.zeros(m, dtype=H.dtype)
     for i in range(m - 1, -1, -1):
-        acc = g[i]
+        acc = R[i, m]
         for j in range(m - 1, i, -1):
             acc = acc - R[i, j] * y[j]
         y[i] = acc / R[i, i]

@@ -363,8 +363,9 @@ def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
     """Materialize (A, v) = (P T P^T, beta1 * P e1) without arithmetic rounding.
 
     For NonsymTridiagonal T, gamma1 scales the right starting vector v and
-    beta1 scales the left starting vector w.  For BlockTridiagonal T, P must
-    be a SignedBlockPermutation and U1 = P [I, 0, ..., 0]^T is produced.
+    beta1 scales the left starting vector w; with any other T, a gamma1 is a
+    ValueError.  For BlockTridiagonal T, P must be a SignedBlockPermutation
+    and U1 = P [I, 0, ..., 0]^T is produced.
     The scale of v, whose norm a run takes (beta1, or gamma1 for
     NonsymTridiagonal), must lie in the exponent-range guard (RangeError).
     A NonsymTridiagonal's beta1 enters only through w^T v_1, a dot with no
@@ -375,6 +376,8 @@ def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
     dtype = Td.dtype.type
     if float(beta1) <= 0:
         raise ValueError("beta1 must be positive")
+    if gamma1 is not None and not isinstance(T, NonsymTridiagonal):
+        raise ValueError(f"gamma1 applies to nonsymtridiag problems only, not {T.kind}")
 
     if isinstance(T, BlockTridiagonal):
         if not isinstance(P, SignedBlockPermutation) or P.n != T.n or P.p != T.p:

@@ -214,13 +214,13 @@ def rational_lanczos_directions(A, v) -> list[list[Fraction]]:
 
     u_j is a positive rational multiple of the j-th Lanczos vector, computed
     without square roots via the Stieltjes recurrence
-    u_{j+1} = A u_j - (u_j^T A u_j / u_j^T u_j) u_j - (u_j^T u_j / u_{j-1}^T u_{j-1}) u_{j-1}.
+    u_{j+1} = A u_j - (u_j^T A u_j / u_j^T u_j) u_j - (u_j^T u_j / u_{j-1}^T u_{j-1}) u_{j-1},
+    from u_0 = 0 with u_0^T u_0 := 1, so the first step subtracts an exact zero.
     """
     rows = nonzero_rows(A)
     u = v if isinstance(v, list) else to_rational_vector(v)
     out = [u[:]]
-    prev = None
-    nrm_prev = None
+    prev, nrm_prev = [0] * len(u), 1  # u_0 and u_0^T u_0
     for _ in range(len(u) - 1):
         nrm = rat_dot(u, u)
         if nrm == 0:
@@ -228,9 +228,8 @@ def rational_lanczos_directions(A, v) -> list[list[Fraction]]:
         Au = rat_matvec(rows, u)
         a = rat_dot(u, Au) / nrm
         nxt = [w - a * ui for w, ui in zip(Au, u)]
-        if prev is not None:
-            bcoef = nrm / nrm_prev
-            nxt = [t - bcoef * pi for t, pi in zip(nxt, prev)]
+        bcoef = nrm / nrm_prev
+        nxt = [t - bcoef * pi for t, pi in zip(nxt, prev)]
         prev, nrm_prev = u, nrm
         u = nxt
         if all(c == 0 for c in u):

@@ -509,6 +509,19 @@ def _error_exit(capsys, *argv):
     return out.err
 
 
+@pytest.mark.parametrize("kind, algorithm", [("jacobi", "lanczos"), ("blocktridiag", "blocklanczos")])
+def test_a_stray_gamma1_record_exits_2_and_writes_nothing(tmp_path, capsys, kind, algorithm):
+    """A gamma1 record after a problem of any kind but nonsymtridiag is an
+    input error, not a record that the reader drops."""
+    prob, out = tmp_path / "prob.txt", tmp_path / "out.csv"
+    assert run_cli(capsys, "gen", "structured", "--kind", kind, "--n", "4", "--p", "2", "--out", str(prob))[0] == 0
+    with prob.open("a") as f:
+        f.write("gamma1 0x1p+0\n")
+    err = _error_exit(capsys, "run", algorithm, "--problem", str(prob), "--check-exact", "--out", str(out))
+    assert err == f"error: gamma1 applies to nonsymtridiag problems only, not {kind}\n"
+    assert not out.exists()
+
+
 def test_serious_breakdown_exits_2(tmp_path, capsys):
     mat, w = tmp_path / "A.txt", tmp_path / "w.txt"
     with mat.open("w") as f:
@@ -754,35 +767,48 @@ _FLOATS = ["0", "1e-300", "-1e-300", "1e-50", "0.5", "3", "1e300", "nan", "inf"]
 _INTS = {"n": (-1, 6), "k": (-1, 6), "p": (-1, 3), "seed": (0, 3), "seeds": (-1, 2), "samples": (-1, 50)}
 _COST = {"samples", "sizes", "seeds"}  # small, and always drawn where they are read: their defaults take seconds
 _PATHS = ("problem", "v_file", "w_file", "infile")
+_START = ("--e1", "--v-file", "--beta1")  # a problem file brings its own start, so these are rejected after one
+# The problem file that each target can exit 0 on (spd: a positive definite Jacobi matrix).
+_FITS = {
+    **{f"run {name}": f"structured-{a.kind}" for name, a in harness.ALGORITHMS.items() if a.kind},
+    **dict.fromkeys(("run cg-hs", "run cglanczos"), "structured-spd"),
+    "run gmres": "structured-hessenberg",
+    "check structure": "structured-jacobi",
+}
 
 
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
-    """A generated file of every kind in both precisions (strakos writes a
-    vector), a missing path and a malformed file."""
+    """A generated file of every kind in both precisions, named by what it
+    holds (strakos writes a vector, structured-* a problem), a missing path
+    and a malformed file."""
     root = tmp_path_factory.mktemp("argv")
     paths = [root / "missing.txt", root / "malformed.txt"]
     paths[1].write_text("jacobi 2\n0x1p0 zz 0x1p0\n")
-    gens = [[kind, "--p", "2"] for kind in STRUCTURES] + [["strakos"]] + [["structured", "--kind", kind, "--p", "2"] for kind in STRUCTURES]
-    for i, gen in enumerate(gens):
+    kinds = {kind: [kind, "--p", "2"] for kind in STRUCTURES} | {"spd": ["jacobi", "--spd"]}
+    gens = kinds | {"strakos": ["strakos"]} | {f"structured-{name}": ["structured", "--kind", *gen] for name, gen in kinds.items()}
+    for name, gen in gens.items():
         for precision in ("binary64", "binary32"):
-            paths.append(root / f"{i}-{precision}.txt")
+            paths.append(root / f"{name}-{precision}.txt")
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["gen", *gen, "--n", "4", "--precision", precision, "--out", str(paths[-1])]) == 0
     return [str(path) for path in paths], root
 
 
-def _value(action, files, out):
+def _value(action, files, out, fits):
+    if action.dest == "problem" and fits:
+        return st.sampled_from(fits) | st.sampled_from(files)
     if action.dest in _PATHS:
         return st.sampled_from(files)
     if action.dest == "out":
         return st.just(out)
     if action.choices:
         return st.sampled_from(list(action.choices))
-    if action.dest == "sizes":
-        return st.lists(st.integers(-1, 6), max_size=2).map(lambda sizes: ",".join(map(str, sizes)))
+    if action.dest == "sizes":  # valid at least half the time, as every cost flag
+        return (st.lists(st.integers(1, 6), min_size=1, max_size=2) | st.lists(st.integers(-1, 6), max_size=2)).map(lambda sizes: ",".join(map(str, sizes)))
     if action.type is int:
-        return st.integers(*_INTS[action.dest]).map(str)
+        low, high = _INTS[action.dest]
+        return (st.integers(1, high) | st.integers(low, high) if action.dest in _COST else st.integers(low, high)).map(str)
     return st.sampled_from(_FLOATS)
 
 
@@ -791,32 +817,44 @@ def _positional(command):
     return next((list(a.choices) for a in _SUBPARSERS[command]._actions if not a.option_strings and a.choices), [None])
 
 
-def _unread(command, what, flag):
-    """Whether cli's reader tables reject flag for the target; gen structured may read --spd."""
+def _unread(command, what, flag, sweep):
+    """Whether cli's reader tables reject flag for the target, or for the sweep
+    of `check exactness`; gen structured may read --spd."""
     gen = {**cli._GEN_READERS, "--spd": ("gen jacobi", "gen structured")}
     readers = {"run": cli._RUN_READERS, "gen": gen, "check": cli._CHECK_READERS, "experiment": cli._EXPERIMENT_READERS}.get(command, {})
-    return flag in readers and (what if command == "run" else f"{command} {what}") not in readers[flag]
+    if flag in readers and (what if command == "run" else f"{command} {what}") not in readers[flag]:
+        return True
+    return what == "exactness" and flag in cli._SWEEP_READERS and sweep not in cli._SWEEP_READERS[flag]
 
 
 @st.composite
 def argv(draw, command, what, files, out):
     """The subcommand, its positional choice, its required flags, its cost
     flags where the target reads them, and a subset of its other flags, each
-    with a value of its kind.  A flag the target rejects is drawn 1 time in
-    8, not 1 in 2, so that its rejection does not crowd out the success path."""
+    with a value of its kind.  A path is the target's fitting problem file
+    (_FITS) half the time.  Flags the target rejects, start flags after a
+    problem file among them, are drawn in 1 example in 4 only, so that their
+    rejection does not crowd out the success path."""
     args = [command] + ([what] if what else [])
+    fit = _FITS.get(f"{command} {what}")
+    fits = [f for f in files if fit and Path(f).name.startswith(f"{fit}-")]
+    stray = draw(st.integers(0, 3)) == 0
+    sweep, problem = "lanczos", ""
     for action in _SUBPARSERS[command]._actions:
         if not action.option_strings or isinstance(action, argparse._HelpAction):
             continue
-        unread = _unread(command, what, action.option_strings[0])
+        flag = action.option_strings[0]
+        unread = _unread(command, what, flag, sweep) or (flag in _START and problem.startswith("structured-"))
         if action.dest in _COST:
             drawn = not unread
         else:
-            drawn = action.required or all(draw(st.booleans()) for _ in range(3 if unread else 1))
+            drawn = action.required or ((stray or not unread) and draw(st.booleans()))
         if drawn:
-            args.append(action.option_strings[0])
+            args.append(flag)
             if action.nargs != 0:
-                args.append(draw(_value(action, files, out)))
+                args.append(draw(_value(action, files, out, fits)))
+                sweep = args[-1] if action.dest == "algorithm" else sweep
+                problem = Path(args[-1]).name if action.dest == "problem" else problem
     return args
 
 
@@ -847,8 +885,11 @@ def test_any_argv_exits_0_1_or_2_and_a_generated_file_reads_back(input_files, co
     @given(argv(command, what, files, out))
     def prop(args):
         code = _main(args)
+        codes.add(code)
         assert code in (0, 1, 2), args
         if command == "gen" and code == 0:
             assert _main(["convert", "--in", out, "--out", out + ".csv"]) == 0, args
 
+    codes = set()
     prop()
+    assert 0 in codes, "no drawn argv succeeded"

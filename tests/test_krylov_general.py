@@ -697,11 +697,27 @@ def block_case(draw):
     return (A * scale[0]).astype(dtype), (U1 * scale[1]).astype(dtype)
 
 
+# The index edges of the block loop, each from a block of n x 2: no step (k = 0) and one step
+# (k = 1) of a dense run; A U_1 = 0, so the QR of R_2 breaks down at its first column; and
+# R_3 = [0; 0; B_3] of rank 1 from U_1 = [e1 e2], so the QR of R_3 breaks down at step 2.
+_BLOCK_DENSE = (np.array([[2, 1, 0, -1], [1, 3, 1, 0], [0, -1, 2, 1], [1, 0, 1, 4]], dtype=np.float32), np.array([[1, 0], [0, 1], [1, 1], [0, -1]], dtype=np.float32))
+_BLOCK_NULL_AT_1 = (np.array([[0, 0, 1, 2], [0, 0, -1, 1], [0, 0, 3, 0], [0, 0, 1, 1.0]]), np.eye(4)[:, :2])
+_BLOCK_RANK_1_AT_2 = (
+    np.array([[1, 0.5, 1, 0, 0, 0], [0.5, 2, 0, 1, 0, 0], [1, 0, 3, -1, 1, 0], [0, 1, -1, 1, 1, 0], [0, 0, 1, 1, 1, 0], [0, 0, 0, 0, 0, 1]]),  # B_2 = I, B_3 = [1 1; 0 0]
+    np.eye(6)[:, :2],
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(block_case(), st.sampled_from(["mgs", "cgs"]), st.data())
+@example(_BLOCK_DENSE, "mgs", 0)
+@example(_BLOCK_DENSE, "cgs", 1)
+@example(_BLOCK_NULL_AT_1, "mgs", 2)
+@example(_BLOCK_RANK_1_AT_2, "cgs", 3)
 def test_block_lanczos_rows_match_the_column_loop(case, qr_variant, data):
+    """An explicit example passes k in place of data."""
     A, U1 = case
-    k = data.draw(st.integers(0, len(A) // U1.shape[1]))
+    k = data if isinstance(data, int) else data.draw(st.integers(0, len(A) // U1.shape[1]))
     _assert_same(_outcome(block_lanczos, A, U1, k, qr_variant), _outcome(_block_lanczos_columns, A, U1, k, qr_variant))
 
 
@@ -738,6 +754,66 @@ def test_structured_arnoldi_and_block_lanczos_match_the_column_loop(precision):
             got = _outcome(block_lanczos, prob.A, prob.U1, prob.d, qr_variant)
             _assert_same(got, _outcome(_block_lanczos_columns, prob.A, prob.U1, prob.d, qr_variant))
             assert got.breakdown == prob.d
+
+
+# The Givens least squares against the scalar loop it replaced ---------------
+
+
+@np.errstate(all="ignore")  # a non-finite y raises below, as in hessenberg_lstsq
+def _hessenberg_lstsq_loop(H, rhs):
+    """hessenberg_lstsq as a scalar loop: each rotation turns the two rows of R
+    entry by entry, and then g[j] and g[j + 1] on their own."""
+    m = H.shape[1]
+    R = H.copy()
+    g = rhs.astype(H.dtype)
+    for j in range(m):
+        a, b = R[j, j], R[j + 1, j]
+        if b == 0:
+            continue
+        t = fp._norm2(np.array([a, b], dtype=H.dtype))
+        c = a / t
+        s = b / t
+        for col in range(m):
+            x, y = R[j, col], R[j + 1, col]
+            R[j, col] = c * x + s * y
+            R[j + 1, col] = c * y - s * x
+        gj = g[j]
+        g[j] = c * gj + s * g[j + 1]
+        g[j + 1] = c * g[j + 1] - s * gj
+    y = np.zeros(m, dtype=H.dtype)
+    for i in range(m - 1, -1, -1):
+        acc = g[i]
+        for j in range(m - 1, i, -1):
+            acc = acc - R[i, j] * y[j]
+        y[i] = acc / R[i, i]
+    fp.require_finite(y, "least-squares solution")
+    return y
+
+
+@st.composite
+def hessenberg_case(draw):
+    """An (m+1) x m Hessenberg H and a right-hand side; a subdiagonal entry
+    may be zero, which skips its rotation, and so may the whole last row."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    m = draw(st.integers(1, 6))
+    H = np.triu(np.array(draw(st.lists(entry, min_size=(m + 1) * m, max_size=(m + 1) * m))).reshape(m + 1, m), -1)
+    if draw(st.booleans()):
+        j = draw(st.integers(0, m - 1))
+        H[j + 1, j] = 0.0
+    if draw(st.booleans()):
+        H[m] = 0.0
+    rhs = np.array(draw(st.lists(entry, min_size=m + 1, max_size=m + 1)))
+    return H.astype(dtype), rhs.astype(dtype)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hessenberg_case())
+@example((np.array([[2.0, 1.0, -1.0], [0.0, 3.0, 1.0], [0.0, 0.5, 2.0], [0.0, 0.0, -1.5]]), np.array([1.0, -1.0, 0.5, 0.25])))  # h_21 = 0
+@example((np.array([[2.0, 1.0], [-0.75, 3.0], [0.0, 0.0]], dtype=np.float32), np.array([1.0, 0.0, -2.0], dtype=np.float32)))  # zero last row
+def test_hessenberg_lstsq_is_the_scalar_givens_loop(case):
+    """The bits of y, or the same error, in both precisions."""
+    H, rhs = case
+    _assert_same(_outcome(hessenberg_lstsq, H, rhs), _outcome(_hessenberg_lstsq_loop, H, rhs))
 
 
 @pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.name)

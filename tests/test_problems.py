@@ -423,6 +423,15 @@ def test_assemble_guards_the_scale_of_v(kind, precision, scale):
         assemble(prob.T, prob.P, **{"beta1": prob.beta1, **other, name: scale})
 
 
+@pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "nonsymtridiag"])
+def test_assemble_rejects_a_gamma1_of_any_other_kind(kind):
+    """gamma1 scales the right start of a nonsymtridiag problem only; with any
+    other T it is an error, not dropped."""
+    prob = random_structured_problem(kind, 6, 1, p=2)
+    with pytest.raises(ValueError, match=f"^gamma1 applies to nonsymtridiag problems only, not {kind}$"):
+        assemble(prob.T, prob.P, prob.beta1, gamma1=1.0)
+
+
 @pytest.mark.parametrize("precision, scale", _OUTSIDE)
 def test_a_nonsymmetric_beta1_outside_the_guard_still_runs_exactly(precision, scale):
     """beta1 scales w, which enters only through w^T v_1: no square, no guard."""
