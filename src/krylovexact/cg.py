@@ -19,34 +19,33 @@ from .lanczos import lanczos
 
 @dataclass
 class CGTrace:
-    """Per-iteration CG history; index k runs from 0 (initial state)."""
+    """Per-iteration CG history: x, r, p, residual_norms and rho hold step k at index k, from the initial state k = 0."""
 
     x: list = field(default_factory=list)
     r: list = field(default_factory=list)
     p: list = field(default_factory=list)
-    gammas: list = field(default_factory=list)  # gamma_{k-1} of step k
-    deltas: list = field(default_factory=list)  # delta_k of step k
+    gammas: list = field(default_factory=list)  # index k - 1: gamma_{k-1} of step k
+    deltas: list = field(default_factory=list)  # index k - 1: delta_k of step k
     residual_norms: list = field(default_factory=list)
     # cgLanczos internals
     rho: list = field(default_factory=list)
-    d: list = field(default_factory=list)
-    ell: list = field(default_factory=list)
+    d: list = field(default_factory=list)  # index k - 1: d_k of step k
+    ell: list = field(default_factory=list)  # index k - 1: ell_k of step k
     exact_termination: bool = False
 
     @property
     def steps(self) -> int:
         return len(self.x) - 1
 
-    def record(self, x, r, p, gamma=None, delta=None) -> None:
-        """Append x_k, r_k, p_k (fresh arrays, not copied), ||r_k|| and, for k >= 1,
-        gamma_{k-1} and delta_k; a non-finite r_k, x_k, p_k or gamma_{k-1} raises NonFiniteError."""
+    def record(self, x, r, p, gamma, delta) -> None:
+        """Append step k >= 1: x_k, r_k, p_k (fresh arrays, not copied), ||r_k||, gamma_{k-1}
+        and delta_k; a non-finite r_k, x_k, p_k or gamma_{k-1} raises NonFiniteError."""
         k, nrm = len(self.x), _norm2(r)
         require_finite(x, f"CG iterate x_{k}")
         require_finite(p, f"CG direction p_{k}")
-        if k:
-            require_finite(gamma, f"CG step gamma_{k - 1}")
-            self.gammas.append(gamma)
-            self.deltas.append(delta)
+        require_finite(gamma, f"CG step gamma_{k - 1}")
+        self.gammas.append(gamma)
+        self.deltas.append(delta)
         self.x.append(x)
         self.r.append(r)
         self.p.append(p)
@@ -64,16 +63,14 @@ def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     if not bitwise_symmetric(A):
         raise ValueError("matrix is not bitwise symmetric")
     x = np.zeros(n, dtype=A.dtype)
-    r = b - _matvec(A.T, x)  # A is bitwise symmetric: same bits, contiguous columns
+    r = b.copy()  # r_0 = b - A x_0 = b - (+0), which is b bit for bit
     p = r.copy()
     rr = _dot(r, r)
     if rr == 0 and b.any():  # a zero b is solved by x = 0; this one is not
         raise ValueError("right-hand side's squared norm underflows")
-    tr = CGTrace()
-    tr.record(x, r, p)
+    tr = CGTrace(x=[x], r=[r], p=[p], residual_norms=[np.sqrt(rr)])
     for _ in range(kmax):
         if rr == 0:
-            tr.exact_termination = True
             break
         Ap = _matvec(A.T, p)
         pAp = _dot(p, Ap)
@@ -87,6 +84,7 @@ def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
         p = r + delta * p
         rr = rr_new
         tr.record(x, r, p, gamma, delta)
+    tr.exact_termination = bool(rr == 0)  # also after the last allowed step
     return tr
 
 
@@ -109,10 +107,9 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     res = lanczos(A, b, n if kmax is None else kmax)  # validates A and b, and rejects b = 0
     dt = A.dtype.type
     rho = res.beta1
-    tr = CGTrace(rho=[rho], exact_termination=res.breakdown is not None)
     x = np.zeros(n, dtype=A.dtype)
     p = b.copy()
-    tr.record(x, b.copy(), p)  # ||r_0|| = _norm2(b) has the bits of rho
+    tr = CGTrace(x=[x], r=[b.copy()], p=[p], residual_norms=[rho], rho=[rho], exact_termination=res.breakdown is not None)  # ||r_0|| = rho
     Vt = res.V.T  # row k is the Lanczos vector v_{k+1}
     beta_k = ell_k = dt(0.0)  # beta_1 ell_0 = +0, so d_1 = alpha_1
     for k, (alpha_k, beta_next) in enumerate(zip(res.alpha, res.beta), start=1):
@@ -130,9 +127,7 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
             r = np.zeros(n, dtype=A.dtype)
             p = np.zeros(n, dtype=A.dtype)
         else:
-            r = rho * Vt[k]
-            if k % 2 == 1:
-                r = -r  # exact sign flip, fl(-a) = -a
+            r = (-rho if k % 2 else rho) * Vt[k]  # fl(-rho v) = -fl(rho v), signed zeros too
             p = r + (ell_k * ell_k) * p
         tr.d.append(d_k)
         tr.ell.append(ell_k)

@@ -348,7 +348,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, TypeError, OSError, SeriousBreakdownError) as e:  # ValueError covers the fp and fileio errors
+    except (ValueError, TypeError, OSError, MemoryError, SeriousBreakdownError) as e:  # ValueError covers the fp and fileio errors
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -399,8 +399,8 @@ def experiment_fig3() -> MetricSeries:
         if k < len(oracle.x):
             xk = oracle.x[k]
             dx = [xe - xb for xe, xb in zip(xk, to_rational_vector(tr.x[k]))]
-            num = float(rat_dot(dx, dx)) ** 0.5
-            den = float(rat_dot(xk, xk)) ** 0.5
+            num = np.sqrt(float(rat_dot(dx, dx)))  # IEEE sqrt is correctly rounded; libm's pow need not be
+            den = np.sqrt(float(rat_dot(xk, xk)))
             series.add(k, "rel_error", num / den if den else 0.0)
         series.add(k, "residual_norm", tr.residual_norms[k])
     return series

@@ -247,9 +247,16 @@ class GmresResult:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite y raises below
 def hessenberg_lstsq(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Least squares min ||H y - rhs|| for (m+1) x m Hessenberg H by Givens QR of [H | rhs].
-    Raises NonFiniteError on a non-finite y (a Givens norm of 0, a zero pivot)."""
+    H and rhs are checked as validate_operands checks them; H not (m+1) x m raises
+    ShapeError, a nonzero entry below its subdiagonal ValueError, and a non-finite y
+    (a Givens norm of 0, a zero pivot) NonFiniteError."""
+    validate_operands(H, rhs)
     m = H.shape[1]
-    R = np.column_stack([H, rhs.astype(H.dtype)])  # [H | rhs]: each rotation turns the rhs with the rows
+    if H.shape[0] != m + 1:
+        raise ShapeError(f"least squares needs an (m+1) x m matrix, got shape {H.shape}")
+    if np.tril(H, -2).any():
+        raise ValueError("H has a nonzero entry below the subdiagonal")
+    R = np.column_stack([H, rhs])  # [H | rhs]: each rotation turns the rhs with the rows
     for j in range(m):
         a, b = R[j, j], R[j + 1, j]
         if b == 0:

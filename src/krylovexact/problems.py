@@ -142,6 +142,8 @@ class NonsymTridiagonal:
     gamma: np.ndarray  # subdiagonal (row i+1, col i)
 
     def __post_init__(self):
+        if self.alpha.ndim != 1 or self.beta.ndim != 1 or self.gamma.ndim != 1:
+            raise ShapeError("tridiagonal entries must be 1-D arrays")
         n = len(self.alpha)
         if len(self.beta) != n - 1 or len(self.gamma) != n - 1:
             raise ShapeError("off-diagonal lengths must be n-1")
@@ -170,6 +172,8 @@ class LowerBidiagonal:
     delta: np.ndarray  # subdiagonal
 
     def __post_init__(self):
+        if self.gamma.ndim != 1 or self.delta.ndim != 1:
+            raise ShapeError("bidiagonal entries must be 1-D arrays")
         if len(self.delta) != len(self.gamma) - 1:
             raise ShapeError("subdiagonal length must be n-1")
         _check_entries(
@@ -589,8 +593,8 @@ class ConvergenceCurves:
     def __post_init__(self):
         r = self.residual_norms
         e = self.energy_errors
-        if len(r) != len(e) or len(r) == 0:
-            raise ShapeError("curves must have equal positive length")
+        if r.ndim != 1 or e.ndim != 1 or len(r) != len(e) or len(r) == 0:
+            raise ShapeError("curves must be 1-D of equal positive length")
         if np.any(np.diff(e) >= 0):
             raise ValueError("energy errors must be strictly decreasing")
         _check_entries((("residual norms", r), ("energy errors", e)), (r, e), "curve entries must be positive")
@@ -633,24 +637,21 @@ def prescribe_cg_curves(curves: ConvergenceCurves) -> PrescribedSystem:
     The telescoping identity ||x-x_k||_A^2 = gamma_k ||r_k||^2 + ||x-x_{k+1}||_A^2
     gives the pivot d_k = 1/gamma_k = ||r_k||^2/(e_k^2 - e_{k+1}^2), and
     ell_k = ||r_k||/||r_{k-1}|| is the multiplier of T_n = L D L^T, so one
-    pass over k gives beta_{k+1} = ell_k d_{k-1} and alpha_{k+1} = d_k +
-    ell_k beta_{k+1} (alpha_1 = d_0).  The construction is carried out in
-    exact rational arithmetic and rounded once, to binary64, at the end.
+    pass over k from d_{-1} = 0 gives beta_{k+1} = ell_k d_{k-1} and alpha_{k+1}
+    = d_k + ell_k beta_{k+1}, dropping beta_1 = 0.  The construction is carried
+    out in exact rational arithmetic and rounded once, to binary64, at the end.
     """
     r = [Fraction(float(x)) for x in curves.residual_norms]
     e2 = [Fraction(float(x)) ** 2 for x in curves.energy_errors] + [Fraction(0)]
-    alpha, beta = [], []
+    alpha, beta, d = [], [], Fraction(0)
     for k in range(curves.n):
         if e2[k] <= e2[k + 1]:
             raise ValueError(f"gamma_{k} <= 0: curves inconsistent with an SPD system")
+        ell = r[k] / r[k - 1]  # ell_0 reads r[-1]; it multiplies d_{-1} = 0 only
+        beta.append(ell * d)
         d = r[k] * r[k] / (e2[k] - e2[k + 1])
-        if k:
-            ell = r[k] / r[k - 1]
-            beta.append(ell * d_prev)
-            alpha.append(d + ell * beta[-1])
-        else:
-            alpha.append(d)
-        d_prev = d
+        alpha.append(d + ell * beta[-1])
+    beta = beta[1:]
     dt = BINARY64.dtype
     T = JacobiMatrix(np.array([dt(float(a)) for a in alpha], dtype=dt), np.array([dt(float(b)) for b in beta], dtype=dt))
     b = np.zeros(curves.n, dtype=dt)

@@ -147,8 +147,8 @@ def is_spd_rational(A: list[list[Fraction]]) -> bool:
 class RationalCGTrace:
     """Exact CG history: iterates, residuals, directions, coefficients, norms.
 
-    Index k of x/r/p runs 0..m where m is the termination step; gammas[k] is
-    gamma_{k-1} of step k and deltas[k] is delta_k (deltas[0] == 0).
+    Index k of x/r/p/rnorm2/energy2 runs 0..m where m is the termination step;
+    index k - 1 of gammas and deltas holds gamma_{k-1} and delta_k of step k.
     """
 
     x: list[list[Fraction]] = field(default_factory=list)
@@ -350,7 +350,7 @@ def _distance(nums: list[int], den: int, computed) -> float:
         q = Fraction(num, den2)
         e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
     try:
-        return ldexp(float(np.sqrt(float(q / 4**e))), e)
+        return ldexp(float(np.sqrt(float(q / (1 << 2 * e)))), e)  # 4^e = 2^(2e), an exact int
     except OverflowError:
         raise RangeError("the error norm is beyond binary64") from None
 

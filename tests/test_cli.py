@@ -522,6 +522,24 @@ def test_a_stray_gamma1_record_exits_2_and_writes_nothing(tmp_path, capsys, kind
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "function, argv",
+    [("random_structure", ["gen", "jacobi"]), ("random_convergence_curves", ["experiment", "prescribed-curves"])],
+    ids=["gen", "experiment"],
+)
+def test_an_allocation_failure_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, function, argv):
+    """numpy's error for a size it cannot allocate; nothing is allocated here."""
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, function, fail)
+    out = tmp_path / "out.txt"
+    assert _error_exit(capsys, *argv, "--n", "1000000000000", "--out", str(out)) == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_serious_breakdown_exits_2(tmp_path, capsys):
     mat, w = tmp_path / "A.txt", tmp_path / "w.txt"
     with mat.open("w") as f:

@@ -183,6 +183,50 @@ def test_only_fp_takes_a_bit_view():
     assert [path.name for path in modules if path.name != "fp.py" and "_bit_view" in path.read_text()] == []
 
 
+_TRANSCENDENTAL = {
+    *("exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "logaddexp", "logaddexp2", "pow", "power", "float_power", "cbrt", "hypot"),
+    *("sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2", "asin", "acos", "atan", "atan2"),
+    *("sinh", "cosh", "tanh", "arcsinh", "arccosh", "arctanh", "asinh", "acosh", "atanh", "erf", "erfc", "gamma", "lgamma"),
+}
+# random_convergence_curves' output is pinned by no digest; sqrt_square_violations
+# takes log2 and exp2 of powers of two, which are exact.
+_LIBM_ALLOWED = {("problems.py", "random_convergence_curves"), ("harness.py", "sqrt_square_violations")}
+
+
+def _integer_literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def test_no_module_takes_a_pinned_bit_from_libm():
+    """IEEE 754 makes sqrt correctly rounded but not pow, exp or log, whose
+    bits may depend on the platform's libm.  So no module raises to a power
+    that is not an integer literal (CPython's float ** calls C pow), calls
+    pow, or names a transcendental np or math function, except inside the
+    functions of _LIBM_ALLOWED."""
+    hits, allowed = [], set()
+    for path in sorted(Path(fp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        skip = set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in _LIBM_ALLOWED:
+                allowed.add((path.name, node.name))
+                skip.update(ast.walk(node))
+        for node in ast.walk(tree):
+            if node in skip:
+                continue
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and not _integer_literal(node.right):
+                hits.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "pow":
+                hits.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("np", "numpy", "math") and node.attr in _TRANSCENDENTAL:
+                hits.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in ("numpy", "math"):
+                hits += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in _TRANSCENDENTAL]
+    assert hits == [] and allowed == _LIBM_ALLOWED
+
+
 def test_bitwise_zero_signs():
     a = np.array([0.0])
     b = np.array([-0.0])

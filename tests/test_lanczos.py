@@ -315,7 +315,6 @@ def _cg_hs_columns(A, b, kmax):
     tr.residual_norms.append(norm2(r))
     for _ in range(kmax):
         if rr == 0:
-            tr.exact_termination = True
             break
         Ap = _matvec(A, p)
         pAp = seq_dot(p, Ap)
@@ -329,6 +328,7 @@ def _cg_hs_columns(A, b, kmax):
         p = r + delta * p
         rr = rr_new
         _record_step(tr, x, r, p, gamma, delta)
+    tr.exact_termination = bool(rr == 0)  # read once, so a zero r at the last allowed step counts
     return tr
 
 
@@ -455,6 +455,8 @@ _CGLANCZOS_OVERFLOW = (np.array([[2.0**-140]], dtype=np.float32), np.ones(1, dty
 _CGLANCZOS_GAMMA_OVERFLOW = (_CGLANCZOS_OVERFLOW[0], np.full(1, 2.0**-20, dtype=np.float32))
 # k = 1 on the binary32 [[2^-60, 2^10], [2^10, 1]] from 2^-20 e1: ell_1 = 2^70 is finite,
 # x_1 = 2^40 and r_1 = +-2^50 e2 are too, and ell_1^2 in p_1 = r_1 + ell_1^2 p_0 overflows.
+# ||r_k|| = 1, 0.5, 0: CG terminates exactly at its second and last step.
+_CG_TWO_BY_TWO = (np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([1.0, 0.0]))
 _CGLANCZOS_DIRECTION_OVERFLOW = (np.array([[2.0**-60, 2.0**10], [2.0**10, 1.0]], dtype=np.float32), np.array([2.0**-20, 0.0], dtype=np.float32))
 
 
@@ -492,11 +494,19 @@ def test_cglanczos_raises_an_overflowed_multiplier_before_the_vector_block_uses_
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(symmetric_case(spd=True), symmetric_case(spd=False)), st.data())
 @example(_cg_hs_overflow(), 4)
+@example(_CG_TWO_BY_TWO, 2)  # r_2 = 0 at the last allowed step
+@example((_CG_TWO_BY_TWO[0], np.zeros(2)), 0)  # b = 0 is solved before any step
 def test_cg_hs_rows_match_the_column_loop(case, data):
     """An explicit example passes k in place of data."""
     A, b = case
     k = data if isinstance(data, int) else data.draw(st.integers(0, len(A)))
     _assert_same(_outcome(cg_hs, A, b, k), _outcome(_cg_hs_columns, A, b, k))
+
+
+def test_cg_hs_and_cglanczos_read_termination_at_the_last_allowed_step():
+    runs = [solver(*_CG_TWO_BY_TWO, 2) for solver in (cg_hs, cglanczos)]
+    assert [tr.residual_norms for tr in runs] == [[1.0, 0.5, 0.0]] * 2
+    assert [tr.exact_termination for tr in runs] == [True, True]
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from test_golden_bits import FLAVORS, SEEDS, SIZES, _inputs, _runs
 
-from krylovexact import fileio, fp, harness, problems
+from krylovexact import fileio, fp, harness, krylov_general, problems
 from krylovexact.fp import ShapeError
 from krylovexact.krylov_general import SeriousBreakdownError
 from krylovexact.problems import SignedPermutation
@@ -18,7 +18,9 @@ _CASES = {
     "jacobi-lengths": (lambda: problems.JacobiMatrix(np.ones(3), np.ones(3)), ShapeError, "Jacobi matrix needs n diagonal and n-1 off-diagonal entries"),
     "hessenberg-not-square": (lambda: problems.HessenbergMatrix(np.ones((2, 3))), ShapeError, "Hessenberg matrix must be square"),
     "nonsymtridiag-lengths": (lambda: problems.NonsymTridiagonal(np.ones(3), np.ones(2), np.ones(1)), ShapeError, "off-diagonal lengths must be n-1"),
+    "nonsymtridiag-2d": (lambda: problems.NonsymTridiagonal(np.ones((2, 2)), np.ones(1), np.ones(1)), ShapeError, "tridiagonal entries must be 1-D arrays"),
     "lowerbidiag-length": (lambda: problems.LowerBidiagonal(np.ones(3), np.ones(3)), ShapeError, "subdiagonal length must be n-1"),
+    "lowerbidiag-2d": (lambda: problems.LowerBidiagonal(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0])), ShapeError, "bidiagonal entries must be 1-D arrays"),
     "blocktridiag-block-count": (lambda: problems.BlockTridiagonal((np.eye(2),), (np.eye(2),)), ShapeError, "need m diagonal blocks and m-1 subdiagonal blocks"),
     "blocktridiag-b-shape": (lambda: problems.BlockTridiagonal((np.eye(2), np.eye(2)), (np.eye(3),)), ShapeError, "subdiagonal blocks must be p x p"),
     "blockperm-block-sizes": (
@@ -35,6 +37,19 @@ _CASES = {
         lambda: problems.prescribe_cg_curves(SimpleNamespace(n=2, residual_norms=np.ones(2), energy_errors=np.array([1.0, 2.0]))),
         ValueError,
         "gamma_0 <= 0: curves inconsistent with an SPD system",
+    ),
+    "curves-2d": (lambda: problems.ConvergenceCurves(np.ones((2, 2)), np.array([[2.0, 1.0], [2.0, 1.0]])), ShapeError, "curves must be 1-D of equal positive length"),
+    "lstsq-square": (lambda: krylov_general.hessenberg_lstsq(np.eye(2), np.ones(2)), ShapeError, "least squares needs an (m+1) x m matrix, got shape (2, 2)"),
+    "lstsq-int": (lambda: krylov_general.hessenberg_lstsq(np.array([[1, 0], [1, 1], [0, 1]]), np.ones(3, int)), TypeError, "unsupported dtype int64; use float64 or float32"),
+    "lstsq-mixed": (
+        lambda: krylov_general.hessenberg_lstsq(np.ones((2, 1), np.float32), np.array([1 + 2.0**-40, 0.0])),
+        ShapeError,
+        "1-D operand float64 (2,) does not match the float32 (2, 1) matrix",
+    ),
+    "lstsq-below-subdiagonal": (
+        lambda: krylov_general.hessenberg_lstsq(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.array([3.0, 1.0, 1.0])),  # the argmin is [2, 1]
+        ValueError,
+        "H has a nonzero entry below the subdiagonal",
     ),
     "first-bit-difference-shape": (lambda: fp.first_bit_difference(np.zeros(2), np.zeros(3)), ShapeError, "shape mismatch: (2,) vs (3,)"),
     "first-bit-difference-dtype": (lambda: fp.first_bit_difference(np.zeros(2), np.zeros(2, np.float32)), ShapeError, "dtype mismatch: float64 vs float32"),
