@@ -2,7 +2,9 @@
 
 Matrix files are plain text: a header line naming the structure and its size,
 then whitespace-separated hexadecimal float literals (float.hex format), which
-round-trip losslessly.  Entry order is diagonals first, then off-diagonals:
+round-trip losslessly.  Entry order is diagonals first, then off-diagonals.
+A banded record (jacobi, nonsymtridiag, lowerbidiag) stores its type's
+dataclass fields in field order, the first n entries long and the others n-1:
 
     jacobi <n>           alpha (n), beta (n-1)
     hessenberg <n>       main diagonal (n), subdiagonal (n-1),
@@ -31,6 +33,7 @@ import csv
 import io
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .problems import (
     JacobiMatrix,
     LowerBidiagonal,
     NonsymTridiagonal,
+    STRUCTURES,
     SignedBlockPermutation,
     SignedPermutation,
     StructuredProblem,
@@ -50,6 +54,10 @@ from .problems import (
 
 class FormatError(ValueError):
     pass
+
+
+# The structure types stored as their dataclass fields, one band after another.
+_BANDED = (JacobiMatrix, NonsymTridiagonal, LowerBidiagonal)
 
 
 def _fromhex(tok: str) -> float:
@@ -64,15 +72,11 @@ def _fromhex(tok: str) -> float:
 
 def _matrix_payload(T) -> tuple[str, np.ndarray]:
     """Header and stored entries, in file order and in T's own dtype."""
-    if isinstance(T, JacobiMatrix):
-        return f"{T.kind} {T.n}", np.concatenate([T.alpha, T.beta])
+    if isinstance(T, _BANDED):
+        return f"{T.kind} {T.n}", np.concatenate([getattr(T, f.name) for f in fields(T)])
     if isinstance(T, HessenbergMatrix):
         H = T.entries
         return f"{T.kind} {T.n}", np.concatenate([np.diagonal(H), np.diagonal(H, -1), H[np.triu_indices(T.n, 1)]])
-    if isinstance(T, NonsymTridiagonal):
-        return f"{T.kind} {T.n}", np.concatenate([T.alpha, T.beta, T.gamma])
-    if isinstance(T, LowerBidiagonal):
-        return f"{T.kind} {T.n}", np.concatenate([T.gamma, T.delta])
     if isinstance(T, BlockTridiagonal):
         return f"{T.kind} {T.m} {T.p}", np.concatenate([M.ravel() for M in T.M] + [B.ravel() for B in T.B])
     if isinstance(T, np.ndarray):
@@ -162,9 +166,10 @@ class _Tokens:
 def _read_structure(tk: _Tokens, precision: Precision):
     dt = precision.dtype
     kind = tk.next()
-    if kind == "jacobi":
+    cls = STRUCTURES.get(kind)
+    if cls in _BANDED:
         (n,) = tk.sizes(1)
-        return JacobiMatrix(tk.floats(n, dt), tk.floats(n - 1, dt))
+        return cls(*[tk.floats(n - (i > 0), dt) for i, _ in enumerate(fields(cls))])
     if kind == "hessenberg":
         (n,) = tk.sizes(1)
         diag, sub, upper = tk.floats(n, dt), tk.floats(n - 1, dt), tk.floats(n * (n - 1) // 2, dt)
@@ -173,12 +178,6 @@ def _read_structure(tk: _Tokens, precision: Precision):
         H[np.arange(1, n), np.arange(n - 1)] = sub
         H[np.triu_indices(n, 1)] = upper
         return HessenbergMatrix(H)
-    if kind == "nonsymtridiag":
-        (n,) = tk.sizes(1)
-        return NonsymTridiagonal(tk.floats(n, dt), tk.floats(n - 1, dt), tk.floats(n - 1, dt))
-    if kind == "lowerbidiag":
-        (n,) = tk.sizes(1)
-        return LowerBidiagonal(tk.floats(n, dt), tk.floats(n - 1, dt))
     if kind == "blocktridiag":
         m, p = tk.sizes(2)
         M = tuple(tk.floats(p * p, dt).reshape(p, p) for _ in range(m))

@@ -22,21 +22,12 @@ from .fp import (
     exact_identity_violations,
     first_bit_difference,
     frobenius_norm,
-    matmat,
     precision_of,
     validate_operands,
 )
 from .krylov_general import ArnoldiResult, BlockLanczosResult, GolubKahanResult, NonsymLanczosResult, arnoldi, block_lanczos, gmres_structured, golub_kahan, nonsym_lanczos
 from .lanczos import LanczosResult, lanczos
-from .problems import (
-    assemble,
-    extend_deficient,
-    make_rng,
-    random_signed_permutation,
-    random_structure,
-    random_structured_problem,
-    strakos_spectrum,
-)
+from .problems import extend_deficient, make_rng, random_structured_problem, strakos_spectrum
 from .rational import rat_dot, rational_cg, to_rational_vector
 
 
@@ -319,21 +310,13 @@ def compare_structured(prob, algorithm: str, result) -> ExactnessReport:
 
 
 def _deficient_instance(n: int, seed: int, precision: Precision = BINARY64):
-    """A Jacobi problem of grade d = max(n // 2, 1), extended to dimension n
-    by the bitwise symmetric R = R1 R2 R1^T."""
+    """The Jacobi problem random_structured_problem("jacobi", d, seed) of grade
+    d = max(n // 2, 1), extended to dimension n by extend_deficient with the
+    bitwise symmetric R = triu(W) + triu(W, 1)^T, W uniform on (-1, 1) from
+    make_rng(seed + 31)."""
     d = max(n // 2, 1)
-    T = random_structure("jacobi", d, seed, precision)
-    P = random_signed_permutation(d, seed + 917)
-    g = make_rng(seed + 31)
-    m = n - d
-    R1 = g.uniform(-1.0, 1.0, (m, m)).astype(precision.dtype)
-    W = g.uniform(-1.0, 1.0, (m, m)).astype(precision.dtype)
-    R2 = np.triu(W) + np.ascontiguousarray(np.triu(W, 1).T)
-    beta1 = precision.dtype(float(g.uniform(0.25, 4.0)))
-    C = matmat(matmat(R1, R2), np.ascontiguousarray(R1.T))
-    # mirror the upper triangle: Lanczos needs a bitwise symmetric A, and with
-    # symmetric R2 this only papers over the last rounding of the triple product
-    return extend_deficient(assemble(T, P, beta1), np.triu(C) + np.ascontiguousarray(np.triu(C, 1).T))
+    W = make_rng(seed + 31).uniform(-1.0, 1.0, (n - d, n - d)).astype(precision.dtype)
+    return extend_deficient(random_structured_problem("jacobi", d, seed, precision), np.triu(W) + np.ascontiguousarray(np.triu(W, 1).T))
 
 
 def exactness_sweep(algorithm: str, sizes, seeds, precisions=(BINARY64,), p: int = 1, variant: str = "mgs", qr_variant: str = "mgs") -> list:

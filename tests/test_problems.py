@@ -303,7 +303,7 @@ def test_extend_deficient_is_bitwise_symmetric():
 @pytest.mark.parametrize("precision", [BINARY64, BINARY32])
 @pytest.mark.parametrize("n", [1, 2, 7, 12])
 def test_a_deficient_instance_is_bitwise_symmetric(n, precision):
-    """The instance mirrors its trailing block R1 R2 R1^T itself."""
+    """The trailing block triu(W) + triu(W, 1)^T is bitwise symmetric."""
     A = _deficient_instance(n, 4, precision).A
     assert A.dtype == precision.dtype and bitwise_equal(A, np.ascontiguousarray(A.T))
 
