@@ -41,7 +41,7 @@ from .problems import (
     random_structured_problem,
     strakos_spectrum,
 )
-from .rational import rational_cg
+from .rational import MAX_ORACLE_DIM, rational_cg
 
 
 def _add_start(p):
@@ -97,7 +97,7 @@ def _build_parser():
 
     exp = sub.add_parser("experiment", help="run an experiment and write its CSV")
     exp.add_argument("what", choices=["fig2", "fig3", "prescribed-curves", "exactness-sweep"])
-    exp.add_argument("--n", type=int, help="steps of prescribed-curves (default 12)")
+    exp.add_argument("--n", type=int, help=f"steps of prescribed-curves, 1 to {MAX_ORACLE_DIM} (default 12)")
     exp.add_argument("--seed", type=int, help="seed of prescribed-curves (default 0)")
     exp.add_argument("--seeds", type=int, help="seeds per size of exactness-sweep (default 5)")
     exp.add_argument("--out", required=True)
@@ -316,6 +316,8 @@ def _cmd_experiment(args) -> int:
         print(f"fig3: max A-orthogonality loss {series.max_value('a_orth_loss'):.3e}, max relative error {series.max_value('rel_error'):.3e}")
         return 0
     if args.what == "prescribed-curves":
+        if not 1 <= args.n <= MAX_ORACLE_DIM:  # before the draw, whose energies underflow from n of about 1,070
+            raise ValueError(f"--n must be between 1 and {MAX_ORACLE_DIM} (the rational oracle's limit), got {args.n}")
         curves = random_convergence_curves(args.n, args.seed)
         system = prescribe_cg_curves(curves)
         trace = rational_cg(system.exact_matrix(), system.exact_rhs())

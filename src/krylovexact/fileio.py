@@ -225,6 +225,8 @@ def _read_signedperm(tk: _Tokens):
 
 
 def write_problem(out, prob: StructuredProblem):
+    if len(prob.v) != prob.T.n:  # checked before any write: the records hold the leading d x d problem only
+        raise ValueError("a grade-deficient extension has no problem-file record")
     write_matrix(out, prob.T)
     P = prob.P
     if isinstance(P, SignedBlockPermutation):

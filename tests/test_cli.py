@@ -524,11 +524,12 @@ def test_a_stray_gamma1_record_exits_2_and_writes_nothing(tmp_path, capsys, kind
 
 @pytest.mark.parametrize(
     "function, argv",
-    [("random_structure", ["gen", "jacobi"]), ("random_convergence_curves", ["experiment", "prescribed-curves"])],
+    [("random_structure", ["gen", "jacobi", "--n", "1000000000000"]), ("random_convergence_curves", ["experiment", "prescribed-curves", "--n", "48"])],
     ids=["gen", "experiment"],
 )
 def test_an_allocation_failure_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, function, argv):
-    """numpy's error for a size it cannot allocate; nothing is allocated here."""
+    """numpy's error for a size it cannot allocate; nothing is allocated here.
+    prescribed-curves takes n <= 48 only, so its draw is patched at n = 48."""
     message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
 
     def fail(*args, **kwargs):
@@ -536,7 +537,19 @@ def test_an_allocation_failure_exits_2_and_writes_nothing(tmp_path, capsys, monk
 
     monkeypatch.setattr(cli, function, fail)
     out = tmp_path / "out.txt"
-    assert _error_exit(capsys, *argv, "--n", "1000000000000", "--out", str(out)) == f"error: {message}\n"
+    assert _error_exit(capsys, *argv, "--out", str(out)) == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3", "49", "1100"])
+def test_prescribed_curves_outside_the_oracle_range_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, n):
+    """One error line before the curves are drawn.  Without the check, 0 and -3
+    failed inside the draw and 1100 in the curves' own check (its energies
+    underflow); only 49 reached the oracle's limit."""
+    monkeypatch.setattr(cli, "random_convergence_curves", lambda *args: pytest.fail("the curves were drawn"))
+    out = tmp_path / "out.csv"
+    err = _error_exit(capsys, "experiment", "prescribed-curves", "--n", n, "--out", str(out))
+    assert err == f"error: --n must be between 1 and 48 (the rational oracle's limit), got {n}\n"
     assert not out.exists()
 
 

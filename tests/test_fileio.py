@@ -21,7 +21,7 @@ from krylovexact.fileio import (
     write_vector_csv,
 )
 from krylovexact.fp import BINARY32, BINARY64, bitwise_equal
-from krylovexact.harness import MetricSeries, exactness_check
+from krylovexact.harness import MetricSeries, _deficient_instance, exactness_check
 from krylovexact.problems import STRUCTURES, random_structure, random_structured_problem
 
 
@@ -92,6 +92,20 @@ def test_problem_roundtrip_bitwise(kind):
         again = io.StringIO()
         write_problem(again, prob2)
         assert again.getvalue() == buf.getvalue()
+
+
+def test_a_grade_deficient_extension_is_not_written():
+    """An extension has no problem-file record: writing one raises and writes
+    nothing, where a lone leading record would read back as the d x d problem.
+    With nothing to extend (n = 1) the problem is written and reads back."""
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="grade-deficient extension"):
+        write_problem(buf, _deficient_instance(6, 0))
+    assert buf.getvalue() == ""
+    prob = _deficient_instance(1, 0)
+    write_problem(buf, prob)
+    buf.seek(0)
+    assert bitwise_equal(read_problem(buf).A, prob.A)
 
 
 def test_binary32_roundtrip():

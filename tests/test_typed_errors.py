@@ -22,6 +22,7 @@ _CASES = {
     "lowerbidiag-length": (lambda: problems.LowerBidiagonal(np.ones(3), np.ones(3)), ShapeError, "subdiagonal length must be n-1"),
     "lowerbidiag-2d": (lambda: problems.LowerBidiagonal(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0])), ShapeError, "bidiagonal entries must be 1-D arrays"),
     "blocktridiag-block-count": (lambda: problems.BlockTridiagonal((np.eye(2),), (np.eye(2),)), ShapeError, "need m diagonal blocks and m-1 subdiagonal blocks"),
+    "blocktridiag-int": (lambda: problems.BlockTridiagonal((np.eye(2, dtype=int),), ()), TypeError, "unsupported dtype int64; use float64 or float32"),
     "blocktridiag-b-shape": (lambda: problems.BlockTridiagonal((np.eye(2), np.eye(2)), (np.eye(3),)), ShapeError, "subdiagonal blocks must be p x p"),
     "blockperm-block-sizes": (
         lambda: problems.SignedBlockPermutation(np.arange(2), (SignedPermutation(np.arange(2), np.ones(2, int)), SignedPermutation(np.arange(3), np.ones(3, int)))),
@@ -39,6 +40,7 @@ _CASES = {
         "gamma_0 <= 0: curves inconsistent with an SPD system",
     ),
     "curves-2d": (lambda: problems.ConvergenceCurves(np.ones((2, 2)), np.array([[2.0, 1.0], [2.0, 1.0]])), ShapeError, "curves must be 1-D of equal positive length"),
+    "curves-int": (lambda: problems.ConvergenceCurves(np.array([2**53 + 1, 1]), np.array([3, 1])), TypeError, "unsupported dtype int64; use float64 or float32"),
     "lstsq-square": (lambda: krylov_general.hessenberg_lstsq(np.eye(2), np.ones(2)), ShapeError, "least squares needs an (m+1) x m matrix, got shape (2, 2)"),
     "lstsq-int": (lambda: krylov_general.hessenberg_lstsq(np.array([[1, 0], [1, 1], [0, 1]]), np.ones(3, int)), TypeError, "unsupported dtype int64; use float64 or float32"),
     "lstsq-mixed": (
@@ -56,6 +58,7 @@ _CASES = {
     "matvec": (lambda: fp.matvec(np.eye(2), np.ones(3)), ShapeError, "matvec operands float64 (2, 2) and float64 (3,) do not agree"),
     "matmat": (lambda: fp.matmat(np.eye(2), np.ones((3, 2))), ShapeError, "matmat operands float64 (2, 2) and float64 (3, 2) do not agree"),
     "matrix-payload": (lambda: fileio.write_matrix(io.StringIO(), np.zeros((1, 1, 1))), TypeError, "cannot serialize ndarray"),
+    "problem-deficient": (lambda: fileio.write_problem(io.StringIO(), harness._deficient_instance(6, 0)), ValueError, "a grade-deficient extension has no problem-file record"),
     "metric-series-max": (lambda: harness.MetricSeries("demo").max_value("loss"), KeyError, "no rows for metric 'loss'"),
     "report-mismatch-without-failure": (
         lambda: harness.ExactnessReport("lanczos", 4, 0, "binary64", True, True, True, "alpha[0]"),
