@@ -60,11 +60,11 @@ def _tridiagonal(diag, sup, sub) -> np.ndarray:
 def _check_entries(finite, positive=(), positive_msg="", guarded=(), range_msg=""):
     """Entry checks shared by the structure types and the convergence curves,
     after their shape checks: the (name, array) pairs of finite hold no NaN
-    or infinity, the arrays of positive are > 0, they are binary32 or
-    binary64 (TypeError otherwise, guarded or not), and the entries of
-    guarded (which get squared) lie in the exponent-range guard of that
-    precision.  Then every array of finite is frozen.  All arrays share one
-    dtype (ShapeError)."""
+    or infinity, the arrays of positive are > 0, their one dtype is binary32
+    or binary64 (TypeError, whether any entry is guarded or not), and the
+    entries of guarded (which get squared) lie in the exponent-range guard
+    of that precision.  Then every array of finite is frozen.  All arrays
+    share one dtype (ShapeError)."""
     for name, a in finite:
         if a.dtype != finite[0][1].dtype:
             raise ShapeError(f"mixed dtypes: {finite[0][0]} is {finite[0][1].dtype}, {name} is {a.dtype}")
