@@ -104,8 +104,8 @@ BINARY32 = Precision("binary32", np.float32, 2.0 ** -24, 2.0 ** -60, 2.0 ** 60)
 PRECISIONS = (BINARY64, BINARY32)
 
 _BLOCK = 64  # columns per batch in _matvec: a batch of rows stays in cache
-# rows from which _mgs's vectorized step costs less than the loop: its tests
-# and gathers cost about as much as four _dot-and-update rows at n = 48-1000
+# rows from which _mgs's vectorized step costs less than the loop when it must
+# scan the basis: its tests and gathers cost about four _dot-and-update rows at n = 48-1000
 _MGS_STEP_ROWS = 5
 
 
@@ -212,49 +212,70 @@ def _fold(t: np.ndarray):
 
 
 def _start(v: np.ndarray, what: str):
-    """(||v||, v / ||v||) of a starting vector; ValueError if ||v|| is 0,
-    because v is zero or because its squared norm underflows."""
-    nrm = _norm2(v)
+    """(||v||, v / ||v||, the _coordinate of v and so of v / ||v||) of a starting
+    vector; ValueError if ||v|| is 0, because v is zero or because its squared
+    norm underflows."""
+    c = _coordinate(v)
+    nrm = _norm2(v, c)
     if nrm == 0:
         raise ValueError(f"{what}'s squared norm underflows" if v.any() else f"{what} is zero")
-    return nrm, v / nrm
+    return nrm, v / nrm, c
 
 
-def _dot(x: np.ndarray, y: np.ndarray):
-    """_fold(x * y), inlined: the hottest kernel; the caller holds the checks and errstate."""
+def _coordinate(x: np.ndarray) -> int:
+    """The index of x's one nonzero entry (a NaN counts as one), or -1 when
+    x has none or more than one."""
+    if np.count_nonzero(x) != 1:
+        return -1
+    c = int(x.argmax())
+    return c if x[c] else int(x.argmin())
+
+
+def _dot(x: np.ndarray, y: np.ndarray, c: int = -1):
+    """_fold(x * y), inlined: the hottest kernel; the caller holds the checks and errstate.
+    c >= 0 says that x or y is zero off entry c: then the fold is fl(x[c] y[c]) + 0,
+    provided the other operand is finite off c (fp's Coordinates)."""
     zero = x.dtype.type(0.0)
-    out = np.add.accumulate(x * y)[-1] + zero if x.size else zero
+    if c >= 0:
+        out = x[c] * y[c] + zero
+    else:
+        out = np.add.accumulate(x * y)[-1] + zero if x.size else zero
     if not math.isfinite(out):
         raise NonFiniteError("non-finite dot product")
     return out
 
 
-def _norm2(x: np.ndarray):
-    """norm2 without its operand check or errstate (IEEE sqrt is correctly rounded)."""
-    return np.sqrt(_dot(x, x))
+def _norm2(x: np.ndarray, c: int = -1):
+    """norm2 without its operand check or errstate (IEEE sqrt is correctly rounded);
+    c is x's _coordinate, or -1."""
+    return np.sqrt(_dot(x, x, c))
 
 
-def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
     """For each row q_i of Qt in order, c[i] = fl(q_i^T w) and then
     w = w - c[i] q_i; returns w.  c has w's dtype, so c[i] keeps _dot's bits.
 
-    A signed-coordinate basis takes one vectorized step: when Qt has r >=
-    _MGS_STEP_ROWS rows, each with exactly one nonzero, in distinct columns
-    p_i, and w is finite with no -0, c[i] = fl(q_i[p_i] w[p_i]) + 0 and
-    w[p_i] = fl(w[p_i] - fl(c[i] q_i[p_i])), every other entry unchanged.
-    That is the loop bit for bit: the +0-started fold of +-0 terms and one
-    term t is t (+0 when t is +-0); fl(x - (+-0)) = x for finite x != -0; and
-    fl(x - y) is -0 only when x = -0, so no step makes a -0 and the steps,
-    each on its own column, commute.  A non-finite entry runs the loop
-    instead, so an error keeps the loop's type, message and row, and c the
-    loop's writes.  A dense basis fails the one-nonzero test on its last row.
+    A signed-coordinate basis takes one vectorized step: when Qt's r rows
+    each have exactly one nonzero, in distinct columns p_i, and w is finite
+    with no -0, c[i] = fl(q_i[p_i] w[p_i]) + 0 and w[p_i] = fl(w[p_i] -
+    fl(c[i] q_i[p_i])), every other entry unchanged.  That is the loop bit
+    for bit: the +0-started fold of +-0 terms and one term t is t (+0 when t
+    is +-0); fl(x - (+-0)) = x for finite x != -0; and fl(x - y) is -0 only
+    when x = -0, so no step makes a -0 and the steps, each on its own column,
+    commute.  A non-finite entry runs the loop instead, so an error keeps the
+    loop's type, message and row, and c the loop's writes.  p, when given,
+    holds the rows' _coordinates, and the step reads them; without it, from
+    r >= _MGS_STEP_ROWS rows, one scan of Qt finds them, and a dense basis
+    fails the one-nonzero test on its last row.
     """
     r = len(Qt)
-    if r >= _MGS_STEP_ROWS and np.count_nonzero(Qt[-1]) == 1 and np.isfinite(w).all() and not (np.signbit(w) & (w == 0)).any():
+    if p is None and r >= _MGS_STEP_ROWS and np.count_nonzero(Qt[-1]) == 1:
         nz = Qt != 0
-        p = nz.argmax(axis=1)  # the first nonzero column of each row
+        if np.count_nonzero(nz) == r:
+            p = nz.argmax(axis=1)  # the first nonzero column of each row
+    if p is not None and r and p.min() >= 0 and np.isfinite(w).all() and not (np.signbit(w) & (w == 0)).any():
         q = Qt[np.arange(r), p]
-        if np.count_nonzero(nz) == r and q.all() and len(set(p.tolist())) == r:
+        if q.all() and len(set(p.tolist())) == r:
             x = w[p]
             h = q * x + w.dtype.type(0.0)
             wp = x - h * q
@@ -313,7 +334,7 @@ def _gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _matvec(A: np.ndarray, x: np.ndarray, c: int = -1) -> np.ndarray:
     """y_r = fl(sum_c A[r,c] * x[c]), sequential left-to-right per row.
 
     The columns with x[c] != 0 are gathered in index order, _BLOCK at a time,
@@ -321,9 +342,10 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     batch in one call, each row fl(A[:, c] * x[c]), and y += p adds its rows
     in order: the column sweep's products and additions, so its bits.  One
     nonzero x[c] skips the batch: p = fl(A[:, c] * x[c]); p += 0 is fl(+0 + p).
+    c is x's _coordinate, or -1 to scan x for its nonzeros.
     A is not scanned: the columns that x skips are never read.  y is never a view of A.
     """
-    cols = x.nonzero()[0]
+    cols = x.nonzero()[0] if c < 0 else (c,)
     if len(cols) == 1:  # a signed coordinate: one product row, then fl(p + 0)
         y = A.T[cols[0]] * x[cols[0]]
         y += 0.0

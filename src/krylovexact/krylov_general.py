@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import ShapeError, _dot, _gram, _matmat, _matvec, _mgs, _norm2, _start, require_finite, validate_operands
+from .fp import ShapeError, _coordinate, _dot, _gram, _matmat, _matvec, _mgs, _norm2, _start, require_finite, validate_operands
 from .lanczos import VARIANTS
 from .rational import witness_norms
 
@@ -34,13 +34,15 @@ def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
     n = len(A)
     validate_operands(A, v, k=k, limit=n, square=True)
     Vt = np.zeros((k + 1, n), dtype=A.dtype)  # row j is v_{j+1}
-    _, Vt[0] = _start(v, "starting vector")
+    coord = np.full(k + 1, -1)  # coord[j] is v_{j+1}'s _coordinate
+    _, Vt[0], coord[0] = _start(v, "starting vector")
     H = np.zeros((k + 1, k), dtype=A.dtype)
     Af = np.asfortranarray(A)  # _matvec gathers columns of A: make them contiguous once per run
     breakdown = None
     for j in range(k):
-        w = _mgs(Vt[: j + 1], _matvec(Af, Vt[j]), H[: j + 1, j])
-        H[j + 1, j] = _norm2(w)
+        w = _mgs(Vt[: j + 1], _matvec(Af, Vt[j], coord[j]), H[: j + 1, j], coord[: j + 1])
+        coord[j + 1] = _coordinate(w)
+        H[j + 1, j] = _norm2(w, coord[j + 1])
         if H[j + 1, j] == 0:
             breakdown = j + 1
             break
@@ -75,25 +77,28 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
     alpha = np.zeros(k + 1, dtype=A.dtype)  # alpha[i] is alpha_i
     beta = np.zeros(k + 2, dtype=A.dtype)  # beta[i] is beta_i
     gamma = np.zeros(k + 2, dtype=A.dtype)  # gamma[i] is gamma_i
-    gamma[1], Vt[1] = _start(v, "right starting vector")
-    beta[1] = _dot(w, Vt[1])
+    cv, cw = np.full(k + 2, -1), np.full(k + 2, -1)  # cv[i] and cw[i] are the _coordinates of v_i and w_i
+    gamma[1], Vt[1], cv[1] = _start(v, "right starting vector")
+    beta[1] = _dot(w, Vt[1], cv[1])
     if beta[1] == 0:
         raise ValueError("w^T v_1 = 0: the starting pair is biorthogonally degenerate")
-    Wt[1] = w / beta[1]
+    Wt[1], cw[1] = w / beta[1], _coordinate(w)
     breakdown = None
     for i in range(1, k + 1):
-        Av = _matvec(A, Vt[i])
-        alpha[i] = _dot(Wt[i], Av)
+        Av = _matvec(A, Vt[i], cv[i])
+        alpha[i] = _dot(Wt[i], Av, cw[i])
         vnew = Av - alpha[i] * Vt[i]
         vnew = vnew - beta[i] * Vt[i - 1]
-        gamma[i + 1] = _norm2(vnew)
+        cv[i + 1] = _coordinate(vnew)
+        gamma[i + 1] = _norm2(vnew, cv[i + 1])
         if gamma[i + 1] == 0:
             breakdown = i
             break
         Vt[i + 1] = vnew / gamma[i + 1]
-        wnew = _matvec(A.T, Wt[i]) - alpha[i] * Wt[i]
+        wnew = _matvec(A.T, Wt[i], cw[i]) - alpha[i] * Wt[i]
         wnew = wnew - gamma[i] * Wt[i - 1]
-        beta[i + 1] = _dot(Vt[i + 1], wnew)
+        cw[i + 1] = _coordinate(wnew)
+        beta[i + 1] = _dot(Vt[i + 1], wnew, cw[i + 1])
         if beta[i + 1] == 0:
             raise SeriousBreakdownError(f"serious breakdown at step {i}")
         Wt[i + 1] = wnew / beta[i + 1]
@@ -131,18 +136,21 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
     Wt = np.zeros((k + 1, m), dtype=A.dtype)  # row i is w_i; row 0 is w_0 = +0
     gamma = np.zeros(k + 1, dtype=A.dtype)  # gamma[i] is gamma_i
     delta = np.zeros(k + 2, dtype=A.dtype)  # delta[i] is delta_i
-    delta[1], St[1] = _start(v, "starting vector")
+    cs, cw = np.full(k + 2, -1), np.full(k + 1, -1)  # cs[i] and cw[i] are the _coordinates of s_i and w_i
+    delta[1], St[1], cs[1] = _start(v, "starting vector")
     breakdown = None
     for i in range(1, k + 1):
-        t = _matvec(A.T, St[i])
+        t = _matvec(A.T, St[i], cs[i])
         t = t - delta[i] * Wt[i - 1]  # evaluated, not skipped: at i = 1, t - delta_1 * (+0) is t bit for bit
-        gamma[i] = _norm2(t)
+        cw[i] = _coordinate(t)
+        gamma[i] = _norm2(t, cw[i])
         if gamma[i] == 0:
             breakdown = ("gamma", i)
             break
         Wt[i] = t / gamma[i]
-        u = _matvec(A, Wt[i]) - gamma[i] * St[i]
-        delta[i + 1] = _norm2(u)
+        u = _matvec(A, Wt[i], cw[i]) - gamma[i] * St[i]
+        cs[i + 1] = _coordinate(u)
+        delta[i + 1] = _norm2(u, cs[i + 1])
         if delta[i + 1] == 0:
             breakdown = ("delta", i + 1)
             break

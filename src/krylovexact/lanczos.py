@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import _dot, _matvec, _mgs, _norm2, _start, bitwise_symmetric, validate_operands
+from .fp import _coordinate, _dot, _matvec, _mgs, _norm2, _start, bitwise_symmetric, validate_operands
 from .problems import JacobiMatrix
 
 VARIANTS = ("mgs", "cgs")
@@ -61,26 +61,28 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
         raise ValueError("matrix is not bitwise symmetric")
 
     Vt = np.zeros((k + 2, n), dtype=A.dtype)  # row i is v_i; row 0 is v_0 = +0
-    beta1, Vt[1] = _start(v, "starting vector")
+    coord = np.full(k + 2, -1)  # coord[i] is v_i's _coordinate
+    beta1, Vt[1], coord[1] = _start(v, "starting vector")
     alpha = np.zeros(k + 1, dtype=A.dtype)  # alpha[i] is alpha_i
     beta = np.zeros(k + 2, dtype=A.dtype)  # beta[i] is beta_i; beta[1] = +0, so beta_1 v_0 is evaluated, not skipped
     scratch = np.empty(k, dtype=A.dtype)  # the discarded reorthogonalization coefficients
     t = np.empty(n, dtype=A.dtype)  # beta_i v_{i-1} or alpha_i v_i, subtracted in place from _matvec's fresh output
     breakdown = None
     for i in range(1, k + 1):
-        vi = Vt[i]
-        z = _matvec(A.T, vi)  # A is bitwise symmetric: same bits, contiguous columns
+        vi, ci = Vt[i], coord[i]
+        z = _matvec(A.T, vi, ci)  # A is bitwise symmetric: same bits, contiguous columns
         if variant == "mgs":
             z -= np.multiply(beta[i], Vt[i - 1], out=t)  # z holds w
-            alpha[i] = _dot(z, vi)
+            alpha[i] = _dot(z, vi, ci)  # a non-finite z raises the same error in _norm2 below
             z -= np.multiply(alpha[i], vi, out=t)
         else:
-            alpha[i] = _dot(vi, z)
+            alpha[i] = _dot(vi, z, ci)
             z -= np.multiply(alpha[i], vi, out=t)
             z -= np.multiply(beta[i], Vt[i - 1], out=t)
         for _ in range(REORTH.index(reorth)):
-            z = _mgs(Vt[1 : i + 1], z, scratch)  # v_1..v_i: the +0 row would fail _mgs's one-nonzero-per-row test
-        beta[i + 1] = _norm2(z)
+            z = _mgs(Vt[1 : i + 1], z, scratch, coord[1 : i + 1])  # v_1..v_i: v_0 = +0 has no coordinate
+        coord[i + 1] = _coordinate(z)
+        beta[i + 1] = _norm2(z, coord[i + 1])
         if beta[i + 1] == 0:
             breakdown = i
             break

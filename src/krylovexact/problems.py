@@ -35,11 +35,13 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def _fisher_yates(g: np.random.Generator, n: int) -> np.ndarray:
-    idx = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(g.integers(0, i + 1))
+    """Swap i with j_i for i = n-1, ..., 1, j_i drawn from [0, i]: the n - 1
+    draws come from one call, which leaves the permutation and g's state those
+    of one g.integers(0, i + 1) call per swap."""
+    idx = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), g.integers(0, np.arange(n, 1, -1)).tolist()):
         idx[i], idx[j] = idx[j], idx[i]
-    return idx
+    return np.array(idx, dtype=int)
 
 
 # ---------------------------------------------------------------------------

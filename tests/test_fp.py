@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from krylovexact import fp
@@ -520,6 +520,7 @@ def products(draw, length=None, dtype=None):
         return np.array(x, dtype=dtype) * np.array(y, dtype=dtype), dtype
 
 
+@settings(suppress_health_check=[HealthCheck.too_slow])  # products() draws slowly on a loaded machine
 @given(products())
 def test_accumulate_is_the_sequential_fold(case):
     # Gate on numpy: np.add.accumulate must add strictly left to right.  If a
@@ -531,7 +532,7 @@ def test_accumulate_is_the_sequential_fold(case):
         assert _same_sum(np.add.accumulate(t)[-1] + dtype(0.0), want)
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(0, 24), st.integers(1, 4), st.booleans(), st.sampled_from([np.float64, np.float32]), st.data())
 def test_fp_fold_is_the_literal_plus_zero_started_loop(n, cols, matrix, dtype, data):
     """fp._fold down axis 0 of a vector (a scalar) or of an n x cols matrix

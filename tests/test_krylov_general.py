@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -25,9 +26,10 @@ from krylovexact.krylov_general import (
     hessenberg_lstsq,
     nonsym_lanczos,
 )
-from krylovexact.lanczos import VARIANTS, lanczos
-from krylovexact.problems import random_signed_permutation, random_structure, random_structured_problem, assemble
+from krylovexact.lanczos import REORTH, VARIANTS, lanczos
+from krylovexact.problems import assemble, extend_deficient, random_signed_permutation, random_structure, random_structured_problem
 from krylovexact.rational import nonzero_rows, rat_dot, rat_matvec, rational_lstsq, to_rational_vector
+from test_lanczos import _cglanczos_columns, _lanczos_columns
 
 
 def _sym(n, seed):
@@ -816,28 +818,172 @@ def test_hessenberg_lstsq_is_the_scalar_givens_loop(case):
     _assert_same(_outcome(hessenberg_lstsq, H, rhs), _outcome(_hessenberg_lstsq_loop, H, rhs))
 
 
+# Runs that leave the signed-coordinate path partway, against the column loops
+
+
+@st.composite
+def path_changing_case(draw, kind, spd=False):
+    """(A, v, w) of a structured `kind` problem (w is None but for
+    nonsymtridiag) with one change, or none, that sends a run off the
+    signed-coordinate path partway: a chord below T's subdiagonal, a dense
+    row (and column, for jacobi), -0 for some +0 entries of the starting
+    vectors, or a grade-deficient extension by a dense R.  A is then scaled
+    by 2^e, with e up to where a square, a sum or an update overflows."""
+    precision = draw(st.sampled_from(PRECISIONS))
+    dt = precision.dtype
+    n = draw(st.integers(1, 9))
+    prob = random_structured_problem(kind, n, draw(st.integers(0, 10**6)), precision, spd=spd)
+    A, v, w = prob.A.copy(), prob.v.copy(), None if prob.w is None else prob.w.copy()
+    at = prob.P.perm  # at[i] is the coordinate of the run's (i+1)-th vector
+    change = draw(st.sampled_from(["none", "chord", "row", "minus_zero", "deficient"]))
+    if change == "chord" and n >= 3:
+        j = draw(st.integers(0, n - 3))
+        i = draw(st.integers(j + 2, n - 1))
+        A[at[i], at[j]] = draw(rough)
+        if kind == "jacobi":
+            A[at[j], at[i]] = A[at[i], at[j]]
+    elif change == "row":
+        i = at[draw(st.integers(0, n - 1))]
+        A[i] = draw(st.lists(entry, min_size=n, max_size=n))
+        if kind == "jacobi":
+            A[:, i] = A[i]
+    elif change == "minus_zero":
+        for x in (v, w):
+            if x is not None:
+                x[(x == 0) & np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = -0.0
+    elif change == "deficient":
+        m = draw(st.integers(1, 4))
+        R = np.array(draw(st.lists(entry, min_size=m * m, max_size=m * m)), dtype=dt).reshape(m, m)
+        if kind == "jacobi":
+            R = np.triu(R) + np.triu(R, 1).T
+        ext = extend_deficient(prob, R)
+        A, v, w = ext.A.copy(), ext.v.copy(), None if ext.w is None else ext.w.copy()
+    maxexp = np.finfo(dt).maxexp
+    A *= dt(2.0 ** draw(st.sampled_from([0, maxexp // 2 - 4, maxexp // 2 - 1, maxexp - 7, maxexp - 5])))  # |A| stays below 2^maxexp
+    return A, v, w
+
+
+def _column_loop_outcome(f, *args):
+    """_outcome of a column loop, under the errstate the algorithms hold."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _outcome(f, *args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(path_changing_case("jacobi"), st.sampled_from(VARIANTS), st.sampled_from(REORTH), st.data())
+def test_lanczos_off_the_coordinate_path_is_the_column_loop(case, variant, reorth, data):
+    A, v, _ = case
+    k = data.draw(st.integers(0, len(A)))
+    _assert_same(_outcome(lanczos, A, v, k, variant, reorth), _column_loop_outcome(_lanczos_columns, A, v, k, variant, reorth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(path_changing_case("jacobi", spd=True), st.data())
+def test_cglanczos_off_the_coordinate_path_is_the_column_loop(case, data):
+    A, b, _ = case
+    k = data.draw(st.integers(0, len(A)))
+    _assert_same(_outcome(cglanczos, A, b, k), _column_loop_outcome(_cglanczos_columns, A, b, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(path_changing_case("hessenberg"), st.data())
+def test_arnoldi_off_the_coordinate_path_is_the_column_loop(case, data):
+    A, v, _ = case
+    k = data.draw(st.integers(0, len(A)))
+    _assert_same(_outcome(arnoldi, A, v, k), _column_loop_outcome(_arnoldi_columns, A, v, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(path_changing_case("nonsymtridiag"), st.data())
+def test_nonsym_lanczos_off_the_coordinate_path_is_the_column_loop(case, data):
+    A, v, w = case
+    k = data.draw(st.integers(0, len(A)))
+    _assert_same(_outcome(nonsym_lanczos, A, v, w, k), _column_loop_outcome(_nonsym_lanczos_columns, A, v, w, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(path_changing_case("lowerbidiag"), st.data())
+def test_golub_kahan_off_the_coordinate_path_is_the_column_loop(case, data):
+    A, v, _ = case
+    k = data.draw(st.integers(0, len(A)))
+    _assert_same(_outcome(golub_kahan, A, v, k), _column_loop_outcome(_golub_kahan_columns, A, v, k))
+
+
+def _mgs_lanczos(A, v, k):
+    return lanczos(A, v, k, "mgs")
+
+
+def _cgs_lanczos(A, v, k):
+    return lanczos(A, v, k, "cgs")
+
+
+# (run, its column loop, dtype, A, starting vectors): each run raises at the
+# operation named in its id, mostly on a signed coordinate, where the step
+# takes its one-term forms.
+_OVERFLOWS = [
+    pytest.param(_mgs_lanczos, lambda A, v, k: _lanczos_columns(A, v, k, "mgs", "none"), np.float64, [[0, -(2.0**1021)], [-(2.0**1021), 1.5 * 2.0**1022]], ([0, 0.5],), id="lanczos-mgs-beta-square"),
+    pytest.param(_cgs_lanczos, lambda A, v, k: _lanczos_columns(A, v, k, "cgs", "none"), np.float32, [[0, 2.0**125], [2.0**125, 0]], ([-1.5 * 2.0**61, -1.5 * 2.0**61],), id="lanczos-cgs-beta-square"),
+    pytest.param(_mgs_lanczos, lambda A, v, k: _lanczos_columns(A, v, k, "mgs", "none"), np.float64, [[1, 0], [0, 1]], ([0, 2.0**600],), id="lanczos-start-square"),
+    pytest.param(arnoldi, _arnoldi_columns, np.float32, [[0, 1.5 * 2.0**64], [2.0**-64, 0]], ([0, 0.5],), id="arnoldi-h-square"),
+    pytest.param(golub_kahan, _golub_kahan_columns, np.float32, [[1.5 * 2.0**64, 0], [-1, 0]], ([0, 2],), id="golub-kahan-delta-square"),
+    pytest.param(golub_kahan, _golub_kahan_columns, np.float32, [[2, 2.0**64], [-(2.0**64), -(2.0**126)]], ([-2, 0],), id="golub-kahan-gamma-square"),
+    pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float32, [[-1.5 * 2.0**-65, 0], [-2, 0]], ([-2, 0], [-1.5 * 2.0**-65, 2.0**125]), id="nonsym-alpha-dot"),
+    pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float64, [[0, 0], [2.0**1000, 0]], ([1, 2.0**-60], [0, 1]), id="nonsym-alpha-product"),
+    pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float32, [[2.0**126, 0], [1.5, -1.5 * 2.0**63]], ([0.5, 0], [1.5, -1.5 * 2.0**61]), id="nonsym-beta-dot"),
+    pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float64, [[2.0**512, 1], [1.5 * 2.0**1021, -1.5 * 2.0**-513]], ([1, 0], [1.5 * 2.0**510, -2]), id="nonsym-gamma-square"),
+    pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float32, [[-1.5 * 2.0**125, -1], [1.5 * 2.0**126, 2.0**126]], ([0, 1], [-(2.0**62), 3]), id="nonsym-transposed-matvec"),
+]
+
+
+@pytest.mark.parametrize("run, columns, dtype, A, starts", _OVERFLOWS)
+def test_an_overflow_raises_the_column_loops_error(run, columns, dtype, A, starts):
+    A = np.array(A, dtype=dtype)
+    args = (A, *(np.array(x, dtype=dtype) for x in starts), len(A))
+    want = _column_loop_outcome(columns, *args)
+    assert want[0] is NonFiniteError
+    _assert_same(_outcome(run, *args), want)
+
+
 @pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.name)
-def test_mgs_projects_a_signed_coordinate_basis_without_the_dot_loop(monkeypatch, precision):
-    """fp._dot calls of an Arnoldi run at n = k = 60: one for the start, one
-    per step for h_{j+1,j}, and on structured input the loop's projections of
-    the first steps, whose r < _MGS_STEP_ROWS rows keep the loop; a dense run
-    makes the loop's k(k+1)/2 projections on top."""
-    n = k = 60
-    calls = []
-    real = fp._dot
+def test_structured_steps_fold_and_scan_no_whole_vector(monkeypatch, precision):
+    """Structured Lanczos (every variant and reorth) and Arnoldi runs at
+    n = 50, to k = n - 1 so that no step breaks down on z = 0, carry each
+    vector's coordinate: no _dot folds a whole vector and no _matvec scans
+    one.  On dense input they do: Lanczos folds at its start and twice a
+    step, plus k(k+1)/2 times per reorthogonalization pass, and Arnoldi at
+    its start, once a step and k(k+1)/2 times in _mgs's loop.  The kernels
+    are patched in fp and in each module that binds them;
+    krylovexact.lanczos is the function, so its module comes from sys.modules."""
+    n, k = 50, 49
+    folds, scans = [], []
+    real_dot, real_matvec = fp._dot, fp._matvec
 
-    def counting(x, y):
-        calls.append(len(x))
-        return real(x, y)
+    def dot(x, y, c=-1):
+        folds.append(c < 0)
+        return real_dot(x, y, c)
 
-    monkeypatch.setattr(fp, "_dot", counting)
-    prob = random_structured_problem("hessenberg", n, 0, precision)
-    assert arnoldi(prob.A, prob.v, k).breakdown == n
-    assert len(calls) == 1 + k + sum(range(fp._MGS_STEP_ROWS))
-    calls.clear()
-    A = np.random.default_rng(0).uniform(-1.0, 1.0, (n, n)).astype(precision.dtype)
-    assert arnoldi(A, np.ones(n, dtype=precision.dtype), k).breakdown is None
-    assert len(calls) == 1 + k + k * (k + 1) // 2
+    def matvec(A, x, c=-1):
+        scans.append(c < 0)
+        return real_matvec(A, x, c)
+
+    for module in (fp, sys.modules["krylovexact.lanczos"], krylov_general):
+        monkeypatch.setattr(module, "_dot", dot)
+        monkeypatch.setattr(module, "_matvec", matvec)
+    dt = precision.dtype
+    dense = np.random.default_rng(0).uniform(-1.0, 1.0, (n, n)).astype(dt)
+    jacobi, hessenberg = (random_structured_problem(kind, n, 0, precision) for kind in ("jacobi", "hessenberg"))
+    for variant in VARIANTS:
+        for passes, reorth in enumerate(REORTH):
+            for structured, (A, v) in ((True, (jacobi.A, jacobi.v)), (False, (dense + dense.T, np.ones(n, dtype=dt)))):
+                folds.clear(), scans.clear()
+                assert lanczos(A, v, k, variant, reorth).breakdown is None
+                assert sum(folds) == (0 if structured else 1 + 2 * k + passes * k * (k + 1) // 2), (variant, reorth)
+                assert sum(scans) == (0 if structured else k) and len(scans) == k
+    for structured, (A, v) in ((True, (hessenberg.A, hessenberg.v)), (False, (dense, np.ones(n, dtype=dt)))):
+        folds.clear(), scans.clear()
+        assert arnoldi(A, v, k).breakdown is None
+        assert sum(folds) == (0 if structured else 1 + k + k * (k + 1) // 2)
+        assert sum(scans) == (0 if structured else k) and len(scans) == k
 
 
 def test_overflow_raises_without_a_warning_and_restores_errstate():

@@ -12,6 +12,7 @@ from krylovexact.fileio import read_problem, write_problem
 from krylovexact.fp import BINARY32, BINARY64, NonFiniteError, RangeError, ShapeError, bitwise_equal
 from krylovexact.harness import ALGORITHMS, RunInputs, _deficient_instance, compare_structured
 from krylovexact.problems import (
+    _fisher_yates,
     BlockTridiagonal,
     ConvergenceCurves,
     HessenbergMatrix,
@@ -23,6 +24,7 @@ from krylovexact.problems import (
     assemble,
     detect_structure,
     extend_deficient,
+    make_rng,
     prescribe_cg_curves,
     random_convergence_curves,
     random_signed_block_permutation,
@@ -94,6 +96,26 @@ def test_signed_permutation_orthogonal():
     P = random_signed_permutation(9, 3)
     D = P.to_dense()
     assert np.array_equal(D @ D.T, np.eye(9))
+
+
+def _fisher_yates_scalar_draws(g, n):
+    """The shuffle with one g.integers(0, i + 1) call per swap."""
+    idx = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = int(g.integers(0, i + 1))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 65, 257, 1000, 4097])
+def test_fisher_yates_from_one_draw_is_the_scalar_draw_loop(n):
+    """The same permutation and dtype, and the generator left in the same
+    state: the signs and anything else drawn next are the loop's."""
+    for seed in (0, 1, 0x5EED + 1, 2**31 - 1):
+        g, h = make_rng(seed), make_rng(seed)
+        got, want = _fisher_yates(g, n), _fisher_yates_scalar_draws(h, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(g.integers(0, 2, 16), h.integers(0, 2, 16)) and g.uniform() == h.uniform()
 
 
 def test_assemble_is_rounding_free():
