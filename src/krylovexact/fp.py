@@ -47,17 +47,39 @@ first step, on its matrix and operands (one format, one row count, a square
 matrix where the algorithm needs one, all finite, step count in range).
 The kernels inside the recurrences, _dot, _norm2, _matvec, _matmat and
 _mgs, check only their outputs: they raise NonFiniteError on a non-finite
-result, which covers overflow and non-finite inputs alike.  Each keeps one
-code path, except two that take a signed-coordinate operand in one step with
-the loop's bits: _mgs projects such a basis in one vectorized step (its
-docstring gives the argument), and _matvec forms A x for an x with one
-nonzero x[c] as y = fl(A[:, c] * x[c]), then y += 0: fl(p + 0) is the
-sweep's fl(+0 + p) bit for bit, since IEEE addition commutes, signed zeros
-included.  _matvec returns a fresh array, which its caller may overwrite.
+result, which covers overflow and non-finite inputs alike.
+_matvec returns a fresh array, which its caller may overwrite.
 The public seq_dot, norm2, matvec and matmat are operand checks plus one
 errstate around those kernels; matvec and matmat also scan the matrix once
 per call, because a NaN in a column that x skips would otherwise go unseen.
 _gram keeps its own checks and errstate.
+
+Coordinates: on the structured class every Krylov vector is a signed
+coordinate +-e_c, and each z before its normalization a multiple of one, so
+each inner product and norm of a step has one nonzero term.  The single-vector loops (lanczos, and so cglanczos; arnoldi,
+nonsym_lanczos, golub_kahan) carry each vector's coordinate, _coordinate:
+the index of its one nonzero, or -1 when it has none or more than one.  It
+is found once per vector, at the norm that scans the vector anyway (and in
+_start), and v = z / ||z|| keeps z's, since a zero stays zero and z_c /
+||z|| != 0.  The kernels take it and do not rescan: for a coordinate c,
+A v = fl(A[:, c] v_c) + 0; alpha = fl(z_c v_c) + 0; ||z|| = sqrt(fl(z_c^2) +
+0); and _mgs reads the r coordinates of its basis instead of scanning the
+r x n rows, so structured Arnoldi is O(n^2).  Without one (-1), each kernel
+takes its general path.  The bits are the general path's: the other terms
+are x_j * (+-0) = +-0 for a finite x_j, and the +0-started fold of +-0 terms
+and one finite term t is fl(t + 0) (+0 when t is +-0); a square is never -0;
+and fl(p + 0) is the sweep's fl(+0 + p), since IEEE addition commutes,
+signed zeros included.  The errors are the general path's: _coordinate counts
+a NaN or an infinity as a nonzero, so a non-finite z has no coordinate and
+takes the full fold, or is its own coordinate with a non-finite square;
+either way _norm2 raises NonFiniteError("non-finite dot product").  A loop
+passes a coordinate to _dot only where the other operand is finite.  In
+lanczos's MGS alpha_i = z^T v_i, z = A v_i - beta_i v_{i-1} is: _matvec
+checks A v_i, and beta_i v_{i-1}, a norm times a unit vector, is below
+about sqrt of the largest finite value, far less than half an ulp of it.
+(Were z not finite, the step's _norm2 would raise the same error.)  z never
+holds a -0 (_matvec's output has none, and fl(x - y) is -0 only when x = -0),
+which lets _mgs take its vectorized step on it.
 
 exact_identity_violations is the one check of the IEEE operations that
 round nothing, on which the exactness results rest (Lemma 3.1 among them).
@@ -233,8 +255,8 @@ def _coordinate(x: np.ndarray) -> int:
 
 def _dot(x: np.ndarray, y: np.ndarray, c: int = -1):
     """_fold(x * y), inlined: the hottest kernel; the caller holds the checks and errstate.
-    c >= 0 says that x or y is zero off entry c: then the fold is fl(x[c] y[c]) + 0,
-    provided the other operand is finite off c (fp's Coordinates)."""
+    c >= 0 is the _coordinate of x or of y: the fold is then fl(x[c] y[c]) + 0,
+    provided the other operand is finite (the module docstring's Coordinates)."""
     zero = x.dtype.type(0.0)
     if c >= 0:
         out = x[c] * y[c] + zero

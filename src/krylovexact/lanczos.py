@@ -73,7 +73,7 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
         z = _matvec(A.T, vi, ci)  # A is bitwise symmetric: same bits, contiguous columns
         if variant == "mgs":
             z -= np.multiply(beta[i], Vt[i - 1], out=t)  # z holds w
-            alpha[i] = _dot(z, vi, ci)  # a non-finite z raises the same error in _norm2 below
+            alpha[i] = _dot(z, vi, ci)  # z is finite: fp's Coordinates
             z -= np.multiply(alpha[i], vi, out=t)
         else:
             alpha[i] = _dot(vi, z, ci)
