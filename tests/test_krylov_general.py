@@ -917,9 +917,10 @@ def _cgs_lanczos(A, v, k):
     return lanczos(A, v, k, "cgs")
 
 
-# (run, its column loop, dtype, A, starting vectors): each run raises at the
-# operation named in its id, mostly on a signed coordinate, where the step
-# takes its one-term forms.
+# (run, its column loop, dtype, A, starting vectors): each run to k = n raises
+# at the operation named in its id, mostly on a signed coordinate, where the
+# step takes its one-term forms.  In nonsym-beta-update, w_2 = A^T w_1 -
+# alpha_1 w_1 overflows off v_2's coordinate, so beta_2 must fold the whole w_2.
 _OVERFLOWS = [
     pytest.param(_mgs_lanczos, lambda A, v, k: _lanczos_columns(A, v, k, "mgs", "none"), np.float64, [[0, -(2.0**1021)], [-(2.0**1021), 1.5 * 2.0**1022]], ([0, 0.5],), id="lanczos-mgs-beta-square"),
     pytest.param(_cgs_lanczos, lambda A, v, k: _lanczos_columns(A, v, k, "cgs", "none"), np.float32, [[0, 2.0**125], [2.0**125, 0]], ([-1.5 * 2.0**61, -1.5 * 2.0**61],), id="lanczos-cgs-beta-square"),
@@ -930,6 +931,7 @@ _OVERFLOWS = [
     pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float32, [[-1.5 * 2.0**-65, 0], [-2, 0]], ([-2, 0], [-1.5 * 2.0**-65, 2.0**125]), id="nonsym-alpha-dot"),
     pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float64, [[0, 0], [2.0**1000, 0]], ([1, 2.0**-60], [0, 1]), id="nonsym-alpha-product"),
     pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float32, [[2.0**126, 0], [1.5, -1.5 * 2.0**63]], ([0.5, 0], [1.5, -1.5 * 2.0**61]), id="nonsym-beta-dot"),
+    pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float64, [[-(2.0**1023), 2.0**1022, 1], [0, 2.0**1022, 0], [1, 0, 0]], ([1, 0, 0], [1, 1, 0]), id="nonsym-beta-update"),
     pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float64, [[2.0**512, 1], [1.5 * 2.0**1021, -1.5 * 2.0**-513]], ([1, 0], [1.5 * 2.0**510, -2]), id="nonsym-gamma-square"),
     pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float32, [[-1.5 * 2.0**125, -1], [1.5 * 2.0**126, 2.0**126]], ([0, 1], [-(2.0**62), 3]), id="nonsym-transposed-matvec"),
 ]
@@ -937,11 +939,13 @@ _OVERFLOWS = [
 
 @pytest.mark.parametrize("run, columns, dtype, A, starts", _OVERFLOWS)
 def test_an_overflow_raises_the_column_loops_error(run, columns, dtype, A, starts):
+    """Every k, the run's result or error is the column loop's."""
     A = np.array(A, dtype=dtype)
-    args = (A, *(np.array(x, dtype=dtype) for x in starts), len(A))
-    want = _column_loop_outcome(columns, *args)
+    for k in range(len(A) + 1):
+        args = (A, *(np.array(x, dtype=dtype) for x in starts), k)
+        want = _column_loop_outcome(columns, *args)
+        _assert_same(_outcome(run, *args), want)
     assert want[0] is NonFiniteError
-    _assert_same(_outcome(run, *args), want)
 
 
 @pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.name)
