@@ -909,22 +909,14 @@ def test_golub_kahan_off_the_coordinate_path_is_the_column_loop(case, data):
     _assert_same(_outcome(golub_kahan, A, v, k), _column_loop_outcome(_golub_kahan_columns, A, v, k))
 
 
-def _mgs_lanczos(A, v, k):
-    return lanczos(A, v, k, "mgs")
-
-
-def _cgs_lanczos(A, v, k):
-    return lanczos(A, v, k, "cgs")
-
-
 # (run, its column loop, dtype, A, starting vectors): each run to k = n raises
 # at the operation named in its id, mostly on a signed coordinate, where the
 # step takes its one-term forms.  In nonsym-beta-update, w_2 = A^T w_1 -
 # alpha_1 w_1 overflows off v_2's coordinate, so beta_2 must fold the whole w_2.
 _OVERFLOWS = [
-    pytest.param(_mgs_lanczos, lambda A, v, k: _lanczos_columns(A, v, k, "mgs", "none"), np.float64, [[0, -(2.0**1021)], [-(2.0**1021), 1.5 * 2.0**1022]], ([0, 0.5],), id="lanczos-mgs-beta-square"),
-    pytest.param(_cgs_lanczos, lambda A, v, k: _lanczos_columns(A, v, k, "cgs", "none"), np.float32, [[0, 2.0**125], [2.0**125, 0]], ([-1.5 * 2.0**61, -1.5 * 2.0**61],), id="lanczos-cgs-beta-square"),
-    pytest.param(_mgs_lanczos, lambda A, v, k: _lanczos_columns(A, v, k, "mgs", "none"), np.float64, [[1, 0], [0, 1]], ([0, 2.0**600],), id="lanczos-start-square"),
+    pytest.param(lambda A, v, k: lanczos(A, v, k, "mgs"), lambda A, v, k: _lanczos_columns(A, v, k, "mgs", "none"), np.float64, [[0, -(2.0**1021)], [-(2.0**1021), 1.5 * 2.0**1022]], ([0, 0.5],), id="lanczos-mgs-beta-square"),
+    pytest.param(lambda A, v, k: lanczos(A, v, k, "cgs"), lambda A, v, k: _lanczos_columns(A, v, k, "cgs", "none"), np.float32, [[0, 2.0**125], [2.0**125, 0]], ([-1.5 * 2.0**61, -1.5 * 2.0**61],), id="lanczos-cgs-beta-square"),
+    pytest.param(lambda A, v, k: lanczos(A, v, k, "mgs"), lambda A, v, k: _lanczos_columns(A, v, k, "mgs", "none"), np.float64, [[1, 0], [0, 1]], ([0, 2.0**600],), id="lanczos-start-square"),
     pytest.param(arnoldi, _arnoldi_columns, np.float32, [[0, 1.5 * 2.0**64], [2.0**-64, 0]], ([0, 0.5],), id="arnoldi-h-square"),
     pytest.param(golub_kahan, _golub_kahan_columns, np.float32, [[1.5 * 2.0**64, 0], [-1, 0]], ([0, 2],), id="golub-kahan-delta-square"),
     pytest.param(golub_kahan, _golub_kahan_columns, np.float32, [[2, 2.0**64], [-(2.0**64), -(2.0**126)]], ([-2, 0],), id="golub-kahan-gamma-square"),
@@ -979,12 +971,14 @@ def test_structured_steps_fold_and_scan_no_whole_vector(monkeypatch, precision):
     for variant in VARIANTS:
         for passes, reorth in enumerate(REORTH):
             for structured, (A, v) in ((True, (jacobi.A, jacobi.v)), (False, (dense + dense.T, np.ones(n, dtype=dt)))):
-                folds.clear(), scans.clear()
+                folds.clear()
+                scans.clear()
                 assert lanczos(A, v, k, variant, reorth).breakdown is None
                 assert sum(folds) == (0 if structured else 1 + 2 * k + passes * k * (k + 1) // 2), (variant, reorth)
                 assert sum(scans) == (0 if structured else k) and len(scans) == k
     for structured, (A, v) in ((True, (hessenberg.A, hessenberg.v)), (False, (dense, np.ones(n, dtype=dt)))):
-        folds.clear(), scans.clear()
+        folds.clear()
+        scans.clear()
         assert arnoldi(A, v, k).breakdown is None
         assert sum(folds) == (0 if structured else 1 + k + k * (k + 1) // 2)
         assert sum(scans) == (0 if structured else k) and len(scans) == k
