@@ -102,9 +102,15 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     when a step follows, since d_{k+1} = alpha_{k+1} - beta_{k+1} ell_k is
     then -inf; a last ell_k that is not finite raises NonFiniteError, and so
     does an x_k, p_k or gamma_{k-1} = 1/d_k that overflows (CGTrace.record).
+    Errors come in step order: when Lanczos step j raises NonFiniteError,
+    steps 1..j-1 run first, on the Lanczos run to j - 1, and may raise theirs.
     """
     n = len(A)
-    res = lanczos(A, b, n if kmax is None else kmax)  # validates A and b, and rejects b = 0
+    kmax = n if kmax is None else kmax
+    try:
+        res, error = lanczos(A, b, kmax), None  # validates A and b, and rejects b = 0
+    except NonFiniteError as e:
+        res, error = _longest_lanczos(A, b, kmax), e
     dt = A.dtype.type
     rho = res.beta1
     x = np.zeros(n, dtype=A.dtype)
@@ -118,7 +124,7 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
             raise ValueError(f"nonpositive pivot d_{k}: matrix is not positive definite")
         ell_k = beta_next / d_k
         if not np.isfinite(ell_k):
-            if k < res.k:
+            if k < kmax:
                 raise ValueError(f"nonpositive pivot d_{k + 1}: matrix is not positive definite")
             raise NonFiniteError(f"the trailing multiplier ell_{k} = beta_{k + 1}/d_{k} is not finite")
         rho = ell_k * rho
@@ -134,4 +140,20 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
         tr.rho.append(rho)
         tr.record(x, r, p, dt(1.0) / d_k, ell_k * ell_k)
         beta_k = beta_next
+    if error is not None:
+        raise error
     return tr
+
+
+def _longest_lanczos(A, b, k):
+    """lanczos(A, b, j) for the largest j < k that raises no NonFiniteError, by
+    bisection: a run to j repeats the first j steps of the run to k, which raises."""
+    lo, hi = 0, k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            lanczos(A, b, mid)
+            lo = mid
+        except NonFiniteError:
+            hi = mid
+    return lanczos(A, b, lo)

@@ -47,7 +47,8 @@ first step, on its matrix and operands (one format, one row count, a square
 matrix where the algorithm needs one, all finite, step count in range).
 The kernels inside the recurrences, _dot, _norm2, _matvec, _matmat and
 _mgs, check only their outputs: they raise NonFiniteError on a non-finite
-result, which covers overflow and non-finite inputs alike.
+result, which covers overflow and non-finite inputs alike.  _sub_scaled and
+_normalized check nothing: the step's next _norm2 or _dot reads what they wrote.
 _matvec returns a fresh array, which its caller may overwrite.
 The public seq_dot, norm2, matvec and matmat are operand checks plus one
 errstate around those kernels; matvec and matmat also scan the matrix once
@@ -79,7 +80,20 @@ checks A v_i, and beta_i v_{i-1}, a norm times a unit vector, is below
 about sqrt of the largest finite value, far less than half an ulp of it.
 (Were z not finite, the step's _norm2 would raise the same error.)  z never
 holds a -0 (_matvec's output has none, and fl(x - y) is -0 only when x = -0),
-which lets _mgs take its vectorized step on it.
+which lets _mgs take its vectorized step on it, and the three-term updates
+and normalizations their one-entry forms.  _sub_scaled(z, a, x, c) is z -=
+fl(a x) for a finite coefficient a: with x's coordinate c, only z[c] changes,
+since every other x_j is +-0 and z_j - fl(a (+-0)) = z_j for z_j != -0,
+finite or not.  A row v_0 = +0 has no nonzero, so any index serves as its
+coordinate: the loops give it 0, and the first step's beta_1 v_0 is a
+one-entry no-op.  _normalized(z, nrm, c, out) is out = z / nrm into a
+preallocated +0 row: with z's coordinate c only out[c] is written, because
+every other entry is +0 / nrm = +0 for a norm nrm > 0.  That holds where the
+divisor is a norm (beta in lanczos, H[j+1, j] in arnoldi, gamma for
+nonsym_lanczos's v, gamma and delta in golub_kahan); nonsym_lanczos's w_{i+1}
+= w / beta_{i+1} keeps the whole divide, since beta_{i+1} may be negative and
++0 / beta_{i+1} is then -0.  Its -0s, and those of a starting vector, are
+zeros of an x, which the update leaves unread.
 
 exact_identity_violations is the one check of the IEEE operations that
 round nothing, on which the exactness results rest (Lemma 3.1 among them).
@@ -271,6 +285,24 @@ def _norm2(x: np.ndarray, c: int = -1):
     """norm2 without its operand check or errstate (IEEE sqrt is correctly rounded);
     c is x's _coordinate, or -1."""
     return np.sqrt(_dot(x, x, c))
+
+
+def _sub_scaled(z: np.ndarray, a, x: np.ndarray, c: int, out: np.ndarray | None = None) -> None:
+    """z -= fl(a x) in place for a finite a and a z without -0, out taking the
+    products; x's coordinate c >= 0 changes z[c] alone (Coordinates, above)."""
+    if c >= 0:
+        z[c] -= a * x[c]
+    else:
+        z -= np.multiply(a, x, out=out)
+
+
+def _normalized(z: np.ndarray, nrm, c: int, out: np.ndarray) -> None:
+    """out = z / nrm for a norm nrm > 0, a z without -0 and a +0 out; z's
+    coordinate c >= 0 writes out[c] alone (Coordinates, above)."""
+    if c >= 0:
+        out[c] = z[c] / nrm
+    else:
+        np.divide(z, nrm, out=out)
 
 
 def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:

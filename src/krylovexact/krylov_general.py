@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import ShapeError, _coordinate, _dot, _gram, _matmat, _matvec, _mgs, _norm2, _start, require_finite, validate_operands
+from .fp import ShapeError, _coordinate, _dot, _gram, _matmat, _matvec, _mgs, _norm2, _normalized, _start, _sub_scaled, require_finite, validate_operands
 from .lanczos import VARIANTS
 from .rational import witness_norms
 
@@ -46,7 +46,7 @@ def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
         if H[j + 1, j] == 0:
             breakdown = j + 1
             break
-        Vt[j + 1] = w / H[j + 1, j]
+        _normalized(w, H[j + 1, j], coord[j + 1], Vt[j + 1])
     steps = breakdown or k
     return ArnoldiResult(Vt[: (breakdown or k + 1)].T.copy(), H[: steps + 1, : steps].copy(), breakdown)
 
@@ -78,6 +78,7 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
     beta = np.zeros(k + 2, dtype=A.dtype)  # beta[i] is beta_i
     gamma = np.zeros(k + 2, dtype=A.dtype)  # gamma[i] is gamma_i
     cv, cw = np.full(k + 2, -1), np.full(k + 2, -1)  # cv[i] and cw[i] are the _coordinates of v_i and w_i
+    cv[0] = cw[0] = 0  # v_0 = w_0 = +0 take index 0
     gamma[1], Vt[1], cv[1] = _start(v, "right starting vector")
     beta[1] = _dot(w, Vt[1], cv[1])
     if beta[1] == 0:
@@ -85,23 +86,24 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
     Wt[1], cw[1] = w / beta[1], _coordinate(w)
     breakdown = None
     for i in range(1, k + 1):
-        Av = _matvec(A, Vt[i], cv[i])
-        alpha[i] = _dot(Wt[i], Av, cw[i])
-        vnew = Av - alpha[i] * Vt[i]
-        vnew = vnew - beta[i] * Vt[i - 1]
+        vnew = _matvec(A, Vt[i], cv[i])  # A v_i, and then in place the next v before its normalization
+        alpha[i] = _dot(Wt[i], vnew, cw[i])
+        _sub_scaled(vnew, alpha[i], Vt[i], cv[i])
+        _sub_scaled(vnew, beta[i], Vt[i - 1], cv[i - 1])
         cv[i + 1] = _coordinate(vnew)
         gamma[i + 1] = _norm2(vnew, cv[i + 1])
         if gamma[i + 1] == 0:
             breakdown = i
             break
-        Vt[i + 1] = vnew / gamma[i + 1]
-        wnew = _matvec(A.T, Wt[i], cw[i]) - alpha[i] * Wt[i]
-        wnew = wnew - gamma[i] * Wt[i - 1]
+        _normalized(vnew, gamma[i + 1], cv[i + 1], Vt[i + 1])
+        wnew = _matvec(A.T, Wt[i], cw[i])
+        _sub_scaled(wnew, alpha[i], Wt[i], cw[i])
+        _sub_scaled(wnew, gamma[i], Wt[i - 1], cw[i - 1])
         cw[i + 1] = _coordinate(wnew)
         beta[i + 1] = _dot(Vt[i + 1], wnew, cw[i + 1])
         if beta[i + 1] == 0:
             raise SeriousBreakdownError(f"serious breakdown at step {i}")
-        Wt[i + 1] = wnew / beta[i + 1]
+        Wt[i + 1] = wnew / beta[i + 1]  # a full divide: beta_{i+1} < 0 turns a +0 into -0
     steps = breakdown or k
     cols = breakdown or k + 1
     return NonsymLanczosResult(
@@ -137,24 +139,26 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
     gamma = np.zeros(k + 1, dtype=A.dtype)  # gamma[i] is gamma_i
     delta = np.zeros(k + 2, dtype=A.dtype)  # delta[i] is delta_i
     cs, cw = np.full(k + 2, -1), np.full(k + 1, -1)  # cs[i] and cw[i] are the _coordinates of s_i and w_i
+    cw[0] = 0  # w_0 = +0 takes index 0
     delta[1], St[1], cs[1] = _start(v, "starting vector")
     breakdown = None
     for i in range(1, k + 1):
         t = _matvec(A.T, St[i], cs[i])
-        t = t - delta[i] * Wt[i - 1]  # evaluated, not skipped: at i = 1, t - delta_1 * (+0) is t bit for bit
+        _sub_scaled(t, delta[i], Wt[i - 1], cw[i - 1])  # at i = 1, t - delta_1 * (+0) is t bit for bit
         cw[i] = _coordinate(t)
         gamma[i] = _norm2(t, cw[i])
         if gamma[i] == 0:
             breakdown = ("gamma", i)
             break
-        Wt[i] = t / gamma[i]
-        u = _matvec(A, Wt[i], cw[i]) - gamma[i] * St[i]
+        _normalized(t, gamma[i], cw[i], Wt[i])
+        u = _matvec(A, Wt[i], cw[i])
+        _sub_scaled(u, gamma[i], St[i], cs[i])
         cs[i + 1] = _coordinate(u)
         delta[i + 1] = _norm2(u, cs[i + 1])
         if delta[i + 1] == 0:
             breakdown = ("delta", i + 1)
             break
-        St[i + 1] = u / delta[i + 1]
+        _normalized(u, delta[i + 1], cs[i + 1], St[i + 1])
     kind, j = breakdown or ("gamma", k + 1)  # a full run keeps what a zero gamma_{k+1} would
     return GolubKahanResult(
         S=St[1 : j + (kind == "gamma")].T.copy(),  # a zero delta_j leaves s_j unformed

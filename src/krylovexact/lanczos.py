@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import _coordinate, _dot, _matvec, _mgs, _norm2, _start, bitwise_symmetric, validate_operands
+from .fp import _coordinate, _dot, _matvec, _mgs, _norm2, _normalized, _start, _sub_scaled, bitwise_symmetric, validate_operands
 from .problems import JacobiMatrix
 
 VARIANTS = ("mgs", "cgs")
@@ -61,32 +61,33 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
         raise ValueError("matrix is not bitwise symmetric")
 
     Vt = np.zeros((k + 2, n), dtype=A.dtype)  # row i is v_i; row 0 is v_0 = +0
-    coord = np.full(k + 2, -1)  # coord[i] is v_i's _coordinate
+    coord = np.full(k + 2, -1)  # coord[i] is v_i's _coordinate; v_0 = +0 takes index 0
+    coord[0] = 0
     beta1, Vt[1], coord[1] = _start(v, "starting vector")
     alpha = np.zeros(k + 1, dtype=A.dtype)  # alpha[i] is alpha_i
-    beta = np.zeros(k + 2, dtype=A.dtype)  # beta[i] is beta_i; beta[1] = +0, so beta_1 v_0 is evaluated, not skipped
+    beta = np.zeros(k + 2, dtype=A.dtype)  # beta[i] is beta_i; beta[1] = +0, and beta_1 v_0 a one-entry no-op
     scratch = np.empty(k, dtype=A.dtype)  # the discarded reorthogonalization coefficients
-    t = np.empty(n, dtype=A.dtype)  # beta_i v_{i-1} or alpha_i v_i, subtracted in place from _matvec's fresh output
+    t = np.empty(n, dtype=A.dtype)  # beta_i v_{i-1} or alpha_i v_i off the coordinate path
     breakdown = None
     for i in range(1, k + 1):
         vi, ci = Vt[i], coord[i]
         z = _matvec(A.T, vi, ci)  # A is bitwise symmetric: same bits, contiguous columns
         if variant == "mgs":
-            z -= np.multiply(beta[i], Vt[i - 1], out=t)  # z holds w
+            _sub_scaled(z, beta[i], Vt[i - 1], coord[i - 1], t)  # z holds w
             alpha[i] = _dot(z, vi, ci)  # z is finite: fp's Coordinates
-            z -= np.multiply(alpha[i], vi, out=t)
+            _sub_scaled(z, alpha[i], vi, ci, t)
         else:
             alpha[i] = _dot(vi, z, ci)
-            z -= np.multiply(alpha[i], vi, out=t)
-            z -= np.multiply(beta[i], Vt[i - 1], out=t)
+            _sub_scaled(z, alpha[i], vi, ci, t)
+            _sub_scaled(z, beta[i], Vt[i - 1], coord[i - 1], t)
         for _ in range(REORTH.index(reorth)):
-            z = _mgs(Vt[1 : i + 1], z, scratch, coord[1 : i + 1])  # v_1..v_i: v_0 = +0 has no coordinate
+            z = _mgs(Vt[1 : i + 1], z, scratch, coord[1 : i + 1])  # v_1..v_i
         coord[i + 1] = _coordinate(z)
         beta[i + 1] = _norm2(z, coord[i + 1])
         if beta[i + 1] == 0:
             breakdown = i
             break
-        np.divide(z, beta[i + 1], out=Vt[i + 1])
+        _normalized(z, beta[i + 1], coord[i + 1], Vt[i + 1])
     steps = breakdown or k
     return LanczosResult(
         V=Vt[1 : (breakdown or k + 1) + 1].T.copy(),  # v_1..v_{k+1}, or v_1..v_i on a breakdown at step i

@@ -48,15 +48,19 @@ def _fisher_yates(g: np.random.Generator, n: int) -> np.ndarray:
 # structured matrix types
 
 
-def _tridiagonal(diag, sup, sub) -> np.ndarray:
-    """Dense n x n matrix with the given diagonal, superdiagonal and
-    subdiagonal, by placement only; every other entry is +0."""
-    n = len(diag)
-    A = np.zeros((n, n), dtype=diag.dtype)
-    A.flat[:: n + 1] = diag
-    A.flat[1 :: n + 1] = sup
-    A.flat[n :: n + 1] = sub
-    return A
+class _Structure:
+    """Base of the structure types.  _stored() lists the entries a type stores as
+    (rows, columns, values) triples that name no position twice; the rest are +0."""
+
+    def to_dense(self) -> np.ndarray:
+        """The dense matrix, by placement only: P T P^T with P = I."""
+        return _signed_conjugate(self._stored(), np.arange(self.n), np.ones(self.n, dtype=int))
+
+
+def _bands(diag, sup, sub) -> list:
+    """_stored() of the tridiagonal matrix with these three bands."""
+    i = np.arange(len(diag))
+    return [(i, i, diag), (i[:-1], i[1:], sup), (i[1:], i[:-1], sub)]
 
 
 def _check_entries(finite, positive=(), positive_msg="", guarded=(), range_msg=""):
@@ -81,7 +85,7 @@ def _check_entries(finite, positive=(), positive_msg="", guarded=(), range_msg="
 
 
 @dataclass(frozen=True)
-class JacobiMatrix:
+class JacobiMatrix(_Structure):
     """Symmetric tridiagonal with strictly positive off-diagonals."""
 
     kind = "jacobi"
@@ -101,12 +105,12 @@ class JacobiMatrix:
     def n(self) -> int:
         return len(self.alpha)
 
-    def to_dense(self) -> np.ndarray:
-        return _tridiagonal(self.alpha, self.beta, self.beta)
+    def _stored(self) -> list:
+        return _bands(self.alpha, self.beta, self.beta)
 
 
 @dataclass(frozen=True)
-class HessenbergMatrix:
+class HessenbergMatrix(_Structure):
     """Upper Hessenberg with positive subdiagonal, stored dense."""
 
     kind = "hessenberg"
@@ -131,12 +135,13 @@ class HessenbergMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def to_dense(self) -> np.ndarray:
-        return self.entries.copy()
+    def _stored(self) -> list:
+        i = np.arange(self.n)
+        return [(i[:, None], i, self.entries)]  # every entry: -0 may sit below the subdiagonal
 
 
 @dataclass(frozen=True)
-class NonsymTridiagonal:
+class NonsymTridiagonal(_Structure):
     """Tridiagonal with nonzero superdiagonal and positive subdiagonal."""
 
     kind = "nonsymtridiag"
@@ -162,12 +167,12 @@ class NonsymTridiagonal:
     def n(self) -> int:
         return len(self.alpha)
 
-    def to_dense(self) -> np.ndarray:
-        return _tridiagonal(self.alpha, self.beta, self.gamma)
+    def _stored(self) -> list:
+        return _bands(self.alpha, self.beta, self.gamma)
 
 
 @dataclass(frozen=True)
-class LowerBidiagonal:
+class LowerBidiagonal(_Structure):
     """Lower bidiagonal with positive diagonal and subdiagonal."""
 
     kind = "lowerbidiag"
@@ -189,12 +194,13 @@ class LowerBidiagonal:
     def n(self) -> int:
         return len(self.gamma)
 
-    def to_dense(self) -> np.ndarray:
-        return _tridiagonal(self.gamma, np.zeros_like(self.delta), self.delta)
+    def _stored(self) -> list:
+        i = np.arange(self.n)
+        return [(i, i, self.gamma), (i[1:], i[:-1], self.delta)]
 
 
 @dataclass(frozen=True)
-class BlockTridiagonal:
+class BlockTridiagonal(_Structure):
     """Block tridiagonal with symmetric diagonal blocks M_i and upper
     triangular subdiagonal blocks B_{i+1} with positive diagonal."""
 
@@ -233,15 +239,11 @@ class BlockTridiagonal:
     def n(self) -> int:
         return self.m * self.p
 
-    def to_dense(self) -> np.ndarray:
-        m, p = self.m, self.p
-        A = np.zeros((m * p, m * p), dtype=self.M[0].dtype)
-        for i, Mi in enumerate(self.M):
-            A[i * p : (i + 1) * p, i * p : (i + 1) * p] = Mi
-        for i, Bi in enumerate(self.B):
-            A[(i + 1) * p : (i + 2) * p, i * p : (i + 1) * p] = Bi
-            A[i * p : (i + 1) * p, (i + 1) * p : (i + 2) * p] = Bi.T
-        return A
+    def _stored(self) -> list:  # every entry of the 3m - 2 blocks: -0 may sit in a B's strict lower triangle
+        a, r = np.arange(self.m) * self.p, np.arange(self.p)  # the first row of each block row, and the rows of a block
+        rows, cols = np.concatenate([a, a[1:], a[:-1]]), np.concatenate([a, a[:-1], a[1:]])
+        blocks = np.array(self.M + self.B + tuple(Bi.T for Bi in self.B))
+        return [(rows[:, None, None] + r[:, None], cols[:, None, None] + r, blocks)]
 
 
 # kind -> structure type: the one list of the structured kinds, one per process.
@@ -346,16 +348,27 @@ class StructuredProblem:
         return self.T.kind
 
 
-def _signed_conjugate(P: SignedPermutation, T: np.ndarray) -> np.ndarray:
-    """A = P T P^T, A[perm[i], perm[j]] = T[i, j] negated iff signs[i] !=
-    signs[j]: one C-order gather through the inverse permutation, then a row
-    and a column scaling by s = +-1.0.  Multiplying by +-1 rounds nothing,
-    and (-1) * (+-0) = -+0, so a flipped +0 off the band becomes -0."""
-    inv = np.argsort(P.perm)
-    A = T[inv[:, None], inv]
-    s = P.signs[inv].astype(T.dtype)
-    A *= s[:, None]
-    A *= s
+def _signed_conjugate(stored: list, perm: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """A = P T P^T for the signed permutation (perm, signs) and T's _stored()
+    entries, in C order and without a gather.  With s = signs as +-1.0, A
+    starts as the sign pattern of T's +0s, A[perm[i], perm[j]] = fl(fl(+0
+    s_i) s_j), one outer product of the rows' signs; each stored T[i, j] is
+    then placed there as fl(fl(T[i, j] s_i) s_j).  Multiplying by +-1 rounds
+    nothing, and (-1) * (+-0) = -+0, so a +0 of T flipped off the band
+    becomes -0 and a stored -0 keeps its own sign flip.  When the stored
+    entries fill A, there is no sign pattern to draw."""
+    dt = stored[0][2].dtype
+    s, n = signs.astype(dt), len(perm)
+    if sum(t.size for _, _, t in stored) < n * n:
+        sr = np.empty_like(s)
+        sr[perm] = s  # the sign of each row of A
+        A = np.multiply.outer(sr * dt.type(0.0), sr)
+    else:
+        A = np.empty((n, n), dtype=dt)
+    for i, j, t in stored:
+        x = t * s[i]
+        x *= s[j]
+        A[perm[i], perm[j]] = x
     return A
 
 
@@ -369,6 +382,8 @@ def _scaled_column(P: SignedPermutation, j: int, scale, dtype) -> np.ndarray:
 def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
     """Materialize (A, v) = (P T P^T, beta1 * P e1) without arithmetic rounding.
 
+    A is placed into the sign pattern of T's +0s from the entries that T
+    stores (_signed_conjugate); a dense T is never formed.
     For NonsymTridiagonal T, gamma1 scales the right starting vector v and
     beta1 scales the left starting vector w; with any other T, a gamma1 is a
     ValueError.  For BlockTridiagonal T, P must be a SignedBlockPermutation
@@ -378,9 +393,9 @@ def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
     A NonsymTridiagonal's beta1 enters only through w^T v_1, a dot with no
     square, and a block problem's v is a column of P: neither is guarded.
     """
-    Td = T.to_dense()
-    precision = precision_of(Td)
-    dtype = Td.dtype.type
+    stored = T._stored()
+    precision = precision_of(stored[0][2])
+    dtype = precision.dtype
     if float(beta1) <= 0:
         raise ValueError("beta1 must be positive")
     if gamma1 is not None and not isinstance(T, NonsymTridiagonal):
@@ -391,11 +406,11 @@ def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
             raise ShapeError("block dimensions of P and T do not agree")
         flat = P.flatten()
         U1 = np.ascontiguousarray(flat.to_dense(dtype)[:, : T.p])  # P [I, 0, ..., 0]^T
-        return StructuredProblem(P, T, dtype(beta1), _signed_conjugate(flat, Td), U1[:, 0].copy(), T.m, U1=U1)
+        return StructuredProblem(P, T, dtype(beta1), _signed_conjugate(stored, flat.perm, flat.signs), U1[:, 0].copy(), T.m, U1=U1)
 
     if not isinstance(P, SignedPermutation) or P.n != T.n:
         raise ShapeError("dimensions of P and T do not agree")
-    A = _signed_conjugate(P, Td)
+    A = _signed_conjugate(stored, P.perm, P.signs)
     if isinstance(T, NonsymTridiagonal):
         if gamma1 is None or float(gamma1) <= 0:
             raise ValueError("nonsymmetric problems need gamma1 > 0")

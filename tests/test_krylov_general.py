@@ -863,49 +863,85 @@ def path_changing_case(draw, kind, spd=False):
     return A, v, w
 
 
+def _minus_zero_start(kind, n, seed, spd=False):
+    """(A, v, w) of a structured binary64 problem with every +0 of its
+    starting vectors turned -0: the zeros of the vectors that the updates
+    scale are then -0."""
+    prob = random_structured_problem(kind, n, seed, spd=spd)
+    v, w = (None if x is None else np.where(x == 0, -0.0, x) for x in (prob.v, prob.w))
+    return prob.A.copy(), v, w
+
+
+def _negative_beta_pair(n, seed):
+    """A structured bi-Lanczos (A, v, w) whose T has negative superdiagonal
+    entries: those beta_{i+1} < 0 turn w_{i+1}'s +0s into -0."""
+    T = random_structure("nonsymtridiag", n, seed)
+    assert (T.beta < 0).any()
+    prob = assemble(T, random_signed_permutation(n, seed), 1.5, gamma1=2.0)
+    return prob.A.copy(), prob.v.copy(), prob.w.copy()
+
+
+# A chord-free symmetric A, not SPD, scaled by 2^511: d_1 = alpha_1 = +0 fails
+# at step 1, before Lanczos's beta_3 square overflows at step 2.
+_PIVOT_BEFORE_OVERFLOW = (
+    np.array([[0.0, -6.7039039649712985e153, 0.0], [-6.7039039649712985e153, 5.4903850834235280e154, 2.7360236886074094e154], [0.0, 2.7360236886074094e154, 7.8560442453951230e154]]),
+    np.array([1.0488769170637204, 0.0, 0.0]),
+    None,
+)
+
+
 def _column_loop_outcome(f, *args):
     """_outcome of a column loop, under the errstate the algorithms hold."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _outcome(f, *args)
 
 
+# An explicit example passes k in place of data.
 @settings(max_examples=150, deadline=None)
 @given(path_changing_case("jacobi"), st.sampled_from(VARIANTS), st.sampled_from(REORTH), st.data())
+@example(_minus_zero_start("jacobi", 7, 0), "mgs", "none", 7)
+@example(_minus_zero_start("jacobi", 7, 1), "cgs", "full", 7)
 def test_lanczos_off_the_coordinate_path_is_the_column_loop(case, variant, reorth, data):
     A, v, _ = case
-    k = data.draw(st.integers(0, len(A)))
+    k = data if isinstance(data, int) else data.draw(st.integers(0, len(A)))
     _assert_same(_outcome(lanczos, A, v, k, variant, reorth), _column_loop_outcome(_lanczos_columns, A, v, k, variant, reorth))
 
 
 @settings(max_examples=60, deadline=None)
 @given(path_changing_case("jacobi", spd=True), st.data())
+@example(_minus_zero_start("jacobi", 7, 2, spd=True), 7)
+@example(_PIVOT_BEFORE_OVERFLOW, 2)
 def test_cglanczos_off_the_coordinate_path_is_the_column_loop(case, data):
     A, b, _ = case
-    k = data.draw(st.integers(0, len(A)))
+    k = data if isinstance(data, int) else data.draw(st.integers(0, len(A)))
     _assert_same(_outcome(cglanczos, A, b, k), _column_loop_outcome(_cglanczos_columns, A, b, k))
 
 
 @settings(max_examples=100, deadline=None)
 @given(path_changing_case("hessenberg"), st.data())
+@example(_minus_zero_start("hessenberg", 7, 0), 7)
 def test_arnoldi_off_the_coordinate_path_is_the_column_loop(case, data):
     A, v, _ = case
-    k = data.draw(st.integers(0, len(A)))
+    k = data if isinstance(data, int) else data.draw(st.integers(0, len(A)))
     _assert_same(_outcome(arnoldi, A, v, k), _column_loop_outcome(_arnoldi_columns, A, v, k))
 
 
 @settings(max_examples=100, deadline=None)
 @given(path_changing_case("nonsymtridiag"), st.data())
+@example(_minus_zero_start("nonsymtridiag", 7, 0), 7)
+@example(_negative_beta_pair(7, 0), 7)
 def test_nonsym_lanczos_off_the_coordinate_path_is_the_column_loop(case, data):
     A, v, w = case
-    k = data.draw(st.integers(0, len(A)))
+    k = data if isinstance(data, int) else data.draw(st.integers(0, len(A)))
     _assert_same(_outcome(nonsym_lanczos, A, v, w, k), _column_loop_outcome(_nonsym_lanczos_columns, A, v, w, k))
 
 
 @settings(max_examples=100, deadline=None)
 @given(path_changing_case("lowerbidiag"), st.data())
+@example(_minus_zero_start("lowerbidiag", 7, 0), 7)
 def test_golub_kahan_off_the_coordinate_path_is_the_column_loop(case, data):
     A, v, _ = case
-    k = data.draw(st.integers(0, len(A)))
+    k = data if isinstance(data, int) else data.draw(st.integers(0, len(A)))
     _assert_same(_outcome(golub_kahan, A, v, k), _column_loop_outcome(_golub_kahan_columns, A, v, k))
 
 
@@ -913,6 +949,9 @@ def test_golub_kahan_off_the_coordinate_path_is_the_column_loop(case, data):
 # at the operation named in its id, mostly on a signed coordinate, where the
 # step takes its one-term forms.  In nonsym-beta-update, w_2 = A^T w_1 -
 # alpha_1 w_1 overflows off v_2's coordinate, so beta_2 must fold the whole w_2.
+# In the *-coordinate-update cases the step's one-entry update itself
+# overflows; only bi-Lanczos reaches one, since in Lanczos and Golub-Kahan
+# each such update subtracts the value it cancels.
 _OVERFLOWS = [
     pytest.param(lambda A, v, k: lanczos(A, v, k, "mgs"), lambda A, v, k: _lanczos_columns(A, v, k, "mgs", "none"), np.float64, [[0, -(2.0**1021)], [-(2.0**1021), 1.5 * 2.0**1022]], ([0, 0.5],), id="lanczos-mgs-beta-square"),
     pytest.param(lambda A, v, k: lanczos(A, v, k, "cgs"), lambda A, v, k: _lanczos_columns(A, v, k, "cgs", "none"), np.float32, [[0, 2.0**125], [2.0**125, 0]], ([-1.5 * 2.0**61, -1.5 * 2.0**61],), id="lanczos-cgs-beta-square"),
@@ -926,6 +965,10 @@ _OVERFLOWS = [
     pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float64, [[-(2.0**1023), 2.0**1022, 1], [0, 2.0**1022, 0], [1, 0, 0]], ([1, 0, 0], [1, 1, 0]), id="nonsym-beta-update"),
     pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float64, [[2.0**512, 1], [1.5 * 2.0**1021, -1.5 * 2.0**-513]], ([1, 0], [1.5 * 2.0**510, -2]), id="nonsym-gamma-square"),
     pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float32, [[-1.5 * 2.0**125, -1], [1.5 * 2.0**126, 2.0**126]], ([0, 1], [-(2.0**62), 3]), id="nonsym-transposed-matvec"),
+    pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float64, [[2.0**1023, 1], [1.5 * 2.0**1021, -(2.0**1023)]], ([0, -3], [-1, 1]), id="nonsym-v-beta-coordinate-update"),
+    pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float32, [[-(2.0**127), -1.5 * 2.0**126, 0], [1, 2.0**127, 2.0**127], [0, 0, 0]], ([-3, 0, 0], [1.5 * 2.0**126, 2.0**127, 2]), id="nonsym-v-beta-coordinate-update-32"),
+    pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float64, [[2.0**1023, 1.5 * 2.0**1021, 2], [-(2.0**1023), 0, 0], [1.5 * 2.0**1021, -1, 0]], ([-3, 0, 0], [1.5 * 2.0**1021, 1.5 * 2.0**1021, -(2.0**1023)]), id="nonsym-v-alpha-coordinate-update"),
+    pytest.param(nonsym_lanczos, _nonsym_lanczos_columns, np.float64, [[-3, 1, 0], [0, 0, 1.5 * 2.0**1021], [2.0**-512, 2.0**-512, 0]], ([0, 1, 0], [1.5 * 2.0**1022, 1.5 * 2.0**1022, -3]), id="nonsym-w-alpha-coordinate-update"),
 ]
 
 
@@ -942,46 +985,59 @@ def test_an_overflow_raises_the_column_loops_error(run, columns, dtype, A, start
 
 @pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.name)
 def test_structured_steps_fold_and_scan_no_whole_vector(monkeypatch, precision):
-    """Structured Lanczos (every variant and reorth) and Arnoldi runs at
-    n = 50, to k = n - 1 so that no step breaks down on z = 0, carry each
-    vector's coordinate: no _dot folds a whole vector and no _matvec scans
-    one.  On dense input they do: Lanczos folds at its start and twice a
-    step, plus k(k+1)/2 times per reorthogonalization pass, and Arnoldi at
-    its start, once a step and k(k+1)/2 times in _mgs's loop.  The kernels
-    are patched in fp and in each module that binds them;
+    """Structured runs at n = 50, to k = n - 1 so that no step breaks down on
+    z = 0, carry each vector's coordinate.  Lanczos (every variant and
+    reorth) and Arnoldi make no whole-vector _dot fold and no _matvec scan;
+    Lanczos, bi-Lanczos and Golub-Kahan no whole-vector update, and they and
+    Arnoldi no whole-vector divide of a coordinate vector (bi-Lanczos's w
+    divide is always whole).  On dense input they make them every step:
+    Lanczos folds at its start and twice a step, plus k(k+1)/2 times per
+    reorthogonalization pass, and Arnoldi at its start, once a step and
+    k(k+1)/2 times in _mgs's loop; each update is whole but the first
+    against the +0 v_0 (w_0 in the twin), and each divide is whole.  The
+    kernels are patched in fp and in each module that binds them;
     krylovexact.lanczos is the function, so its module comes from sys.modules."""
     n, k = 50, 49
-    folds, scans = [], []
-    real_dot, real_matvec = fp._dot, fp._matvec
+    calls = {"_dot": [], "_matvec": [], "_sub_scaled": [], "_normalized": []}  # per call: did it take the whole vector?
 
-    def dot(x, y, c=-1):
-        folds.append(c < 0)
-        return real_dot(x, y, c)
+    def counting(name, real, at):  # at: the position of the coordinate argument
+        def kernel(*args):
+            calls[name].append(len(args) <= at or args[at] < 0)
+            return real(*args)
 
-    def matvec(A, x, c=-1):
-        scans.append(c < 0)
-        return real_matvec(A, x, c)
+        return kernel
 
-    for module in (fp, sys.modules["krylovexact.lanczos"], krylov_general):
-        monkeypatch.setattr(module, "_dot", dot)
-        monkeypatch.setattr(module, "_matvec", matvec)
+    for name, at in (("_dot", 2), ("_matvec", 2), ("_sub_scaled", 3), ("_normalized", 2)):
+        kernel = counting(name, getattr(fp, name), at)
+        for module in (fp, sys.modules["krylovexact.lanczos"], krylov_general):
+            monkeypatch.setattr(module, name, kernel, raising=False)
+
+    def run(f, *args, kernels=tuple(calls)):
+        """{kernel: (whole-vector calls, calls)} of one run, for the named kernels."""
+        for c in calls.values():
+            c.clear()
+        assert f(*args).breakdown is None
+        return {name: (sum(calls[name]), len(calls[name])) for name in kernels}
+
     dt = precision.dtype
-    dense = np.random.default_rng(0).uniform(-1.0, 1.0, (n, n)).astype(dt)
-    jacobi, hessenberg = (random_structured_problem(kind, n, 0, precision) for kind in ("jacobi", "hessenberg"))
+    dense, ones = np.random.default_rng(0).uniform(-1.0, 1.0, (n, n)).astype(dt), np.ones(n, dtype=dt)
+    jacobi, hessenberg, nonsym, bidiag = (random_structured_problem(kind, n, 0, precision) for kind in ("jacobi", "hessenberg", "nonsymtridiag", "lowerbidiag"))
     for variant in VARIANTS:
         for passes, reorth in enumerate(REORTH):
-            for structured, (A, v) in ((True, (jacobi.A, jacobi.v)), (False, (dense + dense.T, np.ones(n, dtype=dt)))):
-                folds.clear()
-                scans.clear()
-                assert lanczos(A, v, k, variant, reorth).breakdown is None
-                assert sum(folds) == (0 if structured else 1 + 2 * k + passes * k * (k + 1) // 2), (variant, reorth)
-                assert sum(scans) == (0 if structured else k) and len(scans) == k
-    for structured, (A, v) in ((True, (hessenberg.A, hessenberg.v)), (False, (dense, np.ones(n, dtype=dt)))):
-        folds.clear()
-        scans.clear()
-        assert arnoldi(A, v, k).breakdown is None
-        assert sum(folds) == (0 if structured else 1 + k + k * (k + 1) // 2)
-        assert sum(scans) == (0 if structured else k) and len(scans) == k
+            got = run(lanczos, jacobi.A, jacobi.v, k, variant, reorth)
+            assert got == {"_dot": (0, 1 + 2 * k), "_matvec": (0, k), "_sub_scaled": (0, 2 * k), "_normalized": (0, k)}, (variant, reorth)
+            got = run(lanczos, dense + dense.T, ones, k, variant, reorth)
+            folds = 1 + 2 * k + passes * k * (k + 1) // 2
+            assert got == {"_dot": (folds, folds), "_matvec": (k, k), "_sub_scaled": (2 * k - 1, 2 * k), "_normalized": (k, k)}, (variant, reorth)
+    folds = 1 + k + k * (k + 1) // 2
+    kernels = ("_dot", "_matvec", "_normalized")
+    assert run(arnoldi, hessenberg.A, hessenberg.v, k, kernels=kernels) == {"_dot": (0, 1 + k), "_matvec": (0, k), "_normalized": (0, k)}
+    assert run(arnoldi, dense, ones, k, kernels=kernels) == {"_dot": (folds, folds), "_matvec": (k, k), "_normalized": (k, k)}
+    steps = ("_sub_scaled", "_normalized")
+    assert run(nonsym_lanczos, nonsym.A, nonsym.v, nonsym.w, k, kernels=steps) == {"_sub_scaled": (0, 4 * k), "_normalized": (0, k)}
+    assert run(nonsym_lanczos, dense, ones, ones, k, kernels=steps) == {"_sub_scaled": (4 * k - 2, 4 * k), "_normalized": (k, k)}
+    assert run(golub_kahan, bidiag.A, bidiag.v, k, kernels=steps) == {"_sub_scaled": (0, 2 * k), "_normalized": (0, 2 * k)}
+    assert run(golub_kahan, dense, ones, k, kernels=steps) == {"_sub_scaled": (2 * k - 1, 2 * k), "_normalized": (2 * k, 2 * k)}
 
 
 def test_overflow_raises_without_a_warning_and_restores_errstate():

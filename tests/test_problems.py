@@ -178,6 +178,83 @@ def test_assemble_places_and_flips_every_entry_bit_for_bit(kind, m, p, seed, pre
     assert got.dtype == want.dtype and bitwise_equal(got, want) and got.flags.c_contiguous
 
 
+def _with_minus_zeros(T, g):
+    """T with -0 at about half of the entries of each field that may hold
+    one: the diagonal of jacobi and nonsymtridiag, every Hessenberg entry
+    off the subdiagonal (those below it too), and every block entry off the
+    B_i's diagonals (mirrored in M_i, and in B_i's strict lower triangle
+    too).  lowerbidiag is positive throughout and takes none."""
+
+    def zeroed(a, free):
+        a = a.copy()
+        a[free & (g.random(a.shape) < 0.5)] = -0.0
+        return a
+
+    if T.kind in ("jacobi", "nonsymtridiag"):
+        return dataclasses.replace(T, alpha=zeroed(T.alpha, True))
+    if T.kind == "hessenberg":
+        return HessenbergMatrix(zeroed(T.entries, ~np.eye(T.n, k=-1, dtype=bool)))
+    if T.kind == "blocktridiag":
+        lower = np.tri(T.p, dtype=bool)
+        M = tuple(np.where(lower, Z, Z.T) for Z in (zeroed(Mi, True) for Mi in T.M))
+        return BlockTridiagonal(M, tuple(zeroed(Bi, ~np.eye(T.p, dtype=bool)) for Bi in T.B))
+    return T
+
+
+def _dense_by_fields(T):
+    """T's dense form, placed field by field in a loop; +0 elsewhere."""
+    if T.kind == "hessenberg":
+        return T.entries.copy()
+    D = np.zeros((T.n, T.n), dtype=(T.M[0] if T.kind == "blocktridiag" else getattr(T, _BANDS[T.kind][0])).dtype)
+    if T.kind == "blocktridiag":
+        p = T.p
+        for i, Mi in enumerate(T.M):
+            D[i * p : (i + 1) * p, i * p : (i + 1) * p] = Mi
+        for i, Bi in enumerate(T.B):
+            D[(i + 1) * p : (i + 2) * p, i * p : (i + 1) * p] = Bi
+            D[i * p : (i + 1) * p, (i + 1) * p : (i + 2) * p] = Bi.T
+        return D
+    diag, sup, sub = _BANDS[T.kind]
+    for i in range(T.n):
+        D[i, i] = getattr(T, diag)[i]
+        if i + 1 < T.n:
+            if sup is not None:
+                D[i, i + 1] = getattr(T, sup)[i]
+            D[i + 1, i] = getattr(T, sub)[i]
+    return D
+
+
+@pytest.mark.parametrize("precision", [BINARY64, BINARY32], ids=lambda p: p.name)
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+@pytest.mark.parametrize("kind", KINDS)
+def test_assemble_is_the_literal_gather(kind, n, precision):
+    """assemble places T's stored entries into the sign pattern; the
+    reference is the gather it replaced: the dense T taken through the
+    inverse permutation, Td[inv][:, inv], then scaled by the signs s of A's
+    rows, per row and per column.  Bit for bit and in C order, with and
+    without -0 in each field that may hold one.  to_dense, the same
+    placement with P = I, is the loop that places T's fields."""
+    p = {1: 1, 2: 2, 5: 1, 40: 4}[n] if kind == "blocktridiag" else 1
+    for seed in range(3):
+        base = random_structure(kind, n, seed, precision, p=p)
+        for T in (base, _with_minus_zeros(base, np.random.default_rng(seed))):
+            if kind == "blocktridiag":
+                P = random_signed_block_permutation(n // p, p, seed)
+                flat = P.flatten()
+            else:
+                P = flat = random_signed_permutation(n, seed)
+            Td = _dense_by_fields(T)
+            dense = T.to_dense()
+            assert dense.dtype == Td.dtype and bitwise_equal(dense, Td) and dense.flags.c_contiguous
+            inv = np.argsort(flat.perm)
+            s = flat.signs[inv].astype(precision.dtype)
+            want = Td[inv][:, inv]
+            want *= s[:, None]
+            want *= s
+            got = assemble(T, P, 1.5, gamma1=2.0 if kind == "nonsymtridiag" else None).A
+            assert got.dtype == want.dtype and bitwise_equal(got, want) and got.flags.c_contiguous
+
+
 @given(st.integers(1, 20), st.integers(0, 30))
 @settings(max_examples=25, deadline=None)
 def test_detect_structure_roundtrip(n, seed):

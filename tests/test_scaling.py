@@ -20,7 +20,7 @@ from test_golden_bits import _feed
 
 from krylovexact.fp import BINARY32, BINARY64
 from krylovexact.harness import ALGORITHMS, RunInputs
-from krylovexact.problems import make_rng
+from krylovexact.problems import make_rng, strakos_spectrum
 
 # entry -> (operand kind, {field: (ca, cb)}); a field left out is unscaled.
 # bilanczos's w and blocklanczos's U1 are not scaled.
@@ -71,16 +71,33 @@ def _operands(dtype, n, seed, p):
     return {"nonsym": A, "sym": sym, "spd": spd}, v, w, U1
 
 
-def _check_relations(name, precision, n, seed, p=1):
-    """The relations of entry name at k = n/2 steps, or at the largest k
-    below at which no operation of the four runs rounds in the subnormal
-    range (numpy's underflow flag): there the premise fails, as when CG in
-    binary32 squares a residual entry below 2^-63.  Returns that k."""
+def _graded_spd(n, seed, dtype):
+    """A dense, bitwise symmetric SPD n x n matrix with a graded spectrum,
+    and a start b: Q diag(lam) Q for the Householder reflector Q = I - beta
+    u u^T, formed entrywise in binary64 as diag(lam) - beta (u w^T + w u^T)
+    + beta^2 (u^T w) u u^T with w = lam u, then rounded to dtype; lam is
+    strakos_spectrum(n, 1e-3, 1, 0.98)."""
+    g = make_rng(seed)
+    lam = strakos_spectrum(n, 1e-3, 1.0, 0.98)
+    u = g.uniform(-1.0, 1.0, n)
+    w = lam * u
+    beta = 2.0 / math.fsum(u * u)
+    A = np.diag(lam) - beta * (np.outer(u, w) + np.outer(w, u)) + beta * beta * math.fsum(u * w) * np.outer(u, u)
+    b = g.uniform(0.5, 1.5, n) * (2 * g.integers(0, 2, n) - 1)
+    return A.astype(dtype), b.astype(dtype)
+
+
+def _check_relations(name, precision, n, seed, p=1, k=None, operands=None, reorth="none"):
+    """The relations of entry name at k steps (n/2 by default), or at the
+    largest k below at which no operation of the four runs rounds in the
+    subnormal range (numpy's underflow flag): there the premise fails, as
+    when CG in binary32 squares a residual entry below 2^-63.  Returns that
+    k.  operands replaces _operands' draw; reorth is Lanczos's."""
     kind, scaled = _RELATIONS[name]
     entry = ALGORITHMS[name]
-    mats, v, w, U1 = _operands(precision.dtype, n, seed, p)
-    inputs = [RunInputs(np.ldexp(mats[kind], a), np.ldexp(v, b), w, U1) for a, b in [(0, 0), *_SCALES]]
-    for k in range(entry.steps(inputs[0]) // 2, -1, -1):
+    mats, v, w, U1 = operands or _operands(precision.dtype, n, seed, p)
+    inputs = [RunInputs(np.ldexp(mats[kind], a), np.ldexp(v, b), w, U1, reorth=reorth) for a, b in [(0, 0), *_SCALES]]
+    for k in range(k or entry.steps(inputs[0]) // 2, -1, -1):
         try:
             with np.errstate(under="raise"):
                 want, *runs = [entry.run(x, k) for x in inputs]
@@ -106,6 +123,18 @@ def test_a_power_of_two_scaling_scales_every_field_bit_for_bit(name, precision):
     for n in (5, 12, 40):
         for seed in range(3):
             assert _check_relations(name, precision, n, seed) > 0
+
+
+@pytest.mark.parametrize("precision", _PRECISIONS, ids=lambda p: p.name)
+def test_the_relations_hold_at_n_300_on_a_graded_spd_matrix(precision):
+    """Lanczos (without and with full reorthogonalization), cgLanczos and
+    Arnoldi on a dense n = 300 input, 60 steps, where every vector is dense:
+    the updates and divides take their whole-vector forms and each matvec
+    its batches of 64 columns, at a size no literal loop in the tests reaches."""
+    A, b = _graded_spd(300, 0, precision.dtype)
+    operands = (dict.fromkeys(("sym", "spd", "nonsym"), A), b, None, None)
+    for name, reorth in [("lanczos", "none"), ("lanczos", "full"), ("cglanczos", "none"), ("arnoldi", "none")]:
+        assert _check_relations(name, precision, 300, 0, k=60, operands=operands, reorth=reorth) == 60, (name, reorth)
 
 
 @pytest.mark.parametrize("precision", _PRECISIONS, ids=lambda p: p.name)
