@@ -205,22 +205,23 @@ def _dense_by_fields(T):
     """T's dense form, placed field by field in a loop; +0 elsewhere."""
     if T.kind == "hessenberg":
         return T.entries.copy()
-    D = np.zeros((T.n, T.n), dtype=(T.M[0] if T.kind == "blocktridiag" else getattr(T, _BANDS[T.kind][0])).dtype)
     if T.kind == "blocktridiag":
         p = T.p
+        D = np.zeros((T.n, T.n), dtype=T.M[0].dtype)
         for i, Mi in enumerate(T.M):
             D[i * p : (i + 1) * p, i * p : (i + 1) * p] = Mi
         for i, Bi in enumerate(T.B):
             D[(i + 1) * p : (i + 2) * p, i * p : (i + 1) * p] = Bi
             D[i * p : (i + 1) * p, (i + 1) * p : (i + 2) * p] = Bi.T
         return D
-    diag, sup, sub = _BANDS[T.kind]
+    diag, sup, sub = (None if name is None else getattr(T, name) for name in _BANDS[T.kind])
+    D = np.zeros((T.n, T.n), dtype=diag.dtype)
     for i in range(T.n):
-        D[i, i] = getattr(T, diag)[i]
+        D[i, i] = diag[i]
         if i + 1 < T.n:
             if sup is not None:
-                D[i, i + 1] = getattr(T, sup)[i]
-            D[i + 1, i] = getattr(T, sub)[i]
+                D[i, i + 1] = sup[i]
+            D[i + 1, i] = sub[i]
     return D
 
 
