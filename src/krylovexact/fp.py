@@ -93,7 +93,7 @@ divisor is a norm (beta in lanczos, H[j+1, j] in arnoldi, gamma for
 nonsym_lanczos's v, gamma and delta in golub_kahan); nonsym_lanczos's w_{i+1}
 = w / beta_{i+1} keeps the whole divide, since beta_{i+1} may be negative and
 +0 / beta_{i+1} is then -0.  Its -0s, and those of a starting vector, are
-zeros of an x, which the update leaves unread.
+zeros of an x: z_j - fl(a (-0)) = z_j too.
 
 exact_identity_violations is the one check of the IEEE operations that
 round nothing, on which the exactness results rest (Lemma 3.1 among them).
