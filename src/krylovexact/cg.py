@@ -1,10 +1,11 @@
 """Conjugate gradient: the Hestenes-Stiefel iteration and cgLanczos.
 
 cg_hs is the classical Hestenes-Stiefel iteration.  cglanczos is CG rebuilt
-from one Lanczos run: one pass over its steps forms the LDL^T factors of T_k
-and turns them into the CG iterates.  Its residuals are the Lanczos vectors
-scaled by rho_k, so they are exactly orthogonal whenever the input data has
-the structured form that lets Lanczos compute exactly.
+from one Lanczos run: each Lanczos step is followed by the CG step that
+forms the LDL^T factors of T_k and turns them into the CG iterates.  Its
+residuals are the Lanczos vectors scaled by rho_k, so they are exactly
+orthogonal whenever the input data has the structured form that lets
+Lanczos compute exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fp import NonFiniteError, _dot, _matvec, _norm2, bitwise_symmetric, require_finite, validate_operands
-from .lanczos import lanczos
+from .lanczos import _lanczos_steps
 
 
 @dataclass
@@ -88,11 +89,12 @@ def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     return tr
 
 
-@np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
+@np.errstate(over="ignore", invalid="ignore")  # once per run, for its Lanczos steps too; non-finite results raise in the kernels
 def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     """CG reconstructed from the Lanczos recurrence (x0 = 0).
 
-    lanczos(A, b, kmax) gives alpha_k, beta_{k+1} and v_{k+1}.  Step k forms
+    Lanczos step k, of the run lanczos(A, b, kmax), gives alpha_k, beta_{k+1}
+    and v_{k+1}, and CG step k runs at once on them.  Step k forms
     the pivot d_k = alpha_k - beta_k ell_{k-1} and the multiplier
     ell_k = beta_{k+1}/d_k of T_k = L D L^T, then the vector block
     rho_k = ell_k rho_{k-1}, x_k = x_{k-1} + p_{k-1}/d_k,
@@ -102,23 +104,20 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     when a step follows, since d_{k+1} = alpha_{k+1} - beta_{k+1} ell_k is
     then -inf; a last ell_k that is not finite raises NonFiniteError, and so
     does an x_k, p_k or gamma_{k-1} = 1/d_k that overflows (CGTrace.record).
-    Errors come in step order: when Lanczos step j raises NonFiniteError,
-    steps 1..j-1 run first, on the Lanczos run to j - 1, and may raise theirs.
+    Errors come in step order, because the steps interleave: a Lanczos step
+    runs only after every earlier CG step, and a CG error ends the run before
+    the next Lanczos step.
     """
     n = len(A)
     kmax = n if kmax is None else kmax
-    try:
-        res, error = lanczos(A, b, kmax), None  # validates A and b, and rejects b = 0
-    except NonFiniteError as e:
-        res, error = _longest_lanczos(A, b, kmax), e
+    steps = _lanczos_steps(A, b, kmax, "mgs", "none")
+    _, rho, _ = next(steps)  # validates A and b, rejects b = 0, and gives rho_0 = beta_1 = ||b||
     dt = A.dtype.type
-    rho = res.beta1
     x = np.zeros(n, dtype=A.dtype)
     p = b.copy()
-    tr = CGTrace(x=[x], r=[b.copy()], p=[p], residual_norms=[rho], rho=[rho], exact_termination=res.breakdown is not None)  # ||r_0|| = rho
-    Vt = res.V.T  # row k is the Lanczos vector v_{k+1}
+    tr = CGTrace(x=[x], r=[b.copy()], p=[p], residual_norms=[rho], rho=[rho])  # ||r_0|| = rho
     beta_k = ell_k = dt(0.0)  # beta_1 ell_0 = +0, so d_1 = alpha_1
-    for k, (alpha_k, beta_next) in enumerate(zip(res.alpha, res.beta), start=1):
+    for k, (alpha_k, beta_next, v_next) in enumerate(steps, start=1):
         d_k = alpha_k - beta_k * ell_k
         if d_k <= 0:
             raise ValueError(f"nonpositive pivot d_{k}: matrix is not positive definite")
@@ -129,31 +128,16 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
             raise NonFiniteError(f"the trailing multiplier ell_{k} = beta_{k + 1}/d_{k} is not finite")
         rho = ell_k * rho
         x = x + p / d_k
-        if k == res.breakdown:
+        if beta_next == 0:  # the Lanczos run broke down: the last step, and r_k = 0 exactly
+            tr.exact_termination = True
             r = np.zeros(n, dtype=A.dtype)
             p = np.zeros(n, dtype=A.dtype)
         else:
-            r = (-rho if k % 2 else rho) * Vt[k]  # fl(-rho v) = -fl(rho v), signed zeros too
+            r = (-rho if k % 2 else rho) * v_next  # fl(-rho v) = -fl(rho v), signed zeros too
             p = r + (ell_k * ell_k) * p
         tr.d.append(d_k)
         tr.ell.append(ell_k)
         tr.rho.append(rho)
         tr.record(x, r, p, dt(1.0) / d_k, ell_k * ell_k)
         beta_k = beta_next
-    if error is not None:
-        raise error
     return tr
-
-
-def _longest_lanczos(A, b, k):
-    """lanczos(A, b, j) for the largest j < k that raises no NonFiniteError, by
-    bisection: a run to j repeats the first j steps of the run to k, which raises."""
-    lo, hi = 0, k
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            lanczos(A, b, mid)
-            lo = mid
-        except NonFiniteError:
-            hi = mid
-    return lanczos(A, b, lo)

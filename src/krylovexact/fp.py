@@ -37,18 +37,22 @@ contiguous rows of an array and return a C-order copy of the transpose.
 The three-term loops (lanczos, nonsym_lanczos, golub_kahan) and block Lanczos
 index theirs as the recurrence: row i is v_i over a +0 row 0 for v_0 (U[i] is
 U_i over U_0 = +0, and B_1 = +0), and each coefficient sits at its recurrence
-index in a preallocated array, one slice per field.
+index in a preallocated array, one slice per field.  Lanczos's loop is the
+generator lanczos._lanczos_steps, whose record of step i, (alpha_i,
+beta_{i+1}, v_{i+1}), is index i of those arrays.
 Every recurrence (those, and HS-CG) enters np.errstate(over="ignore",
-invalid="ignore") once per call.  _mgs is the one modified Gram-Schmidt
-loop, for Arnoldi, Lanczos reorthogonalization and block QR.
+invalid="ignore") once per call; for _lanczos_steps its callers, lanczos
+and cglanczos, hold it, because a generator's errstate would not span its
+body.  _mgs is the one modified Gram-Schmidt loop, for Arnoldi, Lanczos
+reorthogonalization and block QR.
 
 Operand contract: each algorithm calls validate_operands once, before its
 first step, on its matrix and operands (one format, one row count, a square
 matrix where the algorithm needs one, all finite, step count in range).
-The kernels inside the recurrences, _dot, _norm2, _matvec, _matmat and
-_mgs, check only their outputs: they raise NonFiniteError on a non-finite
-result, which covers overflow and non-finite inputs alike.  _sub_scaled and
-_normalized check nothing: the step's next _norm2 or _dot reads what they wrote.
+The kernels inside the recurrences, _dot, _norm2, _unit, _matvec, _matmat
+and _mgs, check only their outputs: they raise NonFiniteError on a non-finite
+result, which covers overflow and non-finite inputs alike.  _sub_scaled
+checks nothing: the step's next _dot or _unit reads what it wrote.
 _matvec returns a fresh array, which its caller may overwrite.
 The public seq_dot, norm2, matvec and matmat are operand checks plus one
 errstate around those kernels; matvec and matmat also scan the matrix once
@@ -60,8 +64,8 @@ coordinate +-e_c, and each z before its normalization a multiple of one, so
 each inner product and norm of a step has one nonzero term.  The single-vector loops (lanczos, and so cglanczos; arnoldi,
 nonsym_lanczos, golub_kahan) carry each vector's coordinate, _coordinate:
 the index of its one nonzero, or -1 when it has none or more than one.  It
-is found once per vector, at the norm that scans the vector anyway (and in
-_start), and v = z / ||z|| keeps z's, since a zero stays zero and z_c /
+is found once per vector, at the norm that scans the vector anyway (_unit,
+and _start), and v = z / ||z|| keeps z's, since a zero stays zero and z_c /
 ||z|| != 0.  The kernels take it and do not rescan: for a coordinate c,
 A v = fl(A[:, c] v_c) + 0; alpha = fl(z_c v_c) + 0; ||z|| = sqrt(fl(z_c^2) +
 0); and _mgs reads the r coordinates of its basis instead of scanning the
@@ -86,14 +90,14 @@ fl(a x) for a finite coefficient a: with x's coordinate c, only z[c] changes,
 since every other x_j is +-0 and z_j - fl(a (+-0)) = z_j for z_j != -0,
 finite or not.  A row v_0 = +0 has no nonzero, so any index serves as its
 coordinate: the loops give it 0, and the first step's beta_1 v_0 is a
-one-entry no-op.  _normalized(z, nrm, c, out) is out = z / nrm into a
-preallocated +0 row: with z's coordinate c only out[c] is written, because
-every other entry is +0 / nrm = +0 for a norm nrm > 0.  That holds where the
-divisor is a norm (beta in lanczos, H[j+1, j] in arnoldi, gamma for
-nonsym_lanczos's v, gamma and delta in golub_kahan); nonsym_lanczos's w_{i+1}
-= w / beta_{i+1} keeps the whole divide, since beta_{i+1} may be negative and
-+0 / beta_{i+1} is then -0.  Its -0s, and those of a starting vector, are
-zeros of an x: z_j - fl(a (-0)) = z_j too.
+one-entry no-op.  _unit(z, out) returns (||z||, c) for z's coordinate c and,
+when ||z|| != 0, writes out = z / ||z|| into a preallocated +0 row: with a
+coordinate only out[c], because every other entry is +0 / ||z|| = +0.  Each
+step's norm and divide go through it (beta in lanczos, H[j+1, j] in arnoldi,
+gamma for nonsym_lanczos's v, gamma and delta in golub_kahan); _start and
+nonsym_lanczos's w_{i+1} = w / beta_{i+1} keep the whole divide, since a
+starting vector may hold -0, and beta_{i+1} may be negative, when +0 /
+beta_{i+1} is -0.  Those -0s are zeros of an x: z_j - fl(a (-0)) = z_j too.
 
 exact_identity_violations is the one check of the IEEE operations that
 round nothing, on which the exactness results rest (Lemma 3.1 among them).
@@ -140,9 +144,6 @@ BINARY32 = Precision("binary32", np.float32, 2.0 ** -24, 2.0 ** -60, 2.0 ** 60)
 PRECISIONS = (BINARY64, BINARY32)
 
 _BLOCK = 64  # columns per batch in _matvec: a batch of rows stays in cache
-# rows from which _mgs's vectorized step costs less than the loop when it must
-# scan the basis: its tests and gathers cost about four _dot-and-update rows at n = 48-1000
-_MGS_STEP_ROWS = 5
 
 
 def precision_named(name: str) -> Precision:
@@ -296,13 +297,18 @@ def _sub_scaled(z: np.ndarray, a, x: np.ndarray, c: int, out: np.ndarray | None 
         z -= np.multiply(a, x, out=out)
 
 
-def _normalized(z: np.ndarray, nrm, c: int, out: np.ndarray) -> None:
-    """out = z / nrm for a norm nrm > 0, a z without -0 and a +0 out; z's
-    coordinate c >= 0 writes out[c] alone (Coordinates, above)."""
-    if c >= 0:
-        out[c] = z[c] / nrm
-    else:
-        np.divide(z, nrm, out=out)
+def _unit(z: np.ndarray, out: np.ndarray):
+    """(||z||, c) for z's _coordinate c; when ||z|| != 0, also out = z / ||z||
+    into a +0 row, for a z without -0: out[c] alone when c >= 0 (Coordinates,
+    above).  A non-finite z raises NonFiniteError in _norm2."""
+    c = _coordinate(z)
+    nrm = _norm2(z, c)
+    if nrm != 0:
+        if c >= 0:
+            out[c] = z[c] / nrm
+        else:
+            np.divide(z, nrm, out=out)
+    return nrm, c
 
 
 def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
@@ -317,16 +323,10 @@ def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray, p: np.ndarray | None = No
     is +-0); fl(x - (+-0)) = x for finite x != -0; and fl(x - y) is -0 only
     when x = -0, so no step makes a -0 and the steps, each on its own column,
     commute.  A non-finite entry runs the loop instead, so an error keeps the
-    loop's type, message and row, and c the loop's writes.  p, when given,
-    holds the rows' _coordinates, and the step reads them; without it, from
-    r >= _MGS_STEP_ROWS rows, one scan of Qt finds them, and a dense basis
-    fails the one-nonzero test on its last row.
+    loop's type, message and row, and c the loop's writes.  p holds the
+    rows' _coordinates, and the step reads them; without p, _mgs runs the loop.
     """
     r = len(Qt)
-    if p is None and r >= _MGS_STEP_ROWS and np.count_nonzero(Qt[-1]) == 1:
-        nz = Qt != 0
-        if np.count_nonzero(nz) == r:
-            p = nz.argmax(axis=1)  # the first nonzero column of each row
     if p is not None and r and p.min() >= 0 and np.isfinite(w).all() and not (np.signbit(w) & (w == 0)).any():
         q = Qt[np.arange(r), p]
         if q.all() and len(set(p.tolist())) == r:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import ShapeError, _coordinate, _dot, _gram, _matmat, _matvec, _mgs, _norm2, _normalized, _start, _sub_scaled, require_finite, validate_operands
+from .fp import ShapeError, _coordinate, _dot, _gram, _matmat, _matvec, _mgs, _norm2, _start, _sub_scaled, _unit, require_finite, validate_operands
 from .lanczos import VARIANTS
 from .rational import witness_norms
 
@@ -41,12 +41,10 @@ def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
     breakdown = None
     for j in range(k):
         w = _mgs(Vt[: j + 1], _matvec(Af, Vt[j], coord[j]), H[: j + 1, j], coord[: j + 1])
-        coord[j + 1] = _coordinate(w)
-        H[j + 1, j] = _norm2(w, coord[j + 1])
+        H[j + 1, j], coord[j + 1] = _unit(w, Vt[j + 1])
         if H[j + 1, j] == 0:
             breakdown = j + 1
             break
-        _normalized(w, H[j + 1, j], coord[j + 1], Vt[j + 1])
     steps = breakdown or k
     return ArnoldiResult(Vt[: (breakdown or k + 1)].T.copy(), H[: steps + 1, : steps].copy(), breakdown)
 
@@ -90,12 +88,10 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
         alpha[i] = _dot(Wt[i], vnew, cw[i])
         _sub_scaled(vnew, alpha[i], Vt[i], cv[i])
         _sub_scaled(vnew, beta[i], Vt[i - 1], cv[i - 1])
-        cv[i + 1] = _coordinate(vnew)
-        gamma[i + 1] = _norm2(vnew, cv[i + 1])
+        gamma[i + 1], cv[i + 1] = _unit(vnew, Vt[i + 1])
         if gamma[i + 1] == 0:
             breakdown = i
             break
-        _normalized(vnew, gamma[i + 1], cv[i + 1], Vt[i + 1])
         wnew = _matvec(A.T, Wt[i], cw[i])
         _sub_scaled(wnew, alpha[i], Wt[i], cw[i])
         _sub_scaled(wnew, gamma[i], Wt[i - 1], cw[i - 1])
@@ -145,20 +141,16 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
     for i in range(1, k + 1):
         t = _matvec(A.T, St[i], cs[i])
         _sub_scaled(t, delta[i], Wt[i - 1], cw[i - 1])  # at i = 1, t - delta_1 * (+0) is t bit for bit
-        cw[i] = _coordinate(t)
-        gamma[i] = _norm2(t, cw[i])
+        gamma[i], cw[i] = _unit(t, Wt[i])
         if gamma[i] == 0:
             breakdown = ("gamma", i)
             break
-        _normalized(t, gamma[i], cw[i], Wt[i])
         u = _matvec(A, Wt[i], cw[i])
         _sub_scaled(u, gamma[i], St[i], cs[i])
-        cs[i + 1] = _coordinate(u)
-        delta[i + 1] = _norm2(u, cs[i + 1])
+        delta[i + 1], cs[i + 1] = _unit(u, St[i + 1])
         if delta[i + 1] == 0:
             breakdown = ("delta", i + 1)
             break
-        _normalized(u, delta[i + 1], cs[i + 1], St[i + 1])
     kind, j = breakdown or ("gamma", k + 1)  # a full run keeps what a zero gamma_{k+1} would
     return GolubKahanResult(
         S=St[1 : j + (kind == "gamma")].T.copy(),  # a zero delta_j leaves s_j unformed

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import _coordinate, _dot, _matvec, _mgs, _norm2, _normalized, _start, _sub_scaled, bitwise_symmetric, validate_operands
+from .fp import _dot, _matvec, _mgs, _start, _sub_scaled, _unit, bitwise_symmetric, validate_operands
 from .problems import JacobiMatrix
 
 VARIANTS = ("mgs", "cgs")
@@ -49,8 +49,24 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
     z = w - alpha_i v_i; 'cgs' computes alpha_i = v_i^T (Av_i) and then
     z = Av_i - alpha_i v_i - beta_i v_{i-1}.  reorth 'full' projects z once
     against all previous basis vectors, 'double' twice; the reorthogonalization
-    coefficients are discarded.  Vt, alpha and beta follow fp's Row layout.
+    coefficients are discarded.  The loop, _lanczos_steps, keeps Vt, alpha
+    and beta in fp's Row layout.
     """
+    steps = _lanczos_steps(A, v, k, variant, reorth)
+    try:
+        while True:
+            next(steps)
+    except StopIteration as done:
+        return done.value
+
+
+def _lanczos_steps(A, v, k, variant, reorth):
+    """lanczos's loop, one record per step: checks the operands at the first
+    next(), then yields (alpha_i, beta_{i+1}, v_{i+1}) for i = 0, 1, ..., k,
+    from (+0, ||v||, v_1).  A breakdown's record, the last, has beta_{i+1} =
+    +0 and a +0 row.  v_{i+1} is a row of the basis, which no later step
+    writes.  Returns the LanczosResult.  The callers, lanczos and cglanczos,
+    hold the errstate: a generator's own would not span its body."""
     n = len(A)
     validate_operands(A, v, k=k, limit=n, square=True)
     if variant not in VARIANTS:
@@ -68,6 +84,7 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
     beta = np.zeros(k + 2, dtype=A.dtype)  # beta[i] is beta_i; beta[1] = +0, and beta_1 v_0 a one-entry no-op
     scratch = np.empty(k, dtype=A.dtype)  # the discarded reorthogonalization coefficients
     t = np.empty(n, dtype=A.dtype)  # beta_i v_{i-1} or alpha_i v_i off the coordinate path
+    yield alpha[0], beta1, Vt[1]
     breakdown = None
     for i in range(1, k + 1):
         vi, ci = Vt[i], coord[i]
@@ -82,12 +99,11 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
             _sub_scaled(z, beta[i], Vt[i - 1], coord[i - 1], t)
         for _ in range(REORTH.index(reorth)):
             z = _mgs(Vt[1 : i + 1], z, scratch, coord[1 : i + 1])  # v_1..v_i
-        coord[i + 1] = _coordinate(z)
-        beta[i + 1] = _norm2(z, coord[i + 1])
+        beta[i + 1], coord[i + 1] = _unit(z, Vt[i + 1])
+        yield alpha[i], beta[i + 1], Vt[i + 1]
         if beta[i + 1] == 0:
             breakdown = i
             break
-        _normalized(z, beta[i + 1], coord[i + 1], Vt[i + 1])
     steps = breakdown or k
     return LanczosResult(
         V=Vt[1 : (breakdown or k + 1) + 1].T.copy(),  # v_1..v_{k+1}, or v_1..v_i on a breakdown at step i

@@ -1,9 +1,11 @@
 
+import sys
+
 import numpy as np
 import pytest
 
 from krylovexact.cg import cg_hs, cglanczos
-from krylovexact.fp import bitwise_equal
+from krylovexact.fp import NonFiniteError, bitwise_equal
 from krylovexact.lanczos import lanczos
 from krylovexact.problems import random_structure, random_structured_problem
 from krylovexact.rational import rational_cg
@@ -116,3 +118,36 @@ def test_energy_error_decreases_in_oracle():
     oracle = rational_cg(A, np.ones(6))
     for a, b in zip(oracle.energy2, oracle.energy2[1:]):
         assert b < a
+
+
+def _counting_matvecs(monkeypatch):
+    """A list that gains one entry per _matvec call of the Lanczos steps;
+    krylovexact.lanczos is the function, so its module comes from sys.modules."""
+    module, calls = sys.modules["krylovexact.lanczos"], []
+    real = module._matvec
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(module, "_matvec", counted)
+    return calls
+
+
+def test_cglanczos_raises_a_pivot_error_at_its_step(monkeypatch):
+    """An indefinite leading block stops the run at d_3, after the three
+    Lanczos steps that d_3 reads, not after all n."""
+    A = 4.0 * np.eye(200)
+    A[:2, :2] = [[1.0, 1.0], [1.0, 0.25]]
+    calls = _counting_matvecs(monkeypatch)
+    with pytest.raises(ValueError, match=r"^nonpositive pivot d_3: matrix is not positive definite$"):
+        cglanczos(A, np.ones(200))
+    assert len(calls) == 3
+
+
+def test_cglanczos_raises_a_lanczos_overflow_at_its_step(monkeypatch):
+    """A v_1 overflows at Lanczos step 1: one matvec, and no Lanczos rerun."""
+    calls = _counting_matvecs(monkeypatch)
+    with pytest.raises(NonFiniteError, match=r"^non-finite result in matvec$"):
+        cglanczos(np.full((200, 200), 1e308), np.ones(200))
+    assert len(calls) == 1

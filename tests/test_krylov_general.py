@@ -744,8 +744,9 @@ def test_block_lanczos_rejects_a_bad_qr_variant_before_any_product(monkeypatch, 
 
 @pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.name)
 def test_structured_arnoldi_and_block_lanczos_match_the_column_loop(precision):
-    """Signed-coordinate bases, where _mgs takes its one vectorized step:
-    the bits, breakdowns and errors of the column loops."""
+    """Signed-coordinate bases, where Arnoldi's _mgs takes its one vectorized
+    step and block QR, which passes no coordinates, the loop: the bits,
+    breakdowns and errors of the column loops."""
     for n, seed in [(2, 0), (9, 1), (40, 2)]:
         prob = random_structured_problem("hessenberg", n, seed, precision)
         for k in (n - 1, n):
@@ -989,8 +990,9 @@ def test_structured_steps_fold_and_scan_no_whole_vector(monkeypatch, precision):
     z = 0, carry each vector's coordinate.  Lanczos (every variant and
     reorth) and Arnoldi make no whole-vector _dot fold and no _matvec scan;
     Lanczos, bi-Lanczos and Golub-Kahan no whole-vector update, and they and
-    Arnoldi no whole-vector divide of a coordinate vector (bi-Lanczos's w
-    divide is always whole).  On dense input they make them every step:
+    Arnoldi no whole-vector divide, which _unit makes when it finds no
+    coordinate and a nonzero norm (bi-Lanczos's w divide is always whole).
+    On dense input they make them every step:
     Lanczos folds at its start and twice a step, plus k(k+1)/2 times per
     reorthogonalization pass, and Arnoldi at its start, once a step and
     k(k+1)/2 times in _mgs's loop; each update is whole but the first
@@ -998,17 +1000,24 @@ def test_structured_steps_fold_and_scan_no_whole_vector(monkeypatch, precision):
     kernels are patched in fp and in each module that binds them;
     krylovexact.lanczos is the function, so its module comes from sys.modules."""
     n, k = 50, 49
-    calls = {"_dot": [], "_matvec": [], "_sub_scaled": [], "_normalized": []}  # per call: did it take the whole vector?
+    calls = {"_dot": [], "_matvec": [], "_sub_scaled": [], "_unit": []}  # per call: did it take the whole vector?
 
-    def counting(name, real, at):  # at: the position of the coordinate argument
+    def counting(name, real, whole):  # whole(args, returned): did the call take the whole vector?
         def kernel(*args):
-            calls[name].append(len(args) <= at or args[at] < 0)
-            return real(*args)
+            returned = real(*args)
+            calls[name].append(whole(args, returned))
+            return returned
 
         return kernel
 
-    for name, at in (("_dot", 2), ("_matvec", 2), ("_sub_scaled", 3), ("_normalized", 2)):
-        kernel = counting(name, getattr(fp, name), at)
+    def uncoordinated(at):  # at: the position of the coordinate argument
+        return lambda args, _: len(args) <= at or args[at] < 0
+
+    def divided(_, returned):  # _unit returns (||z||, z's coordinate)
+        return returned[1] < 0 and returned[0] != 0
+
+    for name, whole in (("_dot", uncoordinated(2)), ("_matvec", uncoordinated(2)), ("_sub_scaled", uncoordinated(3)), ("_unit", divided)):
+        kernel = counting(name, getattr(fp, name), whole)
         for module in (fp, sys.modules["krylovexact.lanczos"], krylov_general):
             monkeypatch.setattr(module, name, kernel, raising=False)
 
@@ -1025,19 +1034,19 @@ def test_structured_steps_fold_and_scan_no_whole_vector(monkeypatch, precision):
     for variant in VARIANTS:
         for passes, reorth in enumerate(REORTH):
             got = run(lanczos, jacobi.A, jacobi.v, k, variant, reorth)
-            assert got == {"_dot": (0, 1 + 2 * k), "_matvec": (0, k), "_sub_scaled": (0, 2 * k), "_normalized": (0, k)}, (variant, reorth)
+            assert got == {"_dot": (0, 1 + 2 * k), "_matvec": (0, k), "_sub_scaled": (0, 2 * k), "_unit": (0, k)}, (variant, reorth)
             got = run(lanczos, dense + dense.T, ones, k, variant, reorth)
             folds = 1 + 2 * k + passes * k * (k + 1) // 2
-            assert got == {"_dot": (folds, folds), "_matvec": (k, k), "_sub_scaled": (2 * k - 1, 2 * k), "_normalized": (k, k)}, (variant, reorth)
+            assert got == {"_dot": (folds, folds), "_matvec": (k, k), "_sub_scaled": (2 * k - 1, 2 * k), "_unit": (k, k)}, (variant, reorth)
     folds = 1 + k + k * (k + 1) // 2
-    kernels = ("_dot", "_matvec", "_normalized")
-    assert run(arnoldi, hessenberg.A, hessenberg.v, k, kernels=kernels) == {"_dot": (0, 1 + k), "_matvec": (0, k), "_normalized": (0, k)}
-    assert run(arnoldi, dense, ones, k, kernels=kernels) == {"_dot": (folds, folds), "_matvec": (k, k), "_normalized": (k, k)}
-    steps = ("_sub_scaled", "_normalized")
-    assert run(nonsym_lanczos, nonsym.A, nonsym.v, nonsym.w, k, kernels=steps) == {"_sub_scaled": (0, 4 * k), "_normalized": (0, k)}
-    assert run(nonsym_lanczos, dense, ones, ones, k, kernels=steps) == {"_sub_scaled": (4 * k - 2, 4 * k), "_normalized": (k, k)}
-    assert run(golub_kahan, bidiag.A, bidiag.v, k, kernels=steps) == {"_sub_scaled": (0, 2 * k), "_normalized": (0, 2 * k)}
-    assert run(golub_kahan, dense, ones, k, kernels=steps) == {"_sub_scaled": (2 * k - 1, 2 * k), "_normalized": (2 * k, 2 * k)}
+    kernels = ("_dot", "_matvec", "_unit")
+    assert run(arnoldi, hessenberg.A, hessenberg.v, k, kernels=kernels) == {"_dot": (0, 1 + k), "_matvec": (0, k), "_unit": (0, k)}
+    assert run(arnoldi, dense, ones, k, kernels=kernels) == {"_dot": (folds, folds), "_matvec": (k, k), "_unit": (k, k)}
+    steps = ("_sub_scaled", "_unit")
+    assert run(nonsym_lanczos, nonsym.A, nonsym.v, nonsym.w, k, kernels=steps) == {"_sub_scaled": (0, 4 * k), "_unit": (0, k)}
+    assert run(nonsym_lanczos, dense, ones, ones, k, kernels=steps) == {"_sub_scaled": (4 * k - 2, 4 * k), "_unit": (k, k)}
+    assert run(golub_kahan, bidiag.A, bidiag.v, k, kernels=steps) == {"_sub_scaled": (0, 2 * k), "_unit": (0, 2 * k)}
+    assert run(golub_kahan, dense, ones, k, kernels=steps) == {"_sub_scaled": (2 * k - 1, 2 * k), "_unit": (2 * k, 2 * k)}
 
 
 def test_overflow_raises_without_a_warning_and_restores_errstate():

@@ -440,6 +440,38 @@ def test_lanczos_leaves_its_inputs_alone_and_repeats_its_bits(structured, reorth
     assert bitwise_equal(A, A0) and bitwise_equal(v, v0)
 
 
+@pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.name)
+@pytest.mark.parametrize("structured", [True, False], ids=["structured", "breakdown-free"])
+def test_lanczos_steps_yield_the_result_fields_in_step_order(structured, precision):
+    """Record i of _lanczos_steps is (alpha_i, beta_{i+1}, v_{i+1}), from
+    (+0, beta_1, v_1), and the generator returns lanczos's result.  The rows
+    are kept as yielded, so no later step may write them.  On the structured
+    pair the run breaks down at step n = 12, and its last record holds
+    beta_13 = +0 and a +0 row, which no result field keeps."""
+    if structured:
+        prob = random_structured_problem("jacobi", 12, 3, precision)
+        A, v, k = prob.A, prob.v, 12
+    else:
+        A, v, k = _sym(12, 3).astype(precision.dtype), np.ones(12, dtype=precision.dtype), 8
+    steps = sys.modules["krylovexact.lanczos"]._lanczos_steps(A, v, k, "mgs", "none")
+    records = []
+    with np.errstate(over="ignore", invalid="ignore"):  # the errstate its callers hold
+        try:
+            while True:
+                records.append(next(steps))
+        except StopIteration as done:
+            res = done.value
+    _assert_same(res, lanczos(A, v, k))
+    assert res.breakdown == (12 if structured else None) and len(records) == res.k + 1
+    alpha, beta, rows = (np.array(field) for field in zip(*records))
+    zero = np.zeros(1, dtype=A.dtype)
+    assert bitwise_equal(alpha, np.concatenate([zero, res.alpha])) and bitwise_equal(beta, np.concatenate([[res.beta1], res.beta]))
+    if structured:
+        assert bitwise_equal(rows[-1], np.zeros(len(A), dtype=A.dtype))
+        rows = rows[:-1]
+    assert bitwise_equal(rows, res.V.T)
+
+
 def _cg_hs_overflow():
     """A binary32 pair on which cg_hs's x_4 overflows while r_4 stays finite."""
     t = 2.0**-20
