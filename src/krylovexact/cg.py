@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fp import NonFiniteError, _dot, _matvec, _norm2, bitwise_symmetric, require_finite, validate_operands
+from .fp import NonFiniteError, _dot, _matvec, bitwise_symmetric, require_finite, validate_operands
 from .lanczos import _lanczos_steps
 
 
@@ -38,10 +38,11 @@ class CGTrace:
     def steps(self) -> int:
         return len(self.x) - 1
 
-    def record(self, x, r, p, gamma, delta) -> None:
-        """Append step k >= 1: x_k, r_k, p_k (fresh arrays, not copied), ||r_k||, gamma_{k-1}
-        and delta_k; a non-finite r_k, x_k, p_k or gamma_{k-1} raises NonFiniteError."""
-        k, nrm = len(self.x), _norm2(r)
+    def record(self, x, r, p, gamma, delta, rr) -> None:
+        """Append step k >= 1: x_k, r_k, p_k (fresh arrays, not copied), ||r_k|| = sqrt(rr),
+        gamma_{k-1} and delta_k.  rr is the caller's _dot(r_k, r_k), which raised on a
+        non-finite r_k; a non-finite x_k, p_k or gamma_{k-1} raises NonFiniteError."""
+        k = len(self.x)
         require_finite(x, f"CG iterate x_{k}")
         require_finite(p, f"CG direction p_{k}")
         require_finite(gamma, f"CG step gamma_{k - 1}")
@@ -50,7 +51,7 @@ class CGTrace:
         self.x.append(x)
         self.r.append(r)
         self.p.append(p)
-        self.residual_norms.append(nrm)
+        self.residual_norms.append(np.sqrt(rr))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
@@ -84,7 +85,7 @@ def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
         delta = rr_new / rr
         p = r + delta * p
         rr = rr_new
-        tr.record(x, r, p, gamma, delta)
+        tr.record(x, r, p, gamma, delta, rr)
     tr.exact_termination = bool(rr == 0)  # also after the last allowed step
     return tr
 
@@ -138,6 +139,6 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
         tr.d.append(d_k)
         tr.ell.append(ell_k)
         tr.rho.append(rho)
-        tr.record(x, r, p, dt(1.0) / d_k, ell_k * ell_k)
+        tr.record(x, r, p, dt(1.0) / d_k, ell_k * ell_k, _dot(r, r))
         beta_k = beta_next
     return tr

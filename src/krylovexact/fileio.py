@@ -277,8 +277,7 @@ def _value_lines(lead: str, keyed) -> str:
 
 
 def write_metric_csv(out, series):
-    metric = {name: _csv_cells(name) for _, name, _, _ in series.rows}
-    rows = ((f"{k},{metric[name]}", value) for k, name, value, _ in series.rows)
+    rows = ((f"{k},{_csv_cells(name)}", value) for k, name, value, _ in series.rows)
     out.write("experiment,k,metric,value,value_hex\r\n" + _value_lines(_csv_cells(series.experiment), rows))
 
 

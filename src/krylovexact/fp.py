@@ -288,13 +288,13 @@ def _norm2(x: np.ndarray, c: int = -1):
     return np.sqrt(_dot(x, x, c))
 
 
-def _sub_scaled(z: np.ndarray, a, x: np.ndarray, c: int, out: np.ndarray | None = None) -> None:
-    """z -= fl(a x) in place for a finite a and a z without -0, out taking the
-    products; x's coordinate c >= 0 changes z[c] alone (Coordinates, above)."""
+def _sub_scaled(z: np.ndarray, a, x: np.ndarray, c: int) -> None:
+    """z -= fl(a x) in place for a finite a and a z without -0; x's coordinate
+    c >= 0 changes z[c] alone (Coordinates, above)."""
     if c >= 0:
         z[c] -= a * x[c]
     else:
-        z -= np.multiply(a, x, out=out)
+        z -= a * x
 
 
 def _unit(z: np.ndarray, out: np.ndarray):

@@ -83,20 +83,19 @@ def _lanczos_steps(A, v, k, variant, reorth):
     alpha = np.zeros(k + 1, dtype=A.dtype)  # alpha[i] is alpha_i
     beta = np.zeros(k + 2, dtype=A.dtype)  # beta[i] is beta_i; beta[1] = +0, and beta_1 v_0 a one-entry no-op
     scratch = np.empty(k, dtype=A.dtype)  # the discarded reorthogonalization coefficients
-    t = np.empty(n, dtype=A.dtype)  # beta_i v_{i-1} or alpha_i v_i off the coordinate path
     yield alpha[0], beta1, Vt[1]
     breakdown = None
     for i in range(1, k + 1):
         vi, ci = Vt[i], coord[i]
         z = _matvec(A.T, vi, ci)  # A is bitwise symmetric: same bits, contiguous columns
         if variant == "mgs":
-            _sub_scaled(z, beta[i], Vt[i - 1], coord[i - 1], t)  # z holds w
+            _sub_scaled(z, beta[i], Vt[i - 1], coord[i - 1])  # z holds w
             alpha[i] = _dot(z, vi, ci)  # z is finite: fp's Coordinates
-            _sub_scaled(z, alpha[i], vi, ci, t)
+            _sub_scaled(z, alpha[i], vi, ci)
         else:
             alpha[i] = _dot(vi, z, ci)
-            _sub_scaled(z, alpha[i], vi, ci, t)
-            _sub_scaled(z, beta[i], Vt[i - 1], coord[i - 1], t)
+            _sub_scaled(z, alpha[i], vi, ci)
+            _sub_scaled(z, beta[i], Vt[i - 1], coord[i - 1])
         for _ in range(REORTH.index(reorth)):
             z = _mgs(Vt[1 : i + 1], z, scratch, coord[1 : i + 1])  # v_1..v_i
         beta[i + 1], coord[i + 1] = _unit(z, Vt[i + 1])

@@ -63,14 +63,14 @@ def _bands(diag, sup, sub) -> list:
     return [(i, i, diag), (i[:-1], i[1:], sup), (i[1:], i[:-1], sub)]
 
 
-def _check_entries(finite, positive=(), positive_msg="", guarded=(), range_msg=""):
+def _check_entries(finite, positive=(), positive_msg="", range_msg=""):
     """Entry checks shared by the structure types and the convergence curves,
     after their shape checks: the (name, array) pairs of finite hold no NaN
     or infinity, the arrays of positive are > 0, their one dtype is binary32
-    or binary64 (TypeError, whether any entry is guarded or not), and the
-    entries of guarded (which get squared) lie in the exponent-range guard
-    of that precision.  Then every array of finite is frozen.  All arrays
-    share one dtype (ShapeError)."""
+    or binary64 (TypeError, whether a range_msg is given or not), and, given
+    a range_msg, the entries of positive (which get squared) lie in the
+    exponent-range guard of that precision.  Then every array of finite is
+    frozen.  All arrays share one dtype (ShapeError)."""
     for name, a in finite:
         if a.dtype != finite[0][1].dtype:
             raise ShapeError(f"mixed dtypes: {finite[0][0]} is {finite[0][1].dtype}, {name} is {a.dtype}")
@@ -78,7 +78,7 @@ def _check_entries(finite, positive=(), positive_msg="", guarded=(), range_msg="
     if any(np.any(a <= 0) for a in positive):
         raise ValueError(positive_msg)
     p = precision_of(finite[0][1])
-    if not all(p.in_guard(a) for a in guarded):
+    if range_msg and not all(p.in_guard(a) for a in positive):
         raise RangeError(range_msg)
     for _, a in finite:
         freeze(a)
@@ -98,7 +98,7 @@ class JacobiMatrix(_Structure):
         _check_entries(
             (("diagonal", self.alpha), ("off-diagonal", self.beta)),
             (self.beta,), "Jacobi off-diagonals must be positive",
-            (self.beta,), "off-diagonal outside the exponent-range guard",
+            "off-diagonal outside the exponent-range guard",
         )
 
     @property
@@ -128,7 +128,7 @@ class HessenbergMatrix(_Structure):
         _check_entries(
             (("Hessenberg entries", H),),
             (sub,), "subdiagonal entries must be positive",
-            (sub,), "subdiagonal outside the exponent-range guard",
+            "subdiagonal outside the exponent-range guard",
         )
 
     @property
@@ -160,7 +160,7 @@ class NonsymTridiagonal(_Structure):
         _check_entries(
             (("diagonal", self.alpha), ("superdiagonal", self.beta), ("subdiagonal", self.gamma)),
             (self.gamma,), "subdiagonal entries must be positive",
-            (self.gamma,), "subdiagonal outside the exponent-range guard",
+            "subdiagonal outside the exponent-range guard",
         )
 
     @property
@@ -187,7 +187,7 @@ class LowerBidiagonal(_Structure):
         _check_entries(
             (("diagonal", self.gamma), ("subdiagonal", self.delta)),
             (self.gamma, self.delta), "bidiagonal entries must be positive",
-            (self.gamma, self.delta), "bidiagonal entry outside the exponent-range guard",
+            "bidiagonal entry outside the exponent-range guard",
         )
 
     @property
@@ -224,7 +224,7 @@ class BlockTridiagonal(_Structure):
         _check_entries(
             [("diagonal block", Mi) for Mi in self.M] + [("subdiagonal block", Bi) for Bi in self.B],
             diagonals, "subdiagonal block diagonals must be positive",
-            diagonals, "subdiagonal block diagonal outside the exponent-range guard",
+            "subdiagonal block diagonal outside the exponent-range guard",
         )
 
     @property
@@ -355,16 +355,12 @@ def _signed_conjugate(stored: list, perm: np.ndarray, signs: np.ndarray) -> np.n
     s_i) s_j), one outer product of the rows' signs; each stored T[i, j] is
     then placed there as fl(fl(T[i, j] s_i) s_j).  Multiplying by +-1 rounds
     nothing, and (-1) * (+-0) = -+0, so a +0 of T flipped off the band
-    becomes -0 and a stored -0 keeps its own sign flip.  When the stored
-    entries fill A, there is no sign pattern to draw."""
+    becomes -0 and a stored -0 keeps its own sign flip."""
     dt = stored[0][2].dtype
-    s, n = signs.astype(dt), len(perm)
-    if sum(t.size for _, _, t in stored) < n * n:
-        sr = np.empty_like(s)
-        sr[perm] = s  # the sign of each row of A
-        A = np.multiply.outer(sr * dt.type(0.0), sr)
-    else:
-        A = np.empty((n, n), dtype=dt)
+    s = signs.astype(dt)
+    sr = np.empty_like(s)
+    sr[perm] = s  # the sign of each row of A
+    A = np.multiply.outer(sr * dt.type(0.0), sr)
     for i, j, t in stored:
         x = t * s[i]
         x *= s[j]
@@ -372,10 +368,11 @@ def _signed_conjugate(stored: list, perm: np.ndarray, signs: np.ndarray) -> np.n
     return A
 
 
-def _scaled_column(P: SignedPermutation, j: int, scale, dtype) -> np.ndarray:
+def _scaled_column(P: SignedPermutation, scale, dtype) -> np.ndarray:
+    """scale * P e_1 in dtype: P's first column, scaled without rounding."""
     v = np.zeros(P.n, dtype=dtype)
     s = dtype(scale)
-    v[P.perm[j]] = s if P.signs[j] > 0 else -s
+    v[P.perm[0]] = s if P.signs[0] > 0 else -s
     return v
 
 
@@ -416,12 +413,12 @@ def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
             raise ValueError("nonsymmetric problems need gamma1 > 0")
         if not precision.in_guard(gamma1):
             raise RangeError("gamma1 outside the exponent-range guard")
-        v = _scaled_column(P, 0, gamma1, dtype)
-        w = _scaled_column(P, 0, beta1, dtype)
+        v = _scaled_column(P, gamma1, dtype)
+        w = _scaled_column(P, beta1, dtype)
         return StructuredProblem(P, T, dtype(beta1), A, v, T.n, w=w, gamma1=dtype(gamma1))
     if not precision.in_guard(beta1):
         raise RangeError("beta1 outside the exponent-range guard")
-    v = _scaled_column(P, 0, beta1, dtype)
+    v = _scaled_column(P, beta1, dtype)
     return StructuredProblem(P, T, dtype(beta1), A, v, T.n)
 
 

@@ -75,12 +75,9 @@ def _sum_products(pairs) -> Fraction:
         n = a.numerator * b.numerator
         if n:
             d = a.denominator * b.denominator
-            if d == den:
-                num += n
-            else:
-                g = gcd(d, den)
-                num = num * (d // g) + n * (den // g)
-                den = den // g * d
+            g = gcd(d, den)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
     return Fraction(num, den)
 
 

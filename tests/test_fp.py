@@ -788,3 +788,20 @@ def test_mgs_is_the_literal_per_row_loop(operands):
         got = _mgs_outcome(lambda Qt, w, c: fp._mgs(Qt, w, c, p), Qt, w, c)
     assert got == want
     assert bitwise_equal(w, w_before)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("a", [3.0, -5.0, 2.0**-20])
+def test_unit_divides_only_the_entry_at_the_coordinate(dtype, a):
+    """For a coordinate z, _unit writes out[c] = z_c / ||z|| = +-1 and leaves every
+    other entry of out alone: the callers pass a +0 row, whose other entries
+    z_j / ||z|| = +0 would already hold.  A NaN row shows a whole-vector divide."""
+    z = np.zeros(7, dtype=dtype)
+    c = 4
+    z[c] = a
+    out = np.full(7, np.nan, dtype=dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # the errstate its callers hold
+        nrm, got_c = fp._unit(z, out)
+    assert (nrm, got_c) == (abs(a), c)
+    assert out[c] == np.sign(a)
+    assert np.isnan(np.delete(out, c)).all()
