@@ -187,16 +187,13 @@ def _cmd_gen(args) -> int:
     _reject_unread(args, target, {"--spd": ("gen jacobi", "gen structured --kind jacobi")})
     precision = precision_named(args.precision)
     if args.what == "structured":
-        prob = random_structured_problem(args.kind, args.n, args.seed, precision, p=args.p, spd=args.spd)
-        with open(args.out, "w") as f:
-            fileio.write_problem(f, prob)
-        return 0
-    if args.what == "strakos":
-        T = strakos_spectrum(args.n, args.lam1, args.lamn, args.rho, precision)
+        drawn = random_structured_problem(args.kind, args.n, args.seed, precision, p=args.p, spd=args.spd)
+    elif args.what == "strakos":
+        drawn = strakos_spectrum(args.n, args.lam1, args.lamn, args.rho, precision)
     else:
-        T = random_structure(args.what, args.n, args.seed, precision, p=args.p, spd=args.spd)
-    with open(args.out, "w") as f:
-        fileio.write_matrix(f, T)
+        drawn = random_structure(args.what, args.n, args.seed, precision, p=args.p, spd=args.spd)
+    with open(args.out, "w") as f:  # after the draw, so an error leaves no file
+        (fileio.write_problem if args.what == "structured" else fileio.write_matrix)(f, drawn)
     return 0
 
 
@@ -303,17 +300,14 @@ _EXPERIMENT_READERS = {**dict.fromkeys(("--n", "--seed"), ("experiment prescribe
 def _cmd_experiment(args) -> int:
     _reject_unread(args, f"experiment {args.what}", _EXPERIMENT_READERS)
     _fill(args, n=12, seed=0, seeds=5)
-    if args.what == "fig2":
-        series = experiment_fig2()
+    if args.what in ("fig2", "fig3"):
+        series = experiment_fig2() if args.what == "fig2" else experiment_fig3()
         with open(args.out, "w", newline="") as f:
             fileio.write_metric_csv(f, series)
-        print(f"fig2: max loss of orthogonality {series.max_value('hscg_orth_loss'):.3e}")
-        return 0
-    if args.what == "fig3":
-        series = experiment_fig3()
-        with open(args.out, "w", newline="") as f:
-            fileio.write_metric_csv(f, series)
-        print(f"fig3: max A-orthogonality loss {series.max_value('a_orth_loss'):.3e}, max relative error {series.max_value('rel_error'):.3e}")
+        if args.what == "fig2":
+            print(f"fig2: max loss of orthogonality {series.max_value('hscg_orth_loss'):.3e}")
+        else:
+            print(f"fig3: max A-orthogonality loss {series.max_value('a_orth_loss'):.3e}, max relative error {series.max_value('rel_error'):.3e}")
         return 0
     if args.what == "prescribed-curves":
         if not 1 <= args.n <= MAX_ORACLE_DIM:  # before the draw, whose energies underflow from n of about 1,070

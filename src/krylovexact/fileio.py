@@ -208,19 +208,18 @@ def read_matrix(f):
 
 
 def _read_signedperm(tk: _Tokens):
+    def signed_permutation(n):  # n (row, sign) pairs
+        pairs = tk.ints(2 * n)
+        return SignedPermutation(np.array(pairs[0::2]), np.array(pairs[1::2]))
+
     kind = tk.next()
     if kind == "signedperm":
         (n,) = tk.sizes(1)
-        pairs = tk.ints(2 * n)
-        return SignedPermutation(np.array(pairs[0::2]), np.array(pairs[1::2]))
+        return signed_permutation(n)
     if kind == "signedblockperm":
         m, p = tk.sizes(2)
         block_perm = np.array(tk.ints(m))
-        blocks = []
-        for _ in range(m):
-            pairs = tk.ints(2 * p)
-            blocks.append(SignedPermutation(np.array(pairs[0::2]), np.array(pairs[1::2])))
-        return SignedBlockPermutation(block_perm, tuple(blocks))
+        return SignedBlockPermutation(block_perm, tuple(signed_permutation(p) for _ in range(m)))
     raise FormatError(f"expected a signed permutation record, got {kind!r}")
 
 

@@ -47,17 +47,17 @@ body.  _mgs is the one modified Gram-Schmidt loop, for Arnoldi, Lanczos
 reorthogonalization and block QR.
 
 Operand contract: each algorithm calls validate_operands once, before its
-first step, on its matrix and operands (one format, one row count, a square
-matrix where the algorithm needs one, all finite, step count in range).
+first step, on its matrix and operands (ndarrays of one format and row
+count, a square matrix where needed, all finite, step count in range).
 The kernels inside the recurrences, _dot, _norm2, _unit, _matvec, _matmat
 and _mgs, check only their outputs: they raise NonFiniteError on a non-finite
 result, which covers overflow and non-finite inputs alike.  _sub_scaled
 checks nothing: the step's next _dot or _unit reads what it wrote.
 _matvec returns a fresh array, which its caller may overwrite.
-The public seq_dot, norm2, matvec and matmat are operand checks plus one
-errstate around those kernels; matvec and matmat also scan the matrix once
-per call, because a NaN in a column that x skips would otherwise go unseen.
-_gram keeps its own checks and errstate.
+The public seq_dot, norm2, matvec and matmat are operand checks (the format
+first, then the shapes) plus one errstate around those kernels; matvec and
+matmat also scan the matrix once per call, because a NaN in a column that x
+skips would otherwise go unseen.  _gram keeps its own checks and errstate.
 
 Coordinates: on the structured class every Krylov vector is a signed
 coordinate +-e_c, and each z before its normalization a multiple of one, so
@@ -79,13 +79,13 @@ a NaN or an infinity as a nonzero, so a non-finite z has no coordinate and
 takes the full fold, or is its own coordinate with a non-finite square;
 either way _norm2 raises NonFiniteError("non-finite dot product").  A loop
 passes a coordinate to _dot only where the other operand is finite.  In
-lanczos's MGS alpha_i = z^T v_i, z = A v_i - beta_i v_{i-1} is: _matvec
-checks A v_i, and beta_i v_{i-1}, a norm times a unit vector, is below
-about sqrt of the largest finite value, far less than half an ulp of it.
+lanczos's alpha_i = z^T v_i, z = A v_i (CGS) or A v_i - beta_i v_{i-1} (MGS)
+is: _matvec checks A v_i, and beta_i v_{i-1}, a norm times a unit vector, is
+below about sqrt of the largest finite value, far less than half an ulp of it.
 (Were z not finite, the step's _norm2 would raise the same error.)  z never
 holds a -0 (_matvec's output has none, and fl(x - y) is -0 only when x = -0),
-which lets _mgs take its vectorized step on it, and the three-term updates
-and normalizations their one-entry forms.  _sub_scaled(z, a, x, c) is z -=
+which lets _mgs take its vectorized step on it, and the three-term updates and
+normalizations their one-entry forms.  _sub_scaled(z, a, x, c) is z -=
 fl(a x) for a finite coefficient a: with x's coordinate c, only z[c] changes,
 since every other x_j is +-0 and z_j - fl(a (+-0)) = z_j for z_j != -0,
 finite or not.  A row v_0 = +0 has no nonzero, so any index serves as its
@@ -169,12 +169,16 @@ def require_finite(a, what: str = "input") -> None:
 def validate_operands(A, *vectors, block=None, k: int = 0, limit: int = 0, square: bool = False) -> None:
     """Entry check of an algorithm on the matrix A and its operands.
 
-    A must be a binary32 or binary64 matrix (TypeError otherwise), 2-D and,
-    for a square-only algorithm, square; every vector operand that is not
-    None must be 1-D, and the block operand 2-D, with A's dtype and A's row
-    count (ShapeError); A and the operands must be finite (NonFiniteError);
-    and the step count must satisfy 0 <= k <= limit (ValueError).
+    A and the operands must be plain ndarrays, not np.matrix, np.memmap or a
+    masked array (TypeError; pass np.asarray(x)); A a binary32 or binary64
+    matrix (TypeError otherwise), 2-D and, for a square-only algorithm, square;
+    each vector operand that is not None 1-D, and the block operand 2-D, with
+    A's dtype and row count (ShapeError); A and the operands finite
+    (NonFiniteError); and the step count 0 <= k <= limit (ValueError).
     """
+    for x in (A, *vectors, block):
+        if x is not None and type(x) is not np.ndarray:
+            raise TypeError(f"unsupported array type {type(x).__name__}; use numpy.ndarray")
     precision_of(A)
     if A.ndim != 2 or (square and A.shape[0] != A.shape[1]):
         raise ShapeError(f"matrix must be 2-D{' and square' if square else ''}, got shape {A.shape}")
@@ -329,7 +333,7 @@ def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray, p: np.ndarray | None = No
     r = len(Qt)
     if p is not None and r and p.min() >= 0 and np.isfinite(w).all() and not (np.signbit(w) & (w == 0)).any():
         q = Qt[np.arange(r), p]
-        if q.all() and len(set(p.tolist())) == r:
+        if len(set(p.tolist())) == r:
             x = w[p]
             h = q * x + w.dtype.type(0.0)
             wp = x - h * q
@@ -347,6 +351,7 @@ def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray, p: np.ndarray | None = No
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite product or sum raises in _dot
 def seq_dot(x: np.ndarray, y: np.ndarray):
     """fl(x^T y) with strictly sequential left-to-right summation."""
+    precision_of(x)
     if x.shape != y.shape or x.ndim != 1:
         raise ShapeError(f"dot operands must be equal-length vectors, got {x.shape} and {y.shape}")
     if x.dtype != y.dtype:
@@ -357,6 +362,7 @@ def seq_dot(x: np.ndarray, y: np.ndarray):
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite sum raises in _dot
 def norm2(x: np.ndarray):
     """fl(sqrt(fl(sum fl(x_i^2)))) with sequential summation."""
+    precision_of(x)
     if x.ndim != 1:
         raise ShapeError(f"norm operand must be a vector, got shape {x.shape}")
     return _norm2(x)
@@ -428,6 +434,7 @@ def _matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y = fl(A x) as _matvec computes it, after the operand checks and one scan
     of A, so a NaN in a column that x skips still raises NonFiniteError."""
+    precision_of(A)
     if A.ndim != 2 or x.ndim != 1 or A.shape[1] != x.shape[0] or A.dtype != x.dtype:
         raise ShapeError(f"matvec operands {A.dtype} {A.shape} and {x.dtype} {x.shape} do not agree")
     require_finite(A, "matrix")
@@ -438,6 +445,7 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 def matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """fl(A B) as _matmat computes it, after the operand checks and one
     finiteness scan of A."""
+    precision_of(A)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0] or A.dtype != B.dtype:
         raise ShapeError(f"matmat operands {A.dtype} {A.shape} and {B.dtype} {B.shape} do not agree")
     require_finite(A, "matrix")

@@ -128,7 +128,7 @@ class GolubKahanResult:
 def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
     """Alternating recurrence gamma_i w_i = A^T s_i - delta_i w_{i-1} from w_0 = +0,
     delta_{i+1} s_{i+1} = A w_i - gamma_i s_i, coefficients by normalization (fp's Row layout)."""
-    validate_operands(A, v, k=k, limit=min(A.shape))
+    validate_operands(A, v, k=k, limit=min(np.shape(A)))
     n, m = A.shape
     St = np.zeros((k + 2, n), dtype=A.dtype)  # row i is s_i; row 0 is unused
     Wt = np.zeros((k + 1, m), dtype=A.dtype)  # row i is w_i; row 0 is w_0 = +0
@@ -207,7 +207,7 @@ def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs"
     """Block three-term recurrence R_{i+1} = A U_i - U_i M_i - U_{i-1} B_i^T, M_i = U_i^T A U_i,
     with Gram-Schmidt QR R_{i+1} = U_{i+1} B_{i+1} from U_0 = B_1 = +0 (fp's Row layout).
     Returns U_1..U_s, M_1..M_s and B_2..B_s: s is k, the breakdown step, or 1 when k = 0."""
-    n, p = len(A), U1.shape[-1] if U1.ndim else 0
+    n, p = len(A), np.shape(U1)[-1] if np.ndim(U1) else 0
     validate_operands(A, block=U1, k=k, limit=n // max(p, 1), square=True)
     if p == 0:
         raise ShapeError("starting block has no columns")

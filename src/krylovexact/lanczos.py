@@ -46,11 +46,11 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
     """Run k steps; stops early when fl(||z||) = 0 (exact breakdown test).
 
     variant 'mgs' computes w = Av_i - beta_i v_{i-1}, alpha_i = w^T v_i,
-    z = w - alpha_i v_i; 'cgs' computes alpha_i = v_i^T (Av_i) and then
-    z = Av_i - alpha_i v_i - beta_i v_{i-1}.  reorth 'full' projects z once
-    against all previous basis vectors, 'double' twice; the reorthogonalization
-    coefficients are discarded.  The loop, _lanczos_steps, keeps Vt, alpha
-    and beta in fp's Row layout.
+    z = w - alpha_i v_i; 'cgs' computes alpha_i = (Av_i)^T v_i, with the bits
+    of v_i^T (Av_i), and then z = Av_i - alpha_i v_i - beta_i v_{i-1}.  reorth
+    'full' projects z once against all previous basis vectors, 'double' twice;
+    the reorthogonalization coefficients are discarded.  The loop,
+    _lanczos_steps, keeps Vt, alpha and beta in fp's Row layout.
     """
     steps = _lanczos_steps(A, v, k, variant, reorth)
     try:
@@ -90,11 +90,9 @@ def _lanczos_steps(A, v, k, variant, reorth):
         z = _matvec(A.T, vi, ci)  # A is bitwise symmetric: same bits, contiguous columns
         if variant == "mgs":
             _sub_scaled(z, beta[i], Vt[i - 1], coord[i - 1])  # z holds w
-            alpha[i] = _dot(z, vi, ci)  # z is finite: fp's Coordinates
-            _sub_scaled(z, alpha[i], vi, ci)
-        else:
-            alpha[i] = _dot(vi, z, ci)
-            _sub_scaled(z, alpha[i], vi, ci)
+        alpha[i] = _dot(z, vi, ci)  # z is finite: fp's Coordinates
+        _sub_scaled(z, alpha[i], vi, ci)
+        if variant == "cgs":
             _sub_scaled(z, beta[i], Vt[i - 1], coord[i - 1])
         for _ in range(REORTH.index(reorth)):
             z = _mgs(Vt[1 : i + 1], z, scratch, coord[1 : i + 1])  # v_1..v_i

@@ -20,6 +20,7 @@ from krylovexact.fileio import write_matrix
 from krylovexact.fp import BINARY64, norm2
 from krylovexact.lanczos import lanczos
 from krylovexact.problems import STRUCTURES, random_structured_problem
+from rebind import rebind
 
 
 def run_cli(capsys, *argv):
@@ -140,10 +141,7 @@ def _count_calls(monkeypatch, function):
         calls.append(function)
         return original(*args, **kwargs)
 
-    # every module that binds the function, so no call can bypass the count
-    for module in [m for name, m in sys.modules.items() if name.startswith("krylovexact")]:
-        if getattr(module, function, None) is original:
-            monkeypatch.setattr(module, function, counting)
+    rebind(monkeypatch, harness, function, counting)  # every module that binds it, so no call can bypass the count
     return calls
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +24,7 @@ from krylovexact.harness import (
 from krylovexact.krylov_general import arnoldi
 from krylovexact.lanczos import lanczos
 from krylovexact.problems import JacobiMatrix, extend_deficient, make_rng, random_structured_problem
+from rebind import rebind
 from test_golden_bits import _feed
 
 
@@ -271,10 +271,7 @@ def _replace_kernels(monkeypatch, names, message):
         raise AssertionError(message)
 
     for name in names:
-        original = getattr(fp, name)
-        for module in [m for key, m in sys.modules.items() if key.startswith("krylovexact")]:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, stub)
+        rebind(monkeypatch, fp, name, stub)
 
 
 def _forbid_arithmetic(monkeypatch):

@@ -1,6 +1,4 @@
-import dataclasses
 import math
-import sys
 import warnings
 from fractions import Fraction
 
@@ -29,13 +27,8 @@ from krylovexact.krylov_general import (
 from krylovexact.lanczos import REORTH, VARIANTS, lanczos
 from krylovexact.problems import assemble, extend_deficient, random_signed_permutation, random_structure, random_structured_problem
 from krylovexact.rational import nonzero_rows, rat_dot, rat_matvec, rational_lstsq, to_rational_vector
-from test_lanczos import _cglanczos_columns, _lanczos_columns
-
-
-def _sym(n, seed):
-    g = np.random.Generator(np.random.Philox(key=seed))
-    W = g.uniform(-2, 2, (n, n))
-    return np.triu(W) + np.triu(W, 1).T
+from rebind import rebind
+from test_lanczos import _assert_same, _cglanczos_columns, _lanczos_columns, _outcome, _sym
 
 
 # Arnoldi ------------------------------------------------------------------
@@ -584,31 +577,6 @@ def _block_lanczos_columns(A, U1, k, qr_variant="mgs"):
     return BlockLanczosResult(tuple(Us), tuple(Ms), tuple(Bs), breakdown)
 
 
-def _outcome(f, *args):
-    """The result of f(*args), or the type and message of what it raised."""
-    try:
-        return f(*args)
-    except Exception as e:
-        return type(e), str(e)
-
-
-def _assert_same(got, want, name="result"):
-    """The same raise, or, field by field and item by item, arrays and
-    scalars of the same shape, dtype, bits and C order."""
-    if dataclasses.is_dataclass(want):
-        for field in dataclasses.fields(want):
-            _assert_same(getattr(got, field.name), getattr(want, field.name), field.name)
-    elif isinstance(want, (list, tuple)):
-        assert type(got) is type(want) and len(got) == len(want), name
-        for a, b in zip(got, want):
-            _assert_same(a, b, name)
-    elif isinstance(want, (np.ndarray, np.generic)):
-        assert got.shape == want.shape and got.dtype == want.dtype and bitwise_equal(got, want), name
-        assert got.flags.c_contiguous and want.flags.c_contiguous, name
-    else:
-        assert got == want, name
-
-
 # Full 53-bit mantissas (their products round), signed zeros, scales 2^+-20.
 rough = st.builds(lambda m, e, s: s * m * 2.0 ** (e - 52), st.integers(2**52, 2**53 - 1), st.integers(-3, 2), st.sampled_from([-1.0, 1.0]))
 entry = st.one_of(rough, st.sampled_from([0.0, -0.0]))
@@ -997,8 +965,7 @@ def test_structured_steps_fold_and_scan_no_whole_vector(monkeypatch, precision):
     reorthogonalization pass, and Arnoldi at its start, once a step and
     k(k+1)/2 times in _mgs's loop; each update is whole but the first
     against the +0 v_0 (w_0 in the twin), and each divide is whole.  The
-    kernels are patched in fp and in each module that binds them;
-    krylovexact.lanczos is the function, so its module comes from sys.modules."""
+    kernels are patched in every module that binds them (rebind)."""
     n, k = 50, 49
     calls = {"_dot": [], "_matvec": [], "_sub_scaled": [], "_unit": []}  # per call: did it take the whole vector?
 
@@ -1017,9 +984,7 @@ def test_structured_steps_fold_and_scan_no_whole_vector(monkeypatch, precision):
         return returned[1] < 0 and returned[0] != 0
 
     for name, whole in (("_dot", uncoordinated(2)), ("_matvec", uncoordinated(2)), ("_sub_scaled", uncoordinated(3)), ("_unit", divided)):
-        kernel = counting(name, getattr(fp, name), whole)
-        for module in (fp, sys.modules["krylovexact.lanczos"], krylov_general):
-            monkeypatch.setattr(module, name, kernel, raising=False)
+        rebind(monkeypatch, fp, name, counting(name, getattr(fp, name), whole))
 
     def run(f, *args, kernels=tuple(calls)):
         """{kernel: (whole-vector calls, calls)} of one run, for the named kernels."""

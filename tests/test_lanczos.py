@@ -13,6 +13,7 @@ from krylovexact.fp import BINARY32, PRECISIONS, NonFiniteError, _matvec, bitwis
 from krylovexact.harness import a_orthogonality_loss
 from krylovexact.lanczos import REORTH, VARIANTS, LanczosResult, lanczos
 from krylovexact.problems import detect_structure, random_structured_problem
+from rebind import rebind
 from test_golden_bits import _inputs
 
 
@@ -150,10 +151,7 @@ def test_finiteness_scan_does_not_grow_with_k(monkeypatch):
         scanned.append(np.asarray(a).nbytes)
         return original(a, what)
 
-    # every module that binds it, so no scan can bypass the count
-    for module in [m for name, m in sys.modules.items() if name.startswith("krylovexact")]:
-        if getattr(module, "require_finite", None) is original:
-            monkeypatch.setattr(module, "require_finite", counting)
+    rebind(monkeypatch, fp, "require_finite", counting)  # every module that binds it, so no scan can bypass the count
     prob = random_structured_problem("jacobi", 12, 4)
     per_run = []
     for k in (2, 12):
@@ -346,8 +344,8 @@ def _assert_same(got, want, name="result"):
     if dataclasses.is_dataclass(want):
         for field in dataclasses.fields(want):
             _assert_same(getattr(got, field.name), getattr(want, field.name), field.name)
-    elif isinstance(want, list):
-        assert len(got) == len(want), name
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want), name
         for a, b in zip(got, want):
             _assert_same(a, b, name)
     elif isinstance(want, (np.ndarray, np.generic)):

@@ -7,10 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from test_golden_bits import FLAVORS, SEEDS, SIZES, _inputs, _runs
+from test_harness import _forbid_arithmetic
 
 from krylovexact import fileio, fp, harness, krylov_general, problems
+from krylovexact.cg import cg_hs
 from krylovexact.fp import ShapeError
 from krylovexact.krylov_general import SeriousBreakdownError
+from krylovexact.lanczos import lanczos
 from krylovexact.problems import SignedPermutation
 
 
@@ -71,15 +74,44 @@ _CASES = {
         "mismatch location must be recorded iff a check failed",
     ),
     "unknown-sweep": (lambda: harness.exactness_check("cg-hs", 4, 0), ValueError, "unknown sweep algorithm 'cg-hs'"),
+    "seq-dot-int": (lambda: fp.seq_dot(np.array([1, 2]), np.array([3, 4])), TypeError, "unsupported dtype int64; use float64 or float32"),
+    "seq-dot-complex": (lambda: fp.seq_dot(np.array([1 + 1j, 1.0]), np.array([2.0, 2.0 - 1j])), TypeError, "unsupported dtype complex128; use float64 or float32"),
+    "norm2-bool": (lambda: fp.norm2(np.array([True, True])), TypeError, "unsupported dtype bool; use float64 or float32"),
+    "matvec-float16": (lambda: fp.matvec(np.eye(2, dtype=np.float16), np.ones(2, np.float16)), TypeError, "unsupported dtype float16; use float64 or float32"),
+    "matmat-float16": (lambda: fp.matmat(np.eye(2, dtype=np.float16), np.eye(2, dtype=np.float16)), TypeError, "unsupported dtype float16; use float64 or float32"),
+    "frobenius-norm-float16": (lambda: fp.frobenius_norm(np.eye(2, dtype=np.float16)), TypeError, "unsupported dtype float16; use float64 or float32"),
+    "matrix-operand": (lambda: lanczos(np.asmatrix(np.eye(2)), np.ones(2), 1), TypeError, "unsupported array type matrix; use numpy.ndarray"),
+    "masked-operand": (lambda: krylov_general.arnoldi(np.ma.masked_array(np.eye(2)), np.ones(2), 1), TypeError, "unsupported array type MaskedArray; use numpy.ndarray"),
+    "memmap-operand": (lambda: krylov_general.arnoldi(np.eye(2), np.ones(2).view(np.memmap), 1), TypeError, "unsupported array type memmap; use numpy.ndarray"),
+    "list-vector": (lambda: cg_hs(np.eye(2), [1.0, 0.0]), TypeError, "unsupported array type list; use numpy.ndarray"),
+    "list-matrix-gk": (lambda: krylov_general.golub_kahan([[1.0, 0.0], [0.0, 1.0]], np.ones(2), 1), TypeError, "unsupported array type list; use numpy.ndarray"),
+    "list-block": (lambda: krylov_general.block_lanczos(np.eye(2), [[1.0], [0.0]], 1), TypeError, "unsupported array type list; use numpy.ndarray"),
 }
 
 
+@pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
 @pytest.mark.parametrize("case", list(_CASES))
 def test_each_entry_check_raises_its_typed_error(case):
     call, error, message = _CASES[case]
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and info.value.args == (message,)
+
+
+@pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+@pytest.mark.parametrize("make", [np.asmatrix, np.ma.masked_array, np.ndarray.tolist], ids=["matrix", "masked", "list"])
+@pytest.mark.parametrize("algorithm", list(harness.ALGORITHMS))
+def test_every_algorithm_rejects_a_matrix_that_is_not_an_ndarray_before_any_kernel(algorithm, make, monkeypatch):
+    """Each entry at k = 1, with A an np.matrix, a masked array or a list:
+    a TypeError naming the type, and no kernel run first."""
+    n = 4
+    I = np.eye(n)
+    A = make(np.diag(np.arange(1.0, n + 1)))
+    x = harness.RunInputs(A, I[:, 0].copy(), w=I[:, 0].copy(), U1=I[:, :2].copy())
+    _forbid_arithmetic(monkeypatch)
+    with pytest.raises(TypeError) as info:
+        harness.ALGORITHMS[algorithm].run(x, 1)
+    assert info.value.args == (f"unsupported array type {type(A).__name__}; use numpy.ndarray",)
 
 
 def _finite_leaves(obj):
