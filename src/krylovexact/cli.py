@@ -185,6 +185,8 @@ def _cmd_gen(args) -> int:
     _fill(args, seed=0, kind="jacobi", lam1=1e-3, lamn=1.0, rho=0.7)
     target = f"gen structured --kind {args.kind}" if args.what == "structured" else f"gen {args.what}"
     _reject_unread(args, target, {"--spd": ("gen jacobi", "gen structured --kind jacobi")})
+    if args.p != 1 and target not in ("gen blocktridiag", "gen structured --kind blocktridiag"):  # the default, --p 1, is valid for every kind
+        raise ValueError("--p applies to gen blocktridiag and gen structured --kind blocktridiag only")
     precision = precision_named(args.precision)
     if args.what == "structured":
         drawn = random_structured_problem(args.kind, args.n, args.seed, precision, p=args.p, spd=args.spd)

@@ -43,8 +43,8 @@ beta_{i+1}, v_{i+1}), is index i of those arrays.
 Every recurrence (those, and HS-CG) enters np.errstate(over="ignore",
 invalid="ignore") once per call; for _lanczos_steps its callers, lanczos
 and cglanczos, hold it, because a generator's errstate would not span its
-body.  _mgs is the one modified Gram-Schmidt loop, for Arnoldi, Lanczos
-reorthogonalization and block QR.
+body.  _mgs is the modified Gram-Schmidt loop of Arnoldi and of Lanczos
+reorthogonalization; the block QR writes its own per-row loop, for both orders.
 
 Operand contract: each algorithm calls validate_operands once, before its
 first step, on its matrix and operands (ndarrays of one format and row
@@ -54,10 +54,11 @@ and _mgs, check only their outputs: they raise NonFiniteError on a non-finite
 result, which covers overflow and non-finite inputs alike.  _sub_scaled
 checks nothing: the step's next _dot or _unit reads what it wrote.
 _matvec returns a fresh array, which its caller may overwrite.
-The public seq_dot, norm2, matvec and matmat are operand checks (the format
-first, then the shapes) plus one errstate around those kernels; matvec and
-matmat also scan the matrix once per call, because a NaN in a column that x
-skips would otherwise go unseen.  _gram keeps its own checks and errstate.
+The public seq_dot, norm2, matvec and matmat are operand checks (plain
+ndarrays, the format, then the shapes) plus one errstate around those
+kernels; matvec and matmat also scan the matrix once per call, because a NaN
+in a column that x skips would otherwise go unseen.  _gram keeps its own
+checks and errstate.
 
 Coordinates: on the structured class every Krylov vector is a signed
 coordinate +-e_c, and each z before its normalization a multiple of one, so
@@ -158,12 +159,21 @@ def precision_of(a) -> Precision:
     for p in PRECISIONS:
         if dt == p.dtype:
             return p
+    if dt.newbyteorder("=") in [p.dtype for p in PRECISIONS]:
+        raise TypeError(f"unsupported byte order {dt}; use a native float64 or float32 array")
     raise TypeError(f"unsupported dtype {dt}; use float64 or float32")
 
 
-def require_finite(a, what: str = "input") -> None:
+def require_finite(a, what: str) -> None:
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{what} contains a NaN or infinity")
+
+
+def _require_ndarrays(*operands) -> None:
+    """TypeError naming the type of the first operand that is neither None nor a plain ndarray."""
+    for x in operands:
+        if x is not None and type(x) is not np.ndarray:
+            raise TypeError(f"unsupported array type {type(x).__name__}; use numpy.ndarray")
 
 
 def validate_operands(A, *vectors, block=None, k: int = 0, limit: int = 0, square: bool = False) -> None:
@@ -176,9 +186,7 @@ def validate_operands(A, *vectors, block=None, k: int = 0, limit: int = 0, squar
     A's dtype and row count (ShapeError); A and the operands finite
     (NonFiniteError); and the step count 0 <= k <= limit (ValueError).
     """
-    for x in (A, *vectors, block):
-        if x is not None and type(x) is not np.ndarray:
-            raise TypeError(f"unsupported array type {type(x).__name__}; use numpy.ndarray")
+    _require_ndarrays(A, *vectors, block)
     precision_of(A)
     if A.ndim != 2 or (square and A.shape[0] != A.shape[1]):
         raise ShapeError(f"matrix must be 2-D{' and square' if square else ''}, got shape {A.shape}")
@@ -315,7 +323,7 @@ def _unit(z: np.ndarray, out: np.ndarray):
     return nrm, c
 
 
-def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
+def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray, p: np.ndarray) -> np.ndarray:
     """For each row q_i of Qt in order, c[i] = fl(q_i^T w) and then
     w = w - c[i] q_i; returns w.  c has w's dtype, so c[i] keeps _dot's bits.
 
@@ -328,10 +336,10 @@ def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray, p: np.ndarray | None = No
     when x = -0, so no step makes a -0 and the steps, each on its own column,
     commute.  A non-finite entry runs the loop instead, so an error keeps the
     loop's type, message and row, and c the loop's writes.  p holds the
-    rows' _coordinates, and the step reads them; without p, _mgs runs the loop.
+    rows' _coordinates (-1 for a row without one), and the step reads them.
     """
     r = len(Qt)
-    if p is not None and r and p.min() >= 0 and np.isfinite(w).all() and not (np.signbit(w) & (w == 0)).any():
+    if r and p.min() >= 0 and np.isfinite(w).all() and not (np.signbit(w) & (w == 0)).any():
         q = Qt[np.arange(r), p]
         if len(set(p.tolist())) == r:
             x = w[p]
@@ -351,6 +359,7 @@ def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray, p: np.ndarray | None = No
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite product or sum raises in _dot
 def seq_dot(x: np.ndarray, y: np.ndarray):
     """fl(x^T y) with strictly sequential left-to-right summation."""
+    _require_ndarrays(x, y)
     precision_of(x)
     if x.shape != y.shape or x.ndim != 1:
         raise ShapeError(f"dot operands must be equal-length vectors, got {x.shape} and {y.shape}")
@@ -362,6 +371,7 @@ def seq_dot(x: np.ndarray, y: np.ndarray):
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite sum raises in _dot
 def norm2(x: np.ndarray):
     """fl(sqrt(fl(sum fl(x_i^2)))) with sequential summation."""
+    _require_ndarrays(x)
     precision_of(x)
     if x.ndim != 1:
         raise ShapeError(f"norm operand must be a vector, got shape {x.shape}")
@@ -434,6 +444,7 @@ def _matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y = fl(A x) as _matvec computes it, after the operand checks and one scan
     of A, so a NaN in a column that x skips still raises NonFiniteError."""
+    _require_ndarrays(A, x)
     precision_of(A)
     if A.ndim != 2 or x.ndim != 1 or A.shape[1] != x.shape[0] or A.dtype != x.dtype:
         raise ShapeError(f"matvec operands {A.dtype} {A.shape} and {x.dtype} {x.shape} do not agree")
@@ -445,6 +456,7 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 def matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """fl(A B) as _matmat computes it, after the operand checks and one
     finiteness scan of A."""
+    _require_ndarrays(A, B)
     precision_of(A)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0] or A.dtype != B.dtype:
         raise ShapeError(f"matmat operands {A.dtype} {A.shape} and {B.dtype} {B.shape} do not agree")

@@ -168,7 +168,9 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
 
 @np.errstate(over="ignore", invalid="ignore")  # once per call; non-finite results raise in the kernels
 def gram_schmidt_qr(R: np.ndarray, variant: str = "mgs"):
-    """QR of a tall matrix by classical or modified Gram-Schmidt.
+    """QR of a tall matrix by classical or modified Gram-Schmidt, in one per-row
+    loop: Rfac[i, j] is the _dot of Q's column i with R's column j (CGS) or
+    with the running w (MGS), and then w = w - Rfac[i, j] Q[:, i].
 
     The diagonal of the triangular factor consists of the (nonnegative)
     normalization norms, so the positive-diagonal convention holds without
@@ -181,12 +183,9 @@ def gram_schmidt_qr(R: np.ndarray, variant: str = "mgs"):
     Rf = np.zeros((p, p), dtype=R.dtype)
     for j in range(p):
         w = R[:, j]
-        if variant == "cgs":
-            Rf[:j, j] = _gram(Qt[:j].T, R[:, j : j + 1])[:, 0]
-            for i in range(j):
-                w = w - Rf[i, j] * Qt[i]
-        else:
-            w = _mgs(Qt[:j], w, Rf[:j, j])
+        for i in range(j):
+            Rf[i, j] = _dot(Qt[i], R[:, j] if variant == "cgs" else w)
+            w = w - Rf[i, j] * Qt[i]
         Rf[j, j] = _norm2(w)
         if Rf[j, j] == 0:
             return Qt.T.copy(), Rf, j

@@ -11,7 +11,7 @@ by the seed) and are bitwise deterministic given (seed, size, precision).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -50,7 +50,13 @@ def _fisher_yates(g: np.random.Generator, n: int) -> np.ndarray:
 
 class _Structure:
     """Base of the structure types.  _stored() lists the entries a type stores as
-    (rows, columns, values) triples that name no position twice; the rest are +0."""
+    (rows, columns, values) triples that name no position twice; the rest are +0.
+    n is the length of the first field, as fileio reads the banded records;
+    BlockTridiagonal states its own."""
+
+    @property
+    def n(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
 
     def to_dense(self) -> np.ndarray:
         """The dense matrix, by placement only: P T P^T with P = I."""
@@ -63,7 +69,7 @@ def _bands(diag, sup, sub) -> list:
     return [(i, i, diag), (i[:-1], i[1:], sup), (i[1:], i[:-1], sub)]
 
 
-def _check_entries(finite, positive=(), positive_msg="", range_msg=""):
+def _check_entries(finite, positive, positive_msg, range_msg=""):
     """Entry checks shared by the structure types and the convergence curves,
     after their shape checks: the (name, array) pairs of finite hold no NaN
     or infinity, the arrays of positive are > 0, their one dtype is binary32
@@ -101,10 +107,6 @@ class JacobiMatrix(_Structure):
             "off-diagonal outside the exponent-range guard",
         )
 
-    @property
-    def n(self) -> int:
-        return len(self.alpha)
-
     def _stored(self) -> list:
         return _bands(self.alpha, self.beta, self.beta)
 
@@ -130,10 +132,6 @@ class HessenbergMatrix(_Structure):
             (sub,), "subdiagonal entries must be positive",
             "subdiagonal outside the exponent-range guard",
         )
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
     def _stored(self) -> list:
         i = np.arange(self.n)
@@ -163,10 +161,6 @@ class NonsymTridiagonal(_Structure):
             "subdiagonal outside the exponent-range guard",
         )
 
-    @property
-    def n(self) -> int:
-        return len(self.alpha)
-
     def _stored(self) -> list:
         return _bands(self.alpha, self.beta, self.gamma)
 
@@ -189,10 +183,6 @@ class LowerBidiagonal(_Structure):
             (self.gamma, self.delta), "bidiagonal entries must be positive",
             "bidiagonal entry outside the exponent-range guard",
         )
-
-    @property
-    def n(self) -> int:
-        return len(self.gamma)
 
     def _stored(self) -> list:
         i = np.arange(self.n)
@@ -408,18 +398,15 @@ def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
     if not isinstance(P, SignedPermutation) or P.n != T.n:
         raise ShapeError("dimensions of P and T do not agree")
     A = _signed_conjugate(stored, P.perm, P.signs)
-    if isinstance(T, NonsymTridiagonal):
-        if gamma1 is None or float(gamma1) <= 0:
-            raise ValueError("nonsymmetric problems need gamma1 > 0")
-        if not precision.in_guard(gamma1):
-            raise RangeError("gamma1 outside the exponent-range guard")
-        v = _scaled_column(P, gamma1, dtype)
-        w = _scaled_column(P, beta1, dtype)
-        return StructuredProblem(P, T, dtype(beta1), A, v, T.n, w=w, gamma1=dtype(gamma1))
-    if not precision.in_guard(beta1):
-        raise RangeError("beta1 outside the exponent-range guard")
-    v = _scaled_column(P, beta1, dtype)
-    return StructuredProblem(P, T, dtype(beta1), A, v, T.n)
+    nonsym = isinstance(T, NonsymTridiagonal)
+    if nonsym and (gamma1 is None or float(gamma1) <= 0):
+        raise ValueError("nonsymmetric problems need gamma1 > 0")
+    name, scale = ("gamma1", gamma1) if nonsym else ("beta1", beta1)
+    if not precision.in_guard(scale):
+        raise RangeError(f"{name} outside the exponent-range guard")
+    v = _scaled_column(P, scale, dtype)
+    w = _scaled_column(P, beta1, dtype) if nonsym else None
+    return StructuredProblem(P, T, dtype(beta1), A, v, T.n, w=w, gamma1=dtype(gamma1) if nonsym else None)
 
 
 def detect_structure(A: np.ndarray, v: np.ndarray):

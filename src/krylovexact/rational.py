@@ -98,8 +98,7 @@ def rat_solve(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
             raise ValueError("singular matrix in exact solve")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+        m[col], m[piv] = m[piv], m[col]
         prow = m[col]
         fp = Fraction(prow[col])  # an int pivot would make int / int a float
         cols = [c for c in range(col + 1, n + 1) if prow[c]]

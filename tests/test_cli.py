@@ -28,6 +28,11 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr()
 
 
+def _block_size(kind):
+    """gen's --p 2 for a blocktridiag draw; the other kinds take no --p but 1."""
+    return ["--p", "2"] if kind == "blocktridiag" else []
+
+
 def csv_rows(path):
     """The rows of a CSV file, read inside a with block so the file closes."""
     with path.open(newline="") as f:
@@ -157,7 +162,7 @@ def _count_calls(monkeypatch, function):
 )
 def test_run_check_exact_runs_the_algorithm_once(tmp_path, capsys, monkeypatch, algorithm, function, kind):
     prob = tmp_path / "prob.txt"
-    code, _ = run_cli(capsys, "gen", "structured", "--kind", kind, "--n", "6", "--p", "2", "--seed", "1", "--out", str(prob))
+    code, _ = run_cli(capsys, "gen", "structured", "--kind", kind, "--n", "6", *_block_size(kind), "--seed", "1", "--out", str(prob))
     assert code == 0
     calls = _count_calls(monkeypatch, function)
     code, out = run_cli(capsys, "run", algorithm, "--problem", str(prob), "--check-exact", "--out", str(tmp_path / "run.csv"))
@@ -340,9 +345,11 @@ def test_gen_rejects_a_flag_its_target_does_not_read(tmp_path, capsys, what):
         ("--lamn", "2"): (what == "strakos", "gen strakos"),
         ("--rho", "0.5"): (what == "strakos", "gen strakos"),
         ("--spd",): (what in ("jacobi", "structured --kind jacobi"), "gen jacobi and gen structured --kind jacobi"),
+        ("--p", "2"): (what == "blocktridiag", "gen blocktridiag and gen structured --kind blocktridiag"),
+        ("--p", "1"): (True, None),  # the default, accepted everywhere
     }
     for flag, (reads, names) in readers.items():
-        out = tmp_path / f"{flag[0][2:]}.txt"
+        out = tmp_path / f"{flag[0][2:]}-{flag[-1]}.txt"
         argv = ["gen", *what.split(), "--n", "4", *flag, "--out", str(out)]
         if reads:
             assert run_cli(capsys, *argv)[0] == 0 and out.exists()
@@ -512,7 +519,7 @@ def test_a_stray_gamma1_record_exits_2_and_writes_nothing(tmp_path, capsys, kind
     """A gamma1 record after a problem of any kind but nonsymtridiag is an
     input error, not a record that the reader drops."""
     prob, out = tmp_path / "prob.txt", tmp_path / "out.csv"
-    assert run_cli(capsys, "gen", "structured", "--kind", kind, "--n", "4", "--p", "2", "--out", str(prob))[0] == 0
+    assert run_cli(capsys, "gen", "structured", "--kind", kind, "--n", "4", *_block_size(kind), "--out", str(prob))[0] == 0
     with prob.open("a") as f:
         f.write("gamma1 0x1p+0\n")
     err = _error_exit(capsys, "run", algorithm, "--problem", str(prob), "--check-exact", "--out", str(out))
@@ -579,7 +586,7 @@ def test_negative_k_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("algorithm, kind, full", [("lanczos", "jacobi", 8), ("blocklanczos", "blocktridiag", 4)])
 def test_check_exact_rejects_a_shortened_k(tmp_path, capsys, algorithm, kind, full):
     prob = tmp_path / "prob.txt"
-    run_cli(capsys, "gen", "structured", "--kind", kind, "--n", "8", "--p", "2", "--out", str(prob))
+    run_cli(capsys, "gen", "structured", "--kind", kind, "--n", "8", *_block_size(kind), "--out", str(prob))
     err = _error_exit(capsys, "run", algorithm, "--problem", str(prob), "--check-exact", "--k", str(full - 1))
     assert f"full run of {full} steps" in err
     code, _ = run_cli(capsys, "run", algorithm, "--problem", str(prob), "--check-exact", "--k", str(full))
@@ -649,7 +656,7 @@ def test_starting_vector_flags_that_exclude_each_other(tmp_path, capsys):
 @pytest.mark.parametrize(
     "gen",
     [["jacobi"], ["hessenberg"], ["nonsymtridiag"], ["lowerbidiag"], ["blocktridiag", "--p", "2"], ["strakos"]]
-    + [["structured", "--kind", kind, "--p", "2"] for kind in ("jacobi", "hessenberg", "nonsymtridiag", "lowerbidiag", "blocktridiag")],
+    + [["structured", "--kind", kind, *_block_size(kind)] for kind in ("jacobi", "hessenberg", "nonsymtridiag", "lowerbidiag", "blocktridiag")],
 )
 def test_every_gen_kind_reads_back(tmp_path, capsys, gen, precision):
     path = tmp_path / "gen.txt"
@@ -709,6 +716,24 @@ def test_gen_checks_the_block_size(tmp_path, capsys, what):
     out = str(tmp_path / "T.txt")
     assert "multiple of the block size" in _error_exit(capsys, "gen", *what, "--n", "5", "--p", "2", "--out", out)
     assert "block size must be positive" in _error_exit(capsys, "gen", *what, "--n", "4", "--p", "0", "--out", out)
+
+
+@pytest.mark.parametrize(
+    "what", [["jacobi", "--p", "3"], ["jacobi", "--p", "0"], ["structured", "--kind", "hessenberg", "--p", "7"], ["strakos", "--p", "2"]]
+)
+def test_gen_rejects_a_block_size_where_no_block_is_drawn(tmp_path, capsys, what):
+    out = tmp_path / "T.txt"
+    err = _error_exit(capsys, "gen", *what, "--n", "4", "--out", str(out))
+    assert err == "error: --p applies to gen blocktridiag and gen structured --kind blocktridiag only\n"
+    assert not out.exists()
+
+
+def test_gen_accepts_a_block_size_of_1_for_every_kind(tmp_path, capsys):
+    """--p 1 is the default, so giving it changes no byte of the file."""
+    given, default = tmp_path / "given.txt", tmp_path / "default.txt"
+    assert run_cli(capsys, "gen", "structured", "--kind", "jacobi", "--n", "5", "--p", "1", "--out", str(given))[0] == 0
+    assert run_cli(capsys, "gen", "structured", "--kind", "jacobi", "--n", "5", "--out", str(default))[0] == 0
+    assert given.read_bytes() == default.read_bytes()
 
 
 def test_gen_strakos_rejects_a_parameter_binary32_cannot_hold(tmp_path, capsys):
@@ -814,7 +839,7 @@ def input_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("argv")
     paths = [root / "missing.txt", root / "malformed.txt"]
     paths[1].write_text("jacobi 2\n0x1p0 zz 0x1p0\n")
-    kinds = {kind: [kind, "--p", "2"] for kind in STRUCTURES} | {"spd": ["jacobi", "--spd"]}
+    kinds = {kind: [kind, *_block_size(kind)] for kind in STRUCTURES} | {"spd": ["jacobi", "--spd"]}
     gens = kinds | {"strakos": ["strakos"]} | {f"structured-{name}": ["structured", "--kind", *gen] for name, gen in kinds.items()}
     for name, gen in gens.items():
         for precision in ("binary64", "binary32"):

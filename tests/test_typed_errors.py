@@ -1,12 +1,16 @@
 """Each typed error of the package's entry checks, with its type and message."""
 
 import dataclasses
+import hashlib
 import io
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from test_golden_bits import FLAVORS, SEEDS, SIZES, _inputs, _runs
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden_bits import FLAVORS, SEEDS, SIZES, _feed, _inputs, _runs
 from test_harness import _forbid_arithmetic
 
 from krylovexact import fileio, fp, harness, krylov_general, problems
@@ -16,6 +20,8 @@ from krylovexact.krylov_general import SeriousBreakdownError
 from krylovexact.lanczos import lanczos
 from krylovexact.problems import SignedPermutation
 
+# binary64 and binary32 in the byte order that this machine does not use
+_SWAPPED64, _SWAPPED32 = np.dtype(np.float64).newbyteorder(), np.dtype(np.float32).newbyteorder()
 
 _CASES = {
     "jacobi-lengths": (lambda: problems.JacobiMatrix(np.ones(3), np.ones(3)), ShapeError, "Jacobi matrix needs n diagonal and n-1 off-diagonal entries"),
@@ -86,6 +92,19 @@ _CASES = {
     "list-vector": (lambda: cg_hs(np.eye(2), [1.0, 0.0]), TypeError, "unsupported array type list; use numpy.ndarray"),
     "list-matrix-gk": (lambda: krylov_general.golub_kahan([[1.0, 0.0], [0.0, 1.0]], np.ones(2), 1), TypeError, "unsupported array type list; use numpy.ndarray"),
     "list-block": (lambda: krylov_general.block_lanczos(np.eye(2), [[1.0], [0.0]], 1), TypeError, "unsupported array type list; use numpy.ndarray"),
+    "lanczos-byte-order": (
+        lambda: lanczos(np.eye(2, dtype=_SWAPPED64), np.ones(2, _SWAPPED64), 1),
+        TypeError,
+        f"unsupported byte order {_SWAPPED64}; use a native float64 or float32 array",
+    ),
+    "seq-dot-byte-order": (
+        lambda: fp.seq_dot(np.ones(2, _SWAPPED32), np.ones(2, _SWAPPED32)),
+        TypeError,
+        f"unsupported byte order {_SWAPPED32}; use a native float64 or float32 array",
+    ),
+    "seq-dot-list": (lambda: fp.seq_dot([1.0, 2.0], [3.0, 4.0]), TypeError, "unsupported array type list; use numpy.ndarray"),
+    "norm2-masked": (lambda: fp.norm2(np.ma.masked_array([3.0, 4.0])), TypeError, "unsupported array type MaskedArray; use numpy.ndarray"),
+    "matvec-matrix": (lambda: fp.matvec(np.asmatrix(np.eye(2)), np.ones(2)), TypeError, "unsupported array type matrix; use numpy.ndarray"),
 }
 
 
@@ -147,3 +166,118 @@ def test_every_algorithm_on_the_golden_grid_returns_finite_data_or_a_typed_error
                         except (ValueError, TypeError, SeriousBreakdownError):  # the typed errors the CLI maps to exit 2
                             continue
                         assert _finite_leaves(res), (label, kind, n, seed, flavor, k)
+
+
+# ---------------------------------------------------------------------------
+# any array at the entry points: a bit-exact result or a typed error
+
+_K = 2  # the step count of every algorithm call
+
+# call name -> (call, the operand shapes for order n: "A" n x n, "v" n, "U" n x 2, "H" (n+1) x n, "r" n + 1)
+_CALLS = {
+    **{
+        name: (lambda A, v, w, U1, name=name: harness.ALGORITHMS[name].run(harness.RunInputs(A, v, w, U1), _K), "AvvU")
+        for name in harness.ALGORITHMS
+    },
+    "seq_dot": (fp.seq_dot, "vv"),
+    "norm2": (fp.norm2, "v"),
+    "matvec": (fp.matvec, "Av"),
+    "matmat": (fp.matmat, "AU"),
+    "hessenberg_lstsq": (krylov_general.hessenberg_lstsq, "Hr"),
+}
+
+
+def _special_entries(dtype):
+    """+-0, subnormals, the exponent-range guard's edges and one step outside
+    them, the largest finite value, NaN and +-inf."""
+    p, info = fp.precision_of(np.zeros(1, dtype)), np.finfo(dtype)
+    edges = [p.guard_lo, p.guard_hi, p.guard_lo / 2, p.guard_hi * 2, float(info.smallest_subnormal), float(info.max)]
+    return [0.0, -0.0, np.nan, np.inf, -np.inf] + edges + [-x for x in edges]
+
+
+@st.composite
+def _base_operands(draw, shapes, dtype):
+    """Native C-order operands of the given shapes: a symmetric, diagonally
+    dominant A and rough vectors, then now and then a special entry, one
+    operand 0-d, empty or one row short."""
+    n = draw(st.integers(1, 4))
+    dims = {"A": (n, n), "v": (n,), "U": (n, 2), "H": (n + 1, n), "r": (n + 1,)}
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = []
+    for shape in shapes:
+        x = g.integers(-8, 9, dims[shape]) / 4.0
+        if shape == "A":
+            x = x + x.T + 8 * np.eye(n)
+        if shape == "H":
+            x = np.triu(x, -1) + np.eye(n + 1, n, -1)
+        ops.append(x.astype(dtype))
+    for _ in range(draw(st.integers(0, 2))):
+        x = ops[draw(st.integers(0, len(ops) - 1))]
+        x[tuple(draw(st.integers(0, s - 1)) for s in x.shape)] = draw(st.sampled_from(_special_entries(dtype)))
+    i, reshape = draw(st.integers(0, len(ops) - 1)), draw(st.sampled_from(["none"] * 6 + ["0-d", "empty", "1x1", "short"]))
+    x = ops[i]
+    ops[i] = {"none": x, "0-d": x.reshape(-1)[:1].reshape(()), "empty": x[:0], "1x1": x[:1, :1] if x.ndim == 2 else x[:1], "short": x[:-1]}[reshape]
+    return ops
+
+
+def _present(draw, x):
+    """x with its values and another representation: a layout, byte order or type."""
+    layout = draw(st.sampled_from(["C", "F", "strided", "negative", "read-only"]))
+    y = x.astype(x.dtype.newbyteorder()) if draw(st.sampled_from([False] * 3 + [True])) else x.copy()
+    if layout == "F":
+        y = y.copy(order="F")
+    elif layout == "strided":
+        wide = np.zeros(tuple(2 * s for s in y.shape), dtype=y.dtype)
+        wide[(slice(None, None, 2),) * y.ndim] = y
+        y = wide[(slice(None, None, 2),) * y.ndim]
+    elif layout == "negative":
+        y = np.flip(np.flip(y).copy())
+    elif layout == "read-only":
+        y.flags.writeable = False
+    kind = draw(st.sampled_from(["ndarray"] * 4 + ["matrix", "masked", "list"]))
+    if kind == "matrix" and y.ndim <= 2:
+        return np.asmatrix(y)
+    if kind == "masked":
+        return np.ma.masked_array(y, mask=draw(st.booleans()))
+    return y.tolist() if kind == "list" else y
+
+
+def _outcome(call, operands):
+    try:
+        return call(*operands), None
+    except Exception as exc:  # every error is judged below
+        return None, exc
+
+
+def _typed(exc):
+    """A class of the package, or a TypeError or ValueError that the package raised itself."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    in_package = "krylovexact" in Path(tb.tb_frame.f_code.co_filename).parts
+    return type(exc).__module__.startswith("krylovexact") or (isinstance(exc, (TypeError, ValueError)) and in_package)
+
+
+def _bits(result):
+    h = hashlib.sha256()
+    _feed(h, result)
+    return h.hexdigest()
+
+
+@pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_any_array_at_an_entry_point_gives_the_native_result_or_a_typed_error(data):
+    name = data.draw(st.sampled_from(list(_CALLS)))
+    call, shapes = _CALLS[name]
+    base = data.draw(_base_operands(shapes, data.draw(st.sampled_from([np.float64, np.float32]))))
+    native = [x.copy() for x in base]
+    with np.errstate(all="ignore"):  # the entries' own arithmetic, not the call's
+        operands = [_present(data.draw, x) for x in base]
+    got, exc = _outcome(call, operands)
+    if exc is not None:
+        assert _typed(exc), (name, repr(exc))
+        return
+    want, ref_exc = _outcome(call, native)
+    assert ref_exc is None, (name, repr(ref_exc))
+    assert _bits(got) == _bits(want), name
