@@ -1,4 +1,6 @@
-"""Each typed error of the package's entry checks, with its type and message."""
+"""Each typed error of the package's entry checks, with its type and message,
+and the property that any array at an entry point gives the bits of the
+native C-order call or a typed error."""
 
 import dataclasses
 import hashlib
