@@ -59,9 +59,9 @@ def cg_hs(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     """Hestenes-Stiefel CG from x0 = 0, recording all iterates; stops on ||r_k|| = 0 exactly.
     A nonzero b whose squared norm underflows raises ValueError; an x_k, p_k
     or gamma_{k-1} that overflows raises NonFiniteError (CGTrace.record)."""
+    validate_operands(A, b, k=0 if kmax is None else kmax, square=True)
     n = len(A)
     kmax = n if kmax is None else kmax
-    validate_operands(A, b, k=kmax, limit=n, square=True)
     if not bitwise_symmetric(A):
         raise ValueError("matrix is not bitwise symmetric")
     x = np.zeros(n, dtype=A.dtype)
@@ -109,10 +109,10 @@ def cglanczos(A: np.ndarray, b: np.ndarray, kmax: int | None = None) -> CGTrace:
     runs only after every earlier CG step, and a CG error ends the run before
     the next Lanczos step.
     """
-    n = len(A)
-    kmax = n if kmax is None else kmax
     steps = _lanczos_steps(A, b, kmax, "mgs", "none")
     _, rho, _ = next(steps)  # validates A and b, rejects b = 0, and gives rho_0 = beta_1 = ||b||
+    n = len(A)
+    kmax = n if kmax is None else kmax
     dt = A.dtype.type
     x = np.zeros(n, dtype=A.dtype)
     p = b.copy()

@@ -80,14 +80,26 @@ class ExactnessReport:
 # metrics
 
 
-@np.errstate(over="ignore", invalid="ignore")  # once per call; a non-finite square raises below
 def loss_of_orthogonality(V: np.ndarray):
-    """||V^T V - I||_F in the working precision of V.
+    """||V^T V - I||_F in the working precision of V: the norm of
+    _orthogonality_gap(V).
 
     Columns must already be normalized (checked to 4nu in column order, on
     squared norms that are _dot's folds).  On a basis of exactly signed
-    identity columns every dot below is exact and the result is +0 bitwise.
+    identity columns every dot of the gap is exact and the result is +0 bitwise.
     """
+    return frobenius_norm(_orthogonality_gap(V))
+
+
+def a_orthogonality_loss(Pdirs: np.ndarray, A: np.ndarray):
+    """||Ptilde^T A Ptilde - I||_F with columns A-normalized internally: the
+    norm of _a_orthogonality_gap(Pdirs, A)."""
+    return frobenius_norm(_a_orthogonality_gap(Pdirs, A))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # once per call; a non-finite square raises below
+def _orthogonality_gap(V: np.ndarray) -> np.ndarray:
+    """V^T V - I, after loss_of_orthogonality's checks."""
     validate_operands(V)
     n, k = V.shape
     tol = 4 * n * precision_of(V).unit_roundoff
@@ -96,21 +108,22 @@ def loss_of_orthogonality(V: np.ndarray):
             raise NonFiniteError("non-finite dot product")
         if abs(float(np.sqrt(sq)) - 1.0) > tol:
             raise ValueError(f"column {j + 1} is not normalized")
-    return frobenius_norm(_gram(V, V) - np.eye(k, dtype=V.dtype))
+    return _gram(V, V) - np.eye(k, dtype=V.dtype)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # once per call; non-finite results raise in the kernels
-def a_orthogonality_loss(Pdirs: np.ndarray, A: np.ndarray):
-    """||Ptilde^T A Ptilde - I||_F with columns A-normalized internally."""
+def _a_orthogonality_gap(Pdirs: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Ptilde^T A Ptilde - I, Ptilde the A-normalized columns of Pdirs."""
     validate_operands(A, block=Pdirs, square=True)
     k = Pdirs.shape[1]
+    Af = np.asfortranarray(A)  # _matvec gathers columns of A: make them contiguous once per call
     Pt = np.empty_like(Pdirs)
     for j in range(k):
-        pap = _dot(Pdirs[:, j], _matvec(A, Pdirs[:, j]))
+        pap = _dot(Pdirs[:, j], _matvec(Af, Pdirs[:, j]))
         if pap <= 0:
             raise ValueError(f"p^T A p <= 0 for column {j + 1}: matrix is not numerically positive definite")
         Pt[:, j] = Pdirs[:, j] / np.sqrt(pap)
-    return frobenius_norm(_gram(Pt, _matmat(A, Pt)) - np.eye(k, dtype=A.dtype))
+    return _gram(Pt, _matmat(Af, Pt)) - np.eye(k, dtype=A.dtype)
 
 
 _SAMPLE_CHUNK = 2**20  # samples drawn and checked at a time: memory stays bounded
@@ -353,6 +366,15 @@ def _strakos_system():
     return res.tridiagonal().to_dense(), b
 
 
+def _add_prefix_losses(series: MetricSeries, name: str, gap: np.ndarray) -> None:
+    """Row k of the series is the norm of gap's leading k x k block, for k = 1
+    .. the number of columns.  That is the metric of the first k columns, bit
+    for bit: each Gram entry is its own fold down the rows, whatever columns
+    follow, and frobenius_norm folds the block's squares in row-major order."""
+    for k in range(1, gap.shape[0] + 1):
+        series.add(k, name, frobenius_norm(gap[:k, :k]))
+
+
 def experiment_fig2() -> MetricSeries:
     """Loss of orthogonality of HS-CG's normalized residuals on the Strakos
     instance, against the exact (+0) loss of plain Lanczos on the same pair."""
@@ -360,11 +382,9 @@ def experiment_fig2() -> MetricSeries:
     tr = cg_hs(A, b)
     series = MetricSeries("fig2")
     V = np.column_stack(tr.r) / np.array(tr.residual_norms)  # r_k / ||r_k||: no residual of this fixed pair is 0
-    for k in range(1, V.shape[1] + 1):
-        series.add(k, "hscg_orth_loss", loss_of_orthogonality(V[:, :k]))
+    _add_prefix_losses(series, "hscg_orth_loss", _orthogonality_gap(V))
     lres = lanczos(A, b, len(b), variant="mgs", reorth="none")
-    for k in range(1, lres.k + 1):
-        series.add(k, "lanczos_orth_loss", loss_of_orthogonality(lres.V[:, :k]))
+    _add_prefix_losses(series, "lanczos_orth_loss", _orthogonality_gap(lres.V[:, : lres.k]))
     return series
 
 
@@ -376,9 +396,11 @@ def experiment_fig3() -> MetricSeries:
     oracle = rational_cg(A, b)
     series = MetricSeries("fig3")
     kmax = len(tr.x) - 1
+    nonzero = [bool(np.any(p != 0)) for p in tr.p[:kmax]]
+    gap = _a_orthogonality_gap(np.column_stack([p for p, nz in zip(tr.p, nonzero) if nz]), A)
     for k in range(1, kmax + 1):
-        dirs = [p for p in tr.p[:k] if np.any(p != 0)]
-        series.add(k, "a_orth_loss", a_orthogonality_loss(np.column_stack(dirs), A))
+        m = sum(nonzero[:k])  # prefix k's nonzero directions; gap[:m, :m] as in _add_prefix_losses
+        series.add(k, "a_orth_loss", frobenius_norm(gap[:m, :m]))
         if k < len(oracle.x):
             xk = oracle.x[k]
             dx = [xe - xb for xe, xb in zip(xk, to_rational_vector(tr.x[k]))]

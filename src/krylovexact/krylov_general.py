@@ -31,8 +31,8 @@ class ArnoldiResult:
 def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
     """w = A v_j; for i = 1..j: h_{i,j} = v_i^T w, w = w - h_{i,j} v_i; h_{j+1,j} = ||w||;
     stop on exact zero, at the loop's one exit.  V and H are one slice each of Vt and H."""
+    validate_operands(A, v, k=k, square=True)
     n = len(A)
-    validate_operands(A, v, k=k, limit=n, square=True)
     Vt = np.zeros((k + 1, n), dtype=A.dtype)  # row j is v_{j+1}
     coord = np.full(k + 1, -1)  # coord[j] is v_{j+1}'s _coordinate
     _, Vt[0], coord[0] = _start(v, "starting vector")
@@ -68,8 +68,8 @@ class SeriousBreakdownError(RuntimeError):
 @np.errstate(over="ignore", invalid="ignore")  # once per run; non-finite results raise in the kernels
 def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> NonsymLanczosResult:
     """gamma_{i+1} v_{i+1} = A v_i - alpha_i v_i - beta_i v_{i-1} and its A^T twin for w, from v_0 = w_0 = +0 (fp's Row layout)."""
+    validate_operands(A, v, w, k=k, square=True)
     n = len(A)
-    validate_operands(A, v, w, k=k, limit=n, square=True)
     Vt = np.zeros((k + 2, n), dtype=A.dtype)  # row i is v_i; row 0 is v_0 = +0
     Wt = np.zeros((k + 2, n), dtype=A.dtype)  # row i is w_i; row 0 is w_0 = +0
     alpha = np.zeros(k + 1, dtype=A.dtype)  # alpha[i] is alpha_i
@@ -128,7 +128,7 @@ class GolubKahanResult:
 def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
     """Alternating recurrence gamma_i w_i = A^T s_i - delta_i w_{i-1} from w_0 = +0,
     delta_{i+1} s_{i+1} = A w_i - gamma_i s_i, coefficients by normalization (fp's Row layout)."""
-    validate_operands(A, v, k=k, limit=min(np.shape(A)))
+    validate_operands(A, v, k=k)
     n, m = A.shape
     St = np.zeros((k + 2, n), dtype=A.dtype)  # row i is s_i; row 0 is unused
     Wt = np.zeros((k + 1, m), dtype=A.dtype)  # row i is w_i; row 0 is w_0 = +0
@@ -206,8 +206,8 @@ def block_lanczos(A: np.ndarray, U1: np.ndarray, k: int, qr_variant: str = "mgs"
     """Block three-term recurrence R_{i+1} = A U_i - U_i M_i - U_{i-1} B_i^T, M_i = U_i^T A U_i,
     with Gram-Schmidt QR R_{i+1} = U_{i+1} B_{i+1} from U_0 = B_1 = +0 (fp's Row layout).
     Returns U_1..U_s, M_1..M_s and B_2..B_s: s is k, the breakdown step, or 1 when k = 0."""
-    n, p = len(A), np.shape(U1)[-1] if np.ndim(U1) else 0
-    validate_operands(A, block=U1, k=k, limit=n // max(p, 1), square=True)
+    validate_operands(A, block=U1, k=k, square=True)
+    n, p = len(A), U1.shape[1]
     if p == 0:
         raise ShapeError("starting block has no columns")
     if n % p:

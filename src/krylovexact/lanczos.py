@@ -63,12 +63,14 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
 def _lanczos_steps(A, v, k, variant, reorth):
     """lanczos's loop, one record per step: checks the operands at the first
     next(), then yields (alpha_i, beta_{i+1}, v_{i+1}) for i = 0, 1, ..., k,
-    from (+0, ||v||, v_1).  A breakdown's record, the last, has beta_{i+1} =
-    +0 and a +0 row.  v_{i+1} is a row of the basis, which no later step
-    writes.  Returns the LanczosResult.  The callers, lanczos and cglanczos,
-    hold the errstate: a generator's own would not span its body."""
+    from (+0, ||v||, v_1); k = None is n, read after the check.  A breakdown's
+    record, the last, has beta_{i+1} = +0 and a +0 row.  v_{i+1} is a row of
+    the basis, which no later step writes.  Returns the LanczosResult.  The
+    callers, lanczos and cglanczos, hold the errstate: a generator's own would
+    not span its body."""
+    validate_operands(A, v, k=0 if k is None else k, square=True)
     n = len(A)
-    validate_operands(A, v, k=k, limit=n, square=True)
+    k = n if k is None else k
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if reorth not in REORTH:

@@ -16,10 +16,13 @@ the order of their terms, and Fraction is canonical (lowest terms, positive
 denominator), so Fraction(num, den) has the same numerator and denominator
 as a term-by-term Fraction fold.  A zero term adds exactly nothing, so the
 kernel skips it; for the same reason rat_matvec visits only each row's
-nonzero (column, entry) pairs, and the eliminations of rat_solve and
-is_spd_rational update only the columns where the pivot row is nonzero.  A
-Jacobi matrix has no fill-in, so its solve and SPD test take O(n) Fraction
-operations.
+nonzero (column, entry) pairs, the eliminations of rat_solve and
+is_spd_rational update only the columns where the pivot row is nonzero, and
+rational_cg's three vector updates (x + gamma p, r - gamma Ap, r + delta p)
+keep an entry as it is where the other operand's entry is zero.  A Jacobi
+matrix has no fill-in, so its solve and SPD test take O(n) Fraction
+operations; with b a multiple of e_1, the CG vectors stay in the growing
+Krylov space, and their zero tails cost nothing.
 
 The GMRES witness's exact arithmetic lives here too (witness_norms).  Its
 Hessenberg least squares (_lstsq_integers) builds no Fraction in its loops:
@@ -185,11 +188,11 @@ def rational_cg(A, b) -> RationalCGTrace:
     while rr:  # each step builds new lists, so none is copied
         Ap = rat_matvec(rows, p)
         gamma = rr / rat_dot(p, Ap)
-        x = [xi + gamma * pi for xi, pi in zip(x, p)]
-        r = [ri - gamma * ai for ri, ai in zip(r, Ap)]
+        x = [xi + gamma * pi if pi else xi for xi, pi in zip(x, p)]  # a zero term adds nothing
+        r = [ri - gamma * ai if ai else ri for ri, ai in zip(r, Ap)]
         rr_new = rat_dot(r, r)
         delta = rr_new / rr
-        p = [ri + delta * pi for ri, pi in zip(r, p)]
+        p = [ri + delta * pi if pi else ri for ri, pi in zip(r, p)]
         tr.gammas.append(gamma)
         tr.deltas.append(delta)
         rr = rr_new

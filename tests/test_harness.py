@@ -427,20 +427,23 @@ def matrices(draw, square=False):
     return np.array(draw(st.lists(metric_entries, min_size=n * k, max_size=n * k)), dtype=dtype).reshape(n, k)
 
 
+def _normalized(M, bumps):
+    """M's columns over their norms (e_j for a zero column), then some scaled
+    by a factor that may fail the normalization check; "big" is 2^(maxexp // 2 + 1),
+    whose square overflows."""
+    V = M.copy()
+    for j in range(M.shape[1]):
+        nrm = norm2(M[:, j])
+        V[:, j] = M[:, j] / nrm if nrm else np.eye(len(M), dtype=M.dtype)[:, j]
+    for j, factor in bumps:
+        if j < V.shape[1]:
+            V[:, j] *= V.dtype.type(2.0 ** (np.finfo(V.dtype).maxexp // 2 + 1) if factor == "big" else factor)
+    return V
+
+
 @given(matrices(), st.lists(st.tuples(st.integers(0, 6), st.sampled_from([1 + 2.0**-40, 1 + 2.0**-20, 2.0, 1 - 2.0**-50])), max_size=2))
 def test_loss_of_orthogonality_matches_the_double_loop(M, bumps):
-    n, k = M.shape
-    V = M.copy()
-    for j in range(k):
-        nrm = norm2(M[:, j])
-        if nrm == 0:
-            V[:, j] = 0
-            V[j, j] = 1
-        else:
-            V[:, j] = M[:, j] / nrm
-    for j, factor in bumps:  # columns that may fail the normalization check
-        if j < k:
-            V[:, j] *= V.dtype.type(factor)
+    V = _normalized(M, bumps)
     try:
         want = _loss_of_orthogonality_reference(V)
     except ValueError as e:
@@ -487,3 +490,124 @@ def test_metrics_on_no_columns_one_column_and_negative_zero_products(dtype):
         got, want = loss_of_orthogonality(V[:, :k]), _loss_of_orthogonality_reference(V[:, :k])
         assert bitwise_equal(got, want) and got == 0 and not np.signbit(got)
         assert bitwise_equal(a_orthogonality_loss(V[:, :k], A), _a_orthogonality_loss_reference(V[:, :k], A))
+
+
+# ---------------------------------------------------------------------------
+# One gap for every prefix: the figure experiments take the metric of each
+# leading block of one V^T V - I (or Ptilde^T A Ptilde - I)
+
+
+def _fig2_per_prefix():
+    """experiment_fig2 as the per-prefix loops over the public metric."""
+    A, b = harness._strakos_system()
+    tr = harness.cg_hs(A, b)
+    series = MetricSeries("fig2")
+    V = np.column_stack(tr.r) / np.array(tr.residual_norms)
+    for k in range(1, V.shape[1] + 1):
+        series.add(k, "hscg_orth_loss", loss_of_orthogonality(V[:, :k]))
+    lres = lanczos(A, b, len(b), variant="mgs", reorth="none")
+    for k in range(1, lres.k + 1):
+        series.add(k, "lanczos_orth_loss", loss_of_orthogonality(lres.V[:, :k]))
+    return series
+
+
+def _fig3_per_prefix():
+    """experiment_fig3 as the per-prefix loop over the public metric: prefix k
+    takes the nonzero directions among the first k."""
+    A, b = harness._strakos_system()
+    tr = harness.cglanczos(A, b)
+    oracle = harness.rational_cg(A, b)
+    series = MetricSeries("fig3")
+    kmax = len(tr.x) - 1
+    for k in range(1, kmax + 1):
+        dirs = [p for p in tr.p[:k] if np.any(p != 0)]
+        series.add(k, "a_orth_loss", a_orthogonality_loss(np.column_stack(dirs), A))
+        if k < len(oracle.x):
+            xk = oracle.x[k]
+            dx = [xe - xb for xe, xb in zip(xk, harness.to_rational_vector(tr.x[k]))]
+            num = np.sqrt(float(harness.rat_dot(dx, dx)))
+            den = np.sqrt(float(harness.rat_dot(xk, xk)))
+            series.add(k, "rel_error", num / den if den else 0.0)
+        series.add(k, "residual_norm", tr.residual_norms[k])
+    return series
+
+
+@pytest.mark.parametrize("experiment, per_prefix", [(harness.experiment_fig2, _fig2_per_prefix), (harness.experiment_fig3, _fig3_per_prefix)])
+def test_each_figure_series_is_the_per_prefix_metric_bit_for_bit(experiment, per_prefix):
+    got, want = experiment(), per_prefix()
+    assert got.rows == want.rows  # (k, name, value, hex): the hex strings pin the bits, signs of zeros too
+
+
+def _same_prefix_metrics(gap_of, metric_of, k):
+    """Every leading m x m block of gap_of()'s matrix has the norm metric_of(m),
+    bit for bit; or gap_of() raises, and the first prefix whose metric raises
+    raises the same type and message."""
+    try:
+        gap = gap_of()
+    except (ValueError, NonFiniteError) as e:
+        for m in range(k + 1):
+            try:
+                metric_of(m)
+            except (ValueError, NonFiniteError) as first:
+                assert type(first) is type(e) and first.args == e.args
+                return
+        raise AssertionError(f"every prefix passes, but the gap raised {e!r}")
+    for m in range(k + 1):
+        assert bitwise_equal(frobenius_norm(gap[:m, :m]), metric_of(m)), m
+
+
+@given(matrices(), st.lists(st.tuples(st.integers(0, 6), st.sampled_from([1 + 2.0**-40, 2.0, 1 - 2.0**-50, "big"])), max_size=2, unique_by=lambda b: b[0]))
+def test_each_leading_block_of_the_orthogonality_gap_is_that_prefix_s_loss(M, bumps):
+    V = _normalized(M, bumps)
+    _same_prefix_metrics(lambda: harness._orthogonality_gap(V), lambda m: loss_of_orthogonality(V[:, :m]), V.shape[1])
+
+
+@given(matrices(square=True), matrices())
+def test_each_leading_block_of_the_a_orthogonality_gap_is_that_prefix_s_loss(B, P):
+    n = min(len(B), len(P))
+    B, P = B[:n, :n], P[:n, : min(P.shape[1], n)].astype(B.dtype)
+    with np.errstate(all="ignore"):
+        A = (B.astype(np.float64) @ B.T.astype(np.float64) + n * np.eye(n)).astype(B.dtype)
+    _same_prefix_metrics(lambda: harness._a_orthogonality_gap(P, A), lambda m: a_orthogonality_loss(P[:, :m], A), P.shape[1])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_the_gaps_on_no_columns_one_column_and_negative_zero_products(dtype):
+    """The values that test_metrics_on_no_columns_one_column_and_negative_zero_products
+    pins, from the gaps and from each leading block of the two-column gaps."""
+    V = np.array([[1.0, -0.0], [-0.0, 1.0], [0.0, -0.0]], dtype=dtype)
+    A = np.diag([2.0, 0.5, 4.0]).astype(dtype)
+    gap, a_gap = harness._orthogonality_gap(V), harness._a_orthogonality_gap(V, A)
+    for k in (0, 1, 2):
+        want = _loss_of_orthogonality_reference(V[:, :k])
+        for got in (frobenius_norm(harness._orthogonality_gap(V[:, :k])), frobenius_norm(gap[:k, :k])):
+            assert bitwise_equal(got, want) and got == 0 and not np.signbit(got)
+        want = _a_orthogonality_loss_reference(V[:, :k], A)
+        assert bitwise_equal(frobenius_norm(harness._a_orthogonality_gap(V[:, :k], A)), want)
+        assert bitwise_equal(frobenius_norm(a_gap[:k, :k]), want)
+
+
+_METRICS = {"loss": (harness._orthogonality_gap, loss_of_orthogonality), "a_loss": (harness._a_orthogonality_gap, a_orthogonality_loss)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "metric, second, error, message",
+    [
+        ("loss", lambda big: [2.0, 0.0, 0.0], ValueError, "column 2 is not normalized"),
+        ("loss", lambda big: [big, big, 0.0], NonFiniteError, "non-finite dot product"),  # finite entries whose squares overflow
+        ("a_loss", lambda big: [0.0, 0.0, 0.0], ValueError, "p^T A p <= 0 for column 2: matrix is not numerically positive definite"),
+    ],
+)
+def test_an_error_at_column_j_keeps_its_type_and_message(dtype, metric, second, error, message):
+    """With a bad column 2, the gap raises what the metric of the prefix ending
+    there raises, and so does the whole metric; the prefix before it passes."""
+    big = 2.0**70 if dtype == np.float32 else 2.0**600
+    V = np.array([[1.0, 0.0, 0.0], second(big), [0.0, 0.0, 1.0]], dtype=dtype).T
+    gap_of, metric_of = _METRICS[metric]
+    args = (np.eye(3, dtype=dtype),) if metric == "a_loss" else ()
+    metric_of(V[:, :1], *args)
+    for call in (lambda: gap_of(V, *args), lambda: metric_of(V[:, :2], *args), lambda: metric_of(V, *args)):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and info.value.args == (message,)

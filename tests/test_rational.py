@@ -10,7 +10,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from krylovexact import rational
-from krylovexact.problems import random_structure
+from krylovexact.problems import prescribe_cg_curves, random_convergence_curves, random_structure
 from krylovexact.rational import (
     MAX_ORACLE_DIM,
     RationalCGTrace,
@@ -588,6 +588,78 @@ def test_rational_cg_solves_nothing_a_second_time(monkeypatch):
     tr = rational_cg(T, np.ones(12))
     assert rat_matvec(nonzero_rows(T), tr.x_exact) == to_rational_vector(np.ones(12))
     assert tr.energy2[-1] == 0 and all(c < a for a, c in zip(tr.energy2, tr.energy2[1:]))
+
+
+# ---------------------------------------------------------------------------
+# The CG oracle against the literal recurrence, which skips no zero term
+
+
+def _literal_hs_cg(A, b):
+    """Reference: Hestenes-Stiefel CG from x_0 = 0 in Fractions, with every
+    product of every sum and every entry of every vector update formed; x* is
+    the last iterate, and each energy error is e_k^T A e_k of its error vector."""
+    A = [[Fraction(a) for a in row] for row in A]
+
+    def dot(u, w):
+        return sum((ui * wi for ui, wi in zip(u, w)), Fraction(0))
+
+    x, r = [Fraction(0)] * len(b), [Fraction(bi) for bi in b]
+    p, rr = r[:], dot(r, r)
+    tr = RationalCGTrace(x=[x], r=[r], p=[p], rnorm2=[rr])
+    while rr:
+        Ap = [dot(row, p) for row in A]
+        gamma = rr / dot(p, Ap)
+        x = [xi + gamma * pi for xi, pi in zip(x, p)]
+        r = [ri - gamma * ai for ri, ai in zip(r, Ap)]
+        rr_new = dot(r, r)
+        delta = rr_new / rr
+        p = [ri + delta * pi for ri, pi in zip(r, p)]
+        rr = rr_new
+        tr.gammas.append(gamma)
+        tr.deltas.append(delta)
+        tr.x.append(x)
+        tr.r.append(r)
+        tr.p.append(p)
+        tr.rnorm2.append(rr)
+    tr.x_exact = x
+    errors = ([xs - xi for xs, xi in zip(x, xk)] for xk in tr.x)
+    tr.energy2 = [dot(e, [dot(row, e) for row in A]) for e in errors]
+    return tr
+
+
+def _same_as_literal(A, b):
+    got, want = rational_cg(A, b), _literal_hs_cg(A, b)
+    for name in ("x", "r", "p"):
+        assert len(getattr(got, name)) == len(getattr(want, name))
+        for g, w in zip(getattr(got, name), getattr(want, name)):
+            _same_fractions(g, w)
+    for name in ("gammas", "deltas", "rnorm2", "energy2", "x_exact"):
+        _same_fractions(getattr(got, name), getattr(want, name))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 24), st.integers(0, 2**32 - 1))
+def test_rational_cg_on_prescribed_curves_gives_the_literal_recurrence_s_fractions(n, seed):
+    """T is Jacobi and b = ||r_0|| e_1, so the iterates' tails are zeros that
+    rational_cg's vector updates skip."""
+    system = prescribe_cg_curves(random_convergence_curves(n, seed))
+    _same_as_literal(system.exact_matrix(), system.exact_rhs())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([int, float, Fraction]), st.data())
+def test_rational_cg_on_dense_spd_lists_gives_the_literal_recurrence_s_fractions(n, kind, data):
+    """A = M M^T + n I and b with small int entries, given as int lists, as
+    floats scaled by 0.1 (rounded) and as Fractions over 3 and 7."""
+    small = st.integers(-4, 4)
+    M = [[data.draw(small) for _ in range(n)] for _ in range(n)]
+    A = [[sum(M[i][l] * M[j][l] for l in range(n)) + n * (i == j) for j in range(n)] for i in range(n)]
+    b = [data.draw(small) for _ in range(n)]
+    if kind is float:
+        A, b = [[a * 0.1 for a in row] for row in A], [bi * 0.1 for bi in b]
+    elif kind is Fraction:
+        A, b = [[Fraction(a, 3) for a in row] for row in A], [Fraction(bi, 7) for bi in b]
+    _same_as_literal(A, b)
 
 
 def test_only_rational_uses_its_private_names_and_krylov_general_holds_no_exact_numbers():

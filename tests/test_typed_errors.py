@@ -16,7 +16,7 @@ from test_golden_bits import FLAVORS, SEEDS, SIZES, _feed, _inputs, _runs
 from test_harness import _forbid_arithmetic
 
 from krylovexact import fileio, fp, harness, krylov_general, problems
-from krylovexact.cg import cg_hs
+from krylovexact.cg import cg_hs, cglanczos
 from krylovexact.fp import ShapeError
 from krylovexact.krylov_general import SeriousBreakdownError
 from krylovexact.lanczos import lanczos
@@ -108,6 +108,22 @@ _CASES = {
     "norm2-masked": (lambda: fp.norm2(np.ma.masked_array([3.0, 4.0])), TypeError, "unsupported array type MaskedArray; use numpy.ndarray"),
     "matvec-matrix": (lambda: fp.matvec(np.asmatrix(np.eye(2)), np.ones(2)), TypeError, "unsupported array type matrix; use numpy.ndarray"),
 }
+
+# Each recurrence entry on a 0-d array and on a NumPy scalar as A: the entry
+# check's error, not one from reading A's length or shape first.
+_ENTRIES = {
+    "lanczos": lambda A: lanczos(A, np.ones(1), 1),
+    "arnoldi": lambda A: krylov_general.arnoldi(A, np.ones(1), 1),
+    "nonsym-lanczos": lambda A: krylov_general.nonsym_lanczos(A, np.ones(1), np.ones(1), 1),
+    "golub-kahan": lambda A: krylov_general.golub_kahan(A, np.ones(1), 1),
+    "block-lanczos": lambda A: krylov_general.block_lanczos(A, np.ones((1, 1)), 1),
+    "cg-hs": lambda A: cg_hs(A, np.ones(1)),
+    "cglanczos": lambda A: cglanczos(A, np.ones(1)),
+}
+for _name, _run in _ENTRIES.items():
+    _square = "" if _name == "golub-kahan" else " and square"
+    _CASES[f"{_name}-0d-matrix"] = (lambda run=_run: run(np.array(1.0)), ShapeError, f"matrix must be 2-D{_square}, got shape ()")
+    _CASES[f"{_name}-scalar-matrix"] = (lambda run=_run: run(np.float64(2.0)), TypeError, "unsupported array type float64; use numpy.ndarray")
 
 
 @pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
