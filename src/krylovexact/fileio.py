@@ -4,7 +4,8 @@ Matrix files are plain text: a header line naming the structure and its size,
 then whitespace-separated hexadecimal float literals (float.hex format), which
 round-trip losslessly.  Entry order is diagonals first, then off-diagonals.
 A banded record (jacobi, nonsymtridiag, lowerbidiag) stores its type's
-dataclass fields in field order, the first n entries long and the others n-1:
+dataclass fields in field order, by the band rule of problems' banded base
+(the first field n entries long, each later one n-1):
 
     jacobi <n>           alpha (n), beta (n-1)
     hessenberg <n>       main diagonal (n), subdiagonal (n-1),
@@ -41,23 +42,17 @@ from .fp import BINARY64, Precision, precision_named, precision_of
 from .problems import (
     BlockTridiagonal,
     HessenbergMatrix,
-    JacobiMatrix,
-    LowerBidiagonal,
-    NonsymTridiagonal,
     STRUCTURES,
     SignedBlockPermutation,
     SignedPermutation,
     StructuredProblem,
+    _Banded,
     assemble,
 )
 
 
 class FormatError(ValueError):
     pass
-
-
-# The structure types stored as their dataclass fields, one band after another.
-_BANDED = (JacobiMatrix, NonsymTridiagonal, LowerBidiagonal)
 
 
 def _fromhex(tok: str) -> float:
@@ -72,7 +67,7 @@ def _fromhex(tok: str) -> float:
 
 def _matrix_payload(T) -> tuple[str, np.ndarray]:
     """Header and stored entries, in file order and in T's own dtype."""
-    if isinstance(T, _BANDED):
+    if isinstance(T, _Banded):
         return f"{T.kind} {T.n}", np.concatenate([getattr(T, f.name) for f in fields(T)])
     if isinstance(T, HessenbergMatrix):
         H = T.entries
@@ -167,7 +162,7 @@ def _read_structure(tk: _Tokens, precision: Precision):
     dt = precision.dtype
     kind = tk.next()
     cls = STRUCTURES.get(kind)
-    if cls in _BANDED:
+    if cls and issubclass(cls, _Banded):
         (n,) = tk.sizes(1)
         return cls(*[tk.floats(n - (i > 0), dt) for i, _ in enumerate(fields(cls))])
     if kind == "hessenberg":

@@ -176,7 +176,7 @@ def _require_ndarrays(*operands) -> None:
             raise TypeError(f"unsupported array type {type(x).__name__}; use numpy.ndarray")
 
 
-def validate_operands(A, *vectors, block=None, k: int = 0, limit: int | None = None, square: bool = False) -> None:
+def validate_operands(A, *vectors, block=None, k: int = 0, square: bool = False) -> None:
     """Entry check of an algorithm on the matrix A and its operands.
 
     A and the operands must be plain ndarrays, not np.matrix, np.memmap or a
@@ -184,10 +184,10 @@ def validate_operands(A, *vectors, block=None, k: int = 0, limit: int | None = N
     matrix (TypeError otherwise), 2-D and, for a square-only algorithm, square;
     each vector operand that is not None 1-D, and the block operand 2-D, with
     A's dtype and row count (ShapeError); A and the operands finite
-    (NonFiniteError); and the step count 0 <= k <= limit (ValueError).  The
-    limit defaults to min(A.shape), divided (floor) by the block's column
-    count when it has columns: it is read from the checked shapes, so the
-    callers read no shape before the check.
+    (NonFiniteError); and the step count 0 <= k <= min(A.shape), divided
+    (floor) by the block's column count when it has columns (ValueError).
+    That limit is read from the checked shapes, so the callers read no shape
+    before the check.
     """
     _require_ndarrays(A, *vectors, block)
     precision_of(A)
@@ -200,8 +200,7 @@ def validate_operands(A, *vectors, block=None, k: int = 0, limit: int | None = N
     require_finite(A, "matrix")
     for x, _ in given:
         require_finite(x, "operand")
-    if limit is None:
-        limit = min(A.shape) // (1 if block is None else max(block.shape[1], 1))
+    limit = min(A.shape) // (1 if block is None else max(block.shape[1], 1))
     if not 0 <= k <= limit:
         raise ValueError(f"k = {k} is outside [0, {limit}]")
 

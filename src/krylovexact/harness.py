@@ -181,7 +181,7 @@ class Algorithm:
 
     run: Callable
     columns: Callable
-    steps: Callable = lambda x: len(x.v)
+    steps: Callable = lambda x: min(x.A.shape)
     kind: str | None = None
     predict: Callable | None = None
 
@@ -232,7 +232,6 @@ ALGORITHMS = {
     "gk": Algorithm(
         run=lambda x, k: golub_kahan(x.A, x.v, k),
         columns=lambda r: [("gamma", r.gamma), ("delta", r.delta)],
-        steps=lambda x: min(x.A.shape),
         kind="lowerbidiag",
         predict=lambda prob: GolubKahanResult(*[_dense_P(prob)] * 2, prob.T.gamma, prob.T.delta, prob.beta1, ("delta", prob.d + 1)),  # S = W = P
     ),

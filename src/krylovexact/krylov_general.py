@@ -167,7 +167,7 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # once per call; non-finite results raise in the kernels
-def gram_schmidt_qr(R: np.ndarray, variant: str = "mgs"):
+def gram_schmidt_qr(R: np.ndarray, variant: str):
     """QR of a tall matrix by classical or modified Gram-Schmidt, in one per-row
     loop: Rfac[i, j] is the _dot of Q's column i with R's column j (CGS) or
     with the running w (MGS), and then w = w - Rfac[i, j] Q[:, i].

@@ -51,8 +51,8 @@ def _fisher_yates(g: np.random.Generator, n: int) -> np.ndarray:
 class _Structure:
     """Base of the structure types.  _stored() lists the entries a type stores as
     (rows, columns, values) triples that name no position twice; the rest are +0.
-    n is the length of the first field, as fileio reads the banded records;
-    BlockTridiagonal states its own."""
+    n is the length of the first field (BlockTridiagonal states its own); the
+    banded rule, by which fileio reads and writes those fields, is _Banded's."""
 
     @property
     def n(self) -> int:
@@ -61,6 +61,15 @@ class _Structure:
     def to_dense(self) -> np.ndarray:
         """The dense matrix, by placement only: P T P^T with P = I."""
         return _signed_conjugate(self._stored(), np.arange(self.n), np.ones(self.n, dtype=int))
+
+
+class _Banded(_Structure):
+    """Base of the types stored as their 1-D fields, the first n long, each later one n - 1."""
+
+    def __post_init__(self):
+        first, *later = (getattr(self, f.name) for f in fields(self))
+        if first.ndim != 1 or any(b.ndim != 1 or len(b) != len(first) - 1 for b in later):
+            raise ShapeError(f"{self.kind} bands must be 1-D, the first n long and each later one n-1")
 
 
 def _bands(diag, sup, sub) -> list:
@@ -91,7 +100,7 @@ def _check_entries(finite, positive, positive_msg, range_msg=""):
 
 
 @dataclass(frozen=True)
-class JacobiMatrix(_Structure):
+class JacobiMatrix(_Banded):
     """Symmetric tridiagonal with strictly positive off-diagonals."""
 
     kind = "jacobi"
@@ -99,8 +108,7 @@ class JacobiMatrix(_Structure):
     beta: np.ndarray  # off-diagonal, length n-1
 
     def __post_init__(self):
-        if self.alpha.ndim != 1 or self.beta.ndim != 1 or len(self.beta) != len(self.alpha) - 1:
-            raise ShapeError("Jacobi matrix needs n diagonal and n-1 off-diagonal entries")
+        super().__post_init__()
         _check_entries(
             (("diagonal", self.alpha), ("off-diagonal", self.beta)),
             (self.beta,), "Jacobi off-diagonals must be positive",
@@ -139,7 +147,7 @@ class HessenbergMatrix(_Structure):
 
 
 @dataclass(frozen=True)
-class NonsymTridiagonal(_Structure):
+class NonsymTridiagonal(_Banded):
     """Tridiagonal with nonzero superdiagonal and positive subdiagonal."""
 
     kind = "nonsymtridiag"
@@ -148,11 +156,7 @@ class NonsymTridiagonal(_Structure):
     gamma: np.ndarray  # subdiagonal (row i+1, col i)
 
     def __post_init__(self):
-        if self.alpha.ndim != 1 or self.beta.ndim != 1 or self.gamma.ndim != 1:
-            raise ShapeError("tridiagonal entries must be 1-D arrays")
-        n = len(self.alpha)
-        if len(self.beta) != n - 1 or len(self.gamma) != n - 1:
-            raise ShapeError("off-diagonal lengths must be n-1")
+        super().__post_init__()
         if np.any(self.beta == 0):
             raise ValueError("superdiagonal entries must be nonzero")
         _check_entries(
@@ -166,7 +170,7 @@ class NonsymTridiagonal(_Structure):
 
 
 @dataclass(frozen=True)
-class LowerBidiagonal(_Structure):
+class LowerBidiagonal(_Banded):
     """Lower bidiagonal with positive diagonal and subdiagonal."""
 
     kind = "lowerbidiag"
@@ -174,10 +178,7 @@ class LowerBidiagonal(_Structure):
     delta: np.ndarray  # subdiagonal
 
     def __post_init__(self):
-        if self.gamma.ndim != 1 or self.delta.ndim != 1:
-            raise ShapeError("bidiagonal entries must be 1-D arrays")
-        if len(self.delta) != len(self.gamma) - 1:
-            raise ShapeError("subdiagonal length must be n-1")
+        super().__post_init__()
         _check_entries(
             (("diagonal", self.gamma), ("subdiagonal", self.delta)),
             (self.gamma, self.delta), "bidiagonal entries must be positive",

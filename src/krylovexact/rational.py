@@ -8,6 +8,11 @@ The CG oracle is the exact SPD test plus the CG recurrence alone: x* is the
 iterate at which r reaches 0, and the energy errors are sums of the
 recurrence's own gamma_j ||r_j||^2, exact because r_{j+1} is orthogonal to p_j.
 
+rational_cg, is_spd_rational, rat_solve and rational_lanczos_directions take
+arrays or lists of ints, floats and Fractions, each converted exactly once by
+to_rational_vector/to_rational_matrix, so no elimination runs in float or int
+arithmetic; nonzero_rows converts only the nonzero entries.
+
 The Fraction kernels (dots, matrix-vector rows, rat_solve's back
 substitution) take every exact sum of products through one kernel,
 _sum_products.  It carries the sum in plain ints over a running common
@@ -56,11 +61,13 @@ MAX_ORACLE_DIM = 48
 
 
 def to_rational_vector(x) -> list[Fraction]:
-    return [Fraction(v) for v in np.asarray(x).ravel().tolist()]
+    """A new list of x's entries (an array's through tolist()) as Fractions."""
+    entries = x if isinstance(x, list) else np.asarray(x).ravel().tolist()
+    return [v if isinstance(v, Fraction) else Fraction(v) for v in entries]
 
 
 def to_rational_matrix(A) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in np.asarray(A).tolist()]
+    return [to_rational_vector(row) for row in (A if isinstance(A, list) else np.asarray(A).tolist())]
 
 
 def nonzero_rows(A) -> list[list[tuple[int, Fraction]]]:
@@ -93,22 +100,21 @@ def rat_dot(x: list[Fraction], y: list[Fraction]) -> Fraction:
     return _sum_products(zip(x, y))
 
 
-def rat_solve(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+def rat_solve(A, b) -> list[Fraction]:
     """Exact solve by Gaussian elimination with partial (nonzero) pivoting."""
     n = len(A)
-    m = [row[:] + [bi] for row, bi in zip(A, b)]
+    m = [row + [bi] for row, bi in zip(to_rational_matrix(A), to_rational_vector(b))]
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
             raise ValueError("singular matrix in exact solve")
         m[col], m[piv] = m[piv], m[col]
         prow = m[col]
-        fp = Fraction(prow[col])  # an int pivot would make int / int a float
         cols = [c for c in range(col + 1, n + 1) if prow[c]]
         for r in range(col + 1, n):
             row = m[r]
             if row[col]:
-                ratio = row[col] / fp
+                ratio = row[col] / prow[col]
                 for c in cols:
                     row[c] -= prow[c] * ratio
     x = [Fraction(0)] * n
@@ -118,25 +124,24 @@ def rat_solve(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     return x
 
 
-def is_spd_rational(A: list[list[Fraction]]) -> bool:
+def is_spd_rational(A) -> bool:
     """Exact SPD test via rational LDL^T pivots.  The Schur complements stay
     exactly symmetric, so the rows to update are the pivot row's nonzero
     columns, and only their upper triangle is kept."""
     n = len(A)
-    m = [row[:] for row in A]
+    m = to_rational_matrix(A)
     for i in range(n):
         for j in range(i):
             if m[i][j] != m[j][i]:
                 return False
     for col in range(n):
         prow = m[col]
-        fp = Fraction(prow[col])  # an int pivot would make int / int a float
-        if fp <= 0:
+        if prow[col] <= 0:
             return False
         cols = [c for c in range(col + 1, n) if prow[c]]
         for i, r in enumerate(cols):
             row = m[r]
-            ratio = prow[r] / fp
+            ratio = prow[r] / prow[col]
             for c in cols[i:]:
                 row[c] -= prow[c] * ratio
     return True
@@ -163,7 +168,8 @@ class RationalCGTrace:
 def rational_cg(A, b) -> RationalCGTrace:
     """Hestenes-Stiefel CG in exact rational arithmetic, from x0 = 0 until r = 0.
 
-    Accepts int or float arrays or rational lists; entries convert exactly.
+    A and b may be arrays or lists of ints, floats and Fractions; each is
+    converted exactly once.
     On SPD A exact CG reaches r_m = 0 within m <= n steps, so x_m is x*, and
     since r_{j+1} is orthogonal to p_j the squared energy errors are the
     suffix sums ||x* - x_k||_A^2 = sum_{j>=k} gamma_j ||r_j||^2 (Hestenes and
@@ -172,16 +178,14 @@ def rational_cg(A, b) -> RationalCGTrace:
     n > MAX_ORACLE_DIM raises ValueError.  That limit bounds n only; the cost
     also depends on b (see MAX_ORACLE_DIM for measured costs).
     """
-    Ar = A if isinstance(A, list) else to_rational_matrix(A)
-    br = b if isinstance(b, list) else to_rational_vector(b)
-    n = len(br)
+    r = to_rational_vector(b)  # r_0 = b - A x_0 with x_0 = 0
+    n = len(r)
     if n > MAX_ORACLE_DIM:
         raise ValueError(f"rational oracle limited to n <= {MAX_ORACLE_DIM}, got {n}")
-    if not is_spd_rational(Ar):
+    if not is_spd_rational(A):
         raise ValueError("matrix is not symmetric positive definite over the rationals")
-    rows = nonzero_rows(Ar)
+    rows = nonzero_rows(A)
     x = [Fraction(0)] * n
-    r = [Fraction(bi) for bi in br]  # r_0 = b - A x_0 with x_0 = 0
     p = r[:]
     rr = rat_dot(r, r)
     tr = RationalCGTrace(x=[x], r=[r], p=[p], rnorm2=[rr])
@@ -217,7 +221,7 @@ def rational_lanczos_directions(A, v) -> list[list[Fraction]]:
     from u_0 = 0 with u_0^T u_0 := 1, so the first step subtracts an exact zero.
     """
     rows = nonzero_rows(A)
-    u = v if isinstance(v, list) else to_rational_vector(v)
+    u = to_rational_vector(v)
     out = [u[:]]
     prev, nrm_prev = [0] * len(u), 1  # u_0 and u_0^T u_0
     for _ in range(len(u) - 1):

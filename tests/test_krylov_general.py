@@ -388,7 +388,7 @@ def test_gmres_witness_norms_are_the_fraction_paths(inputs):
 
 def _arnoldi_columns(A, v, k):
     n = len(A)
-    validate_operands(A, v, k=k, limit=n)
+    validate_operands(A, v, k=k)
     nrm = norm2(v)
     if nrm == 0:
         raise ValueError("starting vector's squared norm underflows" if v.any() else "starting vector is zero")
@@ -415,7 +415,7 @@ def _arnoldi_columns(A, v, k):
 
 def _nonsym_lanczos_columns(A, v, w, k):
     n = len(A)
-    validate_operands(A, v, w, k=k, limit=n)
+    validate_operands(A, v, w, k=k)
     At = np.ascontiguousarray(A.T)
     gamma1 = norm2(v)
     if gamma1 == 0:
@@ -473,7 +473,7 @@ def _nonsym_lanczos_columns(A, v, w, k):
 
 
 def _golub_kahan_columns(A, v, k):
-    validate_operands(A, v, k=k, limit=min(A.shape))
+    validate_operands(A, v, k=k)
     n, m = A.shape
     At = np.ascontiguousarray(A.T)
     delta1 = norm2(v)
@@ -546,7 +546,7 @@ def _gram_schmidt_qr_columns(R, variant="mgs"):
 
 def _block_lanczos_columns(A, U1, k, qr_variant="mgs"):
     n, p = len(A), U1.shape[-1] if U1.ndim else 0
-    validate_operands(A, block=U1, k=k, limit=n // max(p, 1))
+    validate_operands(A, block=U1, k=k)
     if p == 0:
         raise ShapeError("starting block has no columns")
     if n % p:

@@ -174,7 +174,7 @@ def _reorthogonalize_columns(z, V, upto, passes):
 
 def _lanczos_columns(A, v, k, variant, reorth):
     n = len(A)
-    validate_operands(A, v, k=k, limit=n)
+    validate_operands(A, v, k=k)
     if not bitwise_equal(A, np.ascontiguousarray(A.T)):
         raise ValueError("matrix is not bitwise symmetric")
     dt = A.dtype.type
@@ -239,7 +239,7 @@ def _record_step(tr, x, r, p, gamma, delta):
 @np.errstate(over="ignore", invalid="ignore")
 def _cglanczos_columns(A, b, kmax):
     n = len(A)
-    validate_operands(A, b, k=kmax, limit=n)
+    validate_operands(A, b, k=kmax)
     dt = A.dtype.type
     tr = CGTrace()
     x = np.zeros(n, dtype=A.dtype)
@@ -299,7 +299,7 @@ def _cglanczos_columns(A, b, kmax):
 @np.errstate(over="ignore", invalid="ignore")
 def _cg_hs_columns(A, b, kmax):
     n = len(A)
-    validate_operands(A, b, k=kmax, limit=n)
+    validate_operands(A, b, k=kmax)
     if not bitwise_symmetric(A):
         raise ValueError("matrix is not bitwise symmetric")
     x = np.zeros(n, dtype=A.dtype)

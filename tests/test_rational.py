@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from krylovexact import rational
@@ -660,6 +660,66 @@ def test_rational_cg_on_dense_spd_lists_gives_the_literal_recurrence_s_fractions
     elif kind is Fraction:
         A, b = [[Fraction(a, 3) for a in row] for row in A], [Fraction(bi, 7) for bi in b]
     _same_as_literal(A, b)
+
+
+# ---------------------------------------------------------------------------
+# One conversion: every presentation of the same values gives the same result
+
+
+def _presentations(a):
+    """The array a, its tolist() floats, a list of Fractions and, when every
+    entry is an integer, a list of ints."""
+    floats = a.tolist()
+    out = [a, floats, [Fraction(x) for x in floats] if a.ndim == 1 else _as_fractions(floats)]
+    if np.array_equal(a, np.trunc(a)):
+        out.append(a.astype(np.int64).tolist())
+    return out
+
+
+def _outcome(call):
+    """The result with each Fraction as its (numerator, denominator) pair, so an
+    int or a float in its place differs; or the exception's type and args."""
+
+    def pairs(v):
+        if isinstance(v, RationalCGTrace):
+            return pairs([v.x, v.r, v.p, v.gammas, v.deltas, v.rnorm2, v.energy2, v.x_exact])
+        if isinstance(v, list):
+            return [pairs(w) for w in v]
+        return (v.numerator, v.denominator) if isinstance(v, Fraction) else v
+
+    try:
+        return pairs(call())
+    except Exception as e:  # every presentation must raise the same
+        return type(e), e.args
+
+
+@st.composite
+def _thin_gram_systems(draw):
+    """A = M M^T in binary64 for M n x (n - 1), n = 2..4, uniform on [-2, 2] or
+    with entries in -2..2: singular in exact arithmetic, so its rounding leaves
+    it just SPD, indefinite or singular.  b is a vector on the same range."""
+    n, g = draw(st.integers(2, 4)), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = (lambda s: g.integers(-2, 3, s).astype(float)) if draw(st.booleans()) else (lambda s: g.uniform(-2, 2, s))
+    M = entries((n, n - 1))
+    return M @ M.T, entries(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_thin_gram_systems())
+# SPD over the rationals; eliminated in floats, its second pivot is <= 0
+@example((np.array([[float.fromhex("0x1.37f07065380c1p+1"), float.fromhex("-0x1.b427ee425dc93p+0")],
+                    [float.fromhex("-0x1.b427ee425dc93p+0"), float.fromhex("0x1.30eb1ef380b72p+0")]]), np.array([1.0, 0.0])))
+def test_every_presentation_of_the_operands_gives_the_same_fractions(system):
+    """rational_cg, is_spd_rational, rat_solve and rational_lanczos_directions
+    on each presentation of A and of b give the array's result, Fraction for
+    Fraction, or its exception."""
+    A, b = system
+    calls = [rational_cg, lambda A, b: is_spd_rational(A), rat_solve, rational_lanczos_directions]
+    for call in calls:
+        want = _outcome(lambda: call(A, b))
+        for Ap in _presentations(A):
+            for bp in _presentations(b):
+                assert _outcome(lambda: call(Ap, bp)) == want
 
 
 def test_only_rational_uses_its_private_names_and_krylov_general_holds_no_exact_numbers():

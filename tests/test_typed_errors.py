@@ -25,13 +25,22 @@ from krylovexact.problems import SignedPermutation
 # binary64 and binary32 in the byte order that this machine does not use
 _SWAPPED64, _SWAPPED32 = np.dtype(np.float64).newbyteorder(), np.dtype(np.float32).newbyteorder()
 
+
+def _bands(kind):
+    """The one ShapeError of the banded structure types, naming the kind."""
+    return f"{kind} bands must be 1-D, the first n long and each later one n-1"
+
+
 _CASES = {
-    "jacobi-lengths": (lambda: problems.JacobiMatrix(np.ones(3), np.ones(3)), ShapeError, "Jacobi matrix needs n diagonal and n-1 off-diagonal entries"),
+    "jacobi-lengths": (lambda: problems.JacobiMatrix(np.ones(3), np.ones(3)), ShapeError, _bands("jacobi")),
+    "jacobi-2d-later": (lambda: problems.JacobiMatrix(np.ones(3), np.ones((2, 1))), ShapeError, _bands("jacobi")),
     "hessenberg-not-square": (lambda: problems.HessenbergMatrix(np.ones((2, 3))), ShapeError, "Hessenberg matrix must be square"),
-    "nonsymtridiag-lengths": (lambda: problems.NonsymTridiagonal(np.ones(3), np.ones(2), np.ones(1)), ShapeError, "off-diagonal lengths must be n-1"),
-    "nonsymtridiag-2d": (lambda: problems.NonsymTridiagonal(np.ones((2, 2)), np.ones(1), np.ones(1)), ShapeError, "tridiagonal entries must be 1-D arrays"),
-    "lowerbidiag-length": (lambda: problems.LowerBidiagonal(np.ones(3), np.ones(3)), ShapeError, "subdiagonal length must be n-1"),
-    "lowerbidiag-2d": (lambda: problems.LowerBidiagonal(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0])), ShapeError, "bidiagonal entries must be 1-D arrays"),
+    "nonsymtridiag-lengths": (lambda: problems.NonsymTridiagonal(np.ones(3), np.ones(2), np.ones(1)), ShapeError, _bands("nonsymtridiag")),
+    "nonsymtridiag-2d": (lambda: problems.NonsymTridiagonal(np.ones((2, 2)), np.ones(1), np.ones(1)), ShapeError, _bands("nonsymtridiag")),
+    "nonsymtridiag-2d-later": (lambda: problems.NonsymTridiagonal(np.ones(3), np.ones(2), np.ones((2, 1))), ShapeError, _bands("nonsymtridiag")),
+    "lowerbidiag-length": (lambda: problems.LowerBidiagonal(np.ones(3), np.ones(3)), ShapeError, _bands("lowerbidiag")),
+    "lowerbidiag-2d": (lambda: problems.LowerBidiagonal(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0])), ShapeError, _bands("lowerbidiag")),
+    "lowerbidiag-2d-later": (lambda: problems.LowerBidiagonal(np.ones(3), np.ones((2, 1))), ShapeError, _bands("lowerbidiag")),
     "blocktridiag-block-count": (lambda: problems.BlockTridiagonal((np.eye(2),), (np.eye(2),)), ShapeError, "need m diagonal blocks and m-1 subdiagonal blocks"),
     "blocktridiag-int": (lambda: problems.BlockTridiagonal((np.eye(2, dtype=int),), ()), TypeError, "unsupported dtype int64; use float64 or float32"),
     "blocktridiag-b-shape": (lambda: problems.BlockTridiagonal((np.eye(2), np.eye(2)), (np.eye(3),)), ShapeError, "subdiagonal blocks must be p x p"),
