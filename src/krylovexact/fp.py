@@ -53,6 +53,10 @@ The kernels inside the recurrences, _dot, _norm2, _unit, _matvec, _matmat
 and _mgs, check only their outputs: they raise NonFiniteError on a non-finite
 result, which covers overflow and non-finite inputs alike.  _sub_scaled
 checks nothing: the step's next _dot or _unit reads what it wrote.
+_matvec's matrix is always finite (a checked operand, the matrix matvec and
+matmat scan, or a basis built from checked norms), so its coordinate product
+fl(A[:, c] x_c) with |x_c| <= 1 is returned unscanned: rounding is monotone,
+so |fl(a x_c)| <= |a|.  Any other x_c (> 1 in magnitude, NaN, infinite) keeps the scan.
 _matvec returns a fresh array, which its caller may overwrite.
 The public seq_dot, norm2, matvec and matmat are operand checks (plain
 ndarrays, the format, then the shapes) plus one errstate around those
@@ -145,6 +149,7 @@ BINARY32 = Precision("binary32", np.float32, 2.0 ** -24, 2.0 ** -60, 2.0 ** 60)
 PRECISIONS = (BINARY64, BINARY32)
 
 _BLOCK = 64  # columns per batch in _matvec: a batch of rows stays in cache
+_TILE = 128  # rows per strip in bitwise_symmetric: the strip's bool result stays small
 
 
 def precision_named(name: str) -> Precision:
@@ -245,12 +250,15 @@ def bitwise_equal(a, b) -> bool:
 
 
 def bitwise_symmetric(A: np.ndarray) -> bool:
-    """bitwise_equal(A, A.T) for a float matrix, without a transposed copy:
-    the bit view of A is compared with its own transpose view."""
+    """bitwise_equal(A, A.T) for a square float matrix, without a transposed
+    copy: each _TILE-row strip of the upper triangle of A's bit view is
+    compared with the mirrored column strip, a view."""
+    if A.ndim != 2:
+        raise ShapeError(f"matrix must be 2-D and square, got shape {A.shape}")
     if A.shape != A.T.shape:
         raise ShapeError(f"shape mismatch: {A.shape} vs {A.T.shape}")
     U = _bit_view(A)
-    return bool((U == U.T).all())
+    return all((U[s : s + _TILE, s:] == U[s:, s : s + _TILE].T).all() for s in range(0, len(U), _TILE))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +353,7 @@ def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray, p: np.ndarray) -> np.ndar
     r = len(Qt)
     if r and p.min() >= 0 and np.isfinite(w).all() and not (np.signbit(w) & (w == 0)).any():
         q = Qt[np.arange(r), p]
-        if len(set(p.tolist())) == r:
+        if np.bincount(p).max() == 1:
             x = w[p]
             h = q * x + w.dtype.type(0.0)
             wp = x - h * q
@@ -415,7 +423,8 @@ def _matvec(A: np.ndarray, x: np.ndarray, c: int = -1) -> np.ndarray:
     as rows of A^T (contiguous when A is in Fortran order); P *= x scales a
     batch in one call, each row fl(A[:, c] * x[c]), and y += p adds its rows
     in order: the column sweep's products and additions, so its bits.  One
-    nonzero x[c] skips the batch: p = fl(A[:, c] * x[c]); p += 0 is fl(+0 + p).
+    nonzero x[c] skips the batch: p = fl(A[:, c] * x[c]); p += 0 is fl(+0 + p),
+    returned without the scan of y when |x[c]| <= 1 (the Operand contract).
     c is x's _coordinate, or -1 to scan x for its nonzeros.
     A is not scanned: the columns that x skips are never read.  y is never a view of A.
     """
@@ -423,6 +432,8 @@ def _matvec(A: np.ndarray, x: np.ndarray, c: int = -1) -> np.ndarray:
     if len(cols) == 1:  # a signed coordinate: one product row, then fl(p + 0)
         y = A.T[cols[0]] * x[cols[0]]
         y += 0.0
+        if abs(x[cols[0]]) <= 1:  # |fl(a x_c)| <= |a| for the finite A of the Operand contract
+            return y
     else:
         y = np.zeros(A.shape[0], dtype=A.dtype)
         xs = x[cols][:, None]

@@ -11,7 +11,8 @@ recurrence's own gamma_j ||r_j||^2, exact because r_{j+1} is orthogonal to p_j.
 rational_cg, is_spd_rational, rat_solve and rational_lanczos_directions take
 arrays or lists of ints, floats and Fractions, each converted exactly once by
 to_rational_vector/to_rational_matrix, so no elimination runs in float or int
-arithmetic; nonzero_rows converts only the nonzero entries.
+arithmetic; nonzero_rows converts only the nonzero entries.  A NumPy scalar
+entry converts through item(), so every Fraction holds Python ints.
 
 The Fraction kernels (dots, matrix-vector rows, rat_solve's back
 substitution) take every exact sum of products through one kernel,
@@ -60,10 +61,15 @@ from .fp import RangeError
 MAX_ORACLE_DIM = 48
 
 
+def _fraction(v) -> Fraction:
+    """v as a Fraction of Python ints: a NumPy scalar through item(), since Fraction(np.int64(a)) keeps the int64, which wraps."""
+    return v if isinstance(v, Fraction) else Fraction(v.item() if isinstance(v, np.generic) else v)
+
+
 def to_rational_vector(x) -> list[Fraction]:
     """A new list of x's entries (an array's through tolist()) as Fractions."""
     entries = x if isinstance(x, list) else np.asarray(x).ravel().tolist()
-    return [v if isinstance(v, Fraction) else Fraction(v) for v in entries]
+    return [_fraction(v) for v in entries]
 
 
 def to_rational_matrix(A) -> list[list[Fraction]]:
@@ -74,7 +80,7 @@ def nonzero_rows(A) -> list[list[tuple[int, Fraction]]]:
     """Each row's nonzero entries as (column, Fraction) pairs, the form rat_matvec
     takes.  Float entries convert exactly; zeros are left out."""
     rows = A.tolist() if isinstance(A, np.ndarray) else A
-    return [[(j, Fraction(a)) for j, a in enumerate(row) if a] for row in rows]
+    return [[(j, _fraction(a)) for j, a in enumerate(row) if a] for row in rows]
 
 
 def _sum_products(pairs) -> Fraction:

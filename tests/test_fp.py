@@ -302,6 +302,40 @@ def test_bitwise_symmetric_tells_zero_signs_and_nan_payloads_apart():
         assert not bitwise_symmetric(B)
     with pytest.raises(ShapeError, match=r"^shape mismatch: \(2, 3\) vs \(3, 2\)$"):
         bitwise_symmetric(np.zeros((2, 3)))
+    for shape in [(3,), (), (2, 2, 2)]:
+        with pytest.raises(ShapeError, match=r"^matrix must be 2-D and square, got shape "):
+            bitwise_symmetric(np.zeros(shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 127, 128, 129, 300]), st.sampled_from([np.float64, np.float32]), st.data())
+def test_tiled_bitwise_symmetric_is_the_whole_transposed_compare(n, dtype, data):
+    """The strips of fp._TILE = 128 rows give the verdict of (U == U.T).all()
+    on the bit view U, for a symmetric n x n matrix with +-0, infinities and a
+    NaN payload among rough entries, with one entry then changed, on a tile
+    edge, next to one or anywhere: one bit flipped, a zero pair made +0 above
+    and -0 below, or another NaN payload.  C order, Fortran order and a
+    strided view."""
+    assert fp._TILE == 128
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    uint, nan_bits = (np.uint64, (0x7FF8000000000001, 0x7FF8000000000002)) if dtype == np.float64 else (np.uint32, (0x7FC00001, 0x7FC00002))
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, _with_payload(dtype, nan_bits[0])], dtype=dtype)
+    A = np.where(g.random((n, n)) < 0.2, g.choice(specials, (n, n)), g.uniform(-2.0, 2.0, (n, n)).astype(dtype))
+    A[np.tril_indices(n, -1)] = A.T[np.tril_indices(n, -1)]  # mirror the upper triangle's bits
+    index = st.one_of(st.sampled_from([e for e in (0, 126, 127, 128, 129, 255, 256, n - 1) if e < n]), st.integers(0, n - 1))
+    i, j = data.draw(index), data.draw(index)
+    change = data.draw(st.sampled_from(["none", "bit", "zero_signs", "payload"]))
+    if change == "bit":
+        A.view(uint)[i, j] ^= uint(1) << uint(data.draw(st.integers(0, 8 * A.itemsize - 1)))
+    elif change == "zero_signs":
+        A[i, j], A[j, i] = dtype(0.0), dtype(-0.0)
+    elif change == "payload":
+        A[i, j] = _with_payload(dtype, nan_bits[1])
+    strided = np.zeros((2 * n, 2 * n), dtype=dtype)[::2, ::2]
+    strided[...] = A
+    for M in (A, np.asfortranarray(A), strided):
+        U = _bit_view(M)
+        assert bitwise_symmetric(M) is bool((U == U.T).all())
 
 
 def test_first_bit_difference_location():
@@ -482,6 +516,35 @@ def test_unchecked_matvec_with_one_nonzero_is_the_rowwise_fold(rows, cols, dtype
         assert bitwise_equal(y, want) and y.flags.writeable and not np.shares_memory(y, A)
         y[:] = dtype(7.0)
         assert bitwise_equal(A, before)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([np.float64, np.float32]), st.integers(1, 5), st.integers(1, 5), st.booleans(), st.data())
+def test_coordinate_matvec_skips_its_scan_only_where_no_product_can_overflow(dtype, rows, cols, given_c, data):
+    """x = s e_c on a finite A whose entries are the largest finite value,
+    subnormal, +-0 or rough.  For |s| <= 1 every product is at most |a| in
+    magnitude, so the column sweep is finite and the unscanned return has its
+    bits.  For |s| > 1 (overflowing or not) and a NaN or infinite s, _matvec
+    raises its NonFiniteError exactly where the sweep is not finite.  c is
+    passed, or found by _matvec's own scan of x."""
+    fi = np.finfo(dtype)
+    big, tiny = float(fi.max), float(fi.smallest_subnormal)
+    entries = st.one_of(rough, st.sampled_from([big, -big, tiny, -tiny, 0.0, -0.0]))
+    A = np.array(data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), dtype=dtype).reshape(rows, cols)
+    edges = [1.0, -1.0, 0.5, tiny, -float(np.nextafter(dtype(1), dtype(0))), float(np.nextafter(dtype(1), dtype(2))), -2.0, big, np.nan, np.inf, -np.inf]
+    s = dtype(data.draw(st.one_of(st.sampled_from(edges), rough)))
+    c = data.draw(st.integers(0, cols - 1))
+    x = np.zeros(cols, dtype=dtype)
+    x[c] = s
+    with np.errstate(all="ignore"):
+        want = _matvec_reference(A, x)
+    assert np.isfinite(want).all() or not abs(s) <= 1
+    with np.errstate(over="ignore", invalid="ignore"):  # the errstate its callers hold
+        if np.isfinite(want).all():
+            assert bitwise_equal(_matvec(A, x, c if given_c else -1), want)
+        else:
+            with pytest.raises(NonFiniteError, match=r"^non-finite result in matvec$"):
+                _matvec(A, x, c if given_c else -1)
 
 
 def test_norm2_of_signed_identity_column_is_exact():
@@ -788,6 +851,23 @@ def test_mgs_is_the_literal_per_row_loop(operands):
         got = _mgs_outcome(lambda Qt, w, c: fp._mgs(Qt, w, c, p), Qt, w, c)
     assert got == want
     assert bitwise_equal(w, w_before)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_mgs_takes_the_per_row_loop_on_a_repeated_coordinate(dtype, monkeypatch):
+    """Coordinates in distinct columns take the vectorized step, which calls
+    no _dot; a coordinate repeated in a column, first or later, runs the loop,
+    one _dot per row, with the loop's c and w."""
+    calls = []
+    monkeypatch.setattr(fp, "_dot", lambda *args: calls.append(args) or _dot(*args))
+    for rows, dots in [([[1, 0, 0], [0, 0, -0.5], [0, 2, 0]], 0), ([[1, 0, 0], [0.5, 0, 0]], 2), ([[0, 1, 0], [0, 0, 1], [0, -2, 0]], 3)]:
+        Qt, w, c = _mgs_case(rows, [3, -5, 7], dtype=dtype)
+        p = np.array([fp._coordinate(q) for q in Qt])
+        want = _mgs_outcome(_mgs_reference, Qt, w, c.copy())
+        calls.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _mgs_outcome(lambda Qt, w, c: fp._mgs(Qt, w, c, p), Qt, w, c) == want
+        assert len(calls) == dots, rows
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

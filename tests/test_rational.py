@@ -667,25 +667,35 @@ def test_rational_cg_on_dense_spd_lists_gives_the_literal_recurrence_s_fractions
 
 
 def _presentations(a):
-    """The array a, its tolist() floats, a list of Fractions and, when every
-    entry is an integer, a list of ints."""
+    """The array a, its tolist() floats, a list of Fractions, a list of its
+    NumPy scalars and, when every entry is an integer, a list of ints and a
+    list of np.int64 scalars."""
     floats = a.tolist()
-    out = [a, floats, [Fraction(x) for x in floats] if a.ndim == 1 else _as_fractions(floats)]
+    out = [a, floats, [Fraction(x) for x in floats] if a.ndim == 1 else _as_fractions(floats), _scalars(a)]
     if np.array_equal(a, np.trunc(a)):
-        out.append(a.astype(np.int64).tolist())
+        out += [a.astype(np.int64).tolist(), _scalars(a.astype(np.int64))]
     return out
+
+
+def _scalars(a):
+    """a as a list (of lists) of its own NumPy scalars."""
+    return list(a) if a.ndim == 1 else [list(row) for row in a]
 
 
 def _outcome(call):
     """The result with each Fraction as its (numerator, denominator) pair, so an
-    int or a float in its place differs; or the exception's type and args."""
+    int or a float in its place differs; or the exception's type and args.
+    Each Fraction must hold Python ints, which never wrap."""
 
     def pairs(v):
         if isinstance(v, RationalCGTrace):
             return pairs([v.x, v.r, v.p, v.gammas, v.deltas, v.rnorm2, v.energy2, v.x_exact])
         if isinstance(v, list):
             return [pairs(w) for w in v]
-        return (v.numerator, v.denominator) if isinstance(v, Fraction) else v
+        if isinstance(v, Fraction):
+            assert type(v.numerator) is int and type(v.denominator) is int, v
+            return v.numerator, v.denominator
+        return v
 
     try:
         return pairs(call())
@@ -709,6 +719,8 @@ def _thin_gram_systems(draw):
 # SPD over the rationals; eliminated in floats, its second pivot is <= 0
 @example((np.array([[float.fromhex("0x1.37f07065380c1p+1"), float.fromhex("-0x1.b427ee425dc93p+0")],
                     [float.fromhex("-0x1.b427ee425dc93p+0"), float.fromhex("0x1.30eb1ef380b72p+0")]]), np.array([1.0, 0.0])))
+# in np.int64 arithmetic the elimination wraps
+@example((np.array([[2.0**40, 1.0], [1.0, 2.0**40]]), np.array([1.0, 1.0])))
 def test_every_presentation_of_the_operands_gives_the_same_fractions(system):
     """rational_cg, is_spd_rational, rat_solve and rational_lanczos_directions
     on each presentation of A and of b give the array's result, Fraction for

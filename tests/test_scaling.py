@@ -20,7 +20,7 @@ from test_golden_bits import _feed
 
 from krylovexact.fp import BINARY32, BINARY64
 from krylovexact.harness import ALGORITHMS, RunInputs
-from krylovexact.problems import make_rng, strakos_spectrum
+from krylovexact.problems import make_rng, random_structured_problem, strakos_spectrum
 
 # entry -> (operand kind, {field: (ca, cb)}); a field left out is unscaled.
 # bilanczos's w and blocklanczos's U1 are not scaled.
@@ -135,6 +135,20 @@ def test_the_relations_hold_at_n_300_on_a_graded_spd_matrix(precision):
     operands = (dict.fromkeys(("sym", "spd", "nonsym"), A), b, None, None)
     for name, reorth in [("lanczos", "none"), ("lanczos", "full"), ("cglanczos", "none"), ("arnoldi", "none")]:
         assert _check_relations(name, precision, 300, 0, k=60, operands=operands, reorth=reorth) == 60, (name, reorth)
+
+
+@pytest.mark.parametrize("precision", _PRECISIONS, ids=lambda p: p.name)
+def test_structured_arnoldi_scales_h_and_keeps_v_bit_for_bit(precision):
+    """Arnoldi on a structured Hessenberg pair (P H P^T, beta_1 P e_1) to its
+    breakdown: every basis vector is a signed coordinate, so each step takes
+    _mgs's vectorized step.  Under (2^a A, 2^b v), H scales by 2^a and V is
+    the same, bit for bit."""
+    for n in (5, 12, 40):
+        for seed in range(3):
+            prob = random_structured_problem("hessenberg", n, seed, precision)
+            res = ALGORITHMS["arnoldi"].run(RunInputs(prob.A, prob.v), n)
+            assert res.breakdown == n and (np.count_nonzero(res.V, axis=0) == 1).all()
+            assert _check_relations("arnoldi", precision, n, seed, k=n, operands=({"nonsym": prob.A}, prob.v, None, None)) == n
 
 
 @pytest.mark.parametrize("precision", _PRECISIONS, ids=lambda p: p.name)
