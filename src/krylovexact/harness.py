@@ -194,6 +194,21 @@ def _dense_P(prob):
     return np.vstack([P, np.zeros((pad, P.shape[1]), dtype=P.dtype)]) if pad else P
 
 
+def _bilanczos_predict(prob):
+    """V = W = P, except that W has -0 at the zero entries of each column j >= 1
+    whose beta_{j+1} (prob.T.beta[j - 1]) is negative: w_{j+1} = wnew /
+    beta_{j+1} is a full divide, which turns each +0 of wnew into -0.  The
+    nonzero entry keeps P's sign."""
+    V = W = _dense_P(prob)
+    cols = np.flatnonzero(prob.T.beta < 0) + 1
+    if cols.size:
+        W = V.copy()
+        block = W[:, cols]
+        block[block == 0] = -0.0
+        W[:, cols] = block
+    return NonsymLanczosResult(V, W, prob.T.alpha, prob.T.beta, prob.T.gamma, prob.gamma1, prob.beta1, prob.d)
+
+
 def _plus_zero(a):
     """a with one +0 entry (a vector) or one +0 row (a matrix) appended, in a's dtype."""
     return np.concatenate([a, np.zeros((1, *a.shape[1:]), dtype=a.dtype)])
@@ -227,7 +242,7 @@ ALGORITHMS = {
         run=lambda x, k: nonsym_lanczos(x.A, x.v, x.w, k),
         columns=lambda r: [("alpha", r.alpha), ("beta", r.beta), ("gamma", r.gamma)],
         kind="nonsymtridiag",
-        predict=lambda prob: NonsymLanczosResult(*[_dense_P(prob)] * 2, prob.T.alpha, prob.T.beta, prob.T.gamma, prob.gamma1, prob.beta1, prob.d),  # V = W = P
+        predict=_bilanczos_predict,
     ),
     "gk": Algorithm(
         run=lambda x, k: golub_kahan(x.A, x.v, k),

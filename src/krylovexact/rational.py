@@ -9,10 +9,13 @@ iterate at which r reaches 0, and the energy errors are sums of the
 recurrence's own gamma_j ||r_j||^2, exact because r_{j+1} is orthogonal to p_j.
 
 rational_cg, is_spd_rational, rat_solve and rational_lanczos_directions take
-arrays or lists of ints, floats and Fractions, each converted exactly once by
-to_rational_vector/to_rational_matrix, so no elimination runs in float or int
-arithmetic; nonzero_rows converts only the nonzero entries.  A NumPy scalar
-entry converts through item(), so every Fraction holds Python ints.
+arrays or lists of ints, floats and Fractions, each converted exactly once, so
+no elimination runs in float or int arithmetic: rat_solve's operands through
+to_rational_vector/to_rational_matrix, the other matrices through
+nonzero_rows, which converts only the nonzero entries (rational_cg hands its
+converted rows on to is_spd_rational).  A NumPy scalar entry converts through
+item(), and a Fraction of NumPy ints is rebuilt from Python ints, so every
+Fraction holds Python ints.
 
 The Fraction kernels (dots, matrix-vector rows, rat_solve's back
 substitution) take every exact sum of products through one kernel,
@@ -22,13 +25,26 @@ the order of their terms, and Fraction is canonical (lowest terms, positive
 denominator), so Fraction(num, den) has the same numerator and denominator
 as a term-by-term Fraction fold.  A zero term adds exactly nothing, so the
 kernel skips it; for the same reason rat_matvec visits only each row's
-nonzero (column, entry) pairs, the eliminations of rat_solve and
-is_spd_rational update only the columns where the pivot row is nonzero, and
-rational_cg's three vector updates (x + gamma p, r - gamma Ap, r + delta p)
-keep an entry as it is where the other operand's entry is zero.  A Jacobi
-matrix has no fill-in, so its solve and SPD test take O(n) Fraction
-operations; with b a multiple of e_1, the CG vectors stay in the growing
-Krylov space, and their zero tails cost nothing.
+nonzero (column, entry) pairs, and the eliminations of rat_solve and
+is_spd_rational update only the columns where the pivot row is nonzero.  A
+Jacobi matrix has no fill-in, so its solve and SPD test take O(n) Fraction
+operations.
+
+The CG oracle does work only on the supports of its vectors (the indices of
+their nonzero entries).  A is exactly symmetric once it passes the SPD test,
+so row j's nonzeros are column j's, and A p_k is a sum over a support: of
+p_j A[j] over p_k's, or, since p_k = r_k + delta_k p_{k-1}, of r_j A[j] over
+r_k's plus delta_k A p_{k-1}.  Each step takes the form with fewer terms and
+sums each entry's terms with _sum_products.  Both give the same Fractions,
+as exact sums do.  The dots run over the supports of Ap and r.  The three
+vector updates x + gamma p, r - gamma Ap and r + delta p visit only the
+support of p, of Ap and of p.  Each visited entry is formed in ints with
+Fraction's own gcd reductions and built as one canonical Fraction
+(_plus_scaled); every other entry keeps its object.  With A Jacobi and b a
+multiple of e_1, r_k is a multiple of e_{k+1} and p_k has k + 1 nonzeros, so
+A p_k takes the 3 terms of A r_k and the 2 of delta_k A p_{k-1} instead of
+the 3k + 2 of p_k's rows, and the zero tails cost nothing.  A dense vector's
+support is all of it, and it runs through the same loop.
 
 The GMRES witness's exact arithmetic lives here too (witness_norms).  Its
 Hessenberg least squares (_lstsq_integers) builds no Fraction in its loops:
@@ -44,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from math import gcd, lcm, ldexp, prod
 from operator import mul
@@ -55,15 +72,23 @@ from .fp import RangeError
 # A bound on n only.  Exact CG's own numbers grow: the denominators of x_k are
 # Krylov Gram determinants, so their bit length, not the Fraction overhead,
 # sets the cost, and it depends on b as well as on A.  Measured CPU time of
-# rational_cg on a 2-vCPU VM: 6.03 s for a dense SPD A at n = 20; 10.8 s for
-# random_structure("jacobi", 24, 3, spd=True) with b = ones; 0.08 s in all for
-# fig3's calls (T_24 with b = e_1).
+# one rational_cg call on a 2-vCPU VM (Python 3.11): 3.4 s for a dense SPD
+# A = M^T M + 20 I at n = 20 (M uniform on [-1, 1)); 8.1 s for
+# random_structure("jacobi", 24, 3, spd=True) with b = ones; 0.019 s for
+# fig3's T_24 with b = e_1.  A dense b keeps every support dense, so the first
+# two cost about what they did before the support-wise loop (4.0 s and 8.4 s,
+# measured alongside); the same host has run 1.6x slower at other times.
 MAX_ORACLE_DIM = 48
 
 
 def _fraction(v) -> Fraction:
-    """v as a Fraction of Python ints: a NumPy scalar through item(), since Fraction(np.int64(a)) keeps the int64, which wraps."""
-    return v if isinstance(v, Fraction) else Fraction(v.item() if isinstance(v, np.generic) else v)
+    """v as a Fraction of Python ints: a NumPy scalar through item(), and a
+    Fraction of NumPy ints rebuilt from int(numerator) and int(denominator),
+    since Fraction(np.int64(a)) keeps the int64, which wraps."""
+    if isinstance(v, Fraction):
+        n, d = v.numerator, v.denominator
+        return v if type(n) is int and type(d) is int else Fraction(int(n), int(d))
+    return Fraction(v.item() if isinstance(v, np.generic) else v)
 
 
 def to_rational_vector(x) -> list[Fraction]:
@@ -130,27 +155,74 @@ def rat_solve(A, b) -> list[Fraction]:
     return x
 
 
+class _Rows(list):
+    """A square matrix's nonzero entries, row by row, as {column: Fraction}
+    dicts: rational_cg's one conversion of A, made after its shape check,
+    which is_spd_rational reads as it is."""
+
+
+def _nonzero_maps(A) -> _Rows:
+    """A's nonzero entries, converted by nonzero_rows, as _Rows."""
+    return _Rows(map(dict, nonzero_rows(A)))
+
+
 def is_spd_rational(A) -> bool:
-    """Exact SPD test via rational LDL^T pivots.  The Schur complements stay
-    exactly symmetric, so the rows to update are the pivot row's nonzero
-    columns, and only their upper triangle is kept."""
-    n = len(A)
-    m = to_rational_matrix(A)
-    for i in range(n):
-        for j in range(i):
-            if m[i][j] != m[j][i]:
-                return False
-    for col in range(n):
-        prow = m[col]
-        if prow[col] <= 0:
+    """Exact SPD test via rational LDL^T pivots, on A's nonzero entries only.
+
+    A matrix that is not square is not SPD.  A square A is symmetric when
+    each nonzero entry equals its mirror.  The Schur complements stay exactly
+    symmetric, so only their upper triangles are kept, and the rows to update
+    are the pivot row's nonzero columns."""
+    if not isinstance(A, _Rows):
+        if any(len(row) != len(A) for row in A):
             return False
-        cols = [c for c in range(col + 1, n) if prow[c]]
+        A = _nonzero_maps(A)
+    if any(A[j].get(i) != a for i, row in enumerate(A) for j, a in row.items()):
+        return False
+    m = [{j: a for j, a in row.items() if j >= i} for i, row in enumerate(A)]
+    for col, prow in enumerate(m):
+        pivot = prow.get(col, 0)
+        if pivot <= 0:
+            return False
+        cols = sorted(c for c, a in prow.items() if c > col and a)
         for i, r in enumerate(cols):
             row = m[r]
-            ratio = prow[r] / prow[col]
+            ratio = prow[r] / pivot
             for c in cols[i:]:
-                row[c] -= prow[c] * ratio
+                row[c] = row.get(c, 0) - prow[c] * ratio
     return True
+
+
+# Fraction(n, d) for ints already in lowest terms with d > 0, without the
+# constructor's gcd: the private constructor that Fraction's own arithmetic
+# builds its results with (Fraction._from_coprime_ints from Python 3.12 on).
+_from_coprime = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
+
+
+def _plus_scaled(y: list[Fraction], c: Fraction, x, support) -> list[Fraction]:
+    """A copy of y with y[i] + c x[i] at each index i in support, indices
+    where x[i] != 0.
+
+    Each entry is formed in ints with Fraction's own reductions (the two cross
+    gcds of c x[i], then the gcd of the two denominators and of the sum with
+    it), so numerator and denominator come out in lowest terms and one
+    Fraction is built per entry.  Every other entry keeps y's object."""
+    out = y[:]
+    cn, cd = c.numerator, c.denominator
+    for i in support:
+        xn, xd = x[i].numerator, x[i].denominator
+        g1, g2 = gcd(cn, xd), gcd(xn, cd)
+        tn, td = (cn // g1) * (xn // g2), (cd // g2) * (xd // g1)  # c x[i]
+        yn, yd = y[i].numerator, y[i].denominator
+        g = gcd(yd, td)
+        if g == 1:
+            out[i] = _from_coprime(yn * td + yd * tn, yd * td)
+        else:
+            s = yd // g
+            t = yn * (td // g) + tn * s
+            g = gcd(t, g)
+            out[i] = _from_coprime(t // g, s * (td // g))
+    return out
 
 
 @dataclass
@@ -181,28 +253,49 @@ def rational_cg(A, b) -> RationalCGTrace:
     suffix sums ||x* - x_k||_A^2 = sum_{j>=k} gamma_j ||r_j||^2 (Hestenes and
     Stiefel, 1952): no solve and no error vector is formed.
 
-    n > MAX_ORACLE_DIM raises ValueError.  That limit bounds n only; the cost
-    also depends on b (see MAX_ORACLE_DIM for measured costs).
+    Each step works on the supports of p, Ap and r only, and forms Ap from r
+    and the last Ap when that takes fewer terms (see the module docstring).
+
+    ValueError, in this order: n > MAX_ORACLE_DIM, A not n x n (a row count
+    or a row length other than n), A not SPD.  The limit bounds n only; the
+    cost also depends on b (see MAX_ORACLE_DIM for measured costs).
     """
     r = to_rational_vector(b)  # r_0 = b - A x_0 with x_0 = 0
     n = len(r)
     if n > MAX_ORACLE_DIM:
         raise ValueError(f"rational oracle limited to n <= {MAX_ORACLE_DIM}, got {n}")
-    if not is_spd_rational(A):
+    if len(A) != n or any(len(row) != n for row in A):
+        raise ValueError(f"rational_cg needs an n x n matrix for b of length n = {n}")
+    rows = _nonzero_maps(A)
+    if not is_spd_rational(rows):
         raise ValueError("matrix is not symmetric positive definite over the rationals")
-    rows = nonzero_rows(A)
     x = [Fraction(0)] * n
     p = r[:]
-    rr = rat_dot(r, r)
+    r_support = p_support = {i for i, ri in enumerate(r) if ri}
+    rr = _sum_products((r[i], r[i]) for i in r_support)
     tr = RationalCGTrace(x=[x], r=[r], p=[p], rnorm2=[rr])
+    Ap, delta = {}, 0  # A p_{-1} = 0 and p_0 = r_0
     while rr:  # each step builds new lists, so none is copied
-        Ap = rat_matvec(rows, p)
-        gamma = rr / rat_dot(p, Ap)
-        x = [xi + gamma * pi if pi else xi for xi, pi in zip(x, p)]  # a zero term adds nothing
-        r = [ri - gamma * ai if ai else ri for ri, ai in zip(r, Ap)]
-        rr_new = rat_dot(r, r)
+        # A is symmetric, so row j's nonzero entries are column j's.  Since
+        # p = r + delta p_prev, A p is the sum of p[j] A[j] over p's support
+        # or that of r[j] A[j] over r's plus delta A p_prev: take the form with
+        # fewer terms.  Each entry's terms are summed in ints.
+        if sum(len(rows[j]) for j in r_support) + len(Ap) < sum(len(rows[j]) for j in p_support):
+            v, support, terms = r, r_support, {i: [(delta, a)] for i, a in Ap.items()}
+        else:
+            v, support, terms = p, p_support, {}
+        for j in support:
+            for i, a in rows[j].items():
+                terms.setdefault(i, []).append((a, v[j]))
+        Ap = {i: s for i, t in terms.items() if (s := _sum_products(t))}
+        gamma = rr / _sum_products((p[i], a) for i, a in Ap.items())
+        x = _plus_scaled(x, gamma, p, p_support)
+        r = _plus_scaled(r, -gamma, Ap, Ap)
+        r_support = {i for i in r_support | Ap.keys() if r[i]}
+        rr_new = _sum_products((r[i], r[i]) for i in r_support)
         delta = rr_new / rr
-        p = [ri + delta * pi if pi else ri for ri, pi in zip(r, p)]
+        p = _plus_scaled(r, delta, p, p_support)
+        p_support = {i for i in r_support | p_support if p[i]}
         tr.gammas.append(gamma)
         tr.deltas.append(delta)
         rr = rr_new

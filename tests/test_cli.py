@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from krylovexact import cli, harness
 from krylovexact.cli import _build_parser, main
-from krylovexact.fileio import write_matrix
+from krylovexact.fileio import write_matrix, write_problem
 from krylovexact.fp import BINARY64, norm2
 from krylovexact.lanczos import lanczos
-from krylovexact.problems import STRUCTURES, random_structured_problem
+from krylovexact.problems import STRUCTURES, NonsymTridiagonal, assemble, random_signed_permutation, random_structured_problem
 from rebind import rebind
 
 
@@ -947,3 +947,16 @@ def test_any_argv_exits_0_1_or_2_and_a_generated_file_reads_back(input_files, co
     codes = set()
     prop()
     assert 0 in codes, "no drawn argv succeeded"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_run_bilanczos_check_exact_passes_on_a_negative_superdiagonal(tmp_path, capsys, dtype):
+    """beta_2 = -0.5 < 0 turns W's +0 entries in column 1 into -0; the exact
+    run still passes the bitwise check."""
+    T = NonsymTridiagonal(np.array([1, 2, 3], dtype), np.array([-0.5, 0.75], dtype), np.array([0.25, 1.5], dtype))
+    prob = tmp_path / "prob.txt"
+    with prob.open("w") as f:
+        write_problem(f, assemble(T, random_signed_permutation(3, 1), dtype(1.5), gamma1=dtype(2.0)))
+    code, out = run_cli(capsys, "run", "bilanczos", "--problem", str(prob), "--check-exact")
+    assert code == 0, out.out + out.err
+    assert "exactness check passed: bitwise match" in out.out

@@ -21,9 +21,9 @@ from krylovexact.harness import (
     sqrt_square_violations,
     sweep_failures,
 )
-from krylovexact.krylov_general import arnoldi
+from krylovexact.krylov_general import arnoldi, nonsym_lanczos
 from krylovexact.lanczos import lanczos
-from krylovexact.problems import JacobiMatrix, extend_deficient, make_rng, random_structured_problem
+from krylovexact.problems import JacobiMatrix, assemble, extend_deficient, make_rng, random_signed_permutation, random_structure, random_structured_problem
 from rebind import rebind
 from test_golden_bits import _feed
 
@@ -611,3 +611,33 @@ def test_an_error_at_column_j_keeps_its_type_and_message(dtype, metric, second, 
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error and info.value.args == (message,)
+
+
+# ---------------------------------------------------------------------------
+# bi-Lanczos on a signed superdiagonal
+
+
+def _signed_beta_problem(n, seed, precision):
+    """An assembled NonsymTridiagonal problem whose superdiagonal has signs
+    drawn, with at least one negative entry when n > 1."""
+    T = random_structure("nonsymtridiag", n, seed, precision, positive_beta=False)
+    if n > 1 and not np.any(T.beta < 0):
+        T = replace(T, beta=-T.beta)
+    P = random_signed_permutation(n, seed + 1)
+    g = make_rng(seed + 2)
+    return assemble(T, P, precision.dtype(g.uniform(0.25, 4.0)), gamma1=precision.dtype(g.uniform(0.25, 4.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 2**32 - 1), st.sampled_from([BINARY64, BINARY32]))
+def test_bilanczos_on_a_signed_superdiagonal_matches_its_prediction_bit_for_bit(n, seed, precision):
+    """w_{j+1} = wnew / beta_{j+1} turns each +0 of wnew into -0 where beta_{j+1}
+    < 0; the prediction has that -0 pattern, and V = P as before."""
+    prob = _signed_beta_problem(n, seed, precision)
+    res = nonsym_lanczos(prob.A, prob.v, prob.w, n)
+    report = compare_structured(prob, "bilanczos", res)
+    assert (report.projected_match, report.basis_match, report.breakdown_match, report.mismatch) == (True, True, True, None)
+    W = ALGORITHMS["bilanczos"].predict(prob).W
+    negative = np.concatenate([[False], prob.T.beta < 0])
+    assert np.array_equal(W, prob.P.to_dense(precision.dtype))  # equal values: only signs of zeros move
+    assert np.array_equal(np.signbit(W) & (W == 0), (W == 0) & negative)

@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -746,3 +747,105 @@ def test_only_rational_uses_its_private_names_and_krylov_general_holds_no_exact_
                 modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module] if not node.level else []
                 hits += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] in ("fractions", "math")]
     assert hits == []
+
+
+# ---------------------------------------------------------------------------
+# The CG oracle's support bookkeeping against the literal recurrence
+
+
+@st.composite
+def _sparse_spd_systems(draw):
+    """A strictly diagonally dominant, so SPD, int matrix with a sparse
+    pattern: a Jacobi matrix permuted as P T P^T, Jacobi blocks with no
+    coupling between them, or a band of half-width 2 or 3; and b with 1-3
+    nonzeros at drawn positions.  Both are given as int lists, as float lists
+    and arrays (scaled by 0.1, rounded), or as Fraction lists (over 3 and 7)."""
+    n = draw(st.integers(1, 8))
+    pattern = draw(st.sampled_from(["permuted-jacobi", "decoupled-jacobi", "banded"]))
+    width = draw(st.integers(2, 3)) if pattern == "banded" else 1
+    small = st.integers(-3, 3)
+    A = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, min(i + width + 1, n)):
+            A[i][j] = A[j][i] = draw(small)
+    if pattern == "decoupled-jacobi" and n > 1:
+        for i in draw(st.sets(st.integers(0, n - 2), min_size=1)):
+            A[i][i + 1] = A[i + 1][i] = 0
+    for i in range(n):
+        A[i][i] = sum(abs(a) for a in A[i]) + draw(st.integers(1, 4))
+    if pattern == "permuted-jacobi":
+        perm = draw(st.permutations(range(n)))
+        A = [[A[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    b = [0] * n
+    for i in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)):
+        b[i] = draw(small.filter(bool))
+    kind = draw(st.sampled_from(["int", "float", "Fraction", "array"]))
+    if kind in ("float", "array"):
+        A, b = [[a * 0.1 for a in row] for row in A], [bi * 0.1 for bi in b]
+    elif kind == "Fraction":
+        A, b = [[Fraction(a, 3) for a in row] for row in A], [Fraction(bi, 7) for bi in b]
+    return (np.array(A), np.array(b)) if kind == "array" else (A, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_spd_systems())
+def test_rational_cg_on_sparse_systems_gives_the_literal_recurrence_s_fractions(system):
+    """Every field of the trace, numerator and denominator, while the
+    supports of r and p grow, split into decoupled blocks and lose entries."""
+    _same_as_literal(*system)
+
+
+def test_rational_cg_drops_an_entry_of_r_that_cancels_inside_its_support():
+    """r_1 = (1/2, 0, 1/2) and r_2 = (0, 8/15, 0): both entries of r_1's support
+    cancel to exact zeros at step 2 of 3."""
+    A, b = [[5, -2, 0], [-2, 7, -2], [0, -2, 3]], [-2, 0, 2]
+    tr = rational_cg(A, b)
+    assert tr.r[1] == [Fraction(1, 2), 0, Fraction(1, 2)] and tr.r[2] == [0, Fraction(8, 15), 0]
+    assert len(tr.r) == 4 and tr.rnorm2[3] == 0
+    _same_as_literal(A, b)
+
+
+def test_a_fraction_of_numpy_ints_is_read_as_python_ints():
+    """Fraction(np.int64(a)) keeps the int64; the oracles rebuild it, so the
+    elimination does not wrap and the results hold the Python-int Fractions."""
+    F = Fraction(np.int64(2**40))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _same_fractions(rat_solve([[F, 1], [1, F]], [1, 1]), [Fraction(1, 2**40 + 1)] * 2)
+        got = _outcome(lambda: rational_cg([[F, 1], [1, F]], [Fraction(np.int64(3), np.int64(7)), F]))
+    assert got == _outcome(lambda: rational_cg([[2**40, 1], [1, 2**40]], [Fraction(3, 7), 2**40]))
+
+
+@pytest.mark.parametrize("A", [[[2, 1], [0, 2]], [[2, 0], [1, 2]], [[3, 1, 0], [1, 3, 1], [0, 0, 3]]])
+def test_is_spd_rational_rejects_an_entry_whose_mirror_is_an_exact_zero(A):
+    """The symmetric check reads nonzero entries only, so an entry whose
+    mirror is left out as zero must still fail it, above or below the
+    diagonal, although either triangle alone passes the elimination."""
+    assert not is_spd_rational(A) and not _dense_is_spd(_as_fractions(A))
+    with pytest.raises(ValueError, match="^matrix is not symmetric positive definite over the rationals$"):
+        rational_cg(A, [1] * len(A))
+
+
+@pytest.mark.parametrize(
+    "A, b",
+    [
+        ([[2, 0], [0, 2]], [1, 1, 1]),
+        (np.diag([2.0, 2.0, 2.0]), [1, 1]),
+        ([[1, 0, 5], [0, 1, 0]], [1, 1]),
+        ([[2], [0, 2]], [1, 1]),
+    ],
+    ids=["b-longer", "b-shorter", "extra-column", "ragged"],
+)
+def test_rational_cg_rejects_a_matrix_that_is_not_n_x_n_for_b(A, b):
+    """A b entry beyond A's rows once made the loop run forever (its residual
+    entry never changed); a shorter b, an extra column or a short row is as
+    wrong.  Each raises before the conversion and the SPD test."""
+    with pytest.raises(ValueError, match=r"^rational_cg needs an n x n matrix for b of length n = \d+$"):
+        rational_cg(A, b)
+
+
+@pytest.mark.parametrize("A", [[[1, 0, 5], [0, 1, 0]], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]], [[2], [0, 2]], np.eye(3)[:2]])
+def test_is_spd_rational_is_false_on_a_matrix_that_is_not_square(A):
+    """Its entries are read sparsely, so the shape is checked on its own: an
+    extra column, zero or not, an extra row or a short row."""
+    assert is_spd_rational(A) is False
