@@ -58,6 +58,7 @@ array entry stays exact at any size.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -195,8 +196,15 @@ def is_spd_rational(A) -> bool:
 
 # Fraction(n, d) for ints already in lowest terms with d > 0, without the
 # constructor's gcd: the private constructor that Fraction's own arithmetic
-# builds its results with (Fraction._from_coprime_ints from Python 3.12 on).
-_from_coprime = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
+# builds its results with (Fraction._from_coprime_ints from Python 3.12 on,
+# the _normalize=False keyword before).  A version with neither gets the
+# public constructor, which reduces again and gives the same Fraction.
+if hasattr(Fraction, "_from_coprime_ints"):
+    _from_coprime = Fraction._from_coprime_ints
+elif sys.version_info < (3, 12):
+    _from_coprime = partial(Fraction, _normalize=False)
+else:
+    _from_coprime = Fraction
 
 
 def _plus_scaled(y: list[Fraction], c: Fraction, x, support) -> list[Fraction]:
@@ -279,7 +287,10 @@ def rational_cg(A, b) -> RationalCGTrace:
         # A is symmetric, so row j's nonzero entries are column j's.  Since
         # p = r + delta p_prev, A p is the sum of p[j] A[j] over p's support
         # or that of r[j] A[j] over r's plus delta A p_prev: take the form with
-        # fewer terms.  Each entry's terms are summed in ints.
+        # fewer terms.  Each entry's terms are summed in ints.  A dense b
+        # takes the first: the recurrence alone mixes delta A p_prev's
+        # denominators into every entry's sum, and made the dense costs in
+        # the MAX_ORACLE_DIM comment about 6x (n = 20) and 2x (n = 24).
         if sum(len(rows[j]) for j in r_support) + len(Ap) < sum(len(rows[j]) for j in p_support):
             v, support, terms = r, r_support, {i: [(delta, a)] for i, a in Ap.items()}
         else:

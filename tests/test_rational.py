@@ -849,3 +849,50 @@ def test_is_spd_rational_is_false_on_a_matrix_that_is_not_square(A):
     """Its entries are read sparsely, so the shape is checked on its own: an
     extra column, zero or not, an extra row or a short row."""
     assert is_spd_rational(A) is False
+
+
+def test_the_fallback_to_the_public_fraction_constructor_gives_the_same_fractions(monkeypatch):
+    """_plus_scaled builds its entries through Fraction's private constructor
+    where this Python has one, and through the public Fraction otherwise; the
+    chosen one builds a canonical Fraction, and the fallback gives every trace
+    field the same numerators and denominators."""
+    built = rational._from_coprime(-3, 2)
+    assert type(built) is Fraction and (built.numerator, built.denominator) == (-3, 2)
+    curves = prescribe_cg_curves(random_convergence_curves(9, 5))
+    systems = [
+        (curves.exact_matrix(), curves.exact_rhs()),
+        ([[5, -2, 0], [-2, 7, -2], [0, -2, 3]], [-2, 0, 2]),
+        ([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]], [0.1, -0.7, 0.3]),
+    ]
+    want = [rational_cg(A, b) for A, b in systems]
+    monkeypatch.setattr(rational, "_from_coprime", Fraction)
+    for (A, b), w in zip(systems, want):
+        got = rational_cg(A, b)
+        for name in ("x", "r", "p"):
+            for g, v in zip(getattr(got, name), getattr(w, name), strict=True):
+                _same_fractions(g, v)
+        for name in ("gammas", "deltas", "rnorm2", "energy2", "x_exact"):
+            _same_fractions(getattr(got, name), getattr(w, name))
+
+
+def test_rational_cg_sums_ap_over_p_s_support_when_b_is_dense(monkeypatch):
+    """With every support dense, A p over p's support takes n terms per entry
+    and the recurrence A r + delta A p_prev takes n + 1, so each step takes
+    the first.  The recurrence alone gives the same Fractions but made a
+    dense SPD n = 20 about 6x slower (ROADMAP "Measured and dropped")."""
+    sizes = []
+    real = rational._sum_products
+
+    def counting(pairs):
+        pairs = list(pairs)
+        sizes.append(len(pairs))
+        return real(pairs)
+
+    n = 6
+    A = [[Fraction(1, i + j + 1) + (i == j) for j in range(n)] for i in range(n)]
+    b = list(range(1, n + 1))
+    monkeypatch.setattr(rational, "_sum_products", counting)
+    tr = rational_cg(A, b)
+    assert len(tr.gammas) == n and all(all(ri for ri in r) for r in tr.r[:-1])
+    assert max(sizes) == n
+    _same_as_literal(A, b)
