@@ -41,7 +41,7 @@ from .problems import (
     random_structured_problem,
     strakos_spectrum,
 )
-from .rational import MAX_ORACLE_DIM, rational_cg
+from .rational import MAX_ORACLE_DIM, StepLimitError, rational_cg
 
 
 def _add_start(p):
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, TypeError, OSError, MemoryError, SeriousBreakdownError) as e:  # ValueError covers the fp and fileio errors
+    except (ValueError, TypeError, OSError, MemoryError, SeriousBreakdownError, StepLimitError) as e:  # ValueError covers the fp and fileio errors
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -9,26 +9,33 @@ sequential left-to-right, which pins a bitwise-deterministic result.
 
 _matvec realizes the column sweep y = +0; y = fl(y + fl(A[:, c] * x[c])), c
 in index order, which is the per-row sequential sum: it gathers the columns
-with x[c] != 0 as rows of A^T, _BLOCK at a time, scales a batch in one call
-and adds its rows in order, y += p, each row the sweep's product and each +=
-its addition.  Skipping x[c] = 0 keeps the bits: the accumulator starts at
-+0, adding a signed zero to +0 yields +0, and adding a signed zero to a
-nonzero value leaves it unchanged.  IEEE addition cannot round a nonzero
-exact sum to zero, so the accumulator never becomes -0.  A NaN or infinite
-term is never zero, so it is never skipped.
+with x[c] != 0 as rows of A^T, _BLOCK at a time, scales a batch in one call,
+adds the sum so far into its first row and folds the batch down its rows
+with _fold, each row the sweep's product and each addition the sweep's.
+Skipping x[c] = 0 keeps the bits: the accumulator starts at +0, adding a
+signed zero to +0 yields +0, and adding a signed zero to a nonzero value
+leaves it unchanged.  IEEE addition cannot round a nonzero exact sum to
+zero, so the accumulator never becomes -0.  A NaN or infinite term is never
+zero, so it is never skipped.
 
-Sequential sums are computed by np.add.accumulate, which (unlike
-np.add.reduce, which sums pairwise) adds strictly left to right:
-accumulate(t)[-1] is fl(((t_0 + t_1) + t_2) + ...).  This fold starts at
-t_0 instead of +0 + t_0.  The two differ only in the sign of a zero partial
-sum (+0 + -0 is +0, while a -0 start stays -0), and the sign of a zero
-partial sum never changes a later nonzero one.  So every partial sum has
-the value of the +0-started fold, and a trailing + 0 turns a final -0 into
-+0: accumulate(t)[-1] + 0 is the sequential fold bit for bit, and _fold(t)
-is it down axis 0.  _dot is the same fold of x * y, inlined because it is
-the hottest kernel; seq_dot and norm2 sum through it.  _gram builds a table
-of such dots, G[i, j] = seq_dot(X[:, i], Y[:, j]), with one _fold per row of
-G.  _start(v, what), the normalization that begins each single-vector
+The fold rule is _fold's (_dot writes its vector case inline).
+np.add.accumulate adds strictly left to right: accumulate(t)[-1] is
+fl(((t_0 + t_1) + t_2) + ...).  np.add.reduce sums pairwise, but, as
+np.sum's docstring says, "only along the fast axis in memory": on a 2-D
+C-order t with at least 2 columns, axis 0 is the slow axis, and
+reduce(t, axis=0) adds row after row, each column's partial sums the
+accumulate's.  The two cases that fail are guarded out: with one column,
+axis 0 is the fast axis and is summed pairwise, and a Fortran-order or
+strided t may be iterated in another order; both take accumulate.  Either
+fold starts at t_0 instead of +0 + t_0.  The two differ only in the sign
+of a zero partial sum (+0 + -0 is +0, while a -0 start stays -0), and the
+sign of a zero partial sum never changes a later nonzero one.  So every
+partial sum has the value of the +0-started fold, and a trailing + 0 turns
+a final -0 into +0: _fold(t) is the sequential fold down axis 0 bit for
+bit.  _dot is the vector fold of x * y, inlined because it is the hottest
+kernel; seq_dot and norm2 sum through it.  _gram builds a table of such
+dots, G[i, j] = seq_dot(X[:, i], Y[:, j]), with one _fold per row of G.
+_start(v, what), the normalization that begins each single-vector
 recurrence, returns (||v||, v / ||v||) or raises ValueError: "<what> is zero",
 or "<what>'s squared norm underflows" for a nonzero v.
 
@@ -266,9 +273,19 @@ def bitwise_symmetric(A: np.ndarray) -> bool:
 
 
 def _fold(t: np.ndarray):
-    """fl(((0 + t_0) + t_1) + ...) down axis 0 of t; zeros when axis 0 is empty."""
+    """fl(((0 + t_0) + t_1) + ...) down axis 0 of t; zeros when axis 0 is empty.
+
+    A 2-D C-order t with at least 2 columns takes np.add.reduce(t, axis=0):
+    numpy sums pairwise "only along the fast axis in memory" (np.sum's
+    docstring), and axis 0 is then the slow one, so the rows are added one
+    after another.  Every other t takes np.add.accumulate(t)[-1], which adds
+    left to right on any layout: a vector, one column (axis 0 is then the
+    fast axis) and a Fortran-order or strided t, which reduce may sum in
+    another order."""
     if not len(t):
         return np.zeros(t.shape[1:], dtype=t.dtype)[()]
+    if t.ndim == 2 and t.shape[1] > 1 and t.flags.c_contiguous:
+        return np.add.reduce(t, axis=0) + t.dtype.type(0.0)
     return np.add.accumulate(t)[-1] + t.dtype.type(0.0)
 
 
@@ -392,7 +409,7 @@ def norm2(x: np.ndarray):
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite entry raises below
 def _gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """G[i, j] = seq_dot(X[:, i], Y[:, j]), one row of G per accumulate call.
+    """G[i, j] = seq_dot(X[:, i], Y[:, j]), one row of G per _fold call.
 
     Row i sums the n x m products X[:, i:i+1] * Y down axis 0, each column
     strictly in index order; the temporaries are n x m, never n x k x m.
@@ -420,9 +437,11 @@ def _matvec(A: np.ndarray, x: np.ndarray, c: int = -1) -> np.ndarray:
     """y_r = fl(sum_c A[r,c] * x[c]), sequential left-to-right per row.
 
     The columns with x[c] != 0 are gathered in index order, _BLOCK at a time,
-    as rows of A^T (contiguous when A is in Fortran order); P *= x scales a
-    batch in one call, each row fl(A[:, c] * x[c]), and y += p adds its rows
-    in order: the column sweep's products and additions, so its bits.  One
+    as rows of A^T (contiguous when A is in Fortran order) into a fresh C-order
+    batch P; P *= x scales it in one call, each row fl(A[:, c] * x[c]), P[0]
+    += y adds the sum so far, and y = _fold(P) adds the rows in order, one
+    row after another when A has at least 2 rows (_fold's reduce): the column
+    sweep's products and additions, so its bits.  One
     nonzero x[c] skips the batch: p = fl(A[:, c] * x[c]); p += 0 is fl(+0 + p),
     returned without the scan of y when |x[c]| <= 1 (the Operand contract).
     c is x's _coordinate, or -1 to scan x for its nonzeros.
@@ -440,8 +459,8 @@ def _matvec(A: np.ndarray, x: np.ndarray, c: int = -1) -> np.ndarray:
         for s in range(0, len(cols), _BLOCK):
             P = A.T[cols[s : s + _BLOCK]]
             P *= xs[s : s + _BLOCK]
-            for p in P:
-                y += p
+            P[0] += y
+            y = _fold(P)
     if not np.isfinite(y).all():
         raise NonFiniteError("non-finite result in matvec")
     return y

@@ -70,6 +70,11 @@ import numpy as np
 
 from .fp import RangeError
 
+
+class StepLimitError(RuntimeError):
+    """An exact recurrence ran past the step count its theory bounds it by."""
+
+
 # A bound on n only.  Exact CG's own numbers grow: the denominators of x_k are
 # Krylov Gram determinants, so their bit length, not the Fraction overhead,
 # sets the cost, and it depends on b as well as on A.  Measured CPU time of
@@ -267,6 +272,7 @@ def rational_cg(A, b) -> RationalCGTrace:
     ValueError, in this order: n > MAX_ORACLE_DIM, A not n x n (a row count
     or a row length other than n), A not SPD.  The limit bounds n only; the
     cost also depends on b (see MAX_ORACLE_DIM for measured costs).
+    StepLimitError if r is not 0 after n steps, which only a fault can cause.
     """
     r = to_rational_vector(b)  # r_0 = b - A x_0 with x_0 = 0
     n = len(r)
@@ -284,6 +290,8 @@ def rational_cg(A, b) -> RationalCGTrace:
     tr = RationalCGTrace(x=[x], r=[r], p=[p], rnorm2=[rr])
     Ap, delta = {}, 0  # A p_{-1} = 0 and p_0 = r_0
     while rr:  # each step builds new lists, so none is copied
+        if len(tr.gammas) == n:
+            raise StepLimitError(f"exact CG did not reach r = 0 within n = {n} steps")
         # A is symmetric, so row j's nonzero entries are column j's.  Since
         # p = r + delta p_prev, A p is the sum of p[j] A[j] over p's support
         # or that of r[j] A[j] over r's plus delta A p_prev: take the form with

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from krylovexact import cli, harness
+from krylovexact import cli, harness, rational
 from krylovexact.cli import _build_parser, main
 from krylovexact.fileio import write_matrix, write_problem
 from krylovexact.fp import BINARY64, norm2
@@ -556,6 +556,25 @@ def test_prescribed_curves_outside_the_oracle_range_exits_2_and_writes_nothing(t
     err = _error_exit(capsys, "experiment", "prescribed-curves", "--n", n, "--out", str(out))
     assert err == f"error: --n must be between 1 and 48 (the rational oracle's limit), got {n}\n"
     assert not out.exists()
+
+
+def test_an_oracle_past_n_steps_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    """A fault that keeps exact CG's r from 0 (here each step's p update takes
+    3/2 delta) stops at the step bound with one error line."""
+    real = rational._plus_scaled
+    calls = []
+
+    def wrong(y, c, x, support):
+        calls.append(c)
+        if len(calls) > 18:
+            pytest.fail("rational_cg ran past n steps")
+        return real(y, c * Fraction(3, 2) if len(calls) % 3 == 0 else c, x, support)
+
+    monkeypatch.setattr(rational, "_plus_scaled", wrong)
+    out = tmp_path / "out.csv"
+    err = _error_exit(capsys, "experiment", "prescribed-curves", "--n", "6", "--out", str(out))
+    assert err == "error: exact CG did not reach r = 0 within n = 6 steps\n"
+    assert not out.exists() and len(calls) == 18
 
 
 def test_serious_breakdown_exits_2(tmp_path, capsys):

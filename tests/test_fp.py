@@ -88,12 +88,12 @@ def test_bit_view_tells_plus_zero_from_minus_zero_in_every_row(row):
     assert not bitwise_equal(np.array(0.0, dtype=row.dtype), np.array(-0.0, dtype=row.dtype))
 
 
-_FORMAT_NAMES = {"np.add.accumulate", "np.finfo", "np.uint32", "np.uint64"}
+_FORMAT_NAMES = {"np.add.accumulate", "np.add.reduce", "np.finfo", "np.uint32", "np.uint64"}
 
 
 def test_only_fp_names_a_format_or_writes_a_fold():
-    """No module but fp refers to np.add.accumulate, np.finfo, np.uint32 or
-    np.uint64, or holds a string that is a precision's name."""
+    """No module but fp refers to np.add.accumulate, np.add.reduce, np.finfo,
+    np.uint32 or np.uint64, or holds a string that is a precision's name."""
     names = {row.name for row in PRECISIONS}
     hits = []
     for path in sorted(Path(fp.__file__).parent.glob("*.py")):
@@ -626,6 +626,69 @@ def test_accumulate_is_the_sequential_fold(case):
         assert _same_sum(np.add.accumulate(t)[-1] + dtype(0.0), want)
 
 
+def _terms(rows, cols, dtype, seed):
+    """A rows x cols C-order array of terms: rough mantissas over a range of
+    exponents, about one in five replaced by +-0, a subnormal or a short
+    value, and up to two hazards."""
+    g = np.random.default_rng(seed)
+    T = np.ldexp(g.integers(2**52, 2**53, (rows, cols)) * g.choice([-1.0, 1.0], (rows, cols)), g.integers(-92, -11, (rows, cols)))
+    few = g.random((rows, cols)) < 0.2
+    T[few] = g.choice([0.0, -0.0, 5e-324, -1e-45, 1e-40, 1.5, -0.75], few.sum())
+    if T.size:
+        T.flat[g.integers(0, T.size, g.integers(0, 3))] = g.choice([np.nan, np.inf, -np.inf, 3e38, -2e38, 1e200, -1e300])
+    with np.errstate(all="ignore"):
+        return T.astype(dtype)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300), st.integers(2, 6), st.sampled_from([np.float64, np.float32]), st.integers(0, 2**32 - 1))
+@example(300, 2, np.float64, 0)
+@example(300, 3, np.float32, 1)
+def test_reduce_down_the_slow_axis_is_the_row_loop(rows, cols, dtype, seed):
+    # Gate on numpy: np.add.reduce sums pairwise "only along the fast axis in
+    # memory" (np.sum's docstring).  On a C-order T with at least 2 columns
+    # axis 0 is the slow axis, so reduce(T, axis=0) must add row after row.
+    # fp._fold relies on it, and with it _matvec and _gram; if a release
+    # sums the slow axis in another order, this fails.
+    T = _terms(rows, cols, dtype, seed)
+    acc = np.zeros(cols, dtype=dtype)
+    with np.errstate(all="ignore"):
+        for row in T:
+            acc = acc + row
+        got = np.add.reduce(T, axis=0) + dtype(0.0)
+    for g, w in zip(got, acc):
+        assert _same_sum(g, w)
+
+
+_LAYOUTS = {
+    "vector": lambda T: T[:, 0],
+    "C": lambda T: T,
+    "Fortran": np.asfortranarray,
+    "transposed view": lambda T: np.ascontiguousarray(T.T).T,
+    "column slice": lambda T: np.pad(T, ((0, 0), (1, 1)))[:, 1:-1],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 300), st.integers(1, 4), st.sampled_from(sorted(_LAYOUTS)), st.sampled_from([np.float64, np.float32]), st.integers(0, 2**32 - 1))
+@example(300, 1, "C", np.float64, 0)  # one column: axis 0 is the fast axis
+@example(300, 3, "Fortran", np.float32, 0)
+@example(300, 2, "transposed view", np.float64, 1)
+@example(300, 4, "column slice", np.float32, 2)
+def test_fp_fold_on_every_layout_is_the_literal_plus_zero_started_loop(n, cols, layout, dtype, seed):
+    """fp._fold on C and Fortran order, a transposed view and a strided
+    column slice, n crossing numpy's pairwise blocks of 8 and 128: the
+    reduce branch and the accumulate branch both give the loop's bits."""
+    T = _terms(n, cols, dtype, seed)
+    t = _LAYOUTS[layout](T)
+    with np.errstate(all="ignore"):
+        got = fp._fold(t)
+        want = [_fold(T[:, j], dtype) for j in range(cols if t.ndim == 2 else 1)]
+    assert np.shape(got) == t.shape[1:] and np.asarray(got).dtype == dtype
+    for g, w in zip(np.atleast_1d(got), want):
+        assert _same_sum(g, w)
+
+
 @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(0, 24), st.integers(1, 4), st.booleans(), st.sampled_from([np.float64, np.float32]), st.data())
 def test_fp_fold_is_the_literal_plus_zero_started_loop(n, cols, matrix, dtype, data):
@@ -677,6 +740,26 @@ def test_gram_is_the_table_of_reference_dots(n, kx, ky, dtype, same, data):
         for pos, value in data.draw(st.lists(st.tuples(st.integers(0, max(n * kx - 1, 0)), hazards), max_size=1)) if n * kx else ():
             X.flat[pos] = value
         Y = X if same else np.array(draw(ky), dtype=dtype).reshape(n, ky)  # Y is X: the symmetric half
+        ref = np.array([[seq_dot_reference(X[:, i], Y[:, j]) for j in range(Y.shape[1])] for i in range(kx)], dtype=dtype).reshape(kx, Y.shape[1])
+    if np.all(np.isfinite(ref)):
+        assert bitwise_equal(_gram(X, Y), ref)
+    else:
+        with pytest.raises(NonFiniteError), np.errstate(all="ignore"):
+            _gram(X, Y)
+
+
+operand_layouts = st.sampled_from(["C", "Fortran", "transposed view"])
+
+
+@given(st.integers(0, 12), st.integers(0, 4), st.integers(0, 4), operand_layouts, operand_layouts, st.booleans(), st.sampled_from([np.float64, np.float32]), st.integers(0, 2**32 - 1))
+@example(12, 3, 4, "Fortran", "transposed view", False, np.float64, 0)
+@example(12, 4, 4, "transposed view", "C", True, np.float32, 0)
+def test_gram_on_every_operand_layout_is_the_table_of_reference_dots(n, kx, ky, x_layout, y_layout, same, dtype, seed):
+    """Fortran-order and transposed-view X and Y make Fortran-order product
+    tables, which _fold takes through accumulate; C order takes reduce."""
+    X = _LAYOUTS[x_layout](_terms(n, kx, dtype, seed))
+    Y = X if same else _LAYOUTS[y_layout](_terms(n, ky, dtype, seed + 1))
+    with np.errstate(all="ignore"):
         ref = np.array([[seq_dot_reference(X[:, i], Y[:, j]) for j in range(Y.shape[1])] for i in range(kx)], dtype=dtype).reshape(kx, Y.shape[1])
     if np.all(np.isfinite(ref)):
         assert bitwise_equal(_gram(X, Y), ref)

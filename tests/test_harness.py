@@ -441,9 +441,14 @@ def _normalized(M, bumps):
     return V
 
 
-@given(matrices(), st.lists(st.tuples(st.integers(0, 6), st.sampled_from([1 + 2.0**-40, 1 + 2.0**-20, 2.0, 1 - 2.0**-50])), max_size=2))
-def test_loss_of_orthogonality_matches_the_double_loop(M, bumps):
-    V = _normalized(M, bumps)
+_LAYOUTS = {"C": lambda V: V, "Fortran": np.asfortranarray, "transposed view": lambda V: np.ascontiguousarray(V.T).T}
+
+
+@given(matrices(), st.lists(st.tuples(st.integers(0, 6), st.sampled_from([1 + 2.0**-40, 1 + 2.0**-20, 2.0, 1 - 2.0**-50])), max_size=2), st.sampled_from(sorted(_LAYOUTS)))
+def test_loss_of_orthogonality_matches_the_double_loop(M, bumps, layout):
+    """V in C order, Fortran order or as a transposed view: the last two make
+    Fortran-order product tables, which fp._fold takes through accumulate."""
+    V = _LAYOUTS[layout](_normalized(M, bumps))
     try:
         want = _loss_of_orthogonality_reference(V)
     except ValueError as e:

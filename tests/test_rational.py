@@ -15,6 +15,7 @@ from krylovexact.problems import prescribe_cg_curves, random_convergence_curves,
 from krylovexact.rational import (
     MAX_ORACLE_DIM,
     RationalCGTrace,
+    StepLimitError,
     is_spd_rational,
     nonzero_rows,
     rat_dot,
@@ -896,3 +897,28 @@ def test_rational_cg_sums_ap_over_p_s_support_when_b_is_dense(monkeypatch):
     assert len(tr.gammas) == n and all(all(ri for ri in r) for r in tr.r[:-1])
     assert max(sizes) == n
     _same_as_literal(A, b)
+
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])  # a wrong delta doubles the bit lengths each step
+@pytest.mark.parametrize("rhs", ["e1", "dense"])
+def test_rational_cg_raises_after_n_steps_when_a_fault_keeps_r_from_0(monkeypatch, n, rhs):
+    """Each step's third update, p = r + delta p, takes 3/2 delta, so CG no
+    longer reaches r = 0: on a Jacobi matrix from e_1 (the Ap recurrence's
+    side) and from a dense b (the direct sum's side) the loop stops at step
+    n + 1 with StepLimitError.  More than n steps' updates fail the test, so
+    a missing bound fails instead of running without end."""
+    real, calls = rational._plus_scaled, []
+
+    def wrong(y, c, x, support):
+        calls.append(c)
+        if len(calls) > 3 * n:
+            pytest.fail("rational_cg ran past n steps")
+        return real(y, c * Fraction(3, 2) if len(calls) % 3 == 0 else c, x, support)
+
+    monkeypatch.setattr(rational, "_plus_scaled", wrong)
+    T = np.diag(np.full(n, 4.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    b = np.eye(n)[0] if rhs == "e1" else np.arange(1.0, n + 1)
+    with pytest.raises(StepLimitError, match=f"exact CG did not reach r = 0 within n = {n} steps"):
+        rational_cg(T, b)
+    assert len(calls) == 3 * n
