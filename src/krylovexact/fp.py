@@ -118,7 +118,7 @@ round nothing, on which the exactness results rest (Lemma 3.1 among them).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,13 +137,21 @@ class RangeError(ValueError):
 
 @dataclass(frozen=True)
 class Precision:
+    """A format row: its name and dtype.  The rest is read once from np.finfo:
+    unit_roundoff is eps/2, and [guard_lo, guard_hi] is Lemma 3.1's domain,
+    the magnitudes x with fl(x*x) normal and finite: 2^ceil(emin/2) to fl(sqrt(max))."""
+
     name: str
     dtype: type
-    unit_roundoff: float
-    # Exponent-range guard for generated off-diagonal coefficients: wide
-    # enough that squaring never overflows or hits the subnormal range.
-    guard_lo: float
-    guard_hi: float
+    unit_roundoff: float = field(init=False)
+    guard_lo: float = field(init=False)
+    guard_hi: float = field(init=False)
+
+    def __post_init__(self):
+        fi = np.finfo(self.dtype)
+        object.__setattr__(self, "unit_roundoff", float(fi.eps / 2))
+        object.__setattr__(self, "guard_lo", math.ldexp(1.0, -(-fi.minexp // 2)))  # 2^ceil(emin/2)
+        object.__setattr__(self, "guard_hi", float(np.sqrt(fi.max)))  # sqrt rounds in the format
 
     def in_guard(self, x) -> bool:
         """True iff every entry of x (a scalar or an array) lies in the guard."""
@@ -151,8 +159,8 @@ class Precision:
         return bool(np.all((self.guard_lo <= a) & (a <= self.guard_hi)))
 
 
-BINARY64 = Precision("binary64", np.float64, 2.0 ** -53, 2.0 ** -500, 2.0 ** 500)
-BINARY32 = Precision("binary32", np.float32, 2.0 ** -24, 2.0 ** -60, 2.0 ** 60)
+BINARY64 = Precision("binary64", np.float64)
+BINARY32 = Precision("binary32", np.float32)
 PRECISIONS = (BINARY64, BINARY32)
 
 _BLOCK = 64  # columns per batch in _matvec: a batch of rows stays in cache
@@ -513,8 +521,8 @@ def exact_identity_violations(a) -> dict:
     zero_times fl(0*a) = copysign(0, a), self_minus fl(a-a) = +0, self_div
     fl(a/a) = 1 where a != 0, and sqrt_square fl(sqrt(fl(a^2))) = |a| (Lemma
     3.1), over an array a in one supported format.  NonFiniteError on a
-    non-finite entry; RangeError where a^2 overflows, or where a nonzero a
-    has a^2 below the format's smallest normal."""
+    non-finite entry; RangeError past either end of Lemma 3.1's domain (Precision): where
+    a^2 overflows (|a| > guard_hi), or a nonzero a has a^2 below the smallest normal (|a| < guard_lo)."""
     a = np.asarray(a)
     precision_of(a)
     require_finite(a, "alpha")

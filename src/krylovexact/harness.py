@@ -130,19 +130,20 @@ _SAMPLE_CHUNK = 2**20  # samples drawn and checked at a time: memory stays bound
 
 
 def sqrt_square_violations(samples: int, precision: Precision = BINARY64, seed: int = 0) -> int:
-    """Count violations of fl(sqrt(fl(a^2))) = |a| (Lemma 3.1) over guarded random samples,
-    drawn and checked _SAMPLE_CHUNK at a time (one chunk when samples <= _SAMPLE_CHUNK)."""
+    """Count violations of fl(sqrt(fl(a^2))) = |a| (Lemma 3.1) over random samples ±m 2^e of the
+    whole domain, e from guard_lo's binade to guard_hi's and m in [1, 2) capped at guard_hi's significand
+    (no sample rounds past guard_hi), drawn and checked _SAMPLE_CHUNK at a time (one chunk when samples <= _SAMPLE_CHUNK)."""
     if samples < 1:
         raise ValueError("samples must be positive")
     g = make_rng(seed)
-    emax = int(np.log2(precision.guard_hi)) - 1  # |a| < 2^(emax + 1): inside the guard
+    (_, elo), (top, ehi) = np.frexp(precision.guard_lo), np.frexp(precision.guard_hi)
     violations = 0
     for start in range(0, samples, _SAMPLE_CHUNK):
         m = min(_SAMPLE_CHUNK, samples - start)
-        mant = g.uniform(1.0, 2.0, m)
-        expo = g.integers(-emax, emax + 1, m)
+        mant = np.minimum(g.uniform(1.0, 2.0, m), 2 * top)
+        expo = g.integers(elo - 1, ehi, m)
         sign = (2 * g.integers(0, 2, m) - 1).astype(np.float64)
-        alpha = (sign * mant * np.exp2(expo.astype(np.float64))).astype(precision.dtype)
+        alpha = (sign * np.ldexp(mant, expo)).astype(precision.dtype)
         violations += exact_identity_violations(alpha)["sqrt_square"]
     return violations
 

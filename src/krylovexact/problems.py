@@ -377,7 +377,8 @@ def assemble(T, P, beta1, gamma1=None) -> StructuredProblem:
     ValueError.  For BlockTridiagonal T, P must be a SignedBlockPermutation
     and U1 = P [I, 0, ..., 0]^T is produced.
     The scale of v, whose norm a run takes (beta1, or gamma1 for
-    NonsymTridiagonal), must lie in the exponent-range guard (RangeError).
+    NonsymTridiagonal), must lie in the exponent-range guard, Lemma 3.1's
+    domain [guard_lo, guard_hi] (Precision): past either end, RangeError.
     A NonsymTridiagonal's beta1 enters only through w^T v_1, a dot with no
     square, and a block problem's v is a column of P: neither is guarded.
     """
@@ -483,8 +484,8 @@ def random_signed_permutation(n: int, seed: int) -> SignedPermutation:
 def random_structure(kind: str, n: int, seed: int, precision: Precision = BINARY64, p: int = 1, spd: bool = False, positive_beta: bool = False):
     """Seeded n x n structure of the given kind, drawn from make_rng(seed).
 
-    A jacobi T has alpha uniform on [-4, 4) and beta uniform on [1/8, 8),
-    inside both precisions' exponent-range guards; spd shifts its diagonal
+    A jacobi T has alpha uniform on [-4, 4) and beta uniform on [1/8, 8), inside
+    every format's domain [guard_lo, guard_hi] (past it, RangeError); spd shifts its diagonal
     (Gershgorin) so that every row is strictly diagonally dominant with a
     positive diagonal.  positive_beta applies to the superdiagonal of
     nonsymtridiag (else its signs are drawn), and the block size p to

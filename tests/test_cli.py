@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from krylovexact import cli, harness, rational
 from krylovexact.cli import _build_parser, main
 from krylovexact.fileio import write_matrix, write_problem
-from krylovexact.fp import BINARY64, norm2
+from krylovexact.fp import BINARY64, PRECISIONS, norm2
 from krylovexact.lanczos import lanczos
 from krylovexact.problems import STRUCTURES, NonsymTridiagonal, assemble, random_signed_permutation, random_structured_problem
 from rebind import rebind
@@ -783,6 +783,15 @@ def test_every_readme_command_parses():
     assert len(lines) >= 9
     for line in lines:
         assert isinstance(_build_parser().parse_args(line.split()[1:]), argparse.Namespace), line
+
+
+def test_the_readme_domain_table_is_the_format_table():
+    """The README's domain table has one row per PRECISIONS row, in order, and
+    each row's edges are the row's guard_lo and guard_hi in hex."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Domain of exactness\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\w+) +\| `(0x\S+)` +\| `(0x\S+)` +\|$", section, re.M)
+    assert rows == [(row.name, float(row.guard_lo).hex(), float(row.guard_hi).hex()) for row in PRECISIONS]
 
 
 def test_every_readme_mismatch_example_is_a_label_the_check_returns():

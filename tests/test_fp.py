@@ -154,10 +154,10 @@ def test_exact_identities_hold_on_a_guarded_scalar(a):
 
 @st.composite
 def guarded_arrays(draw):
-    """A 1-D or 2-D array of signed values inside its row's guard, with +0 and -0."""
+    """A 1-D or 2-D array of signed values inside its row's guard, its ends included, with +0 and -0."""
     row = draw(st.sampled_from(PRECISIONS))
-    e = int(np.log2(row.guard_hi))
-    value = st.builds(lambda m, k, s: s * m * 2.0**k, st.floats(1.0, 2.0, exclude_max=True), st.integers(-e, e - 1), st.sampled_from([-1.0, 1.0]))
+    magnitude = st.floats(row.guard_lo, row.guard_hi, width=8 * np.dtype(row.dtype).itemsize)
+    value = st.builds(lambda x, s: s * x, magnitude, st.sampled_from([-1.0, 1.0]))
     shape = draw(st.sampled_from([(0,), (1,), (7,), (3, 4)]))
     size = int(np.prod(shape))
     values = draw(st.lists(st.one_of(value, st.sampled_from([0.0, -0.0])), min_size=size, max_size=size))
@@ -219,9 +219,8 @@ _TRANSCENDENTAL = {
     *("sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2", "asin", "acos", "atan", "atan2"),
     *("sinh", "cosh", "tanh", "arcsinh", "arccosh", "arctanh", "asinh", "acosh", "atanh", "erf", "erfc", "gamma", "lgamma"),
 }
-# random_convergence_curves' output is pinned by no digest; sqrt_square_violations
-# takes log2 and exp2 of powers of two, which are exact.
-_LIBM_ALLOWED = {("problems.py", "random_convergence_curves"), ("harness.py", "sqrt_square_violations")}
+# random_convergence_curves' output is pinned by no digest.
+_LIBM_ALLOWED = {("problems.py", "random_convergence_curves")}
 
 
 def _integer_literal(node):
@@ -573,11 +572,13 @@ def test_frobenius_norm_zero_matrix_is_positive_zero():
 
 
 def test_guard_interval():
+    assert (BINARY64.guard_lo, BINARY64.guard_hi) == (2.0**-511, float.fromhex("0x1.fffffffffffffp+511"))
+    assert (BINARY32.guard_lo, BINARY32.guard_hi) == (2.0**-63, float.fromhex("0x1.fffffep+63"))
     assert BINARY64.in_guard(1.0)
     assert not BINARY64.in_guard(0.0)
-    assert not BINARY64.in_guard(2.0**501)
-    assert BINARY32.in_guard(np.float32(2.0**-59))
-    assert not BINARY32.in_guard(np.float32(2.0**61))
+    assert not BINARY64.in_guard(2.0**512)
+    assert BINARY32.in_guard(np.float32(2.0**-63))
+    assert not BINARY32.in_guard(np.float32(2.0**64))
 
 
 def _fold(terms, dtype):

@@ -88,13 +88,45 @@ def test_sqrt_square_violations_checks_at_most_2_20_samples_at_a_time(monkeypatc
     monkeypatch.setattr(harness, "exact_identity_violations", recording)
     assert sqrt_square_violations(1000, precision, seed=3) == 1
     g = make_rng(3)
-    emax = int(np.log2(precision.guard_hi)) - 1
-    mant, expo = g.uniform(1.0, 2.0, 1000), g.integers(-emax, emax + 1, 1000)
+    lo_exp, hi_exp = {"binary64": (-511, 511), "binary32": (-63, 63)}[precision.name]  # the domain's first and last binades
+    mant = np.minimum(g.uniform(1.0, 2.0, 1000), np.ldexp(precision.guard_hi, -hi_exp))
+    expo = g.integers(lo_exp, hi_exp + 1, 1000)
     sign = (2 * g.integers(0, 2, 1000) - 1).astype(np.float64)
-    assert bitwise_equal(checked[0], (sign * mant * np.exp2(expo.astype(np.float64))).astype(precision.dtype))
+    assert bitwise_equal(checked[0], (sign * np.ldexp(mant, expo)).astype(precision.dtype))
     checked.clear()
     assert sqrt_square_violations(2**21 + 5, precision, seed=3) == 3
     assert [len(a) for a in checked] == [2**20, 2**20, 5]
+
+
+class _CornerRng:
+    """A generator whose every draw is the low (or the high) end of its range."""
+
+    def __init__(self, high):
+        self.high = high
+
+    def uniform(self, low, high, size):
+        return np.full(size, np.nextafter(high, low) if self.high else low)
+
+    def integers(self, low, high, size):
+        return np.full(size, high - 1 if self.high else low)
+
+
+@pytest.mark.parametrize("precision", [BINARY64, BINARY32], ids=lambda p: p.name)
+def test_sqrt_square_violations_draws_every_chunk_inside_the_domain(monkeypatch, precision):
+    """Every sample lies in Lemma 3.1's domain after the cast to the format:
+    seeded draws over two chunks, and draws at the two corners of the sampled
+    box, which land on -guard_lo and on guard_hi.  Uncapped, the largest
+    mantissa at the top exponent rounds a binary32 sample up to 2^64."""
+    checked = []
+    real = harness.exact_identity_violations
+    monkeypatch.setattr(harness, "exact_identity_violations", lambda alpha: checked.append(alpha.copy()) or real(alpha))
+    assert sqrt_square_violations(2**20 + 7, precision, seed=5) == 0
+    for high in (False, True):
+        monkeypatch.setattr(harness, "make_rng", lambda seed, high=high: _CornerRng(high))
+        assert sqrt_square_violations(9, precision) == 0
+    assert [len(a) for a in checked] == [2**20, 7, 9, 9]
+    assert all(precision.in_guard(a) for a in checked)
+    assert (checked[2] == -precision.guard_lo).all() and (checked[3] == precision.guard_hi).all()
 
 
 @pytest.mark.parametrize(

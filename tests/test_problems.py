@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krylovexact.fileio import read_problem, write_problem
-from krylovexact.fp import BINARY32, BINARY64, NonFiniteError, RangeError, ShapeError, bitwise_equal
+from krylovexact.fp import BINARY32, BINARY64, NonFiniteError, RangeError, ShapeError, bitwise_equal, exact_identity_violations
 from krylovexact.harness import ALGORITHMS, RunInputs, _deficient_instance, compare_structured
 from krylovexact.problems import (
     _fisher_yates,
@@ -511,8 +511,12 @@ def test_strakos_spectrum_checks_its_parameters_after_the_cast_and_its_result(la
         strakos_spectrum(2, lam1, lamn, 0.7, precision)
 
 
-# scales just outside each precision's exponent-range guard, below and above
-_OUTSIDE = [(BINARY64, 1.3 * 2.0**-520), (BINARY64, 2.0**501), (BINARY32, 1.3 * 2.0**-70), (BINARY32, 2.0**61)]
+# scales one step outside each precision's exponent-range guard, below and above
+_OUTSIDE = [
+    (row, float(np.nextafter(row.dtype(edge), row.dtype(past))))
+    for row in (BINARY64, BINARY32)
+    for edge, past in ((row.guard_lo, 0.0), (row.guard_hi, np.inf))
+]
 
 
 @pytest.mark.parametrize("precision, scale", _OUTSIDE)
@@ -554,8 +558,9 @@ def test_block_tridiagonal_guards_the_diagonals_of_its_b_blocks(precision, scale
     B[1][1, 1] = scale
     with pytest.raises(RangeError, match="subdiagonal block diagonal outside the exponent-range guard"):
         BlockTridiagonal(tuple(Mi.copy() for Mi in T.M), tuple(B))
-    B[1][1, 1] = precision.guard_lo
-    BlockTridiagonal(tuple(Mi.copy() for Mi in T.M), tuple(B))
+    for inside in (precision.guard_lo, precision.guard_hi):
+        B[1][1, 1] = inside
+        BlockTridiagonal(tuple(Mi.copy() for Mi in T.M), tuple(Bi.copy() for Bi in B))  # a built structure freezes its arrays
 
 
 @pytest.mark.parametrize("precision, scale", _OUTSIDE)
@@ -565,8 +570,102 @@ def test_detect_structure_guards_the_beta1_it_returns(precision, scale):
     v[prob.P.perm[0]] = -scale
     with pytest.raises(RangeError, match="beta1 outside the exponent-range guard"):
         detect_structure(prob.A, v)
-    v[prob.P.perm[0]] = -precision.guard_hi
-    assert detect_structure(prob.A, v)[2] == precision.guard_hi
+    for inside in (precision.guard_lo, precision.guard_hi):
+        v[prob.P.perm[0]] = -inside
+        assert detect_structure(prob.A, v)[2] == inside
+
+
+def _edges(precision):
+    """lo, succ(lo), pred(hi) and hi of the precision's domain, then pred(lo) and succ(hi) just outside it."""
+    dt = precision.dtype
+    lo, hi = dt(precision.guard_lo), dt(precision.guard_hi)
+    return [lo, np.nextafter(lo, dt(np.inf)), np.nextafter(hi, dt(0)), hi], [np.nextafter(lo, dt(0)), np.nextafter(hi, dt(np.inf))]
+
+
+def _with_squared(T, values):
+    """T with every entry that a run squares taken from values(length): Jacobi
+    beta, the Hessenberg subdiagonal, nonsym gamma, both bidiagonal bands and
+    the diagonals of the B blocks.  Every other entry is T's."""
+    if T.kind == "jacobi":
+        return JacobiMatrix(T.alpha.copy(), values(T.n - 1))
+    if T.kind == "hessenberg":
+        H = T.entries.copy()
+        H[np.arange(1, T.n), np.arange(T.n - 1)] = values(T.n - 1)
+        return HessenbergMatrix(H)
+    if T.kind == "nonsymtridiag":
+        return NonsymTridiagonal(T.alpha.copy(), T.beta.copy(), values(T.n - 1))
+    if T.kind == "lowerbidiag":
+        return LowerBidiagonal(values(T.n), values(T.n - 1))
+    B = [Bi.copy() for Bi in T.B]
+    for Bi in B:
+        Bi[np.diag_indices(T.p)] = values(T.p)
+    return BlockTridiagonal(tuple(Mi.copy() for Mi in T.M), tuple(B))
+
+
+# the algorithm that runs on each kind, the scale of v whose norm it takes (a block problem's v is
+# a column of P) and the entries of T that it squares (those _with_squared sets)
+_EDGE_RUNS = {"jacobi": "lanczos", "hessenberg": "arnoldi", "nonsymtridiag": "bilanczos", "lowerbidiag": "gk", "blocktridiag": "blocklanczos"}
+_GUARDED_SCALE = {"jacobi": "beta1", "hessenberg": "beta1", "nonsymtridiag": "gamma1", "lowerbidiag": "beta1", "blocktridiag": None}
+_SQUARED = {
+    "jacobi": lambda T: [T.beta],
+    "hessenberg": lambda T: [np.diagonal(T.entries, -1)],
+    "nonsymtridiag": lambda T: [T.gamma],
+    "lowerbidiag": lambda T: [T.gamma, T.delta],
+    "blocktridiag": lambda T: [np.diagonal(Bi) for Bi in T.B],
+}
+
+
+def _assemble_with_scale(base, T, scale):
+    """assemble(T, base.P) with base's beta1 and gamma1, T's guarded scale (if it has one) set to scale."""
+    scales = {"beta1": base.beta1, "gamma1": base.gamma1}
+    if _GUARDED_SCALE[T.kind]:
+        scales[_GUARDED_SCALE[T.kind]] = scale
+    return assemble(T, base.P, **scales)
+
+
+@pytest.mark.parametrize("precision", [BINARY64, BINARY32], ids=lambda p: p.name)
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_is_exact_on_the_edges_of_the_domain_and_raises_one_step_past_them(kind, precision):
+    """The squared entries and the scale of v (beta1, gamma1 for nonsymtridiag)
+    drawn from lo, succ(lo), pred(hi) and hi of Lemma 3.1's domain: each run
+    matches its prediction bit for bit.  pred(lo) or succ(hi) in a squared
+    entry or the scale is a RangeError from the constructor or assemble."""
+    inside, outside = _edges(precision)
+    name = _GUARDED_SCALE[kind]
+    for i, n in enumerate((2, 3, 4, 6, 8, 12, 16, 24, 30)):
+        base = random_structured_problem(kind, n, n, precision, p=3 if n % 3 == 0 else 1 if n % 2 else 2)
+        g = make_rng(n)
+        T = _with_squared(base.T, lambda length: np.array(inside, dtype=precision.dtype)[g.integers(0, 4, length)])
+        assert all(np.isin(a, inside).all() for a in _SQUARED[kind](T))
+        prob = _assemble_with_scale(base, T, inside[i % 4])
+        x = RunInputs(prob.A, prob.v, prob.w, prob.U1)
+        entry = ALGORITHMS[_EDGE_RUNS[kind]]
+        report = compare_structured(prob, _EDGE_RUNS[kind], entry.run(x, entry.steps(x)))
+        assert report.ok, (n, report.mismatch)
+    for past in outside:
+        with pytest.raises(RangeError, match="outside the exponent-range guard"):
+            _with_squared(base.T, lambda length: np.full(length, past))
+        if name:
+            with pytest.raises(RangeError, match=f"^{name} outside the exponent-range guard$"):
+                _assemble_with_scale(base, base.T, past)
+
+
+@pytest.mark.parametrize("precision", [BINARY64, BINARY32], ids=lambda p: p.name)
+def test_in_guard_is_a_normal_finite_square_at_the_edges(precision):
+    """At the six edge points, in_guard(±x) is "fl(x*x) is normal and finite in
+    the format", and exact_identity_violations raises RangeError exactly where
+    in_guard is False."""
+    inside, outside = _edges(precision)
+    for x in inside + outside:
+        with np.errstate(over="ignore", under="ignore"):
+            square = x * x
+        normal_finite = bool(np.isfinite(square) and square >= np.finfo(precision.dtype).smallest_normal)
+        assert precision.in_guard(x) is precision.in_guard(-x) is normal_finite is (x in inside), x
+        if normal_finite:
+            assert not any(exact_identity_violations(np.array([x, -x])).values())
+        else:
+            with pytest.raises(RangeError):
+                exact_identity_violations(np.array([x, -x]))
 
 
 def test_prescribe_cg_curves_single_step():

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 from test_golden_bits import _feed
 
-from krylovexact.fp import BINARY32, BINARY64
+from krylovexact.fp import BINARY32, BINARY64, RangeError
 from krylovexact.harness import ALGORITHMS, RunInputs
 from krylovexact.problems import make_rng, random_structured_problem, strakos_spectrum
+from test_problems import _EDGE_RUNS, _GUARDED_SCALE, _SQUARED, _assemble_with_scale
 
 # entry -> (operand kind, {field: (ca, cb)}); a field left out is unscaled.
 # bilanczos's w and blocklanczos's U1 are not scaled.
@@ -170,3 +171,52 @@ def test_lanczos_on_minus_a_negates_alpha_and_every_other_vector(precision):
             expected = dataclasses.replace(want, V=want.V * signs, alpha=-want.alpha)
             for f in dataclasses.fields(want):
                 assert _bits(getattr(got, f.name)) == _bits(getattr(expected, f.name)), (n, seed, f.name)
+
+
+def _scaled_structure(T, a):
+    """2^a T: every stored array of T times 2^a."""
+    return type(T)(*(_times_power_of_two(getattr(T, f.name), a) for f in dataclasses.fields(T)))
+
+
+def _to_binade(x, edge):
+    """The power of two that moves x into edge's binade."""
+    return math.frexp(edge)[1] - math.frexp(float(x))[1]
+
+
+@pytest.mark.parametrize("precision", _PRECISIONS, ids=lambda p: p.name)
+@pytest.mark.parametrize("kind", list(_EDGE_RUNS))
+def test_the_relations_hold_up_to_the_edge_of_the_domain_and_one_step_past_it_is_a_range_error(kind, precision):
+    """A structured pair scaled to (2^a T, 2^b beta_1) (gamma_1 for
+    nonsymtridiag; a block problem has no scale to guard) with a and b at
+    the ends of their range: the largest squared entry of T, or beta_1, in
+    guard_hi's binade, or the smallest in guard_lo's.  Every field of the run
+    is the unscaled run's times 2^(ca a + cb b), bit for bit.  One more power
+    of two past either end is a RangeError when T or the pair is built."""
+    name = _GUARDED_SCALE[kind]
+    algorithm = _EDGE_RUNS[kind]
+    entry, scaled = ALGORITHMS[algorithm], _RELATIONS[algorithm][1]
+    for n, seed in [(6, 0), (12, 1), (24, 2)]:
+        base = random_structured_problem(kind, n, seed, precision, p=3)
+        squared = np.concatenate(_SQUARED[kind](base.T))
+        scale = getattr(base, name) if name else None
+        a_range = (_to_binade(squared.min(), precision.guard_lo), _to_binade(squared.max(), precision.guard_hi))
+        b_range = (_to_binade(scale, precision.guard_lo), _to_binade(scale, precision.guard_hi)) if name else (0, 0)
+        x = RunInputs(base.A, base.v, base.w, base.U1)
+        want = entry.run(x, entry.steps(x))
+        for a in a_range:
+            T = _scaled_structure(base.T, a)
+            assert _bits(_scaled_structure(T, -a)) == _bits(base.T)  # the premise: no entry left the normal range
+            for b in b_range:
+                prob = _assemble_with_scale(base, T, _times_power_of_two(scale, b) if name else None)
+                got = entry.run(RunInputs(prob.A, prob.v, prob.w, prob.U1), entry.steps(x))
+                for f in dataclasses.fields(want):
+                    ca, cb = scaled.get(f.name, (0, 0))
+                    e = ca * a + cb * b
+                    expected = _times_power_of_two(getattr(want, f.name), e) if e else getattr(want, f.name)
+                    assert _bits(getattr(got, f.name)) == _bits(expected), (n, a, b, f.name)
+        for a, past in zip(a_range, (-1, 1)):
+            with pytest.raises(RangeError, match="outside the exponent-range guard"):
+                _scaled_structure(base.T, a + past)
+        for b, past in zip(b_range, (-1, 1) if name else ()):
+            with pytest.raises(RangeError, match=f"^{name} outside the exponent-range guard$"):
+                _assemble_with_scale(base, base.T, _times_power_of_two(scale, b + past))
