@@ -40,7 +40,7 @@ recurrence, returns (||v||, v / ||v||) or raises ValueError: "<what> is zero",
 or "<what>'s squared norm underflows" for a nonzero v.
 
 Row layout: the Krylov loops and the block QR keep their bases as the
-contiguous rows of an array and return a C-order copy of the transpose.
+contiguous rows of an array, and _basis builds the C-order transpose once.
 The three-term loops (lanczos, nonsym_lanczos, golub_kahan) and block Lanczos
 index theirs as the recurrence: row i is v_i over a +0 row 0 for v_0 (U[i] is
 U_i over U_0 = +0, and B_1 = +0), and each coefficient sits at its recurrence
@@ -165,6 +165,7 @@ PRECISIONS = (BINARY64, BINARY32)
 
 _BLOCK = 64  # columns per batch in _matvec: a batch of rows stays in cache
 _TILE = 128  # rows per strip in bitwise_symmetric: the strip's bool result stays small
+_SCATTER = 1 << 16  # entries from which _basis scatters: a smaller transposed copy stays in cache and costs less
 
 
 def precision_named(name: str) -> Precision:
@@ -264,6 +265,19 @@ def bitwise_equal(a, b) -> bool:
     return first_bit_difference(a, b) is None
 
 
+def signed_columns_equal(B, rows, signs, neg) -> bool:
+    """bitwise_equal(B, S), without building the n x m S whose column j is
+    signs[j] (in B's dtype) at row rows[j] and a zero elsewhere, -0 where
+    neg[j], else +0.  With each column of B's bit view XORed with its zero's
+    bits, one gather matches S's m nonzeros, and m nonzeros in all leave
+    every other entry its column's zero."""
+    U, z = _bit_view(B), 0
+    if neg.any():  # the XOR copy only for a -0 column
+        z = _bit_view(np.where(neg, -0.0, 0.0).astype(B.dtype))
+        U = U ^ z
+    return np.count_nonzero(U) == len(rows) and bool((U[rows, np.arange(len(rows))] == _bit_view(signs) ^ z).all())
+
+
 def bitwise_symmetric(A: np.ndarray) -> bool:
     """bitwise_equal(A, A.T) for a square float matrix, without a transposed
     copy: each _TILE-row strip of the upper triangle of A's bit view is
@@ -358,6 +372,26 @@ def _unit(z: np.ndarray, out: np.ndarray):
         else:
             np.divide(z, nrm, out=out)
     return nrm, c
+
+
+def _basis(Rt: np.ndarray, coord=None, whole: int = 0) -> np.ndarray:
+    """Rt.T.copy() bit for bit, the C-order basis of the rows of Rt, built once.
+    A row j >= whole with coord[j] >= 0 was written by _unit on that coordinate
+    into a +0 row, so its one entry is scattered into np.zeros.  Every other row
+    is copied whole: the first `whole` (_start's v / ||v|| keeps v's -0s), rows
+    without a coordinate, and all rows when coord is None (nonsym_lanczos's
+    w / beta_{i+1} makes -0s where beta_{i+1} < 0; the block QR's divides).
+    Below _SCATTER entries, or with no row to scatter, it is the one copy."""
+    c = None if coord is None or Rt.size < _SCATTER else coord[whole:]
+    j = () if c is None else np.flatnonzero(c >= 0)
+    if not len(j):
+        return Rt.T.copy()
+    B = np.zeros(Rt.shape[::-1], dtype=Rt.dtype)
+    cj, j, w = c[j], j + whole, np.flatnonzero(c < 0) + whole
+    B[cj, j] = Rt[j, cj]
+    B[:, :whole] = Rt[:whole].T
+    B[:, w] = Rt[w].T
+    return B
 
 
 def _mgs(Qt: np.ndarray, w: np.ndarray, c: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -23,11 +23,12 @@ from .fp import (
     first_bit_difference,
     frobenius_norm,
     precision_of,
+    signed_columns_equal,
     validate_operands,
 )
 from .krylov_general import ArnoldiResult, BlockLanczosResult, GolubKahanResult, NonsymLanczosResult, arnoldi, block_lanczos, gmres_structured, golub_kahan, nonsym_lanczos
 from .lanczos import LanczosResult, lanczos
-from .problems import extend_deficient, make_rng, random_structured_problem, strakos_spectrum
+from .problems import SignedBlockPermutation, extend_deficient, make_rng, random_structured_problem, strakos_spectrum
 from .rational import rat_dot, rational_cg, to_rational_vector
 
 
@@ -177,7 +178,8 @@ class Algorithm:
     `run --out` writes.  Structured entries name the problem kind they run on,
     and predict(problem) builds, from the problem alone and in its dtype, the
     result that an exact full run returns: the basis P, T's entries, the
-    terminal +0 and the breakdown at the grade d.
+    terminal +0 and the breakdown at the grade d.  predict(problem, _lazy_P)
+    gives each basis as _Columns instead, unbuilt.
     """
 
     run: Callable
@@ -187,27 +189,51 @@ class Algorithm:
     predict: Callable | None = None
 
 
-def _dense_P(prob):
-    """P over +0 rows up to len(v), the basis of a grade-deficient instance;
-    P itself, uncopied, when there is nothing to pad."""
+def _dense_P(prob, neg=()):
+    """P over +0 rows up to len(v), the basis of a grade-deficient instance
+    (P itself when there is nothing to pad), with -0 at the zero entries of
+    the columns neg."""
     P = prob.P.to_dense(prob.A.dtype)
     pad = len(prob.v) - len(P)
-    return np.vstack([P, np.zeros((pad, P.shape[1]), dtype=P.dtype)]) if pad else P
+    P = np.vstack([P, np.zeros((pad, P.shape[1]), dtype=P.dtype)]) if pad else P
+    P[:, neg] = np.where(P[:, neg] == 0, -0.0, P[:, neg])
+    return P
 
 
-def _bilanczos_predict(prob):
+@dataclass(frozen=True)
+class _Columns:
+    """_dense_P(prob, neg) unbuilt, for fp.signed_columns_equal; [:, s] takes columns s."""
+
+    n: int
+    rows: np.ndarray
+    signs: np.ndarray
+    neg: np.ndarray
+
+    def __getitem__(self, key):
+        return _Columns(self.n, self.rows[key[1]], self.signs[key[1]], self.neg[key[1]])
+
+
+def _lazy_P(prob, neg=()):
+    """_dense_P(prob, neg) as _Columns: P's rows and signs, in A's dtype."""
+    P = prob.P.flatten() if isinstance(prob.P, SignedBlockPermutation) else prob.P
+    negative = np.zeros(P.n, dtype=bool)
+    negative[np.asarray(neg, dtype=int)] = True
+    return _Columns(len(prob.v), P.perm, P.signs.astype(prob.A.dtype), negative)
+
+
+def _bilanczos_predict(prob, P=_dense_P):
     """V = W = P, except that W has -0 at the zero entries of each column j >= 1
     whose beta_{j+1} (prob.T.beta[j - 1]) is negative: w_{j+1} = wnew /
     beta_{j+1} is a full divide, which turns each +0 of wnew into -0.  The
     nonzero entry keeps P's sign."""
-    V = W = _dense_P(prob)
-    cols = np.flatnonzero(prob.T.beta < 0) + 1
-    if cols.size:
-        W = V.copy()
-        block = W[:, cols]
-        block[block == 0] = -0.0
-        W[:, cols] = block
+    V, neg = P(prob), np.flatnonzero(prob.T.beta < 0) + 1
+    W = P(prob, neg) if neg.size else V
     return NonsymLanczosResult(V, W, prob.T.alpha, prob.T.beta, prob.T.gamma, prob.gamma1, prob.beta1, prob.d)
+
+
+def _block_predict(prob, P=_dense_P):
+    B, p = P(prob), prob.T.p  # U_i is B's i-th block of p columns
+    return BlockLanczosResult(tuple(B[:, j : j + p] for j in range(0, len(prob.v), p)), prob.T.M, prob.T.B, prob.d)
 
 
 def _plus_zero(a):
@@ -231,13 +257,13 @@ ALGORITHMS = {
         run=lambda x, k: lanczos(x.A, x.v, k, variant=x.variant, reorth=x.reorth),
         columns=lambda r: [("alpha", r.alpha), ("beta", r.beta)],
         kind="jacobi",
-        predict=lambda prob: LanczosResult(_dense_P(prob), prob.T.alpha, _plus_zero(prob.T.beta), prob.beta1, prob.d),
+        predict=lambda prob, P=_dense_P: LanczosResult(P(prob), prob.T.alpha, _plus_zero(prob.T.beta), prob.beta1, prob.d),
     ),
     "arnoldi": Algorithm(
         run=lambda x, k: arnoldi(x.A, x.v, k),
         columns=lambda r: [("H", r.H)],
         kind="hessenberg",
-        predict=lambda prob: ArnoldiResult(_dense_P(prob), _plus_zero(prob.T.entries), prob.d),
+        predict=lambda prob, P=_dense_P: ArnoldiResult(P(prob), _plus_zero(prob.T.entries), prob.d),
     ),
     "bilanczos": Algorithm(
         run=lambda x, k: nonsym_lanczos(x.A, x.v, x.w, k),
@@ -249,14 +275,14 @@ ALGORITHMS = {
         run=lambda x, k: golub_kahan(x.A, x.v, k),
         columns=lambda r: [("gamma", r.gamma), ("delta", r.delta)],
         kind="lowerbidiag",
-        predict=lambda prob: GolubKahanResult(*[_dense_P(prob)] * 2, prob.T.gamma, prob.T.delta, prob.beta1, ("delta", prob.d + 1)),  # S = W = P
+        predict=lambda prob, P=_dense_P: GolubKahanResult(*[P(prob)] * 2, prob.T.gamma, prob.T.delta, prob.beta1, ("delta", prob.d + 1)),  # S = W = P
     ),
     "blocklanczos": Algorithm(
         run=lambda x, k: block_lanczos(x.A, x.U1, k, qr_variant=x.qr_variant),
         columns=lambda r: [(f"M{i + 1}", M) for i, M in enumerate(r.M)] + [(f"B{i + 2}", B) for i, B in enumerate(r.B)],
         steps=_block_steps,
         kind="blocktridiag",
-        predict=lambda prob: BlockLanczosResult(tuple(np.hsplit(_dense_P(prob), prob.T.m)), prob.T.M, prob.T.B, prob.d),
+        predict=_block_predict,
     ),
     "cg-hs": Algorithm(run=lambda x, k: cg_hs(x.A, x.v, kmax=k), columns=_cg_columns),
     "cglanczos": Algorithm(run=lambda x, k: cglanczos(x.A, x.v, kmax=k), columns=_cg_columns),
@@ -299,6 +325,16 @@ def _pair(a, b, what):
     return (f"{what}[{','.join(str(int(i)) for i in idx)}]" if idx else what, idx is None)
 
 
+def _columns_equal(got, want) -> bool:
+    """got is bitwise the basis that want, _Columns or a tuple of them, stands for;
+    blocks of the predicted shapes are checked as one hstack."""
+    if isinstance(want, tuple):
+        if not (isinstance(got, tuple) and len(got) == len(want) and all(type(g) is np.ndarray and g.shape == (w.n, len(w.rows)) for g, w in zip(got, want))):
+            return False
+        got, want = np.hstack(got), _Columns(want[0].n, *map(np.concatenate, zip(*((w.rows, w.signs, w.neg) for w in want))))
+    return type(got) is np.ndarray and got.shape == (want.n, len(want.rows)) and got.dtype == want.signs.dtype and signed_columns_equal(got, want.rows, want.signs, want.neg)
+
+
 def exactness_check(algorithm: str, n: int, seed: int, precision: Precision = BINARY64, p: int = 1, variant: str = "mgs", qr_variant: str = "mgs") -> ExactnessReport:
     """Build one structured instance, run the algorithm once, compare bitwise."""
     entry = _structured(algorithm)
@@ -318,20 +354,26 @@ def compare_structured(prob, algorithm: str, result) -> ExactnessReport:
     The mismatch names the first differing field in field order, with the
     index of its first differing entry: alpha[2], W[3,5], or beta1 for a scalar;
     a breakdown label names the run's value and the predicted one, as in
-    breakdown (None, expected 5).  The report's seed is -1: exactness_check
-    sets the seed it drew the instance from."""
+    breakdown (None, expected 5).  A basis is checked against its _Columns
+    by fp.signed_columns_equal, without the n x n prediction, which is built
+    only to name a mismatch.  The report's seed is -1: exactness_check sets
+    the seed it drew the instance from."""
     entry = structured_entry(prob, algorithm)
     precision = precision_of(prob.A)
     n = len(prob.v)
-    expected = entry.predict(prob)
+    expected, dense = entry.predict(prob, _lazy_P), None
     checks = []  # (category, label, match) per field
     for f in fields(expected):
         got, want = getattr(result, f.name), getattr(expected, f.name)
         if f.name == "breakdown":
             checks.append(("breakdown", f"breakdown ({got}, expected {want})", got == want))
+        elif f.name not in ("V", "W", "S", "U"):
+            checks.append(("projected", *_pair(got, want, f.name)))
+        elif not _columns_equal(got, want):
+            dense = dense or entry.predict(prob)
+            checks.append(("basis", *_pair(got, getattr(dense, f.name), f.name)))
         else:
-            checks.append(("basis" if f.name in ("V", "W", "S", "U") else "projected", *_pair(got, want, f.name)))
-    del expected  # free the n x n P before the report is built: held to the return, exact-large's peak RSS read 77 MiB, not 71
+            checks.append(("basis", f.name, True))
     matches = (all(ok for c, _, ok in checks if c == category) for category in ("projected", "basis", "breakdown"))
     mismatch = next((label for _, label, ok in checks if not ok), None)
     return ExactnessReport(algorithm, n, -1, precision.name, *matches, mismatch)

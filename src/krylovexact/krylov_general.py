@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import ShapeError, _coordinate, _dot, _gram, _matmat, _matvec, _mgs, _norm2, _start, _sub_scaled, _unit, require_finite, validate_operands
+from .fp import ShapeError, _basis, _coordinate, _dot, _gram, _matmat, _matvec, _mgs, _norm2, _start, _sub_scaled, _unit, require_finite, validate_operands
 from .lanczos import VARIANTS
 from .rational import witness_norms
 
@@ -45,8 +45,8 @@ def arnoldi(A: np.ndarray, v: np.ndarray, k: int) -> ArnoldiResult:
         if H[j + 1, j] == 0:
             breakdown = j + 1
             break
-    steps = breakdown or k
-    return ArnoldiResult(Vt[: (breakdown or k + 1)].T.copy(), H[: steps + 1, : steps].copy(), breakdown)
+    steps, cols = breakdown or k, breakdown or k + 1
+    return ArnoldiResult(_basis(Vt[:cols], coord[:cols], whole=1), H[: steps + 1, : steps].copy(), breakdown)
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,8 @@ def nonsym_lanczos(A: np.ndarray, v: np.ndarray, w: np.ndarray, k: int) -> Nonsy
     steps = breakdown or k
     cols = breakdown or k + 1
     return NonsymLanczosResult(
-        V=Vt[1 : cols + 1].T.copy(),
-        W=Wt[1 : cols + 1].T.copy(),
+        V=_basis(Vt[1 : cols + 1], cv[1 : cols + 1], whole=1),
+        W=_basis(Wt[1 : cols + 1]),
         alpha=alpha[1 : steps + 1],
         beta=beta[2 : steps + 1],
         gamma=gamma[2 : steps + 1],
@@ -152,9 +152,10 @@ def golub_kahan(A: np.ndarray, v: np.ndarray, k: int) -> GolubKahanResult:
             breakdown = ("delta", i + 1)
             break
     kind, j = breakdown or ("gamma", k + 1)  # a full run keeps what a zero gamma_{k+1} would
+    s = j + (kind == "gamma")  # a zero delta_j leaves s_j unformed
     return GolubKahanResult(
-        S=St[1 : j + (kind == "gamma")].T.copy(),  # a zero delta_j leaves s_j unformed
-        W=Wt[1:j].T.copy(),
+        S=_basis(St[1:s], cs[1:s], whole=1),
+        W=_basis(Wt[1:j], cw[1:j]),
         gamma=gamma[1:j],
         delta=delta[2:j],
         delta1=delta[1],
@@ -188,9 +189,9 @@ def gram_schmidt_qr(R: np.ndarray, variant: str):
             w = w - Rf[i, j] * Qt[i]
         Rf[j, j] = _norm2(w)
         if Rf[j, j] == 0:
-            return Qt.T.copy(), Rf, j
+            return _basis(Qt), Rf, j
         Qt[j] = w / Rf[j, j]
-    return Qt.T.copy(), Rf, None
+    return _basis(Qt), Rf, None
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import _dot, _matvec, _mgs, _start, _sub_scaled, _unit, bitwise_symmetric, validate_operands
+from .fp import _basis, _dot, _matvec, _mgs, _start, _sub_scaled, _unit, bitwise_symmetric, validate_operands
 from .problems import JacobiMatrix
 
 VARIANTS = ("mgs", "cgs")
@@ -50,7 +50,8 @@ def lanczos(A: np.ndarray, v: np.ndarray, k: int, variant: str = "mgs", reorth: 
     of v_i^T (Av_i), and then z = Av_i - alpha_i v_i - beta_i v_{i-1}.  reorth
     'full' projects z once against all previous basis vectors, 'double' twice;
     the reorthogonalization coefficients are discarded.  The loop,
-    _lanczos_steps, keeps Vt, alpha and beta in fp's Row layout.
+    _lanczos_steps, keeps Vt, alpha and beta in fp's Row layout, and fp._basis
+    builds V from Vt and the rows' coordinates.
     """
     steps = _lanczos_steps(A, v, k, variant, reorth)
     try:
@@ -103,9 +104,9 @@ def _lanczos_steps(A, v, k, variant, reorth):
         if beta[i + 1] == 0:
             breakdown = i
             break
-    steps = breakdown or k
+    steps, cols = breakdown or k, breakdown or k + 1
     return LanczosResult(
-        V=Vt[1 : (breakdown or k + 1) + 1].T.copy(),  # v_1..v_{k+1}, or v_1..v_i on a breakdown at step i
+        V=_basis(Vt[1 : cols + 1], coord[1 : cols + 1], whole=1),  # v_1..v_{k+1}, or v_1..v_i on a breakdown at step i
         alpha=alpha[1 : steps + 1],
         beta=beta[2 : steps + 2],
         beta1=beta1,

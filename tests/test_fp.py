@@ -214,6 +214,37 @@ def test_only_fp_takes_a_bit_view():
     assert [path.name for path in modules if path.name != "fp.py" and "_bit_view" in path.read_text()] == []
 
 
+def _copies_a_transpose(node) -> bool:
+    """node is x.T.copy(), x.transpose(...).copy(), or np.copy, np.array or
+    np.ascontiguousarray of x.T."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    inner = node.func.value
+    if node.func.attr == "copy" and not node.args:
+        return isinstance(inner, ast.Attribute) and inner.attr == "T" or isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute) and inner.func.attr == "transpose"
+    return node.func.attr in ("copy", "array", "ascontiguousarray") and bool(node.args) and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "T"
+
+
+def _returned(ret):
+    """What a return statement hands back: its value, a tuple's items, and
+    the arguments of a returned call (a result dataclass's fields)."""
+    parts = list(ret.value.elts) if isinstance(ret.value, ast.Tuple) else [ret.value]
+    return parts + [a for p in parts if isinstance(p, ast.Call) for a in [*p.args, *(kw.value for kw in p.keywords)]]
+
+
+def test_only_fp_builds_a_basis_from_its_row_table():
+    """No module but fp returns a transposed copy of a row table: every loop
+    returns its basis through fp._basis, which scatters the rows that _unit
+    wrote on a coordinate and copies the rest whole."""
+    hits = []
+    for path in sorted(Path(fp.__file__).parent.glob("*.py")):
+        if path.name != "fp.py":
+            for ret in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(ret, ast.Return) and ret.value is not None:
+                    hits += [f"{path.name}:{node.lineno} {ast.unparse(node)}" for node in _returned(ret) if _copies_a_transpose(node)]
+    assert hits == []
+
+
 _TRANSCENDENTAL = {
     *("exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "logaddexp", "logaddexp2", "pow", "power", "float_power", "cbrt", "hypot"),
     *("sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2", "asin", "acos", "atan", "atan2"),

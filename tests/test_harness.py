@@ -21,9 +21,9 @@ from krylovexact.harness import (
     sqrt_square_violations,
     sweep_failures,
 )
-from krylovexact.krylov_general import arnoldi, nonsym_lanczos
+from krylovexact.krylov_general import arnoldi, block_lanczos, nonsym_lanczos
 from krylovexact.lanczos import lanczos
-from krylovexact.problems import JacobiMatrix, assemble, extend_deficient, make_rng, random_signed_permutation, random_structure, random_structured_problem
+from krylovexact.problems import JacobiMatrix, SignedPermutation, assemble, extend_deficient, make_rng, random_signed_permutation, random_structure, random_structured_problem
 from rebind import rebind
 from test_golden_bits import _feed
 
@@ -139,17 +139,22 @@ def test_exactness_check_small(algorithm):
 
 
 def test_a_full_grade_basis_is_compared_without_a_padded_copy(monkeypatch):
-    """Only a grade-deficient instance pads P; an n = 1000 Lanczos compare
-    would otherwise copy an n x n basis."""
+    """Only a grade-deficient instance pads P, and only to name a mismatch: an
+    accepted check, deficient too, builds no dense basis to pad, and an
+    n = 1000 Lanczos compare would otherwise copy an n x n basis."""
 
     def no_vstack(*args, **kwargs):
-        raise AssertionError("P was padded on a full-grade problem")
+        raise AssertionError("P was padded")
 
     monkeypatch.setattr(np, "vstack", no_vstack)
-    for algorithm in ("lanczos", "arnoldi", "bilanczos", "gk", "blocklanczos"):
+    for algorithm in ("lanczos", "arnoldi", "bilanczos", "gk", "blocklanczos", "deficient"):
         assert exactness_check(algorithm, 6, seed=1, p=2).ok
-    with pytest.raises(AssertionError, match="full-grade"):
-        exactness_check("deficient", 6, seed=1)
+    prob = harness._deficient_instance(6, 1)
+    res = lanczos(prob.A, prob.v, 6)
+    moved = res.V.copy()
+    moved[-1, 0] = 1.0  # a nonzero in a padding row
+    with pytest.raises(AssertionError, match="padded"):
+        compare_structured(prob, "deficient", replace(res, V=moved))
 
 
 def test_exactness_check_binary32():
@@ -678,3 +683,116 @@ def test_bilanczos_on_a_signed_superdiagonal_matches_its_prediction_bit_for_bit(
     negative = np.concatenate([[False], prob.T.beta < 0])
     assert np.array_equal(W, prob.P.to_dense(precision.dtype))  # equal values: only signs of zeros move
     assert np.array_equal(np.signbit(W) & (W == 0), (W == 0) & negative)
+
+
+# ---------------------------------------------------------------------------
+# the structural basis check against the dense comparison
+
+_BASES = ("V", "W", "S", "U")
+
+
+def _dense_report(prob, name, result):
+    """(projected_match, basis_match, breakdown_match, mismatch) of the dense
+    comparison: every field, each basis built as an n x m array, against
+    ALGORITHMS[name].predict(prob) through first_bit_difference."""
+    want = ALGORITHMS[name].predict(prob)
+    checks = []
+    for f in dataclasses.fields(want):
+        got, exp = getattr(result, f.name), getattr(want, f.name)
+        if f.name == "breakdown":
+            checks.append(("breakdown", f"breakdown ({got}, expected {exp})", got == exp))
+        else:
+            checks.append(("basis" if f.name in _BASES else "projected", *harness._pair(got, exp, f.name)))
+    flags = tuple(all(ok for c, _, ok in checks if c == category) for category in ("projected", "basis", "breakdown"))
+    return (*flags, next((label for _, label, ok in checks if not ok), None))
+
+
+@st.composite
+def _signed_beta_runs(draw):
+    """("bilanczos", problem, full run) on a signed superdiagonal, so that W
+    has -0 columns, and sometimes its grade-deficient extension."""
+    precision = draw(st.sampled_from([BINARY64, BINARY32]))
+    n, seed = draw(st.integers(1, 9)), draw(st.integers(0, 2**16))
+    prob = _signed_beta_problem(n, seed, precision)
+    if draw(st.booleans()):
+        prob = extend_deficient(prob, np.eye(2, dtype=precision.dtype))
+    return "bilanczos", prob, nonsym_lanczos(prob.A, prob.v, prob.w, len(prob.v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_full_structured_runs(), _signed_beta_runs()), st.sampled_from(["exact", "zero sign", "moved nonzero", "swapped columns", "padding row"]), st.data())
+def test_the_structural_check_gives_the_dense_report(case, mutation, data):
+    """compare_structured, which checks each basis by count and gather
+    without building P, reports the three flags and the mismatch label of
+    the dense comparison: on the exact run, and after one mutation of one
+    basis field (a zero's sign flipped, a column's nonzero moved to another
+    row, two columns swapped, a nonzero written into a padding row of a
+    grade-deficient basis).  A mutation that applies is a mismatch."""
+    name, prob, res = case
+    field = data.draw(st.sampled_from([f.name for f in dataclasses.fields(res) if f.name in _BASES]))
+    value = getattr(res, field)
+    B = np.hstack(value) if isinstance(value, tuple) else value.copy()
+    n, m = B.shape
+    applied = True
+    if mutation == "zero sign" and not B.all():
+        i, j = data.draw(st.sampled_from(np.argwhere(B == 0).tolist()))
+        B[i, j] = -B[i, j]
+    elif mutation == "moved nonzero" and n > 1:
+        j = data.draw(st.integers(0, m - 1))
+        i = int(np.flatnonzero(B[:, j])[0])
+        i2 = data.draw(st.integers(0, n - 1).filter(lambda r: r != i))
+        B[[i, i2], j] = B[[i2, i], j]
+    elif mutation == "swapped columns" and m > 1:
+        j, j2 = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        B[:, [j, j2]] = B[:, [j2, j]]
+    elif mutation == "padding row" and n > prob.P.n:
+        B[data.draw(st.integers(prob.P.n, n - 1)), data.draw(st.integers(0, m - 1))] = data.draw(st.sampled_from([1.0, -(2.0**-20)]))
+    else:
+        applied = mutation == "exact"
+    new = tuple(np.hsplit(B, len(value))) if isinstance(value, tuple) else B
+    mutated = replace(res, **{field: new})
+    rep = compare_structured(prob, name, mutated)
+    assert (rep.projected_match, rep.basis_match, rep.breakdown_match, rep.mismatch) == _dense_report(prob, name, mutated)
+    assert rep.ok == (mutation == "exact" or not applied)
+
+
+@pytest.mark.parametrize("precision", [BINARY64, BINARY32], ids=lambda p: p.name)
+def test_an_accepted_large_lanczos_check_builds_no_dense_prediction(monkeypatch, precision):
+    """At exact-large's size, n = 1000, an accepted Lanczos check builds no
+    n x n prediction: SignedPermutation.to_dense is not called.  A mismatch
+    builds it once, to name the entry."""
+    built = []
+    to_dense = SignedPermutation.to_dense
+    monkeypatch.setattr(SignedPermutation, "to_dense", lambda self, dtype=np.float64: built.append(self.n) or to_dense(self, dtype))
+    prob = random_structured_problem("jacobi", 1000, 7, precision)
+    res = lanczos(prob.A, prob.v, 1000)
+    assert compare_structured(prob, "lanczos", res).ok and built == []
+    V = res.V.copy()
+    V[999, 0] = -V[999, 0]
+    assert compare_structured(prob, "lanczos", replace(res, V=V)).mismatch == ("V[999,0]" if V[999, 0] == 0 else "V")
+    assert built == [1000]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_full_structured_runs(), _signed_beta_runs()))
+def test_no_accepted_check_builds_a_dense_prediction(case):
+    """Every structured entry, the -0 columns of a signed-superdiagonal W and
+    the padded deficient bases included, is accepted by the structural check
+    alone: SignedPermutation.to_dense is not called."""
+    name, prob, res = case
+    built, to_dense = [], SignedPermutation.to_dense
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SignedPermutation, "to_dense", lambda self, dtype=np.float64: built.append(self.n) or to_dense(self, dtype))
+        assert compare_structured(prob, name, res).ok
+    assert built == []
+
+
+def test_blocks_split_at_other_columns_are_not_the_predicted_blocks():
+    """The blocks are checked shape by shape before their hstack: blocks that
+    hstack to P but split it at other columns do not match, as in the dense
+    comparison, whose stacked shape they do not have."""
+    prob = random_structured_problem("blocktridiag", 8, 2, p=4)
+    res = block_lanczos(prob.A, prob.U1, 2)
+    B = np.hstack(res.U)
+    assert harness._columns_equal(res.U, ALGORITHMS["blocklanczos"].predict(prob, harness._lazy_P).U)
+    assert not harness._columns_equal((B[:, :3], B[:, 3:]), ALGORITHMS["blocklanczos"].predict(prob, harness._lazy_P).U)
